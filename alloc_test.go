@@ -12,6 +12,7 @@ import (
 	"cote/internal/core"
 	"cote/internal/experiments"
 	"cote/internal/opt"
+	"cote/internal/testutil"
 	"cote/internal/workload"
 )
 
@@ -21,6 +22,12 @@ const (
 	maxOptimizeAllocs = 3700
 	maxEstimateAllocs = 6900
 )
+
+// optimizeAllocsBeforeHitMemo is the headline compile's exact count at the
+// commit before the buffer-model memo (3062; 2953 with it, the flat Equiv
+// saving one allocation per MEMO entry). The memo is a fixed array inside
+// the pooled generator scratch, so once the pool is warm it must add none.
+const optimizeAllocsBeforeHitMemo = 3062
 
 func TestOptimizeAllocsReal2Headline(t *testing.T) {
 	if testing.Short() {
@@ -34,6 +41,10 @@ func TestOptimizeAllocsReal2Headline(t *testing.T) {
 	})
 	if avg > maxOptimizeAllocs {
 		t.Errorf("Optimize(real2 headline) = %.0f allocs/op, want <= %d — a per-plan allocation crept back in", avg, maxOptimizeAllocs)
+	}
+	// sync.Pool drops puts under -race, so only the loose ceiling holds there.
+	if !testutil.RaceEnabled && avg > optimizeAllocsBeforeHitMemo {
+		t.Errorf("Optimize(real2 headline) = %.0f allocs/op, above the %d it took before join costing was memoized", avg, optimizeAllocsBeforeHitMemo)
 	}
 }
 

@@ -625,7 +625,9 @@ func (s *suite) fig4(w *workload.Workload) error {
 		fmt.Printf("%-16s %14v %14v %7.2f%%\n", r.Query, r.Actual, r.Estimate, r.Pct)
 		mean += r.Pct
 	}
-	fmt.Printf("%-16s %14s %14s %7.2f%%\n\n", "MEAN", "", "", mean/float64(len(rows)))
+	fmt.Printf("%-16s %14s %14s %7.2f%%\n", "MEAN", "", "", mean/float64(len(rows)))
+	compile, estimate, pct := experiments.OverheadTotal(rows)
+	fmt.Printf("%-16s %14v %14v %7.2f%%\n\n", "TOTAL", compile, estimate, pct)
 	return nil
 }
 

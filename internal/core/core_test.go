@@ -190,22 +190,44 @@ func TestCompoundModeRuns(t *testing.T) {
 	}
 }
 
+// fastestCompile compiles blk five times and returns the fastest run. Tests
+// that compare wall clocks use it on every timing they take: a single shot
+// of a sub-millisecond compile can absorb a GC cycle or a descheduling
+// several times its own length.
+func fastestCompile(t *testing.T, blk *query.Block, level opt.Level) *opt.Result {
+	t.Helper()
+	var best *opt.Result
+	for i := 0; i < 5; i++ {
+		res, err := opt.Optimize(blk, opt.Options{Level: level})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best == nil || res.Elapsed < best.Elapsed {
+			best = res
+		}
+	}
+	return best
+}
+
 func TestEstimationOverheadSmall(t *testing.T) {
-	// Figure 4: estimation is a small fraction of real compilation. Wall
-	// clocks are noisy in CI, so only a generous bound is asserted; the
-	// bench harness reports the precise percentages.
+	// Figure 4: estimation is a small fraction of real compilation. Both
+	// sides are the fastest of five runs and only a generous bound is
+	// asserted; the bench harness reports the precise percentages.
 	blk := starBlock(t, 9, 3, 2, 1, 1)
-	res, err := opt.Optimize(blk, opt.Options{Level: opt.LevelHigh})
-	if err != nil {
-		t.Fatal(err)
+	compile := fastestCompile(t, blk, opt.LevelHigh).Elapsed
+	var estimate time.Duration
+	for i := 0; i < 5; i++ {
+		est, err := EstimatePlans(blk, Options{Level: opt.LevelHigh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || est.Elapsed < estimate {
+			estimate = est.Elapsed
+		}
 	}
-	est, err := EstimatePlans(blk, Options{Level: opt.LevelHigh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Elapsed > res.Elapsed/2 {
+	if estimate > compile/2 {
 		t.Fatalf("estimation took %v of a %v compilation — expected a small fraction",
-			est.Elapsed, res.Elapsed)
+			estimate, compile)
 	}
 }
 
@@ -256,11 +278,7 @@ func TestEndToEndTimePrediction(t *testing.T) {
 	var training []TrainingPoint
 	for preds := 1; preds <= 5; preds++ {
 		for _, n := range []int{6, 8} {
-			blk := starBlock(t, n, preds, 1, 0, 1)
-			res, err := opt.Optimize(blk, opt.Options{Level: opt.LevelHighInner2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := fastestCompile(t, starBlock(t, n, preds, 1, 0, 1), opt.LevelHighInner2)
 			training = append(training, TrainingPoint{
 				Counts: CountsFrom(res.TotalCounters()),
 				Actual: res.Elapsed,
@@ -273,10 +291,7 @@ func TestEndToEndTimePrediction(t *testing.T) {
 	}
 	// Held-out query.
 	blk := starBlock(t, 7, 3, 1, 0, 1)
-	res, err := opt.Optimize(blk, opt.Options{Level: opt.LevelHighInner2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fastestCompile(t, blk, opt.LevelHighInner2)
 	est, err := EstimatePlans(blk, Options{Level: opt.LevelHighInner2, Model: model})
 	if err != nil {
 		t.Fatal(err)

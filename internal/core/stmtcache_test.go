@@ -55,11 +55,7 @@ func TestStatementCacheVsCOTEOnAdHocWorkload(t *testing.T) {
 	var training []TrainingPoint
 	for preds := 1; preds <= 5; preds++ {
 		for _, n := range []int{6, 8} {
-			blk := starBlock(t, n, preds, 1, 0, 1)
-			res, err := opt.Optimize(blk, opt.Options{Level: opt.LevelHighInner2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := fastestCompile(t, starBlock(t, n, preds, 1, 0, 1), opt.LevelHighInner2)
 			training = append(training, TrainingPointFrom(res.TotalCounters(), res.Elapsed))
 		}
 	}
@@ -73,10 +69,7 @@ func TestStatementCacheVsCOTEOnAdHocWorkload(t *testing.T) {
 	var cacheEst, coteEst, actual []float64
 	for preds := 1; preds <= 5; preds++ {
 		blk := starBlock(t, 10, preds, 1, 0, 1)
-		res, err := opt.Optimize(blk, opt.Options{Level: opt.LevelHighInner2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := fastestCompile(t, blk, opt.LevelHighInner2)
 		if d, ok := cache.Lookup(blk); ok {
 			last = d
 		}

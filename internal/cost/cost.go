@@ -40,9 +40,9 @@ func (c *Config) nodes() float64 {
 
 // bufferHitRatio iterates the standard fixed-point approximation of the
 // buffer hit ratio for an access pattern touching the given number of
-// distinct pages. The iteration is intentionally non-trivial work: buffer
-// modeling is one of the cost-model refinements the paper cites as making
-// plan generation expensive.
+// distinct pages. It is a pure function of its argument; costing reaches it
+// through a HitMemo, so within one optimization each distinct page count
+// pays the twelve-step iteration once.
 func bufferHitRatio(pages float64) float64 {
 	if pages <= 0 {
 		return 1
@@ -59,6 +59,68 @@ func bufferHitRatio(pages float64) float64 {
 	return ratio
 }
 
+// A HitMemo holds 256 sets of hitMemoWays entries: 1024 entries in
+// 16 KiB, one 64-byte set per lookup. On the experiment workloads it answers
+// 97-99.99% of the lookups that remain once nested-loops costing has shared
+// its terms, and on the benchmark's compile workload 80.5%, all but the
+// first sight of each argument. The same 1024 entries direct-mapped answer
+// 95-99.6% and 71%; it takes 4096 direct-mapped entries to match.
+const (
+	hitMemoSetBits = 8
+	hitMemoWays    = 4
+)
+
+// hitEntry is one memoized point of the buffer model.
+type hitEntry struct {
+	key uint64 // math.Float64bits of the argument; 0 marks an empty entry
+	hit float64
+}
+
+// HitMemo is a small set-associative cache of bufferHitRatio keyed on the
+// bits of its argument, each set kept in most-recently-used order. The zero
+// value is empty and ready to use. A memo belongs to one goroutine (the plan
+// generator keeps one in its pooled scratch) and is never invalidated: the
+// function is pure, so whatever an earlier query left in an entry is still
+// the right answer for that key.
+type HitMemo struct {
+	sets [1 << hitMemoSetBits][hitMemoWays]hitEntry
+}
+
+// hitMemoSet returns the set a key belongs to. Page counts are mostly small
+// integers, whose mantissa tails are zero, so the set comes from the top
+// bits of a multiplicative hash.
+func hitMemoSet(key uint64) uint64 {
+	return key * 0x9E3779B97F4A7C15 >> (64 - hitMemoSetBits)
+}
+
+// hitRatio returns bufferHitRatio(pages), evaluating it only when the set
+// of pages does not hold that argument. Non-positive arguments are answered
+// before the table, which keeps +0 (bits 0) from ever being stored, so the
+// zero key can mark empty entries.
+func (m *HitMemo) hitRatio(pages float64) float64 {
+	if pages <= 0 {
+		return 1
+	}
+	key := math.Float64bits(pages)
+	set := &m.sets[hitMemoSet(key)]
+	if set[0].key == key {
+		return set[0].hit
+	}
+	// Find the argument further down the set, or settle on the last, least
+	// recently used entry; either way it moves to the front.
+	i := 1
+	for i < hitMemoWays-1 && set[i].key != key {
+		i++
+	}
+	e := set[i]
+	if e.key != key {
+		e = hitEntry{key, bufferHitRatio(pages)}
+	}
+	copy(set[1:i+1], set[:i])
+	set[0] = e
+	return e.hit
+}
+
 // pagesOf returns the page count of a rowset.
 func pagesOf(rows float64) float64 {
 	return math.Ceil(math.Max(rows, 0) / rowsPerPage)
@@ -71,10 +133,10 @@ func (c *Config) perNode(rows float64) float64 {
 
 // ScanCost returns the cost of a full table scan producing outRows of
 // tableRows (local predicates applied during the scan).
-func (c *Config) ScanCost(tableRows, outRows float64) float64 {
+func (c *Config) ScanCost(m *HitMemo, tableRows, outRows float64) float64 {
 	rows := c.perNode(tableRows)
 	pages := pagesOf(rows)
-	hit := bufferHitRatio(pages)
+	hit := m.hitRatio(pages)
 	io := pages * (1 - hit) * ioPage
 	cpu := rows*cpuRow + c.perNode(outRows)*cpuRow/4
 	return io + cpu + seekCost
@@ -82,12 +144,12 @@ func (c *Config) ScanCost(tableRows, outRows float64) float64 {
 
 // IndexScanCost returns the cost of fetching matchRows of tableRows through
 // an index: a descent per range plus data-page fetches per Yao's formula.
-func (c *Config) IndexScanCost(tableRows, matchRows float64) float64 {
+func (c *Config) IndexScanCost(m *HitMemo, tableRows, matchRows float64) float64 {
 	rows := c.perNode(tableRows)
 	match := c.perNode(matchRows)
 	dataPages := pagesOf(rows)
 	touched := yao(rows, dataPages, match)
-	hit := bufferHitRatio(touched)
+	hit := m.hitRatio(touched)
 	descent := math.Log2(math.Max(rows, 2)) * cpuCompare
 	io := touched * (1 - hit) * (ioPage + seekCost/4)
 	return descent + io + match*cpuRow
@@ -107,30 +169,52 @@ func (c *Config) SortCost(rows float64) float64 {
 	return cmp + passes*pages*2*ioPage + seekCost
 }
 
-// NLJNCost returns the cost of a nested-loops join: the outer is consumed
-// once and the inner re-evaluated per block of outer rows. As commercial
-// cost models do, the formula searches a small space of block sizes
-// (block-nested-loops buffering) and prices each candidate with the buffer
-// model, keeping the cheapest — per-plan costing work of exactly the kind
-// the paper blames for plan generation dominating compilation.
-func (c *Config) NLJNCost(outerCost, outerRows, innerCost, innerRows, outRows float64) float64 {
+// NLJNTerms holds the parts of a nested-loops join's cost that the input
+// plans' own costs do not enter: they depend on the cardinalities alone, so
+// the plan generator computes them once for all outer plans of one
+// cardinality and prices each plan with Cost.
+type NLJNTerms struct {
+	cpu, io, out float64
+}
+
+// NLJNTerms prices the cardinality-dependent work of a nested-loops join:
+// the outer is consumed once and the inner re-evaluated per block of outer
+// rows. As commercial cost models do, the formula searches a small space of
+// block sizes (block-nested-loops buffering) and prices each candidate with
+// the buffer model, keeping the cheapest.
+func (c *Config) NLJNTerms(m *HitMemo, outerRows, innerRows, outRows float64) NLJNTerms {
 	or := c.perNode(outerRows)
 	ir := c.perNode(innerRows)
 	innerPages := pagesOf(ir)
-	// Join-condition evaluation is quadratic regardless of blocking.
-	cpu := or * ir * cpuCompare
 	// The inner is re-read once per block of buffered outer rows; larger
 	// blocks cost buffer space (worse hit ratios for the inner pages).
 	bestIO := math.Inf(1)
 	for block := 1.0; block <= 4096; block *= 4 {
 		passes := math.Ceil(math.Max(or, 1) / block)
-		hit := bufferHitRatio(innerPages + block/rowsPerPage)
+		hit := m.hitRatio(innerPages + block/rowsPerPage)
 		io := passes*innerPages*(1-hit)*ioPage/8 + block*cpuRow/8
 		if io < bestIO {
 			bestIO = io
 		}
 	}
-	return outerCost + innerCost + cpu + bestIO + c.perNode(outRows)*cpuRow/4
+	return NLJNTerms{
+		// Join-condition evaluation is quadratic regardless of blocking.
+		cpu: or * ir * cpuCompare,
+		io:  bestIO,
+		out: c.perNode(outRows) * cpuRow / 4,
+	}
+}
+
+// Cost returns the cost of the nested-loops join over inputs of the given
+// costs. The terms are added in a fixed order, so a plan costs the same
+// whether its terms were computed for it or shared.
+func (t NLJNTerms) Cost(outerCost, innerCost float64) float64 {
+	return outerCost + innerCost + t.cpu + t.io + t.out
+}
+
+// NLJNCost returns the cost of one nested-loops join.
+func (c *Config) NLJNCost(m *HitMemo, outerCost, outerRows, innerCost, innerRows, outRows float64) float64 {
+	return c.NLJNTerms(m, outerRows, innerRows, outRows).Cost(outerCost, innerCost)
 }
 
 // MGJNCost returns the cost of the merge phase of a sort-merge join; input
@@ -152,10 +236,8 @@ func (c *Config) MGJNCost(outerCost, outerRows, innerCost, innerRows, outRows fl
 // HSJNCost returns the cost of a hash join building on the inner and
 // probing with the outer. Like commercial hash-join cost models, it
 // searches a small space of grace-partitioning fanouts, picking the
-// cheapest combination of spill I/O and per-bucket probe work — the kind of
-// cost-model sophistication the paper credits for plan generation
-// dominating compilation time.
-func (c *Config) HSJNCost(outerCost, outerRows, innerCost, innerRows, outRows float64) float64 {
+// cheapest combination of spill I/O and per-bucket probe work.
+func (c *Config) HSJNCost(m *HitMemo, outerCost, outerRows, innerCost, innerRows, outRows float64) float64 {
 	or, ir := c.perNode(outerRows), c.perNode(innerRows)
 	buildPages := pagesOf(ir)
 	best := math.Inf(1)
@@ -169,7 +251,7 @@ func (c *Config) HSJNCost(outerCost, outerRows, innerCost, innerRows, outRows fl
 		} else if fanout > 1 {
 			spill = (pagesOf(or) + buildPages) * 2 * ioPage
 		}
-		hit := bufferHitRatio(partPages)
+		hit := m.hitRatio(partPages)
 		build := ir*cpuHash*2 + ir*(1-hit)*cpuHash/2
 		probe := or*cpuHash + or*math.Log2(fanout+1)*cpuCompare/4
 		if t := build + probe + spill; t < best {

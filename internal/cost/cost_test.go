@@ -195,26 +195,28 @@ func TestJoinSelNonEquality(t *testing.T) {
 }
 
 func TestScanCostScalesWithRows(t *testing.T) {
-	small := Serial.ScanCost(1_000, 1_000)
-	big := Serial.ScanCost(1_000_000, 1_000_000)
+	m := new(HitMemo)
+	small := Serial.ScanCost(m, 1_000, 1_000)
+	big := Serial.ScanCost(m, 1_000_000, 1_000_000)
 	if small >= big {
 		t.Fatal("scan cost not increasing with rows")
 	}
 	// Parallel divides the work.
-	par := Parallel4.ScanCost(1_000_000, 1_000_000)
+	par := Parallel4.ScanCost(m, 1_000_000, 1_000_000)
 	if par >= big {
 		t.Fatal("parallel scan not cheaper than serial")
 	}
 }
 
 func TestIndexVsScanCrossover(t *testing.T) {
+	m := new(HitMemo)
 	rows := 1_000_000.0
 	// Very selective: index wins.
-	if ix, sc := Serial.IndexScanCost(rows, 10), Serial.ScanCost(rows, 10); ix >= sc {
+	if ix, sc := Serial.IndexScanCost(m, rows, 10), Serial.ScanCost(m, rows, 10); ix >= sc {
 		t.Fatalf("selective index scan %v not under table scan %v", ix, sc)
 	}
 	// Fetch everything: scan wins.
-	if ix, sc := Serial.IndexScanCost(rows, rows), Serial.ScanCost(rows, rows); ix <= sc {
+	if ix, sc := Serial.IndexScanCost(m, rows, rows), Serial.ScanCost(m, rows, rows); ix <= sc {
 		t.Fatalf("full-fetch index scan %v not above table scan %v", ix, sc)
 	}
 }
@@ -228,11 +230,12 @@ func TestSortCostSuperlinear(t *testing.T) {
 }
 
 func TestJoinCostSanity(t *testing.T) {
+	m := new(HitMemo)
 	// Hash join should beat nested loops on large unordered inputs.
-	oc, or := Serial.ScanCost(1_000_000, 1_000_000), 1_000_000.0
-	ic, ir := Serial.ScanCost(500_000, 500_000), 500_000.0
-	nl := Serial.NLJNCost(oc, or, ic, ir, 1_000_000)
-	hs := Serial.HSJNCost(oc, or, ic, ir, 1_000_000)
+	oc, or := Serial.ScanCost(m, 1_000_000, 1_000_000), 1_000_000.0
+	ic, ir := Serial.ScanCost(m, 500_000, 500_000), 500_000.0
+	nl := Serial.NLJNCost(m, oc, or, ic, ir, 1_000_000)
+	hs := Serial.HSJNCost(m, oc, or, ic, ir, 1_000_000)
 	if hs >= nl {
 		t.Fatalf("hash join %v not under nested loops %v on big inputs", hs, nl)
 	}
@@ -242,8 +245,8 @@ func TestJoinCostSanity(t *testing.T) {
 		t.Fatalf("merge join %v not under hash join %v on sorted inputs", mg, hs)
 	}
 	// Tiny inner: nested loops becomes competitive with hash join.
-	nlTiny := Serial.NLJNCost(oc, or, Serial.ScanCost(10, 10), 10, 1_000_000)
-	hsTiny := Serial.HSJNCost(oc, or, Serial.ScanCost(10, 10), 10, 1_000_000)
+	nlTiny := Serial.NLJNCost(m, oc, or, Serial.ScanCost(m, 10, 10), 10, 1_000_000)
+	hsTiny := Serial.HSJNCost(m, oc, or, Serial.ScanCost(m, 10, 10), 10, 1_000_000)
 	if nlTiny > hsTiny*3 {
 		t.Fatalf("NLJN with tiny inner (%v) should be near HSJN (%v)", nlTiny, hsTiny)
 	}
@@ -283,17 +286,18 @@ func TestBufferHitRatioBounds(t *testing.T) {
 
 // Property: all operator costs are nonnegative and finite for sane inputs.
 func TestQuickCostsFinite(t *testing.T) {
+	m := new(HitMemo)
 	f := func(a, b uint32) bool {
 		or := float64(a%10_000_000) + 1
 		ir := float64(b%10_000_000) + 1
 		for _, cfg := range []*Config{Serial, Parallel4} {
 			costs := []float64{
-				cfg.ScanCost(or, ir),
-				cfg.IndexScanCost(or, math.Min(or, ir)),
+				cfg.ScanCost(m, or, ir),
+				cfg.IndexScanCost(m, or, math.Min(or, ir)),
 				cfg.SortCost(or),
-				cfg.NLJNCost(1, or, 1, ir, or),
+				cfg.NLJNCost(m, 1, or, 1, ir, or),
 				cfg.MGJNCost(1, or, 1, ir, or),
-				cfg.HSJNCost(1, or, 1, ir, or),
+				cfg.HSJNCost(m, 1, or, 1, ir, or),
 				cfg.RepartitionCost(or),
 				cfg.GroupByCost(or, ir, a%2 == 0),
 			}

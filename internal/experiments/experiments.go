@@ -34,37 +34,56 @@ func ConfigFor(w *workload.Workload) *cost.Config {
 	return cost.Serial
 }
 
-// timedOptimize compiles a query repeatedly and returns the best-observed
-// result; wall-clock medians of small repetition counts keep the figures
-// stable without distorting ratios.
-func timedOptimize(q workload.Query, cfg *cost.Config) (*opt.Result, error) {
-	var best *opt.Result
-	for i := 0; i < 3; i++ {
-		res, err := opt.Optimize(q.Block, opt.Options{Level: Level, Config: cfg})
+// A timed call is repeated at least minTimingRuns times and until
+// timingFloor of measured work has accumulated, up to maxTimingRuns; the
+// fastest run is kept. A 50µs compile is both the most exposed to a stray GC
+// cycle or descheduling and the cheapest to repeat, so the short queries get
+// the extra runs and the long ones keep three.
+const (
+	minTimingRuns = 3
+	maxTimingRuns = 15
+	timingFloor   = 5 * time.Millisecond
+)
+
+// fastestOf repeats run under the rule above and returns the result of its
+// fastest repetition.
+func fastestOf[T any](run func() (T, time.Duration, error)) (T, error) {
+	var best T
+	var bestTime, total time.Duration
+	for i := 0; i < maxTimingRuns && (i < minTimingRuns || total < timingFloor); i++ {
+		r, elapsed, err := run()
 		if err != nil {
-			return nil, err
+			return best, err
 		}
-		if best == nil || res.Elapsed < best.Elapsed {
-			best = res
+		if i == 0 || elapsed < bestTime {
+			best, bestTime = r, elapsed
 		}
+		total += elapsed
 	}
 	return best, nil
 }
 
-// timedEstimate runs the estimator repeatedly and returns the best-observed
-// run.
+// timedOptimize compiles a query repeatedly at the given level and returns
+// the fastest result.
+func timedOptimize(q workload.Query, cfg *cost.Config, level opt.Level) (*opt.Result, error) {
+	return fastestOf(func() (*opt.Result, time.Duration, error) {
+		res, err := opt.Optimize(q.Block, opt.Options{Level: level, Config: cfg})
+		if err != nil {
+			return nil, 0, err
+		}
+		return res, res.Elapsed, nil
+	})
+}
+
+// timedEstimate runs the estimator repeatedly and returns the fastest run.
 func timedEstimate(q workload.Query, cfg *cost.Config, model *core.TimeModel) (*core.Estimate, error) {
-	var best *core.Estimate
-	for i := 0; i < 3; i++ {
+	return fastestOf(func() (*core.Estimate, time.Duration, error) {
 		est, err := core.EstimatePlans(q.Block, core.Options{Level: Level, Config: cfg, Model: model})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if best == nil || est.Elapsed < best.Elapsed {
-			best = est
-		}
-	}
-	return best, nil
+		return est, est.Elapsed, nil
+	})
 }
 
 // --- Figure 2 ---
@@ -83,7 +102,7 @@ func Fig2Breakdown(w *workload.Workload) (Fig2Row, error) {
 	var agg opt.Breakdown
 	var total time.Duration
 	for _, q := range w.Queries {
-		res, err := timedOptimize(q, cfg)
+		res, err := timedOptimize(q, cfg, Level)
 		if err != nil {
 			return Fig2Row{}, fmt.Errorf("%s: %w", q.Name, err)
 		}
@@ -125,7 +144,7 @@ func Fig4Overhead(w *workload.Workload) ([]OverheadRow, error) {
 	cfg := ConfigFor(w)
 	var out []OverheadRow
 	for _, q := range w.Queries {
-		res, err := timedOptimize(q, cfg)
+		res, err := timedOptimize(q, cfg, Level)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
@@ -141,6 +160,18 @@ func Fig4Overhead(w *workload.Workload) ([]OverheadRow, error) {
 		})
 	}
 	return out, nil
+}
+
+// OverheadTotal returns a workload's total estimation time as a percentage
+// of its total compilation time. Unlike the mean of the per-query
+// percentages it weighs each query by what it costs, so one noisy
+// 70µs query cannot carry it.
+func OverheadTotal(rows []OverheadRow) (compile, estimate time.Duration, pct float64) {
+	for _, r := range rows {
+		compile += r.Actual
+		estimate += r.Estimate
+	}
+	return compile, estimate, 100 * estimate.Seconds() / compile.Seconds()
 }
 
 // --- Figure 5 ---
@@ -224,15 +255,9 @@ func TrainModel(training []*workload.Workload) (*core.TimeModel, error) {
 		cfg := ConfigFor(w)
 		for _, q := range w.Queries {
 			for _, level := range []opt.Level{Level, opt.LevelMediumLeftDeep} {
-				var best *opt.Result
-				for i := 0; i < 3; i++ {
-					res, err := opt.Optimize(q.Block, opt.Options{Level: level, Config: cfg})
-					if err != nil {
-						return nil, fmt.Errorf("%s: %w", q.Name, err)
-					}
-					if best == nil || res.Elapsed < best.Elapsed {
-						best = res
-					}
+				best, err := timedOptimize(q, cfg, level)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", q.Name, err)
 				}
 				pts = append(pts, core.TrainingPointFrom(best.TotalCounters(), best.Elapsed))
 			}
@@ -247,7 +272,7 @@ func Fig6Times(w *workload.Workload, model *core.TimeModel) ([]TimeRow, error) {
 	cfg := ConfigFor(w)
 	var out []TimeRow
 	for _, q := range w.Queries {
-		res, err := timedOptimize(q, cfg)
+		res, err := timedOptimize(q, cfg, Level)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
@@ -301,7 +326,7 @@ func JoinBaseline(w *workload.Workload, model *core.TimeModel) ([]BaselineRow, e
 	var os []obs
 	var jpts []core.JoinTrainingPoint
 	for _, q := range w.Queries {
-		res, err := timedOptimize(q, cfg)
+		res, err := timedOptimize(q, cfg, Level)
 		if err != nil {
 			return nil, err
 		}

@@ -31,15 +31,12 @@ func TestFig4OverheadSmall(t *testing.T) {
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	var mean float64
-	for _, r := range rows {
-		mean += r.Pct
-	}
-	mean /= float64(len(rows))
-	// The paper reports 0.3%-3%; wall-clock noise on tiny queries warrants
-	// slack, but the mean must stay a clear minority of compilation.
-	if mean > 30 {
-		t.Fatalf("mean estimation overhead %.1f%% of compilation", mean)
+	// The paper reports 0.3%-3%; against this optimizer's leaner costing the
+	// figure is 9-12% (EXPERIMENTS.md). The bound is on the workload's
+	// totals: in a mean of per-query percentages one 70µs query that caught
+	// a GC cycle reads 96% and carries the average.
+	if compile, estimate, pct := OverheadTotal(rows); pct > 30 {
+		t.Fatalf("estimation took %.1f%% of the workload's compilation time (%v of %v)", pct, estimate, compile)
 	}
 }
 

@@ -196,12 +196,12 @@ func TestParsePlan(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"nosuch.point:error",          // unknown point
-		"pool.acquire",                // no directives
-		"pool.acquire:p=0.5",          // neither error nor latency
-		"pool.acquire:error,p=1.5",    // probability out of range
-		"pool.acquire:error,zap=1",    // unknown directive
-		"seed=x",                      // bad seed
+		"nosuch.point:error",                    // unknown point
+		"pool.acquire",                          // no directives
+		"pool.acquire:p=0.5",                    // neither error nor latency
+		"pool.acquire:error,p=1.5",              // probability out of range
+		"pool.acquire:error,zap=1",              // unknown directive
+		"seed=x",                                // bad seed
 		"pool.acquire:error;pool.acquire:error", // duplicate
 	} {
 		if _, err := ParsePlan(bad); err == nil {

@@ -39,13 +39,16 @@ func Optimize(blk *query.Block, card *cost.Estimator, cfg *cost.Config) (*Result
 		return nil, fmt.Errorf("greedy: query %q has no tables", blk.Name)
 	}
 	res := &Result{}
+	// The run's buffer-model memo: a few dozen costings share a handful of
+	// page counts, and the table stays on this stack frame.
+	var hits cost.HitMemo
 
 	scan := func(t int) *memo.Plan {
 		ref := blk.Tables[t]
 		fc := card.FilteredCard(t)
 		return &memo.Plan{
 			Op: memo.OpTableScan, Tables: bitset.Single(t),
-			Cost: cfg.ScanCost(ref.BaseRows(), fc), Card: fc,
+			Cost: cfg.ScanCost(&hits, ref.BaseRows(), fc), Card: fc,
 		}
 	}
 
@@ -70,7 +73,7 @@ func Optimize(blk *query.Block, card *cost.Estimator, cfg *cost.Config) (*Result
 			if !joinAllowed(blk, cur.Tables, t) {
 				return
 			}
-			cand := bestJoin(blk, card, cfg, cur, scan(t), &res.JoinsConsidered)
+			cand := bestJoin(blk, card, cfg, &hits, cur, scan(t), &res.JoinsConsidered)
 			if plan == nil || cand.Cost < plan.Cost {
 				plan = cand
 			}
@@ -124,7 +127,7 @@ func joinAllowed(blk *query.Block, have bitset.Set, t int) bool {
 
 // bestJoin returns the cheaper of a hash join and a nested-loops join
 // between cur (outer) and the scan of one more table.
-func bestJoin(blk *query.Block, card *cost.Estimator, cfg *cost.Config, cur, right *memo.Plan, considered *int) *memo.Plan {
+func bestJoin(blk *query.Block, card *cost.Estimator, cfg *cost.Config, hits *cost.HitMemo, cur, right *memo.Plan, considered *int) *memo.Plan {
 	union := cur.Tables.Union(right.Tables)
 	outCard := card.Card(union)
 	var best *memo.Plan
@@ -139,14 +142,14 @@ func bestJoin(blk *query.Block, card *cost.Estimator, cfg *cost.Config, cur, rig
 		*considered++
 		best = &memo.Plan{
 			Op: memo.OpHSJN, Left: cur, Right: right, Tables: union,
-			Cost: cfg.HSJNCost(cur.Cost, cur.Card, right.Cost, right.Card, outCard),
+			Cost: cfg.HSJNCost(hits, cur.Cost, cur.Card, right.Cost, right.Card, outCard),
 			Card: outCard,
 		}
 	}
 	*considered++
 	nl := &memo.Plan{
 		Op: memo.OpNLJN, Left: cur, Right: right, Tables: union,
-		Cost: cfg.NLJNCost(cur.Cost, cur.Card, right.Cost, right.Card, outCard),
+		Cost: cfg.NLJNCost(hits, cur.Cost, cur.Card, right.Cost, right.Card, outCard),
 		Card: outCard,
 	}
 	if best == nil || nl.Cost < best.Cost {

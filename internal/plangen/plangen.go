@@ -14,6 +14,7 @@
 package plangen
 
 import (
+	"math"
 	"sync"
 	"time"
 	"unsafe"
@@ -130,6 +131,12 @@ type Generator struct {
 // pooled current chunk pins at most one chunk's worth of a finished
 // request's plans until it is overwritten.
 type scratch struct {
+	// hits memoizes the cost model's buffer hit ratios. It survives pooling
+	// as is: the function is pure, so entries from an earlier query stay
+	// valid. A fixed array, not charged to the accountant; first in the
+	// struct so its 64-byte sets start on cache-line boundaries.
+	hits cost.HitMemo
+
 	// arena batches Plan allocations and recycles MEMO-rejected plans.
 	arena planArena
 
@@ -249,7 +256,7 @@ func (g *Generator) initEntry(e *memo.Entry) {
 	p := g.arena.alloc()
 	*p = memo.Plan{
 		Op: memo.OpTableScan, Tables: e.Tables,
-		Cost: g.cfg.ScanCost(rows, fc) + g.cfg.ExpensivePredCost(rows, expN),
+		Cost: g.cfg.ScanCost(&g.hits, rows, fc) + g.cfg.ExpensivePredCost(rows, expN),
 		Card: fc, Part: part,
 		Pipelined: true,
 	}
@@ -262,7 +269,7 @@ func (g *Generator) initEntry(e *memo.Entry) {
 		p := g.arena.alloc()
 		*p = memo.Plan{
 			Op: memo.OpTableScan, Tables: e.Tables,
-			Cost: g.cfg.ScanCost(rows, fc/expSel), Card: fc / expSel, Part: part,
+			Cost: g.cfg.ScanCost(&g.hits, rows, fc/expSel), Card: fc / expSel, Part: part,
 			Pipelined:   true,
 			DeferredExp: e.Tables,
 		}
@@ -276,7 +283,7 @@ func (g *Generator) initEntry(e *memo.Entry) {
 		*p = memo.Plan{
 			Op: memo.OpIndexScan, Tables: e.Tables,
 			Order: g.retireOrDeliver(o, e), Part: part,
-			Cost: g.cfg.IndexScanCost(rows, match), Card: fc,
+			Cost: g.cfg.IndexScanCost(&g.hits, rows, match), Card: fc,
 			Pipelined: true,
 		}
 		g.savePlan(e, p)
@@ -422,14 +429,22 @@ func (g *Generator) innerInput(inner *memo.Entry, pp props.Partition, eq *query.
 func (g *Generator) genNLJN(outer, inner, result *memo.Entry, pp props.Partition) {
 	defer g.timeMethod(props.NLJN)()
 	ip, innerExtra := g.innerInput(inner, pp, result.Equiv)
+	innerCost := ip.Cost + innerExtra
+	// The cardinality-dependent cost terms are shared by every outer plan of
+	// one cardinality — all of them, unless deferred expensive predicates
+	// inflate some plans' row counts.
+	var terms cost.NLJNTerms
+	termsCard := math.NaN()
 	made := 0
 	for _, po := range outer.Plans {
 		if g.parallel && !po.Part.EqualUnder(pp, result.Equiv) {
 			continue
 		}
 		made++
-		g.emitJoin(result, memo.OpNLJN, po, ip,
-			g.cfg.NLJNCost(po.Cost, po.Card, ip.Cost+innerExtra, ip.Card, result.Card),
+		if po.Card != termsCard {
+			terms, termsCard = g.cfg.NLJNTerms(&g.hits, po.Card, ip.Card, result.Card), po.Card
+		}
+		g.emitJoin(result, memo.OpNLJN, po, ip, terms.Cost(po.Cost, innerCost),
 			g.propagateOrder(po, result), pp)
 	}
 	if g.parallel && made == 0 {
@@ -441,8 +456,8 @@ func (g *Generator) genNLJN(outer, inner, result *memo.Entry, pp props.Partition
 		// lists summarize by multiplication.
 		po := outer.Best()
 		repart := g.cfg.RepartitionCost(po.Card)
-		g.emitJoin(result, memo.OpNLJN, po, ip,
-			g.cfg.NLJNCost(po.Cost+repart, po.Card, ip.Cost+innerExtra, ip.Card, result.Card),
+		terms := g.cfg.NLJNTerms(&g.hits, po.Card, ip.Card, result.Card)
+		g.emitJoin(result, memo.OpNLJN, po, ip, terms.Cost(po.Cost+repart, innerCost),
 			props.Order{}, pp)
 		orders := &g.nlOrdersBuf
 		orders.Reset()
@@ -454,8 +469,7 @@ func (g *Generator) genNLJN(outer, inner, result *memo.Entry, pp props.Partition
 				continue
 			}
 			resort := g.cfg.SortCost(po.Card) * sortWidthFactor(p.Order)
-			g.emitJoin(result, memo.OpNLJN, po, ip,
-				g.cfg.NLJNCost(po.Cost+repart+resort, po.Card, ip.Cost+innerExtra, ip.Card, result.Card),
+			g.emitJoin(result, memo.OpNLJN, po, ip, terms.Cost(po.Cost+repart+resort, innerCost),
 				g.retireOrDeliver(p.Order, result), pp)
 		}
 	}
@@ -574,7 +588,7 @@ func (g *Generator) genHSJN(outer, inner, result *memo.Entry, pp props.Partition
 	op, opExtra := g.dcInput(outer, pp, result.Equiv)
 	ip, ipExtra := g.dcInput(inner, pp, result.Equiv)
 	g.emitJoin(result, memo.OpHSJN, op, ip,
-		g.cfg.HSJNCost(op.Cost+opExtra, op.Card, ip.Cost+ipExtra, ip.Card, result.Card),
+		g.cfg.HSJNCost(&g.hits, op.Cost+opExtra, op.Card, ip.Cost+ipExtra, ip.Card, result.Card),
 		props.Order{}, pp)
 }
 

@@ -2,6 +2,7 @@ package plangen
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"cote/internal/bitset"
@@ -13,6 +14,7 @@ import (
 	"cote/internal/props"
 	"cote/internal/query"
 	"cote/internal/resource"
+	"cote/internal/testutil"
 )
 
 // fixture builds a 3-table chain a-b-c with an ORDER BY, optionally
@@ -279,4 +281,147 @@ func TestReleaseScratchZeroesAccounting(t *testing.T) {
 	}
 	s.arena.resetAccounting()
 	s.bufCharged = 0
+}
+
+// chainBlock builds a chain query t0-t1-...-tk over tables of the given row
+// counts, indexed on the join column and ordered on a non-join column so
+// entries carry several plans per cardinality.
+func chainBlock(t *testing.T, nodes int, rows ...float64) *query.Block {
+	t.Helper()
+	cb := catalog.NewBuilder("chain")
+	names := make([]string, len(rows))
+	for i, r := range rows {
+		names[i] = string(rune('a' + i))
+		tb := cb.Table(names[i], r)
+		tb.Column("x", r/10).Column("y", r/20).Column("m", 50).Index("ix_"+names[i], false, "x")
+		if nodes > 1 {
+			tb.Partition(nodes, "x")
+		}
+	}
+	qb := query.NewBuilder("chain", cb.Build())
+	for _, n := range names {
+		qb.AddTable(n, "")
+	}
+	for i := 1; i < len(names); i++ {
+		qb.JoinEq(names[i-1], "y", names[i], "x")
+	}
+	qb.OrderBy(qb.Col(names[0], "m"))
+	return qb.MustBuild()
+}
+
+// planCosts runs plan generation for blk on the given scratch and returns
+// every surviving plan's cost in MEMO order.
+func planCosts(t *testing.T, blk *query.Block, cfg *cost.Config, s *scratch) []float64 {
+	t.Helper()
+	card := cost.NewEstimator(blk, cost.Full)
+	mem := memo.New(blk.NumTables())
+	gen := New(blk, props.NewScope(blk), mem, card, Options{Config: cfg})
+	gen.ReleaseScratch()
+	gen.scratch = s
+	if _, err := enum.New(blk, mem, card, enum.Options{}).Run(gen.Hooks()); err != nil {
+		t.Fatal(err)
+	}
+	var costs []float64
+	for _, e := range mem.Entries() {
+		for _, p := range e.Plans {
+			costs = append(costs, p.Cost)
+		}
+	}
+	return costs
+}
+
+// A pooled scratch carries its buffer-model memo from one query into the
+// next, uninvalidated. The second query must cost exactly as it does on a
+// scratch that has seen nothing, at both node counts.
+func TestPooledScratchMemoAcrossQueries(t *testing.T) {
+	for _, nodes := range []int{1, 4} {
+		cfg := cost.Serial
+		if nodes > 1 {
+			cfg = cost.Parallel4
+		}
+		first := chainBlock(t, nodes, 2_000_000, 90_000, 400, 7_000_000, 52_000)
+		second := chainBlock(t, nodes, 120_000, 3_300_000, 41, 880_000)
+
+		want := planCosts(t, second, cfg, new(scratch))
+		pooled := new(scratch)
+		planCosts(t, first, cfg, pooled)
+		got := planCosts(t, second, cfg, pooled)
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("nodes=%d: %d plans on the reused scratch, %d on a fresh one", nodes, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("nodes=%d: plan %d costs %v on the reused scratch, %v on a fresh one", nodes, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// The memo is part of the pooled scratch: borrowing it costs a generator
+// nothing beyond the Generator value itself.
+func TestNewAllocatesOnlyTheGenerator(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops puts under -race")
+	}
+	blk := chainBlock(t, 1, 1_000, 2_000)
+	card := cost.NewEstimator(blk, cost.Full)
+	sc := props.NewScope(blk)
+	mem := memo.New(blk.NumTables())
+	New(blk, sc, mem, card, Options{}).ReleaseScratch() // seed the pool
+	if avg := testing.AllocsPerRun(100, func() {
+		New(blk, sc, mem, card, Options{}).ReleaseScratch()
+	}); avg > 1 {
+		t.Fatalf("New + ReleaseScratch = %.1f allocs, want 1 — the scratch (arena, buffers, hit memo) must come from the pool", avg)
+	}
+}
+
+// genNLJN shares one set of cardinality-dependent terms among the outer
+// plans of a join. With an expensive predicate the outer entry mixes plans
+// of two cardinalities (applied at the scan, or deferred past the joins), so
+// the shared terms must be recomputed mid-loop: every surviving serial NLJN
+// plan has to cost what pricing it alone would give.
+func TestSharedNLJNTermsMatchPerPlanCosting(t *testing.T) {
+	cb := catalog.NewBuilder("exp")
+	cb.Table("a", 400_000).Column("x", 4_000).Column("img", 100).Column("m", 50).Index("ix_a", false, "x")
+	cb.Table("b", 90_000).Column("x", 4_000).Column("y", 900).Index("ix_b", false, "y")
+	cb.Table("c", 1_500_000).Column("y", 900)
+	qb := query.NewBuilder("exp", cb.Build())
+	qb.AddTable("a", "")
+	qb.AddTable("b", "")
+	qb.AddTable("c", "")
+	qb.JoinEq("a", "x", "b", "x")
+	qb.JoinEq("b", "y", "c", "y")
+	qb.ExpensiveFilter(qb.Col("a", "img"), 0.05)
+	qb.OrderBy(qb.Col("a", "m"))
+	blk := qb.MustBuild()
+
+	card := cost.NewEstimator(blk, cost.Full)
+	mem := memo.New(blk.NumTables())
+	gen := New(blk, props.NewScope(blk), mem, card, Options{})
+	// Check every generated NLJN plan on its way into the MEMO, pruned later
+	// or not, and note the outer cardinalities each genNLJN loop priced.
+	type loop struct{ result, outer bitset.Set }
+	cards := map[loop]map[float64]bool{}
+	mixed := false
+	gen.sink = func(result *memo.Entry, p *memo.Plan) {
+		if p.Op == memo.OpNLJN {
+			want := cost.Serial.NLJNCost(new(cost.HitMemo), p.Left.Cost, p.Left.Card, p.Right.Cost, p.Right.Card, result.Card)
+			if math.Float64bits(p.Cost) != math.Float64bits(want) {
+				t.Errorf("NLJN over outer card %v costs %v, priced alone %v", p.Left.Card, p.Cost, want)
+			}
+			l := loop{result.Tables, p.Left.Tables}
+			if cards[l] == nil {
+				cards[l] = map[float64]bool{}
+			}
+			cards[l][p.Left.Card] = true
+			mixed = mixed || len(cards[l]) > 1
+		}
+		gen.commitJoin(result, p)
+	}
+	if _, err := enum.New(blk, mem, card, enum.Options{}).Run(gen.Hooks()); err != nil {
+		t.Fatal(err)
+	}
+	if !mixed {
+		t.Fatal("no join priced outers of two cardinalities — the fixture no longer mixes deferred and applied outers")
+	}
 }

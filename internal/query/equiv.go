@@ -8,7 +8,10 @@ import "cote/internal/bitset"
 // once R.a = S.a is applied), so equivalence must be recomputed per
 // enumerated table set; Equiv is the per-set answer.
 type Equiv struct {
-	uf *unionFind
+	// rep maps every column to its class representative: the union-find
+	// forest after flattening, so lookups are single reads and read-only —
+	// one Equiv is shared by all workers of the parallel DP round.
+	rep []int32
 }
 
 // EquivWithin returns the equivalence classes induced by equality join
@@ -25,19 +28,17 @@ func (b *Block) EquivWithin(s bitset.Set) *Equiv {
 			uf.union(int(p.Left), int(p.Right))
 		}
 	}
-	// Flatten so lookups are O(1) and, crucially, read-only: one Equiv is
-	// shared by all workers of the parallel DP round.
 	uf.flatten()
-	return &Equiv{uf: uf}
+	return &Equiv{rep: uf.parent}
 }
 
 // Same reports whether columns a and b are in the same equivalence class.
 func (e *Equiv) Same(a, b ColID) bool {
-	return e.uf.find(int(a)) == e.uf.find(int(b))
+	return e.rep[a] == e.rep[b]
 }
 
 // Rep returns the canonical representative of a's class. Representatives
 // are stable for a given Equiv and suitable as map keys.
 func (e *Equiv) Rep(a ColID) ColID {
-	return ColID(e.uf.find(int(a)))
+	return ColID(e.rep[a])
 }

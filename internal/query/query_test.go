@@ -294,6 +294,54 @@ func TestEquivWithin(t *testing.T) {
 	}
 }
 
+// Equiv answers from the flattened parent array. For every table subset of
+// a query whose equalities chain six columns into one class — deep enough
+// that the forest is not flat before flatten() — Rep must be the union-find
+// root and Same must agree with it.
+func TestEquivRepsAreUnionFindRoots(t *testing.T) {
+	cb := catalog.NewBuilder("eq")
+	names := []string{"t0", "t1", "t2", "t3", "t4", "t5"}
+	for _, n := range names {
+		cb.Table(n, 1000).Column("k", 100).Column("v", 10)
+	}
+	qb := NewBuilder("eq", cb.Build())
+	for _, n := range names {
+		qb.AddTable(n, "")
+	}
+	// Unions arrive leaf-to-root and root-to-leaf so some parents point at
+	// non-roots until the flatten.
+	for _, e := range [][2]int{{4, 5}, {2, 3}, {3, 4}, {0, 1}, {1, 2}} {
+		qb.JoinEq(names[e[0]], "k", names[e[1]], "k")
+	}
+	qb.JoinEq("t0", "v", "t5", "v")
+	blk := qb.MustBuild()
+
+	for s := bitset.Set(1); s < 1<<len(names); s++ {
+		uf := newUnionFind(len(blk.Columns))
+		for i := range blk.JoinPreds {
+			p := &blk.JoinPreds[i]
+			if p.Op == Eq && s.Contains(blk.TableOf(p.Left)) && s.Contains(blk.TableOf(p.Right)) {
+				uf.union(int(p.Left), int(p.Right))
+			}
+		}
+		eq := blk.EquivWithin(s)
+		for a := range blk.Columns {
+			if got, want := eq.Rep(ColID(a)), ColID(uf.find(a)); got != want {
+				t.Fatalf("set %v: Rep(%d) = %d, union-find root %d", s, a, got, want)
+			}
+			for b := range blk.Columns {
+				if got, want := eq.Same(ColID(a), ColID(b)), uf.find(a) == uf.find(b); got != want {
+					t.Fatalf("set %v: Same(%d, %d) = %v, union-find says %v", s, a, b, got, want)
+				}
+			}
+		}
+	}
+	all := blk.AllTables()
+	if avg := testing.AllocsPerRun(20, func() { blk.EquivWithin(all) }); avg > 2 {
+		t.Fatalf("EquivWithin = %.0f allocs, want at most the array and the Equiv", avg)
+	}
+}
+
 func TestSelectDefaulted(t *testing.T) {
 	qb := NewBuilder("sel", testCatalog())
 	qb.AddTable("b", "")

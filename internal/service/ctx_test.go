@@ -18,8 +18,9 @@ import (
 )
 
 // heavySQL joins all eight TPC-H tables; at the unrestricted "high" level it
-// compiles in tens of milliseconds — long enough that a millisecond-scale
-// deadline reliably lands mid-enumeration.
+// compiles in about five milliseconds (twenty before join costing was
+// memoized) — long enough that a one-millisecond deadline reliably lands
+// mid-enumeration.
 const heavySQL = `SELECT c_name FROM customer, orders, lineitem, supplier, nation, region, part, partsupp
 	WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
 	  AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
@@ -27,7 +28,7 @@ const heavySQL = `SELECT c_name FROM customer, orders, lineitem, supplier, natio
 	  AND p_partkey = l_partkey AND ps_partkey = p_partkey AND ps_suppkey = s_suppkey`
 
 func TestOptimizeDeadlineStopsCompileAndFreesSlot(t *testing.T) {
-	srv := New(Config{Workers: 1, RequestTimeout: 5 * time.Millisecond})
+	srv := New(Config{Workers: 1, RequestTimeout: time.Millisecond})
 
 	start := time.Now()
 	_, err := srv.Optimize(context.Background(), OptimizeRequest{Catalog: "tpch", SQL: heavySQL, Level: "high"})
@@ -36,7 +37,7 @@ func TestOptimizeDeadlineStopsCompileAndFreesSlot(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed > 2*time.Second {
-		t.Errorf("request took %v to honor a 5ms deadline", elapsed)
+		t.Errorf("request took %v to honor a 1ms deadline", elapsed)
 	}
 	if got := srv.pool.Abandoned(); got < 1 {
 		t.Errorf("abandoned runs = %d, want >= 1", got)
