@@ -422,8 +422,8 @@ func BenchmarkEstimateWarmReal2Headline(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	hits, misses, _, _ := cache.Stats()
-	b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit%")
+	st := cache.Stats()
+	b.ReportMetric(100*float64(st.Hits)/float64(st.Hits+st.Misses), "hit%")
 }
 
 // BenchmarkServiceEstimateWarm drives the full service path — parse,

@@ -25,7 +25,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"cote/internal/calib"
@@ -35,7 +34,6 @@ import (
 	"cote/internal/modelio"
 	"cote/internal/opt"
 	"cote/internal/props"
-	"cote/internal/service"
 	"cote/internal/stats"
 	"cote/internal/workload"
 )
@@ -388,7 +386,7 @@ func (s *suite) calibration() error {
 // fingerprint demonstrates the cross-query memoization layer on real
 // workloads: every query is estimated cold, re-estimated warm through the
 // fingerprint cache (an LRU hit, zero enumeration), and then requested by
-// several concurrent callers through the singleflight estimate cache — one
+// several concurrent callers of one cold fingerprint cache — one
 // enumeration total, its cost amortized across all of them.
 func (s *suite) fingerprint() error {
 	const callers = 4
@@ -432,25 +430,15 @@ func (s *suite) fingerprint() error {
 }
 
 // sharedFlight fires callers concurrent estimates of the same structure at an
-// empty singleflight cache and returns the per-caller amortized wall time,
+// empty fingerprint cache and returns the per-caller amortized wall time,
 // verifying that exactly one enumeration ran.
 func (s *suite) sharedFlight(q workload.Query, opts core.Options, callers int) (time.Duration, error) {
-	sf := service.NewEstimateCache(4)
-	key := service.EstimateKey{FP: fingerprint.Of(q.Block), Level: opts.Level}
-	var runs atomic.Int64
-	run := func() (*core.Estimate, error) {
-		runs.Add(1)
-		canon, _, err := fingerprint.Canonical(q.Block)
-		if err != nil {
-			return nil, err
-		}
-		return core.EstimatePlans(canon, opts)
-	}
+	cache := core.NewFingerprintCache(4)
 	errs := make(chan error, callers)
 	t0 := time.Now()
 	for i := 0; i < callers; i++ {
 		go func() {
-			_, _, _, err := sf.Do(s.ctx, key, run)
+			_, _, err := cache.EstimatePlansCtx(s.ctx, q.Block, opts)
 			errs <- err
 		}()
 	}
@@ -460,7 +448,7 @@ func (s *suite) sharedFlight(q workload.Query, opts core.Options, callers int) (
 		}
 	}
 	wall := time.Since(t0)
-	if n := runs.Load(); n != 1 {
+	if n := cache.Stats().Misses; n != 1 {
 		return 0, fmt.Errorf("%s: %d enumerations across %d concurrent callers, want 1", q.Name, n, callers)
 	}
 	return wall / time.Duration(callers), nil

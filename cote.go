@@ -210,7 +210,8 @@ func CanonicalQuery(q *Query) (*Query, Fingerprint, error) { return fingerprint.
 
 // FingerprintCache memoizes estimates across structurally identical
 // queries: a hit skips join enumeration entirely and re-applies only the
-// linear time model. It is bounded (LRU) and safe for concurrent use.
+// linear time model. It is bounded (LRU) and safe for concurrent use, and
+// concurrent misses on one structure run a single enumeration.
 type FingerprintCache = core.FingerprintCache
 
 // NewFingerprintCache returns an empty fingerprint cache holding at most
@@ -355,22 +356,6 @@ type MultiLevelEstimate = core.MultiLevelEstimate
 // extension). Every requested level's search space must be subsumed by top.
 func EstimateLevels(q *Query, top Level, levels []Level, opts EstimateOptions) (*MultiLevelEstimate, error) {
 	return core.EstimateLevels(q, top, levels, opts)
-}
-
-// StatementCache is the Section 1.2 baseline: remember the compilation
-// time of structurally identical statements. Exact repeats hit; the ad-hoc
-// variations the estimator targets miss. It is bounded (LRU) and safe for
-// concurrent use.
-type StatementCache = core.StatementCache
-
-// NewStatementCache returns an empty statement cache with the default
-// capacity (1024 statements).
-func NewStatementCache() *StatementCache { return core.NewStatementCache() }
-
-// NewStatementCacheCap returns an empty statement cache evicting beyond
-// capacity entries.
-func NewStatementCacheCap(capacity int) *StatementCache {
-	return core.NewStatementCacheCap(capacity)
 }
 
 // JoinCountEstimate is the prior-work baseline: the Ono-Lohman join count.

@@ -121,12 +121,6 @@ func TestPublicExtensions(t *testing.T) {
 	if !res.Plan.Pipelined {
 		t.Fatal("FETCH FIRST plan not pipelined")
 	}
-	// Statement cache.
-	c := cote.NewStatementCache()
-	c.Record(q, res.Elapsed)
-	if _, ok := c.Lookup(q); !ok {
-		t.Fatal("statement cache missed an exact repeat")
-	}
 }
 
 func TestPublicWorkloadConstructors(t *testing.T) {

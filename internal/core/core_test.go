@@ -534,3 +534,34 @@ func TestEstimateLazyPolicyIndexSensitivity(t *testing.T) {
 			plain.Counts, indexed.Counts)
 	}
 }
+
+func TestPipelinePropertyEstimation(t *testing.T) {
+	// FETCH FIRST makes pipelineability interesting; both the real plan
+	// counts and the estimate grow, and they stay within tolerance.
+	mk := func(firstN int) *TrainingPoint {
+		blk := starBlock(t, 6, 2, 0, 0, 1)
+		blk.FirstN = firstN
+		res, err := opt.Optimize(blk, opt.Options{Level: opt.LevelHigh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk2 := starBlock(t, 6, 2, 0, 0, 1)
+		blk2.FirstN = firstN
+		est, err := EstimatePlans(blk2, Options{Level: opt.LevelHigh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp := TrainingPointFrom(res.TotalCounters(), res.Elapsed)
+		t.Logf("firstN=%d actual=%d est=%d", firstN, tp.Counts.Total(), est.Counts.Total())
+		if ratio := float64(est.Counts.Total()) / float64(tp.Counts.Total()); ratio < 0.5 || ratio > 2 {
+			t.Fatalf("firstN=%d: estimate %d vs actual %d", firstN, est.Counts.Total(), tp.Counts.Total())
+		}
+		return &tp
+	}
+	plain := mk(0)
+	firstN := mk(10)
+	if firstN.Counts.Total() <= plain.Counts.Total() {
+		t.Fatalf("FETCH FIRST did not grow actual plan counts: %d vs %d",
+			firstN.Counts.Total(), plain.Counts.Total())
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"cote/internal/enum"
@@ -65,15 +64,10 @@ func KeyFor(fp fingerprint.FP, opts Options) FPKey {
 // therefore implies identical counts by construction, and a hit returns
 // exactly what a fresh run of the same structure would.
 //
-// The cache is safe for concurrent use. Concurrent misses on the same key
-// may estimate redundantly (last Put wins, results are identical); callers
-// that want single-flight semantics layer it on top, as the serving layer
-// does.
+// The cache is an instantiation of lru.SingleFlight: safe for concurrent
+// use, with concurrent misses on one key collapsed into one enumeration.
 type FingerprintCache struct {
-	mu     sync.Mutex
-	lru    *lru.Cache[FPKey, *Estimate]
-	hits   uint64
-	misses uint64
+	sf *lru.SingleFlight[FPKey, *Estimate]
 }
 
 // DefaultFingerprintCacheSize bounds a cache built with capacity <= 0.
@@ -85,13 +79,14 @@ func NewFingerprintCache(capacity int) *FingerprintCache {
 	if capacity <= 0 {
 		capacity = DefaultFingerprintCacheSize
 	}
-	return &FingerprintCache{lru: lru.New[FPKey, *Estimate](capacity)}
+	return &FingerprintCache{sf: lru.NewSingleFlight[FPKey, *Estimate](capacity)}
 }
 
 // EstimatePlans is the memoizing counterpart of core.EstimatePlans. It
-// fingerprints blk, looks up (fingerprint, level, knobs), and on a miss
-// canonicalizes blk and runs the enumerator over the rebuild. The returned
-// hit flag reports whether enumeration was skipped.
+// analyzes blk once, looks up (fingerprint, level, knobs), and on a miss
+// rebuilds the canonical block from the same analysis and runs the
+// enumerator over it. The returned hit flag reports whether this call
+// skipped enumeration (an LRU hit, or a wait on a concurrent caller's run).
 //
 // The returned Estimate is a private top-level copy, priced with opts.Model
 // and with Elapsed set to this call's wall time (a hit's Elapsed is the
@@ -103,42 +98,31 @@ func (c *FingerprintCache) EstimatePlans(blk *query.Block, opts Options) (*Estim
 	// A lookup needs only the hash; the canonical rebuild — several times the
 	// cost of hashing — is deferred to the miss path, where the enumeration
 	// it feeds dwarfs it anyway.
-	key := KeyFor(fingerprint.Of(blk), opts)
-
-	c.mu.Lock()
-	if e, ok := c.lru.Get(key); ok {
-		c.hits++
-		c.mu.Unlock()
-		return priced(e, opts, time.Since(start)), true, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	// A miss is the cache's fill path; the injection point fails it before
-	// the canonical rebuild so a chaos plan can prove callers survive a
-	// memoization layer that errors instead of computing.
-	if err := faultinject.Check(faultinject.PointFPCacheFill); err != nil {
-		return nil, false, err
-	}
-
-	canon, _, err := fingerprint.Canonical(blk)
+	a := fingerprint.Analyze(blk)
+	est, hit, shared, err := c.sf.Do(opts.Exec.Context(), KeyFor(a.FP, opts), func() (*Estimate, error) {
+		// A miss is the cache's fill path; the injection point fails it
+		// before the canonical rebuild so a chaos plan can prove callers
+		// survive a memoization layer that errors instead of computing.
+		if err := faultinject.Check(faultinject.PointFPCacheFill); err != nil {
+			return nil, err
+		}
+		canon, err := a.Canonical()
+		if err != nil {
+			return nil, err
+		}
+		runOpts := opts
+		runOpts.Model = nil // cache unpriced; every return path re-prices
+		return EstimatePlans(canon, runOpts)
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	runOpts := opts
-	runOpts.Model = nil // cache unpriced; every return path re-prices
-	est, err := EstimatePlans(canon, runOpts)
-	if err != nil {
-		return nil, false, err
-	}
-	c.mu.Lock()
-	c.lru.Put(key, est)
-	c.mu.Unlock()
-	return priced(est, opts, time.Since(start)), false, nil
+	return priced(est, opts, time.Since(start)), hit || shared, nil
 }
 
-// EstimatePlansCtx is EstimatePlans bounded by a context (misses stop
-// cooperatively when ctx expires; hits never block).
+// EstimatePlansCtx is EstimatePlans bounded by a context: a miss stops
+// cooperatively when ctx expires, and so does a wait on another caller's
+// run of the same key; hits never block.
 func (c *FingerprintCache) EstimatePlansCtx(ctx context.Context, blk *query.Block, opts Options) (*Estimate, bool, error) {
 	opts.Exec = optctx.New(ctx)
 	return c.EstimatePlans(blk, opts)
@@ -156,10 +140,6 @@ func priced(est *Estimate, opts Options, elapsed time.Duration) *Estimate {
 	return &out
 }
 
-// Stats reports the cache's lifetime hit/miss counters and current
-// occupancy.
-func (c *FingerprintCache) Stats() (hits, misses uint64, size, capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.lru.Len(), c.lru.Cap()
-}
+// Stats reports the cache's lifetime hit/miss/shared-flight counters and
+// current occupancy.
+func (c *FingerprintCache) Stats() lru.Stats { return c.sf.Stats() }

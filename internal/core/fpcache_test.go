@@ -1,12 +1,15 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"cote/internal/cost"
 	"cote/internal/enum"
+	"cote/internal/fingerprint"
 	"cote/internal/opt"
 	"cote/internal/props"
+	"cote/internal/query"
 )
 
 func TestFingerprintCacheHitMatchesMiss(t *testing.T) {
@@ -38,9 +41,8 @@ func TestFingerprintCacheHitMatchesMiss(t *testing.T) {
 		t.Fatalf("hit memory %d != cold %d", warm.PredictedMemoryBytes, cold.PredictedMemoryBytes)
 	}
 
-	hits, misses, size, capacity := c.Stats()
-	if hits != 1 || misses != 1 || size != 1 || capacity != 16 {
-		t.Fatalf("stats = %d hits, %d misses, %d/%d", hits, misses, size, capacity)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Size != 1 || st.Capacity != 16 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -124,4 +126,49 @@ func TestFingerprintCacheEviction(t *testing.T) {
 	if _, hit, _ := c.EstimatePlans(starBlock(t, 4, 1, 0, 0, 1), Options{}); !hit {
 		t.Fatal("refilled entry missed")
 	}
+}
+
+// TestSingleflightFingerprintCache fires 16 concurrent callers at one cold
+// structure: exactly one enumerates, the other 15 are hits or waits on its
+// flight, and all return its counts.
+func TestSingleflightFingerprintCache(t *testing.T) {
+	const callers = 16
+	c := NewFingerprintCache(4)
+	opts := Options{Level: opt.LevelHighInner2}
+	want, err := EstimatePlans(mustCanonical(t, starBlock(t, 8, 2, 1, 0, 1)), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		blk := starBlock(t, 8, 2, 1, 0, 1) // a fresh build per caller: same structure, no shared block
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			est, _, err := c.EstimatePlans(blk, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if est.Counts != want.Counts || est.Joins != want.Joins {
+				t.Errorf("caller got %+v/%d, want %+v/%d", est.Counts, est.Joins, want.Counts, want.Joins)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if st := c.Stats(); st.Misses != 1 || st.Hits+st.Shared != callers-1 {
+		t.Fatalf("stats = %+v, want 1 miss and %d hits+shared", st, callers-1)
+	}
+}
+
+func mustCanonical(t *testing.T, blk *query.Block) *query.Block {
+	t.Helper()
+	canon, _, err := fingerprint.Canonical(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return canon
 }

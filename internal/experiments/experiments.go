@@ -683,7 +683,7 @@ type CacheRow struct {
 // the ad-hoc queries the COTE targets.
 func StatementCacheExtension(w *workload.Workload) (CacheRow, error) {
 	cfg := ConfigFor(w)
-	cache := core.NewStatementCache()
+	cache := NewStatementCache(len(w.Queries))
 	row := CacheRow{Workload: w.Name, Queries: len(w.Queries)}
 	for pass := 0; pass < 2; pass++ {
 		hits := 0

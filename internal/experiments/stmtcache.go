@@ -1,20 +1,14 @@
-package core
+package experiments
 
 import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"cote/internal/lru"
 	"cote/internal/query"
 )
-
-// DefaultStatementCacheCapacity bounds NewStatementCache: a long-running
-// server replaying an unbounded ad-hoc stream must not grow the cache
-// without limit.
-const DefaultStatementCacheCapacity = 1024
 
 // StatementCache is the straightforward alternative the paper's Section 1.2
 // dismisses: "cache the compilation time for each compiled query in a
@@ -30,24 +24,16 @@ const DefaultStatementCacheCapacity = 1024
 // wrong when only the statistics changed.
 //
 // The cache is bounded (least-recently-used eviction) and safe for
-// concurrent use, so the serving layer can share one instance across
-// request goroutines.
+// concurrent use: an instantiation of lru.SingleFlight using only its
+// counted Get and Put.
 type StatementCache struct {
-	mu      sync.Mutex
-	entries *lru.Cache[string, time.Duration]
-	hits    int
-	misses  int
+	sf *lru.SingleFlight[string, time.Duration]
 }
 
-// NewStatementCache returns an empty cache with the default capacity.
-func NewStatementCache() *StatementCache {
-	return NewStatementCacheCap(DefaultStatementCacheCapacity)
-}
-
-// NewStatementCacheCap returns an empty cache evicting beyond capacity
-// entries (capacities below 1 are raised to 1).
-func NewStatementCacheCap(capacity int) *StatementCache {
-	return &StatementCache{entries: lru.New[string, time.Duration](capacity)}
+// NewStatementCache returns an empty cache evicting beyond capacity entries
+// (capacities below 1 are raised to 1).
+func NewStatementCache(capacity int) *StatementCache {
+	return &StatementCache{sf: lru.NewSingleFlight[string, time.Duration](capacity)}
 }
 
 // Signature computes the structural cache key of a query.
@@ -100,40 +86,15 @@ func Signature(blk *query.Block) string {
 // Lookup returns the cached compilation time for a structurally identical
 // query, if one was recorded (and not yet evicted).
 func (c *StatementCache) Lookup(blk *query.Block) (time.Duration, bool) {
-	sig := Signature(blk)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.entries.Get(sig)
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return d, ok
+	return c.sf.Get(Signature(blk))
 }
 
 // Record stores the measured compilation time of a query, evicting the
 // least recently used statement when the cache is full.
 func (c *StatementCache) Record(blk *query.Block, actual time.Duration) {
-	sig := Signature(blk)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries.Put(sig, actual)
+	c.sf.Put(Signature(blk), actual)
 }
 
-// Stats returns the hit/miss counts observed so far.
-func (c *StatementCache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Len returns the number of cached statements.
-func (c *StatementCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries.Len()
-}
-
-// Cap returns the cache capacity.
-func (c *StatementCache) Cap() int { return c.entries.Cap() }
+// Stats returns the hit/miss counts observed so far and the current size
+// and capacity.
+func (c *StatementCache) Stats() lru.Stats { return c.sf.Stats() }

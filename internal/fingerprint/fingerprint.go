@@ -62,6 +62,7 @@ import (
 	"math"
 	"slices"
 
+	"cote/internal/catalog"
 	"cote/internal/query"
 )
 
@@ -78,43 +79,56 @@ func (f FP) String() string { return fmt.Sprintf("%016x%016x", f.Hi, f.Lo) }
 // fingerprint hashes to zero in practice; the zero value means "absent").
 func (f FP) IsZero() bool { return f == FP{} }
 
-// Of computes the structural fingerprint of a block. The block must be
-// finalized (implied predicates present — they are part of the structure
-// the enumerator sees). Nested blocks are fingerprinted recursively; the
-// child fingerprints stand in for the derived tables in the parent's
-// encoding.
-func Of(blk *query.Block) FP {
-	childFPs, rank := analyze(blk)
-	return hashEncoding(encodeBlock(blk, rank, childFPs))
+// Analysis is the canonicalization of one block, computed once by Analyze:
+// the fingerprint, and the canonical numbering (with the analyses of nested
+// blocks) that Canonical rebuilds from without re-running color refinement.
+type Analysis struct {
+	FP       FP
+	blk      *query.Block
+	rank     []int      // rank[i] = canonical position of table i
+	children []Analysis // per table index, set for derived tables; nil without any
 }
 
-// Canonical returns a structurally identical rebuild of blk — tables
-// renumbered into canonical fingerprint order under fresh aliases,
-// predicates canonically sorted, implied predicates re-derived — together
-// with the fingerprint. Any two blocks with equal fingerprints rebuild into
-// identical canonical blocks, so plan counts computed over the canonical
-// block depend only on the fingerprint (see the package comment). The error
-// path is defensive: rebuilding a block the query package already accepted
-// cannot ordinarily fail.
-func Canonical(blk *query.Block) (*query.Block, FP, error) {
-	childFPs, rank := analyze(blk)
-	fp := hashEncoding(encodeBlock(blk, rank, childFPs))
-	cb, err := rebuild(blk, rank)
-	if err != nil {
-		return nil, fp, err
-	}
-	return cb, fp, nil
-}
-
-// analyze fingerprints nested blocks and computes the canonical numbering.
-func analyze(blk *query.Block) ([]FP, []int) {
-	childFPs := make([]FP, blk.NumTables())
+// Analyze fingerprints blk. The block must be finalized (implied predicates
+// present — they are part of the structure the enumerator sees). Nested
+// blocks are analyzed recursively; the child fingerprints stand in for the
+// derived tables in the parent's encoding.
+func Analyze(blk *query.Block) Analysis {
+	a := Analysis{blk: blk}
 	for i, t := range blk.Tables {
 		if t.IsDerived() {
-			childFPs[i] = Of(t.Derived)
+			if a.children == nil {
+				a.children = make([]Analysis, blk.NumTables())
+			}
+			a.children[i] = Analyze(t.Derived)
 		}
 	}
-	return childFPs, canonicalOrder(blk, childFPs)
+	a.rank = canonicalOrder(blk, a.children)
+	a.FP = hashEncoding(encodeBlock(blk, a.rank, a.children))
+	return a
+}
+
+// Canonical returns a structurally identical rebuild of the analyzed block —
+// tables renumbered into canonical fingerprint order under fresh aliases,
+// predicates canonically sorted, implied predicates re-derived. Any two
+// blocks with equal fingerprints rebuild into identical canonical blocks, so
+// plan counts computed over the canonical block depend only on the
+// fingerprint (see the package comment). The error path is defensive:
+// rebuilding a block the query package already accepted cannot ordinarily
+// fail.
+func (a Analysis) Canonical() (*query.Block, error) {
+	return rebuild(a.blk, a.rank, a.children)
+}
+
+// Of computes the structural fingerprint of a block: Analyze(blk).FP.
+func Of(blk *query.Block) FP { return Analyze(blk).FP }
+
+// Canonical returns the canonical rebuild of blk together with its
+// fingerprint: Analyze followed by Analysis.Canonical.
+func Canonical(blk *query.Block) (*query.Block, FP, error) {
+	a := Analyze(blk)
+	cb, err := a.Canonical()
+	return cb, a.FP, err
 }
 
 func hashEncoding(enc []byte) FP {
@@ -197,14 +211,14 @@ func flip(op query.PredOp) query.PredOp {
 
 // canonicalOrder returns rank[i] = canonical position of table i, computed
 // by color refinement with individualization over the join graph.
-func canonicalOrder(blk *query.Block, childFPs []FP) []int {
+func canonicalOrder(blk *query.Block, children []Analysis) []int {
 	n := blk.NumTables()
 	rank := make([]int, n)
 	if n == 1 {
 		return rank
 	}
 
-	colors := initialColors(blk, childFPs)
+	colors := initialColors(blk, children)
 
 	// Per-predicate edge attributes, oriented from each endpoint's
 	// perspective, computed once.
@@ -332,37 +346,44 @@ func canonicalOrder(blk *query.Block, childFPs []FP) []int {
 	return rank
 }
 
+// indexShapes returns, in buf's storage, one hash per index of t: uniqueness
+// and the ordered (ordinal, NDV) column sequence — a multiset, since index
+// order in the schema is not structural.
+func indexShapes(t *catalog.Table, buf []uint64) []uint64 {
+	buf = buf[:0]
+	for _, ix := range t.Indexes {
+		ih := tagIndex
+		if ix.Unique {
+			ih = mix(ih, 1)
+		}
+		for _, name := range ix.Columns {
+			c := t.MustColumn(name)
+			ih = mix(mix(ih, uint64(c.Ordinal)), fbits(c.NDV))
+		}
+		buf = append(buf, ih)
+	}
+	return buf
+}
+
 // initialColors seeds each table's color from its label-free local
 // signature: everything about the table that influences estimation except
 // its join-graph context (which refinement adds).
-func initialColors(blk *query.Block, childFPs []FP) []uint64 {
+func initialColors(blk *query.Block, children []Analysis) []uint64 {
 	colors := make([]uint64, blk.NumTables())
 	var scratch []uint64
 	for i, t := range blk.Tables {
 		h := uint64(0x636f7465) // base seed
 		if t.IsDerived() {
 			h = mix(h, tagDerived)
-			h = mix(h, childFPs[i].Hi)
-			h = mix(h, childFPs[i].Lo)
+			h = mix(h, children[i].FP.Hi)
+			h = mix(h, children[i].FP.Lo)
 			if t.Correlated {
 				h = mix(h, 1)
 			}
 		} else {
 			h = mix(h, tagBase)
 			h = mix(h, fbits(t.Table.RowCount))
-			// Index shapes (ordered column sequences) as a multiset.
-			scratch = scratch[:0]
-			for _, ix := range t.Table.Indexes {
-				ih := tagIndex
-				if ix.Unique {
-					ih = mix(ih, 1)
-				}
-				for _, name := range ix.Columns {
-					c := t.Table.MustColumn(name)
-					ih = mix(mix(ih, uint64(c.Ordinal)), fbits(c.NDV))
-				}
-				scratch = append(scratch, ih)
-			}
+			scratch = indexShapes(t.Table, scratch)
 			h = foldSorted(h, scratch)
 			if p := t.Table.Partitioning; p != nil {
 				ph := mix(tagPartition, uint64(p.Nodes))
@@ -421,7 +442,7 @@ func (e *encoder) words(vs ...uint64) {
 }
 
 // encodeBlock serializes the block exactly under canonical table numbering.
-func encodeBlock(blk *query.Block, rank []int, childFPs []FP) []byte {
+func encodeBlock(blk *query.Block, rank []int, children []Analysis) []byte {
 	n := blk.NumTables()
 	inv := make([]int, n) // canonical position -> table index
 	for i, r := range rank {
@@ -429,6 +450,7 @@ func encodeBlock(blk *query.Block, rank []int, childFPs []FP) []byte {
 	}
 
 	var e encoder
+	var ixs []uint64
 	e.words(encVersion, uint64(n))
 
 	// Tables in canonical order.
@@ -439,25 +461,14 @@ func encodeBlock(blk *query.Block, rank []int, childFPs []FP) []byte {
 			if t.Correlated {
 				corr = 1
 			}
-			e.words(tagDerived, childFPs[t.Index].Hi, childFPs[t.Index].Lo, corr)
+			e.words(tagDerived, children[t.Index].FP.Hi, children[t.Index].FP.Lo, corr)
 			continue
 		}
 		e.words(tagBase, fbits(t.Table.RowCount))
 		// Indexes and partitioning, as in the color seed but written
 		// explicitly (sorted hashes — index order in the schema is not
 		// structural).
-		var ixs []uint64
-		for _, ix := range t.Table.Indexes {
-			ih := tagIndex
-			if ix.Unique {
-				ih = mix(ih, 1)
-			}
-			for _, name := range ix.Columns {
-				c := t.Table.MustColumn(name)
-				ih = mix(mix(ih, uint64(c.Ordinal)), fbits(c.NDV))
-			}
-			ixs = append(ixs, ih)
-		}
+		ixs = indexShapes(t.Table, ixs)
 		slices.Sort(ixs)
 		e.u64(uint64(len(ixs)))
 		e.words(ixs...)
@@ -557,7 +568,7 @@ func encodeBlock(blk *query.Block, rank []int, childFPs []FP) []byte {
 // Finalize from the same inputs, so they come out identical), and nested
 // blocks are rebuilt recursively. The output is a pure function of the
 // fingerprint encoding.
-func rebuild(blk *query.Block, rank []int) (*query.Block, error) {
+func rebuild(blk *query.Block, rank []int, children []Analysis) (*query.Block, error) {
 	n := blk.NumTables()
 	inv := make([]int, n)
 	for i, r := range rank {
@@ -568,7 +579,7 @@ func rebuild(blk *query.Block, rank []int) (*query.Block, error) {
 		ref := blk.Tables[inv[pos]]
 		alias := fmt.Sprintf("q%d", pos)
 		if ref.IsDerived() {
-			child, _, err := Canonical(ref.Derived)
+			child, err := children[ref.Index].Canonical()
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package fingerprint_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"cote/internal/catalog"
@@ -384,6 +385,42 @@ func TestDeterministicAcrossRebuilds(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if got := fingerprint.Of(sqlparser.MustParse(sql, cat)); got != want {
 			t.Fatalf("rebuild %d: fingerprint %s != %s", i, got, want)
+		}
+	}
+}
+
+// TestAnalyzeOnceMatchesOfAndCanonical pins the contract the serving
+// pipeline relies on when it analyzes a statement once: the analysis carries
+// Of's fingerprint, rebuilds Canonical's block, and doing both from one
+// analysis allocates strictly less than calling Of and Canonical separately.
+func TestAnalyzeOnceMatchesOfAndCanonical(t *testing.T) {
+	for _, w := range allWorkloads() {
+		for _, q := range w.Queries {
+			a := fingerprint.Analyze(q.Block)
+			if fp := fingerprint.Of(q.Block); a.FP != fp {
+				t.Fatalf("%s/%s: Analyze FP %s, Of %s", w.Name, q.Name, a.FP, fp)
+			}
+			got, err := a.Canonical()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", w.Name, q.Name, err)
+			}
+			want, fp, err := fingerprint.Canonical(q.Block)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", w.Name, q.Name, err)
+			}
+			if fp != a.FP || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: Analysis.Canonical differs from Canonical", w.Name, q.Name)
+			}
+
+			once := testing.AllocsPerRun(5, func() {
+				a := fingerprint.Analyze(q.Block)
+				_, _ = a.Canonical()
+			})
+			twice := testing.AllocsPerRun(5, func() { fingerprint.Of(q.Block) }) +
+				testing.AllocsPerRun(5, func() { _, _, _ = fingerprint.Canonical(q.Block) })
+			if once >= twice {
+				t.Errorf("%s/%s: Analyze+Canonical() %v allocs, Of+Canonical %v", w.Name, q.Name, once, twice)
+			}
 		}
 	}
 }

@@ -1,8 +1,8 @@
-// Package lru implements a small fixed-capacity least-recently-used map.
-// It is the eviction engine behind the bounded statement cache (the
-// Section 1.2 baseline) and the serving layer's estimate cache; both wrap
-// it with their own locking, so the cache itself is deliberately not safe
-// for concurrent use.
+// Package lru implements a small fixed-capacity least-recently-used map
+// (Cache, deliberately not safe for concurrent use) and the one
+// goroutine-safe wrapper around it (SingleFlight: mutex, hit/miss counters
+// and a single-flight group over misses). The estimate caches and the
+// Section 1.2 statement-cache baseline are instantiations of SingleFlight.
 package lru
 
 // Cache maps K to V, keeping at most Cap entries and evicting the least

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"sync"
 
 	"cote/internal/core"
 	"cote/internal/faultinject"
@@ -42,96 +41,36 @@ type EstimateKey struct {
 	Nodes int
 }
 
-// flight is one in-progress enumeration concurrent requests wait on.
-type flight struct {
-	done chan struct{}
-	est  *core.Estimate
-	err  error
-}
-
-// EstimateCache is a goroutine-safe bounded LRU of estimation results keyed
-// by EstimateKey, with a singleflight group over misses: N concurrent
-// requests for the same key run one enumeration while N-1 wait for its
-// result.
+// EstimateCache is the serving layer's instantiation of lru.SingleFlight: a
+// goroutine-safe bounded LRU of estimation results keyed by EstimateKey, in
+// which N concurrent requests for the same key run one enumeration while N-1
+// wait for its result.
 //
 // Cached estimates are stored without a time prediction — the server's
 // model can be recalibrated at any moment, so PredictedTime is recomputed
 // from the cached counts on every response rather than frozen at insert.
 type EstimateCache struct {
-	mu      sync.Mutex
-	lru     *lru.Cache[EstimateKey, *core.Estimate]
-	flights map[EstimateKey]*flight
-	hits    int64
-	misses  int64
-	shared  int64
+	sf *lru.SingleFlight[EstimateKey, *core.Estimate]
 }
 
 // NewEstimateCache returns an empty cache evicting beyond capacity entries.
 func NewEstimateCache(capacity int) *EstimateCache {
-	return &EstimateCache{
-		lru:     lru.New[EstimateKey, *core.Estimate](capacity),
-		flights: make(map[EstimateKey]*flight),
-	}
+	return &EstimateCache{lru.NewSingleFlight[EstimateKey, *core.Estimate](capacity)}
 }
 
-// Do returns the estimate for key, computing it through fn at most once
-// across concurrent callers: a cache hit returns immediately, a request
-// finding another's computation in flight waits for it, and everyone else
-// leads a computation whose success is cached. hit reports an LRU hit;
-// shared reports the result (or error) came from another caller's flight.
-// A waiter abandoned by ctx returns ctx's error without disturbing the
-// flight. Callers must not mutate the returned Estimate.
+// Do is lru.SingleFlight.Do behind the cache.fill fault point: the fill is
+// the flight's one side-effectful step, so an injected fault fails the
+// leader before the enumeration runs and — exactly like a real failure —
+// propagates to every waiter sharing the flight while caching nothing.
+// Callers must not mutate the returned Estimate.
 func (c *EstimateCache) Do(ctx context.Context, key EstimateKey, fn func() (*core.Estimate, error)) (est *core.Estimate, hit, shared bool, err error) {
-	c.mu.Lock()
-	if e, ok := c.lru.Get(key); ok {
-		c.hits++
-		c.mu.Unlock()
-		return e, true, false, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		c.shared++
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.est, false, true, f.err
-		case <-ctx.Done():
-			return nil, false, true, ctx.Err()
+	return c.sf.Do(ctx, key, func() (*core.Estimate, error) {
+		if err := faultinject.Check(faultinject.PointCacheFill); err != nil {
+			return nil, err
 		}
-	}
-	c.misses++
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	// The fill is the flight's one side-effectful step; an injected fill
-	// fault fails the leader before the enumeration runs, and — exactly like
-	// a real failure — propagates to every waiter sharing the flight while
-	// caching nothing.
-	if f.err = faultinject.Check(faultinject.PointCacheFill); f.err == nil {
-		f.est, f.err = fn()
-	}
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.lru.Put(key, f.est)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.est, false, false, f.err
+		return fn()
+	})
 }
 
-// Stats returns hit/miss counts and the current size and capacity.
-func (c *EstimateCache) Stats() (hits, misses int64, size, capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.lru.Len(), c.lru.Cap()
-}
-
-// Shared returns how many requests were served by waiting on another
-// request's in-flight enumeration instead of running their own.
-func (c *EstimateCache) Shared() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shared
-}
+// Stats returns the hit/miss/shared-flight counts, size and capacity.
+func (c *EstimateCache) Stats() lru.Stats { return c.sf.Stats() }

@@ -3,11 +3,8 @@ package service
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"cote/internal/core"
 	"cote/internal/optctx"
 )
 
@@ -137,75 +134,6 @@ func TestCatalogReuploadInvalidates(t *testing.T) {
 	}
 	if r, err := srv.Estimate(ctx, EstimateRequest{Catalog: "mini", SQL: miniSQL}); err != nil || r.Cached {
 		t.Fatalf("post-reupload estimate served stale cache: %v cached=%v", err, r != nil && r.Cached)
-	}
-}
-
-// TestSingleflightShared drives EstimateCache.Do directly with a blocking
-// leader: concurrent callers of the same key must wait for the one
-// computation instead of running their own, and a caller abandoned by its
-// context must return promptly.
-func TestSingleflightShared(t *testing.T) {
-	c := NewEstimateCache(4)
-	key := EstimateKey{Level: 3, Nodes: 1}
-	want := &core.Estimate{Joins: 42}
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var leaderErr error
-	var leaderEst *core.Estimate
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		leaderEst, _, _, leaderErr = c.Do(context.Background(), key, func() (*core.Estimate, error) {
-			close(started)
-			<-release
-			return want, nil
-		})
-	}()
-	<-started
-
-	// A waiter with a dead context abandons the flight without an estimate.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, shared, err := c.Do(cancelled, key, nil); !shared || err == nil {
-		t.Fatalf("cancelled waiter: shared=%v err=%v", shared, err)
-	}
-
-	waiters := 3
-	results := make(chan *core.Estimate, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			est, hit, shared, err := c.Do(context.Background(), key, func() (*core.Estimate, error) {
-				t.Error("waiter ran its own computation")
-				return nil, nil
-			})
-			if err != nil || hit || !shared {
-				t.Errorf("waiter: hit=%v shared=%v err=%v", hit, shared, err)
-			}
-			results <- est
-		}()
-	}
-	// Give the waiters a moment to park on the flight, then release it.
-	time.Sleep(10 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	if leaderErr != nil || leaderEst != want {
-		t.Fatalf("leader: %v %p", leaderErr, leaderEst)
-	}
-	for i := 0; i < waiters; i++ {
-		if got := <-results; got != want {
-			t.Fatalf("waiter got %p, want %p", got, want)
-		}
-	}
-	if shared := c.Shared(); shared != int64(waiters)+1 {
-		t.Fatalf("shared count %d, want %d", shared, waiters+1)
-	}
-	// The flight's result is cached for later callers.
-	if _, hit, _, _ := c.Do(context.Background(), key, nil); !hit {
-		t.Fatal("post-flight lookup missed")
 	}
 }
 

@@ -235,7 +235,7 @@ func (m *Metrics) ObserveStages(oc *optctx.Ctx) {
 // fixed field order. The metrics golden test pins this.
 func (m *Metrics) Snapshot(pool *Pool, cache *EstimateCache, cal *calib.Calibrator, shed *Shedder) map[string]any {
 	waiting, running := pool.Depth()
-	_, _, size, capacity := cache.Stats()
+	cst := cache.Stats()
 	cs := cal.Stats()
 	return map[string]any{
 		"uptime_seconds": int64(time.Since(m.start).Seconds()),
@@ -254,8 +254,8 @@ func (m *Metrics) Snapshot(pool *Pool, cache *EstimateCache, cal *calib.Calibrat
 			"hits":           m.CacheHits.Value(),
 			"misses":         m.CacheMisses.Value(),
 			"shared_flights": m.SharedFlights.Value(),
-			"size":           int64(size),
-			"capacity":       int64(capacity),
+			"size":           int64(cst.Size),
+			"capacity":       int64(cst.Capacity),
 		},
 		"estimate_batch": map[string]int64{
 			"requests":   m.BatchRequests.Value(),

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"net/http"
 
 	"cote/internal/calib"
@@ -102,7 +103,7 @@ func (s *Server) ModelStatus() (*ModelStatus, error) {
 
 // UpdateModel applies one ModelUpdateRequest and returns the resulting
 // current version.
-func (s *Server) UpdateModel(req ModelUpdateRequest) (*ModelStatus, error) {
+func (s *Server) UpdateModel(_ context.Context, req ModelUpdateRequest) (*ModelStatus, error) {
 	set := 0
 	if req.Model != nil {
 		set++
@@ -160,20 +161,6 @@ func (s *Server) ModelHistory() []ModelInfo {
 
 func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 	st, err := s.ModelStatus()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleModelPost(w http.ResponseWriter, r *http.Request) {
-	var req ModelUpdateRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	st, err := s.UpdateModel(req)
 	if err != nil {
 		s.writeError(w, err)
 		return

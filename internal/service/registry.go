@@ -89,18 +89,17 @@ type CatalogInfo struct {
 	BuiltIn bool   `json:"built_in"`
 }
 
+func (e *RegistryEntry) info() CatalogInfo {
+	return CatalogInfo{Name: e.Name, Tables: e.Catalog.NumTables(), Nodes: e.Config.Nodes, BuiltIn: e.BuiltIn}
+}
+
 // List returns all entries sorted by name.
 func (r *Registry) List() []CatalogInfo {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]CatalogInfo, 0, len(r.entries))
 	for _, e := range r.entries {
-		out = append(out, CatalogInfo{
-			Name:    e.Name,
-			Tables:  e.Catalog.NumTables(),
-			Nodes:   e.Config.Nodes,
-			BuiltIn: e.BuiltIn,
-		})
+		out = append(out, e.info())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

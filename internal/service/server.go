@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"time"
@@ -13,13 +14,9 @@ import (
 	"cote/internal/core"
 	"cote/internal/cost"
 	"cote/internal/faultinject"
-	"cote/internal/fingerprint"
 	"cote/internal/knobs"
 	"cote/internal/modelio"
 	"cote/internal/opt"
-	"cote/internal/optctx"
-	"cote/internal/query"
-	"cote/internal/sqlparser"
 	"cote/internal/workload"
 )
 
@@ -171,16 +168,6 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // calibration).
 func (s *Server) Model() *core.TimeModel { return s.models.CurrentModel() }
 
-// memModel returns the memory model predictions are priced with: the
-// registry's calibrated one, or the structural default before any memory
-// calibration ran.
-func (s *Server) memModel() *core.MemModel {
-	if m := s.models.CurrentMemModel(); m != nil {
-		return m
-	}
-	return core.DefaultMemModel()
-}
-
 // SetModel installs m as a new model version (source "api"). An injected
 // model-swap fault is swallowed here: the programmatic setter has no error
 // surface, and the HTTP paths all go through installModel directly.
@@ -247,564 +234,6 @@ func LevelName(l opt.Level) string {
 		return "high"
 	}
 	return l.String()
-}
-
-// parseRequest resolves the catalog, level and SQL shared by the estimate
-// and optimize requests.
-func (s *Server) parseRequest(catalogName, levelName, sql string) (*RegistryEntry, opt.Level, *query.Block, error) {
-	if catalogName == "" {
-		return nil, 0, nil, badRequest("missing catalog")
-	}
-	entry, err := s.registry.Get(catalogName)
-	if err != nil {
-		return nil, 0, nil, notFound("%v", err)
-	}
-	level, err := ParseLevel(levelName)
-	if err != nil {
-		return nil, 0, nil, badRequest("%v", err)
-	}
-	if sql == "" {
-		return nil, 0, nil, badRequest("missing sql")
-	}
-	parseStart := time.Now()
-	blk, err := sqlparser.Parse(sql, entry.Catalog)
-	s.metrics.ObserveStage(optctx.StageParse, 1, time.Since(parseStart))
-	if err != nil {
-		return nil, 0, nil, parseFailed(err)
-	}
-	return entry, level, blk, nil
-}
-
-// estimateFor returns the estimate of one (query, level): through the
-// fingerprint-keyed cache when useCache is set, with concurrent identical
-// misses collapsed into one enumeration by the cache's singleflight group.
-// Every mode estimates the canonical rebuild of blk, so responses never
-// depend on whether caching was on (raw-block enumeration counts are
-// numbering-sensitive; see internal/fingerprint). Cached estimates carry no
-// time prediction (see EstimateCache); callers price them with the current
-// model.
-//
-// The returned cached flag reports that this request ran no enumeration of
-// its own — an LRU hit or a wait on another request's in-flight run.
-func (s *Server) estimateFor(ctx context.Context, entry *RegistryEntry, blk *query.Block, level opt.Level, useCache bool, parallelism int) (*core.Estimate, bool, error) {
-	// The parallel counting pass is bit-identical to serial, so the degree
-	// stays out of the cache key: it only decides how fast a miss enumerates.
-	par := knobs.Parallelism(parallelism)
-	if par > s.cfg.MaxParallelism {
-		par = s.cfg.MaxParallelism
-	}
-	// Hash up front (cheap, needed for the key); rebuild the canonical block
-	// only inside run, which executes solely when an enumeration is due.
-	fp := fingerprint.Of(blk)
-	run := func() (*core.Estimate, error) {
-		est, err := Run(s.pool, ctx, func() (*core.Estimate, error) {
-			canon, _, err := fingerprint.Canonical(blk)
-			if err != nil {
-				return nil, err
-			}
-			return core.EstimatePlansCtx(ctx, canon, core.Options{Level: level, Config: entry.Config, Parallelism: par})
-		})
-		if err == nil {
-			// The enumerate stage moves only when an enumeration really ran:
-			// the warm-path zero-enumeration guarantee is asserted on this
-			// counter.
-			s.metrics.ObserveStage(optctx.StageEnumerate, int64(est.Joins), est.Elapsed)
-			s.metrics.EnumCandidatesVisited.AddN(int64(est.CandidatesVisited))
-			s.metrics.EnumCandidatesSkipped.AddN(int64(est.CandidatesSkipped))
-		}
-		return est, err
-	}
-	if !useCache {
-		est, err := run()
-		return est, false, err
-	}
-	key := EstimateKey{Epoch: entry.Epoch, FP: fp, Level: level, Nodes: entry.Config.Nodes}
-	est, hit, shared, err := s.cache.Do(ctx, key, run)
-	if err != nil {
-		return nil, false, err
-	}
-	switch {
-	case hit:
-		s.metrics.CacheHits.Add()
-	case shared:
-		s.metrics.SharedFlights.Add()
-	default:
-		s.metrics.CacheMisses.Add()
-	}
-	return est, hit || shared, nil
-}
-
-// shedCheck runs the overload shedder and accounts the outcome. It runs
-// before the request's own timeout is attached, so the deadline it tests is
-// whatever the client (or HTTP layer) brought along.
-func (s *Server) shedCheck(ctx context.Context) error {
-	if err := s.shed.Admit(ctx); err != nil {
-		s.metrics.ShedRequests.Add()
-		return err
-	}
-	return nil
-}
-
-// requestCtx applies the configured per-request timeout.
-func (s *Server) requestCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.cfg.RequestTimeout <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, s.cfg.RequestTimeout)
-}
-
-// EstimateRequest is the body of POST /v1/estimate.
-type EstimateRequest struct {
-	Catalog string `json:"catalog"`
-	SQL     string `json:"sql"`
-	Level   string `json:"level,omitempty"`
-	NoCache bool   `json:"no_cache,omitempty"`
-	// Parallelism fans the counting pass of an uncached estimate out to this
-	// many workers, clamped to [1, Config.MaxParallelism]. Zero means serial.
-	// The estimate is bit-identical at every degree, so the knob never
-	// changes the response — only how fast a cache miss computes it.
-	Parallelism int `json:"parallelism,omitempty"`
-}
-
-// EstimateResponse is the reply: the estimate plus cache provenance. The
-// predicted fields inside the estimate are filled from the server's
-// current model; ModelVersion names the registry version that priced them
-// (zero when no model is installed), so clients can tell which model a
-// cached estimate was re-priced with.
-type EstimateResponse struct {
-	Catalog      string         `json:"catalog"`
-	Level        string         `json:"level"`
-	Cached       bool           `json:"cached"`
-	ModelVersion int            `json:"model_version,omitempty"`
-	Estimate     *core.Estimate `json:"estimate"`
-}
-
-// Estimate runs the paper's plan-estimate mode for one request.
-func (s *Server) Estimate(ctx context.Context, req EstimateRequest) (*EstimateResponse, error) {
-	s.metrics.EstimateRequests.Add()
-	// Shed before parsing: an overloaded server spends nothing on a request
-	// it will refuse anyway.
-	if err := s.shedCheck(ctx); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	defer func() {
-		d := time.Since(start)
-		s.metrics.EstimateLatency.Observe(d)
-		s.shed.observe(d)
-	}()
-
-	entry, level, blk, err := s.parseRequest(req.Catalog, req.Level, req.SQL)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := s.requestCtx(ctx)
-	defer cancel()
-	est, cached, err := s.estimateFor(ctx, entry, blk, level, !req.NoCache, req.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	// Price a copy with the current model version, leaving the cached entry
-	// prediction-free: a model swap can never serve a stale PredictedTime
-	// (or PredictedPeakBytes) because predictions are never stored, only
-	// the structural counts.
-	out := *est
-	out.PredictedTime = 0
-	resp := &EstimateResponse{
-		Catalog:  entry.Name,
-		Level:    LevelName(level),
-		Cached:   cached,
-		Estimate: &out,
-	}
-	if v := s.models.Current(); v != nil {
-		if v.Model != nil {
-			out.PredictedTime = v.Model.Predict(out.Counts)
-		}
-		resp.ModelVersion = v.Version
-	}
-	out.PredictedPeakBytes = core.EstimateMemory(&out, s.memModel())
-	return resp, nil
-}
-
-// EstimateBatchRequest is the body of POST /v1/estimate/batch: many
-// statements against one catalog and level, estimated once per distinct
-// structure.
-type EstimateBatchRequest struct {
-	Catalog    string   `json:"catalog"`
-	Statements []string `json:"statements"`
-	Level      string   `json:"level,omitempty"`
-	NoCache    bool     `json:"no_cache,omitempty"`
-	// Parallelism applies the single-estimate knob to every distinct group
-	// the batch enumerates (clamped to [1, Config.MaxParallelism]).
-	Parallelism int `json:"parallelism,omitempty"`
-}
-
-// BatchItem is the per-statement outcome, in submission order.
-type BatchItem struct {
-	Fingerprint string `json:"fingerprint,omitempty"`
-	// Deduped marks a statement answered by an earlier statement of this
-	// batch with the same fingerprint: it ran no estimation of its own.
-	Deduped bool `json:"deduped,omitempty"`
-	// Cached reports the group's estimate came without any enumeration
-	// (estimate-cache hit or shared in-flight run).
-	Cached   bool           `json:"cached,omitempty"`
-	Error    string         `json:"error,omitempty"`
-	Estimate *core.Estimate `json:"estimate,omitempty"`
-}
-
-// EstimateBatchResponse is the reply: per-statement items plus the batch's
-// dedup accounting (Distinct groups estimated, Deduped statements that rode
-// along).
-type EstimateBatchResponse struct {
-	Catalog      string      `json:"catalog"`
-	Level        string      `json:"level"`
-	Distinct     int         `json:"distinct"`
-	Deduped      int         `json:"deduped"`
-	ModelVersion int         `json:"model_version,omitempty"`
-	Items        []BatchItem `json:"items"`
-}
-
-// maxBatchStatements bounds one batch request; parameterized workloads
-// should chunk beyond this.
-const maxBatchStatements = 256
-
-// EstimateBatch estimates a slice of statements, deduplicating them by
-// structural fingerprint so each distinct structure is estimated once. A
-// statement that fails to parse (or whose group's estimation fails) gets a
-// per-item error without failing the batch; whole-request problems (bad
-// catalog, dead deadline) fail the request.
-func (s *Server) EstimateBatch(ctx context.Context, req EstimateBatchRequest) (*EstimateBatchResponse, error) {
-	s.metrics.BatchRequests.Add()
-	if err := s.shedCheck(ctx); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	defer func() {
-		d := time.Since(start)
-		s.metrics.EstimateLatency.Observe(d)
-		s.shed.observe(d)
-	}()
-
-	if req.Catalog == "" {
-		return nil, badRequest("missing catalog")
-	}
-	entry, err := s.registry.Get(req.Catalog)
-	if err != nil {
-		return nil, notFound("%v", err)
-	}
-	level, err := ParseLevel(req.Level)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	if len(req.Statements) == 0 {
-		return nil, badRequest("missing statements")
-	}
-	if len(req.Statements) > maxBatchStatements {
-		return nil, badRequest("batch of %d statements exceeds the limit of %d", len(req.Statements), maxBatchStatements)
-	}
-	s.metrics.BatchStatements.AddN(int64(len(req.Statements)))
-	ctx, cancel := s.requestCtx(ctx)
-	defer cancel()
-
-	type group struct {
-		blk   *query.Block
-		items []int
-	}
-	resp := &EstimateBatchResponse{
-		Catalog: entry.Name,
-		Level:   LevelName(level),
-		Items:   make([]BatchItem, len(req.Statements)),
-	}
-	groups := make(map[fingerprint.FP]*group)
-	var order []fingerprint.FP
-	for i, sql := range req.Statements {
-		it := &resp.Items[i]
-		if sql == "" {
-			it.Error = "missing sql"
-			continue
-		}
-		parseStart := time.Now()
-		blk, err := sqlparser.Parse(sql, entry.Catalog)
-		s.metrics.ObserveStage(optctx.StageParse, 1, time.Since(parseStart))
-		if err != nil {
-			it.Error = fmt.Sprintf("parse: %v", err)
-			continue
-		}
-		fp := fingerprint.Of(blk)
-		it.Fingerprint = fp.String()
-		g, ok := groups[fp]
-		if !ok {
-			g = &group{blk: blk}
-			groups[fp] = g
-			order = append(order, fp)
-		} else {
-			it.Deduped = true
-			resp.Deduped++
-		}
-		g.items = append(g.items, i)
-	}
-	resp.Distinct = len(order)
-	s.metrics.BatchDeduped.AddN(int64(resp.Deduped))
-
-	var m *core.TimeModel
-	if v := s.models.Current(); v != nil {
-		m = v.Model
-		resp.ModelVersion = v.Version
-	}
-	for _, fp := range order {
-		g := groups[fp]
-		est, cached, err := s.estimateFor(ctx, entry, g.blk, level, !req.NoCache, req.Parallelism)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, err // the whole batch is dead, not one group
-			}
-			for _, i := range g.items {
-				resp.Items[i].Error = err.Error()
-			}
-			continue
-		}
-		out := *est
-		out.PredictedTime = 0
-		if m != nil {
-			out.PredictedTime = m.Predict(out.Counts)
-		}
-		out.PredictedPeakBytes = core.EstimateMemory(&out, s.memModel())
-		for _, i := range g.items {
-			resp.Items[i].Cached = cached
-			resp.Items[i].Estimate = &out
-		}
-	}
-	return resp, nil
-}
-
-// OptimizeRequest is the body of POST /v1/optimize.
-type OptimizeRequest struct {
-	Catalog string `json:"catalog"`
-	SQL     string `json:"sql"`
-	Level   string `json:"level,omitempty"`
-	// BudgetMS overrides the server's admission budget for this request
-	// (milliseconds; negative disables admission).
-	BudgetMS int64 `json:"budget_ms,omitempty"`
-	// OnOverBudget overrides the over-budget behaviour: "reject" or
-	// "downgrade" (default: the server's configuration).
-	OnOverBudget string `json:"on_over_budget,omitempty"`
-	// Parallelism requests intra-query parallel enumeration for this
-	// compile, clamped to [1, Config.MaxParallelism]. Zero means serial.
-	Parallelism int `json:"parallelism,omitempty"`
-	// MemBudgetBytes overrides the server's memory budget for this request
-	// (bytes; negative disables the memory budget).
-	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
-}
-
-// OptimizeResponse is the reply: the admission decision and — unless
-// rejected — the chosen plan with its instrumentation.
-type OptimizeResponse struct {
-	Catalog   string             `json:"catalog"`
-	Level     string             `json:"level,omitempty"`
-	Admission *AdmissionDecision `json:"admission"`
-	Plan      string             `json:"plan,omitempty"`
-	Cost      float64            `json:"cost,omitempty"`
-	Rows      float64            `json:"rows,omitempty"`
-	ElapsedNS int64              `json:"elapsed_ns,omitempty"`
-	Counts    core.PlanCounts    `json:"plan_counts"`
-	// BudgetAborted lists levels whose compile started and was aborted
-	// mid-flight because generated plans overran the prediction by more
-	// than the server's budget factor; the final plan (if any) came from a
-	// cheaper level.
-	BudgetAborted []string `json:"budget_aborted,omitempty"`
-	// MemAborted lists levels aborted mid-flight because measured optimizer
-	// memory crossed the memory budget.
-	MemAborted []string `json:"mem_aborted,omitempty"`
-	// PeakBytes is the measured durable memory high-water mark of the
-	// compile that produced the plan.
-	PeakBytes int64 `json:"peak_bytes,omitempty"`
-	// OverloadRungs is how many level-ladder rungs the overload controller
-	// walked this request down before admission (0 when unloaded); the
-	// admission decision's requested level stays the client's original.
-	OverloadRungs int `json:"overload_rungs,omitempty"`
-}
-
-// Optimize runs a real optimization behind admission control: the cheap
-// estimator prices the requested level first and the full compile runs
-// only within budget (Figure 1's meta-optimizer as a serving guardrail).
-func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeResponse, error) {
-	s.metrics.OptimizeRequests.Add()
-	if err := s.shedCheck(ctx); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	defer func() {
-		d := time.Since(start)
-		s.metrics.OptimizeLatency.Observe(d)
-		s.shed.observe(d)
-	}()
-
-	entry, level, blk, err := s.parseRequest(req.Catalog, req.Level, req.SQL)
-	if err != nil {
-		return nil, err
-	}
-	// The overload ladder: sustained queue pressure short of shedding walks
-	// the request down the same downgrade rungs the admission controller
-	// uses, before admission prices anything — a loaded server compiles
-	// cheaper plans instead of slower ones.
-	requested := level
-	overloadRungs := 0
-	if rungs := s.shed.PressureRungs(); rungs > 0 {
-		level, overloadRungs = downgradeForPressure(level, rungs)
-		if overloadRungs > 0 {
-			s.metrics.OverloadDowngrades.Add()
-		}
-	}
-	budget := s.cfg.Budget
-	if req.BudgetMS != 0 {
-		budget = time.Duration(req.BudgetMS) * time.Millisecond
-	}
-	memBudget := s.cfg.MemBudget
-	if req.MemBudgetBytes != 0 {
-		memBudget = knobs.MemBudget(req.MemBudgetBytes)
-	}
-	downgrade := s.cfg.Downgrade
-	switch req.OnOverBudget {
-	case "":
-	case "reject":
-		downgrade = false
-	case "downgrade":
-		downgrade = true
-	default:
-		return nil, badRequest("unknown on_over_budget %q (want reject or downgrade)", req.OnOverBudget)
-	}
-	ctx, cancel := s.requestCtx(ctx)
-	defer cancel()
-
-	predict := func(l opt.Level) (time.Duration, bool, error) {
-		m := s.Model()
-		if m == nil {
-			return 0, false, nil
-		}
-		est, _, err := s.estimateFor(ctx, entry, blk, l, true, req.Parallelism)
-		if err != nil {
-			return 0, false, err
-		}
-		return m.Predict(est.Counts), true, nil
-	}
-	predictMem := func(l opt.Level) (int64, error) {
-		est, _, err := s.estimateFor(ctx, entry, blk, l, true, req.Parallelism)
-		if err != nil {
-			return 0, err
-		}
-		return core.EstimateMemory(est, s.memModel()), nil
-	}
-	dec, err := admit(level, budget, memBudget, downgrade, predict, predictMem)
-	if err != nil {
-		return nil, err
-	}
-	// The decision reports the client's requested level, not the one the
-	// overload ladder already lowered it to.
-	dec.RequestedLevel = LevelName(requested)
-	resp := &OptimizeResponse{Catalog: entry.Name, Admission: dec, OverloadRungs: overloadRungs}
-	switch dec.Action {
-	case AdmitAccept:
-		s.metrics.AdmissionAccepted.Add()
-	case AdmitBypass:
-		s.metrics.AdmissionBypassed.Add()
-	case AdmitDowngrade:
-		s.metrics.AdmissionDowngraded.Add()
-	case AdmitReject:
-		s.metrics.AdmissionRejected.Add()
-		return resp, nil
-	}
-	admitted, err := ParseLevel(dec.AdmittedLevel)
-	if err != nil {
-		return nil, err
-	}
-	parallelism := knobs.Parallelism(req.Parallelism)
-	if parallelism > s.cfg.MaxParallelism {
-		parallelism = s.cfg.MaxParallelism
-	}
-	// The compile runs under an execution context: the request deadline
-	// cancels it cooperatively, the COTE prediction feeds the live progress
-	// meter (/v1/progress), and — with a budget factor or memory budget
-	// configured — an overrun aborts it and drops a level, re-entering this
-	// loop.
-	for {
-		oc := optctx.New(ctx)
-		var predictedTime time.Duration
-		if admitted != opt.LevelLow {
-			// The greedy floor runs unbudgeted, like admission: it is the
-			// level every downgrade must be able to land on.
-			oc.SetMemBudget(memBudget)
-			if plans, t, ok := s.predictLevel(ctx, entry, blk, admitted, req.Parallelism); ok {
-				predictedTime = t
-				oc.SetPredictedPlans(plans)
-				if s.cfg.BudgetFactor > 0 {
-					oc.SetPlanBudget(int64(s.cfg.BudgetFactor * float64(plans)))
-				}
-			}
-		}
-		pr := s.progress.add(entry.Name, LevelName(admitted), oc)
-		res, err := Run(s.pool, ctx, func() (*opt.Result, error) {
-			return opt.OptimizeWith(oc, blk, opt.Options{Level: admitted, Config: entry.Config, Parallelism: parallelism})
-		})
-		s.progress.remove(pr)
-		s.metrics.ObserveStages(oc)
-		if err == nil {
-			resp.Level = LevelName(admitted)
-			resp.Plan = res.Plan.String()
-			resp.Cost = res.Plan.Cost
-			resp.Rows = res.Plan.Card
-			resp.ElapsedNS = res.Elapsed.Nanoseconds()
-			resp.Counts = core.CountsFrom(res.TotalCounters())
-			resp.PeakBytes = res.Resources.DurablePeakBytes
-			s.metrics.ObserveResources(res.Resources)
-			// Feed the calibration loop: every real optimization is a
-			// training sample, the priced ones score the model's drift, and
-			// the accounted ones (paired with the estimate's structural
-			// counts) train the memory model.
-			s.metrics.Observations.Add()
-			obs := core.ObservationFrom(
-				res.TotalCounters(), admitted, fingerprint.Of(blk), predictedTime, res.Elapsed)
-			obs.PeakBytes = res.Resources.DurablePeakBytes
-			if est, _, err := s.estimateFor(ctx, entry, blk, admitted, true, req.Parallelism); err == nil {
-				for _, be := range est.Blocks {
-					obs.Entries += be.Entries
-					obs.PropertyBytes += be.PropertyBytes
-				}
-			}
-			s.calib.ObserveCompile(obs)
-			return resp, nil
-		}
-		switch {
-		case errors.Is(err, optctx.ErrBudgetExceeded):
-			s.metrics.BudgetAborts.Add()
-			resp.BudgetAborted = append(resp.BudgetAborted, LevelName(admitted))
-		case errors.Is(err, optctx.ErrMemBudgetExceeded):
-			s.metrics.MemBudgetAborts.Add()
-			resp.MemAborted = append(resp.MemAborted, LevelName(admitted))
-		default:
-			return nil, err
-		}
-		if !downgrade {
-			return nil, err
-		}
-		admitted = admitted.NextLower()
-	}
-}
-
-// predictLevel returns the COTE-predicted generated-plan total and
-// compilation time for one level — the progress denominator, the budget
-// baseline, and the prediction the calibration loop scores against the
-// measured time. It reports false when no model is calibrated (no basis
-// for bounding) or the estimate itself fails (the compile must still run).
-func (s *Server) predictLevel(ctx context.Context, entry *RegistryEntry, blk *query.Block, level opt.Level, parallelism int) (int64, time.Duration, bool) {
-	m := s.Model()
-	if m == nil {
-		return 0, 0, false
-	}
-	est, _, err := s.estimateFor(ctx, entry, blk, level, true, parallelism)
-	if err != nil {
-		return 0, 0, false
-	}
-	return int64(est.Counts.Total()), m.Predict(est.Counts), true
 }
 
 // CalibrateRequest is the body of POST /v1/calibrate: fit the time model
@@ -896,15 +325,20 @@ func (s *Server) Calibrate(ctx context.Context, req CalibrateRequest) (*Calibrat
 //	GET  /healthz           liveness probe
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/estimate", s.handleEstimate)
-	mux.HandleFunc("POST /v1/estimate/batch", s.handleEstimateBatch)
-	mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	mux.HandleFunc("POST /v1/calibrate", s.handleCalibrate)
+	mux.HandleFunc("POST /v1/estimate", post(s, s.Estimate, nil))
+	mux.HandleFunc("POST /v1/estimate/batch", post(s, s.EstimateBatch, nil))
+	mux.HandleFunc("POST /v1/optimize", post(s, s.Optimize, func(resp *OptimizeResponse) int {
+		if resp.Admission != nil && resp.Admission.Action == AdmitReject {
+			return http.StatusTooManyRequests
+		}
+		return http.StatusOK
+	}))
+	mux.HandleFunc("POST /v1/calibrate", post(s, s.Calibrate, nil))
 	mux.HandleFunc("GET /v1/model", s.handleModelGet)
-	mux.HandleFunc("POST /v1/model", s.handleModelPost)
+	mux.HandleFunc("POST /v1/model", post(s, s.UpdateModel, nil))
 	mux.HandleFunc("GET /v1/model/history", s.handleModelHistory)
 	mux.HandleFunc("GET /v1/catalogs", s.handleCatalogList)
-	mux.HandleFunc("POST /v1/catalogs", s.handleCatalogUpload)
+	mux.HandleFunc("POST /v1/catalogs", post(s, s.uploadCatalog, func(CatalogInfo) int { return http.StatusCreated }))
 	mux.HandleFunc("GET /v1/progress", s.handleProgress)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -914,14 +348,35 @@ func (s *Server) Handler() http.Handler {
 // maxBodyBytes bounds request bodies (catalog uploads included).
 const maxBodyBytes = 1 << 20
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("body: %v", err)
+// post is the handler behind every POST endpoint: decode the JSON body into
+// a Req, call the endpoint, and write its response under the status the
+// endpoint's status function picks (nil: 200 OK) or its error through the
+// taxonomy. The body must be exactly one JSON value with known fields.
+func post[Req, Resp any](s *Server, call func(context.Context, Req) (Resp, error), status func(Resp) int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&req)
+		// Decode stops after the first value; only whitespace may follow.
+		if _, terr := dec.Token(); err == nil && terr != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+		if err != nil {
+			s.writeError(w, badRequest("body: %v", err))
+			return
+		}
+		resp, err := call(r.Context(), req)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		code := http.StatusOK
+		if status != nil {
+			code = status(resp)
+		}
+		writeJSON(w, code, resp)
 	}
-	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -950,76 +405,12 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, ErrorBody{Error: err.Error(), Code: code})
 }
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	var req EstimateRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	resp, err := s.Estimate(r.Context(), req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
-	var req EstimateBatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	resp, err := s.EstimateBatch(r.Context(), req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req OptimizeRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	resp, err := s.Optimize(r.Context(), req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	status := http.StatusOK
-	if resp.Admission != nil && resp.Admission.Action == AdmitReject {
-		status = http.StatusTooManyRequests
-	}
-	writeJSON(w, status, resp)
-}
-
-func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
-	var req CalibrateRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	resp, err := s.Calibrate(r.Context(), req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleCatalogList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"catalogs": s.registry.List()})
 }
 
-func (s *Server) handleCatalogUpload(w http.ResponseWriter, r *http.Request) {
-	var def CatalogDef
-	if err := decodeJSON(w, r, &def); err != nil {
-		s.writeError(w, err)
-		return
-	}
+// uploadCatalog registers an uploaded catalog (POST /v1/catalogs).
+func (s *Server) uploadCatalog(_ context.Context, def CatalogDef) (CatalogInfo, error) {
 	entry, err := s.registry.Register(def)
 	if err != nil {
 		// Schema problems are the client's fault (400); an injected
@@ -1028,16 +419,10 @@ func (s *Server) handleCatalogUpload(w http.ResponseWriter, r *http.Request) {
 		if !errors.Is(err, faultinject.ErrInjected) {
 			err = badRequest("%v", err)
 		}
-		s.writeError(w, err)
-		return
+		return CatalogInfo{}, err
 	}
 	s.metrics.CatalogUploads.Add()
-	writeJSON(w, http.StatusCreated, CatalogInfo{
-		Name:    entry.Name,
-		Tables:  entry.Catalog.NumTables(),
-		Nodes:   entry.Config.Nodes,
-		BuiltIn: false,
-	})
+	return entry.info(), nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

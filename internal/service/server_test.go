@@ -262,8 +262,8 @@ func TestServerCacheEviction(t *testing.T) {
 		t.Fatal("Q3 evicted prematurely")
 	}
 	est(tpchQ6) // evicts Q4
-	if _, _, size, capacity := srv.cache.Stats(); size != 2 || capacity != 2 {
-		t.Fatalf("cache size %d cap %d", size, capacity)
+	if st := srv.cache.Stats(); st.Size != 2 || st.Capacity != 2 {
+		t.Fatalf("cache size %d cap %d", st.Size, st.Capacity)
 	}
 	if !est(tpchQ3)["cached"].(bool) { // recently used survives (LRU, not FIFO)
 		t.Fatal("recently used Q3 was evicted")
@@ -338,8 +338,8 @@ func TestServerConcurrentRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, misses, _, _ := srv.cache.Stats()
-	shared := srv.cache.Shared()
+	st := srv.cache.Stats()
+	hits, misses, shared := st.Hits, st.Misses, st.Shared
 	if hits+misses+shared != 24 {
 		t.Fatalf("cache saw %d lookups (%d hits, %d misses, %d shared), want 24", hits+misses+shared, hits, misses, shared)
 	}
