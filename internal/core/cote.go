@@ -225,8 +225,6 @@ func estimateBlock(blk *query.Block, cfg *cost.Config, opts Options) (*BlockEsti
 	en := enum.New(blk, mem, card, eopts)
 	var st enum.Stats
 	var err error
-	// Counting never touches the scope's shared-mode caches (see parcount.go),
-	// so unlike optimizeBlock the parallel path needs no sc.MarkShared().
 	if workers := knobs.Parallelism(opts.Parallelism); workers > 1 {
 		hooks, finish := cnt.parallelHooks()
 		st, err = en.RunParallel(hooks, workers)

@@ -16,10 +16,9 @@
 // order-independent, so PlanCounts, property lists, enumeration statistics
 // and the MEMO's durable accounting are bit-identical to the serial pass at
 // every parallelism degree — the same guarantee the determinism suite pins
-// for optimization. Workers never touch the scope's future-join-column
-// memo (counting goes through mergeOutsScratch and candidateParts, neither
-// of which calls OrderUseful), and the property interner takes its own
-// lock, so the scope needs no MarkShared switch for estimation.
+// for optimization. The scope the workers share is immutable, and the
+// property interner only the driver-side propagation writes takes its own
+// lock.
 package core
 
 import (
@@ -82,9 +81,9 @@ func (w *cntWorker) commit(task int) {
 	}
 	p := w.prop
 	if !t.result.PropsPropagated || p.everyJoin {
-		p.ocBuf, p.icBuf = p.sc.AppendJoinColsBetween(t.outer.Tables, t.inner.Tables, p.ocBuf[:0], p.icBuf[:0])
-		candParts := p.candidateParts(t.outer, t.inner, t.result, p.ocBuf, p.icBuf)
-		p.propagateWithCols(t.outer, t.inner, t.result, p.ocBuf, candParts)
+		outerCols, innerCols := p.joinCols(t.outer, t.inner)
+		candParts := p.candidateParts(t.outer, t.inner, t.result, outerCols, innerCols)
+		p.propagateWithCols(t.outer, t.inner, t.result, outerCols, candParts)
 	}
 }
 
@@ -101,6 +100,7 @@ func (c *counter) fork() *counter {
 		pipeFactor: c.pipeFactor,
 		expTables:  c.expTables,
 		vecs:       c.vecs,
+		joinRep:    make([]bool, len(c.joinRep)),
 	}
 }
 

@@ -146,18 +146,17 @@ func levelAdmits(l opt.Level, outer, inner *memo.Entry) bool {
 // one — each scaled by the candidate execution partitions in parallel mode
 // (the separate-list multiplication of Section 3.4).
 func (c *counter) countOnly(outer, inner, result *memo.Entry) {
-	c.ocBuf, c.icBuf = c.sc.AppendJoinColsBetween(outer.Tables, inner.Tables, c.ocBuf[:0], c.icBuf[:0])
-	outerCols, innerCols := c.ocBuf, c.icBuf
+	outerCols, innerCols := c.joinCols(outer, inner)
 	candParts := c.candidateParts(outer, inner, result, outerCols, innerCols)
-	c.countWithCols(outer, inner, result, outerCols, innerCols, candParts)
+	c.countWithCols(outer, inner, result, outerCols, candParts)
 }
 
 // countWithCols is countOnly with the join columns and execution partitions
 // already computed — the shared hot path of accumulate_plans.
-func (c *counter) countWithCols(outer, inner, result *memo.Entry, outerCols, innerCols []query.ColID, candParts []props.Partition) {
+func (c *counter) countWithCols(outer, inner, result *memo.Entry, outerCols []query.ColID, candParts []props.Partition) {
 	c.joins++
 	if c.mode == CompoundLists {
-		c.countCompound(outer, result, candParts, outerCols, innerCols)
+		c.countCompound(outer, result, candParts, outerCols)
 		return
 	}
 	nParts := len(candParts)
@@ -173,7 +172,7 @@ func (c *counter) countWithCols(outer, inner, result *memo.Entry, outerCols, inn
 	}
 	c.counts.ByMethod[props.NLJN] += (outer.Orders.Len() + 1 + lanes) * nParts
 	if len(outerCols) > 0 {
-		c.counts.ByMethod[props.MGJN] += c.mergeOrderCount(outer, result, outerCols, innerCols) * nParts
+		c.counts.ByMethod[props.MGJN] += c.mergeOrderCount(outer, result, outerCols) * nParts
 		c.counts.ByMethod[props.HSJN] += nParts
 	}
 }

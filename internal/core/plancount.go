@@ -120,10 +120,16 @@ type counter struct {
 	// needs transiently is buffered on the counter and reused join over
 	// join, mirroring the real generator's allocation-lean idioms.
 	ocBuf, icBuf []query.ColID
-	jcBuf        []query.ColID
-	outsBuf      []props.Order
-	emitted      props.OrderList
-	plistBuf     props.PartitionList
+	// colsOuter and colsInner are the table sets ocBuf and icBuf hold the
+	// join columns of (no join has an empty side, so zero means none yet).
+	colsOuter, colsInner bitset.Set
+	jcBuf                []query.ColID
+	outsBuf              []props.Order
+	emitted              props.OrderList
+	plistBuf             props.PartitionList
+	// joinRep marks, within one mergeOrderCount call, the class
+	// representatives of the join's outer columns; all false between calls.
+	joinRep []bool
 }
 
 func newCounter(blk *query.Block, sc *props.Scope, nodes int, policy props.GenerationPolicy, mode ListMode, everyJoin bool) *counter {
@@ -137,6 +143,7 @@ func newCounter(blk *query.Block, sc *props.Scope, nodes int, policy props.Gener
 		policy: policy, mode: mode, everyJoin: everyJoin,
 		pipeFactor: pipe,
 		expTables:  sc.ExpensiveTables(),
+		joinRep:    make([]bool, len(blk.Columns)),
 	}
 	// Only the compound-list ablation maintains per-entry vectors; the
 	// default separate-list mode never touches the map.
@@ -166,22 +173,22 @@ func (c *counter) initialize(e *memo.Entry) {
 	t := e.Tables.Min()
 	var orders []props.Order
 	if c.policy == props.Eager {
-		orders = c.sc.EagerBaseOrders(t, e.Equiv)
+		orders = c.sc.EagerBaseOrders(t, &e.Equiv)
 	} else {
-		for _, o := range c.sc.NaturalBaseOrders(t, e.Equiv) {
-			if c.sc.OrderUseful(o, e.Tables, e.Equiv) {
+		for _, o := range c.sc.NaturalBaseOrders(t, &e.Equiv) {
+			if c.sc.OrderUseful(o, &e.Equiv) {
 				orders = append(orders, o)
 			}
 		}
 	}
 	for _, o := range orders {
-		e.Orders.Add(o, e.Equiv)
+		e.Orders.Add(o, &e.Equiv)
 	}
 	part := props.Partition{}
 	if c.parallel {
 		if p, ok := c.sc.NaturalBasePartition(t); ok {
 			part = p
-			e.Parts.Add(p, e.Equiv)
+			e.Parts.Add(p, &e.Equiv)
 		}
 	}
 	if c.mode == CompoundLists {
@@ -200,15 +207,29 @@ func (c *counter) initialize(e *memo.Entry) {
 // value already in the list — and accumulates a separate plan count per
 // join method according to the method's propagation class.
 func (c *counter) accumulatePlans(outer, inner, result *memo.Entry) {
-	c.ocBuf, c.icBuf = c.sc.AppendJoinColsBetween(outer.Tables, inner.Tables, c.ocBuf[:0], c.icBuf[:0])
-	outerCols, innerCols := c.ocBuf, c.icBuf
+	outerCols, innerCols := c.joinCols(outer, inner)
 	candParts := c.candidateParts(outer, inner, result, outerCols, innerCols)
 
 	// --- property propagation (first-join-only unless ablated) ---
 	c.propagateWithCols(outer, inner, result, outerCols, candParts)
 
 	// --- plan counting per method ---
-	c.countWithCols(outer, inner, result, outerCols, innerCols, candParts)
+	c.countWithCols(outer, inner, result, outerCols, candParts)
+}
+
+// joinCols returns the equality join columns between outer and inner, index-
+// aligned, in the counter's scratch buffers. The enumerator emits the two
+// orientations of a pair back to back and the second one's columns are the
+// first one's with the sides exchanged, so the crossing predicates are looked
+// up once per unordered pair and the second call swaps the buffers.
+func (c *counter) joinCols(outer, inner *memo.Entry) (outerCols, innerCols []query.ColID) {
+	if c.colsOuter == inner.Tables && c.colsInner == outer.Tables {
+		c.ocBuf, c.icBuf = c.icBuf, c.ocBuf
+	} else {
+		c.ocBuf, c.icBuf = c.blk.AppendJoinCols(outer.Tables, inner.Tables, c.ocBuf[:0], c.icBuf[:0])
+	}
+	c.colsOuter, c.colsInner = outer.Tables, inner.Tables
+	return c.ocBuf, c.icBuf
 }
 
 // propagateWithCols is the property-propagation half of accumulate_plans,
@@ -230,8 +251,8 @@ func (c *counter) propagateWithCols(outer, inner, result *memo.Entry, outerCols 
 	outs := c.mergeOutsInterned(outerCols)
 	addUseful := func(orders []props.Order) {
 		for _, o := range orders {
-			if c.sc.OrderUseful(o, result.Tables, result.Equiv) {
-				result.Orders.Add(o, result.Equiv)
+			if c.sc.OrderUseful(o, &result.Equiv) {
+				result.Orders.Add(o, &result.Equiv)
 			}
 		}
 	}
@@ -242,7 +263,7 @@ func (c *counter) propagateWithCols(outer, inner, result *memo.Entry, outerCols 
 	addUseful(outs)
 	for _, pp := range candParts {
 		if !pp.Empty() {
-			result.Parts.Add(pp, result.Equiv)
+			result.Parts.Add(pp, &result.Equiv)
 		}
 	}
 	if c.mode == CompoundLists {
@@ -271,48 +292,40 @@ func (c *counter) mergeOutsInterned(outerCols []query.ColID) []props.Order {
 	return outs
 }
 
-// mergeOutsScratch is mergeOutsInterned without the interner: the orders
-// alias outerCols and the counter's buffers, valid for comparisons within
-// one call and never to be stored in an entry's lists. mergeOrderCount only
-// counts and compares, so it takes this allocation- and lock-free path on
-// every enumerated join.
-func (c *counter) mergeOutsScratch(outerCols []query.ColID) []props.Order {
-	outs := c.outsBuf[:0]
-	for i := range outerCols {
-		outs = append(outs, props.Order{Cols: outerCols[i : i+1]})
-	}
-	if len(outerCols) > 1 {
-		outs = append(outs, props.Order{Cols: outerCols})
-	}
-	c.outsBuf = outs
-	return outs
-}
-
 // mergeOrderCount returns |listp ∪ listc|: the deduplicated merge-candidate
-// orders plus the coverage list of outer orders strictly subsuming one.
-func (c *counter) mergeOrderCount(outer, result *memo.Entry, outerCols, innerCols []query.ColID) int {
-	outs := c.mergeOutsScratch(outerCols)
+// orders — one per join column plus, for a multi-column join, the composite
+// on all of them — plus the coverage list of outer orders strictly subsuming
+// one. Class representatives are all it needs to look at: the distinct
+// single-column candidates are the distinct representatives of the
+// join columns; an outer order can only duplicate a candidate of its own
+// length, i.e. the composite; and what the composite strictly prefixes its
+// first column does too, so an outer order is covered exactly when it has
+// two or more columns and leads with a join column's representative.
+func (c *counter) mergeOrderCount(outer, result *memo.Entry, outerCols []query.ColID) int {
+	eq := &result.Equiv
+	n := 0
+	for _, col := range outerCols {
+		if r := eq.Rep(col); !c.joinRep[r] {
+			c.joinRep[r] = true
+			n++
+		}
+	}
+	// emitted holds the orders a covered outer order could duplicate: the
+	// composite and the covered orders before it. outerCols outlives it.
 	emitted := &c.emitted
 	emitted.Reset()
-	n := 0
-	for _, o := range outs {
-		if emitted.Add(o, result.Equiv) {
-			n++
-		}
+	if len(outerCols) > 1 {
+		emitted.Add(props.Order{Cols: outerCols}, eq)
 	}
 	for _, o := range outer.Orders.Orders() {
-		covers := false
-		for _, cand := range outs {
-			if o.Len() > cand.Len() && cand.PrefixOfUnder(o, result.Equiv) {
-				covers = true
-				break
-			}
-		}
-		if covers && emitted.Add(o, result.Equiv) {
-			n++
+		if o.Len() > 1 && c.joinRep[eq.Rep(o.Cols[0])] {
+			emitted.Add(o, eq)
 		}
 	}
-	return n
+	for _, col := range outerCols {
+		c.joinRep[eq.Rep(col)] = false
+	}
+	return n + emitted.Len()
 }
 
 // serialParts is the single don't-care execution partition of serial mode,
@@ -334,8 +347,8 @@ func (c *counter) candidateParts(outer, inner, result *memo.Entry, outerCols, in
 	list.Reset()
 	for _, e := range []*memo.Entry{outer, inner} {
 		for _, p := range e.Parts.Partitions() {
-			if p.CoversJoinCols(joinCols, result.Equiv) {
-				list.Add(p, result.Equiv)
+			if p.CoversJoinCols(joinCols, &result.Equiv) {
+				list.Add(p, &result.Equiv)
 			}
 		}
 	}
@@ -356,7 +369,7 @@ func (c *counter) propagateVecs(outer, result *memo.Entry, candParts []props.Par
 	have := c.vecs[result.Tables]
 	add := func(v propVec) {
 		for _, h := range have {
-			if h.o.EqualUnder(v.o, result.Equiv) && h.p.EqualUnder(v.p, result.Equiv) {
+			if h.o.EqualUnder(v.o, &result.Equiv) && h.p.EqualUnder(v.p, &result.Equiv) {
 				return
 			}
 		}
@@ -368,7 +381,7 @@ func (c *counter) propagateVecs(outer, result *memo.Entry, candParts []props.Par
 			if v.o.Empty() {
 				continue // the (DC, pp) vector is already present
 			}
-			oUseful := c.sc.OrderUseful(v.o, result.Tables, result.Equiv)
+			oUseful := c.sc.OrderUseful(v.o, &result.Equiv)
 			pAlive := c.parallel && !pp.Empty()
 			if !oUseful && !pAlive {
 				continue // every component retired: the vector retires
@@ -379,7 +392,7 @@ func (c *counter) propagateVecs(outer, result *memo.Entry, candParts []props.Par
 			add(propVec{v.o, pp})
 		}
 		for _, o := range mergeOrders {
-			if c.sc.OrderUseful(o, result.Tables, result.Equiv) {
+			if c.sc.OrderUseful(o, &result.Equiv) {
 				add(propVec{o, pp})
 			}
 		}
@@ -389,15 +402,15 @@ func (c *counter) propagateVecs(outer, result *memo.Entry, candParts []props.Par
 
 // countCompound counts plans from compound vectors, re-simulating the real
 // generator's per-partition behaviour.
-func (c *counter) countCompound(outer, result *memo.Entry, candParts []props.Partition, outerCols, innerCols []query.ColID) {
+func (c *counter) countCompound(outer, result *memo.Entry, candParts []props.Partition, outerCols []query.ColID) {
 	outerVecs := c.vecs[outer.Tables]
 	for _, pp := range candParts {
 		colocated := 0
 		var distinctOrders props.OrderList
 		for _, v := range outerVecs {
-			if c.parallel && !v.p.EqualUnder(pp, result.Equiv) {
+			if c.parallel && !v.p.EqualUnder(pp, &result.Equiv) {
 				if !v.o.Empty() {
-					distinctOrders.Add(v.o, result.Equiv)
+					distinctOrders.Add(v.o, &result.Equiv)
 				}
 				continue
 			}
@@ -409,7 +422,7 @@ func (c *counter) countCompound(outer, result *memo.Entry, candParts []props.Par
 		}
 		c.counts.ByMethod[props.NLJN] += n
 		if len(outerCols) > 0 {
-			c.counts.ByMethod[props.MGJN] += c.mergeOrderCount(outer, result, outerCols, innerCols)
+			c.counts.ByMethod[props.MGJN] += c.mergeOrderCount(outer, result, outerCols)
 			c.counts.ByMethod[props.HSJN]++
 		}
 	}
@@ -428,7 +441,7 @@ var (
 // property lists themselves are durable MEMO content and charged separately.
 func (c *counter) scratchBytes() int64 {
 	cols := cap(c.ocBuf) + cap(c.icBuf) + cap(c.jcBuf)
-	return int64(cols)*counterColIDBytes + int64(cap(c.outsBuf))*counterOrderBytes + c.extraScratch
+	return int64(cols)*counterColIDBytes + int64(cap(c.outsBuf))*counterOrderBytes + int64(len(c.joinRep)) + c.extraScratch
 }
 
 // propertyBytes reports the memory footprint of the maintained property

@@ -42,6 +42,7 @@ type Estimator struct {
 	filtered []float64 // per-table filtered cardinality
 	joinSel  []float64 // per-join-predicate selectivity
 	cache    map[bitset.Set]float64
+	predBuf  []int // JoinCard's crossing-predicate scratch
 }
 
 // NewEstimator builds a cardinality estimator for a finalized block.
@@ -166,7 +167,8 @@ func (e *Estimator) JoinCard(s, l bitset.Set) float64 {
 		return c
 	}
 	card := e.Card(s) * e.Card(l)
-	for _, pi := range e.blk.PredsBetween(s, l) {
+	e.predBuf = e.blk.AppendPredsBetween(e.predBuf[:0], s, l)
+	for _, pi := range e.predBuf {
 		card *= e.joinSel[pi]
 	}
 	if card < 0.01 {

@@ -488,7 +488,7 @@ func (en *Enumerator) createJoinEntry(union bitset.Set, S, L *memo.Entry, hooks 
 
 func (en *Enumerator) finishEntry(e *memo.Entry, s bitset.Set, neighbors bitset.Set, hooks Hooks) {
 	e.Neighbors = neighbors
-	e.Equiv = en.blk.EquivWithin(s)
+	en.mem.InitEquiv(e, en.blk)
 	e.OuterEligible = en.compositeOuterEligible(s)
 	if en.smallBySize != nil && e.Card <= cartesianCardThreshold {
 		en.smallBySize[s.Len()] = append(en.smallBySize[s.Len()], e.SizeOrd)

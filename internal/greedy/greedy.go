@@ -131,13 +131,8 @@ func bestJoin(blk *query.Block, card *cost.Estimator, cfg *cost.Config, hits *co
 	union := cur.Tables.Union(right.Tables)
 	outCard := card.Card(union)
 	var best *memo.Plan
-	hasEq := false
-	for _, pi := range blk.PredsBetween(cur.Tables, right.Tables) {
-		if blk.JoinPreds[pi].Op == query.Eq {
-			hasEq = true
-			break
-		}
-	}
+	eqCols, _ := blk.AppendJoinCols(cur.Tables, right.Tables, nil, nil)
+	hasEq := len(eqCols) > 0
 	if hasEq {
 		*considered++
 		best = &memo.Plan{

@@ -151,28 +151,30 @@ type Entry struct {
 	// Card is the cached output cardinality (a logical property).
 	Card float64
 	// Equiv caches the equivalence classes induced by predicates applied
-	// within Tables.
-	Equiv *query.Equiv
-	// OuterEligible records whether plans of this entry may serve as the
-	// outer of a join; the enumerator marks it from outer-join and
-	// correlation constraints.
-	OuterEligible bool
+	// within Tables, by value: its representative array is carved from the
+	// MEMO's arena (Memo.InitEquiv), so it costs the entry no allocation.
+	Equiv query.Equiv
 	// Neighbors caches the join-graph neighborhood of Tables — the union of
 	// the adjacency sets of its members, minus Tables itself. The enumerator
 	// fills it at entry creation (composing it from the joined parts in O(1)
 	// for composite entries) and its candidate-driven scan uses it to visit
 	// only partners that a predicate can connect.
 	Neighbors bitset.Set
-	// SizeOrd is this entry's position within OfSize(Tables.Len()), i.e.
-	// its creation order inside its size class. The candidate-driven scan
-	// sorts candidates by SizeOrd to replay the canonical enumeration order.
-	SizeOrd int32
 	// Plans are the non-pruned plans (real optimization mode).
 	Plans []*Plan
 	// Orders and Parts are the interesting-property value lists
 	// (plan-estimate mode, and seeds for enforcer generation in real mode).
 	Orders props.OrderList
 	Parts  props.PartitionList
+	// SizeOrd is this entry's position within OfSize(Tables.Len()), i.e.
+	// its creation order inside its size class. The candidate-driven scan
+	// sorts candidates by SizeOrd to replay the canonical enumeration order.
+	// It shares the last word with the two flags: an entry is two cache lines.
+	SizeOrd int32
+	// OuterEligible records whether plans of this entry may serve as the
+	// outer of a join; the enumerator marks it from outer-join and
+	// correlation constraints.
+	OuterEligible bool
 	// PropsPropagated supports the paper's first-join-only simplification
 	// (DB2 experience item 4): properties are propagated into an entry only
 	// by the first join producing it.
@@ -188,6 +190,12 @@ const fibMul = 0x9E3779B97F4A7C15
 // slabBlock is the number of entries per slab chunk. Chunks never move once
 // allocated, so entry pointers stay stable while the slab grows.
 const slabBlock = 128
+
+// repChunkEntries is the number of entries whose representative arrays one
+// arena chunk holds. Chunks are sized from the block (entries × columns),
+// never from a byte constant: the real-compile MEMO is not pooled, and a
+// chunk larger than a small query's whole MEMO is per-request waste.
+const repChunkEntries = 8
 
 // idxSlot is one slot of the open-addressed index: the table set and the
 // entry it maps to. A nil entry marks the slot empty (the zero key is a
@@ -215,6 +223,14 @@ type Memo struct {
 	// reuse allocates nothing in steady state.
 	blocks [][]Entry
 	nused  int
+	// reps is the bump arena entries' representative arrays (Entry.Equiv)
+	// are carved from: repCur is the chunk being carved, repOff the next
+	// free element in it. Reset rewinds the cursor and keeps the chunks, so
+	// the pooled estimate MEMO allocates nothing per entry in steady state.
+	// Only the enumeration's driver goroutine creates entries: no lock.
+	reps   [][]int32
+	repCur int
+	repOff int
 	bySize [][]*Entry
 	// sorted caches the Entries() snapshot; GetOrCreate invalidates it, so
 	// hot consumers (plan counting, serialization, diagnostics) sort once
@@ -309,6 +325,29 @@ func (m *Memo) alloc() *Entry {
 	return e
 }
 
+// InitEquiv computes the equivalence classes of entry e of block blk into
+// arena storage.
+func (m *Memo) InitEquiv(e *Entry, blk *query.Block) {
+	e.Equiv = blk.EquivWithinInto(e.Tables, m.takeRep(len(blk.Columns)))
+}
+
+// takeRep carves one n-element representative array from the arena. Every
+// array of a run has the same length (one block); a chunk cut for a block
+// with fewer columns holds fewer of them, and one too short for a single
+// array is skipped. The content is stale: EquivWithinInto overwrites it all.
+func (m *Memo) takeRep(n int) []int32 {
+	for {
+		if m.repCur == len(m.reps) {
+			m.reps = append(m.reps, make([]int32, repChunkEntries*n))
+		}
+		if c := m.reps[m.repCur]; m.repOff+n <= len(c) {
+			m.repOff += n
+			return c[m.repOff-n : m.repOff : m.repOff]
+		}
+		m.repCur, m.repOff = m.repCur+1, 0
+	}
+}
+
 // cleanEntry returns a used slab entry to the zero state while keeping the
 // capacities of its Plans/Orders/Parts backing arrays (zeroed first, so the
 // pooled slab pins no plan trees or column slices from the finished run).
@@ -398,6 +437,7 @@ func (m *Memo) Reset(n int) {
 		cleanEntry(&m.blocks[i/slabBlock][i%slabBlock])
 	}
 	m.nused = 0
+	m.repCur, m.repOff = 0, 0
 	if n+1 > cap(m.bySize) {
 		m.bySize = make([][]*Entry, n+1)
 	} else {
@@ -500,7 +540,7 @@ func dominates(a, b *Plan, eq *query.Equiv, m *Memo) bool {
 // plans ordinary pruning would have removed anyway.
 func (m *Memo) Dominated(e *Entry, p *Plan) bool {
 	for _, have := range e.Plans {
-		if dominates(have, p, e.Equiv, m) {
+		if dominates(have, p, &e.Equiv, m) {
 			return true
 		}
 	}
@@ -513,13 +553,13 @@ func (m *Memo) Dominated(e *Entry, p *Plan) bool {
 // estimator's target quantity is plans generated, not plans kept).
 func (m *Memo) InsertPlan(e *Entry, p *Plan) bool {
 	for _, have := range e.Plans {
-		if dominates(have, p, e.Equiv, m) {
+		if dominates(have, p, &e.Equiv, m) {
 			return false
 		}
 	}
 	kept := e.Plans[:0]
 	for _, have := range e.Plans {
-		if dominates(p, have, e.Equiv, m) {
+		if dominates(p, have, &e.Equiv, m) {
 			m.nplans--
 			m.charge(resource.KindPlan, -PlanFootprint)
 			continue

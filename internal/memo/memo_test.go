@@ -27,7 +27,7 @@ func blockFixture(t *testing.T) *query.Block {
 
 func entryFor(blk *query.Block, m *Memo, s bitset.Set) *Entry {
 	e, _ := m.GetOrCreate(s)
-	e.Equiv = blk.EquivWithin(s)
+	m.InitEquiv(e, blk)
 	return e
 }
 
@@ -168,7 +168,7 @@ func TestBestLookups(t *testing.T) {
 	e := entryFor(blk, m, bitset.Of(0))
 	rA, rB := query.ColID(0), query.ColID(1)
 
-	if e.Best() != nil || e.BestWithOrder(props.OrderOn(rA), e.Equiv) != nil {
+	if e.Best() != nil || e.BestWithOrder(props.OrderOn(rA), &e.Equiv) != nil {
 		t.Fatal("lookups on empty entry not nil")
 	}
 	dc := &Plan{Op: OpTableScan, Tables: e.Tables, Cost: 10}
@@ -180,20 +180,20 @@ func TestBestLookups(t *testing.T) {
 		t.Fatal("Best != cheapest")
 	}
 	// Coverage: a request for (a) is satisfied by the (a,b) plan.
-	if got := e.BestWithOrder(props.OrderOn(rA), e.Equiv); got != ab {
+	if got := e.BestWithOrder(props.OrderOn(rA), &e.Equiv); got != ab {
 		t.Fatalf("BestWithOrder(a) = %v", got)
 	}
-	if got := e.BestWithOrder(props.OrderOn(rB), e.Equiv); got != nil {
+	if got := e.BestWithOrder(props.OrderOn(rB), &e.Equiv); got != nil {
 		t.Fatal("BestWithOrder(b) found a plan")
 	}
 	// Partition lookup.
 	part := props.PartitionOn(4, rA)
 	pp := &Plan{Op: OpRepartition, Tables: e.Tables, Cost: 99, Part: part}
 	m.InsertPlan(e, pp)
-	if got := e.BestWithPartition(part, e.Equiv); got != pp {
+	if got := e.BestWithPartition(part, &e.Equiv); got != pp {
 		t.Fatal("BestWithPartition wrong")
 	}
-	if got := e.BestWithPartition(props.PartitionOn(8, rA), e.Equiv); got != nil {
+	if got := e.BestWithPartition(props.PartitionOn(8, rA), &e.Equiv); got != nil {
 		t.Fatal("BestWithPartition matched wrong node count")
 	}
 }
@@ -202,7 +202,7 @@ func TestPropertyListBytes(t *testing.T) {
 	blk := blockFixture(t)
 	m := New(2)
 	e := entryFor(blk, m, bitset.Of(0))
-	eq := e.Equiv
+	eq := &e.Equiv
 	e.Orders.Add(props.OrderOn(0), eq)
 	e.Orders.Add(props.OrderOn(1), eq)
 	e.Parts.Add(props.PartitionOn(4, 0), eq)
@@ -253,7 +253,7 @@ func TestQuickMemoInvariant(t *testing.T) {
 		}
 		for i, a := range e.Plans {
 			for j, b := range e.Plans {
-				if i != j && dominates(a, b, e.Equiv, m) {
+				if i != j && dominates(a, b, &e.Equiv, m) {
 					return false
 				}
 			}

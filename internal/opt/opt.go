@@ -340,7 +340,6 @@ func optimizeBlock(oc *optctx.Ctx, blk *query.Block, opts Options) (*BlockResult
 	var st enum.Stats
 	var err error
 	if workers := kn.Parallelism; workers > 1 {
-		sc.MarkShared()
 		hooks, finishGen := gen.ParallelHooks()
 		st, err = en.RunParallel(hooks, workers)
 		finishGen()

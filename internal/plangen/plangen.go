@@ -277,7 +277,7 @@ func (g *Generator) initEntry(e *memo.Entry) {
 	}
 
 	// Index scans deliver their index order naturally.
-	for _, o := range g.sc.NaturalBaseOrders(t, e.Equiv) {
+	for _, o := range g.sc.NaturalBaseOrders(t, &e.Equiv) {
 		match := g.indexMatchRows(t, o, rows, fc)
 		p := g.arena.alloc()
 		*p = memo.Plan{
@@ -294,8 +294,8 @@ func (g *Generator) initEntry(e *memo.Entry) {
 	// no natural plan delivers.
 	if g.policy == props.Eager {
 		base := e.Best()
-		for _, o := range g.sc.EagerBaseOrders(t, e.Equiv) {
-			if e.BestWithOrder(o, e.Equiv) != nil {
+		for _, o := range g.sc.EagerBaseOrders(t, &e.Equiv) {
+			if e.BestWithOrder(o, &e.Equiv) != nil {
 				continue
 			}
 			g.Counters.EnforcerPlans++
@@ -348,7 +348,7 @@ func (g *Generator) basePartition(t int) props.Partition {
 
 // joinEntry generates join plans for one enumerated (outer, inner) join.
 func (g *Generator) joinEntry(outer, inner, result *memo.Entry) {
-	g.ocBuf, g.icBuf = g.sc.AppendJoinColsBetween(outer.Tables, inner.Tables, g.ocBuf[:0], g.icBuf[:0])
+	g.ocBuf, g.icBuf = g.blk.AppendJoinCols(outer.Tables, inner.Tables, g.ocBuf[:0], g.icBuf[:0])
 	outerCols, innerCols := g.ocBuf, g.icBuf
 	candidates := g.candidatePartitions(outer, inner, result, outerCols, innerCols)
 	for _, pp := range candidates {
@@ -385,8 +385,8 @@ func (g *Generator) candidatePartitions(outer, inner, result *memo.Entry, outerC
 			if p.Part.Empty() {
 				continue
 			}
-			if p.Part.CoversJoinCols(joinCols, result.Equiv) {
-				list.Add(p.Part, result.Equiv)
+			if p.Part.CoversJoinCols(joinCols, &result.Equiv) {
+				list.Add(p.Part, &result.Equiv)
 			}
 		}
 	}
@@ -428,7 +428,7 @@ func (g *Generator) innerInput(inner *memo.Entry, pp props.Partition, eq *query.
 // of Table 2), plus one from the cheapest outer repartitioned (order lost).
 func (g *Generator) genNLJN(outer, inner, result *memo.Entry, pp props.Partition) {
 	defer g.timeMethod(props.NLJN)()
-	ip, innerExtra := g.innerInput(inner, pp, result.Equiv)
+	ip, innerExtra := g.innerInput(inner, pp, &result.Equiv)
 	innerCost := ip.Cost + innerExtra
 	// The cardinality-dependent cost terms are shared by every outer plan of
 	// one cardinality — all of them, unless deferred expensive predicates
@@ -437,7 +437,7 @@ func (g *Generator) genNLJN(outer, inner, result *memo.Entry, pp props.Partition
 	termsCard := math.NaN()
 	made := 0
 	for _, po := range outer.Plans {
-		if g.parallel && !po.Part.EqualUnder(pp, result.Equiv) {
+		if g.parallel && !po.Part.EqualUnder(pp, &result.Equiv) {
 			continue
 		}
 		made++
@@ -465,7 +465,7 @@ func (g *Generator) genNLJN(outer, inner, result *memo.Entry, pp props.Partition
 			if p.Order.Empty() || p.OrderKnownRetired {
 				continue
 			}
-			if !orders.Add(p.Order, result.Equiv) {
+			if !orders.Add(p.Order, &result.Equiv) {
 				continue
 			}
 			resort := g.cfg.SortCost(po.Card) * sortWidthFactor(p.Order)
@@ -523,18 +523,18 @@ func (g *Generator) genMGJN(outer, inner, result *memo.Entry, pp props.Partition
 	emitted := &g.emittedBuf // output orders already produced for this join
 	emitted.Reset()
 	for i := range outs {
-		if !emitted.Add(outs[i], result.Equiv) {
+		if !emitted.Add(outs[i], &result.Equiv) {
 			continue // equivalent predicates collapse to one merge order
 		}
-		op, opExtra := g.sideInput(outer, pp, outs[i], result.Equiv)
-		ip, ipExtra := g.sideInput(inner, pp, ins[i], result.Equiv)
+		op, opExtra := g.sideInput(outer, pp, outs[i], &result.Equiv)
+		ip, ipExtra := g.sideInput(inner, pp, ins[i], &result.Equiv)
 		g.emitJoin(result, memo.OpMGJN, op, ip,
 			g.cfg.MGJNCost(op.Cost+opExtra, op.Card, ip.Cost+ipExtra, ip.Card, result.Card),
 			g.retireOrDeliver(outs[i], result), pp)
 	}
 
 	for _, po := range outer.Plans {
-		if g.parallel && !po.Part.EqualUnder(pp, result.Equiv) {
+		if g.parallel && !po.Part.EqualUnder(pp, &result.Equiv) {
 			continue
 		}
 		if po.Order.Empty() {
@@ -542,15 +542,15 @@ func (g *Generator) genMGJN(outer, inner, result *memo.Entry, pp props.Partition
 		}
 		covered := -1
 		for i := range outs {
-			if po.Order.Len() > outs[i].Len() && outs[i].PrefixOfUnder(po.Order, result.Equiv) {
+			if po.Order.Len() > outs[i].Len() && outs[i].PrefixOfUnder(po.Order, &result.Equiv) {
 				covered = i
 				break
 			}
 		}
-		if covered < 0 || !emitted.Add(po.Order, result.Equiv) {
+		if covered < 0 || !emitted.Add(po.Order, &result.Equiv) {
 			continue
 		}
-		ip, ipExtra := g.sideInput(inner, pp, ins[covered], result.Equiv)
+		ip, ipExtra := g.sideInput(inner, pp, ins[covered], &result.Equiv)
 		g.emitJoin(result, memo.OpMGJN, po, ip,
 			g.cfg.MGJNCost(po.Cost, po.Card, ip.Cost+ipExtra, ip.Card, result.Card),
 			g.propagateOrder(po, result), pp)
@@ -585,8 +585,8 @@ func (g *Generator) sideInput(e *memo.Entry, pp props.Partition, required props.
 // of Figure 5(c).
 func (g *Generator) genHSJN(outer, inner, result *memo.Entry, pp props.Partition) {
 	defer g.timeMethod(props.HSJN)()
-	op, opExtra := g.dcInput(outer, pp, result.Equiv)
-	ip, ipExtra := g.dcInput(inner, pp, result.Equiv)
+	op, opExtra := g.dcInput(outer, pp, &result.Equiv)
+	ip, ipExtra := g.dcInput(inner, pp, &result.Equiv)
 	g.emitJoin(result, memo.OpHSJN, op, ip,
 		g.cfg.HSJNCost(&g.hits, op.Cost+opExtra, op.Card, ip.Cost+ipExtra, ip.Card, result.Card),
 		props.Order{}, pp)
@@ -618,7 +618,7 @@ func (g *Generator) propagateOrder(po *memo.Plan, result *memo.Entry) props.Orde
 	if po.Order.Empty() {
 		return props.Order{}
 	}
-	if g.sc.OrderUseful(po.Order, result.Tables, result.Equiv) {
+	if g.sc.OrderUseful(po.Order, &result.Equiv) {
 		return po.Order
 	}
 	if g.parallel && !po.Part.Empty() {
@@ -629,7 +629,7 @@ func (g *Generator) propagateOrder(po *memo.Plan, result *memo.Entry) props.Orde
 
 // retireOrDeliver returns o if still interesting at the result, else DC.
 func (g *Generator) retireOrDeliver(o props.Order, result *memo.Entry) props.Order {
-	if g.sc.OrderUseful(o, result.Tables, result.Equiv) {
+	if g.sc.OrderUseful(o, &result.Equiv) {
 		return o
 	}
 	return props.Order{}
@@ -677,7 +677,7 @@ func (g *Generator) emitJoin(result *memo.Entry, op memo.Operator, left, right *
 			}
 		}
 	}
-	if !order.Empty() && !g.sc.OrderUseful(order, result.Tables, result.Equiv) {
+	if !order.Empty() && !g.sc.OrderUseful(order, &result.Equiv) {
 		p.OrderKnownRetired = true
 	}
 	if g.sink != nil {
@@ -756,7 +756,7 @@ func (g *Generator) completeEntry(e *memo.Entry) {
 			hasDC = true
 			continue
 		}
-		parts.Add(p.Part, e.Equiv)
+		parts.Add(p.Part, &e.Equiv)
 	}
 	// Interesting orders present on some plan (origin of orders stays at
 	// the base tables; this pass only spreads them across partitions).
@@ -764,7 +764,7 @@ func (g *Generator) completeEntry(e *memo.Entry) {
 	orders.Reset()
 	for _, p := range e.Plans {
 		if !p.Order.Empty() && !p.OrderKnownRetired {
-			orders.Add(p.Order, e.Equiv)
+			orders.Add(p.Order, &e.Equiv)
 		}
 	}
 	candidates := parts.Partitions()
@@ -772,14 +772,14 @@ func (g *Generator) completeEntry(e *memo.Entry) {
 		candidates = append(candidates, props.Partition{})
 	}
 	for _, pp := range candidates {
-		src := e.BestWithPartition(pp, e.Equiv)
+		src := e.BestWithPartition(pp, &e.Equiv)
 		if src == nil {
 			continue
 		}
 		for _, o := range orders.Orders() {
 			already := false
 			for _, p := range e.Plans {
-				if p.Part.EqualUnder(pp, e.Equiv) && o.PrefixOfUnder(p.Order, e.Equiv) {
+				if p.Part.EqualUnder(pp, &e.Equiv) && o.PrefixOfUnder(p.Order, &e.Equiv) {
 					already = true
 					break
 				}

@@ -67,10 +67,10 @@ func TestBaseEntryPlans(t *testing.T) {
 		t.Fatalf("entry a has %d plans: %v", len(ea.Plans), ea.Plans)
 	}
 	ax, am := blk.Tables[0].FirstCol, blk.Tables[0].FirstCol+1
-	if ea.BestWithOrder(props.OrderOn(ax), ea.Equiv) == nil {
+	if ea.BestWithOrder(props.OrderOn(ax), &ea.Equiv) == nil {
 		t.Fatal("no plan ordered on the join column")
 	}
-	if ea.BestWithOrder(props.OrderOn(am), ea.Equiv) == nil {
+	if ea.BestWithOrder(props.OrderOn(am), &ea.Equiv) == nil {
 		t.Fatal("no plan ordered on the ORDER BY column")
 	}
 	if gen.Counters.AccessPlans == 0 || gen.Counters.EnforcerPlans == 0 {

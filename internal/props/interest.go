@@ -1,8 +1,6 @@
 package props
 
 import (
-	"sync"
-
 	"cote/internal/bitset"
 	"cote/internal/catalog"
 	"cote/internal/query"
@@ -47,27 +45,14 @@ func (i Interest) Any() bool { return i.FutureJoin || i.OrderBy || i.GroupBy }
 
 // Scope answers interest and retirement questions for one query block and
 // generates the initial interesting-property lists of base tables. It is
-// logically immutable after construction (internal memoization is
-// goroutine-safe) and shared by the real optimizer, the estimator, and all
-// workers of the parallel DP round, so every party sees the same property
-// universe.
+// immutable after construction and shared, without a lock, by the real
+// optimizer, the estimator, and all workers of the parallel DP round, so
+// every party sees the same property universe. Only the interner it carries
+// mutates, under its own lock.
 type Scope struct {
 	blk *query.Block
 	// eqPreds holds indexes of equality join predicates.
 	eqPreds []int
-	// shared marks a scope about to be used from several goroutines (the
-	// parallel DP round); it routes fjCache accesses through fjMu. Single-
-	// goroutine users — the whole estimation path and serial compiles —
-	// skip the lock: OrderUseful sits under every generated plan, and even
-	// an uncontended RWMutex is measurable there. Set once, before any
-	// worker goroutine exists.
-	shared bool
-	// fjMu guards fjCache when shared: the parallel DP round asks interest
-	// questions from several workers at once.
-	fjMu sync.RWMutex
-	// fjCache memoizes futureJoinCols per table set; interest questions are
-	// asked many times per MEMO entry on hot paths of both modes.
-	fjCache map[bitset.Set][]query.ColID
 	// intern canonicalizes the property values this block's plans carry.
 	// Embedded by value (its maps grow lazily), so scopes that never intern
 	// — the whole estimation path — pay nothing for it.
@@ -76,10 +61,7 @@ type Scope struct {
 
 // NewScope builds the interest analyzer for a finalized block.
 func NewScope(blk *query.Block) *Scope {
-	sc := &Scope{
-		blk:     blk,
-		fjCache: make(map[bitset.Set][]query.ColID),
-	}
+	sc := &Scope{blk: blk}
 	for i, p := range blk.JoinPreds {
 		if p.Op == query.Eq {
 			sc.eqPreds = append(sc.eqPreds, i)
@@ -94,60 +76,15 @@ func (sc *Scope) Block() *query.Block { return sc.blk }
 // Intern returns the scope's property interner.
 func (sc *Scope) Intern() *Interner { return &sc.intern }
 
-// MarkShared switches the scope's internal memoization to its locked mode.
-// It must be called before the scope is handed to concurrent workers and
-// cannot be undone.
-func (sc *Scope) MarkShared() { sc.shared = true }
-
-// futureJoinCols returns the columns inside s that participate in equality
-// join predicates crossing the boundary of s — the columns a future merge
-// join or co-located parallel join could exploit.
-func (sc *Scope) futureJoinCols(s bitset.Set) []query.ColID {
-	if sc.shared {
-		sc.fjMu.RLock()
-		cols, ok := sc.fjCache[s]
-		sc.fjMu.RUnlock()
-		if ok {
-			return cols
-		}
-	} else if cols, ok := sc.fjCache[s]; ok {
-		return cols
-	}
-	out := []query.ColID{}
-	for _, i := range sc.eqPreds {
-		p := sc.blk.JoinPreds[i]
-		lt, rt := sc.blk.TableOf(p.Left), sc.blk.TableOf(p.Right)
-		switch {
-		case s.Contains(lt) && !s.Contains(rt):
-			out = append(out, p.Left)
-		case s.Contains(rt) && !s.Contains(lt):
-			out = append(out, p.Right)
-		}
-	}
-	if sc.shared {
-		sc.fjMu.Lock()
-		sc.fjCache[s] = out
-		sc.fjMu.Unlock()
-	} else {
-		sc.fjCache[s] = out
-	}
-	return out
-}
-
-// OrderInterest classifies the interest of order o at table set s under the
-// given equivalence. The zero Interest means o has retired at s.
-func (sc *Scope) OrderInterest(o Order, s bitset.Set, eq *query.Equiv) Interest {
+// OrderInterest classifies the interest of order o at the table set eq was
+// built for. The zero Interest means o has retired there.
+func (sc *Scope) OrderInterest(o Order, eq *query.Equiv) Interest {
 	var in Interest
 	if o.Empty() {
 		return in
 	}
-	// Future join: the leading column feeds a join predicate out of s.
-	for _, c := range sc.futureJoinCols(s) {
-		if eq.Same(o.Cols[0], c) {
-			in.FutureJoin = true
-			break
-		}
-	}
+	// Future join: the leading column feeds a join predicate out of the set.
+	in.FutureJoin = eq.FutureJoin(o.Cols[0])
 	// Order by: prefix-comparable with the ORDER BY list — either o
 	// satisfies the full requirement or can be extended to it by later
 	// operators.
@@ -177,21 +114,26 @@ func (sc *Scope) OrderInterest(o Order, s bitset.Set, eq *query.Equiv) Interest 
 	return in
 }
 
-// OrderUseful reports whether o is still interesting (not retired) at s.
-func (sc *Scope) OrderUseful(o Order, s bitset.Set, eq *query.Equiv) bool {
-	return sc.OrderInterest(o, s, eq).Any()
+// OrderUseful reports whether o is still interesting (not retired) at the
+// table set eq was built for.
+func (sc *Scope) OrderUseful(o Order, eq *query.Equiv) bool {
+	return sc.OrderInterest(o, eq).Any()
 }
 
-// PartitionUseful reports whether partition p is still interesting at s: its
-// keys all feed future equality joins, or they are a subset of the grouping
-// columns (local aggregation). Hash partitions do not help ORDER BY (a
-// range partition would; we model hash only, as the paper's Table 1 notes
-// the distinction).
-func (sc *Scope) PartitionUseful(p Partition, s bitset.Set, eq *query.Equiv) bool {
+// PartitionUseful reports whether partition p is still interesting at the
+// table set eq was built for: its keys all feed future equality joins, or
+// they are a subset of the grouping columns (local aggregation). Hash
+// partitions do not help ORDER BY (a range partition would; we model hash
+// only, as the paper's Table 1 notes the distinction).
+func (sc *Scope) PartitionUseful(p Partition, eq *query.Equiv) bool {
 	if p.Empty() {
 		return false
 	}
-	if p.CoversJoinCols(sc.futureJoinCols(s), eq) {
+	feeds := true
+	for _, c := range p.Cols {
+		feeds = feeds && eq.FutureJoin(c)
+	}
+	if feeds {
 		return true
 	}
 	if gb := sc.blk.GroupBy; len(gb) > 0 {
@@ -367,33 +309,4 @@ func (sc *Scope) colOf(ref *query.TableRef, name string) query.ColID {
 		panic(err) // catalog indexes/partitions were validated at build time
 	}
 	return ref.FirstCol + query.ColID(c.Ordinal)
-}
-
-// JoinColsBetween returns, for an enumerated join between outer and inner,
-// the pairs of equality join columns linking them: outer-side columns and
-// inner-side columns, index-aligned. Merge joins sort on these; parallel
-// joins co-locate on them.
-func (sc *Scope) JoinColsBetween(outer, inner bitset.Set) (outerCols, innerCols []query.ColID) {
-	return sc.AppendJoinColsBetween(outer, inner, nil, nil)
-}
-
-// AppendJoinColsBetween is JoinColsBetween appending into caller-owned
-// buffers (passed with len 0), for the allocation-lean generation hot path
-// where the column pairs are consumed within the call and the buffers are
-// reused join over join.
-func (sc *Scope) AppendJoinColsBetween(outer, inner bitset.Set, outerCols, innerCols []query.ColID) ([]query.ColID, []query.ColID) {
-	blk := sc.blk
-	for _, i := range sc.eqPreds {
-		p := blk.JoinPreds[i]
-		lt, rt := blk.TableOf(p.Left), blk.TableOf(p.Right)
-		switch {
-		case outer.Contains(lt) && inner.Contains(rt):
-			outerCols = append(outerCols, p.Left)
-			innerCols = append(innerCols, p.Right)
-		case outer.Contains(rt) && inner.Contains(lt):
-			outerCols = append(outerCols, p.Right)
-			innerCols = append(innerCols, p.Left)
-		}
-	}
-	return outerCols, innerCols
 }

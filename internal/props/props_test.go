@@ -179,27 +179,27 @@ func TestOrderInterestFutureJoin(t *testing.T) {
 	// At {a}: a.c1 joins to b outside — interesting; a.c2 does not.
 	sA := bitset.Of(0)
 	eqA := blk.EquivWithin(sA)
-	if !sc.OrderInterest(OrderOn(aC1), sA, eqA).FutureJoin {
+	if !sc.OrderInterest(OrderOn(aC1), eqA).FutureJoin {
 		t.Fatal("a.c1 not future-join interesting at {a}")
 	}
-	if sc.OrderUseful(OrderOn(aC2), sA, eqA) {
+	if sc.OrderUseful(OrderOn(aC2), eqA) {
 		t.Fatal("a.c2 interesting at {a} without ORDER BY")
 	}
 	// At {a,b}: a.c1=b.c1 is applied and no join out of the set uses it —
 	// retired. b.c2 joins to c — interesting.
 	sAB := bitset.Of(0, 1)
 	eqAB := blk.EquivWithin(sAB)
-	if sc.OrderUseful(OrderOn(aC1), sAB, eqAB) {
+	if sc.OrderUseful(OrderOn(aC1), eqAB) {
 		t.Fatal("a.c1 should retire at {a,b} (paper Figure 3a)")
 	}
-	if !sc.OrderInterest(OrderOn(bC2), sAB, eqAB).FutureJoin {
+	if !sc.OrderInterest(OrderOn(bC2), eqAB).FutureJoin {
 		t.Fatal("b.c2 should stay interesting at {a,b}")
 	}
 	// At {a,b,c}: everything retired (no ORDER BY).
 	sAll := blk.AllTables()
 	eqAll := blk.EquivWithin(sAll)
 	for _, o := range []Order{OrderOn(aC1), OrderOn(bC2), OrderOn(cC2)} {
-		if sc.OrderUseful(o, sAll, eqAll) {
+		if sc.OrderUseful(o, eqAll) {
 			t.Fatalf("order %v survives at the top without ORDER BY", o)
 		}
 	}
@@ -209,16 +209,16 @@ func TestOrderInterestOrderBy(t *testing.T) {
 	blk, sc := fixture(t, true) // ORDER BY a.c2
 	sAll := blk.AllTables()
 	eqAll := blk.EquivWithin(sAll)
-	in := sc.OrderInterest(OrderOn(aC2), sAll, eqAll)
+	in := sc.OrderInterest(OrderOn(aC2), eqAll)
 	if !in.OrderBy || in.FutureJoin {
 		t.Fatalf("a.c2 interest at top = %+v, want OrderBy only", in)
 	}
 	// A more general order extending the ORDER BY is also interesting.
-	if !sc.OrderInterest(OrderOn(aC2, aC1), sAll, eqAll).OrderBy {
+	if !sc.OrderInterest(OrderOn(aC2, aC1), eqAll).OrderBy {
 		t.Fatal("extension of ORDER BY not interesting")
 	}
 	// A mismatched leading column is not.
-	if sc.OrderInterest(OrderOn(aC1, aC2), sAll, eqAll).OrderBy {
+	if sc.OrderInterest(OrderOn(aC1, aC2), eqAll).OrderBy {
 		t.Fatal("non-prefix order claimed ORDER BY interest")
 	}
 }
@@ -238,11 +238,11 @@ func TestOrderInterestGroupBy(t *testing.T) {
 	g1, g2, x := query.ColID(0), query.ColID(1), query.ColID(2)
 	// Any permutation of a subset of the grouping columns is interesting.
 	for _, o := range []Order{OrderOn(g1), OrderOn(g2, g1), OrderOn(g1, g2)} {
-		if !sc.OrderInterest(o, s, eq).GroupBy {
+		if !sc.OrderInterest(o, eq).GroupBy {
 			t.Errorf("order %v not group-by interesting", o)
 		}
 	}
-	if sc.OrderInterest(OrderOn(g1, x), s, eq).GroupBy {
+	if sc.OrderInterest(OrderOn(g1, x), eq).GroupBy {
 		t.Error("order with non-grouping column claimed group-by interest")
 	}
 }
@@ -333,15 +333,15 @@ func TestNaturalBasePartition(t *testing.T) {
 
 func TestJoinColsBetween(t *testing.T) {
 	_, sc := fixture(t, false)
-	oc, ic := sc.JoinColsBetween(bitset.Of(0), bitset.Of(1))
+	oc, ic := sc.Block().AppendJoinCols(bitset.Of(0), bitset.Of(1), nil, nil)
 	if len(oc) != 1 || oc[0] != aC1 || ic[0] != bC1 {
 		t.Fatalf("join cols a-b: outer %v inner %v", oc, ic)
 	}
-	oc, ic = sc.JoinColsBetween(bitset.Of(2), bitset.Of(0, 1))
+	oc, ic = sc.Block().AppendJoinCols(bitset.Of(2), bitset.Of(0, 1), nil, nil)
 	if len(oc) != 1 || oc[0] != cC2 || ic[0] != bC2 {
 		t.Fatalf("join cols c-(ab): outer %v inner %v", oc, ic)
 	}
-	if oc, _ := sc.JoinColsBetween(bitset.Of(0), bitset.Of(2)); len(oc) != 0 {
+	if oc, _ := sc.Block().AppendJoinCols(bitset.Of(0), bitset.Of(2), nil, nil); len(oc) != 0 {
 		t.Fatal("a-c have no direct join columns")
 	}
 }
@@ -350,13 +350,13 @@ func TestPartitionUseful(t *testing.T) {
 	blk, sc := fixture(t, false)
 	sA := bitset.Of(0)
 	eqA := blk.EquivWithin(sA)
-	if !sc.PartitionUseful(PartitionOn(4, aC1), sA, eqA) {
+	if !sc.PartitionUseful(PartitionOn(4, aC1), eqA) {
 		t.Fatal("partition on future join column not useful")
 	}
-	if sc.PartitionUseful(PartitionOn(4, aC2), sA, eqA) {
+	if sc.PartitionUseful(PartitionOn(4, aC2), eqA) {
 		t.Fatal("partition on unused column useful")
 	}
-	if sc.PartitionUseful(Partition{}, sA, eqA) {
+	if sc.PartitionUseful(Partition{}, eqA) {
 		t.Fatal("don't-care partition useful")
 	}
 }

@@ -176,7 +176,7 @@ func (qb *Builder) Join(left, right ColID, op PredOp) *Builder {
 	if left == NoCol || right == NoCol {
 		return qb.fail("join predicate with unresolved column")
 	}
-	if qb.b.TableOf(left) == qb.b.TableOf(right) {
+	if qb.TableIndexOf(left) == qb.TableIndexOf(right) {
 		return qb.fail("join predicate within one table (%s %s %s)",
 			qb.b.Column(left), op, qb.b.Column(right))
 	}

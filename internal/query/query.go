@@ -12,6 +12,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"cote/internal/bitset"
@@ -182,12 +183,19 @@ type Block struct {
 	finalized bool
 	// adjacency[i] = set of table indexes joined to table i by some predicate
 	adjacency []bitset.Set
-	// predsByPair caches predicate indexes keyed by unordered table pair.
-	predsByPair map[[2]int][]int
-	// predTabs caches the (left table, right table) of each join predicate;
-	// per-entry equivalence building touches every predicate for every MEMO
-	// entry, making this the hottest lookup of plan-estimate mode.
-	predTabs [][2]int
+	// colTable[c] is the index of the table owning column c.
+	colTable []int32
+	// inc is the per-table predicate incidence: word w of table t's sets is
+	// inc[t*predWords+w], bit k of it standing for JoinPreds[w*64+k]; the
+	// first set is the predicates whose Left column belongs to t, the second
+	// those whose Right column does. With table sets one machine word, every
+	// "which predicates cross this cut" question of the DP inner loop is an
+	// OR per member table and an AND, not a walk over the block's predicates.
+	inc       [][2]uint64
+	predWords int
+	// eqMask is the set of equality predicates, the only ones that produce
+	// join columns, interesting orders and equivalences.
+	eqMask []uint64
 }
 
 // NumTables returns the number of table references in the block.
@@ -205,8 +213,9 @@ func (b *Block) Column(id ColID) *ColumnRef {
 	return b.Columns[id]
 }
 
-// TableOf returns the table index owning column id.
-func (b *Block) TableOf(id ColID) int { return b.Column(id).Ref.Index }
+// TableOf returns the table index owning column id. Finalize must have
+// started: it reads the flat per-column index built there.
+func (b *Block) TableOf(id ColID) int { return int(b.colTable[id]) }
 
 // ColSet maps a column list to the set of owning tables.
 func (b *Block) ColSet(cols []ColID) bitset.Set {
@@ -259,6 +268,10 @@ func (b *Block) Finalize() error {
 				return err
 			}
 		}
+	}
+	b.colTable = make([]int32, len(b.Columns))
+	for i, c := range b.Columns {
+		b.colTable[i] = int32(c.Ref.Index)
 	}
 	for i, p := range b.JoinPreds {
 		lt, rt := b.TableOf(p.Left), b.TableOf(p.Right)
@@ -407,31 +420,59 @@ func (b *Block) transitiveClosure() {
 
 func (b *Block) buildAdjacency() {
 	b.adjacency = make([]bitset.Set, len(b.Tables))
-	b.predsByPair = make(map[[2]int][]int)
-	b.predTabs = make([][2]int, len(b.JoinPreds))
+	b.predWords = (len(b.JoinPreds) + 63) / 64
+	b.inc = make([][2]uint64, len(b.Tables)*b.predWords)
+	b.eqMask = make([]uint64, b.predWords)
 	for i, p := range b.JoinPreds {
 		lt, rt := b.TableOf(p.Left), b.TableOf(p.Right)
-		b.predTabs[i] = [2]int{lt, rt}
 		b.adjacency[lt] = b.adjacency[lt].Add(rt)
 		b.adjacency[rt] = b.adjacency[rt].Add(lt)
-		key := pairKey(lt, rt)
-		b.predsByPair[key] = append(b.predsByPair[key], i)
+		w, bit := i/64, uint64(1)<<(i%64)
+		b.inc[lt*b.predWords+w][0] |= bit
+		b.inc[rt*b.predWords+w][1] |= bit
+		if p.Op == Eq {
+			b.eqMask[w] |= bit
+		}
 	}
 }
 
-func pairKey(a, c int) [2]int {
-	if a > c {
-		a, c = c, a
+// predSides returns word w of two predicate sets: the join predicates whose
+// Left column (l) and whose Right column (r) belongs to a table of s. A
+// predicate in both lies within s; one in exactly one of them crosses the
+// boundary of s, and the set it is in names the column on the inside.
+func (b *Block) predSides(s bitset.Set, w int) (l, r uint64) {
+	for rest := uint64(s); rest != 0; rest &= rest - 1 {
+		in := b.inc[bits.TrailingZeros64(rest)*b.predWords+w]
+		l |= in[0]
+		r |= in[1]
 	}
-	return [2]int{a, c}
+	return l, r
 }
 
-// Adjacency returns the precomputed set of tables linked to table t by at
-// least one join predicate. Finalize must have run. Because adjacency is a
-// single-word bitset, connectivity tests over table sets reduce to a few
-// machine ops — the basis of the enumerator's candidate-driven scans, which
-// compose per-entry neighbor masks incrementally from these sets.
-func (b *Block) Adjacency(t int) bitset.Set { return b.adjacency[t] }
+// AppendJoinCols appends, for an enumerated join between outer and inner,
+// the column pairs of the equality predicates linking them — outer-side
+// columns to outerCols, inner-side columns to innerCols, index-aligned and
+// in JoinPreds order. The buffers are caller-owned (passed with len 0 on the
+// hot paths, where they are reused join over join).
+func (b *Block) AppendJoinCols(outer, inner bitset.Set, outerCols, innerCols []ColID) ([]ColID, []ColID) {
+	for w := 0; w < b.predWords; w++ {
+		ol, or := b.predSides(outer, w)
+		il, ir := b.predSides(inner, w)
+		fwd := ol & ir & b.eqMask[w] // Left column on the outer side
+		for x := fwd | or&il&b.eqMask[w]; x != 0; x &= x - 1 {
+			k := bits.TrailingZeros64(x)
+			p := &b.JoinPreds[w*64+k]
+			if fwd>>k&1 != 0 {
+				outerCols = append(outerCols, p.Left)
+				innerCols = append(innerCols, p.Right)
+			} else {
+				outerCols = append(outerCols, p.Right)
+				innerCols = append(innerCols, p.Left)
+			}
+		}
+	}
+	return outerCols, innerCols
+}
 
 // Neighbors returns the tables adjacent (via any join predicate) to any
 // table in s, excluding s itself. Finalize must have run.
@@ -449,26 +490,32 @@ func (b *Block) Connects(s, l bitset.Set) bool {
 	return b.Neighbors(s).Overlaps(l)
 }
 
-// PredsBetween returns the indexes (into JoinPreds) of all predicates with
-// one column in s and the other in l.
-func (b *Block) PredsBetween(s, l bitset.Set) []int {
-	var out []int
+// AppendPredsBetween appends the indexes (into JoinPreds) of all predicates
+// with one column in s and the other in l, grouped by (table of s, table of
+// l) in ascending order and ascending within a group — the order products
+// of their selectivities are taken in.
+func (b *Block) AppendPredsBetween(dst []int, s, l bitset.Set) []int {
 	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
 		for j := l.Next(0); j >= 0; j = l.Next(j + 1) {
-			out = append(out, b.predsByPair[pairKey(i, j)]...)
+			for w := 0; w < b.predWords; w++ {
+				a, c := b.inc[i*b.predWords+w], b.inc[j*b.predWords+w]
+				for x := (a[0] | a[1]) & (c[0] | c[1]); x != 0; x &= x - 1 {
+					dst = append(dst, w*64+bits.TrailingZeros64(x))
+				}
+			}
 		}
 	}
-	return out
+	return dst
 }
 
 // PredsWithin returns the indexes of all join predicates whose two sides are
 // both inside s.
 func (b *Block) PredsWithin(s bitset.Set) []int {
 	var out []int
-	for i := range b.JoinPreds {
-		t := b.predTabs[i]
-		if s.Contains(t[0]) && s.Contains(t[1]) {
-			out = append(out, i)
+	for w := 0; w < b.predWords; w++ {
+		l, r := b.predSides(s, w)
+		for x := l & r; x != 0; x &= x - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(x))
 		}
 	}
 	return out
@@ -491,12 +538,10 @@ func (b *Block) IsConnected(s bitset.Set) bool {
 }
 
 // unionFind is a minimal union-find over column ids used by the transitive
-// closure and the per-entry equivalence classes. find performs no path
-// compression, so a fully built instance can be read from many goroutines
-// at once (the parallel DP round shares one Equiv per MEMO entry across its
-// workers); callers that are done with unions call flatten once to make
-// every subsequent find O(1). Dropping the rank array halves the allocation
-// on the MEMO hot path, where one instance is built per entry.
+// closure and the per-entry equivalence classes. It keeps no rank array and
+// find performs no path compression: the forests are shallow, and the
+// per-entry instance is a view over MEMO arena storage that EquivWithinInto
+// flattens itself.
 type unionFind struct {
 	parent []int32
 }
@@ -520,14 +565,5 @@ func (u *unionFind) union(a, b int) {
 	ra, rb := u.find(a), u.find(b)
 	if ra != rb {
 		u.parent[rb] = int32(ra)
-	}
-}
-
-// flatten points every element directly at its root. Roots are unchanged,
-// so representatives stay stable; the structure becomes immutable (and
-// therefore safe to share across goroutines) until the next union.
-func (u *unionFind) flatten() {
-	for i := range u.parent {
-		u.parent[i] = int32(u.find(i))
 	}
 }

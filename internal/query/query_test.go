@@ -177,7 +177,7 @@ func TestJoinGraphHelpers(t *testing.T) {
 	if !blk.IsConnected(bitset.Of(0, 1, 2)) || blk.IsConnected(bitset.Of(0, 2)) {
 		t.Fatal("IsConnected wrong")
 	}
-	if got := len(blk.PredsBetween(bitset.Of(0), bitset.Of(1))); got != 1 {
+	if got := len(blk.AppendPredsBetween(nil, bitset.Of(0), bitset.Of(1))); got != 1 {
 		t.Fatalf("PredsBetween(a,b) = %d preds", got)
 	}
 	if got := len(blk.PredsWithin(bitset.Of(0, 1, 2))); got != 2 {

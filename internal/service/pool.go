@@ -65,7 +65,10 @@ func (p *Pool) Depth() (waiting, running int64) {
 // observe the same ctx through its execution context (the optimizer's
 // cooperative cancellation points), so the goroutine unwinds and frees its
 // slot promptly rather than running to completion. The concurrency bound
-// holds either way — the slot is released only when fn returns.
+// holds either way — the slot is released only when fn returns — and it is
+// released before the result is published: a caller holding its result never
+// reads itself in Depth, nor is the next request refused for a line that has
+// already emptied.
 func Run[T any](p *Pool, ctx context.Context, fn func() (T, error)) (T, error) {
 	var zero T
 	// Slot acquisition is the seam where a real scheduler dependency would
@@ -92,12 +95,14 @@ func Run[T any](p *Pool, ctx context.Context, fn func() (T, error)) (T, error) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		defer func() {
-			p.running.Add(-1)
-			p.inflight.Add(-1)
-			<-p.slots
+		v, err := func() (T, error) {
+			defer func() { // also when fn panics
+				p.running.Add(-1)
+				p.inflight.Add(-1)
+				<-p.slots
+			}()
+			return fn()
 		}()
-		v, err := fn()
 		done <- result{v, err}
 	}()
 	select {

@@ -171,6 +171,23 @@ func TestPoolBoundsConcurrencyAndQueue(t *testing.T) {
 	}
 }
 
+// TestPoolDrainedWhenRunReturns hammers Run from one caller and reads the
+// gauges the moment each call returns: the slot and both counters must
+// already be released, and with one worker and a one-deep line no call may
+// be refused for the previous one's leftovers.
+func TestPoolDrainedWhenRunReturns(t *testing.T) {
+	p := NewPool(1, 1)
+	for i := 0; i < 20000; i++ {
+		v, err := Run(p, context.Background(), func() (int, error) { return i, nil })
+		if err != nil || v != i {
+			t.Fatalf("run %d: %d, %v", i, v, err)
+		}
+		if w, r := p.Depth(); w != 0 || r != 0 {
+			t.Fatalf("run %d returned with waiting %d running %d", i, w, r)
+		}
+	}
+}
+
 func TestPoolContextExpiryWhileQueued(t *testing.T) {
 	p := NewPool(1, 4)
 	block := make(chan struct{})
