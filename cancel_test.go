@@ -72,56 +72,48 @@ func TestMidFlightCancelStopsOptimize(t *testing.T) {
 }
 
 // TestCancelledContextStopsEstimate covers the estimate path's cancellation
-// polls in both scan modes: the connectivity-indexed candidate scan (the
-// default) and the naive cross-product scan. The poll sites differ — the
-// indexed scan checks once per outer entry, the naive one inside the partner
-// loop — so both must notice an expired context.
+// polls: an already-expired context must stop the run before it enumerates.
 func TestCancelledContextStopsEstimate(t *testing.T) {
 	q := heavyQuery()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, naive := range []bool{false, true} {
-		start := time.Now()
-		_, err := cote.EstimatePlansCtx(ctx, q.Block, cote.EstimateOptions{Level: experiments.Level, NaiveScan: naive})
-		elapsed := time.Since(start)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("naive=%v: err = %v, want context.Canceled", naive, err)
-		}
-		if elapsed > 2*time.Second {
-			t.Errorf("naive=%v: took %v to notice a pre-cancelled context", naive, elapsed)
-		}
+	start := time.Now()
+	_, err := cote.EstimatePlansCtx(ctx, q.Block, cote.EstimateOptions{Level: experiments.Level})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("took %v to notice a pre-cancelled context", elapsed)
 	}
 }
 
-// TestMidFlightCancelStopsEstimate cancels while the candidate-driven
-// enumeration is in flight; a hung estimate here means a scan loop lost its
-// poll when the indexed path was introduced.
+// TestMidFlightCancelStopsEstimate cancels while the enumeration is in
+// flight; a hung estimate here means a scan loop lost its poll.
 func TestMidFlightCancelStopsEstimate(t *testing.T) {
 	q := heavyQuery()
-	for _, naive := range []bool{false, true} {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			// Loop so the enumeration is actually running when the cancel
-			// lands (a single estimate is only a few hundred microseconds).
-			for ctx.Err() == nil {
-				if _, err := cote.EstimatePlansCtx(ctx, q.Block, cote.EstimateOptions{Level: experiments.Level, NaiveScan: naive}); err != nil {
-					done <- err
-					return
-				}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		// Loop so the enumeration is actually running when the cancel
+		// lands (a single estimate is only a few hundred microseconds).
+		for ctx.Err() == nil {
+			if _, err := cote.EstimatePlansCtx(ctx, q.Block, cote.EstimateOptions{Level: experiments.Level}); err != nil {
+				done <- err
+				return
 			}
-			done <- ctx.Err()
-		}()
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("naive=%v: err = %v, want context.Canceled", naive, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("naive=%v: estimate did not return after cancel", naive)
 		}
+		done <- ctx.Err()
+	}()
+	time.Sleep(2 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("estimate did not return after cancel")
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cotebench [-fig all|2|4a|4b|4c|5a|5d|5g|6a|6b|6c|6d|6e|6f|ct|joinbaseline|pilot|mem|memfig|piggyback|ablations|parest|enumscan|calib] [-seed N] [-timeout 0] [-model-file f.json]
+//	cotebench [-fig all|2|4a|4b|4c|5a|5d|5g|6a|6b|6c|6d|6e|6f|ct|joinbaseline|pilot|mem|memfig|piggyback|ablations|parest|calib] [-seed N] [-timeout 0] [-model-file f.json]
 //
 // The calib figure replays a deterministic workload through the online
 // calibration loop, showing predicted/actual convergence from a 4x
@@ -59,7 +59,7 @@ func main() {
 	if *fig == "all" {
 		ids = []string{"2", "4a", "4b", "4c", "5a", "5d", "5g", "6a", "6b", "6c", "6d", "6e", "6f",
 			"ct", "joinbaseline", "pilot", "mem", "memfig", "piggyback", "ablations", "pipeline", "cache", "parallel",
-			"parest", "fingerprint", "enumscan", "calib"}
+			"parest", "fingerprint", "calib"}
 	}
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
@@ -207,83 +207,10 @@ func (s *suite) run(id string) error {
 		return s.parEst()
 	case "fingerprint":
 		return s.fingerprint()
-	case "enumscan":
-		return s.enumScan()
 	case "calib":
 		return s.calibration()
 	}
 	return fmt.Errorf("unknown figure id %q", id)
-}
-
-// enumScan measures the connectivity-indexed candidate scan against the
-// naive size-class cross-product scan on the evaluation workloads: per
-// workload, total enumerated joins, partner slots visited vs skipped by the
-// index, the skip fraction, and the best-of-three estimation wall times of
-// both modes. The two modes are asserted to agree on every join total —
-// the index is a pure scan-order optimization, never a search-space change.
-func (s *suite) enumScan() error {
-	fmt.Println("=== Extension: connectivity-indexed join enumeration ===")
-	fmt.Println("(skipped = size-class partner slots the adjacency index proved irrelevant without visiting)")
-	fmt.Printf("%-10s %8s %9s %9s %7s %12s %12s %8s\n",
-		"workload", "joins", "visited", "skipped", "skip%", "naive", "indexed", "speedup")
-	for _, name := range []string{"linear_s", "star_s", "real1_s", "real2_s", "tpch_s"} {
-		w := s.wl(name)
-		var joins, visited, skipped int
-		var naiveT, idxT time.Duration
-		for _, mode := range []bool{true, false} {
-			opts := core.Options{Level: experiments.Level, NaiveScan: mode}
-			var modeJoins, modePairs, modeVisited, modeSkipped int
-			best := time.Duration(1<<63 - 1)
-			for rep := 0; rep < 3; rep++ {
-				if err := s.ctx.Err(); err != nil {
-					return err
-				}
-				modeJoins, modePairs, modeVisited, modeSkipped = 0, 0, 0, 0
-				t0 := time.Now()
-				for _, q := range w.Queries {
-					est, err := core.EstimatePlansCtx(s.ctx, q.Block, opts)
-					if err != nil {
-						return err
-					}
-					modeJoins += est.Joins
-					modePairs += est.Pairs
-					modeVisited += est.CandidatesVisited
-					modeSkipped += est.CandidatesSkipped
-				}
-				if el := time.Since(t0); el < best {
-					best = el
-				}
-			}
-			if mode {
-				naiveT, joins = best, modeJoins
-				if modeSkipped != 0 {
-					return fmt.Errorf("%s: naive scan reported %d skipped slots", name, modeSkipped)
-				}
-				visited = modeVisited // the full cross-product work
-			} else {
-				idxT = best
-				if modeJoins != joins {
-					return fmt.Errorf("%s: indexed scan enumerated %d joins, naive %d", name, modeJoins, joins)
-				}
-				if modeVisited+modeSkipped != visited {
-					return fmt.Errorf("%s: visited %d + skipped %d != naive %d", name, modeVisited, modeSkipped, visited)
-				}
-				visited, skipped = modeVisited, modeSkipped
-				_ = modePairs
-			}
-		}
-		skipPct := 0.0
-		if visited+skipped > 0 {
-			skipPct = 100 * float64(skipped) / float64(visited+skipped)
-		}
-		fmt.Printf("%-10s %8d %9d %9d %6.1f%% %12v %12v %7.2fx\n",
-			name, joins, visited, skipped, skipPct,
-			naiveT.Round(time.Microsecond), idxT.Round(time.Microsecond),
-			float64(naiveT)/float64(idxT))
-	}
-	fmt.Println("(join totals verified identical between the two scan modes on every workload)")
-	fmt.Println()
-	return nil
 }
 
 // calibration demonstrates the online calibration loop: starting from a

@@ -78,25 +78,10 @@ func (s Set) Min() int {
 	return bits.TrailingZeros64(uint64(s))
 }
 
-// ForEach calls fn for every element of s in increasing order. The walk is
-// a trailing-zero scan that clears the lowest set bit each step, so it costs
-// one TZCNT per element regardless of how sparse the set is and performs no
-// allocation (the callback parameter does not escape, so closures passed
-// here stay on the caller's stack). It is the preferred iteration form for
-// hot paths such as the MEMO's posting-index maintenance.
-func (s Set) ForEach(fn func(i int)) {
-	for u := uint64(s); u != 0; u &= u - 1 {
-		fn(bits.TrailingZeros64(u))
-	}
-}
-
 // Next returns the smallest element of s that is >= i, or -1 if none exists.
 // It allows resumable iteration without allocation:
 //
 //	for i := s.Next(0); i >= 0; i = s.Next(i + 1) { ... }
-//
-// ForEach is cheaper when the whole set is walked and no early exit or
-// resumption is needed.
 func (s Set) Next(i int) int {
 	if i >= MaxElems {
 		return -1

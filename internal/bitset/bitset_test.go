@@ -183,56 +183,6 @@ func TestQuickSubsets(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	cases := []Set{0, Of(0), Of(63), Of(0, 63), Of(1, 3, 5, 7), Full(64), Of(4, 9, 31, 32, 33)}
-	for _, s := range cases {
-		var got []int
-		s.ForEach(func(i int) { got = append(got, i) })
-		want := s.Elems()
-		if len(got) != len(want) {
-			t.Fatalf("%v: ForEach yielded %v, want %v", s, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: ForEach yielded %v, want %v", s, got, want)
-			}
-		}
-	}
-}
-
-// Property: ForEach visits exactly the elements Next iterates, in the same
-// increasing order, for arbitrary 64-bit sets.
-func TestQuickForEachMatchesNext(t *testing.T) {
-	f := func(raw uint64) bool {
-		s := Set(raw)
-		i := s.Next(0)
-		ok := true
-		n := 0
-		s.ForEach(func(e int) {
-			if i != e {
-				ok = false
-			}
-			i = s.Next(e + 1)
-			n++
-		})
-		return ok && i == -1 && n == s.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestForEachAllocs(t *testing.T) {
-	s := Of(2, 17, 40, 63)
-	sum := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		s.ForEach(func(i int) { sum += i })
-	})
-	if allocs != 0 {
-		t.Fatalf("ForEach allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 func BenchmarkSubsetsProper(b *testing.B) {
 	s := Full(12)
 	for i := 0; i < b.N; i++ {
@@ -241,20 +191,10 @@ func BenchmarkSubsetsProper(b *testing.B) {
 	}
 }
 
-// The iteration benchmarks compare the two allocation-free walks on the
-// sparse sets typical of join-graph adjacency (a handful of neighbors out
-// of 64 positions).
 var benchSink int
 
-func BenchmarkForEachSparse(b *testing.B) {
-	s := Of(3, 17, 29, 44, 61)
-	for i := 0; i < b.N; i++ {
-		n := 0
-		s.ForEach(func(e int) { n += e })
-		benchSink = n
-	}
-}
-
+// BenchmarkNextSparse walks the sparse sets typical of join-graph adjacency
+// (a handful of neighbors out of 64 positions).
 func BenchmarkNextSparse(b *testing.B) {
 	s := Of(3, 17, 29, 44, 61)
 	for i := 0; i < b.N; i++ {

@@ -40,10 +40,6 @@ type Options struct {
 	PropagateEveryJoin bool
 	// CartesianPolicy overrides the Cartesian handling (default card-one).
 	CartesianPolicy enum.CartesianPolicy
-	// NaiveScan forces the full size-class cross-product scan instead of the
-	// connectivity-indexed candidate scan. Diagnostics and differential
-	// comparison only — the admitted join set is identical either way.
-	NaiveScan bool
 	// Model converts plan counts to a time prediction when non-nil.
 	Model *TimeModel
 	// Models supplies the current model from a registry when Model is nil
@@ -95,8 +91,9 @@ type Estimate struct {
 	// join pairs (the Ono-Lohman metric).
 	Joins, Pairs int
 	// CandidatesVisited and CandidatesSkipped total the size-class partner
-	// slots the enumerator examined vs proved irrelevant up front via the
-	// connectivity index (visited + skipped = the naive scan's work).
+	// slots the enumerator examined vs dropped with a whole size-class pair
+	// the level's shape/composite-inner knobs rule out (visited + skipped =
+	// the full DPsize cross product).
 	CandidatesVisited, CandidatesSkipped int
 	// Elapsed is the wall time the estimation itself took — the overhead
 	// the paper bounds below 3% of real compilation (Figure 4).
@@ -220,7 +217,6 @@ func estimateBlock(blk *query.Block, cfg *cost.Config, opts Options) (*BlockEsti
 
 	eopts := opts.level().EnumOptions()
 	eopts.Cartesian = opts.CartesianPolicy
-	eopts.NaiveScan = opts.NaiveScan
 	eopts.Exec = opts.Exec
 	en := enum.New(blk, mem, card, eopts)
 	var st enum.Stats

@@ -12,10 +12,10 @@ import (
 	"cote/internal/query"
 )
 
-// The differential suite is the oracle for the connectivity-indexed scan:
-// for random query graphs across every knob combination, the indexed scan
-// and the naive DPsize cross-product scan (Options.NaiveScan) must produce
-// identical stats and an identical emission sequence, join for join.
+// The differential suite checks the enumerator's size-class scan against a
+// test-only oracle — the unconditioned DPsize cross product — for random
+// query graphs across every knob combination: Run and RunParallel must
+// produce the oracle's stats and its emission sequence, join for join.
 
 // emission is one emitted ordered join, identified by table sets (entry
 // pointers differ across runs).
@@ -144,8 +144,43 @@ func buildDiffBlock(tb testing.TB, g diffGraph) *query.Block {
 	return blk
 }
 
-// runDiff enumerates blk under opts, recording the emission sequence.
-func runDiff(blk *query.Block, opts Options) (Stats, []emission, *memo.Memo, error) {
+// runOracle is the reference enumeration: the DPsize loop over every
+// (size-i, size-j) slot of every size class, with no class precheck and no
+// skips, so CandidatesVisited is the whole cross product. It shares the
+// per-pair admission (joinable, tryEmit) with the enumerator; what it pins is
+// that nothing scanSizeClass leaves out could have joined.
+func runOracle(blk *query.Block, opts Options) (Stats, []emission, error) {
+	mem := memo.New(blk.NumTables())
+	en := New(blk, mem, cost.NewEstimator(blk, cost.Simple), opts)
+	var st Stats
+	var seq []emission
+	emit := func(outer, inner, result *memo.Entry) {
+		seq = append(seq, emission{outer.Tables, inner.Tables, result.Tables})
+	}
+	en.runBase(&st, Hooks{})
+	for k := 2; k <= blk.NumTables(); k++ {
+		for i := 1; i <= k/2; i++ {
+			j := k - i
+			for si, S := range mem.OfSize(i) {
+				for li, L := range mem.OfSize(j) {
+					if i == j && li <= si {
+						continue // unordered pairs once
+					}
+					st.CandidatesVisited++
+					if S.Tables.Overlaps(L.Tables) || !en.joinable(S, L) {
+						continue
+					}
+					en.tryEmit(S, L, &st, Hooks{}, emit)
+				}
+			}
+		}
+	}
+	return st, seq, en.checkRoot()
+}
+
+// runSerial enumerates blk under opts with Run, recording the emission
+// sequence.
+func runSerial(blk *query.Block, opts Options) (Stats, []emission, *memo.Memo, error) {
 	mem := memo.New(blk.NumTables())
 	card := cost.NewEstimator(blk, cost.Simple)
 	var seq []emission
@@ -157,111 +192,120 @@ func runDiff(blk *query.Block, opts Options) (Stats, []emission, *memo.Memo, err
 	return st, seq, mem, err
 }
 
-func TestDifferentialIndexedVsNaive(t *testing.T) {
-	families := []string{"chain", "star", "cycle", "clique", "sparse"}
-	shapes := []Shape{Bushy, ZigZag, LeftDeep}
-	policies := []CartesianPolicy{CartesianCardOne, CartesianNever, CartesianAlways}
-	limits := []int{0, 1, 2}
+// runParallel enumerates blk under opts with RunParallel at degree 4,
+// recording the sequence in which tasks are committed.
+func runParallel(blk *query.Block, opts Options) (Stats, []emission, error) {
+	mem := memo.New(blk.NumTables())
+	card := cost.NewEstimator(blk, cost.Simple)
+	var seq []emission
+	st, err := New(blk, mem, card, opts).RunParallel(ParallelHooks{
+		NewWorker: func() (GenerateFunc, CommitFunc) {
+			var pending []emission
+			gen := func(task int, outer, inner, result *memo.Entry) {
+				for len(pending) <= task {
+					pending = append(pending, emission{})
+				}
+				pending[task] = emission{outer.Tables, inner.Tables, result.Tables}
+			}
+			commit := func(task int) { seq = append(seq, pending[task]) }
+			return gen, commit
+		},
+	}, 4)
+	return st, seq, err
+}
 
+// sameEmissions fails the test at the first position where got and want
+// differ.
+func sameEmissions(t *testing.T, label string, got, want []emission) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: emitted %d joins, oracle %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: emission %d diverges: got %v, oracle %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// forEachCombination runs check on all 1,080 graph × shape × Cartesian ×
+// inner-limit combinations of the suite.
+func forEachCombination(t *testing.T, check func(label string, blk *query.Block, opts Options)) {
+	t.Helper()
 	cases := 0
-	for _, family := range families {
+	for _, family := range []string{"chain", "star", "cycle", "clique", "sparse"} {
 		for n := 2; n <= 9; n++ {
 			rng := rand.New(rand.NewSource(int64(n)*1000 + int64(len(family))))
 			g := genGraph(family, n, rng)
 			blk := buildDiffBlock(t, g)
-			for _, shape := range shapes {
-				for _, pol := range policies {
-					for _, lim := range limits {
-						opts := Options{Shape: shape, Cartesian: pol, CompositeInnerLimit: lim}
-						naive := opts
-						naive.NaiveScan = true
-						stI, seqI, memI, errI := runDiff(blk, opts)
-						stN, seqN, _, errN := runDiff(blk, naive)
+			for _, shape := range []Shape{Bushy, ZigZag, LeftDeep} {
+				for _, pol := range []CartesianPolicy{CartesianCardOne, CartesianNever, CartesianAlways} {
+					for _, lim := range []int{0, 1, 2} {
 						cases++
-						label := fmt.Sprintf("%s shape=%v pol=%v lim=%d", g.name, shape, pol, lim)
-
-						// Error parity: both scans must agree on whether the
-						// graph is fully joinable under these knobs.
-						if (errI == nil) != (errN == nil) {
-							t.Fatalf("%s: error mismatch: indexed=%v naive=%v", label, errI, errN)
-						}
-						if stI.Joins != stN.Joins || stI.Pairs != stN.Pairs || stI.Entries != stN.Entries {
-							t.Fatalf("%s: stats diverge: indexed=%+v naive=%+v", label, stI, stN)
-						}
-						// The candidate counters partition the naive visit
-						// count exactly.
-						if stN.CandidatesVisited != stI.CandidatesVisited+stI.CandidatesSkipped {
-							t.Fatalf("%s: candidate invariant broken: naive visited %d, indexed %d+%d",
-								label, stN.CandidatesVisited, stI.CandidatesVisited, stI.CandidatesSkipped)
-						}
-						if stN.CandidatesSkipped != 0 {
-							t.Fatalf("%s: naive scan skipped %d candidates, want 0", label, stN.CandidatesSkipped)
-						}
-						if len(seqI) != len(seqN) {
-							t.Fatalf("%s: emission count diverges: %d vs %d", label, len(seqI), len(seqN))
-						}
-						for i := range seqI {
-							if seqI[i] != seqN[i] {
-								t.Fatalf("%s: emission %d diverges: indexed %v naive %v",
-									label, i, seqI[i], seqN[i])
-							}
-						}
-						// The cached per-entry neighbor masks must equal the
-						// from-scratch computation.
-						for k := 1; k <= blk.NumTables(); k++ {
-							for _, e := range memI.OfSize(k) {
-								if want := blk.Neighbors(e.Tables); e.Neighbors != want {
-									t.Fatalf("%s: entry %v Neighbors = %v, want %v",
-										label, e.Tables, e.Neighbors, want)
-								}
-							}
-						}
+						check(fmt.Sprintf("%s shape=%v pol=%v lim=%d", g.name, shape, pol, lim), blk,
+							Options{Shape: shape, Cartesian: pol, CompositeInnerLimit: lim})
 					}
 				}
 			}
 		}
 	}
-	t.Logf("compared %d graph/knob combinations", cases)
+	if cases != 1080 {
+		t.Fatalf("compared %d graph/knob combinations, want 1080", cases)
+	}
+}
+
+// TestDifferentialIndexedVsNaive compares the serial scan with the oracle
+// ("naive" in the name is the oracle's cross product; the scan's only index
+// is the cached neighbor mask).
+func TestDifferentialIndexedVsNaive(t *testing.T) {
+	forEachCombination(t, func(label string, blk *query.Block, opts Options) {
+		stO, seqO, errO := runOracle(blk, opts)
+		st, seq, mem, err := runSerial(blk, opts)
+
+		// Error parity: both must agree on whether the graph is fully
+		// joinable under these knobs.
+		if (err == nil) != (errO == nil) {
+			t.Fatalf("%s: error mismatch: scan=%v oracle=%v", label, err, errO)
+		}
+		if st.Joins != stO.Joins || st.Pairs != stO.Pairs || st.Entries != stO.Entries {
+			t.Fatalf("%s: stats diverge: scan=%+v oracle=%+v", label, st, stO)
+		}
+		// The candidate counters partition the cross product exactly, and
+		// only the class precheck ever skips.
+		if stO.CandidatesVisited != st.CandidatesVisited+st.CandidatesSkipped {
+			t.Fatalf("%s: candidate invariant broken: oracle visited %d, scan %d+%d",
+				label, stO.CandidatesVisited, st.CandidatesVisited, st.CandidatesSkipped)
+		}
+		if opts.Shape == Bushy && opts.CompositeInnerLimit == 0 && st.CandidatesSkipped != 0 {
+			t.Fatalf("%s: skipped %d slots with no size-dependent knob set", label, st.CandidatesSkipped)
+		}
+		sameEmissions(t, label, seq, seqO)
+		// The cached per-entry neighbor masks must equal the from-scratch
+		// computation.
+		for k := 1; k <= blk.NumTables(); k++ {
+			for _, e := range mem.OfSize(k) {
+				if want := blk.Neighbors(e.Tables); e.Neighbors != want {
+					t.Fatalf("%s: entry %v Neighbors = %v, want %v", label, e.Tables, e.Neighbors, want)
+				}
+			}
+		}
+	})
 }
 
 // TestDifferentialParallelScan pins the parallel driver to the same scan:
-// RunParallel's task order must match serial emission order in both modes.
+// RunParallel's stats and commit order must match the oracle's emission
+// order on every combination.
 func TestDifferentialParallelScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := genGraph("sparse", 8, rng)
-	blk := buildDiffBlock(t, g)
-	for _, naive := range []bool{false, true} {
-		opts := Options{NaiveScan: naive}
-		_, serialSeq, _, err := runDiff(blk, opts)
-		if err != nil {
-			t.Fatal(err)
+	forEachCombination(t, func(label string, blk *query.Block, opts Options) {
+		stO, seqO, errO := runOracle(blk, opts)
+		st, seq, err := runParallel(blk, opts)
+		if (err == nil) != (errO == nil) {
+			t.Fatalf("%s: error mismatch: parallel=%v oracle=%v", label, err, errO)
 		}
-		mem := memo.New(blk.NumTables())
-		card := cost.NewEstimator(blk, cost.Simple)
-		var parSeq []emission
-		_, err = New(blk, mem, card, opts).RunParallel(ParallelHooks{
-			NewWorker: func() (GenerateFunc, CommitFunc) {
-				var pending []emission
-				gen := func(task int, outer, inner, result *memo.Entry) {
-					for len(pending) <= task {
-						pending = append(pending, emission{})
-					}
-					pending[task] = emission{outer.Tables, inner.Tables, result.Tables}
-				}
-				commit := func(task int) { parSeq = append(parSeq, pending[task]) }
-				return gen, commit
-			},
-		}, 4)
-		if err != nil {
-			t.Fatal(err)
+		if st.Joins != stO.Joins || st.Pairs != stO.Pairs || st.Entries != stO.Entries ||
+			st.CandidatesVisited+st.CandidatesSkipped != stO.CandidatesVisited {
+			t.Fatalf("%s: stats diverge: parallel=%+v oracle=%+v", label, st, stO)
 		}
-		if len(parSeq) != len(serialSeq) {
-			t.Fatalf("naive=%v: parallel emitted %d tasks, serial %d", naive, len(parSeq), len(serialSeq))
-		}
-		for i := range parSeq {
-			if parSeq[i] != serialSeq[i] {
-				t.Fatalf("naive=%v: task %d diverges: parallel %v serial %v", naive, i, parSeq[i], serialSeq[i])
-			}
-		}
-	}
+		sameEmissions(t, label, seq, seqO)
+	})
 }

@@ -20,7 +20,6 @@ package enum
 
 import (
 	"fmt"
-	"slices"
 
 	"cote/internal/bitset"
 	"cote/internal/cost"
@@ -109,14 +108,6 @@ type Options struct {
 	// enumeration promptly instead of letting it run to completion. A nil
 	// Exec is never cancelled and adds no per-join work.
 	Exec *optctx.Ctx
-	// NaiveScan forces the original DPsize cross-product scan of every size
-	// class instead of the candidate-driven connectivity-indexed scan. Both
-	// admit the identical join sequence (the differential suite runs them
-	// side by side); the naive scan remains as the oracle for those tests
-	// and as a diagnostic escape hatch. CartesianAlways implies it, since
-	// every disjoint pair is then admissible and no index can narrow the
-	// candidates.
-	NaiveScan bool
 }
 
 // Hooks are the callbacks the enumerator drives. Init is invoked once per
@@ -141,13 +132,12 @@ type Stats struct {
 	Pairs int
 	// Entries is the number of MEMO entries created.
 	Entries int
-	// CandidatesVisited counts the candidate (outer, inner) pairs the
-	// size-class scans actually examined; CandidatesSkipped counts pairs
-	// the connectivity index (or the size-class admissibility precheck)
-	// proved unable to join without visiting them. For any query,
-	// naive.CandidatesVisited == indexed.CandidatesVisited +
-	// indexed.CandidatesSkipped, and Skipped/(Visited+Skipped) is the
-	// fraction of the DPsize cross product the index eliminated.
+	// CandidatesVisited counts the (outer, inner) slots of the DPsize
+	// size-class cross product the scan examined; CandidatesSkipped counts
+	// the slots of whole (size-i, size-j) classes the shape and
+	// composite-inner knobs rule out before any pair is looked at. Their sum
+	// is the full cross product for the query, whatever the knobs, and
+	// Pairs/CandidatesVisited is the fraction of examined slots that joined.
 	CandidatesVisited int
 	CandidatesSkipped int
 }
@@ -161,33 +151,13 @@ type Enumerator struct {
 	// stop latches a cancellation observed mid-scan so the remaining loops
 	// unwind without re-polling the context at every level.
 	stop bool
-	// cand is the scratch buffer holding one outer entry's candidate
-	// ordinals in the indexed scan, reused across the whole enumeration.
-	cand []int32
-	// smallBySize lists, per size class and in SizeOrd order, the entries
-	// whose cardinality passes the CartesianCardOne threshold — the only
-	// partners that policy can admit without a connecting predicate.
-	// Maintained (by finishEntry) only when the indexed scan is active
-	// under CartesianCardOne; nil otherwise.
-	smallBySize [][]int32
 }
 
 // New builds an enumerator writing into mem and using card for the logical
 // cardinality of each entry (the estimator mode chosen by the caller is
 // what differentiates real compilation from plan-estimate mode).
 func New(blk *query.Block, mem *memo.Memo, card *cost.Estimator, opts Options) *Enumerator {
-	en := &Enumerator{blk: blk, mem: mem, card: card, opts: opts}
-	if en.indexed() && opts.Cartesian == CartesianCardOne {
-		en.smallBySize = make([][]int32, blk.NumTables()+1)
-	}
-	return en
-}
-
-// indexed reports whether the candidate-driven scan is active. Under
-// CartesianAlways every disjoint pair is admissible, so the full cross
-// product is the candidate set and the naive scan is used as-is.
-func (en *Enumerator) indexed() bool {
-	return !en.opts.NaiveScan && en.opts.Cartesian != CartesianAlways
+	return &Enumerator{blk: blk, mem: mem, card: card, opts: opts}
 }
 
 // Run enumerates all joins bottom-up, invoking the hooks, and returns the
@@ -233,25 +203,18 @@ func (en *Enumerator) runBase(st *Stats, hooks Hooks) {
 	en.completeSize(1, hooks)
 }
 
-// scanSizeClass walks the candidate (outer, inner) pairs of size class k in
-// the canonical dynamic-programming order, materializing result entries and
+// scanSizeClass walks the (outer, inner) pairs of size class k in the
+// canonical dynamic-programming order, materializing result entries and
 // counting stats, and calls emit once per admitted ordered join. Both the
 // serial Run (emit = invoke the Join hook) and the parallel driver (emit =
 // buffer a task) share this scan, so the set and order of enumerated joins
 // are identical by construction.
 //
-// Two scan modes produce that identical sequence. The naive mode is the
-// DPsize cross product: every (size-i, size-j) pair is visited and rejected
-// by Overlaps/joinable/validSet. The indexed mode (the default) visits, per
-// outer S, only the size-j entries the connectivity index proves joinable:
-// entries containing a table of S.Neighbors (posting lists), plus — under
-// CartesianCardOne — entries small enough to be admitted unconnected. The
-// candidates are sorted by SizeOrd and deduplicated, which replays exactly
-// the subsequence of the naive inner loop that survives its joinable test,
-// so the admitted joins, their order, and every downstream stat are
-// bit-identical (the differential suite runs both modes side by side).
+// The scan is the DPsize cross product of each (size-i, size-j) class pair:
+// a slot is rejected by one Overlaps on the table sets and one on the cached
+// neighbor mask (joinable). The only shortcut is classAdmissible, which
+// drops a class pair whose sizes no orientation can pass.
 func (en *Enumerator) scanSizeClass(k int, st *Stats, hooks Hooks, emit func(outer, inner, result *memo.Entry)) {
-	naive := !en.indexed()
 	for i := 1; i <= k/2; i++ {
 		j := k - i
 		smaller := en.mem.OfSize(i)
@@ -259,12 +222,12 @@ func (en *Enumerator) scanSizeClass(k int, st *Stats, hooks Hooks, emit func(out
 		if len(smaller) == 0 || len(larger) == 0 {
 			continue
 		}
-		if !naive && !en.classAdmissible(i, j) {
+		if !en.classAdmissible(i, j) {
 			// No orientation of any (size-i, size-j) pair can pass the
-			// size-dependent shape/composite-inner knobs, so the naive scan
-			// would walk the whole cross product and emit nothing (it
-			// counts Pairs/Joins/Entries only after admitting an
-			// orientation). Skip the class wholesale.
+			// size-dependent shape/composite-inner knobs, so walking the
+			// cross product would emit nothing (Pairs/Joins/Entries are
+			// counted only after an orientation is admitted). Skip the
+			// class wholesale.
 			st.CandidatesSkipped += classPairs(i, j, len(smaller), len(larger))
 			continue
 		}
@@ -276,24 +239,14 @@ func (en *Enumerator) scanSizeClass(k int, st *Stats, hooks Hooks, emit func(out
 				en.stop = true
 				return
 			}
-			if naive || !en.sparseFor(S, j, len(larger)) {
-				// Full inner scan: the index is off, this outer itself
-				// passes the CartesianCardOne threshold (the policy then
-				// admits every disjoint partner), or the candidate set
-				// covers most of the class anyway — a dense class where
-				// gather-sort-replay costs more than the linear scan with
-				// its two-bitset-op rejection test.
-				en.scanFull(i, j, si, S, larger, st, hooks, emit)
-			} else {
-				en.scanCandidates(i, j, si, S, larger, st, hooks, emit)
-			}
+			en.scanFull(i, j, si, S, larger, st, hooks, emit)
 		}
 	}
 }
 
-// classPairs is the number of candidate pairs the naive scan visits for a
-// (size-i, size-j) class: the full cross product, except that the i == j
-// diagonal class pairs each unordered couple once.
+// classPairs is the number of slots in the cross product of a (size-i,
+// size-j) class pair, except that the i == j diagonal pairs each unordered
+// couple once.
 func classPairs(i, j, ns, nl int) int {
 	if i == j {
 		return nl * (nl - 1) / 2
@@ -301,9 +254,7 @@ func classPairs(i, j, ns, nl int) int {
 	return ns * nl
 }
 
-// scanFull is the naive inner loop over the whole size-j class — the
-// original DPsize scan body, and the per-outer fallback of the indexed scan
-// when the Cartesian policy admits arbitrary partners for this outer.
+// scanFull is the inner loop of one outer S over the whole size-j class.
 func (en *Enumerator) scanFull(i, j, si int, S *memo.Entry, larger []*memo.Entry, st *Stats, hooks Hooks, emit func(outer, inner, result *memo.Entry)) {
 	for li, L := range larger {
 		if en.stop {
@@ -323,86 +274,10 @@ func (en *Enumerator) scanFull(i, j, si int, S *memo.Entry, larger []*memo.Entry
 	}
 }
 
-// sparseFor decides whether the candidate-driven gather is worthwhile for
-// outer S against the size-j class: the candidate estimate (posting-list
-// lengths of S's neighbors, plus the small-cardinality list the Cartesian
-// policy can admit) must stay under half the class, and the outer itself
-// must not pass the CartesianCardOne threshold — a small outer joins every
-// disjoint partner, making the whole class the candidate set. Both scans
-// admit the identical sequence; this is purely a cost choice.
-func (en *Enumerator) sparseFor(S *memo.Entry, j, classLen int) bool {
-	est := 0
-	if en.smallBySize != nil {
-		if S.Card <= cartesianCardThreshold {
-			return false
-		}
-		est = len(en.smallBySize[j])
-		if est*2 >= classLen {
-			return false
-		}
-	}
-	for t := S.Neighbors.Next(0); t >= 0; t = S.Neighbors.Next(t + 1) {
-		est += len(en.mem.Posting(t, j))
-		if est*2 >= classLen {
-			return false
-		}
-	}
-	return true
-}
-
-// scanCandidates is the indexed inner loop: gather the ordinals of every
-// size-j entry the connectivity index proves joinable with S, replay them
-// in SizeOrd order, and emit through the shared admission path. Entries not
-// gathered are counted skipped — the naive scan would have visited and
-// rejected each one.
-func (en *Enumerator) scanCandidates(i, j, si int, S *memo.Entry, larger []*memo.Entry, st *Stats, hooks Hooks, emit func(outer, inner, result *memo.Entry)) {
-	cand := en.cand[:0]
-	for t := S.Neighbors.Next(0); t >= 0; t = S.Neighbors.Next(t + 1) {
-		cand = append(cand, en.mem.Posting(t, j)...)
-	}
-	if en.smallBySize != nil {
-		cand = append(cand, en.smallBySize[j]...)
-	}
-	en.cand = cand // keep the grown capacity even on early return
-	slices.Sort(cand)
-	visited := 0
-	prev := int32(-1)
-	for _, ord := range cand {
-		if en.stop {
-			return
-		}
-		if ord == prev {
-			continue // an entry posts once per table; small sets repost
-		}
-		prev = ord
-		if i == j && int(ord) <= si {
-			continue // unordered pairs once (the naive li <= si skip)
-		}
-		visited++
-		L := larger[ord]
-		if S.Tables.Overlaps(L.Tables) {
-			continue
-		}
-		// joinable(S, L) is true by construction and skipped: a
-		// posting-derived candidate contains a table of S.Neighbors (a
-		// predicate connects the pair), and a smallBySize candidate passes
-		// the CartesianCardOne threshold the policy tests.
-		en.tryEmit(S, L, st, hooks, emit)
-	}
-	// The naive scan would have visited, for this outer, every entry of the
-	// size-j class (only the li > si suffix on the i == j diagonal).
-	full := len(larger)
-	if i == j {
-		full = len(larger) - si - 1
-	}
-	st.CandidatesVisited += visited
-	st.CandidatesSkipped += full - visited
-}
-
-// tryEmit applies the per-pair admission checks shared by both scan modes —
-// outer-join set validity and per-orientation eligibility — creating the
-// result entry and emitting the admitted orientations. S and L are known
-// disjoint and joinable when this is called.
+// tryEmit applies the per-pair admission checks — outer-join set validity
+// and per-orientation eligibility — creating the result entry and emitting
+// the admitted orientations. S and L are known disjoint and joinable when
+// this is called.
 func (en *Enumerator) tryEmit(S, L *memo.Entry, st *Stats, hooks Hooks, emit func(outer, inner, result *memo.Entry)) {
 	union := S.Tables.Union(L.Tables)
 	if !en.validSet(union) {
@@ -474,7 +349,7 @@ func (en *Enumerator) createEntry(s bitset.Set, hooks Hooks) *memo.Entry {
 // cardinality from the parts when its mode supports it. The union's
 // neighbor mask composes the same way: N(S ∪ L) = (N(S) ∪ N(L)) \ (S ∪ L),
 // exact because both sides unfold to the members' adjacency sets minus the
-// union — so maintaining the connectivity index costs three bitset ops per
+// union — so maintaining the neighbor masks costs three bitset ops per
 // created entry instead of a walk over its tables.
 func (en *Enumerator) createJoinEntry(union bitset.Set, S, L *memo.Entry, hooks Hooks) *memo.Entry {
 	e, created := en.mem.GetOrCreate(union)
@@ -490,9 +365,6 @@ func (en *Enumerator) finishEntry(e *memo.Entry, s bitset.Set, neighbors bitset.
 	e.Neighbors = neighbors
 	en.mem.InitEquiv(e, en.blk)
 	e.OuterEligible = en.compositeOuterEligible(s)
-	if en.smallBySize != nil && e.Card <= cartesianCardThreshold {
-		en.smallBySize[s.Len()] = append(en.smallBySize[s.Len()], e.SizeOrd)
-	}
 	if hooks.Init != nil {
 		hooks.Init(e)
 	}

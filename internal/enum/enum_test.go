@@ -407,3 +407,39 @@ func BenchmarkEnumerateStar10(b *testing.B) {
 		}
 	}
 }
+
+// benchEnumerate times Run alone under the default options (bushy, card-one
+// Cartesian heuristic, no inner limit) on one MEMO Reset per iteration, as
+// the estimator's pool does, and reports the scan counters next to ns/op:
+// the enumeration-only baseline for connected-subgraph emission to beat.
+func benchEnumerate(b *testing.B, blk *query.Block) {
+	card := cost.NewEstimator(blk, cost.Simple)
+	mem := memo.New(blk.NumTables())
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mem.Reset(blk.NumTables())
+		var err error
+		if st, err = New(blk, mem, card, Options{}).Run(Hooks{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.CandidatesVisited), "visited/op")
+	b.ReportMetric(float64(st.CandidatesSkipped), "skipped/op")
+	b.ReportMetric(float64(st.Pairs), "pairs/op")
+}
+
+func BenchmarkEnumerateChain24(b *testing.B) { benchEnumerate(b, linearQuery(b, 24)) }
+
+func BenchmarkEnumerateStar13(b *testing.B) { benchEnumerate(b, starQuery(b, 13)) }
+
+func BenchmarkEnumerateClique10(b *testing.B) {
+	g := diffGraph{name: "clique10", n: 10}
+	for i := 0; i < g.n; i++ {
+		for j := i + 1; j < g.n; j++ {
+			g.edges = append(g.edges, [2]int{i, j})
+		}
+	}
+	benchEnumerate(b, buildDiffBlock(b, g))
+}

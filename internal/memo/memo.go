@@ -25,17 +25,16 @@ import (
 
 // Per-structure footprints, the fixed byte sizes the resource accountant
 // charges for logical MEMO content. Charging struct sizes plus a small
-// constant index overhead (map slot, size-class slot, posting ordinals)
-// instead of allocator-reported bytes keeps the measured durable high-water
-// mark deterministic across pool states and parallelism degrees — the
-// property core.EstimateMemory and its calibration depend on.
+// constant index overhead (index slot, size-class slot) instead of
+// allocator-reported bytes keeps the measured durable high-water mark
+// deterministic across pool states and parallelism degrees — the property
+// core.EstimateMemory and its calibration depend on.
 const (
 	// entryIndexBytes approximates an entry's share of the index
 	// bookkeeping: its open-addressed key+pointer slot (amortized over the
 	// table's load factor) and its size-class slot.
 	entryIndexBytes = 40
-	// EntryFootprint is the bytes charged per MEMO entry (excluding the
-	// per-member posting ordinals, which scale with set size).
+	// EntryFootprint is the bytes charged per MEMO entry.
 	EntryFootprint = int64(unsafe.Sizeof(Entry{})) + entryIndexBytes
 	// PlanFootprint is the bytes charged per retained plan: the node itself
 	// plus its pointer slot in the entry's plan list.
@@ -43,9 +42,6 @@ const (
 	// PropertyValueBytes is the paper's ~4 bytes per interesting-property
 	// value (Section 3.4), also used by PropertyListBytes.
 	PropertyValueBytes = 4
-	// postingOrdBytes is the bytes charged per posting-index ordinal (one
-	// int32 per member table of a created entry).
-	postingOrdBytes = 4
 )
 
 // Operator identifies the physical operator at the root of a plan.
@@ -157,8 +153,8 @@ type Entry struct {
 	// Neighbors caches the join-graph neighborhood of Tables — the union of
 	// the adjacency sets of its members, minus Tables itself. The enumerator
 	// fills it at entry creation (composing it from the joined parts in O(1)
-	// for composite entries) and its candidate-driven scan uses it to visit
-	// only partners that a predicate can connect.
+	// for composite entries) and tests a partner L for a connecting predicate
+	// with one Neighbors.Overlaps(L.Tables).
 	Neighbors bitset.Set
 	// Plans are the non-pruned plans (real optimization mode).
 	Plans []*Plan
@@ -166,11 +162,6 @@ type Entry struct {
 	// (plan-estimate mode, and seeds for enforcer generation in real mode).
 	Orders props.OrderList
 	Parts  props.PartitionList
-	// SizeOrd is this entry's position within OfSize(Tables.Len()), i.e.
-	// its creation order inside its size class. The candidate-driven scan
-	// sorts candidates by SizeOrd to replay the canonical enumeration order.
-	// It shares the last word with the two flags: an entry is two cache lines.
-	SizeOrd int32
 	// OuterEligible records whether plans of this entry may serve as the
 	// outer of a join; the enumerator marks it from outer-join and
 	// correlation constraints.
@@ -236,17 +227,6 @@ type Memo struct {
 	// hot consumers (plan counting, serialization, diagnostics) sort once
 	// after enumeration instead of once per call.
 	sorted []*Entry
-	// posting is the per-table posting index: posting[t*nsize+k] lists, in
-	// SizeOrd (creation) order, the ordinals of the size-k entries whose
-	// table set contains t. GetOrCreate maintains it incrementally; the
-	// enumerator's candidate-driven scan unions the lists of an entry's
-	// neighbor tables to visit only partners a predicate can connect. The
-	// flat layout (one backing slice of buckets, int32 ordinals) keeps the
-	// index to a single allocation plus amortized bucket growth.
-	posting [][]int32
-	// nsize is the bucket stride of posting: one bucket per size class
-	// 0..n, i.e. n+1 per table.
-	nsize  int
 	nplans int
 	// acct receives the durable charges (entries, retained plans, property
 	// values) when the optimizer attaches a run accountant; accounted is the
@@ -271,11 +251,9 @@ func New(n int) *Memo {
 		size *= 2
 	}
 	return &Memo{
-		table:   make([]idxSlot, size),
-		shift:   uint(64 - bits.TrailingZeros(uint(size))),
-		bySize:  make([][]*Entry, n+1),
-		posting: make([][]int32, n*(n+1)),
-		nsize:   n + 1,
+		table:  make([]idxSlot, size),
+		shift:  uint(64 - bits.TrailingZeros(uint(size))),
+		bySize: make([][]*Entry, n+1),
 	}
 }
 
@@ -401,26 +379,12 @@ func (m *Memo) GetOrCreate(s bitset.Set) (e *Entry, created bool) {
 	e = m.alloc()
 	e.Tables = s
 	e.OuterEligible = true
-	e.SizeOrd = int32(len(m.bySize[k]))
 	m.table[i] = idxSlot{key: s, e: e}
 	m.count++
 	m.bySize[k] = append(m.bySize[k], e)
-	s.ForEach(func(t int) {
-		i := t*m.nsize + k
-		m.posting[i] = append(m.posting[i], e.SizeOrd)
-	})
-	m.charge(resource.KindMemoEntry, EntryFootprint+int64(k)*postingOrdBytes)
+	m.charge(resource.KindMemoEntry, EntryFootprint)
 	m.sorted = nil // invalidate the Entries() snapshot
 	return e, true
-}
-
-// Posting returns the ordinals (SizeOrd values, strictly increasing) of the
-// size-k entries whose table set contains table t — the posting list the
-// candidate-driven enumerator scans instead of the full size class. The
-// returned slice is owned by the MEMO: callers must not mutate it, and must
-// not hold it across a GetOrCreate that adds a size-k entry.
-func (m *Memo) Posting(t, k int) []int32 {
-	return m.posting[t*m.nsize+k]
 }
 
 // Reset returns the MEMO to the empty state for a block of n tables,
@@ -445,19 +409,6 @@ func (m *Memo) Reset(n int) {
 		for i, g := range m.bySize {
 			clear(g) // drop stale entry pointers so the pool pins nothing
 			m.bySize[i] = g[:0]
-		}
-	}
-	// Resize the posting index first, then truncate over the FULL new
-	// length: a Reset to fewer tables followed by a Reset back to more would
-	// otherwise resurrect buckets that were beyond the shrunken length and
-	// never emptied, replaying stale ordinals into the candidate scan.
-	m.nsize = n + 1
-	if np := n * (n + 1); np > cap(m.posting) {
-		m.posting = make([][]int32, np)
-	} else {
-		m.posting = m.posting[:np]
-		for i, p := range m.posting {
-			m.posting[i] = p[:0]
 		}
 	}
 	m.sorted = nil

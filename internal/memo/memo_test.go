@@ -283,95 +283,6 @@ func TestEntriesSnapshotInvalidation(t *testing.T) {
 	}
 }
 
-// TestPostingIndex checks the connectivity-index invariant by brute force:
-// Posting(t, k) lists exactly the SizeOrds of the size-k entries whose table
-// set contains t, in creation order, and SizeOrd is each entry's index in
-// OfSize(k).
-func TestPostingIndex(t *testing.T) {
-	const n = 5
-	m := New(n)
-	// Create a mix of sizes in a deliberately scrambled order.
-	sets := []bitset.Set{
-		bitset.Of(2), bitset.Of(0), bitset.Of(1, 3), bitset.Of(4),
-		bitset.Of(0, 2), bitset.Of(1, 3, 4), bitset.Of(0, 1, 2),
-		bitset.Of(3), bitset.Of(2, 4),
-	}
-	for _, s := range sets {
-		m.GetOrCreate(s)
-	}
-	for k := 1; k <= n; k++ {
-		for ord, e := range m.OfSize(k) {
-			if int(e.SizeOrd) != ord {
-				t.Fatalf("entry %v: SizeOrd = %d, want %d", e.Tables, e.SizeOrd, ord)
-			}
-		}
-		for tab := 0; tab < n; tab++ {
-			var want []int32
-			for ord, e := range m.OfSize(k) {
-				if e.Tables.Contains(tab) {
-					want = append(want, int32(ord))
-				}
-			}
-			got := m.Posting(tab, k)
-			if len(got) != len(want) {
-				t.Fatalf("Posting(%d,%d) = %v, want %v", tab, k, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("Posting(%d,%d) = %v, want %v", tab, k, got, want)
-				}
-			}
-		}
-	}
-	if got := m.Posting(0, n+1); got != nil {
-		t.Fatalf("out-of-range Posting = %v, want nil", got)
-	}
-}
-
-// TestResetPostingIndex is the regression test for the pooled-reuse hazard:
-// both the cached Entries snapshot and the posting index must be invalidated
-// by Reset, including the shrink-then-grow-within-capacity path where stale
-// buckets beyond the shrunk length could otherwise resurrect old ordinals.
-func TestResetPostingIndex(t *testing.T) {
-	m := New(4)
-	m.GetOrCreate(bitset.Of(3))
-	m.GetOrCreate(bitset.Of(2, 3))
-	m.GetOrCreate(bitset.Of(1, 2, 3))
-	if len(m.Posting(3, 3)) != 1 {
-		t.Fatal("setup: posting not populated")
-	}
-
-	// Shrink: buckets for table 3 fall outside the new length but stay in
-	// capacity.
-	m.Reset(2)
-	for tab := 0; tab < 2; tab++ {
-		for k := 1; k <= 2; k++ {
-			if got := m.Posting(tab, k); len(got) != 0 {
-				t.Fatalf("Reset(2): Posting(%d,%d) kept %v", tab, k, got)
-			}
-		}
-	}
-
-	// Grow back within capacity: the old table-3 buckets must come back
-	// empty, not with the pre-Reset ordinals.
-	m.Reset(4)
-	for tab := 0; tab < 4; tab++ {
-		for k := 1; k <= 4; k++ {
-			if got := m.Posting(tab, k); len(got) != 0 {
-				t.Fatalf("Reset(4) after Reset(2): Posting(%d,%d) resurrected %v", tab, k, got)
-			}
-		}
-	}
-	// And the index works for fresh entries after the round trip.
-	m.GetOrCreate(bitset.Of(3))
-	if got := m.Posting(3, 1); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("posting after Reset round trip = %v, want [0]", got)
-	}
-	if got := m.Entries(); len(got) != 1 {
-		t.Fatalf("Entries after Reset round trip = %v", got)
-	}
-}
-
 // BenchmarkEntries measures the cached-snapshot lookup against the sort the
 // method once redid on every call (rebuild case included for contrast).
 func BenchmarkEntries(b *testing.B) {
@@ -439,8 +350,8 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestResetZeroesAccounting is the accounting analogue of the stale-postings
-// rule: a pooled MEMO must not carry one run's accountant or charge tally
+// TestResetZeroesAccounting is the accounting half of the pooled-reuse
+// contract: a pooled MEMO must not carry one run's accountant or charge tally
 // into the next borrower. Reset must detach the accountant, zero the local
 // tally, and leave the old run's accountant untouched by later activity.
 func TestResetZeroesAccounting(t *testing.T) {
@@ -453,8 +364,7 @@ func TestResetZeroesAccounting(t *testing.T) {
 	m.InsertPlan(e, &Plan{Op: OpTableScan, Tables: e.Tables, Cost: 100})
 	m.ChargeProperties(3)
 
-	wantLocal := EntryFootprint + int64(1)*4 /* one posting ordinal */ +
-		PlanFootprint + 3*PropertyValueBytes
+	wantLocal := EntryFootprint + PlanFootprint + 3*PropertyValueBytes
 	if got := m.AccountedBytes(); got != wantLocal {
 		t.Fatalf("AccountedBytes = %d, want %d", got, wantLocal)
 	}

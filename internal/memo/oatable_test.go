@@ -11,32 +11,24 @@ import (
 // oracleMemo is the map-based reference the open-addressed index is checked
 // against: the exact structure the Memo used before the rewrite.
 type oracleMemo struct {
-	entries map[bitset.Set]int32 // set -> SizeOrd
-	bySize  [][]bitset.Set
-	posting map[[2]int][]int32
+	entries map[bitset.Set]bool
+	bySize  [][]bitset.Set // creation order within each size class
 }
 
 func newOracle(n int) *oracleMemo {
 	return &oracleMemo{
-		entries: map[bitset.Set]int32{},
+		entries: map[bitset.Set]bool{},
 		bySize:  make([][]bitset.Set, n+1),
-		posting: map[[2]int][]int32{},
 	}
 }
 
-func (o *oracleMemo) getOrCreate(s bitset.Set) (ord int32, created bool) {
-	if ord, ok := o.entries[s]; ok {
-		return ord, false
+func (o *oracleMemo) getOrCreate(s bitset.Set) (created bool) {
+	if o.entries[s] {
+		return false
 	}
-	k := s.Len()
-	ord = int32(len(o.bySize[k]))
-	o.entries[s] = ord
-	o.bySize[k] = append(o.bySize[k], s)
-	s.ForEach(func(t int) {
-		key := [2]int{t, k}
-		o.posting[key] = append(o.posting[key], ord)
-	})
-	return ord, true
+	o.entries[s] = true
+	o.bySize[s.Len()] = append(o.bySize[s.Len()], s)
+	return true
 }
 
 // randomSet draws a set over n tables, biased toward small sizes like real
@@ -53,8 +45,8 @@ func randomSet(rng *rand.Rand, n int) bitset.Set {
 // TestOpenAddressedDifferential drives one pooled MEMO through random
 // rounds of insert/lookup against the map oracle, Reset between rounds to a
 // random table count — including shrink-then-grow patterns — verifying the
-// open-addressed index, the size classes and the posting lists agree with
-// the oracle after every operation batch.
+// open-addressed index and the size classes agree with the oracle after
+// every operation batch.
 func TestOpenAddressedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := New(2) // deliberately small: rounds below force regrowth and reuse
@@ -65,18 +57,17 @@ func TestOpenAddressedDifferential(t *testing.T) {
 		ops := 1 + rng.Intn(200)
 		for i := 0; i < ops; i++ {
 			s := randomSet(rng, n)
-			wantOrd, wantCreated := o.getOrCreate(s)
+			wantCreated := o.getOrCreate(s)
 			e, created := m.GetOrCreate(s)
 			if created != wantCreated {
 				t.Fatalf("round %d: GetOrCreate(%v) created=%v, oracle %v", round, s, created, wantCreated)
 			}
-			if e.Tables != s || e.SizeOrd != wantOrd {
-				t.Fatalf("round %d: GetOrCreate(%v) = (tables %v, ord %d), oracle ord %d",
-					round, s, e.Tables, e.SizeOrd, wantOrd)
+			if e.Tables != s {
+				t.Fatalf("round %d: GetOrCreate(%v) returned tables %v", round, s, e.Tables)
 			}
 			// Random lookups, present and absent.
 			probe := randomSet(rng, n)
-			_, present := o.entries[probe]
+			present := o.entries[probe]
 			if got := m.Entry(probe); (got != nil) != present {
 				t.Fatalf("round %d: Entry(%v) = %v, oracle present=%v", round, probe, got, present)
 			} else if present && got.Tables != probe {
@@ -94,17 +85,6 @@ func TestOpenAddressedDifferential(t *testing.T) {
 			for i, e := range group {
 				if e.Tables != o.bySize[k][i] {
 					t.Fatalf("round %d: OfSize(%d)[%d] = %v, oracle %v", round, k, i, e.Tables, o.bySize[k][i])
-				}
-			}
-			for tb := 0; tb < n; tb++ {
-				got, want := m.Posting(tb, k), o.posting[[2]int{tb, k}]
-				if len(got) != len(want) {
-					t.Fatalf("round %d: Posting(%d,%d) = %v, oracle %v", round, tb, k, got, want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("round %d: Posting(%d,%d) = %v, oracle %v", round, tb, k, got, want)
-					}
 				}
 			}
 		}

@@ -196,7 +196,7 @@ func (g *Generator) ReleaseScratch() {
 	s.chargeBufGrowth()
 	// Zero the accounting state before pooling: the next borrower must start
 	// from a clean tally against its own accountant (regression-tested, like
-	// the stale-postings Reset rule in memo).
+	// memo.Reset's accounting rule).
 	s.arena.resetAccounting()
 	s.bufCharged = 0
 	s.ocBuf, s.icBuf, s.jcBuf = s.ocBuf[:0], s.icBuf[:0], s.jcBuf[:0]

@@ -36,8 +36,7 @@ type Kind int
 // The charge kinds.
 const (
 	// KindMemoEntry covers MEMO entries plus their index bookkeeping: the
-	// entry struct, its map slot, its size-class slot and its posting-list
-	// ordinals.
+	// entry struct, its index slot and its size-class slot.
 	KindMemoEntry Kind = iota
 	// KindPlan covers plans retained in MEMO entries (inserted and not yet
 	// pruned). Charged at commit time, in canonical enumeration order.

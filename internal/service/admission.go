@@ -47,12 +47,6 @@ type AdmissionDecision struct {
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 }
 
-// downgrades maps each dynamic-programming level to the next cheaper
-// search space: bushy → inner2 → zigzag → leftdeep → greedy. The ladder
-// itself lives on opt.Level so the meta-optimizer's budget abort walks the
-// same rungs.
-func downgrades(l opt.Level) opt.Level { return l.NextLower() }
-
 // admit prices the requested optimization level with the cheap estimator
 // and decides accept / downgrade / reject. predict returns the predicted
 // compilation time of one level (the server routes it through the estimate
@@ -136,9 +130,10 @@ func admit(requested opt.Level, budget time.Duration, memBudget int64, allowDown
 		dec.AdmittedLevel = ""
 		return dec, nil
 	}
-	// Walk down the level ladder to the costliest level that fits; the
-	// greedy floor always fits.
-	for l := downgrades(requested); ; l = downgrades(l) {
+	// Walk down the level ladder (opt.Level.NextLower, the rungs the
+	// meta-optimizer's budget abort also walks) to the costliest level that
+	// fits; the greedy floor always fits.
+	for l := requested.NextLower(); ; l = l.NextLower() {
 		if l == opt.LevelLow {
 			dec.Action = AdmitDowngrade
 			dec.AdmittedLevel = LevelName(l)
@@ -155,7 +150,3 @@ func admit(requested opt.Level, budget time.Duration, memBudget int64, allowDown
 		}
 	}
 }
-
-// noMemPredict is the disarmed memory predicate for call sites without a
-// memory budget.
-func noMemPredict(opt.Level) (int64, error) { return 0, nil }

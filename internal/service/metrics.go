@@ -177,11 +177,11 @@ type Metrics struct {
 	Observations  Counter
 	ModelInstalls Counter
 
-	// EnumCandidatesVisited / EnumCandidatesSkipped aggregate the
-	// connectivity-indexed scan's work over every enumeration the server ran:
-	// size-class partner slots actually examined vs proved irrelevant by the
-	// adjacency index (their sum is what the naive cross-product scan would
-	// have walked).
+	// EnumCandidatesVisited / EnumCandidatesSkipped aggregate the size-class
+	// scan's work over every enumeration the server ran: partner slots
+	// examined vs slots of whole size-class pairs the level's shape and
+	// composite-inner knobs rule out (their sum is the full DPsize cross
+	// product; skipped stays 0 at level "high").
 	EnumCandidatesVisited Counter
 	EnumCandidatesSkipped Counter
 

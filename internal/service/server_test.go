@@ -233,12 +233,20 @@ func TestServerEndToEnd(t *testing.T) {
 	if pool["workers"].(float64) != 4 || pool["running"].(float64) != 0 {
 		t.Fatalf("pool gauges: %v", pool)
 	}
-	// The connectivity-indexed scan counters observed the enumerations: real
-	// workload graphs are sparse, so some partner slots must have been both
-	// visited and skipped.
+	// The scan counters observed the enumerations. Nothing so far ran at a
+	// level whose knobs rule out a whole size-class pair, so only visited
+	// moved; a four-table left-deep estimate drops the (2, 2) class.
 	scan := m["enum_scan"].(map[string]any)
-	if scan["candidates_visited"].(float64) <= 0 || scan["candidates_skipped"].(float64) <= 0 {
+	if scan["candidates_visited"].(float64) <= 0 {
 		t.Fatalf("enum_scan counters: %v", scan)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{Catalog: "tpch", SQL: tpchQ4, Level: "leftdeep"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("left-deep estimate: %d %v", resp.StatusCode, body)
+	}
+	_, m = getJSON(t, ts.URL+"/metrics")
+	if scan := m["enum_scan"].(map[string]any); scan["candidates_skipped"].(float64) <= 0 {
+		t.Fatalf("enum_scan after a left-deep estimate: %v", scan)
 	}
 }
 

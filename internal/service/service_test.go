@@ -35,6 +35,10 @@ func predictTable(m map[opt.Level]time.Duration) func(opt.Level) (time.Duration,
 	}
 }
 
+// noMemPredict is the disarmed memory predicate for admissions without a
+// memory budget.
+func noMemPredict(opt.Level) (int64, error) { return 0, nil }
+
 func TestAdmitDecisions(t *testing.T) {
 	preds := map[opt.Level]time.Duration{
 		opt.LevelHigh:           100 * time.Millisecond,
