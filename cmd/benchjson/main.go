@@ -17,10 +17,11 @@
 //	go test -run NONE -bench . -benchmem -count 5 . | benchjson -compare BENCH_cote.json -tolerance 0.25
 //
 // It fails (exit 1) when ns/op or allocs/op of any shared benchmark
-// regressed by more than the tolerance, and reports benchmarks that
-// disappeared. -structural skips the numeric check — benchmarks must merely
-// all still exist and produce parseable output, the cheap smoke mode CI runs
-// on every push (CI machines are too noisy for wall-clock gates).
+// regressed by more than the tolerance or a custom metric whose unit ends in
+// "-exact" differs at all, and reports benchmarks that disappeared.
+// -structural skips the numeric check — benchmarks must merely all still
+// exist and produce parseable output, the cheap smoke mode CI runs on every
+// push (CI machines are too noisy for wall-clock gates).
 //
 // Delta mode renders a benchstat-style per-benchmark change table against a
 // baseline, purely informational (always exit 0 on valid input):
@@ -257,6 +258,13 @@ func compareDocs(base, cur *Doc, tolerance float64, structural bool) []string {
 		if worse(b.AllocsPerOp, c.AllocsPerOp, tolerance) {
 			failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f -> %.0f (+%.1f%%, tolerance %.0f%%)",
 				name, b.AllocsPerOp, c.AllocsPerOp, 100*(c.AllocsPerOp/b.AllocsPerOp-1), tolerance*100))
+		}
+		// A custom metric whose unit ends in "-exact" is a deterministic
+		// count: any difference from the baseline, either way, fails.
+		for unit, want := range b.Extra {
+			if got := c.Extra[unit]; strings.HasSuffix(unit, "-exact") && got != want {
+				failures = append(failures, fmt.Sprintf("%s: %s %v -> %v (gated exactly)", name, unit, want, got))
+			}
 		}
 	}
 	return failures

@@ -56,12 +56,15 @@
 package fingerprint
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"slices"
+	"strconv"
 
+	"cote/internal/bitset"
 	"cote/internal/catalog"
 	"cote/internal/query"
 )
@@ -172,7 +175,8 @@ func mix(h, v uint64) uint64 {
 }
 
 // foldSorted sorts vs and folds them into h — the order-insensitive multiset
-// combine used for neighbor contributions and per-table predicate sets.
+// combine, here for one table's index shapes or one outer join's required
+// colours; foldByTable is the same combine for every table at once.
 func foldSorted(h uint64, vs []uint64) uint64 {
 	slices.Sort(vs)
 	for _, v := range vs {
@@ -209,6 +213,103 @@ func flip(op query.PredOp) query.PredOp {
 	return op
 }
 
+// contrib is one hash bound for a table's colour.
+type contrib struct {
+	table int
+	hash  uint64
+}
+
+// foldByTable folds each table's contributions into its colour in ascending
+// hash order — the order-insensitive multiset combine used for neighbor
+// contributions and per-table predicate sets. Every contribution must have
+// been computed before the call: it overwrites the colours they read.
+func foldByTable(colors []uint64, cs []contrib) {
+	slices.SortFunc(cs, func(a, b contrib) int {
+		return cmp.Or(cmp.Compare(a.table, b.table), cmp.Compare(a.hash, b.hash))
+	})
+	for _, c := range cs {
+		colors[c.table] = mix(colors[c.table], c.hash)
+	}
+}
+
+// edge is one join predicate's attributes, oriented from each endpoint's
+// perspective.
+type edge struct {
+	lt, rt         int
+	attrLt, attrRt uint64
+}
+
+// refiner is the state of one block's colour refinement, every slice sized
+// once per block.
+type refiner struct {
+	blk      *query.Block
+	colors   []uint64 // per table
+	scratch  []uint64 // one word per table: sorted colours, an outer join's required colours
+	prev     []int    // class ids of the partition before and after a round
+	cur      []int
+	edges    []edge
+	contribs []contrib // one per predicate endpoint and outer-join constraint
+}
+
+// round rehashes every table's colour with its neighbours' current colours:
+// one contribution per join predicate endpoint and per outer-join constraint.
+func (r *refiner) round() {
+	cs := r.contribs[:0]
+	for _, e := range r.edges {
+		cs = append(cs, contrib{e.lt, mix(e.attrLt, r.colors[e.rt])}, contrib{e.rt, mix(e.attrRt, r.colors[e.lt])})
+	}
+	for _, oj := range r.blk.OuterJoins {
+		req := r.scratch[:0]
+		for m := oj.PredReq.Next(0); m >= 0; m = oj.PredReq.Next(m + 1) {
+			req = append(req, r.colors[m])
+			cs = append(cs, contrib{m, mix(tagOJPredReq, r.colors[oj.NullProducing])})
+		}
+		cs = append(cs, contrib{oj.NullProducing, foldSorted(tagOJNullProducing, req)})
+	}
+	r.contribs = cs
+	foldByTable(r.colors, cs)
+}
+
+// classIDs maps colors to dense class ids numbered in order of first
+// appearance — used only to detect whether the partition changed, never for
+// ordering, so the index dependence is harmless.
+func classIDs(colors []uint64, ids []int) {
+	next := 0
+	for i, c := range colors {
+		if j := slices.Index(colors[:i], c); j >= 0 {
+			ids[i] = ids[j]
+		} else {
+			ids[i] = next
+			next++
+		}
+	}
+}
+
+// refine runs rounds until the color partition stabilizes.
+func (r *refiner) refine() {
+	classIDs(r.colors, r.prev)
+	for round := 0; round < len(r.colors); round++ {
+		r.round()
+		classIDs(r.colors, r.cur)
+		if slices.Equal(r.cur, r.prev) {
+			break
+		}
+		r.prev, r.cur = r.cur, r.prev
+	}
+}
+
+// smallestTie returns the smallest colour two tables share.
+func (r *refiner) smallestTie() (tied uint64, found bool) {
+	sorted := append(r.scratch[:0], r.colors...)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return sorted[i], true
+		}
+	}
+	return 0, false
+}
+
 // canonicalOrder returns rank[i] = canonical position of table i, computed
 // by color refinement with individualization over the join graph.
 func canonicalOrder(blk *query.Block, children []Analysis) []int {
@@ -217,126 +318,52 @@ func canonicalOrder(blk *query.Block, children []Analysis) []int {
 	if n == 1 {
 		return rank
 	}
-
-	colors := initialColors(blk, children)
-
-	// Per-predicate edge attributes, oriented from each endpoint's
-	// perspective, computed once.
-	type edge struct {
-		lt, rt         int
-		attrLt, attrRt uint64
+	words, ids := make([]uint64, 2*n), make([]int, 2*n)
+	r := refiner{
+		blk: blk, colors: words[:n:n], scratch: words[n:], prev: ids[:n:n], cur: ids[n:],
+		edges:    make([]edge, len(blk.JoinPreds)),
+		contribs: make([]contrib, 0, 2*len(blk.JoinPreds)+(n+1)*len(blk.OuterJoins)),
 	}
-	edges := make([]edge, len(blk.JoinPreds))
+	initialColors(blk, children, r.colors)
 	for i, p := range blk.JoinPreds {
-		lt, rt := blk.TableOf(p.Left), blk.TableOf(p.Right)
 		implied := uint64(0)
 		if p.Implied {
 			implied = 1
 		}
 		lo, ln := colOrd(blk, p.Left), colNDV(blk, p.Left)
 		ro, rn := colOrd(blk, p.Right), colNDV(blk, p.Right)
-		aL := mix(mix(mix(mix(mix(uint64(p.Op), lo), ln), ro), rn), implied)
-		aR := mix(mix(mix(mix(mix(uint64(flip(p.Op)), ro), rn), lo), ln), implied)
-		edges[i] = edge{lt: lt, rt: rt, attrLt: aL, attrRt: aR}
-	}
-
-	contribs := make([][]uint64, n)
-	reqColors := make([]uint64, 0, n)
-	refineRound := func() {
-		for i := range contribs {
-			contribs[i] = contribs[i][:0]
-		}
-		for _, e := range edges {
-			contribs[e.lt] = append(contribs[e.lt], mix(e.attrLt, colors[e.rt]))
-			contribs[e.rt] = append(contribs[e.rt], mix(e.attrRt, colors[e.lt]))
-		}
-		for _, oj := range blk.OuterJoins {
-			reqColors = reqColors[:0]
-			for m := oj.PredReq.Next(0); m >= 0; m = oj.PredReq.Next(m + 1) {
-				reqColors = append(reqColors, colors[m])
-				contribs[m] = append(contribs[m], mix(tagOJPredReq, colors[oj.NullProducing]))
-			}
-			contribs[oj.NullProducing] = append(contribs[oj.NullProducing],
-				foldSorted(tagOJNullProducing, reqColors))
-		}
-		for i := range colors {
-			colors[i] = foldSorted(colors[i], contribs[i])
+		r.edges[i] = edge{
+			lt: blk.TableOf(p.Left), rt: blk.TableOf(p.Right),
+			attrLt: mix(mix(mix(mix(mix(uint64(p.Op), lo), ln), ro), rn), implied),
+			attrRt: mix(mix(mix(mix(mix(uint64(flip(p.Op)), ro), rn), lo), ln), implied),
 		}
 	}
-
-	// classes maps colors to dense class ids (by table index discovery
-	// order — used only to detect whether the partition changed, never for
-	// ordering, so the index dependence is harmless).
-	classes := func() []int {
-		ids := make(map[uint64]int, n)
-		out := make([]int, n)
-		for i, c := range colors {
-			id, ok := ids[c]
-			if !ok {
-				id = len(ids)
-				ids[c] = id
-			}
-			out[i] = id
-		}
-		return out
-	}
-
-	// refine runs rounds until the color partition stabilizes.
-	refine := func() {
-		prev := classes()
-		for r := 0; r < n; r++ {
-			refineRound()
-			cur := classes()
-			if slices.Equal(cur, prev) {
-				break
-			}
-			prev = cur
-		}
-	}
-
-	refine()
+	r.refine()
 
 	// Individualize while ties remain: give one member of the smallest tied
 	// color class a fresh color and re-refine. Tied members are symmetric
 	// (or the graph is one of the regular corner cases refinement cannot
 	// split — there the choice below may vary with input numbering, costing
 	// a cache miss on an exotic isomorph, never a wrong answer).
-	for round := 0; ; round++ {
-		counts := make(map[uint64]int, n)
-		for _, c := range colors {
-			counts[c]++
-		}
-		var tied uint64
-		found := false
-		for _, c := range colors {
-			if counts[c] > 1 && (!found || c < tied) {
-				tied, found = c, true
-			}
-		}
-		if !found || round > 2*n {
+	for round := 0; round <= 2*n; round++ {
+		tied, found := r.smallestTie()
+		if !found {
 			break
 		}
-		for i, c := range colors {
-			if c == tied {
-				colors[i] = mix(mix(tagIndividualize, uint64(round)), c)
-				break
-			}
-		}
-		refine()
+		i := slices.Index(r.colors, tied)
+		r.colors[i] = mix(mix(tagIndividualize, uint64(round)), tied)
+		r.refine()
 	}
 
 	// Total order by final color; ties broken by index (unreachable unless
 	// the individualization loop bailed out).
-	idx := make([]int, n)
+	idx := r.cur
 	for i := range idx {
 		idx[i] = i
 	}
 	slices.SortFunc(idx, func(a, b int) int {
-		if colors[a] != colors[b] {
-			if colors[a] < colors[b] {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(r.colors[a], r.colors[b]); c != 0 {
+			return c
 		}
 		return a - b
 	})
@@ -368,9 +395,8 @@ func indexShapes(t *catalog.Table, buf []uint64) []uint64 {
 // initialColors seeds each table's color from its label-free local
 // signature: everything about the table that influences estimation except
 // its join-graph context (which refinement adds).
-func initialColors(blk *query.Block, children []Analysis) []uint64 {
-	colors := make([]uint64, blk.NumTables())
-	var scratch []uint64
+func initialColors(blk *query.Block, children []Analysis, colors []uint64) {
+	var ixBuf [8]uint64
 	for i, t := range blk.Tables {
 		h := uint64(0x636f7465) // base seed
 		if t.IsDerived() {
@@ -383,8 +409,7 @@ func initialColors(blk *query.Block, children []Analysis) []uint64 {
 		} else {
 			h = mix(h, tagBase)
 			h = mix(h, fbits(t.Table.RowCount))
-			scratch = indexShapes(t.Table, scratch)
-			h = foldSorted(h, scratch)
+			h = foldSorted(h, indexShapes(t.Table, ixBuf[:0]))
 			if p := t.Table.Partitioning; p != nil {
 				ph := mix(tagPartition, uint64(p.Nodes))
 				for _, name := range p.Columns {
@@ -396,9 +421,8 @@ func initialColors(blk *query.Block, children []Analysis) []uint64 {
 		colors[i] = h
 	}
 	// Local predicates contribute per owning table as a multiset.
-	perTable := make([][]uint64, blk.NumTables())
+	cs := make([]contrib, 0, len(blk.LocalPreds)+len(blk.GroupBy)+len(blk.OrderBy)+len(blk.Select))
 	for _, lp := range blk.LocalPreds {
-		ti := blk.TableOf(lp.Col)
 		ph := mix(tagLocalPred, uint64(lp.Op))
 		ph = mix(ph, colOrd(blk, lp.Col))
 		ph = mix(ph, fbits(lp.Selectivity))
@@ -408,24 +432,19 @@ func initialColors(blk *query.Block, children []Analysis) []uint64 {
 		if lp.Expensive {
 			ph = mix(ph, 2)
 		}
-		perTable[ti] = append(perTable[ti], ph)
+		cs = append(cs, contrib{blk.TableOf(lp.Col), ph})
 	}
 	// Clause appearances: position within the clause matters and is
 	// invariant under table renaming, so it is part of the contribution.
 	clause := func(tag uint64, cols []query.ColID) {
 		for pos, id := range cols {
-			ti := blk.TableOf(id)
-			perTable[ti] = append(perTable[ti],
-				mix(mix(mix(tag, uint64(pos)), colOrd(blk, id)), colNDV(blk, id)))
+			cs = append(cs, contrib{blk.TableOf(id), mix(mix(mix(tag, uint64(pos)), colOrd(blk, id)), colNDV(blk, id))})
 		}
 	}
 	clause(tagGroupBy, blk.GroupBy)
 	clause(tagOrderBy, blk.OrderBy)
 	clause(tagSelect, blk.Select)
-	for i := range colors {
-		colors[i] = foldSorted(colors[i], perTable[i])
-	}
-	return colors
+	foldByTable(colors, cs)
 }
 
 // encoder accumulates the canonical byte string.
@@ -449,8 +468,12 @@ func encodeBlock(blk *query.Block, rank []int, children []Analysis) []byte {
 		inv[r] = i
 	}
 
-	var e encoder
-	var ixs []uint64
+	// The buffer is sized once; only a schema with more than a handful of
+	// indexes and partitioning columns per table makes append regrow it.
+	words := 16 + 16*n + 6*len(blk.LocalPreds) + 8*len(blk.JoinPreds) + (2+n)*len(blk.OuterJoins) +
+		3*(len(blk.GroupBy)+len(blk.OrderBy)+len(blk.Select))
+	e := encoder{buf: make([]byte, 0, 8*words)}
+	var ixBuf [8]uint64
 	e.words(encVersion, uint64(n))
 
 	// Tables in canonical order.
@@ -468,7 +491,7 @@ func encodeBlock(blk *query.Block, rank []int, children []Analysis) []byte {
 		// Indexes and partitioning, as in the color seed but written
 		// explicitly (sorted hashes — index order in the schema is not
 		// structural).
-		ixs = indexShapes(t.Table, ixs)
+		ixs := indexShapes(t.Table, ixBuf[:0])
 		slices.Sort(ixs)
 		e.u64(uint64(len(ixs)))
 		e.words(ixs...)
@@ -488,8 +511,11 @@ func encodeBlock(blk *query.Block, rank []int, children []Analysis) []byte {
 	}
 
 	// Local predicates: sorted tuple list (order in the block is not
-	// structural — Finalize appends implied predicates in map order).
-	lps := make([][6]uint64, 0, len(blk.LocalPreds))
+	// structural). One scratch slice serves this sort and the join
+	// predicates'; the two words a local predicate leaves unused stay zero.
+	tuples := make([][8]uint64, 0, max(len(blk.LocalPreds), len(blk.JoinPreds)))
+	byWords := func(a, b [8]uint64) int { return slices.Compare(a[:], b[:]) }
+	lps := tuples
 	for _, lp := range blk.LocalPreds {
 		c := col(lp.Col)
 		flags := uint64(0)
@@ -499,17 +525,17 @@ func encodeBlock(blk *query.Block, rank []int, children []Analysis) []byte {
 		if lp.Expensive {
 			flags |= 2
 		}
-		lps = append(lps, [6]uint64{c[0], c[1], uint64(lp.Op), fbits(lp.Selectivity), flags, c[2]})
+		lps = append(lps, [8]uint64{c[0], c[1], uint64(lp.Op), fbits(lp.Selectivity), flags, c[2]})
 	}
-	slices.SortFunc(lps, func(a, b [6]uint64) int { return slices.Compare(a[:], b[:]) })
+	slices.SortFunc(lps, byWords)
 	e.u64(uint64(len(lps)))
 	for _, lp := range lps {
-		e.words(lp[:]...)
+		e.words(lp[:6]...)
 	}
 
 	// Join predicates: canonical endpoint orientation (smaller canonical
 	// column first, operator mirrored when swapped), then sorted.
-	jps := make([][8]uint64, 0, len(blk.JoinPreds))
+	jps := tuples
 	for _, jp := range blk.JoinPreds {
 		l, r := col(jp.Left), col(jp.Right)
 		op := jp.Op
@@ -523,7 +549,7 @@ func encodeBlock(blk *query.Block, rank []int, children []Analysis) []byte {
 		}
 		jps = append(jps, [8]uint64{l[0], l[1], r[0], r[1], uint64(op), implied, l[2], r[2]})
 	}
-	slices.SortFunc(jps, func(a, b [8]uint64) int { return slices.Compare(a[:], b[:]) })
+	slices.SortFunc(jps, byWords)
 	e.u64(uint64(len(jps)))
 	for _, jp := range jps {
 		e.words(jp[:]...)
@@ -562,6 +588,15 @@ func encodeBlock(blk *query.Block, rank []int, children []Analysis) []byte {
 	return e.buf
 }
 
+// canonAlias[pos] is the alias a canonical block gives the table at position
+// pos.
+var canonAlias = func() (a [bitset.MaxElems]string) {
+	for pos := range a {
+		a[pos] = "q" + strconv.Itoa(pos)
+	}
+	return a
+}()
+
 // rebuild reconstructs blk under canonical table numbering: tables are added
 // in canonical order under positional aliases, non-implied predicates are
 // added in canonically sorted order (implied ones are re-derived by
@@ -577,7 +612,7 @@ func rebuild(blk *query.Block, rank []int, children []Analysis) (*query.Block, e
 	qb := query.NewBuilder(blk.Name, blk.Catalog)
 	for pos := 0; pos < n; pos++ {
 		ref := blk.Tables[inv[pos]]
-		alias := fmt.Sprintf("q%d", pos)
+		alias := canonAlias[pos]
 		if ref.IsDerived() {
 			child, err := children[ref.Index].Canonical()
 			if err != nil {
@@ -601,7 +636,7 @@ func rebuild(blk *query.Block, rank []int, children []Analysis) (*query.Block, e
 		left, right query.ColID
 		op          query.PredOp
 	}
-	var jps []jp
+	jps := make([]jp, 0, len(blk.JoinPreds))
 	for _, p := range blk.JoinPreds {
 		if p.Implied {
 			continue
@@ -625,7 +660,7 @@ func rebuild(blk *query.Block, rank []int, children []Analysis) (*query.Block, e
 		key  [5]uint64
 		pred query.LocalPred
 	}
-	var lps []lp
+	lps := make([]lp, 0, len(blk.LocalPreds))
 	for _, p := range blk.LocalPreds {
 		if p.Implied {
 			continue
@@ -670,12 +705,15 @@ func rebuild(blk *query.Block, rank []int, children []Analysis) (*query.Block, e
 		qb.LeftOuter(o.null, o.req...)
 	}
 
+	// The builder copies what it is handed, so one buffer serves all three
+	// clauses.
+	buf := make([]query.ColID, 0, max(len(blk.GroupBy), len(blk.OrderBy), len(blk.Select)))
 	mapCols := func(cols []query.ColID) []query.ColID {
-		out := make([]query.ColID, len(cols))
-		for i, c := range cols {
-			out[i] = mapCol(c)
+		buf = buf[:0]
+		for _, c := range cols {
+			buf = append(buf, mapCol(c))
 		}
-		return out
+		return buf
 	}
 	qb.GroupBy(mapCols(blk.GroupBy)...)
 	qb.OrderBy(mapCols(blk.OrderBy)...)

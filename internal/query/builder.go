@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"cote/internal/catalog"
 )
@@ -16,6 +17,23 @@ import (
 type Builder struct {
 	b   *Block
 	err error
+	// refs and cols are the slabs table references and their column
+	// instances are carved from: a FROM list costs a chunk or two, not one
+	// object per table and per column.
+	refs []TableRef
+	cols []ColumnRef
+}
+
+// carve returns n zeroed elements of slab storage. An exhausted slab is
+// replaced by a larger chunk, never regrown in place: the elements already
+// handed out are pointed to from the block and stay where they are.
+func carve[T any](slab *[]T, n int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(4*n, 2*cap(*slab)))
+	}
+	from := len(*slab)
+	*slab = (*slab)[:from+n]
+	return (*slab)[from:]
 }
 
 // NewBuilder starts a block named name over the given catalog.
@@ -48,9 +66,7 @@ func (qb *Builder) AddTable(table, alias string) int {
 	if alias == "" {
 		alias = table
 	}
-	return qb.addRef(&TableRef{Table: t, Alias: alias}, len(t.Columns), func(ref *TableRef, i int) *catalog.Column {
-		return t.Columns[i]
-	})
+	return qb.addRef(TableRef{Table: t, Alias: alias}, t.Columns)
 }
 
 // AddDerived adds a derived table (view or subquery) whose rows come from
@@ -69,29 +85,34 @@ func (qb *Builder) AddDerived(child *Block, alias string, correlated bool) int {
 		qb.fail("derived table %q: child block has an empty select list", alias)
 		return -1
 	}
+	synth := make([]catalog.Column, len(child.Select))
 	cols := make([]*catalog.Column, len(child.Select))
 	for i, id := range child.Select {
 		src := child.Column(id)
-		cols[i] = &catalog.Column{Name: src.Col.Name, NDV: src.Col.NDV, Ordinal: i}
+		synth[i] = catalog.Column{Name: src.Col.Name, NDV: src.Col.NDV, Ordinal: i}
+		cols[i] = &synth[i]
 	}
-	return qb.addRef(&TableRef{Derived: child, Alias: alias, Correlated: correlated}, len(cols),
-		func(ref *TableRef, i int) *catalog.Column { return cols[i] })
+	return qb.addRef(TableRef{Derived: child, Alias: alias, Correlated: correlated}, cols)
 }
 
-func (qb *Builder) addRef(ref *TableRef, ncols int, colAt func(*TableRef, int) *catalog.Column) int {
-	for _, t := range qb.b.Tables {
-		if t.Alias == ref.Alias {
-			qb.fail("duplicate alias %q", ref.Alias)
-			return -1
-		}
+// addRef appends a table reference exposing cols and returns its index.
+func (qb *Builder) addRef(r TableRef, cols []*catalog.Column) int {
+	if qb.HasAlias(r.Alias) {
+		qb.fail("duplicate alias %q", r.Alias)
+		return -1
 	}
+	ref := &carve(&qb.refs, 1)[0]
+	*ref = r
 	ref.Index = len(qb.b.Tables)
 	ref.FirstCol = ColID(len(qb.b.Columns))
-	ref.NumCols = ncols
-	qb.b.Tables = append(qb.b.Tables, ref)
-	for i := 0; i < ncols; i++ {
-		id := ColID(len(qb.b.Columns))
-		qb.b.Columns = append(qb.b.Columns, &ColumnRef{ID: id, Ref: ref, Col: colAt(ref, i)})
+	ref.NumCols = len(cols)
+	slab := carve(&qb.cols, len(cols))
+	// Each pointer list grows in step with the slab it points into.
+	qb.b.Tables = append(slices.Grow(qb.b.Tables, cap(qb.refs)-len(qb.refs)+1), ref)
+	qb.b.Columns = slices.Grow(qb.b.Columns, cap(qb.cols)-len(qb.cols)+len(cols))
+	for i, c := range cols {
+		slab[i] = ColumnRef{ID: ref.FirstCol + ColID(i), Ref: ref, Col: c}
+		qb.b.Columns = append(qb.b.Columns, &slab[i])
 	}
 	return ref.Index
 }
@@ -144,6 +165,32 @@ func (qb *Builder) Aliases() []string {
 	return out
 }
 
+// HasAlias reports whether a table reference added so far goes by alias.
+// Unlike Aliases it copies nothing.
+func (qb *Builder) HasAlias(alias string) bool {
+	for _, t := range qb.b.Tables {
+		if t.Alias == alias {
+			return true
+		}
+	}
+	return false
+}
+
+// FindCol returns the first column named column among the table references
+// with index from and above, or NoCol when none exposes it. It records no
+// error: the SQL parser resolves an unqualified column with one call and
+// proves it unambiguous with a second.
+func (qb *Builder) FindCol(column string, from int) ColID {
+	for _, t := range qb.b.Tables[min(max(from, 0), len(qb.b.Tables)):] {
+		for id := t.FirstCol; id < t.FirstCol+ColID(t.NumCols); id++ {
+			if qb.b.Columns[id].Col.Name == column {
+				return id
+			}
+		}
+	}
+	return NoCol
+}
+
 // HasColumn reports whether the aliased table exposes the column.
 func (qb *Builder) HasColumn(alias, column string) bool {
 	for _, t := range qb.b.Tables {
@@ -179,6 +226,11 @@ func (qb *Builder) Join(left, right ColID, op PredOp) *Builder {
 	if qb.TableIndexOf(left) == qb.TableIndexOf(right) {
 		return qb.fail("join predicate within one table (%s %s %s)",
 			qb.b.Column(left), op, qb.b.Column(right))
+	}
+	if qb.b.JoinPreds == nil {
+		// Skip the 1-2-4 regrowth of the first appends: a join block has a
+		// handful of predicates, and the closure appends behind them.
+		qb.b.JoinPreds = make([]JoinPred, 0, 8)
 	}
 	qb.b.JoinPreds = append(qb.b.JoinPreds, JoinPred{Left: left, Right: right, Op: op})
 	return qb

@@ -13,7 +13,7 @@ package query
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"cote/internal/bitset"
 	"cote/internal/catalog"
@@ -328,91 +328,84 @@ func (b *Block) defaultSelectivities() {
 // predicates for classes containing a constant equality predicate. This is
 // the behaviour of commercial optimizers that the paper points to as a
 // source of cycles in real join graphs.
+//
+// The order implied predicates are appended in is observable — it can shift
+// plan counts by a join or two through the property lists — and the
+// fingerprint cache's determinism rests on it, so it is pinned: classes in
+// ascending order of their union-find root, within a class the member pairs
+// (i, j) in ascending ColID order, then the members lacking a constant in
+// ascending ColID order.
 func (b *Block) transitiveClosure() {
+	nEq := 0
+	for i := range b.JoinPreds {
+		if b.JoinPreds[i].Op == Eq {
+			nEq++
+		}
+	}
+	if nEq == 0 {
+		return
+	}
 	uf := newUnionFind(len(b.Columns))
+	// Only endpoints of equality predicates sit in a class of two or more, so
+	// only they are gathered: edges holds the predicates as written, keyed
+	// (smaller, larger) column and sorted, for the "already joined" test;
+	// members holds their endpoints keyed (class root, column), sorted and
+	// deduplicated, which is the visit order above.
+	key := func(hi, lo ColID) uint64 { return uint64(hi)<<32 | uint64(lo) }
+	scratch := make([]uint64, 3*nEq)
+	edges, members := scratch[:0:nEq], scratch[nEq:nEq]
 	for _, p := range b.JoinPreds {
 		if p.Op == Eq {
 			uf.union(int(p.Left), int(p.Right))
+			edges = append(edges, key(min(p.Left, p.Right), max(p.Left, p.Right)))
 		}
-	}
-
-	// Existing equality edges, keyed canonically.
-	type edge struct{ a, b ColID }
-	have := map[edge]bool{}
-	canon := func(x, y ColID) edge {
-		if x > y {
-			x, y = y, x
-		}
-		return edge{x, y}
 	}
 	for _, p := range b.JoinPreds {
 		if p.Op == Eq {
-			have[canon(p.Left, p.Right)] = true
+			root := ColID(uf.find(int(p.Left)))
+			members = append(members, key(root, p.Left), key(root, p.Right))
 		}
 	}
+	slices.Sort(edges)
+	slices.Sort(members)
+	members = slices.Compact(members)
 
-	// Group columns by equivalence class root; singleton classes carry no
-	// implied predicates. Classes are visited in sorted root order: the
-	// order in which implied predicates are appended is observable (it can
-	// shift plan counts by a join or two through the property lists), and a
-	// map-order walk would make estimates differ run to run for the same
-	// query — fatal for the fingerprint cache's determinism guarantee.
-	classes := map[int][]ColID{}
-	for id := range b.Columns {
-		root := uf.find(id)
-		classes[root] = append(classes[root], ColID(id))
-	}
-	roots := make([]int, 0, len(classes))
-	for root, members := range classes {
-		if len(members) < 2 {
-			delete(classes, root)
-			continue
+	written := b.LocalPreds // implied predicates land behind these
+	for len(members) > 0 {
+		n := 1
+		for n < len(members) && members[n]>>32 == members[0]>>32 {
+			n++
 		}
-		roots = append(roots, root)
-	}
-	sort.Ints(roots)
-
-	for _, root := range roots {
-		members := classes[root]
+		class := members[:n]
+		members = members[n:]
 		// Implied join predicates between all cross-table pairs.
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				l, r := members[i], members[j]
+		for i, mi := range class {
+			for _, mj := range class[i+1:] {
+				l, r := ColID(uint32(mi)), ColID(uint32(mj))
 				if b.TableOf(l) == b.TableOf(r) {
 					continue
 				}
-				if have[canon(l, r)] {
+				if _, have := slices.BinarySearch(edges, key(l, r)); have {
 					continue
 				}
-				have[canon(l, r)] = true
 				b.JoinPreds = append(b.JoinPreds, JoinPred{Left: l, Right: r, Op: Eq, Implied: true})
 			}
 		}
-		// Implied local equality predicates: a = const propagates to every
-		// class member that lacks one.
-		var src *LocalPred
-		withEq := map[ColID]bool{}
-		for i := range b.LocalPreds {
-			lp := &b.LocalPreds[i]
-			if lp.Op != Eq {
-				continue
-			}
-			for _, m := range members {
-				if lp.Col == m {
-					withEq[m] = true
-					if src == nil {
-						src = lp
-					}
-				}
-			}
+		// Implied local equality predicates: the first a = const written on
+		// a member propagates to every member that lacks one.
+		root := int(class[0] >> 32)
+		src := slices.IndexFunc(written, func(lp LocalPred) bool {
+			return lp.Op == Eq && uf.find(int(lp.Col)) == root
+		})
+		if src < 0 {
+			continue
 		}
-		if src != nil {
-			for _, m := range members {
-				if !withEq[m] {
-					b.LocalPreds = append(b.LocalPreds, LocalPred{
-						Col: m, Op: Eq, Selectivity: src.Selectivity, Implied: true,
-					})
-				}
+		for _, m := range class {
+			col := ColID(uint32(m))
+			if !slices.ContainsFunc(written, func(lp LocalPred) bool { return lp.Op == Eq && lp.Col == col }) {
+				b.LocalPreds = append(b.LocalPreds, LocalPred{
+					Col: col, Op: Eq, Selectivity: written[src].Selectivity, Implied: true,
+				})
 			}
 		}
 	}

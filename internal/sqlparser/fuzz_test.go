@@ -23,6 +23,11 @@ func FuzzParse(f *testing.F) {
 	f.Add("SELECT 1 FROM")
 	f.Add("SELECT c_name FROM customer WHERE c_acctbal > 100.5 ORDER BY c_name FETCH FIRST 10 ROWS ONLY")
 	f.Add("select\x00nul")
+	// Bytes of 0x80 and above outside a literal, and malformed numbers.
+	f.Add("SELECT c_name FROM customer\u00a0\u00a0 WHERE c_acctbal > 1")
+	f.Add("SELECT c_name FROM customer \u00aa")
+	f.Add("SELECT c_name FROM customer \u00e9")
+	f.Add("SELECT c_name FROM customer WHERE c_acctbal > 1.2.3 AND c_custkey < 1..")
 	cat := catalog.TPCH(1, 1)
 	f.Fuzz(func(t *testing.T, sql string) {
 		blk, err := Parse(sql, cat)

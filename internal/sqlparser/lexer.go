@@ -10,12 +10,11 @@ package sqlparser
 
 import (
 	"fmt"
-	"strings"
-	"unicode"
+	"math"
 )
 
 // tokenKind classifies lexer output.
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -25,94 +24,121 @@ const (
 	tokSymbol // punctuation and operators
 )
 
-// token is one lexeme with its position for error messages.
+// token is one lexeme: its kind and the bytes [pos, end) of the statement it
+// covers, the quotes included for a string literal. Offsets are 32-bit so
+// that the token slice of a statement stays a few cache lines.
 type token struct {
-	kind tokenKind
-	text string
-	pos  int
+	kind     tokenKind
+	pos, end int32
 }
 
-// lexer scans SQL text into tokens.
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
+// Byte classes. The lexer reads bytes, not runes: identifiers are
+// [A-Za-z_][A-Za-z0-9_]*, whitespace is the six ASCII characters, and a byte
+// of 0x80 and above has no class, so outside a string literal it is an
+// unexpected character at its own offset — never half of a Latin-1 letter.
+const (
+	clsSpace uint8 = 1 << iota
+	clsIdentStart
+	clsDigit
+	clsPunct     // ( ) , . *  — always one byte
+	clsCompare   // = < > !   — may take a second byte, = or >
+	clsIdentPart = clsIdentStart | clsDigit
+)
 
-// lex tokenizes the whole input up front; SQL statements are short enough
-// that a token slice is simpler than a streaming scanner.
+var class = func() (t [256]uint8) {
+	for _, c := range " \t\n\r\v\f" {
+		t[c] = clsSpace
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = clsIdentStart, clsIdentStart
+	}
+	t['_'] = clsIdentStart
+	for c := '0'; c <= '9'; c++ {
+		t[c] = clsDigit
+	}
+	for _, c := range "(),.*" {
+		t[c] = clsPunct
+	}
+	for _, c := range "=<>!" {
+		t[c] = clsCompare
+	}
+	return t
+}()
+
+// lex tokenizes the whole input up front, so that a lexical error anywhere
+// in the statement is reported before any grammatical one; SQL statements
+// are short enough that a token slice, sized once, is simpler than a
+// streaming scanner.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	if len(src) > math.MaxInt32 {
+		return nil, fmt.Errorf("sql: statement of %d bytes is too long", len(src))
+	}
+	toks := make([]token, 0, len(src)/2+1)
+	pos := 0
 	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.emit(tokEOF, "", l.pos)
-			return l.toks, nil
+		pos = skipSpace(src, pos)
+		if pos >= len(src) {
+			return append(toks, token{tokEOF, int32(pos), int32(pos)}), nil
 		}
-		start := l.pos
-		c := l.src[l.pos]
-		switch {
-		case isIdentStart(rune(c)):
-			for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-				l.pos++
+		start, kind := pos, tokSymbol
+		switch c := src[pos]; {
+		case class[c]&clsIdentStart != 0:
+			kind = tokIdent
+			for pos < len(src) && class[src[pos]]&clsIdentPart != 0 {
+				pos++
 			}
-			l.emit(tokIdent, l.src[start:l.pos], start)
-		case unicode.IsDigit(rune(c)):
-			for l.pos < len(l.src) && (unicode.IsDigit(rune(l.src[l.pos])) || l.src[l.pos] == '.') {
-				l.pos++
+		case class[c]&clsDigit != 0:
+			// digits[.digits]; the run of digits and dots is consumed whole
+			// so that 1.2.3 is one malformed number, not a number and junk.
+			kind = tokNumber
+			dots, last := 0, c
+			for pos < len(src) && (class[src[pos]]&clsDigit != 0 || src[pos] == '.') {
+				if last = src[pos]; last == '.' {
+					dots++
+				}
+				pos++
 			}
-			l.emit(tokNumber, l.src[start:l.pos], start)
+			if dots > 1 || last == '.' {
+				return nil, fmt.Errorf("sql: malformed number %q at offset %d", src[start:pos], start)
+			}
 		case c == '\'':
-			l.pos++
-			for l.pos < len(l.src) && l.src[l.pos] != '\'' {
-				l.pos++
+			kind = tokString
+			pos++
+			for pos < len(src) && src[pos] != '\'' {
+				pos++
 			}
-			if l.pos >= len(l.src) {
+			if pos >= len(src) {
 				return nil, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 			}
-			l.pos++
-			l.emit(tokString, l.src[start+1:l.pos-1], start)
-		case strings.ContainsRune("(),.*", rune(c)):
-			l.pos++
-			l.emit(tokSymbol, string(c), start)
-		case strings.ContainsRune("=<>!", rune(c)):
-			l.pos++
-			if l.pos < len(l.src) && strings.ContainsRune("=>", rune(l.src[l.pos])) {
-				l.pos++
+			pos++
+		case class[c]&clsPunct != 0:
+			pos++
+		case class[c]&clsCompare != 0:
+			pos++
+			if pos < len(src) && (src[pos] == '=' || src[pos] == '>') {
+				pos++
 			}
-			l.emit(tokSymbol, l.src[start:l.pos], start)
 		default:
 			return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
 		}
+		toks = append(toks, token{kind, int32(start), int32(pos)})
 	}
 }
 
-func (l *lexer) emit(kind tokenKind, text string, pos int) {
-	l.toks = append(l.toks, token{kind: kind, text: text, pos: pos})
-}
-
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) {
-		c := rune(l.src[l.pos])
-		if unicode.IsSpace(c) {
-			l.pos++
-			continue
-		}
-		// -- line comments
-		if c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+// skipSpace returns the offset of the first byte at or after pos that is
+// neither whitespace nor inside a -- line comment.
+func skipSpace(src string, pos int) int {
+	for pos < len(src) {
+		switch {
+		case class[src[pos]]&clsSpace != 0:
+			pos++
+		case src[pos] == '-' && pos+1 < len(src) && src[pos+1] == '-':
+			for pos < len(src) && src[pos] != '\n' {
+				pos++
 			}
-			continue
+		default:
+			return pos
 		}
-		return
 	}
-}
-
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
-}
-
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
+	return pos
 }

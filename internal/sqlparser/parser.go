@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cote/internal/catalog"
@@ -15,13 +16,13 @@ func Parse(sql string, cat *catalog.Catalog) (*query.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, cat: cat, name: firstWords(sql)}
+	p := &parser{src: sql, toks: toks, cat: cat, name: firstWords(sql)}
 	blk, _, err := p.parseQuery(nil)
 	if err != nil {
 		return nil, err
 	}
-	if !p.at(tokEOF, "") {
-		return nil, p.errf("trailing input %q", p.cur().text)
+	if t := p.cur(); t.kind != tokEOF {
+		return nil, p.errf("trailing input %q", p.text(t))
 	}
 	return blk, nil
 }
@@ -35,12 +36,29 @@ func MustParse(sql string, cat *catalog.Catalog) *query.Block {
 	return blk
 }
 
+// firstWords names a block after its statement: the words separated by
+// single spaces, cut to 40 bytes and marked "..." when there are more.
 func firstWords(sql string) string {
-	f := strings.Join(strings.Fields(sql), " ")
-	if len(f) > 40 {
-		f = f[:40] + "..."
+	const keep = 40
+	var buf [keep + len("...")]byte
+	n, gap := 0, false
+	for i := 0; i < len(sql) && n <= keep; i++ {
+		c := sql[i]
+		if class[c]&clsSpace != 0 {
+			gap = n > 0
+			continue
+		}
+		if gap {
+			buf[n], gap = ' ', false
+			n++
+		}
+		buf[n] = c
+		n++
 	}
-	return f
+	if n > keep {
+		n = keep + copy(buf[keep:], "...")
+	}
+	return string(buf[:n])
 }
 
 // correlation records a child-block column (by select-list ordinal) that
@@ -54,7 +72,6 @@ type correlation struct {
 // rawCol is an unresolved column reference.
 type rawCol struct {
 	alias, col string
-	pos        int
 }
 
 // rawSelect is one unresolved select-list item.
@@ -66,6 +83,7 @@ type rawSelect struct {
 
 // parser holds the state for one (sub)query parse.
 type parser struct {
+	src    string
 	toks   []token
 	i      int
 	cat    *catalog.Catalog
@@ -84,15 +102,24 @@ type parser struct {
 
 func (p *parser) cur() token { return p.toks[p.i] }
 
-func (p *parser) at(kind tokenKind, text string) bool {
-	t := p.cur()
-	if t.kind != kind {
-		return false
+// text returns the token's spelling: for a string literal its content, the
+// statement bytes it covers otherwise.
+func (p *parser) text(t token) string {
+	if t.kind == tokString {
+		return p.src[t.pos+1 : t.end-1]
 	}
-	return text == "" || strings.EqualFold(t.text, text)
+	return p.src[t.pos:t.end]
 }
 
-func (p *parser) atKeyword(kw string) bool { return p.at(tokIdent, kw) }
+func (p *parser) atKeyword(kw string) bool {
+	t := p.cur()
+	return t.kind == tokIdent && strings.EqualFold(p.text(t), kw)
+}
+
+func (p *parser) atSymbol(sym string) bool {
+	t := p.cur()
+	return t.kind == tokSymbol && p.text(t) == sym
+}
 
 func (p *parser) take() token {
 	t := p.cur()
@@ -104,15 +131,15 @@ func (p *parser) take() token {
 
 func (p *parser) expectKeyword(kw string) error {
 	if !p.atKeyword(kw) {
-		return p.errf("expected %s, found %q", strings.ToUpper(kw), p.cur().text)
+		return p.errf("expected %s, found %q", strings.ToUpper(kw), p.text(p.cur()))
 	}
 	p.take()
 	return nil
 }
 
 func (p *parser) expectSymbol(sym string) error {
-	if !p.at(tokSymbol, sym) {
-		return p.errf("expected %q, found %q", sym, p.cur().text)
+	if !p.atSymbol(sym) {
+		return p.errf("expected %q, found %q", sym, p.text(p.cur()))
 	}
 	p.take()
 	return nil
@@ -128,6 +155,18 @@ var keywords = map[string]bool{
 	"on": true, "as": true, "in": true, "count": true, "sum": true,
 	"avg": true, "min": true, "max": true,
 	"fetch": true, "first": true, "rows": true, "only": true,
+}
+
+// isKeyword reports whether the identifier is a reserved word, in any case.
+func isKeyword(ident string) bool {
+	var buf [6]byte // the longest keyword
+	if len(ident) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(ident); i++ {
+		buf[i] = ident[i] | 0x20
+	}
+	return keywords[string(buf[:len(ident)])]
 }
 
 // --- grammar ---
@@ -187,12 +226,12 @@ func (p *parser) parseQuery(parent *parser) (*query.Block, []correlation, error)
 		}
 		t := p.take()
 		if t.kind != tokNumber {
-			return nil, nil, p.errf("expected row count after FETCH FIRST, found %q", t.text)
+			return nil, nil, p.errf("expected row count after FETCH FIRST, found %q", p.text(t))
 		}
 		n := 0
-		for _, ch := range t.text {
+		for _, ch := range p.text(t) {
 			if ch < '0' || ch > '9' {
-				return nil, nil, p.errf("non-integer FETCH FIRST count %q", t.text)
+				return nil, nil, p.errf("non-integer FETCH FIRST count %q", p.text(t))
 			}
 			n = n*10 + int(ch-'0')
 		}
@@ -247,7 +286,7 @@ func (p *parser) parseSelectList() ([]rawSelect, error) {
 			return nil, err
 		}
 		out = append(out, s)
-		if !p.at(tokSymbol, ",") {
+		if !p.atSymbol(",") {
 			return out, nil
 		}
 		p.take()
@@ -255,30 +294,27 @@ func (p *parser) parseSelectList() ([]rawSelect, error) {
 }
 
 func (p *parser) parseSelectItem() (rawSelect, error) {
-	if t := p.cur(); t.kind == tokIdent {
-		kw := strings.ToLower(t.text)
-		switch kw {
-		case "count", "sum", "avg", "min", "max":
+	count := p.atKeyword("count")
+	if count || p.atKeyword("sum") || p.atKeyword("avg") || p.atKeyword("min") || p.atKeyword("max") {
+		p.take()
+		if err := p.expectSymbol("("); err != nil {
+			return rawSelect{}, err
+		}
+		if count && p.atSymbol("*") {
 			p.take()
-			if err := p.expectSymbol("("); err != nil {
-				return rawSelect{}, err
-			}
-			if kw == "count" && p.at(tokSymbol, "*") {
-				p.take()
-				if err := p.expectSymbol(")"); err != nil {
-					return rawSelect{}, err
-				}
-				return rawSelect{isAgg: true, star: true}, nil
-			}
-			col, err := p.parseRawCol()
-			if err != nil {
-				return rawSelect{}, err
-			}
 			if err := p.expectSymbol(")"); err != nil {
 				return rawSelect{}, err
 			}
-			return rawSelect{col: col, isAgg: true}, nil
+			return rawSelect{isAgg: true, star: true}, nil
 		}
+		col, err := p.parseRawCol()
+		if err != nil {
+			return rawSelect{}, err
+		}
+		if err := p.expectSymbol(")"); err != nil {
+			return rawSelect{}, err
+		}
+		return rawSelect{col: col, isAgg: true}, nil
 	}
 	col, err := p.parseRawCol()
 	if err != nil {
@@ -295,7 +331,7 @@ func (p *parser) parseFrom() error {
 	}
 	for {
 		switch {
-		case p.at(tokSymbol, ","):
+		case p.atSymbol(","):
 			p.take()
 			if _, err := p.parseFromItem(); err != nil {
 				return err
@@ -350,9 +386,9 @@ func (p *parser) parseJoinTail(leftOuter bool) error {
 // parseFromItem parses a base table or parenthesized subquery with its
 // alias and returns the table index.
 func (p *parser) parseFromItem() (int, error) {
-	if p.at(tokSymbol, "(") {
+	if p.atSymbol("(") {
 		p.take()
-		sub := &parser{toks: p.toks, i: p.i, cat: p.cat, name: p.name + "/sub", subSeq: 0}
+		sub := &parser{src: p.src, toks: p.toks, i: p.i, cat: p.cat, name: p.name + "/sub"}
 		child, corrs, err := sub.parseQuery(p)
 		if err != nil {
 			return -1, err
@@ -369,13 +405,13 @@ func (p *parser) parseFromItem() (int, error) {
 	}
 	t := p.take()
 	if t.kind != tokIdent {
-		return -1, p.errf("expected table name, found %q", t.text)
+		return -1, p.errf("expected table name, found %q", p.text(t))
 	}
 	alias, err := p.parseAlias(false)
 	if err != nil {
 		return -1, err
 	}
-	idx := p.qb.AddTable(strings.ToLower(t.text), alias)
+	idx := p.qb.AddTable(strings.ToLower(p.text(t)), alias)
 	return idx, p.qb.Err()
 }
 
@@ -385,9 +421,9 @@ func (p *parser) parseAlias(required bool) (string, error) {
 	if p.atKeyword("as") {
 		p.take()
 	}
-	if t := p.cur(); t.kind == tokIdent && !keywords[strings.ToLower(t.text)] {
+	if t := p.cur(); t.kind == tokIdent && !isKeyword(p.text(t)) {
 		p.take()
-		return strings.ToLower(t.text), nil
+		return strings.ToLower(p.text(t)), nil
 	}
 	if required {
 		return "", p.errf("derived table requires an alias")
@@ -436,7 +472,7 @@ func (p *parser) parseCond(onClause bool, onTables *[]int) error {
 		if err := p.expectSymbol("("); err != nil {
 			return err
 		}
-		sub := &parser{toks: p.toks, i: p.i, cat: p.cat, name: p.name + "/in", subSeq: 0}
+		sub := &parser{src: p.src, toks: p.toks, i: p.i, cat: p.cat, name: p.name + "/in"}
 		child, corrs, err := sub.parseQuery(p)
 		if err != nil {
 			return err
@@ -446,8 +482,7 @@ func (p *parser) parseCond(onClause bool, onTables *[]int) error {
 			return err
 		}
 		p.subSeq++
-		alias := fmt.Sprintf("subq%d", p.subSeq)
-		idx, err := p.addDerived(child, alias, corrs)
+		idx, err := p.addDerived(child, "subq"+strconv.Itoa(p.subSeq), corrs)
 		if err != nil {
 			return err
 		}
@@ -461,9 +496,9 @@ func (p *parser) parseCond(onClause bool, onTables *[]int) error {
 
 	opTok := p.take()
 	if opTok.kind != tokSymbol {
-		return p.errf("expected comparison operator, found %q", opTok.text)
+		return p.errf("expected comparison operator, found %q", p.text(opTok))
 	}
-	op, err := predOp(opTok.text)
+	op, err := predOp(p.text(opTok))
 	if err != nil {
 		return p.errf("%v", err)
 	}
@@ -556,7 +591,7 @@ func (p *parser) parseColList() ([]query.ColID, error) {
 			return nil, p.errf("grouping/ordering on enclosing-query column %s.%s", rc.alias, rc.col)
 		}
 		out = append(out, id)
-		if !p.at(tokSymbol, ",") {
+		if !p.atSymbol(",") {
 			return out, nil
 		}
 		p.take()
@@ -566,18 +601,18 @@ func (p *parser) parseColList() ([]query.ColID, error) {
 // parseRawCol parses [alias '.'] column.
 func (p *parser) parseRawCol() (rawCol, error) {
 	t := p.take()
-	if t.kind != tokIdent || keywords[strings.ToLower(t.text)] {
-		return rawCol{}, p.errf("expected column reference, found %q", t.text)
+	if t.kind != tokIdent || isKeyword(p.text(t)) {
+		return rawCol{}, p.errf("expected column reference, found %q", p.text(t))
 	}
-	rc := rawCol{col: strings.ToLower(t.text), pos: t.pos}
-	if p.at(tokSymbol, ".") {
+	rc := rawCol{col: strings.ToLower(p.text(t))}
+	if p.atSymbol(".") {
 		p.take()
 		c := p.take()
 		if c.kind != tokIdent {
-			return rawCol{}, p.errf("expected column name after %q.", t.text)
+			return rawCol{}, p.errf("expected column name after %q.", p.text(t))
 		}
 		rc.alias = rc.col
-		rc.col = strings.ToLower(c.text)
+		rc.col = strings.ToLower(p.text(c))
 	}
 	return rc, nil
 }
@@ -586,49 +621,31 @@ func (p *parser) parseRawCol() (rawCol, error) {
 // the enclosing query instead, correlated reports that and the ColID is
 // invalid.
 func (p *parser) resolveCol(rc rawCol) (id query.ColID, correlated bool, err error) {
-	alias := rc.alias
-	if alias == "" {
-		alias, err = p.findAliasFor(rc.col)
-		if err != nil {
-			return query.NoCol, false, err
-		}
-	}
-	if p.hasAlias(alias) {
-		id := p.qb.Col(alias, rc.col)
+	switch {
+	case rc.alias == "":
+		id, err = p.findCol(rc.col)
+		return id, false, err
+	case p.qb.HasAlias(rc.alias):
+		id := p.qb.Col(rc.alias, rc.col)
 		return id, false, p.qb.Err()
-	}
-	if p.parent != nil && p.parent.hasAlias(alias) {
+	case p.parent != nil && p.parent.qb.HasAlias(rc.alias):
 		return query.NoCol, true, nil
 	}
-	return query.NoCol, false, p.errf("unknown table alias %q", alias)
+	return query.NoCol, false, p.errf("unknown table alias %q", rc.alias)
 }
 
-// findAliasFor locates the unique in-scope table exposing an unqualified
-// column name.
-func (p *parser) findAliasFor(col string) (string, error) {
-	var found string
-	for _, alias := range p.qb.Aliases() {
-		if p.qb.HasColumn(alias, col) {
-			if found != "" {
-				return "", p.errf("column %q is ambiguous (%s, %s)", col, found, alias)
-			}
-			found = alias
-		}
+// findCol resolves an unqualified column name to the one in-scope table
+// exposing it.
+func (p *parser) findCol(col string) (query.ColID, error) {
+	id := p.qb.FindCol(col, 0)
+	if id == query.NoCol {
+		return query.NoCol, p.errf("unknown column %q", col)
 	}
-	if found == "" {
-		return "", p.errf("unknown column %q", col)
+	if again := p.qb.FindCol(col, p.tableOf(id)+1); again != query.NoCol {
+		aliases := p.qb.Aliases()
+		return query.NoCol, p.errf("column %q is ambiguous (%s, %s)", col, aliases[p.tableOf(id)], aliases[p.tableOf(again)])
 	}
-	return found, nil
-}
-
-// hasAlias reports whether the alias is in this block's FROM list.
-func (p *parser) hasAlias(alias string) bool {
-	for _, a := range p.qb.Aliases() {
-		if a == alias {
-			return true
-		}
-	}
-	return false
+	return id, nil
 }
 
 // tableOf returns the owning table index of a resolved column.

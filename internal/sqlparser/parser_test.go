@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -197,6 +198,63 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("accepted: %s", tc.sql)
 			}
 		})
+	}
+}
+
+// TestParseNonASCIIOutsideLiteral pins the byte-class lexer: identifiers and
+// whitespace are ASCII, so a byte of 0x80 or above outside a string literal
+// is an error at that byte's offset — the rune-per-byte lexer took 0xC2 for
+// the letter Â, 0xA0 for a space and 0xAA for the letter ª.
+func TestParseNonASCIIOutsideLiteral(t *testing.T) {
+	const head = "SELECT c_name FROM customer"
+	for _, tc := range []struct {
+		name, sql string
+		char      string
+		offset    int
+	}{
+		{"nbsp", head + "\u00a0\u00a0 WHERE c_acctbal > 1", `'Â'`, len(head)},
+		{"ordinal", head + " \u00aa", `'Â'`, len(head) + 1},
+		{"eacute", head + " \u00e9", `'Ã'`, len(head) + 1},
+		{"mid identifier", "SELECT c_n\u00e4me FROM customer", `'Ã'`, len("SELECT c_n")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(tc.sql, tpch(t))
+			want := fmt.Sprintf("sql: unexpected character %s at offset %d", tc.char, tc.offset)
+			if err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %s", err, want)
+			}
+		})
+	}
+	// A literal passes its bytes through.
+	blk, err := Parse("SELECT c_name FROM customer WHERE c_name = 'caf\u00e9\u00a0\u00aa'", tpch(t))
+	if err != nil || len(blk.LocalPreds) != 1 {
+		t.Fatalf("non-ASCII literal: block %+v, err %v", blk, err)
+	}
+}
+
+// TestParseNumbers pins the number grammar, digits[.digits]: the lexer took
+// any run of digits and dots.
+func TestParseNumbers(t *testing.T) {
+	const head = "SELECT c_name FROM customer WHERE c_acctbal > "
+	for _, tc := range []struct{ num, wantErr string }{
+		{"1", ""},
+		{"1.5", ""},
+		{"1.", fmt.Sprintf(`sql: malformed number "1." at offset %d`, len(head))},
+		{"1.2.3", fmt.Sprintf(`sql: malformed number "1.2.3" at offset %d`, len(head))},
+		{"1..", fmt.Sprintf(`sql: malformed number "1.." at offset %d`, len(head))},
+		{".5", fmt.Sprintf(`sql: offset %d: expected column reference, found "."`, len(head)+1)},
+	} {
+		_, err := Parse(head+tc.num+" ORDER BY c_name", tpch(t))
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%q: %v", tc.num, err)
+		case tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr):
+			t.Errorf("%q: err = %v, want %s", tc.num, err, tc.wantErr)
+		}
+	}
+	if _, err := Parse("SELECT c_name FROM customer FETCH FIRST 1.5 ROWS ONLY", tpch(t)); err == nil ||
+		!strings.Contains(err.Error(), "non-integer FETCH FIRST count") {
+		t.Errorf("FETCH FIRST 1.5: err = %v, want the non-integer error", err)
 	}
 }
 

@@ -12,7 +12,8 @@
 # Custom b.ReportMetric units (e.g. the headline estimate's deterministic
 # "peak-bytes" resource metric) land in each benchmark's "extra" map in
 # BENCH_cote.json; `benchjson -delta` reports them alongside ns/op and
-# allocs/op.
+# allocs/op, and the compare gates those whose unit ends in "-exact" (the
+# parse and canonical-rebuild allocation counts) on equality.
 #
 # Environment overrides:
 #   COUNT      runs per benchmark, median kept   (default 5; smoke: 1)
@@ -51,8 +52,13 @@ fi
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
 
-echo "== go test -run NONE -bench $BENCH -benchmem -count $COUNT ${extra[*]:-} ." >&2
-go test -run NONE -bench "$BENCH" -benchmem -count "$COUNT" "${extra[@]}" . | tee "$out" >&2
+# The root package holds the paper's figures and the headline paths; the two
+# front-of-pipeline packages hold the parse and fingerprint benchmarks whose
+# allocation counts the baseline gates exactly.
+PKGS=(. ./internal/sqlparser ./internal/fingerprint)
+
+echo "== go test -run NONE -bench $BENCH -benchmem -count $COUNT ${extra[*]:-} ${PKGS[*]}" >&2
+go test -run NONE -bench "$BENCH" -benchmem -count "$COUNT" "${extra[@]}" "${PKGS[@]}" | tee "$out" >&2
 
 emit() {
   # Keep a machine-readable copy of this run next to the pass/fail gate so
