@@ -16,22 +16,25 @@ import (
 	"cote/internal/workload"
 )
 
-// Measured 2026-10: optimize 2,568 allocs (was ~10.8k before the plan
-// arena), estimate 292 (776 before a MEMO entry's equivalence came from the
-// MEMO's arena and the cardinality estimator stopped allocating a predicate
-// slice per entry).
+// Measured 2026-10: optimize 2,237 allocs (was ~10.8k before the plan
+// arena), estimate 28 — seven per block of the four-block query: the result,
+// the enumerator, the block list. It was 292 while the
+// cardinality estimator, the scope, the counter, the interned merge orders
+// and the base-table order lists were built per block, and 776 before a MEMO
+// entry's equivalence came from the MEMO's arena.
 const (
 	maxOptimizeAllocs = 3700
-	maxEstimateAllocs = 350
+	maxEstimateAllocs = 32
 )
 
 // maxEstimateClique10Allocs bounds one estimate shaped like the benchmark's
 // cold_dense requests, only larger: a 10-table clique, 1,023 MEMO entries,
-// on a warm MEMO pool. Measured 1,451 — what is left is the interned merge
-// orders and the base-table order lists, none of it per entry; it was
-// 11,699 when every entry allocated its equivalence and its crossing-
-// predicate slice.
-const maxEstimateClique10Allocs = 1750
+// on a warm workspace pool. Measured 7, the same seven a 3-table chain
+// costs: nothing is allocated per table, per entry or per stored order. It
+// was 1,451 while merge orders were interned through a map and base-table
+// order lists were built per table, and 11,699 when every entry allocated
+// its equivalence and its crossing-predicate slice.
+const maxEstimateClique10Allocs = 8
 
 // optimizeAllocsBeforeHitMemo is the headline compile's exact count at the
 // commit before the buffer-model memo (3062; 2953 with it, the flat Equiv
@@ -70,8 +73,8 @@ func TestEstimatePlansAllocsReal2Headline(t *testing.T) {
 	})
 	limit := maxEstimateAllocs
 	if testutil.RaceEnabled {
-		// sync.Pool drops puts under -race: every run builds its MEMO, slab
-		// and arena anew (measured 603).
+		// sync.Pool drops puts under -race: a run whose workspace was
+		// dropped builds MEMO, slab, arenas and scratch anew.
 		limit = 750
 	}
 	if avg > float64(limit) {
@@ -84,7 +87,7 @@ func TestEstimatePlansAllocsClique10(t *testing.T) {
 		t.Skip("alloc guard skipped in -short")
 	}
 	if testutil.RaceEnabled {
-		t.Skip("sync.Pool drops puts under -race, so the MEMO pool never warms")
+		t.Skip("sync.Pool drops puts under -race, so the workspace pool never warms")
 	}
 	q := workload.Clique(1).Queries[4] // clique_n10_p1
 	if q.Block.NumTables() != 10 {

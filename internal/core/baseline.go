@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"cote/internal/cost"
 	"cote/internal/enum"
-	"cote/internal/memo"
 	"cote/internal/query"
 	"cote/internal/stats"
 )
@@ -67,21 +65,14 @@ func CalibrateJoinCount(training []JoinTrainingPoint) (*JoinCountModel, error) {
 // enumeration machinery.
 func CountJoins(blk *query.Block, opts Options) (*JoinCountEstimate, error) {
 	start := time.Now()
-	cfg := opts.Config
-	if cfg == nil {
-		cfg = cost.Serial
-	}
 	out := &JoinCountEstimate{}
 	for _, b := range blk.Blocks() {
 		if opts.Exec.Cancelled() {
 			return nil, opts.Exec.Err()
 		}
-		card := cost.NewEstimator(b, cost.Simple)
-		mem := memo.New(b.NumTables())
-		eopts := opts.level().EnumOptions()
-		eopts.Cartesian = opts.CartesianPolicy
-		eopts.Exec = opts.Exec
-		st, err := enum.New(b, mem, card, eopts).Run(enum.Hooks{})
+		ws := acquireWorkspace(b, opts)
+		st, err := ws.enumerator(opts.level(), opts).Run(enum.Hooks{})
+		ws.release()
 		if err != nil {
 			return nil, err
 		}

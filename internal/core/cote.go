@@ -121,13 +121,14 @@ type Estimate struct {
 // the parents, mirroring the real optimizer's multi-block processing.
 func EstimatePlans(blk *query.Block, opts Options) (*Estimate, error) {
 	start := time.Now()
-	cfg := knobs.CostConfig(opts.Config)
 	est := &Estimate{}
 	for _, b := range blk.Blocks() {
 		if opts.Exec.Cancelled() {
 			return nil, opts.Exec.Err()
 		}
-		be, outCard, err := estimateBlock(b, cfg, opts)
+		ws := acquireWorkspace(b, opts)
+		be, outCard, err := ws.estimate(opts)
+		ws.release()
 		if err != nil {
 			return nil, err
 		}
@@ -192,41 +193,70 @@ func EstimatePlansCtx(ctx context.Context, blk *query.Block, opts Options) (*Est
 	return EstimatePlans(blk, opts)
 }
 
-// memoPool recycles MEMOs across estimation runs. estimateBlock is the one
-// place a MEMO provably does not escape (BlockEstimate keeps only scalar
-// summaries of it), so the serving layer's steady state reuses the entry map
-// and size buckets instead of reallocating them per request.
-var memoPool = sync.Pool{New: func() any { return memo.New(0) }}
+// workspace is everything an estimation run over one block needs besides its
+// result: the MEMO with its slab and arenas, the simple-mode cardinality
+// estimator, the interest scope and the counter with its per-join scratch.
+// reset readies all of it for a block and rebuilds none, so on a warm pool a
+// run allocates its Estimate and little else. Nothing reachable from it may
+// be kept past release: BlockEstimate and MultiLevelEstimate hold scalars,
+// never an entry, order or partition, whose storage the next run overwrites.
+type workspace struct {
+	mem  *memo.Memo
+	card cost.Estimator
+	sc   props.Scope
+	cnt  counter
+}
 
-// estimateBlock runs one block through the enumerator with counting hooks,
-// returning its estimate and its (simple-mode) output cardinality.
-func estimateBlock(blk *query.Block, cfg *cost.Config, opts Options) (*BlockEstimate, float64, error) {
-	// Plan-estimate mode deliberately uses the simple cardinality model —
-	// cheap, but ignorant of keys, which is the documented source of the
-	// parallel HSJN estimation errors.
-	card := cost.NewEstimator(blk, cost.Simple)
-	sc := props.NewScope(blk)
-	mem := memoPool.Get().(*memo.Memo)
-	mem.Reset(blk.NumTables())
+// workspacePool is the only pool on the estimate path.
+var workspacePool = sync.Pool{New: func() any { return &workspace{mem: memo.New(0)} }}
+
+// acquireWorkspace takes a workspace from the pool and resets it for blk.
+func acquireWorkspace(blk *query.Block, opts Options) *workspace {
+	ws := workspacePool.Get().(*workspace)
+	ws.reset(blk, opts)
+	return ws
+}
+
+func (ws *workspace) release() { workspacePool.Put(ws) }
+
+// reset readies the workspace for one block, whatever it served before.
+// Plan-estimate mode deliberately uses the simple cardinality model — cheap,
+// but ignorant of keys, which is the documented source of the parallel HSJN
+// estimation errors.
+func (ws *workspace) reset(blk *query.Block, opts Options) {
+	ws.card.Reset(blk, cost.Simple)
+	ws.sc.Reset(blk)
+	ws.mem.Reset(blk.NumTables())
 	// Attach after Reset (which detaches and zeroes the previous run's
 	// accounting) so pooled reuse never carries stale charges forward. A nil
 	// Exec still keeps the memo-local tally, so MeasuredBytes costs nothing.
-	mem.SetAccountant(opts.Exec.Resources())
-	defer memoPool.Put(mem)
-	cnt := newCounter(blk, sc, cfg.Nodes, opts.OrderPolicy, opts.ListMode, opts.PropagateEveryJoin)
+	ws.mem.SetAccountant(opts.Exec.Resources())
+	ws.cnt.reset(blk, &ws.sc, ws.mem, knobs.CostConfig(opts.Config).Nodes, opts)
+}
 
-	eopts := opts.level().EnumOptions()
+// enumerator builds the block's join enumerator at the given level over the
+// workspace's MEMO and estimator.
+func (ws *workspace) enumerator(level opt.Level, opts Options) *enum.Enumerator {
+	eopts := level.EnumOptions()
 	eopts.Cartesian = opts.CartesianPolicy
 	eopts.Exec = opts.Exec
-	en := enum.New(blk, mem, card, eopts)
+	return enum.New(ws.cnt.blk, ws.mem, &ws.card, eopts)
+}
+
+// estimate runs the block the workspace was reset for through the enumerator
+// with counting hooks; it returns the (simple-mode) output cardinality too.
+func (ws *workspace) estimate(opts Options) (*BlockEstimate, float64, error) {
+	blk, mem, cnt := ws.cnt.blk, ws.mem, &ws.cnt
+
+	en := ws.enumerator(opts.level(), opts)
 	var st enum.Stats
 	var err error
 	if workers := knobs.Parallelism(opts.Parallelism); workers > 1 {
-		hooks, finish := cnt.parallelHooks()
+		hooks, finish := parallelCountHooks(cnt, []countLane{{cnt: cnt}})
 		st, err = en.RunParallel(hooks, workers)
 		finish()
 	} else {
-		st, err = en.Run(cnt.hooks())
+		st, err = en.Run(enum.Hooks{Init: cnt.initialize, Join: cnt.accumulatePlans})
 	}
 	if err != nil {
 		return nil, 0, err
@@ -251,8 +281,8 @@ func estimateBlock(blk *query.Block, cfg *cost.Config, opts Options) (*BlockEsti
 	pb := cnt.propertyBytes(mem)
 	mem.ChargeProperties(pb / memo.PropertyValueBytes)
 	// The counter's per-join scratch is working memory, not MEMO content:
-	// charge its high-water capacity and release it, so the run's total peak
-	// sees it but blocks don't accumulate freed buffers.
+	// charge its high-water use and release it, so the run's total peak sees
+	// it but blocks don't accumulate freed buffers.
 	if acct := opts.Exec.Resources(); acct != nil {
 		sb := cnt.scratchBytes()
 		acct.Charge(resource.KindScratch, sb)

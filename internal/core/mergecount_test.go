@@ -71,9 +71,14 @@ func TestMergeOrderCountMatchesOracle(t *testing.T) {
 					nodes = ref.Table.Partitioning.Nodes
 				}
 			}
-			sc := props.NewScope(blk)
-			c := newCounter(blk, sc, nodes, props.Eager, SeparateLists, false)
-			hooks := c.hooks()
+			cfg := cost.Serial
+			if nodes > 1 {
+				cfg = &cost.Config{Nodes: nodes}
+			}
+			opts := Options{Level: opt.LevelHigh, Config: cfg}
+			ws := acquireWorkspace(blk, opts)
+			c := &ws.cnt
+			hooks := enum.Hooks{Init: c.initialize}
 			hooks.Join = func(outer, inner, result *memo.Entry) {
 				c.accumulatePlans(outer, inner, result)
 				oc, ic := blk.AppendJoinCols(outer.Tables, inner.Tables, nil, nil)
@@ -91,10 +96,10 @@ func TestMergeOrderCountMatchesOracle(t *testing.T) {
 					multi++
 				}
 			}
-			en := enum.New(blk, memo.New(blk.NumTables()), cost.NewEstimator(blk, cost.Simple), opt.LevelHigh.EnumOptions())
-			if _, err := en.Run(hooks); err != nil {
+			if _, err := ws.enumerator(opts.Level, opts).Run(hooks); err != nil {
 				t.Fatalf("%s: %v", q.Name, err)
 			}
+			ws.release()
 		}
 	}
 	if joins < 10000 || multi < 1000 {

@@ -16,9 +16,9 @@
 // order-independent, so PlanCounts, property lists, enumeration statistics
 // and the MEMO's durable accounting are bit-identical to the serial pass at
 // every parallelism degree — the same guarantee the determinism suite pins
-// for optimization. The scope the workers share is immutable, and the
-// property interner only the driver-side propagation writes takes its own
-// lock.
+// for optimization. The scope the workers share is immutable, and the MEMO
+// arena stored properties take their columns from is carved by the
+// driver-side propagation alone, so neither needs a lock.
 package core
 
 import (
@@ -52,6 +52,8 @@ type cntWorker struct {
 	lanes []countLane
 	buf   []cntTask
 	cur   int
+	// maxBuf is buf's high-water length, what the scratch charge counts.
+	maxBuf int
 }
 
 // generate counts one enumerated join into the worker-local lane counters
@@ -64,6 +66,7 @@ func (w *cntWorker) generate(task int, outer, inner, result *memo.Entry) {
 		}
 	}
 	w.buf = append(w.buf, cntTask{task, outer, inner, result})
+	w.maxBuf = max(w.maxBuf, len(w.buf))
 }
 
 // commit replays one buffered task's property propagation on the driver.
@@ -87,14 +90,14 @@ func (w *cntWorker) commit(task int) {
 	}
 }
 
-// fork clones the counter for a worker goroutine: the immutable
-// configuration is shared — including the compound-vector map, which
+// fork clones the counter for a worker goroutine or a counting lane: the
+// immutable configuration is shared — including the compound-vector map, which
 // workers only ever read for size<k entries while the driver writes size-k
 // vectors strictly after the class barrier — while counts, joins and the
 // per-join scratch buffers are private.
 func (c *counter) fork() *counter {
 	return &counter{
-		blk: c.blk, sc: c.sc,
+		blk: c.blk, sc: c.sc, mem: c.mem,
 		parallel: c.parallel, nodes: c.nodes,
 		policy: c.policy, mode: c.mode, everyJoin: c.everyJoin,
 		pipeFactor: c.pipeFactor,
@@ -104,19 +107,12 @@ func (c *counter) fork() *counter {
 	}
 }
 
-// parallelHooks returns the RunParallel hooks of the plain estimation pass
-// and the finish func that merges worker-local counts back into c. Call
-// finish after RunParallel returns (even on error: partial counts keep the
-// accountant's scratch charge honest; the estimate itself is discarded).
-func (c *counter) parallelHooks() (enum.ParallelHooks, func()) {
-	return parallelCountHooks(c, []countLane{{cnt: c}})
-}
-
 // parallelCountHooks builds the parallel harness shared by EstimatePlans
 // and EstimateLevels: prop propagates (and initializes fresh entries) on
 // the driver; every counting lane is forked once per worker, and finish
 // folds the forks' counts, joins and scratch high-water back into the
-// lanes' counters.
+// lanes' counters. Call finish after RunParallel returns, even on error:
+// partial counts keep the accountant's scratch charge honest.
 func parallelCountHooks(prop *counter, lanes []countLane) (enum.ParallelHooks, func()) {
 	var ws []*cntWorker
 	hooks := enum.ParallelHooks{
@@ -138,7 +134,7 @@ func parallelCountHooks(prop *counter, lanes []countLane) (enum.ParallelHooks, f
 				dst.joins += l.cnt.joins
 				dst.extraScratch += l.cnt.scratchBytes()
 			}
-			prop.extraScratch += int64(cap(w.buf)) * cntTaskBytes
+			prop.extraScratch += int64(w.maxBuf) * cntTaskBytes
 		}
 	}
 	return hooks, finish

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cote/internal/cost"
 	"cote/internal/enum"
 	"cote/internal/knobs"
 	"cote/internal/memo"
@@ -39,11 +38,6 @@ func EstimateLevels(blk *query.Block, top opt.Level, levels []opt.Level, opts Op
 			return nil, fmt.Errorf("core: level %v does not subsume %v", top, l)
 		}
 	}
-	cfg := opts.Config
-	if cfg == nil {
-		cfg = cost.Serial
-	}
-
 	out := &MultiLevelEstimate{
 		Levels: levels,
 		Counts: make(map[opt.Level]PlanCounts),
@@ -53,69 +47,70 @@ func EstimateLevels(blk *query.Block, top opt.Level, levels []opt.Level, opts Op
 		if opts.Exec.Cancelled() {
 			return nil, opts.Exec.Err()
 		}
-		card := cost.NewEstimator(b, cost.Simple)
-		sc := props.NewScope(b)
-		mem := memo.New(b.NumTables())
-
-		// One counter per level, sharing the single enumeration. Property
-		// propagation runs once (on the top-level counter); the per-level
-		// counters only accumulate counts for the joins inside their space.
-		counters := make(map[opt.Level]*counter, len(levels))
-		for _, l := range levels {
-			counters[l] = newCounter(b, sc, cfg.Nodes, opts.OrderPolicy, opts.ListMode, opts.PropagateEveryJoin)
-		}
-		topCnt := newCounter(b, sc, cfg.Nodes, opts.OrderPolicy, opts.ListMode, opts.PropagateEveryJoin)
-
-		eopts := top.EnumOptions()
-		eopts.Cartesian = opts.CartesianPolicy
-		eopts.Exec = opts.Exec
-		en := enum.New(b, mem, card, eopts)
-		if workers := knobs.Parallelism(opts.Parallelism); workers > 1 {
-			// One parallel pass serves every level: each worker forks one
-			// counting lane per level, gated by that level's search-space
-			// filter; the top counter only propagates (its counts are never
-			// read), on the driver in canonical order.
-			lanes := make([]countLane, len(levels))
-			for i, l := range levels {
-				lvl := l
-				lanes[i] = countLane{
-					cnt:   counters[lvl],
-					admit: func(outer, inner *memo.Entry) bool { return levelAdmits(lvl, outer, inner) },
-				}
-			}
-			phooks, finish := parallelCountHooks(topCnt, lanes)
-			_, err := en.RunParallel(phooks, workers)
-			finish()
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			hooks := enum.Hooks{
-				Init: topCnt.initialize,
-				Join: func(outer, inner, result *memo.Entry) {
-					for _, l := range levels {
-						if levelAdmits(l, outer, inner) {
-							// Count without re-propagating: share the lists
-							// built by the top counter.
-							counters[l].countOnly(outer, inner, result)
-						}
-					}
-					topCnt.accumulatePlans(outer, inner, result)
-				},
-			}
-			if _, err := en.Run(hooks); err != nil {
-				return nil, err
-			}
-		}
-		for _, l := range levels {
-			c := out.Counts[l]
-			c.Add(counters[l].counts)
-			out.Counts[l] = c
-			out.Joins[l] += counters[l].joins
+		if err := estimateBlockLevels(b, top, levels, opts, out); err != nil {
+			return nil, err
 		}
 	}
 	out.Elapsed = time.Since(start)
 	return out, nil
+}
+
+// estimateBlockLevels runs one block's single top-level enumeration and adds
+// every requested level's counts to out.
+func estimateBlockLevels(b *query.Block, top opt.Level, levels []opt.Level, opts Options, out *MultiLevelEstimate) error {
+	ws := acquireWorkspace(b, opts)
+	defer ws.release()
+
+	// One counter per level, sharing the single enumeration. Property
+	// propagation runs once (on the workspace's counter, whose counts are
+	// never read); the per-level counters only accumulate counts for the
+	// joins inside their space.
+	topCnt := &ws.cnt
+	lanes := make([]countLane, len(levels))
+	for i, l := range levels {
+		lanes[i] = countLane{
+			cnt:   topCnt.fork(),
+			admit: func(outer, inner *memo.Entry) bool { return levelAdmits(l, outer, inner) },
+		}
+	}
+
+	en := ws.enumerator(top, opts)
+	if workers := knobs.Parallelism(opts.Parallelism); workers > 1 {
+		// One parallel pass serves every level: each worker forks one
+		// counting lane per level, gated by that level's search-space
+		// filter; the top counter only propagates, on the driver in
+		// canonical order.
+		phooks, finish := parallelCountHooks(topCnt, lanes)
+		_, err := en.RunParallel(phooks, workers)
+		finish()
+		if err != nil {
+			return err
+		}
+	} else {
+		hooks := enum.Hooks{
+			Init: topCnt.initialize,
+			Join: func(outer, inner, result *memo.Entry) {
+				for _, l := range lanes {
+					if l.admit(outer, inner) {
+						// Count without re-propagating: share the lists
+						// built by the top counter.
+						l.cnt.countOnly(outer, inner, result)
+					}
+				}
+				topCnt.accumulatePlans(outer, inner, result)
+			},
+		}
+		if _, err := en.Run(hooks); err != nil {
+			return err
+		}
+	}
+	for i, l := range levels {
+		c := out.Counts[l]
+		c.Add(lanes[i].cnt.counts)
+		out.Counts[l] = c
+		out.Joins[l] += lanes[i].cnt.joins
+	}
+	return nil
 }
 
 // levelAdmits reports whether the (outer, inner) orientation lies in the

@@ -11,10 +11,10 @@
 package core
 
 import (
+	"slices"
 	"unsafe"
 
 	"cote/internal/bitset"
-	"cote/internal/enum"
 	"cote/internal/memo"
 	"cote/internal/plangen"
 	"cote/internal/props"
@@ -82,10 +82,14 @@ type propVec struct {
 }
 
 // counter is the plan-estimate mode engine for a single query block: the
-// hook implementations of the paper's Table 3.
+// hook implementations of the paper's Table 3. The propagating one lives in
+// the pooled workspace; count-only twins (parallel workers, level lanes) fork.
 type counter struct {
-	blk      *query.Block
-	sc       *props.Scope
+	blk *query.Block
+	sc  *props.Scope
+	// mem is the block's MEMO; its arena keeps the columns of every order and
+	// partition the propagating counter stores, on the driver goroutine only.
+	mem      *memo.Memo
 	parallel bool
 	nodes    int
 	policy   props.GenerationPolicy
@@ -118,45 +122,46 @@ type counter struct {
 	// Scratch for the per-join hot path. accumulate_plans runs once per
 	// enumerated join — the paper's Table 3 inner loop — so everything it
 	// needs transiently is buffered on the counter and reused join over
-	// join, mirroring the real generator's allocation-lean idioms.
+	// join and request over request, mirroring the real generator's idioms.
 	ocBuf, icBuf []query.ColID
 	// colsOuter and colsInner are the table sets ocBuf and icBuf hold the
 	// join columns of (no join has an empty side, so zero means none yet).
 	colsOuter, colsInner bitset.Set
-	jcBuf                []query.ColID
-	outsBuf              []props.Order
-	emitted              props.OrderList
-	plistBuf             props.PartitionList
+	// maxCols is the most join columns one join of this block had: what the
+	// run used of ocBuf and icBuf (doubled, of jcBuf), whatever their capacity.
+	maxCols  int
+	jcBuf    []query.ColID
+	base     props.BaseOrders
+	emitted  props.OrderList
+	plistBuf props.PartitionList
 	// joinRep marks, within one mergeOrderCount call, the class
 	// representatives of the join's outer columns; all false between calls.
 	joinRep []bool
 }
 
-func newCounter(blk *query.Block, sc *props.Scope, nodes int, policy props.GenerationPolicy, mode ListMode, everyJoin bool) *counter {
+// reset configures the counter for one block, keeping the scratch buffers of
+// the block before.
+func (c *counter) reset(blk *query.Block, sc *props.Scope, mem *memo.Memo, nodes int, opts Options) {
 	pipe := 1
 	if sc.PipelineInteresting() {
 		pipe = 2
 	}
-	c := &counter{
-		blk: blk, sc: sc,
+	n := len(blk.Columns)
+	*c = counter{
+		blk: blk, sc: sc, mem: mem,
 		parallel: nodes > 1, nodes: nodes,
-		policy: policy, mode: mode, everyJoin: everyJoin,
+		policy: opts.OrderPolicy, mode: opts.ListMode, everyJoin: opts.PropagateEveryJoin,
 		pipeFactor: pipe,
 		expTables:  sc.ExpensiveTables(),
-		joinRep:    make([]bool, len(blk.Columns)),
+		ocBuf:      c.ocBuf[:0], icBuf: c.icBuf[:0], jcBuf: c.jcBuf[:0],
+		base: c.base, emitted: c.emitted, plistBuf: c.plistBuf,
+		joinRep: slices.Grow(c.joinRep[:0], n)[:n],
 	}
+	clear(c.joinRep)
 	// Only the compound-list ablation maintains per-entry vectors; the
 	// default separate-list mode never touches the map.
-	if mode == CompoundLists {
+	if c.mode == CompoundLists {
 		c.vecs = make(map[bitset.Set][]propVec)
-	}
-	return c
-}
-
-func (c *counter) hooks() enum.Hooks {
-	return enum.Hooks{
-		Init: c.initialize,
-		Join: c.accumulatePlans,
 	}
 }
 
@@ -171,18 +176,16 @@ func (c *counter) initialize(e *memo.Entry) {
 		return
 	}
 	t := e.Tables.Min()
-	var orders []props.Order
 	if c.policy == props.Eager {
-		orders = c.sc.EagerBaseOrders(t, &e.Equiv)
+		for _, o := range c.sc.EagerBaseOrders(t, &e.Equiv, &c.base) {
+			c.mem.AddOrder(e, o)
+		}
 	} else {
-		for _, o := range c.sc.NaturalBaseOrders(t, &e.Equiv) {
+		for _, o := range c.sc.NaturalBaseOrders(t, &e.Equiv, &c.base) {
 			if c.sc.OrderUseful(o, &e.Equiv) {
-				orders = append(orders, o)
+				c.mem.AddOrder(e, o)
 			}
 		}
-	}
-	for _, o := range orders {
-		e.Orders.Add(o, &e.Equiv)
 	}
 	part := props.Partition{}
 	if c.parallel {
@@ -192,8 +195,10 @@ func (c *counter) initialize(e *memo.Entry) {
 		}
 	}
 	if c.mode == CompoundLists {
+		// The base orders are already distinct under e.Equiv, so the entry's
+		// list holds every one of them, in order, with columns of its own.
 		vs := []propVec{{props.Order{}, part}}
-		for _, o := range orders {
+		for _, o := range e.Orders.Orders() {
 			vs = append(vs, propVec{o, part})
 		}
 		c.vecs[e.Tables] = vs
@@ -227,6 +232,7 @@ func (c *counter) joinCols(outer, inner *memo.Entry) (outerCols, innerCols []que
 		c.ocBuf, c.icBuf = c.icBuf, c.ocBuf
 	} else {
 		c.ocBuf, c.icBuf = c.blk.AppendJoinCols(outer.Tables, inner.Tables, c.ocBuf[:0], c.icBuf[:0])
+		c.maxCols = max(c.maxCols, len(c.ocBuf))
 	}
 	c.colsOuter, c.colsInner = outer.Tables, inner.Tables
 	return c.ocBuf, c.icBuf
@@ -245,51 +251,57 @@ func (c *counter) propagateWithCols(outer, inner, result *memo.Entry, outerCols 
 	// Orders propagate from both inputs' lists (Table 3: lists ∪ listl)
 	// — restricted to outer-enabled inputs, since orders travel on the
 	// outer of a nested-loops join (DB2 item 3) — plus the
-	// merge-candidate orders MGJN partially propagates. The merge
-	// candidates are interned because Add stores them in the entry's
-	// list, which outlives the scratch buffers.
-	outs := c.mergeOutsInterned(outerCols)
-	addUseful := func(orders []props.Order) {
-		for _, o := range orders {
-			if c.sc.OrderUseful(o, &result.Equiv) {
-				result.Orders.Add(o, &result.Equiv)
-			}
+	// merge-candidate orders MGJN partially propagates. The inputs' orders
+	// already own their columns in this MEMO's arena and are shared; a merge
+	// candidate is a window on the join-column scratch and is given columns
+	// of its own only if the list takes it.
+	c.inheritOrders(outer, result)
+	if inner.OuterEligible {
+		c.inheritOrders(inner, result)
+	}
+	for i := 0; i <= len(outerCols); i++ {
+		if o := mergeOut(outerCols, i); c.sc.OrderUseful(o, &result.Equiv) {
+			c.mem.AddOrder(result, o)
 		}
 	}
-	addUseful(outer.Orders.Orders())
-	if inner.OuterEligible {
-		addUseful(inner.Orders.Orders())
-	}
-	addUseful(outs)
 	for _, pp := range candParts {
-		if !pp.Empty() {
+		// Stored input partitions and the scratch repartition alike are
+		// copied into the arena: a column or two, not worth telling apart.
+		if !pp.Empty() && !result.Parts.Contains(pp, &result.Equiv) {
+			pp.Cols = c.mem.KeepCols(pp.Cols)
 			result.Parts.Add(pp, &result.Equiv)
 		}
 	}
 	if c.mode == CompoundLists {
-		c.propagateVecs(outer, result, candParts, outs)
+		c.propagateVecs(outer, result, candParts, outerCols)
 		if inner.OuterEligible {
-			c.propagateVecs(inner, result, candParts, outs)
+			c.propagateVecs(inner, result, candParts, outerCols)
 		}
 	}
 }
 
-// mergeOutsInterned builds the outer-side merge-candidate orders (the outs
-// of plangen.MergeCandidates; estimation never needs the inner side) through
-// the block's interner, so storing them in an entry's property list shares
-// one instance per distinct column sequence. The slice itself is counter
-// scratch, valid until the next mergeOuts call.
-func (c *counter) mergeOutsInterned(outerCols []query.ColID) []props.Order {
-	in := c.sc.Intern()
-	outs := c.outsBuf[:0]
-	for _, col := range outerCols {
-		outs = append(outs, in.Order1(col))
+// inheritOrders adds in's orders still useful at result, sharing their columns.
+func (c *counter) inheritOrders(in, result *memo.Entry) {
+	for _, o := range in.Orders.Orders() {
+		if c.sc.OrderUseful(o, &result.Equiv) {
+			result.Orders.Add(o, &result.Equiv)
+		}
 	}
-	if len(outerCols) > 1 {
-		outs = append(outs, in.Order(outerCols))
+}
+
+// mergeOut returns the i-th outer-side merge-candidate order of a join (the
+// outs of plangen.MergeCandidates; estimation never needs the inner side),
+// 0 <= i <= len(outerCols): one per join column, then the composite on all of
+// them, which for a single-column join is the empty, never useful, order.
+// They are windows on outerCols: scratch, valid until the next column lookup.
+func mergeOut(outerCols []query.ColID, i int) props.Order {
+	switch {
+	case i < len(outerCols):
+		return props.Order{Cols: outerCols[i : i+1]}
+	case len(outerCols) > 1:
+		return props.Order{Cols: outerCols}
 	}
-	c.outsBuf = outs
-	return outs
+	return props.Order{}
 }
 
 // mergeOrderCount returns |listp ∪ listc|: the deduplicated merge-candidate
@@ -336,7 +348,7 @@ var serialParts = []props.Partition{{}}
 // the interesting-partition lists: input partitions covered by the join
 // columns, or a repartition on the join columns when none qualifies (the
 // heuristic of Section 4). Serial estimation uses the single don't-care
-// partition.
+// partition. The result is scratch, the repartition a window on outerCols.
 func (c *counter) candidateParts(outer, inner, result *memo.Entry, outerCols, innerCols []query.ColID) []props.Partition {
 	if !c.parallel {
 		return serialParts
@@ -353,19 +365,17 @@ func (c *counter) candidateParts(outer, inner, result *memo.Entry, outerCols, in
 		}
 	}
 	if list.Len() == 0 {
-		if len(outerCols) > 0 {
-			// Interned: the repartition may be stored in the result's
-			// interesting lists, which outlive the scratch outerCols.
-			return []props.Partition{c.sc.Intern().Partition(c.nodes, outerCols)}
+		if len(outerCols) == 0 {
+			return serialParts
 		}
-		return []props.Partition{{}}
+		list.Add(props.Partition{Cols: outerCols, Nodes: c.nodes}, &result.Equiv)
 	}
 	return list.Partitions()
 }
 
 // propagateVecs maintains compound (order, partition) vectors: a vector
 // retires only when every component has retired (Section 3.4).
-func (c *counter) propagateVecs(outer, result *memo.Entry, candParts []props.Partition, mergeOrders []props.Order) {
+func (c *counter) propagateVecs(outer, result *memo.Entry, candParts []props.Partition, outerCols []query.ColID) {
 	have := c.vecs[result.Tables]
 	add := func(v propVec) {
 		for _, h := range have {
@@ -373,6 +383,8 @@ func (c *counter) propagateVecs(outer, result *memo.Entry, candParts []props.Par
 				return
 			}
 		}
+		// The components may be scratch; a kept vector owns its columns.
+		v.o.Cols, v.p.Cols = c.mem.KeepCols(v.o.Cols), c.mem.KeepCols(v.p.Cols)
 		have = append(have, v)
 	}
 	for _, pp := range candParts {
@@ -391,8 +403,8 @@ func (c *counter) propagateVecs(outer, result *memo.Entry, candParts []props.Par
 			// interesting partition.
 			add(propVec{v.o, pp})
 		}
-		for _, o := range mergeOrders {
-			if c.sc.OrderUseful(o, &result.Equiv) {
+		for i := 0; i <= len(outerCols); i++ {
+			if o := mergeOut(outerCols, i); c.sc.OrderUseful(o, &result.Equiv) {
 				add(propVec{o, pp})
 			}
 		}
@@ -428,20 +440,22 @@ func (c *counter) countCompound(outer, result *memo.Entry, candParts []props.Par
 	}
 }
 
-// Scratch element sizes for the run accountant's working-memory class.
-// Vars, not consts: unsafe.Sizeof over *new(T) is not a constant expression.
-var (
-	counterColIDBytes = int64(unsafe.Sizeof(*new(query.ColID)))
-	counterOrderBytes = int64(unsafe.Sizeof(props.Order{}))
-)
+// counterColIDBytes is the scratch element size for the run accountant's
+// working-memory class. A var: unsafe.Sizeof over *new(T) is not a constant
+// expression.
+var counterColIDBytes = int64(unsafe.Sizeof(*new(query.ColID)))
 
-// scratchBytes reports the capacity the counter's per-join scratch buffers
-// grew to over the block — the working-memory high-water estimateBlock
-// charges (and releases) against the run accountant's scratch class. The
-// property lists themselves are durable MEMO content and charged separately.
+// scratchBytes reports what the block used of the counter's per-join scratch
+// — the working-memory high-water charged (and released) against the run
+// accountant's scratch class: the lengths the buffers reached, not their
+// capacities, which are pooled and remember the largest request ever served.
+// The property lists are durable MEMO content and charged separately.
 func (c *counter) scratchBytes() int64 {
-	cols := cap(c.ocBuf) + cap(c.icBuf) + cap(c.jcBuf)
-	return int64(cols)*counterColIDBytes + int64(cap(c.outsBuf))*counterOrderBytes + int64(len(c.joinRep)) + c.extraScratch
+	cols := 2 * c.maxCols // ocBuf and icBuf
+	if c.parallel {
+		cols += 2 * c.maxCols // jcBuf holds both sides
+	}
+	return int64(cols)*counterColIDBytes + int64(len(c.joinRep)) + c.extraScratch
 }
 
 // propertyBytes reports the memory footprint of the maintained property

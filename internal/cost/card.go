@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 
 	"cote/internal/bitset"
 	"cote/internal/query"
@@ -32,40 +33,43 @@ func (m Mode) String() string {
 	return "simple"
 }
 
-// Estimator computes cardinalities for table sets of one query block. It
-// memoizes per-set results: cardinality is a logical property, computed once
-// per MEMO entry, exactly as DB2 experience item 5 in the paper prescribes.
+// Estimator computes cardinalities for table sets of one query block.
+// Cardinality is a logical property, computed once per MEMO entry and cached
+// on the entry (DB2 experience item 5); the enumerator hands the cached input
+// cardinalities back to JoinCard, so simple mode keeps nothing per table set
+// and owns only the two per-block tables below, which Reset refills in place
+// (the estimate workspace pools one Estimator). Full mode alone memoizes per
+// set, because keyCap recurses on sets the MEMO may not hold.
 type Estimator struct {
 	blk  *query.Block
 	mode Mode
 
-	filtered []float64 // per-table filtered cardinality
-	joinSel  []float64 // per-join-predicate selectivity
-	cache    map[bitset.Set]float64
-	predBuf  []int // JoinCard's crossing-predicate scratch
+	filtered []float64              // per-table filtered cardinality
+	joinSel  []float64              // per-join-predicate selectivity
+	cache    map[bitset.Set]float64 // full mode only
+	predBuf  []int                  // JoinCard's crossing-predicate scratch
 }
 
 // NewEstimator builds a cardinality estimator for a finalized block.
 func NewEstimator(blk *query.Block, mode Mode) *Estimator {
-	e := &Estimator{
-		blk:   blk,
-		mode:  mode,
-		cache: make(map[bitset.Set]float64),
-	}
-	e.precompute()
+	e := new(Estimator)
+	e.Reset(blk, mode)
 	return e
 }
 
 // Mode returns the estimator's cardinality mode.
 func (e *Estimator) Mode() Mode { return e.mode }
 
-// precompute fills per-table filtered cardinalities and per-predicate join
-// selectivities.
-func (e *Estimator) precompute() {
-	blk := e.blk
-	e.filtered = make([]float64, len(blk.Tables))
-	for i, t := range blk.Tables {
-		e.filtered[i] = t.BaseRows()
+// Reset points the estimator at a finalized block, refilling the per-table
+// and per-predicate tables in the storage of the previous block.
+func (e *Estimator) Reset(blk *query.Block, mode Mode) {
+	e.blk, e.mode, e.cache = blk, mode, nil
+	if mode == Full {
+		e.cache = make(map[bitset.Set]float64)
+	}
+	e.filtered = slices.Grow(e.filtered[:0], len(blk.Tables))
+	for _, t := range blk.Tables {
+		e.filtered = append(e.filtered, t.BaseRows())
 	}
 	for _, lp := range blk.LocalPreds {
 		t := blk.TableOf(lp.Col)
@@ -77,9 +81,9 @@ func (e *Estimator) precompute() {
 		}
 	}
 
-	e.joinSel = make([]float64, len(blk.JoinPreds))
-	for i, jp := range blk.JoinPreds {
-		e.joinSel[i] = e.joinPredSel(jp)
+	e.joinSel = slices.Grow(e.joinSel[:0], len(blk.JoinPreds))
+	for _, jp := range blk.JoinPreds {
+		e.joinSel = append(e.joinSel, e.joinPredSel(jp))
 	}
 }
 
@@ -154,19 +158,16 @@ func (e *Estimator) FilteredCard(t int) float64 { return e.filtered[t] }
 func (e *Estimator) JoinSel(i int) float64 { return e.joinSel[i] }
 
 // JoinCard returns the cardinality of the union of two disjoint table sets
-// whose own cardinalities are already memoized. Simple mode composes it
-// incrementally — card(s)*card(l) times the cross-predicate selectivities —
-// which is part of what makes plan-estimate mode cheap; full mode falls back
-// to the complete recomputation so its key caps stay exact.
-func (e *Estimator) JoinCard(s, l bitset.Set) float64 {
-	union := s.Union(l)
+// whose own cardinalities the caller holds (the MEMO entries cache them).
+// Simple mode composes it incrementally — sCard*lCard times the
+// cross-predicate selectivities, no lookup and nothing stored — which is part
+// of what makes plan-estimate mode cheap; full mode falls back to the
+// complete recomputation so its key caps stay exact.
+func (e *Estimator) JoinCard(s, l bitset.Set, sCard, lCard float64) float64 {
 	if e.mode == Full {
-		return e.Card(union)
+		return e.Card(s.Union(l))
 	}
-	if c, ok := e.cache[union]; ok {
-		return c
-	}
-	card := e.Card(s) * e.Card(l)
+	card := sCard * lCard
 	e.predBuf = e.blk.AppendPredsBetween(e.predBuf[:0], s, l)
 	for _, pi := range e.predBuf {
 		card *= e.joinSel[pi]
@@ -174,14 +175,14 @@ func (e *Estimator) JoinCard(s, l bitset.Set) float64 {
 	if card < 0.01 {
 		card = 0.01
 	}
-	e.cache[union] = card
 	return card
 }
 
 // Card returns the cardinality of a table set: the product of filtered base
 // cardinalities and the selectivities of all join predicates applied within
-// the set, with key-based capping in full mode. Results are memoized; the
-// first call for a set is the "compute once per MEMO entry" of the paper.
+// the set, with key-based capping in full mode, where results are memoized
+// (keyCap asks for the same subsets over and over). Simple mode computes
+// afresh: the enumerator asks it for single tables only, once each.
 func (e *Estimator) Card(s bitset.Set) float64 {
 	if c, ok := e.cache[s]; ok {
 		return c
@@ -199,7 +200,9 @@ func (e *Estimator) Card(s bitset.Set) float64 {
 	if card < 0.01 {
 		card = 0.01
 	}
-	e.cache[s] = card
+	if e.mode == Full {
+		e.cache[s] = card
+	}
 	return card
 }
 

@@ -233,6 +233,18 @@ func (c *Config) MGJNCost(outerCost, outerRows, innerCost, innerRows, outRows fl
 	return outerCost + innerCost + merge + rescan + backup + c.perNode(outRows)*cpuRow/4
 }
 
+// hsjnLog2 and hsjnLn hold log2(fanout+1) and ln(fanout+1) for the eight
+// grace-partitioning fan-outs HSJNCost tries (1, 2, … 128), from the functions
+// its formula names: indexing them yields the bits a call per costing did.
+var hsjnLog2, hsjnLn [8]float64
+
+func init() {
+	for i := range hsjnLog2 {
+		hsjnLog2[i] = math.Log2(float64(int(1)<<i) + 1)
+		hsjnLn[i] = math.Log(float64(int(1)<<i) + 1)
+	}
+}
+
 // HSJNCost returns the cost of a hash join building on the inner and
 // probing with the outer. Like commercial hash-join cost models, it
 // searches a small space of grace-partitioning fanouts, picking the
@@ -241,19 +253,19 @@ func (c *Config) HSJNCost(m *HitMemo, outerCost, outerRows, innerCost, innerRows
 	or, ir := c.perNode(outerRows), c.perNode(innerRows)
 	buildPages := pagesOf(ir)
 	best := math.Inf(1)
-	for fanout := 1.0; fanout <= 128; fanout *= 2 {
+	for i, fanout := 0, 1.0; i < len(hsjnLog2); i, fanout = i+1, fanout*2 {
 		partPages := buildPages / fanout
 		spill := 0.0
 		if partPages > bufferPages {
 			// Recursive partitioning: both sides rewritten once per level.
-			levels := math.Ceil(math.Log(partPages/bufferPages)/math.Log(fanout+1)) + 1
+			levels := math.Ceil(math.Log(partPages/bufferPages)/hsjnLn[i]) + 1
 			spill = (pagesOf(or) + buildPages) * 2 * ioPage * levels
 		} else if fanout > 1 {
 			spill = (pagesOf(or) + buildPages) * 2 * ioPage
 		}
 		hit := m.hitRatio(partPages)
 		build := ir*cpuHash*2 + ir*(1-hit)*cpuHash/2
-		probe := or*cpuHash + or*math.Log2(fanout+1)*cpuCompare/4
+		probe := or*cpuHash + or*hsjnLog2[i]*cpuCompare/4
 		if t := build + probe + spill; t < best {
 			best = t
 		}

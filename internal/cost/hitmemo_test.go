@@ -97,7 +97,10 @@ func checkAgainstRef(t *testing.T, c *Config, m *HitMemo, oc, or, ic, ir, out fl
 // One memo serves 4000 random argument tuples per configuration — each tuple
 // touches up to seventeen buffer-model points, far more distinct keys than
 // the memo has entries, so most lookups evict another key — and then the
-// same tuples again, which finds whatever an eviction left behind.
+// same tuples again, which finds whatever an eviction left behind. The
+// tuples must reach both uses of HSJNCost's tabulated logarithms: the probe
+// term of every fan-out, and the recursion depth of a build side that spills
+// even when partitioned 128 ways.
 func TestMemoizedCostsMatchDirect(t *testing.T) {
 	m := new(HitMemo)
 	for _, c := range []*Config{Serial, Parallel4} {
@@ -108,14 +111,37 @@ func TestMemoizedCostsMatchDirect(t *testing.T) {
 		}
 		type tuple struct{ oc, or, ic, ir, out float64 }
 		tuples := make([]tuple, 4000)
+		spills, fits := 0, 0
 		for i := range tuples {
 			tuples[i] = tuple{rows(), rows(), rows(), rows(), rows()}
+			if pagesOf(c.perNode(tuples[i].ir))/128 > bufferPages {
+				spills++
+			} else if pagesOf(c.perNode(tuples[i].ir)) <= bufferPages {
+				fits++
+			}
+		}
+		if spills < 200 || fits < 200 {
+			t.Fatalf("nodes=%d: %d tuples spill at every fan-out and %d at none, want 200 of each", c.Nodes, spills, fits)
 		}
 		for pass := 0; pass < 2; pass++ {
 			for _, a := range tuples {
 				checkAgainstRef(t, c, m, a.oc, a.or, a.ic, a.ir, a.out)
 			}
 		}
+	}
+}
+
+// The tables HSJNCost indexes hold what the functions in its formula return.
+func TestHSJNLogTables(t *testing.T) {
+	i := 0
+	for fanout := 1.0; fanout <= 128; fanout *= 2 {
+		if !sameBits(hsjnLog2[i], math.Log2(fanout+1)) || !sameBits(hsjnLn[i], math.Log(fanout+1)) {
+			t.Fatalf("fan-out %v: tables hold %v and %v, want %v and %v", fanout, hsjnLog2[i], hsjnLn[i], math.Log2(fanout+1), math.Log(fanout+1))
+		}
+		i++
+	}
+	if i != len(hsjnLog2) {
+		t.Fatalf("the formula's loop tries %d fan-outs, the tables hold %d", i, len(hsjnLog2))
 	}
 }
 

@@ -345,8 +345,8 @@ func (en *Enumerator) createEntry(s bitset.Set, hooks Hooks) *memo.Entry {
 }
 
 // createJoinEntry materializes the entry for the union of two existing
-// entries, letting the cardinality estimator compose the union's
-// cardinality from the parts when its mode supports it. The union's
+// entries, handing the cardinality estimator the parts' cached cardinalities
+// so it can compose the union's from them when its mode supports it. The
 // neighbor mask composes the same way: N(S ∪ L) = (N(S) ∪ N(L)) \ (S ∪ L),
 // exact because both sides unfold to the members' adjacency sets minus the
 // union — so maintaining the neighbor masks costs three bitset ops per
@@ -356,7 +356,7 @@ func (en *Enumerator) createJoinEntry(union bitset.Set, S, L *memo.Entry, hooks 
 	if !created {
 		return e
 	}
-	e.Card = en.card.JoinCard(S.Tables, L.Tables)
+	e.Card = en.card.JoinCard(S.Tables, L.Tables, S.Card, L.Card)
 	en.finishEntry(e, union, S.Neighbors.Union(L.Neighbors).Diff(union), hooks)
 	return e
 }

@@ -76,10 +76,10 @@ func TestArenaEntriesDoNotShareStorage(t *testing.T) {
 	}
 	checkEquivs(t, m, blk, "first run")
 	// 127 entries in chunks of repChunkEntries, none larger than that.
-	if want := (127 + repChunkEntries - 1) / repChunkEntries; len(m.reps) != want {
-		t.Fatalf("%d arena chunks, want %d", len(m.reps), want)
+	if want := (127 + repChunkEntries - 1) / repChunkEntries; len(m.reps.chunks) != want {
+		t.Fatalf("%d arena chunks, want %d", len(m.reps.chunks), want)
 	}
-	for i, c := range m.reps {
+	for i, c := range m.reps.chunks {
 		if len(c) != repChunkEntries*len(blk.Columns) {
 			t.Fatalf("chunk %d holds %d elements, want %d entries × %d columns", i, len(c), repChunkEntries, len(blk.Columns))
 		}

@@ -214,14 +214,15 @@ type Memo struct {
 	// reuse allocates nothing in steady state.
 	blocks [][]Entry
 	nused  int
-	// reps is the bump arena entries' representative arrays (Entry.Equiv)
-	// are carved from: repCur is the chunk being carved, repOff the next
-	// free element in it. Reset rewinds the cursor and keeps the chunks, so
-	// the pooled estimate MEMO allocates nothing per entry in steady state.
-	// Only the enumeration's driver goroutine creates entries: no lock.
-	reps   [][]int32
-	repCur int
-	repOff int
+	// reps is the arena entries' representative arrays (Entry.Equiv) are
+	// carved from, cols the one the properties stored in plan-estimate mode
+	// keep their columns in (AddOrder, KeepCols; the real optimizer's MEMO
+	// never carves from it: plans outlive their MEMO, so their properties are
+	// interned). Reset rewinds both and keeps the chunks, so the pooled
+	// estimate MEMO allocates nothing per entry or stored property in steady
+	// state. Only the enumeration's driver goroutine carves: no lock.
+	reps   bump[int32]
+	cols   bump[query.ColID]
 	bySize [][]*Entry
 	// sorted caches the Entries() snapshot; GetOrCreate invalidates it, so
 	// hot consumers (plan counting, serialization, diagnostics) sort once
@@ -303,26 +304,54 @@ func (m *Memo) alloc() *Entry {
 	return e
 }
 
-// InitEquiv computes the equivalence classes of entry e of block blk into
-// arena storage.
-func (m *Memo) InitEquiv(e *Entry, blk *query.Block) {
-	e.Equiv = blk.EquivWithinInto(e.Tables, m.takeRep(len(blk.Columns)))
+// bump is a chunked bump allocator. Chunks never move or shrink; rewinding
+// the cursor (cur, off = 0, 0) forgets everything carved and keeps them.
+type bump[T any] struct {
+	chunks   [][]T
+	cur, off int
 }
 
-// takeRep carves one n-element representative array from the arena. Every
-// array of a run has the same length (one block); a chunk cut for a block
-// with fewer columns holds fewer of them, and one too short for a single
-// array is skipped. The content is stale: EquivWithinInto overwrites it all.
-func (m *Memo) takeRep(n int) []int32 {
+// take carves n elements, starting a chunk of max(n, chunk) of them when the
+// current one is full and stepping over kept chunks too short for n. The
+// content is stale: the caller overwrites it all.
+func (a *bump[T]) take(n, chunk int) []T {
 	for {
-		if m.repCur == len(m.reps) {
-			m.reps = append(m.reps, make([]int32, repChunkEntries*n))
+		if a.cur == len(a.chunks) {
+			a.chunks = append(a.chunks, make([]T, max(n, chunk)))
 		}
-		if c := m.reps[m.repCur]; m.repOff+n <= len(c) {
-			m.repOff += n
-			return c[m.repOff-n : m.repOff : m.repOff]
+		if c := a.chunks[a.cur]; a.off+n <= len(c) {
+			a.off += n
+			return c[a.off-n : a.off : a.off]
 		}
-		m.repCur, m.repOff = m.repCur+1, 0
+		a.cur, a.off = a.cur+1, 0
+	}
+}
+
+// InitEquiv computes the equivalence classes of entry e of block blk into
+// arena storage, cut in chunks of repChunkEntries arrays of the block's length.
+func (m *Memo) InitEquiv(e *Entry, blk *query.Block) {
+	n := len(blk.Columns)
+	e.Equiv = blk.EquivWithinInto(e.Tables, m.reps.take(n, repChunkEntries*n))
+}
+
+// colChunk is the element count of one column-arena chunk: a few hundred
+// stored property values of the one to three columns they typically have.
+const colChunk = 512
+
+// KeepCols copies a column sequence into the column arena.
+func (m *Memo) KeepCols(cols []query.ColID) []query.ColID {
+	return append(m.cols.take(len(cols), colChunk)[:0], cols...)
+}
+
+// AddOrder inserts o into e's interesting-order list unless an equivalent
+// order is present. The stored order gets columns of its own, so o may be a
+// scratch value — a window on a join-column buffer, a base-order list about
+// to be overwritten. An order already stored in another entry of this MEMO
+// needs no copy: e.Orders.Add it directly.
+func (m *Memo) AddOrder(e *Entry, o props.Order) {
+	if e.Orders.Add(o, &e.Equiv) {
+		kept := e.Orders.Orders()
+		kept[len(kept)-1].Cols = m.KeepCols(o.Cols)
 	}
 }
 
@@ -401,7 +430,8 @@ func (m *Memo) Reset(n int) {
 		cleanEntry(&m.blocks[i/slabBlock][i%slabBlock])
 	}
 	m.nused = 0
-	m.repCur, m.repOff = 0, 0
+	m.reps.cur, m.reps.off = 0, 0
+	m.cols.cur, m.cols.off = 0, 0
 	if n+1 > cap(m.bySize) {
 		m.bySize = make([][]*Entry, n+1)
 	} else {

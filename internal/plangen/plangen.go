@@ -15,6 +15,7 @@ package plangen
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -150,6 +151,7 @@ type scratch struct {
 	candPartsBuf  []props.Partition
 	completeParts props.PartitionList
 	completeOrds  props.OrderList
+	baseOrders    props.BaseOrders
 
 	// bufCharged is the slice-buffer capacity already charged to the run
 	// accountant, so growth is charged as a delta and reused capacity is
@@ -276,8 +278,10 @@ func (g *Generator) initEntry(e *memo.Entry) {
 		g.savePlan(e, p)
 	}
 
-	// Index scans deliver their index order naturally.
-	for _, o := range g.sc.NaturalBaseOrders(t, &e.Equiv) {
+	// Index scans deliver their index order naturally. Base orders arrive in
+	// scratch; the plans that carry them outlive this call and get a copy.
+	for _, o := range g.sc.NaturalBaseOrders(t, &e.Equiv, &g.baseOrders) {
+		o.Cols = slices.Clone(o.Cols)
 		match := g.indexMatchRows(t, o, rows, fc)
 		p := g.arena.alloc()
 		*p = memo.Plan{
@@ -294,10 +298,11 @@ func (g *Generator) initEntry(e *memo.Entry) {
 	// no natural plan delivers.
 	if g.policy == props.Eager {
 		base := e.Best()
-		for _, o := range g.sc.EagerBaseOrders(t, &e.Equiv) {
+		for _, o := range g.sc.EagerBaseOrders(t, &e.Equiv, &g.baseOrders) {
 			if e.BestWithOrder(o, &e.Equiv) != nil {
 				continue
 			}
+			o.Cols = slices.Clone(o.Cols)
 			g.Counters.EnforcerPlans++
 			p := g.arena.alloc()
 			*p = memo.Plan{

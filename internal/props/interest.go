@@ -51,24 +51,21 @@ func (i Interest) Any() bool { return i.FutureJoin || i.OrderBy || i.GroupBy }
 // mutates, under its own lock.
 type Scope struct {
 	blk *query.Block
-	// eqPreds holds indexes of equality join predicates.
-	eqPreds []int
-	// intern canonicalizes the property values this block's plans carry.
-	// Embedded by value (its maps grow lazily), so scopes that never intern
-	// — the whole estimation path — pay nothing for it.
+	// intern canonicalizes the property values plan generation stores in
+	// plans, which outlive their MEMO. Only plangen interns: the estimator's
+	// stored properties live in its pooled MEMO's arena, so a Scope on the
+	// estimate path leaves the interner's maps nil and never takes its lock.
 	intern Interner
 }
 
 // NewScope builds the interest analyzer for a finalized block.
 func NewScope(blk *query.Block) *Scope {
-	sc := &Scope{blk: blk}
-	for i, p := range blk.JoinPreds {
-		if p.Op == query.Eq {
-			sc.eqPreds = append(sc.eqPreds, i)
-		}
-	}
-	return sc
+	return &Scope{blk: blk}
 }
+
+// Reset points a scope that never interned at another finalized block — the
+// estimate workspace pools one across requests.
+func (sc *Scope) Reset(blk *query.Block) { sc.blk = blk }
 
 // Block returns the underlying query block.
 func (sc *Scope) Block() *query.Block { return sc.blk }
@@ -191,75 +188,78 @@ func PipelinePropagation(m JoinMethod) Propagation {
 	return None
 }
 
+// BaseOrders is the caller-owned storage EagerBaseOrders and
+// NaturalBaseOrders work in: the list they return and the columns its orders
+// point into. The next call overwrites both, so a caller copies what it keeps
+// (the counter into its MEMO's arena, plan generation through the interner).
+type BaseOrders struct {
+	list        OrderList
+	cols, peers []query.ColID
+}
+
 // EagerBaseOrders computes the interesting orders pushed down to base table
 // t under the eager generation policy: one single-column order per equality
 // join column of t, one composite order per multi-predicate join edge, the
 // maximal ORDER BY prefix local to t, and the grouping columns local to t.
 // This mirrors the push-down of interesting orders to base tables described
-// in Simmen et al. and reused by the paper (DB2 experience item 1).
-func (sc *Scope) EagerBaseOrders(t int, eq *query.Equiv) []Order {
+// in Simmen et al. and reused by the paper (DB2 experience item 1). The
+// result is valid until s is used again.
+func (sc *Scope) EagerBaseOrders(t int, eq *query.Equiv, s *BaseOrders) []Order {
 	blk := sc.blk
-	var list OrderList
+	list := &s.list
+	list.Reset()
+
+	// The equality predicates linking t to the rest of the block, in
+	// predicate order — t's column and the peer's, index-aligned — from the
+	// block's per-table predicate bitsets.
+	single := bitset.Single(t)
+	s.cols, s.peers = blk.AppendJoinCols(single, blk.AllTables().Diff(single), s.cols[:0], s.peers[:0])
+	k := len(s.cols)
 
 	// Single-column orders on each equality join column of t.
-	for _, i := range sc.eqPreds {
-		p := blk.JoinPreds[i]
-		if blk.TableOf(p.Left) == t {
-			list.Add(OrderOn(p.Left), eq)
-		}
-		if blk.TableOf(p.Right) == t {
-			list.Add(OrderOn(p.Right), eq)
-		}
+	for i := 0; i < k; i++ {
+		list.Add(Order{Cols: s.cols[i : i+1]}, eq)
 	}
 
 	// Composite orders: all of t's columns joining to one particular other
-	// table, in predicate order — the sort a multi-column merge join needs.
-	perPeer := map[int][]query.ColID{}
-	var peers []int
-	for _, i := range sc.eqPreds {
-		p := blk.JoinPreds[i]
-		var mine query.ColID
-		var peer int
-		switch {
-		case blk.TableOf(p.Left) == t:
-			mine, peer = p.Left, blk.TableOf(p.Right)
-		case blk.TableOf(p.Right) == t:
-			mine, peer = p.Right, blk.TableOf(p.Left)
-		default:
+	// table, in predicate order — the sort a multi-column merge join needs —
+	// peers in the order their first predicate appears. A gathered predicate
+	// has its peer column struck out.
+	for i := 0; i < k; i++ {
+		if s.peers[i] < 0 {
 			continue
 		}
-		if _, seen := perPeer[peer]; !seen {
-			peers = append(peers, peer)
+		peer, from := blk.TableOf(s.peers[i]), len(s.cols)
+		for j := i; j < k; j++ {
+			if s.peers[j] >= 0 && blk.TableOf(s.peers[j]) == peer {
+				s.cols, s.peers[j] = append(s.cols, s.cols[j]), -1
+			}
 		}
-		perPeer[peer] = append(perPeer[peer], mine)
-	}
-	for _, peer := range peers {
-		if cols := perPeer[peer]; len(cols) >= 2 {
-			list.Add(OrderOn(cols...), eq)
+		if len(s.cols)-from < 2 {
+			s.cols = s.cols[:from]
+			continue
 		}
+		list.Add(Order{Cols: s.cols[from:]}, eq)
 	}
 
 	// Maximal ORDER BY prefix whose columns all belong to t.
-	var obPrefix []query.ColID
-	for _, c := range blk.OrderBy {
-		if blk.TableOf(c) != t {
-			break
-		}
-		obPrefix = append(obPrefix, c)
+	n := 0
+	for n < len(blk.OrderBy) && blk.TableOf(blk.OrderBy[n]) == t {
+		n++
 	}
-	if len(obPrefix) > 0 {
-		list.Add(OrderOn(obPrefix...), eq)
+	if n > 0 {
+		list.Add(Order{Cols: blk.OrderBy[:n]}, eq)
 	}
 
 	// Grouping columns local to t, in list order.
-	var gbCols []query.ColID
+	from := len(s.cols)
 	for _, c := range blk.GroupBy {
 		if blk.TableOf(c) == t {
-			gbCols = append(gbCols, c)
+			s.cols = append(s.cols, c)
 		}
 	}
-	if len(gbCols) > 0 {
-		list.Add(OrderOn(gbCols...), eq)
+	if len(s.cols) > from {
+		list.Add(Order{Cols: s.cols[from:]}, eq)
 	}
 
 	return list.Orders()
@@ -267,19 +267,22 @@ func (sc *Scope) EagerBaseOrders(t int, eq *query.Equiv) []Order {
 
 // NaturalBaseOrders computes the orders base table t provides naturally —
 // one per index, in index column sequence. Under the lazy policy these are
-// the only order properties single-table plans carry.
-func (sc *Scope) NaturalBaseOrders(t int, eq *query.Equiv) []Order {
+// the only order properties single-table plans carry. The result is valid
+// until s is used again.
+func (sc *Scope) NaturalBaseOrders(t int, eq *query.Equiv, s *BaseOrders) []Order {
 	ref := sc.blk.Tables[t]
 	if ref.Table == nil {
 		return nil // derived tables provide no natural order
 	}
-	var list OrderList
+	list := &s.list
+	list.Reset()
+	s.cols = s.cols[:0]
 	for _, ix := range ref.Table.Indexes {
-		cols := make([]query.ColID, 0, len(ix.Columns))
+		from := len(s.cols)
 		for _, name := range ix.Columns {
-			cols = append(cols, sc.colOf(ref, name))
+			s.cols = append(s.cols, sc.colOf(ref, name))
 		}
-		list.Add(OrderOn(cols...), eq)
+		list.Add(Order{Cols: s.cols[from:]}, eq)
 	}
 	return list.Orders()
 }

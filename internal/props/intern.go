@@ -44,9 +44,6 @@ type Interner struct {
 	parts  map[internKey]Partition
 }
 
-// NewInterner returns an empty interner.
-func NewInterner() *Interner { return &Interner{} }
-
 // Order returns the canonical Order on the given column sequence. The
 // returned value shares its Cols slice with every other request for the
 // same sequence; callers must treat it as immutable (Order callers already

@@ -137,7 +137,9 @@ type OrderList struct {
 	orders []Order
 }
 
-// Orders exposes the underlying slice; callers must not mutate it.
+// Orders exposes the underlying slice; callers must not mutate it (the MEMO,
+// which owns its entries' lists, moves a stored order's columns into its
+// arena).
 func (l *OrderList) Orders() []Order { return l.orders }
 
 // Reset empties the list, keeping its capacity — for allocation-free reuse

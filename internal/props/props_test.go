@@ -252,20 +252,20 @@ func TestEagerBaseOrdersFigure3(t *testing.T) {
 	// (a.c1); with ORDER BY a.c2 (Figure 3b) it gains (a.c2).
 	blk, sc := fixture(t, false)
 	eqA := blk.EquivWithin(bitset.Of(0))
-	got := sc.EagerBaseOrders(0, eqA)
+	got := sc.EagerBaseOrders(0, eqA, new(BaseOrders))
 	if len(got) != 1 || !got[0].EqualUnder(OrderOn(aC1), eqA) {
 		t.Fatalf("eager orders of a = %v, want [(a.c1)]", got)
 	}
 
 	blkOB, scOB := fixture(t, true)
 	eqA = blkOB.EquivWithin(bitset.Of(0))
-	got = scOB.EagerBaseOrders(0, eqA)
+	got = scOB.EagerBaseOrders(0, eqA, new(BaseOrders))
 	if len(got) != 2 {
 		t.Fatalf("eager orders of a with ORDER BY = %v, want 2", got)
 	}
 	// Table b joins to both a and c: two interesting orders.
 	eqB := blk.EquivWithin(bitset.Of(1))
-	if got := sc.EagerBaseOrders(1, eqB); len(got) != 2 {
+	if got := sc.EagerBaseOrders(1, eqB, new(BaseOrders)); len(got) != 2 {
 		t.Fatalf("eager orders of b = %v, want 2", got)
 	}
 }
@@ -285,7 +285,7 @@ func TestEagerBaseOrdersCompositeJoin(t *testing.T) {
 	blk := qb.MustBuild()
 	sc := NewScope(blk)
 	eq := blk.EquivWithin(bitset.Of(0))
-	got := sc.EagerBaseOrders(0, eq)
+	got := sc.EagerBaseOrders(0, eq, new(BaseOrders))
 	if len(got) != 3 { // (r.a), (r.b), (r.a,r.b)
 		t.Fatalf("eager orders = %v, want 3", got)
 	}
@@ -301,7 +301,7 @@ func TestNaturalBaseOrdersFromIndexes(t *testing.T) {
 	blk := qb.MustBuild()
 	sc := NewScope(blk)
 	eq := blk.EquivWithin(bitset.Of(0))
-	got := sc.NaturalBaseOrders(0, eq)
+	got := sc.NaturalBaseOrders(0, eq, new(BaseOrders))
 	if len(got) != 2 {
 		t.Fatalf("natural orders = %v, want 2", got)
 	}

@@ -13,7 +13,8 @@
 # "peak-bytes" resource metric) land in each benchmark's "extra" map in
 # BENCH_cote.json; `benchjson -delta` reports them alongside ns/op and
 # allocs/op, and the compare gates those whose unit ends in "-exact" (the
-# parse and canonical-rebuild allocation counts) on equality.
+# parse, canonical-rebuild and bench-shaped estimate allocation counts) on
+# equality.
 #
 # Environment overrides:
 #   COUNT      runs per benchmark, median kept   (default 5; smoke: 1)
@@ -52,10 +53,11 @@ fi
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
 
-# The root package holds the paper's figures and the headline paths; the two
-# front-of-pipeline packages hold the parse and fingerprint benchmarks whose
-# allocation counts the baseline gates exactly.
-PKGS=(. ./internal/sqlparser ./internal/fingerprint)
+# The root package holds the paper's figures and the headline paths; core
+# holds the estimates of benchmark-shaped blocks, and the two
+# front-of-pipeline packages the parse and fingerprint benchmarks; the
+# baseline gates the allocation counts of all three exactly.
+PKGS=(. ./internal/core ./internal/sqlparser ./internal/fingerprint)
 
 echo "== go test -run NONE -bench $BENCH -benchmem -count $COUNT ${extra[*]:-} ${PKGS[*]}" >&2
 go test -run NONE -bench "$BENCH" -benchmem -count "$COUNT" "${extra[@]}" "${PKGS[@]}" | tee "$out" >&2
