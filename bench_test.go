@@ -313,52 +313,6 @@ func BenchmarkEstimateReal2Headline(b *testing.B) {
 	b.ReportMetric(float64(est.MeasuredPeakBytes), "peak-bytes")
 }
 
-// benchEstimateParallel estimates the headline query with the parallel
-// counting pass at a fixed degree. Speedup over BenchmarkEstimateReal2Headline
-// is the tentpole metric; on single-core machines these mainly measure that
-// the parallel machinery's overhead stays negligible.
-func benchEstimateParallel(b *testing.B, workers int) {
-	setup(b)
-	q := wls["real2_s"].Queries[7]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.EstimatePlans(q.Block, core.Options{Level: experiments.Level, Parallelism: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEstimateReal2HeadlineP2(b *testing.B) { benchEstimateParallel(b, 2) }
-func BenchmarkEstimateReal2HeadlineP4(b *testing.B) { benchEstimateParallel(b, 4) }
-
-// BenchmarkEstimateParallelSpeedup reports the serial/parallel estimation
-// wall-clock ratio directly, both modes measured inside one benchmark run so
-// the comparison shares its machine state.
-func BenchmarkEstimateParallelSpeedup(b *testing.B) {
-	setup(b)
-	q := wls["real2_s"].Queries[7]
-	workers := runtime.GOMAXPROCS(0)
-	var serial, parallel time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := core.EstimatePlans(q.Block, core.Options{Level: experiments.Level}); err != nil {
-			b.Fatal(err)
-		}
-		serial += time.Since(t0)
-		t0 = time.Now()
-		if _, err := core.EstimatePlans(q.Block, core.Options{Level: experiments.Level, Parallelism: workers}); err != nil {
-			b.Fatal(err)
-		}
-		parallel += time.Since(t0)
-	}
-	if parallel > 0 {
-		b.ReportMetric(float64(serial)/float64(parallel), "speedup-x")
-		b.ReportMetric(float64(workers), "workers")
-	}
-}
-
 // benchEstimateHigh estimates a dense synthetic query at the unrestricted
 // bushy level — the largest counting workload per MEMO entry, so it is the
 // benchmark most sensitive to the open-addressed index and the slab

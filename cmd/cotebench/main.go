@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cotebench [-fig all|2|4a|4b|4c|5a|5d|5g|6a|6b|6c|6d|6e|6f|ct|joinbaseline|pilot|mem|memfig|piggyback|ablations|parest|calib] [-seed N] [-timeout 0] [-model-file f.json]
+//	cotebench [-fig all|2|4a|4b|4c|5a|5d|5g|6a|6b|6c|6d|6e|6f|ct|joinbaseline|pilot|mem|memfig|piggyback|ablations|pipeline|cache|parallel|fingerprint|calib] [-seed N] [-timeout 0] [-model-file f.json]
 //
 // The calib figure replays a deterministic workload through the online
 // calibration loop, showing predicted/actual convergence from a 4x
@@ -59,7 +59,7 @@ func main() {
 	if *fig == "all" {
 		ids = []string{"2", "4a", "4b", "4c", "5a", "5d", "5g", "6a", "6b", "6c", "6d", "6e", "6f",
 			"ct", "joinbaseline", "pilot", "mem", "memfig", "piggyback", "ablations", "pipeline", "cache", "parallel",
-			"parest", "fingerprint", "calib"}
+			"fingerprint", "calib"}
 	}
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
@@ -122,10 +122,6 @@ func (s *suite) wl(name string) *workload.Workload {
 		w = workload.TPCH(1)
 	case "tpch_p":
 		w = workload.TPCH(4)
-	case "clique_s":
-		w = workload.Clique(1)
-	case "clique_p":
-		w = workload.Clique(4)
 	default:
 		panic("unknown workload " + name)
 	}
@@ -203,8 +199,6 @@ func (s *suite) run(id string) error {
 		return s.cache()
 	case "parallel":
 		return s.parallel()
-	case "parest":
-		return s.parEst()
 	case "fingerprint":
 		return s.fingerprint()
 	case "calib":
@@ -426,70 +420,6 @@ func (s *suite) parallel() error {
 		fmt.Println()
 	}
 	fmt.Println("(plans verified identical to serial at every worker count)")
-	fmt.Println()
-	return nil
-}
-
-// parEst measures the parallel counting pass of the estimator: per workload,
-// the best-of-three wall time of estimating every query at each degree,
-// asserting each parallel sweep reproduces the serial per-method plan counts
-// and join totals exactly — the pass's bit-identity contract. The clique
-// workload (every pair joined) is the densest enumeration and so the regime
-// where the pass has the most to win.
-func (s *suite) parEst() error {
-	fmt.Println("=== Extension: parallel COTE estimation pass ===")
-	fmt.Printf("GOMAXPROCS=%d (speedup is bounded by physical cores; workers beyond that only test overhead)\n", runtime.GOMAXPROCS(0))
-	degrees := []int{2, 4}
-	fmt.Printf("%-10s %10s %12s", "workload", "plans", "serial")
-	for _, d := range degrees {
-		fmt.Printf(" %10s %8s", fmt.Sprintf("P=%d", d), "speedup")
-	}
-	fmt.Println()
-	sweep := func(w *workload.Workload, parallelism int) (core.PlanCounts, int, time.Duration, error) {
-		var counts core.PlanCounts
-		var joins int
-		best := time.Duration(1<<63 - 1)
-		for rep := 0; rep < 3; rep++ {
-			if err := s.ctx.Err(); err != nil {
-				return counts, 0, 0, err
-			}
-			counts, joins = core.PlanCounts{}, 0
-			t0 := time.Now()
-			for _, q := range w.Queries {
-				est, err := core.EstimatePlansCtx(s.ctx, q.Block, core.Options{Level: experiments.Level, Parallelism: parallelism})
-				if err != nil {
-					return counts, 0, 0, err
-				}
-				counts.Add(est.Counts)
-				joins += est.Joins
-			}
-			if el := time.Since(t0); el < best {
-				best = el
-			}
-		}
-		return counts, joins, best, nil
-	}
-	for _, name := range []string{"clique_s", "real2_s", "real1_s", "tpch_s"} {
-		w := s.wl(name)
-		serialCounts, serialJoins, serialT, err := sweep(w, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-10s %10d %12v", name, serialCounts.Total(), serialT.Round(time.Microsecond))
-		for _, d := range degrees {
-			counts, joins, t, err := sweep(w, d)
-			if err != nil {
-				return err
-			}
-			if counts != serialCounts || joins != serialJoins {
-				return fmt.Errorf("%s: parallel estimate at P=%d diverges from serial (%v/%d joins vs %v/%d)",
-					name, d, counts, joins, serialCounts, serialJoins)
-			}
-			fmt.Printf(" %10v %7.2fx", t.Round(time.Microsecond), float64(serialT)/float64(t))
-		}
-		fmt.Println()
-	}
-	fmt.Println("(plan counts and join totals verified identical to serial at every worker count)")
 	fmt.Println()
 	return nil
 }

@@ -66,7 +66,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "overload shed bound on the waiting line: requests arriving beyond it are shed with 429 + Retry-After (0 = same as -queue)")
 	shedDeadline := flag.Duration("shed-deadline", 0, "shed requests whose deadline is within this margin of the projected queue wait (0 = no margin, deadline check still armed)")
 	faultPlan := flag.String("fault-plan", "", "activate a deterministic fault-injection plan, e.g. 'seed=42;pool.acquire:error,p=0.1' (chaos testing; see internal/faultinject)")
-	parallelism := flag.Int("parallelism", 1, "max intra-query parallelism per optimize or estimate request (workers default shrinks to compensate)")
+	parallelism := flag.Int("parallelism", 1, "max intra-query parallelism per optimize request (workers default shrinks to compensate)")
 	grace := flag.Duration("grace", 10*time.Second, "graceful-shutdown window; in-flight work is cancelled halfway through")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof endpoints for profiling")
 	recalMin := flag.Int("recalibrate-min-samples", 0, "observations required in the window before an online refit (0 = default 8)")

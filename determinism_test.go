@@ -11,12 +11,10 @@
 package cote_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
 
-	"cote/internal/core"
 	"cote/internal/cost"
 	"cote/internal/experiments"
 	"cote/internal/opt"
@@ -120,129 +118,6 @@ func TestParallelOptimizeMatchesSerial(t *testing.T) {
 						t.Errorf("%s/%s level=%v parallelism=%d diverges from serial:\n got %+v\nwant %+v",
 							name, q.Name, level, p, got, want)
 					}
-				}
-			}
-		}
-	}
-}
-
-// estimateFingerprint renders everything an estimation produces that must
-// not depend on the parallelism degree: the full wire JSON (plan counts,
-// join totals, candidate-scan stats, MeasuredPeakBytes) with the wall-clock
-// field zeroed, plus the per-block structural summaries the JSON only
-// totals.
-func estimateFingerprint(t *testing.T, est *core.Estimate) string {
-	t.Helper()
-	est.Elapsed = 0
-	b, err := json.Marshal(est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(b)
-	for _, be := range est.Blocks {
-		out += fmt.Sprintf("[%s: counts=%v stats=%+v entries=%d propbytes=%d measured=%d]",
-			be.Block.Name, be.Counts, be.EnumStats, be.Entries, be.PropertyBytes, be.MeasuredBytes)
-	}
-	return out
-}
-
-// TestParallelEstimateMatchesSerial is the estimate-path counterpart of the
-// optimize sweep above: the parallel counting pass (worker-local counting,
-// canonical-order propagation replay) must produce byte-identical Estimate
-// JSON — including MeasuredPeakBytes and the enum-scan statistics — at every
-// workload × level × degree. Under -race it doubles as the data-race gate
-// for the counting split.
-func TestParallelEstimateMatchesSerial(t *testing.T) {
-	degrees := []int{2, runtime.GOMAXPROCS(0)}
-	if degrees[1] <= 2 {
-		degrees[1] = 4
-	}
-	levels := []opt.Level{opt.LevelMediumLeftDeep, opt.LevelMediumZigZag, opt.LevelHighInner2}
-	stride := 1
-	if testing.Short() {
-		degrees = degrees[1:]
-		levels = []opt.Level{opt.LevelMediumLeftDeep, opt.LevelHighInner2}
-		stride = 3
-	}
-
-	workloads := append(determinismWorkloads(),
-		// The clique workload is the densest enumeration (every pair joined)
-		// — the regime the parallel pass targets, so it must hold the same
-		// bit-identity guarantee.
-		namedWorkload{"clique_s", workload.Clique(1), cost.Serial},
-		namedWorkload{"clique_p", workload.Clique(4), cost.Parallel4},
-	)
-	for _, nw := range workloads {
-		name, cfg := nw.name, nw.cfg
-		for qi, q := range nw.wl.Queries {
-			if qi%stride != 0 {
-				continue
-			}
-			qlevels := levels
-			if q.Block.NumTables() <= 7 && !testing.Short() {
-				qlevels = append(append([]opt.Level(nil), levels...), opt.LevelHigh)
-			}
-			for _, level := range qlevels {
-				base := core.Options{Level: level, Config: cfg}
-				serialEst, err := core.EstimatePlans(q.Block, base)
-				if err != nil {
-					t.Fatalf("%s/%s level=%v serial: %v", name, q.Name, level, err)
-				}
-				want := estimateFingerprint(t, serialEst)
-				for _, p := range degrees {
-					popts := base
-					popts.Parallelism = p
-					est, err := core.EstimatePlans(q.Block, popts)
-					if err != nil {
-						t.Fatalf("%s/%s level=%v parallelism=%d: %v", name, q.Name, level, p, err)
-					}
-					if got := estimateFingerprint(t, est); got != want {
-						t.Errorf("%s/%s level=%v parallelism=%d estimate diverges from serial:\n got %s\nwant %s",
-							name, q.Name, level, p, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestParallelEstimateLevelsMatchesSerial pins the piggyback pass: one
-// parallel enumeration shared by per-level counting lanes must reproduce
-// the serial multi-level counts and join totals exactly.
-func TestParallelEstimateLevelsMatchesSerial(t *testing.T) {
-	stride := 1
-	if testing.Short() {
-		stride = 3
-	}
-	for _, nw := range determinismWorkloads() {
-		for qi, q := range nw.wl.Queries {
-			if qi%stride != 0 {
-				continue
-			}
-			// HighInner2 subsumes only itself and left-deep; the full level
-			// set needs the unrestricted-bushy top, which is only affordable
-			// on the small queries.
-			top := opt.LevelHighInner2
-			levels := []opt.Level{opt.LevelMediumLeftDeep, opt.LevelHighInner2}
-			if q.Block.NumTables() <= 7 && !testing.Short() {
-				top = opt.LevelHigh
-				levels = []opt.Level{opt.LevelMediumLeftDeep, opt.LevelMediumZigZag, opt.LevelHighInner2, opt.LevelHigh}
-			}
-			base := core.Options{Config: nw.cfg}
-			serial, err := core.EstimateLevels(q.Block, top, levels, base)
-			if err != nil {
-				t.Fatalf("%s/%s serial: %v", nw.name, q.Name, err)
-			}
-			popts := base
-			popts.Parallelism = 4
-			par, err := core.EstimateLevels(q.Block, top, levels, popts)
-			if err != nil {
-				t.Fatalf("%s/%s parallel: %v", nw.name, q.Name, err)
-			}
-			for _, l := range levels {
-				if serial.Counts[l] != par.Counts[l] || serial.Joins[l] != par.Joins[l] {
-					t.Errorf("%s/%s level=%v piggyback diverges: serial %v/%d joins, parallel %v/%d joins",
-						nw.name, q.Name, l, serial.Counts[l], serial.Joins[l], par.Counts[l], par.Joins[l])
 				}
 			}
 		}

@@ -25,12 +25,6 @@ type Options struct {
 	Level opt.Level
 	// Config selects serial or parallel (nil = serial).
 	Config *cost.Config
-	// Parallelism fans the counting pass out to this many workers per size
-	// class (floored at 1 = serial). The estimate is bit-identical at every
-	// degree — counting runs on workers over immutable smaller entries,
-	// property propagation replays on the driver in canonical order — so
-	// the knob only trades wall time for cores, never results.
-	Parallelism int
 	// OrderPolicy is the order generation policy (default eager).
 	OrderPolicy props.GenerationPolicy
 	// ListMode selects separate vs compound property lists (Section 3.4).
@@ -110,7 +104,7 @@ type Estimate struct {
 	PredictedPeakBytes int64
 	// MeasuredPeakBytes totals the durable bytes the estimation run's own
 	// MEMOs were charged — the estimator's measured counterpart, bit-stable
-	// across pool states and parallelism.
+	// across pool states.
 	MeasuredPeakBytes int64
 }
 
@@ -122,7 +116,8 @@ type Estimate struct {
 func EstimatePlans(blk *query.Block, opts Options) (*Estimate, error) {
 	start := time.Now()
 	est := &Estimate{}
-	for _, b := range blk.Blocks() {
+	blocks := blk.Blocks()
+	for i, b := range blocks {
 		if opts.Exec.Cancelled() {
 			return nil, opts.Exec.Err()
 		}
@@ -142,8 +137,9 @@ func EstimatePlans(blk *query.Block, opts Options) (*Estimate, error) {
 		est.MeasuredPeakBytes += be.MeasuredBytes
 		// Export the block's output cardinality (simple mode) to the
 		// derived refs in later blocks, as the real optimizer does with its
-		// full-mode estimate.
-		for _, pb := range blk.Blocks() {
+		// full-mode estimate. Blocks come children-first, so only later
+		// blocks can read b.
+		for _, pb := range blocks[i+1:] {
 			for _, ref := range pb.Tables {
 				if ref.Derived == b {
 					ref.CardOverride = outCard
@@ -183,7 +179,7 @@ func (o Options) memModel() *MemModel {
 			return m
 		}
 	}
-	return DefaultMemModel()
+	return defaultMemModel
 }
 
 // EstimatePlansCtx is EstimatePlans bounded by a context: when ctx expires
@@ -248,16 +244,7 @@ func (ws *workspace) enumerator(level opt.Level, opts Options) *enum.Enumerator 
 func (ws *workspace) estimate(opts Options) (*BlockEstimate, float64, error) {
 	blk, mem, cnt := ws.cnt.blk, ws.mem, &ws.cnt
 
-	en := ws.enumerator(opts.level(), opts)
-	var st enum.Stats
-	var err error
-	if workers := knobs.Parallelism(opts.Parallelism); workers > 1 {
-		hooks, finish := parallelCountHooks(cnt, []countLane{{cnt: cnt}})
-		st, err = en.RunParallel(hooks, workers)
-		finish()
-	} else {
-		st, err = en.Run(enum.Hooks{Init: cnt.initialize, Join: cnt.accumulatePlans})
-	}
+	st, err := ws.enumerator(opts.level(), opts).Run(enum.Hooks{Init: cnt.initialize, Join: cnt.accumulatePlans})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -17,10 +17,8 @@ import (
 // FPKey identifies one memoizable estimation: the structural fingerprint of
 // the query plus every knob that changes plan counts at a given level.
 // Options.Model is deliberately excluded — the time model is linear in the
-// counts and is re-applied per request — as are Options.Exec (cancellation
-// bounds a run, it does not change its result) and Options.Parallelism (the
-// parallel counting pass is bit-identical to serial at every degree; a miss
-// still runs at the requesting caller's degree via runOpts).
+// counts and is re-applied per request — as is Options.Exec (cancellation
+// bounds a run, it does not change its result).
 type FPKey struct {
 	FP                 fingerprint.FP
 	Level              opt.Level

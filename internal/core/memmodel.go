@@ -33,11 +33,17 @@ type MemModel struct {
 // compiles (pruning releases plans; generated >= retained), which is the safe
 // direction for admission until a calibration pass tightens it.
 func DefaultMemModel() *MemModel {
-	return &MemModel{
-		PerEntry:    float64(memo.EntryFootprint),
-		PerPlan:     float64(memo.PlanFootprint),
-		PerPropByte: 1,
-	}
+	m := *defaultMemModel
+	return &m
+}
+
+// defaultMemModel is the structural default the estimate path prices with
+// when nothing else supplies a model. Read only: callers that may modify a
+// model get their own copy from DefaultMemModel.
+var defaultMemModel = &MemModel{
+	PerEntry:    float64(memo.EntryFootprint),
+	PerPlan:     float64(memo.PlanFootprint),
+	PerPropByte: 1,
 }
 
 // Predict converts structural counts to predicted peak bytes.

@@ -82,10 +82,8 @@ type MOP struct {
 	// Static marks a statically compiled (repeatedly executed) query; the
 	// paper suggests spending more on those, modeled as a 10x threshold.
 	Static bool
-	// Parallelism is forwarded to the real compilations (both levels) and to
-	// the estimation passes, whose parallel counting is bit-identical to
-	// serial — the rung probes gate admission on the serving hot path, so
-	// they scale with the same knob the compiles do.
+	// Parallelism is forwarded to the real compilations (both levels); the
+	// estimates that price them always run serially.
 	Parallelism int
 	// BudgetFactor, when positive, arms the budget abort on the high-level
 	// recompilation: if it generates more than BudgetFactor times the
@@ -149,7 +147,7 @@ func (m *MOP) RunCtx(ctx context.Context, blk *query.Block) (*opt.Result, *MOPDe
 		FinalPlanCost:   time.Duration(low.Plan.Cost * execTinst * float64(time.Second)),
 	}
 
-	est, err := EstimatePlansCtx(ctx, blk, Options{Level: high, Config: m.Config, Parallelism: m.Parallelism, Model: model, Models: m.Models})
+	est, err := EstimatePlansCtx(ctx, blk, Options{Level: high, Config: m.Config, Model: model, Models: m.Models})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -189,7 +187,7 @@ func (m *MOP) recompile(ctx context.Context, blk *query.Block, high opt.Level, m
 			// Dropping a rung changes the search space, so the budget's
 			// baseline must be re-predicted for the new level.
 			var err error
-			est, err = EstimatePlansCtx(ctx, blk, Options{Level: level, Config: m.Config, Parallelism: m.Parallelism, Model: model, Models: m.Models})
+			est, err = EstimatePlansCtx(ctx, blk, Options{Level: level, Config: m.Config, Model: model, Models: m.Models})
 			if err != nil {
 				return nil, 0, err
 			}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cote/internal/enum"
-	"cote/internal/knobs"
 	"cote/internal/memo"
 	"cote/internal/opt"
 	"cote/internal/props"
@@ -66,51 +65,48 @@ func estimateBlockLevels(b *query.Block, top opt.Level, levels []opt.Level, opts
 	// never read); the per-level counters only accumulate counts for the
 	// joins inside their space.
 	topCnt := &ws.cnt
-	lanes := make([]countLane, len(levels))
-	for i, l := range levels {
-		lanes[i] = countLane{
-			cnt:   topCnt.fork(),
-			admit: func(outer, inner *memo.Entry) bool { return levelAdmits(l, outer, inner) },
-		}
+	cnts := make([]*counter, len(levels))
+	for i := range levels {
+		cnts[i] = topCnt.fork()
 	}
-
-	en := ws.enumerator(top, opts)
-	if workers := knobs.Parallelism(opts.Parallelism); workers > 1 {
-		// One parallel pass serves every level: each worker forks one
-		// counting lane per level, gated by that level's search-space
-		// filter; the top counter only propagates, on the driver in
-		// canonical order.
-		phooks, finish := parallelCountHooks(topCnt, lanes)
-		_, err := en.RunParallel(phooks, workers)
-		finish()
-		if err != nil {
-			return err
-		}
-	} else {
-		hooks := enum.Hooks{
-			Init: topCnt.initialize,
-			Join: func(outer, inner, result *memo.Entry) {
-				for _, l := range lanes {
-					if l.admit(outer, inner) {
-						// Count without re-propagating: share the lists
-						// built by the top counter.
-						l.cnt.countOnly(outer, inner, result)
-					}
+	hooks := enum.Hooks{
+		Init: topCnt.initialize,
+		Join: func(outer, inner, result *memo.Entry) {
+			for i, c := range cnts {
+				if levelAdmits(levels[i], outer, inner) {
+					// Count without re-propagating: share the lists built
+					// by the top counter.
+					c.countOnly(outer, inner, result)
 				}
-				topCnt.accumulatePlans(outer, inner, result)
-			},
-		}
-		if _, err := en.Run(hooks); err != nil {
-			return err
-		}
+			}
+			topCnt.accumulatePlans(outer, inner, result)
+		},
+	}
+	if _, err := ws.enumerator(top, opts).Run(hooks); err != nil {
+		return err
 	}
 	for i, l := range levels {
 		c := out.Counts[l]
-		c.Add(lanes[i].cnt.counts)
+		c.Add(cnts[i].counts)
 		out.Counts[l] = c
-		out.Joins[l] += lanes[i].cnt.joins
+		out.Joins[l] += cnts[i].joins
 	}
 	return nil
+}
+
+// fork clones the counter for a level's count-only pass: the configuration
+// and the compound-vector map are shared — only the propagating counter
+// writes them — while counts, joins and the per-join scratch are private.
+func (c *counter) fork() *counter {
+	return &counter{
+		blk: c.blk, sc: c.sc, mem: c.mem,
+		parallel: c.parallel, nodes: c.nodes,
+		policy: c.policy, mode: c.mode, everyJoin: c.everyJoin,
+		pipeFactor: c.pipeFactor,
+		expTables:  c.expTables,
+		vecs:       c.vecs,
+		joinRep:    make([]bool, len(c.joinRep)),
+	}
 }
 
 // levelAdmits reports whether the (outer, inner) orientation lies in the

@@ -83,12 +83,12 @@ type propVec struct {
 
 // counter is the plan-estimate mode engine for a single query block: the
 // hook implementations of the paper's Table 3. The propagating one lives in
-// the pooled workspace; count-only twins (parallel workers, level lanes) fork.
+// the pooled workspace; EstimateLevels forks one count-only twin per level.
 type counter struct {
 	blk *query.Block
 	sc  *props.Scope
 	// mem is the block's MEMO; its arena keeps the columns of every order and
-	// partition the propagating counter stores, on the driver goroutine only.
+	// partition the propagating counter stores.
 	mem      *memo.Memo
 	parallel bool
 	nodes    int
@@ -110,14 +110,8 @@ type counter struct {
 	// joins counts the enumerated joins this counter accumulated.
 	joins int
 	// vecs holds compound property vectors per entry (CompoundLists only).
-	// Forked worker counters share this map: within size class k workers only
-	// read vectors of size<k entries, and only the driver's canonical-order
-	// commits write the size-k vectors.
+	// Forked level counters share this map and only read it.
 	vecs map[bitset.Set][]propVec
-	// extraScratch accumulates the scratch high-water of forked worker
-	// counters, merged in by the parallel pass's finish hook so the run
-	// accountant's working-memory charge still covers them.
-	extraScratch int64
 
 	// Scratch for the per-join hot path. accumulate_plans runs once per
 	// enumerated join — the paper's Table 3 inner loop — so everything it
@@ -238,10 +232,8 @@ func (c *counter) joinCols(outer, inner *memo.Entry) (outerCols, innerCols []que
 	return c.ocBuf, c.icBuf
 }
 
-// propagateWithCols is the property-propagation half of accumulate_plans,
-// split out so the parallel counting pass can replay it on the driver in
-// canonical commit order while the counting half ran on workers. It writes
-// only the result entry's (size-k) lists and the compound-vector map, never
+// propagateWithCols is the property-propagation half of accumulate_plans. It
+// writes only the result entry's lists and the compound-vector map, never
 // the inputs'.
 func (c *counter) propagateWithCols(outer, inner, result *memo.Entry, outerCols []query.ColID, candParts []props.Partition) {
 	if result.PropsPropagated && !c.everyJoin {
@@ -455,7 +447,7 @@ func (c *counter) scratchBytes() int64 {
 	if c.parallel {
 		cols += 2 * c.maxCols // jcBuf holds both sides
 	}
-	return int64(cols)*counterColIDBytes + int64(len(c.joinRep)) + c.extraScratch
+	return int64(cols)*counterColIDBytes + int64(len(c.joinRep))
 }
 
 // propertyBytes reports the memory footprint of the maintained property

@@ -93,44 +93,36 @@ func estimateOn(t *testing.T, ws *workspace, tenant, blk *query.Block, opts Opti
 
 // TestPoolStateBlockEstimate drives one workspace by
 // hand, so the state it is in is known rather than whatever sync.Pool hands
-// back: every block of every probe, serial and at Parallelism 4, after every
-// tenant. The serial scratch charge is part of the outcome — it used to be
-// the buffers' capacities, which remember the largest tenant — and so is
-// the decision of the tightest budget that admits the block on a fresh
-// workspace, and of one byte less.
+// back: every block of every probe after every tenant. The scratch charge is
+// part of the outcome — it used to be the buffers' capacities, which
+// remember the largest tenant — and so is the decision of the tightest
+// budget that admits the block on a fresh workspace, and of one byte less.
 func TestPoolStateBlockEstimate(t *testing.T) {
 	tenants := poolTenants(t)
 	for _, p := range poolProbes(t) {
 		for _, blk := range p.blk.Blocks() {
-			for _, par := range []int{1, 4} {
-				opts := Options{Level: opt.LevelHigh, Config: p.cfg, Parallelism: par}
-				fresh := func() *workspace { return &workspace{mem: memo.New(0)} }
-				want, err := estimateOn(t, fresh(), nil, blk, opts, 0)
+			opts := Options{Level: opt.LevelHigh, Config: p.cfg}
+			fresh := func() *workspace { return &workspace{mem: memo.New(0)} }
+			want, err := estimateOn(t, fresh(), nil, blk, opts, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Entries are all a budget poll can see: properties and
+			// scratch are charged after the last one.
+			tight := int64(want.Est.Entries) * memo.EntryFootprint
+			if _, err := estimateOn(t, fresh(), nil, blk, opts, tight); err != nil {
+				t.Fatalf("%s/%s: budget %d rejected on a fresh workspace: %v", p.name, blk.Name, tight, err)
+			}
+			for name, tenant := range tenants {
+				got, err := estimateOn(t, fresh(), tenant, blk, opts, tight)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s/%s after %s: budget %d rejected: %v", p.name, blk.Name, name, tight, err)
 				}
-				// Entries are all a budget poll can see: properties and
-				// scratch are charged after the last one.
-				tight := int64(want.Est.Entries) * memo.EntryFootprint
-				if _, err := estimateOn(t, fresh(), nil, blk, opts, tight); err != nil {
-					t.Fatalf("%s/%s par %d: budget %d rejected on a fresh workspace: %v", p.name, blk.Name, par, tight, err)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s after %s:\n got  %+v\n want %+v", p.name, blk.Name, name, got, want)
 				}
-				for name, tenant := range tenants {
-					got, err := estimateOn(t, fresh(), tenant, blk, opts, tight)
-					if err != nil {
-						t.Fatalf("%s/%s par %d after %s: budget %d rejected: %v", p.name, blk.Name, par, name, tight, err)
-					}
-					if par > 1 {
-						// Which worker counts which join is the scheduler's
-						// choice, and so is each worker's scratch high-water.
-						got.ScratchPeak = want.ScratchPeak
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s par %d after %s:\n got  %+v\n want %+v", p.name, blk.Name, par, name, got, want)
-					}
-					if _, err := estimateOn(t, fresh(), tenant, blk, opts, tight-1); !errors.Is(err, optctx.ErrMemBudgetExceeded) {
-						t.Fatalf("%s/%s par %d after %s: budget %d: err %v, want ErrMemBudgetExceeded", p.name, blk.Name, par, name, tight-1, err)
-					}
+				if _, err := estimateOn(t, fresh(), tenant, blk, opts, tight-1); !errors.Is(err, optctx.ErrMemBudgetExceeded) {
+					t.Fatalf("%s/%s after %s: budget %d: err %v, want ErrMemBudgetExceeded", p.name, blk.Name, name, tight-1, err)
 				}
 			}
 		}
@@ -166,8 +158,8 @@ func TestPoolStateScratchCharge(t *testing.T) {
 
 // TestPoolStateConcurrent is the same property
 // through the public entry point and the real pool: eight goroutines send
-// tenants and probes in different orders, serial and parallel mixed, so
-// every workspace is handed from large requests to small ones and back. Each
+// tenants and probes in different orders, so every workspace is handed from
+// large requests to small ones and back. Each
 // probe's Estimate JSON (Elapsed zeroed), MeasuredPeakBytes and budget
 // decisions must equal the reference taken before the goroutines start.
 func TestPoolStateConcurrent(t *testing.T) {
@@ -178,10 +170,10 @@ func TestPoolStateConcurrent(t *testing.T) {
 			tenants = append(tenants, b)
 		}
 	}
-	run := func(p poolProbe, par int, budget int64) (string, int64, error) {
+	run := func(p poolProbe, budget int64) (string, int64, error) {
 		exec := optctx.New(context.Background())
 		exec.SetMemBudget(budget)
-		est, err := EstimatePlans(p.blk, Options{Level: opt.LevelHigh, Config: p.cfg, Parallelism: par, Exec: exec})
+		est, err := EstimatePlans(p.blk, Options{Level: opt.LevelHigh, Config: p.cfg, Exec: exec})
 		if err != nil {
 			return "", 0, err
 		}
@@ -199,14 +191,14 @@ func TestPoolStateConcurrent(t *testing.T) {
 	}
 	refs := make([]reference, len(probes))
 	for i, p := range probes {
-		js, peak, err := run(p, 1, 0)
+		js, peak, err := run(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lo, hi := int64(1), peak // a budget of the whole durable charge admits
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if _, _, err := run(p, 1, mid); err == nil {
+			if _, _, err := run(p, mid); err == nil {
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -232,20 +224,19 @@ func TestPoolStateConcurrent(t *testing.T) {
 				t.Errorf("goroutine %d: %s", g, fmt.Sprintf(format, args...))
 			}
 			for round := 0; round < 6; round++ {
-				if _, err := EstimatePlans(tenants[(g+round)%len(tenants)], Options{Level: opt.LevelHigh, Parallelism: 1 + 3*(round%2)}); err != nil {
+				if _, err := EstimatePlans(tenants[(g+round)%len(tenants)], Options{Level: opt.LevelHigh}); err != nil {
 					fail("tenant: %v", err)
 					return
 				}
 				i := (g + 3*round) % len(probes)
 				p, ref := own[g][i], refs[i]
-				par := 1 + 3*((g+round)%2)
-				js, peak, err := run(p, par, ref.tight)
+				js, peak, err := run(p, ref.tight)
 				if err != nil || js != ref.js || peak != ref.peak {
-					fail("%s par %d under budget %d: err %v\n got  %s (peak %d)\n want %s (peak %d)", p.name, par, ref.tight, err, js, peak, ref.js, ref.peak)
+					fail("%s under budget %d: err %v\n got  %s (peak %d)\n want %s (peak %d)", p.name, ref.tight, err, js, peak, ref.js, ref.peak)
 					return
 				}
-				if _, _, err := run(p, par, ref.tight-1); !errors.Is(err, optctx.ErrMemBudgetExceeded) {
-					fail("%s par %d under budget %d: err %v, want ErrMemBudgetExceeded", p.name, par, ref.tight-1, err)
+				if _, _, err := run(p, ref.tight-1); !errors.Is(err, optctx.ErrMemBudgetExceeded) {
+					fail("%s under budget %d: err %v, want ErrMemBudgetExceeded", p.name, ref.tight-1, err)
 					return
 				}
 			}

@@ -135,10 +135,7 @@ func (s *Server) UpdateModel(_ context.Context, req ModelUpdateRequest) (*ModelS
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}
-		s.metrics.ModelInstalls.Add()
-		if s.cfg.Calib.OnSwap != nil {
-			s.cfg.Calib.OnSwap(v)
-		}
+		s.publishModel(v)
 	default:
 		if _, err := s.calib.Recalibrate("recalibrate(api)"); err != nil {
 			return nil, badRequest("recalibrate: %v", err)

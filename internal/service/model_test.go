@@ -3,7 +3,12 @@ package service
 import (
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+
+	"cote/internal/calib"
+	"cote/internal/core"
+	"cote/internal/props"
 )
 
 // A cached estimate must be re-priced with the model that is current at
@@ -147,5 +152,67 @@ func TestModelEndpoints(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/model", ModelUpdateRequest{Rollback: 99})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("rollback to missing version: %d, want 400", resp.StatusCode)
+	}
+}
+
+// Every way POST /v1/model makes a version current — install, rollback and
+// recalibrate — must publish it once: one OnSwap call with the new current
+// version (what -model-file persistence hangs off) and one model_installs
+// tick.
+func TestModelUpdatesPublishOnce(t *testing.T) {
+	var mu sync.Mutex
+	var swapped []int
+	srv := New(Config{Workers: 1, Calib: calib.Config{
+		DriftThreshold: -1, // refit only when asked
+		OnSwap: func(v *calib.ModelVersion) {
+			mu.Lock()
+			swapped = append(swapped, v.Version)
+			mu.Unlock()
+		},
+	}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// The window a recalibration refits over: plan counts timed by a model
+	// far enough from testModel that the refit beats the incumbent.
+	truth := &core.TimeModel{Tinst: 1}
+	truth.C[props.MGJN], truth.C[props.NLJN], truth.C[props.HSJN] = 5e-6, 2e-6, 4e-6
+	for i := 1; i <= 12; i++ {
+		var c core.PlanCounts
+		c.ByMethod[props.MGJN], c.ByMethod[props.NLJN], c.ByMethod[props.HSJN] = 10*i, 100+7*i*i, 3*i+i%4
+		srv.Calibrator().ObserveCompile(core.CompileObservation{Counts: c, Actual: truth.Predict(c)})
+	}
+
+	installs := func() float64 {
+		_, m := getJSON(t, ts.URL+"/metrics")
+		return m["calibration"].(map[string]any)["model_installs"].(float64)
+	}
+	for i, step := range []struct {
+		name string
+		req  ModelUpdateRequest
+	}{
+		{"install", ModelUpdateRequest{Model: testModel(1e-6)}},
+		{"install", ModelUpdateRequest{Model: testModel(1e-5)}},
+		{"rollback", ModelUpdateRequest{Rollback: 1}},
+		{"recalibrate", ModelUpdateRequest{Recalibrate: true}},
+	} {
+		before := installs()
+		resp, body := postJSON(t, ts.URL+"/v1/model", step.req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %v", step.name, resp.StatusCode, body)
+		}
+		want := i + 1
+		if v := int(body["version"].(float64)); v != want || srv.Models().Version() != want {
+			t.Fatalf("%s: current version %d (registry %d), want %d", step.name, v, srv.Models().Version(), want)
+		}
+		mu.Lock()
+		got := append([]int(nil), swapped...)
+		mu.Unlock()
+		if len(got) != want || got[want-1] != want {
+			t.Fatalf("%s: OnSwap saw versions %v, want one call per update ending in %d", step.name, got, want)
+		}
+		if after := installs(); after != before+1 {
+			t.Fatalf("%s: model_installs %v -> %v, want one more", step.name, before, after)
+		}
 	}
 }

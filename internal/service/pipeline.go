@@ -100,10 +100,7 @@ func (s *Server) parallelism(requested int) int {
 //
 // The returned cached flag reports that this request ran no enumeration of
 // its own — an LRU hit or a wait on another request's in-flight run.
-func (s *Server) estimate(ctx context.Context, st stmt, level opt.Level, useCache bool, parallelism int) (*core.Estimate, bool, error) {
-	// The parallel counting pass is bit-identical to serial, so the degree
-	// stays out of the cache key: it only decides how fast a miss enumerates.
-	par := s.parallelism(parallelism)
+func (s *Server) estimate(ctx context.Context, st stmt, level opt.Level, useCache bool) (*core.Estimate, bool, error) {
 	// run is the miss path, the only place the canonical block is rebuilt.
 	run := func() (*core.Estimate, error) {
 		est, err := Run(s.pool, ctx, func() (*core.Estimate, error) {
@@ -111,7 +108,7 @@ func (s *Server) estimate(ctx context.Context, st stmt, level opt.Level, useCach
 			if err != nil {
 				return nil, err
 			}
-			return core.EstimatePlansCtx(ctx, canon, core.Options{Level: level, Config: st.entry.Config, Parallelism: par})
+			return core.EstimatePlansCtx(ctx, canon, core.Options{Level: level, Config: st.entry.Config})
 		})
 		if err == nil {
 			// The enumerate stage moves only when an enumeration really ran:
@@ -170,11 +167,6 @@ type EstimateRequest struct {
 	SQL     string `json:"sql"`
 	Level   string `json:"level,omitempty"`
 	NoCache bool   `json:"no_cache,omitempty"`
-	// Parallelism fans the counting pass of an uncached estimate out to this
-	// many workers, clamped to [1, Config.MaxParallelism]. Zero means serial.
-	// The estimate is bit-identical at every degree, so the knob never
-	// changes the response — only how fast a cache miss computes it.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // EstimateResponse is the reply: the estimate plus cache provenance. The
@@ -207,7 +199,7 @@ func (s *Server) Estimate(ctx context.Context, req EstimateRequest) (*EstimateRe
 	if err != nil {
 		return nil, err
 	}
-	est, cached, err := s.estimate(ctx, st, level, !req.NoCache, req.Parallelism)
+	est, cached, err := s.estimate(ctx, st, level, !req.NoCache)
 	if err != nil {
 		return nil, err
 	}
@@ -228,9 +220,6 @@ type EstimateBatchRequest struct {
 	Statements []string `json:"statements"`
 	Level      string   `json:"level,omitempty"`
 	NoCache    bool     `json:"no_cache,omitempty"`
-	// Parallelism applies the single-estimate knob to every distinct group
-	// the batch enumerates (clamped to [1, Config.MaxParallelism]).
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // BatchItem is the per-statement outcome, in submission order.
@@ -329,7 +318,7 @@ func (s *Server) EstimateBatch(ctx context.Context, req EstimateBatchRequest) (*
 		// shedder's EWMA are defined over single estimates, and a batch
 		// recorded whole would read as one estimate hundreds of times slower.
 		start := time.Now()
-		est, cached, err := s.estimate(ctx, g.st, level, !req.NoCache, req.Parallelism)
+		est, cached, err := s.estimate(ctx, g.st, level, !req.NoCache)
 		s.observe(&s.metrics.EstimateLatency, start)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -451,7 +440,7 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 	var memo [opt.NumLevels]*core.Estimate
 	priceAt := func(l opt.Level) (core.Estimate, error) {
 		if memo[l] == nil {
-			est, _, err := s.estimate(ctx, st, l, true, req.Parallelism)
+			est, _, err := s.estimate(ctx, st, l, true)
 			if err != nil {
 				return core.Estimate{}, err
 			}

@@ -175,23 +175,27 @@ func (s *Server) SetModel(m *core.TimeModel) {
 	_, _ = s.installModel(m, "api", 0, 0)
 }
 
-// installModel installs a model version and mirrors it into the metrics
-// and the configured swap hook. The fault-injection point sits before the
-// registry swap: a tripped install changes nothing — no version, no metrics
-// tick, no persistence — exactly like a registry whose durable step refused.
+// installModel installs a model version and publishes it. The
+// fault-injection point sits before the registry swap: a tripped install
+// changes nothing — no version, no metrics tick, no persistence — exactly
+// like a registry whose durable step refused.
 func (s *Server) installModel(m *core.TimeModel, source string, samples int, fitErr float64) (*calib.ModelVersion, error) {
 	if err := faultinject.Check(faultinject.PointModelSwap); err != nil {
 		return nil, err
 	}
 	v := s.models.Install(m, source, samples, fitErr)
+	s.publishModel(v)
+	return v, nil
+}
+
+// publishModel mirrors a version the server made current into the metrics
+// and the configured swap hook, so -model-file persistence sees every
+// install and rollback. Recalibrations run OnSwap through the calibrator.
+func (s *Server) publishModel(v *calib.ModelVersion) {
 	s.metrics.ModelInstalls.Add()
 	if s.cfg.Calib.OnSwap != nil {
-		// Recalibrations run OnSwap through the calibrator; every other
-		// install path mirrors the behaviour here so -model-file
-		// persistence sees them all.
 		s.cfg.Calib.OnSwap(v)
 	}
-	return v, nil
 }
 
 // Calibrator exposes the online calibration loop (cmd/coted wires its

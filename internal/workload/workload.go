@@ -160,7 +160,7 @@ func min2(a, b int) int {
 
 // Clique builds the clique synthetic workload: every pair of tables is
 // joined (the densest join graph, the worst case for DPsize enumeration and
-// the regime where the parallel counting pass has the most to win). Batches
+// the counter's heaviest per-join work). Batches
 // follow Linear/Star; the per-edge predicate count sweeps 1..2 only — with
 // O(n^2) edges the interesting-order growth of wider sweeps would dwarf the
 // batch structure.
