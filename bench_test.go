@@ -12,10 +12,8 @@ package cote_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"cote/internal/core"
 	"cote/internal/experiments"
@@ -246,52 +244,6 @@ func BenchmarkOptimizeReal2Headline(b *testing.B) {
 		if _, err := opt.Optimize(q.Block, opt.Options{Level: experiments.Level}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchOptimizeParallel compiles the headline query with the parallel DP
-// driver at a fixed worker count. Speedup over the serial benchmark above is
-// the tentpole metric; on single-core machines these mainly measure that the
-// parallel machinery's overhead stays negligible.
-func benchOptimizeParallel(b *testing.B, workers int) {
-	setup(b)
-	q := wls["real2_s"].Queries[7]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Optimize(q.Block, opt.Options{Level: experiments.Level, Parallelism: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOptimizeReal2HeadlineP2(b *testing.B) { benchOptimizeParallel(b, 2) }
-func BenchmarkOptimizeReal2HeadlineP4(b *testing.B) { benchOptimizeParallel(b, 4) }
-
-// BenchmarkOptimizeParallelSpeedup reports the serial/parallel wall-clock
-// ratio directly as a "speedup-x" metric, measuring both modes inside one
-// benchmark run so the comparison shares its machine state.
-func BenchmarkOptimizeParallelSpeedup(b *testing.B) {
-	setup(b)
-	q := wls["real2_s"].Queries[7]
-	workers := runtime.GOMAXPROCS(0)
-	var serial, parallel time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := opt.Optimize(q.Block, opt.Options{Level: experiments.Level}); err != nil {
-			b.Fatal(err)
-		}
-		serial += time.Since(t0)
-		t0 = time.Now()
-		if _, err := opt.Optimize(q.Block, opt.Options{Level: experiments.Level, Parallelism: workers}); err != nil {
-			b.Fatal(err)
-		}
-		parallel += time.Since(t0)
-	}
-	if parallel > 0 {
-		b.ReportMetric(float64(serial)/float64(parallel), "speedup-x")
-		b.ReportMetric(float64(workers), "workers")
 	}
 }
 

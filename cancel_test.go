@@ -9,6 +9,7 @@ package cote_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -19,6 +20,31 @@ import (
 	"cote/internal/testutil"
 	"cote/internal/workload"
 )
+
+// fingerprint captures everything a compile produces that must not depend on
+// how it was driven. Wall-clock fields are deliberately excluded.
+type fingerprint struct {
+	planString string
+	cost       float64
+	rows       float64
+	blocks     string // per-block enum stats, plan counts, memo sizes
+}
+
+func fingerprintOf(res *opt.Result) fingerprint {
+	blocks := ""
+	for _, b := range res.Blocks {
+		blocks += fmt.Sprintf("[%s: joins=%d pairs=%d entries=%d gen=%v access=%d enforcer=%d pilot=%d memoplans=%d memoentries=%d]",
+			b.Block.Name, b.EnumStats.Joins, b.EnumStats.Pairs, b.EnumStats.Entries,
+			b.Counters.Generated, b.Counters.AccessPlans, b.Counters.EnforcerPlans,
+			b.Counters.PilotPruned, b.Memo.NumPlans(), b.Memo.NumEntries())
+	}
+	return fingerprint{
+		planString: res.Plan.String(),
+		cost:       res.Plan.Cost,
+		rows:       res.Plan.Card,
+		blocks:     blocks,
+	}
+}
 
 // heavyQuery is the 14-table, 3-view real2 query — the longest compile in the
 // built-in workloads at the experiments level (~tens of ms), long enough that
@@ -31,43 +57,39 @@ func TestCancelledContextStopsOptimize(t *testing.T) {
 	q := heavyQuery()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired: the compile must stop at its first check
-	for _, par := range []int{0, 4} {
-		start := time.Now()
-		res, err := opt.OptimizeCtx(ctx, q.Block, opt.Options{Level: experiments.Level, Config: cost.Parallel4, Parallelism: par})
-		elapsed := time.Since(start)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism=%d: err = %v, want context.Canceled (res=%v)", par, err, res != nil)
-		}
-		// Generous bound: a full compile is ~tens of ms, so even a slow CI
-		// machine returns orders of magnitude inside this if cancellation
-		// short-circuits the work at all.
-		if elapsed > 2*time.Second {
-			t.Errorf("parallelism=%d: took %v to notice a pre-cancelled context", par, elapsed)
-		}
+	start := time.Now()
+	res, err := opt.OptimizeCtx(ctx, q.Block, opt.Options{Level: experiments.Level, Config: cost.Parallel4})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled (res=%v)", err, res != nil)
+	}
+	// Generous bound: a full compile is ~tens of ms, so even a slow CI
+	// machine returns orders of magnitude inside this if cancellation
+	// short-circuits the work at all.
+	if elapsed > 2*time.Second {
+		t.Errorf("took %v to notice a pre-cancelled context", elapsed)
 	}
 }
 
 func TestMidFlightCancelStopsOptimize(t *testing.T) {
 	q := heavyQuery()
-	for _, par := range []int{0, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			_, err := opt.OptimizeCtx(ctx, q.Block, opt.Options{Level: experiments.Level, Config: cost.Parallel4, Parallelism: par})
-			done <- err
-		}()
-		time.Sleep(time.Millisecond) // let the enumeration get going
-		cancel()
-		select {
-		case err := <-done:
-			// err == nil means the compile beat the cancel — possible on a
-			// fast machine, and not a cancellation bug.
-			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("parallelism=%d: err = %v, want context.Canceled or nil", par, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("parallelism=%d: compile did not return after cancel", par)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := opt.OptimizeCtx(ctx, q.Block, opt.Options{Level: experiments.Level, Config: cost.Parallel4})
+		done <- err
+	}()
+	time.Sleep(time.Millisecond) // let the enumeration get going
+	cancel()
+	select {
+	case err := <-done:
+		// err == nil means the compile beat the cancel — possible on a fast
+		// machine, and not a cancellation bug.
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled or nil", err)
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("compile did not return after cancel")
 	}
 }
 
@@ -135,37 +157,34 @@ func TestDeadlineStopsOptimize(t *testing.T) {
 	}
 }
 
-// TestCancelLeavesNoGoroutines pins the parallel driver's cleanup: cancelling
-// mid-flight must not strand workers. The shared guard GC-retries the count
-// comparison because the runtime retires goroutines asynchronously.
+// TestCancelLeavesNoGoroutines: a compile cancelled mid-flight must not leave
+// a goroutine behind. The shared guard GC-retries the count comparison
+// because the runtime retires goroutines asynchronously.
 func TestCancelLeavesNoGoroutines(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	q := heavyQuery()
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		_, _ = opt.OptimizeCtx(ctx, q.Block, opt.Options{Level: experiments.Level, Config: cost.Parallel4, Parallelism: 4})
+		_, _ = opt.OptimizeCtx(ctx, q.Block, opt.Options{Level: experiments.Level, Config: cost.Parallel4})
 		cancel()
 	}
 }
 
 // TestOptimizeCtxBackgroundIsDeterministic: an execution context that never
-// fires must be invisible — same fingerprint as the plain entry point, serial
-// and parallel.
+// fires must be invisible — same fingerprint as the plain entry point.
 func TestOptimizeCtxBackgroundIsDeterministic(t *testing.T) {
 	q := heavyQuery()
-	for _, par := range []int{0, 4} {
-		opts := opt.Options{Level: experiments.Level, Config: cost.Parallel4, Parallelism: par}
-		plain, err := opt.Optimize(q.Block, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctxed, err := opt.OptimizeCtx(context.Background(), q.Block, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := fingerprintOf(ctxed), fingerprintOf(plain); got != want {
-			t.Errorf("parallelism=%d: OptimizeCtx(Background) diverges from Optimize:\n got %+v\nwant %+v", par, got, want)
-		}
+	opts := opt.Options{Level: experiments.Level, Config: cost.Parallel4}
+	plain, err := opt.Optimize(q.Block, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxed, err := opt.OptimizeCtx(context.Background(), q.Block, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fingerprintOf(ctxed), fingerprintOf(plain); got != want {
+		t.Errorf("OptimizeCtx(Background) diverges from Optimize:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -186,8 +205,7 @@ func TestPlanBudgetAborts(t *testing.T) {
 // TestProgressMeter: with a predicted total installed, OnProgress observes a
 // monotonically nondecreasing generated count and the final count matches the
 // compile's own counters (join plans only; access/enforcer plans tick outside
-// the per-join hook). Serial compile: with parallel workers the hook fires
-// concurrently and per-call ordering is not part of the contract.
+// the per-join hook).
 func TestProgressMeter(t *testing.T) {
 	q := heavyQuery()
 	var last int64

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cotebench [-fig all|2|4a|4b|4c|5a|5d|5g|6a|6b|6c|6d|6e|6f|ct|joinbaseline|pilot|mem|memfig|piggyback|ablations|pipeline|cache|parallel|fingerprint|calib] [-seed N] [-timeout 0] [-model-file f.json]
+//	cotebench [-fig all|2|4a|4b|4c|5a|5d|5g|6a|6b|6c|6d|6e|6f|ct|joinbaseline|pilot|mem|memfig|piggyback|ablations|pipeline|cache|fingerprint|calib] [-seed N] [-timeout 0] [-model-file f.json]
 //
 // The calib figure replays a deterministic workload through the online
 // calibration loop, showing predicted/actual convergence from a 4x
@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -58,7 +57,7 @@ func main() {
 	ids := strings.Split(*fig, ",")
 	if *fig == "all" {
 		ids = []string{"2", "4a", "4b", "4c", "5a", "5d", "5g", "6a", "6b", "6c", "6d", "6e", "6f",
-			"ct", "joinbaseline", "pilot", "mem", "memfig", "piggyback", "ablations", "pipeline", "cache", "parallel",
+			"ct", "joinbaseline", "pilot", "mem", "memfig", "piggyback", "ablations", "pipeline", "cache",
 			"fingerprint", "calib"}
 	}
 	for _, id := range ids {
@@ -197,8 +196,6 @@ func (s *suite) run(id string) error {
 		return s.pipeline()
 	case "cache":
 		return s.cache()
-	case "parallel":
-		return s.parallel()
 	case "fingerprint":
 		return s.fingerprint()
 	case "calib":
@@ -373,73 +370,6 @@ func (s *suite) sharedFlight(q workload.Query, opts core.Options, callers int) (
 		return 0, fmt.Errorf("%s: %d enumerations across %d concurrent callers, want 1", q.Name, n, callers)
 	}
 	return wall / time.Duration(callers), nil
-}
-
-// parallel measures the intra-query parallel DP driver: wall-clock speedup
-// and allocations of the headline compiles at several worker counts,
-// asserting along the way that every parallel plan is identical to the
-// serial one (the driver's core contract).
-func (s *suite) parallel() error {
-	fmt.Println("=== Extension: parallel intra-query DP enumeration ===")
-	fmt.Printf("GOMAXPROCS=%d (speedup is bounded by physical cores; workers beyond that only test overhead)\n", runtime.GOMAXPROCS(0))
-	queries := []struct {
-		wl  string
-		idx int
-	}{
-		{"real2_s", 7}, // the 14-table, 3-view headline query
-		{"real1_s", 7}, // 9-table join, the workload's largest
-		{"tpch_s", 3},  // 8-table join
-	}
-	degrees := []int{2, 4}
-	fmt.Printf("%-20s %12s", "query", "serial")
-	for _, d := range degrees {
-		fmt.Printf(" %10s %8s", fmt.Sprintf("P=%d", d), "speedup")
-	}
-	fmt.Println()
-	for _, qs := range queries {
-		w := s.wl(qs.wl)
-		if qs.idx >= len(w.Queries) {
-			continue
-		}
-		q := w.Queries[qs.idx]
-		serialRes, serialT, err := bestOf(s.ctx, 3, q, opt.Options{Level: experiments.Level})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-20s %12v", qs.wl+"/"+q.Name, serialT.Round(time.Microsecond))
-		for _, d := range degrees {
-			res, t, err := bestOf(s.ctx, 3, q, opt.Options{Level: experiments.Level, Parallelism: d})
-			if err != nil {
-				return err
-			}
-			if res.Plan.Cost != serialRes.Plan.Cost || res.Plan.String() != serialRes.Plan.String() {
-				return fmt.Errorf("parallel plan diverges from serial for %s at P=%d", q.Name, d)
-			}
-			fmt.Printf(" %10v %7.2fx", t.Round(time.Microsecond), float64(serialT)/float64(t))
-		}
-		fmt.Println()
-	}
-	fmt.Println("(plans verified identical to serial at every worker count)")
-	fmt.Println()
-	return nil
-}
-
-// bestOf compiles a query n times under the suite deadline and returns the
-// fastest run.
-func bestOf(ctx context.Context, n int, q workload.Query, opts opt.Options) (*opt.Result, time.Duration, error) {
-	var best *opt.Result
-	bestT := time.Duration(1<<63 - 1)
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		res, err := opt.OptimizeCtx(ctx, q.Block, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		if el := time.Since(t0); el < bestT {
-			best, bestT = res, el
-		}
-	}
-	return best, bestT, nil
 }
 
 func (s *suite) fig2() error {

@@ -10,7 +10,7 @@
 //	      [-downgrade] [-max-queue N] [-shed-deadline 0]
 //	      [-calibrate star] [-model-file cote-model.json]
 //	      [-recalibrate-min-samples 8] [-drift-threshold 0.5]
-//	      [-parallelism N] [-grace 10s] [-pprof] [-fault-plan SPEC]
+//	      [-grace 10s] [-pprof] [-fault-plan SPEC]
 //
 // Endpoints: POST /v1/estimate, POST /v1/optimize, POST /v1/calibrate,
 // GET/POST /v1/model, GET /v1/model/history, GET/POST /v1/catalogs,
@@ -42,7 +42,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -55,7 +54,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8334", "listen address")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS/parallelism)")
+	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "max requests waiting for a worker (0 = 4x workers)")
 	timeout := flag.Duration("timeout", 0, "per-request timeout (0 = 30s, negative = none)")
 	cacheCap := flag.Int("cache", 1024, "estimate cache capacity (entries, keyed by catalog epoch + structural fingerprint + level)")
@@ -66,7 +65,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "overload shed bound on the waiting line: requests arriving beyond it are shed with 429 + Retry-After (0 = same as -queue)")
 	shedDeadline := flag.Duration("shed-deadline", 0, "shed requests whose deadline is within this margin of the projected queue wait (0 = no margin, deadline check still armed)")
 	faultPlan := flag.String("fault-plan", "", "activate a deterministic fault-injection plan, e.g. 'seed=42;pool.acquire:error,p=0.1' (chaos testing; see internal/faultinject)")
-	parallelism := flag.Int("parallelism", 1, "max intra-query parallelism per optimize request (workers default shrinks to compensate)")
 	grace := flag.Duration("grace", 10*time.Second, "graceful-shutdown window; in-flight work is cancelled halfway through")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof endpoints for profiling")
 	recalMin := flag.Int("recalibrate-min-samples", 0, "observations required in the window before an online refit (0 = default 8)")
@@ -111,7 +109,6 @@ func main() {
 		Downgrade:      *downgrade,
 		MaxQueue:       *maxQueue,
 		ShedDeadline:   *shedDeadline,
-		MaxParallelism: *parallelism,
 		Models:         reg,
 		Calib: calib.Config{
 			MinSamples:     *recalMin,
@@ -185,7 +182,7 @@ func main() {
 		_ = httpSrv.Shutdown(ctx)
 	}()
 
-	log.Printf("coted listening on %s (workers=%d, parallelism<=%d)", *addr, srvWorkers(*workers, *parallelism), *parallelism)
+	log.Printf("coted listening on %s (workers=%d)", *addr, srv.Workers())
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "coted: %v\n", err)
 		os.Exit(1)
@@ -209,21 +206,6 @@ func withPprof(next http.Handler) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/", next)
 	return mux
-}
-
-// srvWorkers mirrors the server's worker default for the startup log line.
-func srvWorkers(flagValue, parallelism int) int {
-	if flagValue > 0 {
-		return flagValue
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	w := runtime.GOMAXPROCS(0) / parallelism
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // logRequests logs one line per request: method, path, status, duration.

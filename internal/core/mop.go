@@ -82,9 +82,6 @@ type MOP struct {
 	// Static marks a statically compiled (repeatedly executed) query; the
 	// paper suggests spending more on those, modeled as a 10x threshold.
 	Static bool
-	// Parallelism is forwarded to the real compilations (both levels); the
-	// estimates that price them always run serially.
-	Parallelism int
 	// BudgetFactor, when positive, arms the budget abort on the high-level
 	// recompilation: if it generates more than BudgetFactor times the
 	// COTE-predicted plan count, the compile is aborted and retried at the
@@ -133,7 +130,7 @@ func (m *MOP) RunCtx(ctx context.Context, blk *query.Block) (*opt.Result, *MOPDe
 		threshold *= 10
 	}
 
-	low, err := opt.OptimizeCtx(ctx, blk, opt.Options{Level: opt.LevelLow, Config: m.Config, Parallelism: m.Parallelism})
+	low, err := opt.OptimizeCtx(ctx, blk, opt.Options{Level: opt.LevelLow, Config: m.Config})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -205,7 +202,7 @@ func (m *MOP) recompile(ctx context.Context, blk *query.Block, high opt.Level, m
 			oc.SetPlanBudget(int64(m.BudgetFactor * float64(total)))
 		}
 		oc.SetMemBudget(m.MemBudget)
-		res, err := opt.OptimizeWith(oc, blk, opt.Options{Level: level, Config: m.Config, Parallelism: m.Parallelism})
+		res, err := opt.OptimizeWith(oc, blk, opt.Options{Level: level, Config: m.Config})
 		if err == nil {
 			// One prediction, one measurement: the pair the drift detector
 			// scores the model on.

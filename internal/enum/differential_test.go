@@ -14,8 +14,8 @@ import (
 
 // The differential suite checks the enumerator's size-class scan against a
 // test-only oracle — the unconditioned DPsize cross product — for random
-// query graphs across every knob combination: Run and RunParallel must
-// produce the oracle's stats and its emission sequence, join for join.
+// query graphs across every knob combination: Run must produce the oracle's
+// stats and its emission sequence, join for join.
 
 // emission is one emitted ordered join, identified by table sets (entry
 // pointers differ across runs).
@@ -154,10 +154,10 @@ func runOracle(blk *query.Block, opts Options) (Stats, []emission, error) {
 	en := New(blk, mem, cost.NewEstimator(blk, cost.Simple), opts)
 	var st Stats
 	var seq []emission
-	emit := func(outer, inner, result *memo.Entry) {
+	record := Hooks{Join: func(outer, inner, result *memo.Entry) {
 		seq = append(seq, emission{outer.Tables, inner.Tables, result.Tables})
-	}
-	en.runBase(&st, Hooks{})
+	}}
+	en.runBase(&st, record)
 	for k := 2; k <= blk.NumTables(); k++ {
 		for i := 1; i <= k/2; i++ {
 			j := k - i
@@ -170,7 +170,7 @@ func runOracle(blk *query.Block, opts Options) (Stats, []emission, error) {
 					if S.Tables.Overlaps(L.Tables) || !en.joinable(S, L) {
 						continue
 					}
-					en.tryEmit(S, L, &st, Hooks{}, emit)
+					en.tryEmit(S, L, &st, record)
 				}
 			}
 		}
@@ -190,28 +190,6 @@ func runSerial(blk *query.Block, opts Options) (Stats, []emission, *memo.Memo, e
 		},
 	})
 	return st, seq, mem, err
-}
-
-// runParallel enumerates blk under opts with RunParallel at degree 4,
-// recording the sequence in which tasks are committed.
-func runParallel(blk *query.Block, opts Options) (Stats, []emission, error) {
-	mem := memo.New(blk.NumTables())
-	card := cost.NewEstimator(blk, cost.Simple)
-	var seq []emission
-	st, err := New(blk, mem, card, opts).RunParallel(ParallelHooks{
-		NewWorker: func() (GenerateFunc, CommitFunc) {
-			var pending []emission
-			gen := func(task int, outer, inner, result *memo.Entry) {
-				for len(pending) <= task {
-					pending = append(pending, emission{})
-				}
-				pending[task] = emission{outer.Tables, inner.Tables, result.Tables}
-			}
-			commit := func(task int) { seq = append(seq, pending[task]) }
-			return gen, commit
-		},
-	}, 4)
-	return st, seq, err
 }
 
 // sameEmissions fails the test at the first position where got and want
@@ -289,23 +267,5 @@ func TestDifferentialIndexedVsNaive(t *testing.T) {
 				}
 			}
 		}
-	})
-}
-
-// TestDifferentialParallelScan pins the parallel driver to the same scan:
-// RunParallel's stats and commit order must match the oracle's emission
-// order on every combination.
-func TestDifferentialParallelScan(t *testing.T) {
-	forEachCombination(t, func(label string, blk *query.Block, opts Options) {
-		stO, seqO, errO := runOracle(blk, opts)
-		st, seq, err := runParallel(blk, opts)
-		if (err == nil) != (errO == nil) {
-			t.Fatalf("%s: error mismatch: parallel=%v oracle=%v", label, err, errO)
-		}
-		if st.Joins != stO.Joins || st.Pairs != stO.Pairs || st.Entries != stO.Entries ||
-			st.CandidatesVisited+st.CandidatesSkipped != stO.CandidatesVisited {
-			t.Fatalf("%s: stats diverge: parallel=%+v oracle=%+v", label, st, stO)
-		}
-		sameEmissions(t, label, seq, seqO)
 	})
 }

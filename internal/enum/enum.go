@@ -87,10 +87,9 @@ const (
 	// outerPollMask polls once per 16 outer entries of a size-class scan
 	// (each outer drives at most one size class's worth of inner work).
 	outerPollMask = 15
-	// joinPollMask polls once per 64 emitted joins in the serial Run and
-	// once per 64 generated tasks in the parallel driver's inline path,
-	// where each unit includes plan generation (microseconds, the dominant
-	// per-join cost of real optimization).
+	// joinPollMask polls once per 64 emitted joins, where each unit
+	// includes plan generation (microseconds, the dominant per-join cost
+	// of real optimization).
 	joinPollMask = 63
 )
 
@@ -115,8 +114,8 @@ type Options struct {
 // once per enumerated (outer, inner) join, after the result entry exists;
 // Complete is invoked once per entry when no further joins will produce
 // plans for it (all base entries first, then each size class as its
-// dynamic-programming round finishes) — the point where the parallel
-// optimizer places its eager enforcers.
+// dynamic-programming round finishes) — the point where the shared-nothing
+// (partitioned) optimizer places its eager enforcers.
 type Hooks struct {
 	Init     func(e *memo.Entry)
 	Join     func(outer, inner, result *memo.Entry)
@@ -169,20 +168,8 @@ func (en *Enumerator) Run(hooks Hooks) (Stats, error) {
 	n := en.blk.NumTables()
 
 	en.runBase(&st, hooks)
-	joins := 0
 	for k := 2; k <= n; k++ {
-		en.scanSizeClass(k, &st, hooks, func(outer, inner, result *memo.Entry) {
-			if hooks.Join != nil {
-				hooks.Join(outer, inner, result)
-			}
-			// Bound the cancellation latency of long size classes: one
-			// poll per joinPollMask+1 joins keeps the overhead off the
-			// per-join path while a deadline still lands within a small,
-			// fixed amount of generation work.
-			if joins++; joins&joinPollMask == 0 && en.opts.Exec.Cancelled() {
-				en.stop = true
-			}
-		})
+		en.scanSizeClass(k, &st, hooks)
 		if en.stop || en.opts.Exec.Cancelled() {
 			return st, en.opts.Exec.Err()
 		}
@@ -191,8 +178,7 @@ func (en *Enumerator) Run(hooks Hooks) (Stats, error) {
 	return st, en.checkRoot()
 }
 
-// runBase creates the single-table MEMO entries and completes size class 1 —
-// the start of every enumeration, serial or parallel.
+// runBase creates the single-table MEMO entries and completes size class 1.
 func (en *Enumerator) runBase(st *Stats, hooks Hooks) {
 	n := en.blk.NumTables()
 	for t := 0; t < n; t++ {
@@ -205,16 +191,13 @@ func (en *Enumerator) runBase(st *Stats, hooks Hooks) {
 
 // scanSizeClass walks the (outer, inner) pairs of size class k in the
 // canonical dynamic-programming order, materializing result entries and
-// counting stats, and calls emit once per admitted ordered join. Both the
-// serial Run (emit = invoke the Join hook) and the parallel driver (emit =
-// buffer a task) share this scan, so the set and order of enumerated joins
-// are identical by construction.
+// counting stats, and calls the Join hook once per admitted ordered join.
 //
 // The scan is the DPsize cross product of each (size-i, size-j) class pair:
 // a slot is rejected by one Overlaps on the table sets and one on the cached
 // neighbor mask (joinable). The only shortcut is classAdmissible, which
 // drops a class pair whose sizes no orientation can pass.
-func (en *Enumerator) scanSizeClass(k int, st *Stats, hooks Hooks, emit func(outer, inner, result *memo.Entry)) {
+func (en *Enumerator) scanSizeClass(k int, st *Stats, hooks Hooks) {
 	for i := 1; i <= k/2; i++ {
 		j := k - i
 		smaller := en.mem.OfSize(i)
@@ -239,7 +222,7 @@ func (en *Enumerator) scanSizeClass(k int, st *Stats, hooks Hooks, emit func(out
 				en.stop = true
 				return
 			}
-			en.scanFull(i, j, si, S, larger, st, hooks, emit)
+			en.scanFull(i, j, si, S, larger, st, hooks)
 		}
 	}
 }
@@ -255,7 +238,7 @@ func classPairs(i, j, ns, nl int) int {
 }
 
 // scanFull is the inner loop of one outer S over the whole size-j class.
-func (en *Enumerator) scanFull(i, j, si int, S *memo.Entry, larger []*memo.Entry, st *Stats, hooks Hooks, emit func(outer, inner, result *memo.Entry)) {
+func (en *Enumerator) scanFull(i, j, si int, S *memo.Entry, larger []*memo.Entry, st *Stats, hooks Hooks) {
 	for li, L := range larger {
 		if en.stop {
 			return
@@ -270,7 +253,7 @@ func (en *Enumerator) scanFull(i, j, si int, S *memo.Entry, larger []*memo.Entry
 		if !en.joinable(S, L) {
 			continue
 		}
-		en.tryEmit(S, L, st, hooks, emit)
+		en.tryEmit(S, L, st, hooks)
 	}
 }
 
@@ -278,7 +261,7 @@ func (en *Enumerator) scanFull(i, j, si int, S *memo.Entry, larger []*memo.Entry
 // and per-orientation eligibility — creating the result entry and emitting
 // the admitted orientations. S and L are known disjoint and joinable when
 // this is called.
-func (en *Enumerator) tryEmit(S, L *memo.Entry, st *Stats, hooks Hooks, emit func(outer, inner, result *memo.Entry)) {
+func (en *Enumerator) tryEmit(S, L *memo.Entry, st *Stats, hooks Hooks) {
 	union := S.Tables.Union(L.Tables)
 	if !en.validSet(union) {
 		return
@@ -295,12 +278,24 @@ func (en *Enumerator) tryEmit(S, L *memo.Entry, st *Stats, hooks Hooks, emit fun
 	}
 	st.Pairs++
 	if emitSL {
-		st.Joins++
-		emit(S, L, result)
+		en.emit(S, L, result, st, hooks)
 	}
 	if emitLS {
-		st.Joins++
-		emit(L, S, result)
+		en.emit(L, S, result, st, hooks)
+	}
+}
+
+// emit counts one admitted ordered join and runs the Join hook on it.
+func (en *Enumerator) emit(outer, inner, result *memo.Entry, st *Stats, hooks Hooks) {
+	st.Joins++
+	if hooks.Join != nil {
+		hooks.Join(outer, inner, result)
+	}
+	// Bound the cancellation latency of long size classes: one poll per
+	// joinPollMask+1 joins keeps the overhead off the per-join path while a
+	// deadline still lands within a small, fixed amount of generation work.
+	if st.Joins&joinPollMask == 0 && en.opts.Exec.Cancelled() {
+		en.stop = true
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package knobs is the single defaulting and validation path for the
 // tuning knobs shared across the optimizer layers. Before it existed,
 // internal/opt, internal/core, internal/plangen and internal/service each
-// re-implemented the same defaults (nil cost config means serial,
-// parallelism floors at one, budget knobs disable at zero); drift between
+// re-implemented the same defaults (nil cost config means serial, budget
+// knobs disable at zero); drift between
 // those copies is exactly the kind of bug a cross-cutting refactor invites,
 // so the copies now all call here.
 package knobs
@@ -20,8 +20,6 @@ import (
 type Set struct {
 	// Config is the cost configuration; nil defaults to serial.
 	Config *cost.Config
-	// Parallelism is the intra-query worker fan-out, floored at 1 (serial).
-	Parallelism int
 	// BudgetFactor scales the COTE-predicted plan count into the
 	// generated-plan abort budget; zero (or negative) disables the abort.
 	BudgetFactor float64
@@ -37,7 +35,6 @@ func (s Set) Resolve() (Set, error) {
 		return s, fmt.Errorf("knobs: budget factor must be finite, got %v", s.BudgetFactor)
 	}
 	s.Config = CostConfig(s.Config)
-	s.Parallelism = Parallelism(s.Parallelism)
 	s.BudgetFactor = BudgetFactor(s.BudgetFactor)
 	s.MemBudget = MemBudget(s.MemBudget)
 	return s, nil
@@ -60,14 +57,6 @@ func CostConfig(cfg *cost.Config) *cost.Config {
 		return cost.Serial
 	}
 	return cfg
-}
-
-// Parallelism floors the worker fan-out at 1 (the serial driver).
-func Parallelism(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
 }
 
 // BudgetFactor clamps the plan-budget slack factor: non-positive disables.

@@ -15,16 +15,13 @@ func TestResolveDefaults(t *testing.T) {
 	if s.Config != cost.Serial {
 		t.Errorf("Config = %v, want cost.Serial", s.Config)
 	}
-	if s.Parallelism != 1 {
-		t.Errorf("Parallelism = %d, want 1", s.Parallelism)
-	}
 	if s.BudgetFactor != 0 || s.MemBudget != 0 {
 		t.Errorf("budgets = %v/%v, want disabled", s.BudgetFactor, s.MemBudget)
 	}
 }
 
 func TestResolveKeepsExplicitValues(t *testing.T) {
-	in := Set{Config: cost.Parallel4, Parallelism: 8, BudgetFactor: 2.5, MemBudget: 1 << 20}
+	in := Set{Config: cost.Parallel4, BudgetFactor: 2.5, MemBudget: 1 << 20}
 	s, err := in.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -35,11 +32,11 @@ func TestResolveKeepsExplicitValues(t *testing.T) {
 }
 
 func TestResolveClampsNegatives(t *testing.T) {
-	s, err := Set{Parallelism: -3, BudgetFactor: -1, MemBudget: -5}.Resolve()
+	s, err := Set{BudgetFactor: -1, MemBudget: -5}.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Parallelism != 1 || s.BudgetFactor != 0 || s.MemBudget != 0 {
+	if s.BudgetFactor != 0 || s.MemBudget != 0 {
 		t.Errorf("Resolve clamped to %+v", s)
 	}
 }
@@ -59,9 +56,6 @@ func TestHelpers(t *testing.T) {
 	}
 	if CostConfig(cost.Parallel4) != cost.Parallel4 {
 		t.Error("CostConfig must pass explicit configs through")
-	}
-	if Parallelism(0) != 1 || Parallelism(4) != 4 {
-		t.Error("Parallelism floor broken")
 	}
 	if BudgetFactor(math.NaN()) != 0 {
 		t.Error("BudgetFactor(NaN) must disable")

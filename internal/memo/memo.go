@@ -27,7 +27,7 @@ import (
 // charges for logical MEMO content. Charging struct sizes plus a small
 // constant index overhead (index slot, size-class slot) instead of
 // allocator-reported bytes keeps the measured durable high-water mark
-// deterministic across pool states and parallelism degrees — the property
+// deterministic across pool states and repeated runs — the property
 // core.EstimateMemory and its calibration depend on.
 const (
 	// entryIndexBytes approximates an entry's share of the index
@@ -109,7 +109,7 @@ type Plan struct {
 	Cost  float64
 	Card  float64
 	// OrderKnownRetired marks a plan whose order has retired but which the
-	// (parallel) optimizer conservatively kept because its partition is
+	// shared-nothing optimizer conservatively kept because its partition is
 	// still interesting — the compound-property behaviour that makes the
 	// paper's separate-list estimate a slight underestimate.
 	OrderKnownRetired bool
@@ -220,7 +220,7 @@ type Memo struct {
 	// never carves from it: plans outlive their MEMO, so their properties are
 	// interned). Reset rewinds both and keeps the chunks, so the pooled
 	// estimate MEMO allocates nothing per entry or stored property in steady
-	// state. Only the enumeration's driver goroutine carves: no lock.
+	// state. Only the goroutine running the enumeration carves: no lock.
 	reps   bump[int32]
 	cols   bump[query.ColID]
 	bySize [][]*Entry

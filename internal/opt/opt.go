@@ -130,15 +130,6 @@ type Options struct {
 	// CartesianPolicy overrides the enumerator's Cartesian handling
 	// (default: the card-one heuristic).
 	CartesianPolicy enum.CartesianPolicy
-	// Parallelism is the number of worker goroutines the DP round may fan
-	// join generation out to. Values <= 1 select the serial driver. Values
-	// above GOMAXPROCS are allowed (useful for exercising the parallel
-	// driver on small machines) but buy nothing; callers wanting a sensible
-	// default should pass runtime.GOMAXPROCS(0). Parallel and serial runs
-	// produce bit-identical plans, costs and statistics (only the wall
-	// clock and the GenTime timers — which become summed worker CPU time —
-	// differ).
-	Parallelism int
 }
 
 // BlockResult is the outcome of optimizing one query block.
@@ -170,15 +161,7 @@ type Result struct {
 func (r *Result) TotalCounters() plangen.Counters {
 	var total plangen.Counters
 	for _, b := range r.Blocks {
-		for m := range total.Generated {
-			total.Generated[m] += b.Counters.Generated[m]
-			total.GenTime[m] += b.Counters.GenTime[m]
-		}
-		total.AccessPlans += b.Counters.AccessPlans
-		total.EnforcerPlans += b.Counters.EnforcerPlans
-		total.PilotPruned += b.Counters.PilotPruned
-		total.SaveTime += b.Counters.SaveTime
-		total.AccessTime += b.Counters.AccessTime
+		total.Merge(&b.Counters)
 	}
 	return total
 }
@@ -227,8 +210,8 @@ func Optimize(blk *query.Block, opts Options) (*Result, error) {
 }
 
 // OptimizeCtx is Optimize bounded by a context: when ctx expires the
-// compilation stops cooperatively (at size-class/task granularity in the
-// enumerator) and the context's error is returned.
+// compilation stops cooperatively (at size-class and bounded-stride
+// granularity in the enumerator) and the context's error is returned.
 func OptimizeCtx(ctx context.Context, blk *query.Block, opts Options) (*Result, error) {
 	return OptimizeWith(optctx.New(ctx), blk, opts)
 }
@@ -303,8 +286,7 @@ func propagateDerivedCard(root, child *query.Block, card float64) {
 // optimizeBlock compiles one block.
 func optimizeBlock(oc *optctx.Ctx, blk *query.Block, opts Options) (*BlockResult, error) {
 	t0 := time.Now()
-	kn := knobs.MustResolve(knobs.Set{Config: opts.Config, Parallelism: opts.Parallelism})
-	cfg := kn.Config
+	cfg := knobs.CostConfig(opts.Config)
 	card := cost.NewEstimator(blk, cost.Full)
 
 	if opts.Level == LevelLow {
@@ -336,17 +318,8 @@ func optimizeBlock(oc *optctx.Ctx, blk *query.Block, opts Options) (*BlockResult
 	eopts := opts.Level.EnumOptions()
 	eopts.Cartesian = opts.CartesianPolicy
 	eopts.Exec = oc
-	en := enum.New(blk, mem, card, eopts)
-	var st enum.Stats
-	var err error
-	if workers := kn.Parallelism; workers > 1 {
-		hooks, finishGen := gen.ParallelHooks()
-		st, err = en.RunParallel(hooks, workers)
-		finishGen()
-	} else {
-		st, err = en.Run(gen.Hooks())
-		gen.FlushTicks()
-	}
+	st, err := enum.New(blk, mem, card, eopts).Run(gen.Hooks())
+	gen.FlushTicks()
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,7 @@
 // compilation. It carries five concerns:
 //
 //   - cancellation: a context.Context whose expiry the enumerator observes
-//     at size-class (serial) and task (parallel) granularity, so a deadline
+//     at size-class and bounded-stride granularity, so a deadline
 //     actually stops work instead of letting it run to completion in the
 //     background;
 //   - a plan budget: an upper bound on generated join plans, the "predict,
@@ -88,9 +88,10 @@ type StageStats struct {
 	Time time.Duration
 }
 
-// Hooks observe a compilation as it runs. Both callbacks may be invoked
-// from worker goroutines concurrently with each other; implementations must
-// be safe for concurrent use and should return quickly.
+// Hooks observe a compilation as it runs. Both callbacks run synchronously
+// on the goroutine driving the compilation, so they should return quickly;
+// a Ctx shared by concurrent compilations calls them from each of those
+// goroutines.
 type Hooks struct {
 	// OnProgress fires after progress ticks (batched, roughly once per
 	// tick batch of generated plans) with the running totals.

@@ -60,10 +60,8 @@ func (c *Counters) TotalGenerated() int {
 	return t
 }
 
-// merge folds another worker's counters into c. Counts sum exactly; the
-// timer sums become aggregate CPU time rather than wall time when the
-// counters came from concurrent workers.
-func (c *Counters) merge(o *Counters) {
+// Merge adds o's counts and timers into c.
+func (c *Counters) Merge(o *Counters) {
 	for m := range c.Generated {
 		c.Generated[m] += o.Generated[m]
 		c.GenTime[m] += o.GenTime[m]
@@ -94,9 +92,7 @@ type Options struct {
 }
 
 // Generator produces plans when driven by the join enumerator's hooks. One
-// Generator serves one goroutine; the parallel driver forks worker
-// generators (sharing the immutable block state, diverging in counters,
-// arena and scratch space) via ParallelHooks.
+// Generator serves one goroutine.
 type Generator struct {
 	blk      *query.Block
 	sc       *props.Scope
@@ -112,8 +108,7 @@ type Generator struct {
 	ticks int64
 
 	// sink, when set, receives finalized join plans instead of committing
-	// them to the MEMO — the deferred-emission mode worker generators run
-	// in during the parallel DP round.
+	// them to the MEMO, so a test can inspect every generated plan.
 	sink func(result *memo.Entry, p *memo.Plan)
 
 	// scratch is the pooled per-goroutine working memory (arena + reusable
@@ -652,10 +647,10 @@ func (g *Generator) timeMethod(m props.JoinMethod) func() {
 }
 
 // emitJoin finalizes one generated join plan: counts it, constructs it from
-// the arena, and either hands it to the sink (parallel generation phase) or
-// commits it immediately (serial mode). Pipelineability follows Table 1's
-// rule through the propagation classes: an NLJN streams with its outer;
-// merge and hash joins block (eager sorts and hash builds materialize).
+// the arena, and commits it (or hands it to the sink, when a test set one).
+// Pipelineability follows Table 1's rule through the propagation classes:
+// an NLJN streams with its outer; merge and hash joins block (eager sorts
+// and hash builds materialize).
 func (g *Generator) emitJoin(result *memo.Entry, op memo.Operator, left, right *memo.Plan, planCost float64, order props.Order, pp props.Partition) {
 	m := op.JoinMethod()
 	g.Counters.Generated[m]++
@@ -698,7 +693,7 @@ const tickBatch = 64
 
 // FlushTicks pushes any generated-plan count still sitting in the local
 // batch to the execution context. Call once per generator after its driving
-// enumeration finished (the parallel finish func does this per worker).
+// enumeration finished.
 func (g *Generator) FlushTicks() {
 	if g.exec != nil && g.ticks > 0 {
 		g.exec.TickGenerated(g.ticks)
@@ -707,9 +702,8 @@ func (g *Generator) FlushTicks() {
 }
 
 // commitJoin applies the order-sensitive half of emitJoin: the pilot bound
-// check and MEMO insertion. In the parallel DP round it runs on the driver
-// goroutine, replayed in the canonical enumeration order, so its reads of
-// result.Plans see exactly the state a serial run would.
+// check and MEMO insertion, whose reads of result.Plans depend on the plans
+// committed before it in the canonical enumeration order.
 func (g *Generator) commitJoin(result *memo.Entry, p *memo.Plan) {
 	// The pilot bound never prunes an entry's only plan: the dynamic
 	// program needs at least one plan per entry to proceed (the paper's

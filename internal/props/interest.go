@@ -45,10 +45,9 @@ func (i Interest) Any() bool { return i.FutureJoin || i.OrderBy || i.GroupBy }
 
 // Scope answers interest and retirement questions for one query block and
 // generates the initial interesting-property lists of base tables. It is
-// immutable after construction and shared, without a lock, by the real
-// optimizer, the estimator, and all workers of the parallel DP round, so
-// every party sees the same property universe. Only the interner it carries
-// mutates, under its own lock.
+// immutable after construction and read, without a lock, by the plan
+// generator and the estimator alike, so both see the same property
+// universe. Only the interner it carries mutates, under its own lock.
 type Scope struct {
 	blk *query.Block
 	// intern canonicalizes the property values plan generation stores in

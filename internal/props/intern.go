@@ -34,8 +34,8 @@ func makeInternKey(nodes int, cols []query.ColID) (internKey, bool) {
 // instead of re-allocating the same few column slices once per enumerated
 // join. Interning is by raw column ids (not equivalence classes):
 // equivalence is query-set relative, while sharing instances only requires
-// literal identity. Safe for concurrent use — the parallel DP round's
-// workers share their block's interner. The zero value is ready to use; its
+// literal identity. Safe for concurrent use, like the Scope that carries it.
+// The zero value is ready to use; its
 // maps are created lazily on the first intern (reads of a nil map are legal
 // in Go), so embedding an unused Interner costs nothing.
 type Interner struct {

@@ -165,9 +165,8 @@ func TestScopeMatchesOracle(t *testing.T) {
 }
 
 // TestScopeSharedLockFree reads one scope and one set of equivalences from
-// several goroutines at once, as the parallel DP round's workers do: the
-// scope holds no memo and no lock any more, so under -race this is the test
-// that it is in fact only read.
+// several goroutines at once: the scope holds no memo and no lock, so under
+// -race this is the test that it is in fact only read.
 func TestScopeSharedLockFree(t *testing.T) {
 	blk := oracleBlocks(t)[2]
 	sc := NewScope(blk)

@@ -13,8 +13,7 @@ import (
 // change property equivalence (an order on R.a and one on S.a become
 // equivalent once R.a = S.a is applied), so both must be recomputed per
 // enumerated table set; Equiv is the per-set answer, built once per MEMO
-// entry and read-only afterwards — one Equiv is shared by all workers of the
-// parallel DP round.
+// entry and read-only afterwards.
 type Equiv struct {
 	// rep maps every column to its class representative: the union-find
 	// forest after flattening, so lookups are single reads. Every member of

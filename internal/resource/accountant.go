@@ -12,8 +12,8 @@
 //   - durable kinds measure logical MEMO content — entries, retained plans,
 //     property values — at fixed per-structure byte sizes. Durable charges
 //     happen at deterministic points (entry creation, canonical-order plan
-//     commit), so the durable high-water mark is bit-identical across runs,
-//     pool states and parallelism degrees: it is the quantity
+//     commit), so the durable high-water mark is bit-identical across runs
+//     and pool states: it is the quantity
 //     core.EstimateMemory predicts and the calibration loop fits against.
 //   - KindScratch measures working memory newly allocated by the run: arena
 //     chunks and scratch-buffer capacity. Pooled capacity reused within a

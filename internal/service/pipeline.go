@@ -16,7 +16,7 @@ import (
 )
 
 // The statement pipeline: Estimate, EstimateBatch and Optimize compose
-// begin → resolve → parse → estimate → price (DESIGN.md §10 has the table).
+// begin → resolve → parse → estimate → price (DESIGN.md §9 has the table).
 // Each SQL text is parsed and analyzed exactly once per request, and each
 // (statement, level) reaches the cache at most once per request.
 
@@ -83,11 +83,6 @@ func (s *Server) parse(entry *RegistryEntry, sql string) (stmt, error) {
 		return stmt{}, parseFailed(err)
 	}
 	return stmt{entry: entry, blk: blk, analysis: fingerprint.Analyze(blk)}, nil
-}
-
-// parallelism clamps a request's degree to [1, Config.MaxParallelism].
-func (s *Server) parallelism(requested int) int {
-	return min(knobs.Parallelism(requested), s.cfg.MaxParallelism)
 }
 
 // estimate returns the estimate of one (statement, level): through the
@@ -349,9 +344,6 @@ type OptimizeRequest struct {
 	// OnOverBudget overrides the over-budget behaviour: "reject" or
 	// "downgrade" (default: the server's configuration).
 	OnOverBudget string `json:"on_over_budget,omitempty"`
-	// Parallelism requests intra-query parallel enumeration for this
-	// compile, clamped to [1, Config.MaxParallelism]. Zero means serial.
-	Parallelism int `json:"parallelism,omitempty"`
 	// MemBudgetBytes overrides the server's memory budget for this request
 	// (bytes; negative disables the memory budget).
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
@@ -482,7 +474,6 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 	if err != nil {
 		return nil, err
 	}
-	parallelism := s.parallelism(req.Parallelism)
 	// The compile runs under an execution context: the request deadline
 	// cancels it cooperatively, the COTE prediction feeds the live progress
 	// meter (/v1/progress), and — with a budget factor or memory budget
@@ -513,7 +504,7 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 		}
 		pr := s.progress.add(entry.Name, LevelName(admitted), oc)
 		res, err := Run(s.pool, ctx, func() (*opt.Result, error) {
-			return opt.OptimizeWith(oc, st.blk, opt.Options{Level: admitted, Config: entry.Config, Parallelism: parallelism})
+			return opt.OptimizeWith(oc, st.blk, opt.Options{Level: admitted, Config: entry.Config})
 		})
 		s.progress.remove(pr)
 		s.metrics.ObserveStages(oc)

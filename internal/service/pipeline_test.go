@@ -127,17 +127,19 @@ func TestPostBodyMustBeOneJSONValue(t *testing.T) {
 	}
 }
 
-// TestEstimateRoutesRejectParallelism: the estimate routes have one serial
-// driver and no parallelism field, so a body carrying one is an unknown
-// field (400); /v1/optimize keeps the field and clamps it to
-// MaxParallelism.
+// TestEstimateRoutesRejectParallelism: compiles and estimates each have one
+// serial driver and no parallelism field, so a body carrying one is an
+// unknown field (400) on every statement route.
 func TestEstimateRoutesRejectParallelism(t *testing.T) {
-	srv := New(Config{Workers: 1, MaxParallelism: 2})
+	srv := New(Config{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	post := func(path string, body map[string]any) (int, string) {
-		t.Helper()
+	for path, body := range map[string]map[string]any{
+		"/v1/estimate":       {"catalog": "tpch", "sql": tpchQ3, "parallelism": 4},
+		"/v1/estimate/batch": {"catalog": "tpch", "statements": []string{tpchQ3}, "parallelism": 4},
+		"/v1/optimize":       {"catalog": "tpch", "sql": tpchQ3, "parallelism": 4},
+	} {
 		data, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
@@ -146,39 +148,13 @@ func TestEstimateRoutesRejectParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
 		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.StatusCode, string(out)
-	}
-	for path, body := range map[string]map[string]any{
-		"/v1/estimate":       {"catalog": "tpch", "sql": tpchQ3, "parallelism": 4},
-		"/v1/estimate/batch": {"catalog": "tpch", "statements": []string{tpchQ3}, "parallelism": 4},
-	} {
-		status, got := post(path, body)
-		if status != http.StatusBadRequest || !strings.Contains(got, `"code": "bad_request"`) || !strings.Contains(got, `parallelism`) {
-			t.Errorf("%s with parallelism answered %d %s, want 400 bad_request naming the field", path, status, got)
+		if got := string(out); resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, `"code": "bad_request"`) || !strings.Contains(got, `parallelism`) {
+			t.Errorf("%s with parallelism answered %d %s, want 400 bad_request naming the field", path, resp.StatusCode, got)
 		}
-	}
-
-	optimize := func(par int) string {
-		t.Helper()
-		status, got := post("/v1/optimize", map[string]any{"catalog": "tpch", "sql": tpchQ3, "parallelism": par})
-		if status != http.StatusOK {
-			t.Fatalf("/v1/optimize at parallelism %d: %d %s", par, status, got)
-		}
-		var resp OptimizeResponse
-		if err := json.Unmarshal([]byte(got), &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp.Plan
-	}
-	if serial, par := optimize(0), optimize(64); par != serial || par == "" {
-		t.Errorf("/v1/optimize at parallelism 64 chose %q, serial %q", par, serial)
-	}
-	if got := srv.parallelism(64); got != 2 {
-		t.Errorf("parallelism(64) = %d, want MaxParallelism 2", got)
 	}
 }

@@ -55,12 +55,6 @@ type Config struct {
 	// value enables automatic recalibration with the calib defaults; set
 	// Calib.DriftThreshold negative to track drift without auto-refitting.
 	Calib calib.Config
-	// MaxParallelism caps the per-request intra-query parallelism of
-	// POST /v1/optimize (the DP round's worker fan-out). Zero or one keeps
-	// every compile serial. When above one and Workers is left zero, the
-	// worker pool defaults to GOMAXPROCS/MaxParallelism so that concurrent
-	// requests times per-request workers never oversubscribes the machine.
-	MaxParallelism int
 	// BudgetFactor, when positive, arms the mid-flight budget abort on
 	// POST /v1/optimize: a compile generating more than BudgetFactor times
 	// its COTE-predicted plan count is aborted (and downgraded to the next
@@ -109,18 +103,14 @@ type Server struct {
 	calib  *calib.Calibrator
 }
 
-// New returns a server with the config's defaults filled in. The knob
-// clamps (parallelism floor, budget knobs disabling at zero) go through
-// internal/knobs — the same defaulting path the optimizer layers use.
+// New returns a server with the config's defaults filled in. The budget
+// knob clamps (disabling at zero) go through internal/knobs — the same
+// defaulting path the optimizer layers use.
 func New(cfg Config) *Server {
-	cfg.MaxParallelism = knobs.Parallelism(cfg.MaxParallelism)
 	cfg.BudgetFactor = knobs.BudgetFactor(cfg.BudgetFactor)
 	cfg.MemBudget = knobs.MemBudget(cfg.MemBudget)
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0) / cfg.MaxParallelism
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = 4 * cfg.Workers
@@ -163,6 +153,9 @@ func (s *Server) Registry() *Registry { return s.registry }
 
 // Metrics exposes the metrics (tests assert on them).
 func (s *Server) Metrics() *Metrics { return s.metrics }
+
+// Workers is the worker pool size the server resolved from Config.Workers.
+func (s *Server) Workers() int { return s.pool.Workers() }
 
 // Model returns the current compilation-time model (nil before
 // calibration).

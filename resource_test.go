@@ -1,12 +1,13 @@
 // Resource-accounting integration tests: the durable high-water mark is a
 // deterministic property of the query and level — bit-identical across pool
-// states, repeated runs and parallelism degrees — and the accounting layer
-// itself costs nothing on the estimate hot path. Run with -race: the
-// parallel cases double as a data-race check on the shared accountant.
+// states, repeated runs and concurrent compiles — and the accounting layer
+// itself costs nothing on the estimate hot path.
 package cote_test
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"cote/internal/core"
@@ -21,7 +22,9 @@ import (
 // the integration level: recompiling the same query must measure the exact
 // same durable peak every time. A MEMO or scratch that carried accounting
 // state through the pool (or charged pooled buffers twice) would drift run
-// over run.
+// over run. Scratch is excluded from that contract, but it must have been
+// charged: a total peak no higher than the durable one means the plan
+// generator's arena and buffers ran unaccounted.
 func TestDurablePeakDeterministicAcrossRuns(t *testing.T) {
 	for _, q := range workload.Real1(1).Queries[:4] {
 		var first int64
@@ -34,6 +37,9 @@ func TestDurablePeakDeterministicAcrossRuns(t *testing.T) {
 			if peak <= 0 {
 				t.Fatalf("%s: durable peak = %d, want > 0", q.Name, peak)
 			}
+			if res.Resources.PeakBytes <= peak {
+				t.Fatalf("%s: total peak %d <= durable peak %d — scratch uncharged", q.Name, res.Resources.PeakBytes, peak)
+			}
 			if run == 0 {
 				first = peak
 			} else if peak != first {
@@ -45,36 +51,57 @@ func TestDurablePeakDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestParallelDurablePeakMatchesSerial pins the determinism guarantee across
-// the parallel DP driver: durable charges happen at canonical commit points,
-// so enum.RunParallel must reach the same durable high-water as the serial
-// driver at every worker count, on every query. Under -race this also
-// exercises the workers' concurrent charging of the shared accountant.
+// concurrent compiles: every compile runs the serial driver, but a server's
+// worker pool runs many of them at once through the shared MEMO and scratch
+// pools. Each goroutine compiles every query in its own rotated order, so
+// pooled workspaces pass between different queries, and each result must
+// reach the serial durable high-water with its scratch charged. Under -race
+// this also checks the pools hand nothing to two compiles at once.
 func TestParallelDurablePeakMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel sweep skipped in -short")
 	}
-	w := workload.Real1(1)
-	for _, q := range w.Queries {
+	qs := workload.Real1(1).Queries
+	want := make([]int64, len(qs))
+	for i, q := range qs {
 		serial, err := opt.OptimizeCtx(context.Background(), q.Block, opt.Options{Level: experiments.Level})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := serial.Resources.DurablePeakBytes
-		for _, workers := range []int{2, 4} {
-			res, err := opt.OptimizeCtx(context.Background(), q.Block, opt.Options{Level: experiments.Level, Parallelism: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Resources.DurablePeakBytes; got != want {
-				t.Fatalf("%s P=%d: durable peak %d != serial %d", q.Name, workers, got, want)
-			}
-			// Scratch is allocator-level and excluded from determinism, but it
-			// must have been charged: a zero total peak means a worker ran
-			// unaccounted.
-			if res.Resources.PeakBytes <= res.Resources.DurablePeakBytes {
-				t.Fatalf("%s P=%d: total peak %d <= durable peak %d — scratch uncharged",
-					q.Name, workers, res.Resources.PeakBytes, res.Resources.DurablePeakBytes)
-			}
+		want[i] = serial.Resources.DurablePeakBytes
+	}
+	for _, workers := range []int{2, 4} {
+		errs := make(chan error, 2*workers*len(qs))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// A compile writes derived cardinalities into its block, so
+				// each goroutine needs its own copy of the workload, as each
+				// server request parses its own.
+				own := workload.Real1(1).Queries
+				for k := range qs {
+					i := (k + w*len(qs)/workers) % len(qs)
+					res, err := opt.OptimizeCtx(context.Background(), own[i].Block, opt.Options{Level: experiments.Level})
+					if err != nil {
+						errs <- err
+						continue
+					}
+					if got := res.Resources.DurablePeakBytes; got != want[i] {
+						errs <- fmt.Errorf("%s P=%d: durable peak %d != serial %d", qs[i].Name, workers, got, want[i])
+					}
+					if res.Resources.PeakBytes <= res.Resources.DurablePeakBytes {
+						errs <- fmt.Errorf("%s P=%d: total peak %d <= durable peak %d — scratch uncharged",
+							qs[i].Name, workers, res.Resources.PeakBytes, res.Resources.DurablePeakBytes)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
 		}
 	}
 }
