@@ -191,11 +191,14 @@ func (e *Estimator) Card(s bitset.Set) float64 {
 	for t := s.Next(0); t >= 0; t = s.Next(t + 1) {
 		card *= e.filtered[t]
 	}
-	for _, pi := range e.blk.PredsWithin(s) {
+	// A stack buffer, not a field: keyCap recurses into Card.
+	var buf [64]int
+	preds := e.blk.AppendPredsWithin(buf[:0], s)
+	for _, pi := range preds {
 		card *= e.joinSel[pi]
 	}
 	if e.mode == Full {
-		card = e.keyCap(s, card)
+		card = e.keyCap(s, card, preds)
 	}
 	if card < 0.01 {
 		card = 0.01
@@ -209,13 +212,14 @@ func (e *Estimator) Card(s bitset.Set) float64 {
 // keyCap applies key-derived upper bounds: when a table's single-column
 // unique key is equality-joined inside the set, each row of the rest of the
 // set matches at most one row of that table, so the joined cardinality
-// cannot exceed the cardinality of the set without it.
-func (e *Estimator) keyCap(s bitset.Set, card float64) float64 {
+// cannot exceed the cardinality of the set without it. preds are the join
+// predicates within s.
+func (e *Estimator) keyCap(s bitset.Set, card float64, preds []int) float64 {
 	if s.Len() < 2 {
 		return card
 	}
 	blk := e.blk
-	for _, pi := range blk.PredsWithin(s) {
+	for _, pi := range preds {
 		jp := blk.JoinPreds[pi]
 		if jp.Op != query.Eq {
 			continue

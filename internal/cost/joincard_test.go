@@ -42,7 +42,7 @@ func (e *oracleSimple) Card(s bitset.Set) float64 {
 	for t := s.Next(0); t >= 0; t = s.Next(t + 1) {
 		card *= e.filtered[t]
 	}
-	for _, pi := range e.blk.PredsWithin(s) {
+	for _, pi := range e.blk.AppendPredsWithin(nil, s) {
 		card *= e.joinSel[pi]
 	}
 	if card < 0.01 {

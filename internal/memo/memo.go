@@ -156,7 +156,9 @@ type Entry struct {
 	// for composite entries) and tests a partner L for a connecting predicate
 	// with one Neighbors.Overlaps(L.Tables).
 	Neighbors bitset.Set
-	// Plans are the non-pruned plans (real optimization mode).
+	// Plans are the non-pruned plans (real optimization mode). The list is a
+	// window of the MEMO's plan arena (Memo.InsertPlan); append to it only
+	// through InsertPlan.
 	Plans []*Plan
 	// Orders and Parts are the interesting-property value lists
 	// (plan-estimate mode, and seeds for enforcer generation in real mode).
@@ -210,8 +212,8 @@ type Memo struct {
 	shift uint      // 64 - log2(len(table)): Fibonacci hash keeps the top bits
 	count int       // live entries in table
 	// blocks is the entry slab. Reset cleans used entries in place (keeping
-	// their Plans/Orders/Parts capacities) instead of freeing them, so pooled
-	// reuse allocates nothing in steady state.
+	// their Orders/Parts capacities) instead of freeing them, so pooled reuse
+	// allocates nothing in steady state.
 	blocks [][]Entry
 	nused  int
 	// reps is the arena entries' representative arrays (Entry.Equiv) are
@@ -221,8 +223,13 @@ type Memo struct {
 	// interned). Reset rewinds both and keeps the chunks, so the pooled
 	// estimate MEMO allocates nothing per entry or stored property in steady
 	// state. Only the goroutine running the enumeration carves: no lock.
-	reps   bump[int32]
-	cols   bump[query.ColID]
+	reps bump[int32]
+	cols bump[query.ColID]
+	// plans is the arena entries' plan lists live in: InsertPlan moves a
+	// full list into a window twice its size (planWindow at first) and
+	// abandons the old one in place. Reset clears the chunks, so a pooled
+	// MEMO pins no plan tree, and rewinds.
+	plans  bump[*Plan]
 	bySize [][]*Entry
 	// sorted caches the Entries() snapshot; GetOrCreate invalidates it, so
 	// hot consumers (plan counting, serialization, diagnostics) sort once
@@ -355,15 +362,22 @@ func (m *Memo) AddOrder(e *Entry, o props.Order) {
 	}
 }
 
+// Plan-arena sizes: the first window of an entry's plan list and the
+// pointer count of one arena chunk. Most entries keep a handful of plans;
+// a chunk is 2 KiB of pointers.
+const (
+	planWindow = 4
+	planChunk  = 256
+)
+
 // cleanEntry returns a used slab entry to the zero state while keeping the
-// capacities of its Plans/Orders/Parts backing arrays (zeroed first, so the
-// pooled slab pins no plan trees or column slices from the finished run).
+// capacities of its Orders/Parts backing arrays (zeroed first, so the pooled
+// slab pins no column slices from the finished run). Its plan list is a
+// plan-arena window, which Reset clears and rewinds, so it is dropped.
 func cleanEntry(e *Entry) {
-	plans := e.Plans
-	clear(plans[:cap(plans)])
 	e.Orders.Clear()
 	e.Parts.Clear()
-	*e = Entry{Plans: plans[:0], Orders: e.Orders, Parts: e.Parts}
+	*e = Entry{Orders: e.Orders, Parts: e.Parts}
 }
 
 // SetAccountant attaches a run accountant; subsequent entry creations, plan
@@ -423,15 +437,19 @@ func (m *Memo) GetOrCreate(s bitset.Set) (e *Entry, created bool) {
 func (m *Memo) Reset(n int) {
 	clear(m.table) // keep the index capacity; e==nil marks every slot empty
 	m.count = 0
-	// Clean used slab entries in place: zero their plan/property storage up
-	// to capacity (so the pool pins nothing from the finished run) but keep
-	// the backing arrays for the next run.
+	// Clean used slab entries in place: zero their property storage up to
+	// capacity (so the pool pins nothing from the finished run) but keep the
+	// backing arrays for the next run.
 	for i := 0; i < m.nused; i++ {
 		cleanEntry(&m.blocks[i/slabBlock][i%slabBlock])
 	}
 	m.nused = 0
 	m.reps.cur, m.reps.off = 0, 0
 	m.cols.cur, m.cols.off = 0, 0
+	for _, c := range m.plans.chunks {
+		clear(c)
+	}
+	m.plans.cur, m.plans.off = 0, 0
 	if n+1 > cap(m.bySize) {
 		m.bySize = make([][]*Entry, n+1)
 	} else {
@@ -546,6 +564,12 @@ func (m *Memo) InsertPlan(e *Entry, p *Plan) bool {
 			continue
 		}
 		kept = append(kept, have)
+	}
+	if len(kept) == cap(kept) {
+		// Move into a window twice the size; the outgrown one stays in the
+		// arena until Reset.
+		w := m.plans.take(max(2*cap(kept), planWindow), planChunk)
+		kept = w[:copy(w, kept)]
 	}
 	e.Plans = append(kept, p)
 	m.nplans++

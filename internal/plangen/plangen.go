@@ -10,7 +10,8 @@
 // pruning) — the ground truth against which the paper's estimator is
 // evaluated in Figure 5 — and wall-clock timers per join method plus the
 // time spent saving plans into the MEMO, which together regenerate the
-// Figure 2 compilation-time breakdown.
+// Figure 2 compilation-time breakdown. The timers are laps of one monotonic
+// clock, read once per phase boundary, so no nanosecond is counted twice.
 package plangen
 
 import (
@@ -43,9 +44,11 @@ type Counters struct {
 	PilotPruned int
 
 	// GenTime is the wall time spent generating (costing) plans per join
-	// method; SaveTime is the time spent inserting plans into the MEMO
-	// ("plan saving" in Figure 2); AccessTime covers base-table access and
-	// enforcer generation.
+	// method; SaveTime is the time spent committing plans into the MEMO
+	// ("plan saving" in Figure 2: pruning and the pilot bound); AccessTime
+	// covers base-table access and enforcer generation. The three are
+	// disjoint laps of one clock, so their sum never exceeds the block's
+	// wall time.
 	GenTime    [props.NumJoinMethods]time.Duration
 	SaveTime   time.Duration
 	AccessTime time.Duration
@@ -111,6 +114,11 @@ type Generator struct {
 	// them to the MEMO, so a test can inspect every generated plan.
 	sink func(result *memo.Entry, p *memo.Plan)
 
+	// base and last are the lap clock: lap reads the monotonic time since
+	// base once and hands out the time since the previous read.
+	base time.Time
+	last time.Duration
+
 	// scratch is the pooled per-goroutine working memory (arena + reusable
 	// slices); its fields are promoted so the hot path reads g.ocBuf etc.
 	*scratch
@@ -135,6 +143,9 @@ type scratch struct {
 
 	// arena batches Plan allocations and recycles MEMO-rejected plans.
 	arena planArena
+	// pending holds the join plans of one join-method call until commit
+	// inserts them, in emission order, when the call returns.
+	pending []*memo.Plan
 
 	ocBuf, icBuf  []query.ColID
 	jcBuf         []query.ColID
@@ -172,7 +183,7 @@ func (s *scratch) chargeBufGrowth() {
 	total := int64(cap(s.ocBuf)+cap(s.icBuf)+cap(s.jcBuf))*colIDBytes +
 		int64(cap(s.outsBuf)+cap(s.insBuf))*orderBytes +
 		int64(cap(s.candPartsBuf))*partBytes +
-		int64(cap(s.arena.free))*8
+		int64(cap(s.arena.free)+cap(s.pending))*8
 	if total > s.bufCharged {
 		s.arena.acct.Charge(resource.KindScratch, total-s.bufCharged)
 		s.bufCharged = total
@@ -199,6 +210,7 @@ func (g *Generator) ReleaseScratch() {
 	s.ocBuf, s.icBuf, s.jcBuf = s.ocBuf[:0], s.icBuf[:0], s.jcBuf[:0]
 	s.outsBuf, s.insBuf = s.outsBuf[:0], s.insBuf[:0]
 	s.candPartsBuf = s.candPartsBuf[:0]
+	clear(s.pending[:cap(s.pending)]) // pin no plan of the finished run
 	scratchPool.Put(s)
 }
 
@@ -218,6 +230,7 @@ func New(blk *query.Block, sc *props.Scope, mem *memo.Memo, card *cost.Estimator
 		bound:    opts.PilotBound,
 		exec:     opts.Exec,
 		scratch:  scratchPool.Get().(*scratch),
+		base:     time.Now(),
 	}
 	g.arena.attach(opts.Exec.Resources())
 	g.chargeBufGrowth()
@@ -239,7 +252,7 @@ func (g *Generator) initEntry(e *memo.Entry) {
 	if e.Tables.Len() != 1 {
 		return
 	}
-	start := time.Now()
+	g.lap()
 	t := e.Tables.Min()
 	ref := g.blk.Tables[t]
 	rows := ref.BaseRows()
@@ -309,7 +322,7 @@ func (g *Generator) initEntry(e *memo.Entry) {
 			g.savePlan(e, p)
 		}
 	}
-	g.Counters.AccessTime += time.Since(start)
+	g.Counters.AccessTime += g.lap()
 }
 
 // indexMatchRows estimates the rows fetched through an index whose leading
@@ -347,15 +360,22 @@ func (g *Generator) basePartition(t int) props.Partition {
 }
 
 // joinEntry generates join plans for one enumerated (outer, inner) join.
+// Each method call's plans are committed when it returns: generation reads
+// only the outer and inner entries, never result.Plans, so deferring the
+// commits changes no plan, count or pruning decision.
 func (g *Generator) joinEntry(outer, inner, result *memo.Entry) {
 	g.ocBuf, g.icBuf = g.blk.AppendJoinCols(outer.Tables, inner.Tables, g.ocBuf[:0], g.icBuf[:0])
 	outerCols, innerCols := g.ocBuf, g.icBuf
 	candidates := g.candidatePartitions(outer, inner, result, outerCols, innerCols)
+	g.lap()
 	for _, pp := range candidates {
 		g.genNLJN(outer, inner, result, pp)
+		g.commit(result, props.NLJN)
 		if len(outerCols) > 0 {
 			g.genMGJN(outer, inner, result, pp, outerCols, innerCols)
+			g.commit(result, props.MGJN)
 			g.genHSJN(outer, inner, result, pp)
+			g.commit(result, props.HSJN)
 		}
 	}
 }
@@ -427,7 +447,6 @@ func (g *Generator) innerInput(inner *memo.Entry, pp props.Partition, eq *query.
 // outer plan co-located on pp (propagating its order — the full propagation
 // of Table 2), plus one from the cheapest outer repartitioned (order lost).
 func (g *Generator) genNLJN(outer, inner, result *memo.Entry, pp props.Partition) {
-	defer g.timeMethod(props.NLJN)()
 	ip, innerExtra := g.innerInput(inner, pp, &result.Equiv)
 	innerCost := ip.Cost + innerExtra
 	// The cardinality-dependent cost terms are shared by every outer plan of
@@ -517,7 +536,6 @@ func (g *Generator) mergeCandidates(outerCols, innerCols []query.ColID) (outs, i
 // Section 3.3 — requesting a plan ordered on o2 returns plans ordered on
 // any more general o1 as well).
 func (g *Generator) genMGJN(outer, inner, result *memo.Entry, pp props.Partition, outerCols, innerCols []query.ColID) {
-	defer g.timeMethod(props.MGJN)()
 	outs, ins := g.mergeCandidates(outerCols, innerCols)
 
 	emitted := &g.emittedBuf // output orders already produced for this join
@@ -584,7 +602,6 @@ func (g *Generator) sideInput(e *memo.Entry, pp props.Partition, required props.
 // enumerated join arises — the "exactly twice the number of joins" baseline
 // of Figure 5(c).
 func (g *Generator) genHSJN(outer, inner, result *memo.Entry, pp props.Partition) {
-	defer g.timeMethod(props.HSJN)()
 	op, opExtra := g.dcInput(outer, pp, &result.Equiv)
 	ip, ipExtra := g.dcInput(inner, pp, &result.Equiv)
 	g.emitJoin(result, memo.OpHSJN, op, ip,
@@ -635,19 +652,31 @@ func (g *Generator) retireOrDeliver(o props.Order, result *memo.Entry) props.Ord
 	return props.Order{}
 }
 
-// timeMethod attributes the wall time of one join-generation call to the
-// method, excluding the plan-saving time accrued inside it (which Figure 2
-// reports separately).
-func (g *Generator) timeMethod(m props.JoinMethod) func() {
-	t0 := time.Now()
-	save0 := g.Counters.SaveTime
-	return func() {
-		g.Counters.GenTime[m] += time.Since(t0) - (g.Counters.SaveTime - save0)
+// lap returns the time since the previous lap (or since New) with one
+// monotonic clock read. Callers add it to the timer of the phase that just
+// ended, or drop it to leave the time to Figure 2's "other".
+func (g *Generator) lap() time.Duration {
+	now := time.Since(g.base)
+	d := now - g.last
+	g.last = now
+	return d
+}
+
+// commit ends one join-method call: its generation lap goes to the method,
+// its plans are committed in emission order, and the commit lap goes to
+// plan saving.
+func (g *Generator) commit(result *memo.Entry, m props.JoinMethod) {
+	g.Counters.GenTime[m] += g.lap()
+	for _, p := range g.pending {
+		g.commitJoin(result, p)
 	}
+	g.pending = g.pending[:0]
+	g.Counters.SaveTime += g.lap()
 }
 
 // emitJoin finalizes one generated join plan: counts it, constructs it from
-// the arena, and commits it (or hands it to the sink, when a test set one).
+// the arena, and queues it for commit (or hands it to the sink, when a test
+// set one).
 // Pipelineability follows Table 1's rule through the propagation classes:
 // an NLJN streams with its outer; merge and hash joins block (eager sorts
 // and hash builds materialize).
@@ -684,7 +713,7 @@ func (g *Generator) emitJoin(result *memo.Entry, op memo.Operator, left, right *
 		g.sink(result, p)
 		return
 	}
-	g.commitJoin(result, p)
+	g.pending = append(g.pending, p)
 }
 
 // tickBatch is the progress-tick batch size: generated-plan counts reach
@@ -703,7 +732,8 @@ func (g *Generator) FlushTicks() {
 
 // commitJoin applies the order-sensitive half of emitJoin: the pilot bound
 // check and MEMO insertion, whose reads of result.Plans depend on the plans
-// committed before it in the canonical enumeration order.
+// committed before it in the canonical enumeration order. The caller times
+// it.
 func (g *Generator) commitJoin(result *memo.Entry, p *memo.Plan) {
 	// The pilot bound never prunes an entry's only plan: the dynamic
 	// program needs at least one plan per entry to proceed (the paper's
@@ -719,21 +749,20 @@ func (g *Generator) commitJoin(result *memo.Entry, p *memo.Plan) {
 		g.arena.recycle(p)
 		return
 	}
-	saveStart := time.Now()
 	if !g.mem.InsertPlan(result, p) {
 		g.arena.recycle(p) // rejected on arrival: provably unreferenced
 	}
-	g.Counters.SaveTime += time.Since(saveStart)
 }
 
-// savePlan inserts a non-join plan with save-time accounting, recycling it
-// when the MEMO rejects it on arrival.
+// savePlan inserts a non-join plan, recycling it when the MEMO rejects it on
+// arrival. The lap before it was spent building the plan, so it goes to
+// AccessTime; the insert's lap goes to SaveTime.
 func (g *Generator) savePlan(e *memo.Entry, p *memo.Plan) {
-	start := time.Now()
+	g.Counters.AccessTime += g.lap()
 	if !g.mem.InsertPlan(e, p) {
 		g.arena.recycle(p)
 	}
-	g.Counters.SaveTime += time.Since(start)
+	g.Counters.SaveTime += g.lap()
 }
 
 // completeEntry runs the parallel eager enforcement pass once an entry is
@@ -745,7 +774,7 @@ func (g *Generator) completeEntry(e *memo.Entry) {
 	if !g.parallel || e.Tables.Len() < 2 || g.policy != props.Eager {
 		return
 	}
-	start := time.Now()
+	g.lap()
 	// Distinct partitions present.
 	parts := &g.completeParts
 	parts.Reset()
@@ -797,5 +826,5 @@ func (g *Generator) completeEntry(e *memo.Entry) {
 			g.savePlan(e, p)
 		}
 	}
-	g.Counters.AccessTime += time.Since(start)
+	g.Counters.AccessTime += g.lap()
 }

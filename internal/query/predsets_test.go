@@ -269,8 +269,9 @@ func checkSubset(t *testing.T, blk *Block, s bitset.Set, allPairs bool) {
 			}
 		}
 	}
-	if got, w := blk.PredsWithin(s), oraclePredsWithin(blk, s); !slices.Equal(got, w) {
-		t.Fatalf("set %v: PredsWithin = %v, oracle %v", s, got, w)
+	// Appended behind a sentinel, so a result that drops dst shows.
+	if got, w := blk.AppendPredsWithin([]int{-1}, s), oraclePredsWithin(blk, s); got[0] != -1 || !slices.Equal(got[1:], w) {
+		t.Fatalf("set %v: AppendPredsWithin after [-1] = %v, oracle %v", s, got, w)
 	}
 }
 

@@ -501,17 +501,16 @@ func (b *Block) AppendPredsBetween(dst []int, s, l bitset.Set) []int {
 	return dst
 }
 
-// PredsWithin returns the indexes of all join predicates whose two sides are
-// both inside s.
-func (b *Block) PredsWithin(s bitset.Set) []int {
-	var out []int
+// AppendPredsWithin appends the indexes of all join predicates whose two
+// sides are both inside s, in ascending order.
+func (b *Block) AppendPredsWithin(dst []int, s bitset.Set) []int {
 	for w := 0; w < b.predWords; w++ {
 		l, r := b.predSides(s, w)
 		for x := l & r; x != 0; x &= x - 1 {
-			out = append(out, w*64+bits.TrailingZeros64(x))
+			dst = append(dst, w*64+bits.TrailingZeros64(x))
 		}
 	}
-	return out
+	return dst
 }
 
 // IsConnected reports whether the induced join graph on s is connected.

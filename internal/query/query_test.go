@@ -180,10 +180,10 @@ func TestJoinGraphHelpers(t *testing.T) {
 	if got := len(blk.AppendPredsBetween(nil, bitset.Of(0), bitset.Of(1))); got != 1 {
 		t.Fatalf("PredsBetween(a,b) = %d preds", got)
 	}
-	if got := len(blk.PredsWithin(bitset.Of(0, 1, 2))); got != 2 {
+	if got := len(blk.AppendPredsWithin(nil, bitset.Of(0, 1, 2))); got != 2 {
 		t.Fatalf("PredsWithin(abc) = %d preds", got)
 	}
-	if got := len(blk.PredsWithin(bitset.Of(0, 2))); got != 0 {
+	if got := len(blk.AppendPredsWithin(nil, bitset.Of(0, 2))); got != 0 {
 		t.Fatalf("PredsWithin(ac) = %d preds", got)
 	}
 }
