@@ -42,7 +42,9 @@ func (c *Config) nodes() float64 {
 // buffer hit ratio for an access pattern touching the given number of
 // distinct pages. It is a pure function of its argument; costing reaches it
 // through a HitMemo, so within one optimization each distinct page count
-// pays the twelve-step iteration once.
+// pays the twelve-step iteration at most once, and the two join searches
+// (NLJNTerms, HSJNCost) ask for it only at the candidates whose hitCeil
+// floor can still beat the cheapest one priced so far.
 func bufferHitRatio(pages float64) float64 {
 	if pages <= 0 {
 		return 1
@@ -59,12 +61,41 @@ func bufferHitRatio(pages float64) float64 {
 	return ratio
 }
 
+// hitCeil bounds bufferHitRatio from above at every positive argument. In a
+// step from any ratio in [0, 1], 1 − e^−x ≤ x gives resident ≤
+// pages·(1 − ratio), and next divides that by max(pages, 1), so next ≤
+// 1 − ratio and the step's ½·ratio + ½·next is at most ½. The function runs
+// twelve steps, so its result is at most ½; rounding does not reach it: the
+// largest result is 0.49999375, at pages = 1
+// (TestHitCeilBoundsBufferHitRatio sweeps the domain). A cost term priced at
+// hitCeil instead of the hit ratio is therefore a floor wherever the term
+// grows with 1 − hit, which is what lets the join searches skip candidates
+// without evaluating the buffer model for them.
+const hitCeil = 0.5
+
+// cheapest returns the index of the lowest floor under best, or -1 when
+// there is none. The join searches price candidates in this order and stop
+// at -1: a candidate whose floor is not under best costs at least best and
+// cannot win a strict <, and a NaN floor belongs to a NaN cost, which never
+// wins either. A search raises a candidate's floor to +Inf once priced.
+func cheapest(floor []float64, best float64) int {
+	k := -1
+	for i, f := range floor {
+		if f < best {
+			best, k = f, i
+		}
+	}
+	return k
+}
+
 // A HitMemo holds 256 sets of hitMemoWays entries: 1024 entries in
-// 16 KiB, one 64-byte set per lookup. On the experiment workloads it answers
-// 97-99.99% of the lookups that remain once nested-loops costing has shared
-// its terms, and on the benchmark's compile workload 80.5%, all but the
-// first sight of each argument. The same 1024 entries direct-mapped answer
-// 95-99.6% and 71%; it takes 4096 direct-mapped entries to match.
+// 16 KiB, one 64-byte set per lookup. Of the lookups that remain once
+// nested-loops costing has shared its terms and the join searches' floors
+// have ruled out the candidates that cannot win, it answers 95-99.99% on the
+// experiment workloads and 80% on the benchmark's compile workload. Sets
+// rather than direct mapping because a compile keeps a few hundred
+// arguments live, and direct-mapped entries lose hits to their collisions
+// (DESIGN.md §15).
 const (
 	hitMemoSetBits = 8
 	hitMemoWays    = 4
@@ -169,6 +200,9 @@ func (c *Config) SortCost(rows float64) float64 {
 	return cmp + passes*pages*2*ioPage + seekCost
 }
 
+// nljnBlocks are the block sizes, in outer rows, that NLJNTerms tries.
+var nljnBlocks = [7]float64{1, 4, 16, 64, 256, 1024, 4096}
+
 // NLJNTerms holds the parts of a nested-loops join's cost that the input
 // plans' own costs do not enter: they depend on the cardinalities alone, so
 // the plan generator computes them once for all outer plans of one
@@ -180,19 +214,27 @@ type NLJNTerms struct {
 // NLJNTerms prices the cardinality-dependent work of a nested-loops join:
 // the outer is consumed once and the inner re-evaluated per block of outer
 // rows. As commercial cost models do, the formula searches a small space of
-// block sizes (block-nested-loops buffering) and prices each candidate with
-// the buffer model, keeping the cheapest.
+// block sizes (block-nested-loops buffering) and keeps the cheapest, pricing
+// with the buffer model only the candidates that can still win.
 func (c *Config) NLJNTerms(m *HitMemo, outerRows, innerRows, outRows float64) NLJNTerms {
 	or := c.perNode(outerRows)
 	ir := c.perNode(innerRows)
 	innerPages := pagesOf(ir)
 	// The inner is re-read once per block of buffered outer rows; larger
-	// blocks cost buffer space (worse hit ratios for the inner pages).
+	// blocks cost buffer space (worse hit ratios for the inner pages). Each
+	// block size's floor is its I/O at hitCeil, written in the formula's own
+	// operator order so that rounding keeps it at or under the real term.
+	var passes, floor [len(nljnBlocks)]float64
+	for i, block := range nljnBlocks {
+		passes[i] = math.Ceil(math.Max(or, 1) / block)
+		floor[i] = passes[i]*innerPages*(1-hitCeil)*ioPage/8 + block*cpuRow/8
+	}
 	bestIO := math.Inf(1)
-	for block := 1.0; block <= 4096; block *= 4 {
-		passes := math.Ceil(math.Max(or, 1) / block)
+	for i := cheapest(floor[:], bestIO); i >= 0; i = cheapest(floor[:], bestIO) {
+		floor[i] = math.Inf(1)
+		block := nljnBlocks[i]
 		hit := m.hitRatio(innerPages + block/rowsPerPage)
-		io := passes*innerPages*(1-hit)*ioPage/8 + block*cpuRow/8
+		io := passes[i]*innerPages*(1-hit)*ioPage/8 + block*cpuRow/8
 		if io < bestIO {
 			bestIO = io
 		}
@@ -248,25 +290,38 @@ func init() {
 // HSJNCost returns the cost of a hash join building on the inner and
 // probing with the outer. Like commercial hash-join cost models, it
 // searches a small space of grace-partitioning fanouts, picking the
-// cheapest combination of spill I/O and per-bucket probe work.
+// cheapest combination of spill I/O and per-bucket probe work and pricing
+// with the buffer model only the fan-outs that can still win.
 func (c *Config) HSJNCost(m *HitMemo, outerCost, outerRows, innerCost, innerRows, outRows float64) float64 {
 	or, ir := c.perNode(outerRows), c.perNode(innerRows)
 	buildPages := pagesOf(ir)
-	best := math.Inf(1)
-	for i, fanout := 0, 1.0; i < len(hsjnLog2); i, fanout = i+1, fanout*2 {
+	// Spill and probe work do not depend on the buffer model. Each fan-out's
+	// floor is its cost with the build side at hitCeil, in the formula's own
+	// operator order; that is a floor only while the build term grows with
+	// 1-hit, so a negative or NaN inner floors every fan-out at -Inf.
+	var probe, spill, floor [len(hsjnLog2)]float64
+	for i := range floor {
+		fanout := float64(int(1) << i)
 		partPages := buildPages / fanout
-		spill := 0.0
 		if partPages > bufferPages {
 			// Recursive partitioning: both sides rewritten once per level.
 			levels := math.Ceil(math.Log(partPages/bufferPages)/hsjnLn[i]) + 1
-			spill = (pagesOf(or) + buildPages) * 2 * ioPage * levels
+			spill[i] = (pagesOf(or) + buildPages) * 2 * ioPage * levels
 		} else if fanout > 1 {
-			spill = (pagesOf(or) + buildPages) * 2 * ioPage
+			spill[i] = (pagesOf(or) + buildPages) * 2 * ioPage
 		}
-		hit := m.hitRatio(partPages)
+		probe[i] = or*cpuHash + or*hsjnLog2[i]*cpuCompare/4
+		floor[i] = math.Inf(-1)
+		if ir >= 0 {
+			floor[i] = ir*cpuHash*2 + ir*(1-hitCeil)*cpuHash/2 + probe[i] + spill[i]
+		}
+	}
+	best := math.Inf(1)
+	for i := cheapest(floor[:], best); i >= 0; i = cheapest(floor[:], best) {
+		floor[i] = math.Inf(1)
+		hit := m.hitRatio(buildPages / float64(int(1)<<i))
 		build := ir*cpuHash*2 + ir*(1-hit)*cpuHash/2
-		probe := or*cpuHash + or*hsjnLog2[i]*cpuCompare/4
-		if t := build + probe + spill; t < best {
+		if t := build + probe[i] + spill[i]; t < best {
 			best = t
 		}
 	}

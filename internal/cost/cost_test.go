@@ -272,13 +272,30 @@ func TestGroupByCost(t *testing.T) {
 	}
 }
 
-func TestBufferHitRatioBounds(t *testing.T) {
-	for _, pages := range []float64{0, 1, 100, 1e6, 1e9} {
+// The join searches skip candidates on the strength of hitCeil, so it must
+// bound the buffer model at every positive argument they can pass: a
+// log-spaced sweep of the whole float range, and densely where arguments
+// actually fall — whole page counts, and the row-derived ones NLJNTerms adds
+// block sizes in (multiples of 1/rowsPerPage).
+func TestHitCeilBoundsBufferHitRatio(t *testing.T) {
+	hi, at := 0.0, 0.0
+	check := func(pages float64) {
 		r := bufferHitRatio(pages)
-		if r < 0 || r > 1 {
-			t.Fatalf("hit ratio %v for %v pages out of [0,1]", r, pages)
+		if !(r >= 0 && r <= hitCeil) {
+			t.Fatalf("hit ratio %v for %v pages out of [0, hitCeil = %v]", r, pages, hitCeil)
+		}
+		if r > hi {
+			hi, at = r, pages
 		}
 	}
+	for pages := 1e-300; pages <= 1e300; pages *= 1.001 {
+		check(pages)
+	}
+	for n := 1; n <= 3_000_000; n++ {
+		check(float64(n))
+		check(float64(n) / rowsPerPage)
+	}
+	t.Logf("largest hit ratio %v at %v pages", hi, at)
 	if bufferHitRatio(10) <= bufferHitRatio(1e8) {
 		t.Fatal("hit ratio should fall as footprint grows")
 	}

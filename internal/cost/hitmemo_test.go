@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// The ref* functions are the cost formulas as they stood before the memo and
-// the NLJNTerms split: every buffer-model point evaluated directly, every
-// term computed per call. They are the oracle the memoized formulas must
-// match bit for bit.
+// The ref* functions are the cost formulas as they stood before the memo, the
+// NLJNTerms split and the floors of the join searches: every buffer-model
+// point evaluated directly, every block size and fan-out priced, every term
+// computed per call. They are the oracle the memoized formulas must match
+// bit for bit.
 
 func refScanCost(c *Config, tableRows, outRows float64) float64 {
 	rows := c.perNode(tableRows)
@@ -94,26 +95,49 @@ func checkAgainstRef(t *testing.T, c *Config, m *HitMemo, oc, or, ic, ir, out fl
 	}
 }
 
+// held returns how many arguments a memo holds. On a fresh memo that is the
+// number of buffer-model points the calls since it was made evaluated.
+func held(m *HitMemo) int {
+	n := 0
+	for i := range m.sets {
+		for _, e := range m.sets[i] {
+			if e.key != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // One memo serves 4000 random argument tuples per configuration — each tuple
-// touches up to seventeen buffer-model points, far more distinct keys than
-// the memo has entries, so most lookups evict another key — and then the
-// same tuples again, which finds whatever an eviction left behind. The
-// tuples must reach both uses of HSJNCost's tabulated logarithms: the probe
-// term of every fan-out, and the recursion depth of a build side that spills
-// even when partitioned 128 ways.
+// touches two buffer-model points in the scans and up to fifteen in the join
+// searches, more distinct keys than the memo has entries, so lookups evict
+// other keys — and then the same tuples again, which finds whatever an
+// eviction left behind. The tuples must reach both uses of HSJNCost's
+// tabulated logarithms: the probe term of every fan-out, and the recursion
+// depth of a build side that spills even when partitioned 128 ways. They
+// must also reach both ends of the join searches, counted on a fresh memo
+// per search: searches whose floors ruled candidates out, and searches that
+// had to price every candidate.
 func TestMemoizedCostsMatchDirect(t *testing.T) {
 	m := new(HitMemo)
 	for _, c := range []*Config{Serial, Parallel4} {
 		rng := rand.New(rand.NewSource(int64(c.Nodes)))
+		logUniform := func(lo, hi float64) float64 {
+			return lo * math.Exp(rng.Float64()*math.Log(hi/lo))
+		}
 		rows := func() float64 {
-			// Log-uniform over 1 .. 1e9, fractional like real cardinalities.
-			return math.Exp(rng.Float64() * math.Log(1e9))
+			// Fractional like real cardinalities.
+			return logUniform(1, 1e9)
 		}
 		type tuple struct{ oc, or, ic, ir, out float64 }
 		tuples := make([]tuple, 4000)
 		spills, fits := 0, 0
 		for i := range tuples {
-			tuples[i] = tuple{rows(), rows(), rows(), rows(), rows()}
+			// Outers go down to the estimator's cardinality floor: an outer
+			// of at most one row per node re-reads the inner once at every
+			// block size, which is where the block search prices all seven.
+			tuples[i] = tuple{rows(), logUniform(0.01, 1e9), rows(), rows(), rows()}
 			if pagesOf(c.perNode(tuples[i].ir))/128 > bufferPages {
 				spills++
 			} else if pagesOf(c.perNode(tuples[i].ir)) <= bufferPages {
@@ -123,10 +147,41 @@ func TestMemoizedCostsMatchDirect(t *testing.T) {
 		if spills < 200 || fits < 200 {
 			t.Fatalf("nodes=%d: %d tuples spill at every fan-out and %d at none, want 200 of each", c.Nodes, spills, fits)
 		}
+		pruned, full := 0, 0
+		tally := func(priced, candidates int) {
+			if priced < candidates {
+				pruned++
+			} else {
+				full++
+			}
+		}
+		for _, a := range tuples {
+			var nl, hs HitMemo
+			c.NLJNCost(&nl, a.oc, a.or, a.ic, a.ir, a.out)
+			c.HSJNCost(&hs, a.oc, a.or, a.ic, a.ir, a.out)
+			tally(held(&nl), len(nljnBlocks))
+			tally(held(&hs), len(hsjnLog2))
+		}
+		if pruned < 200 || full < 200 {
+			t.Fatalf("nodes=%d: %d join searches ruled candidates out and %d priced them all, want 200 of each", c.Nodes, pruned, full)
+		}
 		for pass := 0; pass < 2; pass++ {
 			for _, a := range tuples {
 				checkAgainstRef(t, c, m, a.oc, a.or, a.ic, a.ir, a.out)
 			}
+		}
+	}
+}
+
+// A build side that fits the buffer pool spills at no fan-out but the first,
+// and every other fan-out's spill I/O alone exceeds what the buffer model can
+// add to the first's cost, so the search prices one point.
+func TestHSJNInBufferBuildPricesOneFanOut(t *testing.T) {
+	for _, innerRows := range []float64{1, 40 * 1000.5, 40 * bufferPages} {
+		var m HitMemo
+		Serial.HSJNCost(&m, 1, 1e6, 1, innerRows, 1e6)
+		if n := held(&m); n != 1 {
+			t.Fatalf("inner of %v rows (%v pages): the memo holds %d keys after one HSJNCost, want 1", innerRows, pagesOf(innerRows), n)
 		}
 	}
 }
@@ -235,7 +290,8 @@ var sinkCost float64
 // eight of them repeat, the state of an optimization after its first few
 // joins; in "miss" every call brings page counts the memo has not seen (odd
 // page counts, so no fan-out of one is a fan-out of another): the price of
-// the unmemoized formula plus the failed lookups.
+// the floors, the buffer-model points they leave to evaluate, and the failed
+// lookups.
 func benchJoinCost(b *testing.B, costOf func(m *HitMemo, innerRows float64) float64) {
 	b.Run("hit", func(b *testing.B) {
 		m := new(HitMemo)
