@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -35,6 +36,71 @@ func (p PlanCounts) MarshalJSON() ([]byte, error) {
 		HSJN:  p.ByMethod[props.HSJN],
 		Total: p.Total(),
 	})
+}
+
+// AppendJSON appends the MarshalJSON form as the service's indented encoder
+// lays it out (see JSONObject): the planCountsJSON fields in tag order.
+// serialize_test.go holds it byte-equal to json.MarshalIndent and
+// round-trips it through UnmarshalJSON.
+func (p PlanCounts) AppendJSON(dst []byte, depth int) []byte {
+	o := OpenJSONObject(dst, depth)
+	o.Int("mgjn", int64(p.ByMethod[props.MGJN]))
+	o.Int("nljn", int64(p.ByMethod[props.NLJN]))
+	o.Int("hsjn", int64(p.ByMethod[props.HSJN]))
+	o.Int("total", int64(p.Total()))
+	return o.Close()
+}
+
+// JSONObject appends one JSON object laid out as json.Encoder with
+// SetIndent("", "  ") lays it out: each field on its own line, two spaces
+// per nesting level, commas between fields, the closing brace back at the
+// opening brace's depth, and "{}" for an object without fields. It is the
+// one writer of that layout: the service's response appenders add their
+// value kinds on top of it.
+type JSONObject struct {
+	B      []byte // the output so far
+	Depth  int    // nesting depth of the opening brace; the fields sit one deeper
+	fields int
+}
+
+// OpenJSONObject appends the opening brace of an object at depth.
+func OpenJSONObject(dst []byte, depth int) JSONObject {
+	return JSONObject{B: append(dst, '{'), Depth: depth}
+}
+
+// Key starts a field: the comma after the previous one, then on a new line
+// the quoted key (a tag, which needs no escaping) and ": ". The caller
+// appends the value to B.
+func (o *JSONObject) Key(k string) {
+	if o.fields > 0 {
+		o.B = append(o.B, ',')
+	}
+	o.fields++
+	o.B = append(append(append(AppendJSONNewline(o.B, o.Depth+1), '"'), k...), `": `...)
+}
+
+// Int appends an integer field.
+func (o *JSONObject) Int(k string, v int64) {
+	o.Key(k)
+	o.B = strconv.AppendInt(o.B, v, 10)
+}
+
+// Close appends the closing brace and returns the output.
+func (o *JSONObject) Close() []byte {
+	if o.fields == 0 {
+		return append(o.B, '}')
+	}
+	return append(AppendJSONNewline(o.B, o.Depth), '}')
+}
+
+// AppendJSONNewline appends a line break and depth two-space indents: the
+// start of a line in the encoder's layout (an array element, say).
+func AppendJSONNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for i := 0; i < depth; i++ {
+		dst = append(dst, "  "...)
+	}
+	return dst
 }
 
 // UnmarshalJSON accepts the MarshalJSON form (the total is recomputed, not
@@ -157,6 +223,33 @@ func (e *Estimate) MarshalJSON() ([]byte, error) {
 		PredictedBytes:       e.PredictedPeakBytes,
 		PeakBytes:            e.MeasuredPeakBytes,
 	})
+}
+
+// AppendJSON appends the MarshalJSON form laid out as PlanCounts.AppendJSON
+// lays out the counts: the estimateJSON fields in tag order, omitempty ones
+// left out at zero. serialize_test.go holds it byte-equal to
+// json.MarshalIndent and round-trips it through UnmarshalJSON.
+func (e *Estimate) AppendJSON(dst []byte, depth int) []byte {
+	o := OpenJSONObject(dst, depth)
+	o.Key("counts")
+	o.B = e.Counts.AppendJSON(o.B, depth+1)
+	o.Int("joins", int64(e.Joins))
+	o.Int("pairs", int64(e.Pairs))
+	o.Int("blocks", int64(len(e.Blocks)))
+	o.Int("candidates_visited", int64(e.CandidatesVisited))
+	o.Int("candidates_skipped", int64(e.CandidatesSkipped))
+	o.Int("elapsed_ns", e.Elapsed.Nanoseconds())
+	if e.PredictedTime != 0 {
+		o.Int("predicted_time_ns", e.PredictedTime.Nanoseconds())
+	}
+	o.Int("predicted_memory_bytes", e.PredictedMemoryBytes)
+	if e.PredictedPeakBytes != 0 {
+		o.Int("predicted_bytes", e.PredictedPeakBytes)
+	}
+	if e.MeasuredPeakBytes != 0 {
+		o.Int("peak_bytes", e.MeasuredPeakBytes)
+	}
+	return o.Close()
 }
 
 // UnmarshalJSON accepts the MarshalJSON form. The wire form carries only the

@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/json"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -108,5 +110,89 @@ func TestEstimateSerialization(t *testing.T) {
 	}
 	if m["counts"].(map[string]any)["total"].(float64) != 7 {
 		t.Fatalf("counts = %v", m["counts"])
+	}
+}
+
+// randomEstimate draws an estimate whose every field is zero about a third
+// of the time, so each omitempty field is seen both omitted and written.
+func randomEstimate(rng *rand.Rand) *Estimate {
+	n := func() int64 {
+		switch rng.Intn(3) {
+		case 0:
+			return 0
+		case 1:
+			return rng.Int63n(1000) - 100
+		}
+		return rng.Int63() >> rng.Intn(63)
+	}
+	e := &Estimate{
+		Blocks:               make([]*BlockEstimate, rng.Intn(4)),
+		Joins:                int(n()),
+		Pairs:                int(n()),
+		CandidatesVisited:    int(n()),
+		CandidatesSkipped:    int(n()),
+		Elapsed:              time.Duration(n()),
+		PredictedTime:        time.Duration(n()),
+		PredictedMemoryBytes: n(),
+		PredictedPeakBytes:   n(),
+		MeasuredPeakBytes:    n(),
+	}
+	for m := range e.Counts.ByMethod {
+		e.Counts.ByMethod[m] = int(n())
+	}
+	return e
+}
+
+// TestAppendJSONMatchesEncoder: the appenders write exactly what the
+// encoder writes for MarshalJSON indented at the same depth, and what they
+// write decodes back to the value — so a tag renamed on one side fails here
+// instead of drifting on the wire.
+func TestAppendJSONMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		e := randomEstimate(rng)
+		depth := rng.Intn(5)
+		prefix := strings.Repeat("  ", depth)
+
+		want, err := json.MarshalIndent(e, prefix, "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := e.AppendJSON(nil, depth)
+		if string(got) != string(want) {
+			t.Fatalf("Estimate.AppendJSON(%+v, %d):\n%s\nencoder:\n%s", *e, depth, got, want)
+		}
+		var back Estimate
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatal(err)
+		}
+		// The wire form carries the block count, not the blocks.
+		sent := *e
+		sent.Blocks = nil
+		if !reflect.DeepEqual(back, sent) {
+			t.Fatalf("round trip: %+v != %+v", back, sent)
+		}
+
+		want, err = json.MarshalIndent(e.Counts, prefix, "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = e.Counts.AppendJSON([]byte("x"), depth)[1:] // appends, does not overwrite
+		if string(got) != string(want) {
+			t.Fatalf("PlanCounts.AppendJSON(%v, %d):\n%s\nencoder:\n%s", e.Counts, depth, got, want)
+		}
+		var counts PlanCounts
+		if err := json.Unmarshal(got, &counts); err != nil {
+			t.Fatal(err)
+		}
+		if counts != e.Counts {
+			t.Fatalf("round trip: %v != %v", counts, e.Counts)
+		}
+	}
+
+	// An object without fields is "{}" at any depth, as the encoder writes it.
+	o := OpenJSONObject([]byte("x"), 2)
+	if got := string(o.Close()); got != "x{}" {
+		t.Fatalf("empty JSONObject = %q, want %q", got, "x{}")
 	}
 }

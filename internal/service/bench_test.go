@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"testing"
 )
 
@@ -28,6 +31,44 @@ func benchEstimate(b *testing.B, req EstimateRequest) {
 // request costs one parse + signature + LRU lookup, no enumeration.
 func BenchmarkServiceEstimateCacheHit(b *testing.B) {
 	benchEstimate(b, EstimateRequest{Catalog: "tpch", SQL: tpchQ6})
+}
+
+// requestBody is a request body that can be rewound between requests.
+type requestBody struct{ bytes.Reader }
+
+func (*requestBody) Close() error { return nil }
+
+// BenchmarkServiceHTTPEstimateCacheHit measures the cached path as a client
+// sees it, through the handler: the body decode and the response encode
+// around BenchmarkServiceEstimateCacheHit's work (no socket).
+func BenchmarkServiceHTTPEstimateCacheHit(b *testing.B) {
+	srv := New(Config{Workers: 4})
+	h := srv.Handler()
+	body, err := json.Marshal(EstimateRequest{Catalog: "tpch", SQL: tpchQ6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, "/v1/estimate", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rb requestBody
+	req.Body = &rb
+	w := &headerWriter{h: make(http.Header)}
+	serve := func() {
+		rb.Reset(body)
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.n == 0 {
+			b.Fatalf("status %d, %d body bytes", w.status, w.n)
+		}
+	}
+	serve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
 }
 
 // BenchmarkServiceEstimateCacheMiss measures the uncached path: every

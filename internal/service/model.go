@@ -162,11 +162,11 @@ func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	s.writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleModelHistory(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.writeJSON(w, http.StatusOK, map[string]any{
 		"current":  s.models.Version(),
 		"versions": s.ModelHistory(),
 	})

@@ -107,5 +107,5 @@ func (t *progressTable) snapshot() []ProgressInfo {
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"in_flight": s.progress.snapshot()})
+	s.writeJSON(w, http.StatusOK, map[string]any{"in_flight": s.progress.snapshot()})
 }

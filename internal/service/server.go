@@ -372,16 +372,30 @@ func post[Req, Resp any](s *Server, call func(context.Context, Req) (Resp, error
 		if status != nil {
 			code = status(resp)
 		}
-		writeJSON(w, code, resp)
+		s.writeJSON(w, code, resp)
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+// writeJSON encodes v into a pooled buffer (wire.go) and only then commits
+// the status, so a value that cannot be encoded answers 500 internal
+// instead of its own status with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	bp := bodyPool.Get().(*[]byte)
+	b, err := appendBody((*bp)[:0], v)
+	if err == nil {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		// A failed write means the client went away; there is no one left
+		// to tell.
+		_, _ = w.Write(b)
+	}
+	if cap(b) <= maxPooledBody {
+		*bp = b[:0]
+		bodyPool.Put(bp)
+	}
+	if err != nil {
+		s.writeError(w, fmt.Errorf("encode response: %w", err))
+	}
 }
 
 // writeError maps service errors through the taxonomy (see errors.go) to an
@@ -399,11 +413,11 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
 	}
-	writeJSON(w, status, ErrorBody{Error: err.Error(), Code: code})
+	s.writeJSON(w, status, ErrorBody{Error: err.Error(), Code: code})
 }
 
 func (s *Server) handleCatalogList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"catalogs": s.registry.List()})
+	s.writeJSON(w, http.StatusOK, map[string]any{"catalogs": s.registry.List()})
 }
 
 // uploadCatalog registers an uploaded catalog (POST /v1/catalogs).
@@ -423,9 +437,9 @@ func (s *Server) uploadCatalog(_ context.Context, def CatalogDef) (CatalogInfo, 
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.pool, s.cache, s.calib, s.shed))
+	s.writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.pool, s.cache, s.calib, s.shed))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
