@@ -40,7 +40,6 @@ func BenchmarkAnalyzeChain10(b *testing.B) {
 // BenchmarkCanonicalChain10 is the rebuild a cache miss adds.
 func BenchmarkCanonicalChain10(b *testing.B) {
 	a := fingerprint.Analyze(benchChain10(b))
-	allocs := testing.AllocsPerRun(10, func() { sinkBlock, _ = a.Canonical() })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -50,13 +49,13 @@ func BenchmarkCanonicalChain10(b *testing.B) {
 		}
 		sinkBlock = cb
 	}
-	// BENCH_cote.json gates units ending in "-exact" on equality.
-	b.ReportMetric(allocs, "allocs-exact")
 }
 
 // TestFingerprintAllocs pins what the fingerprint step and the canonical
 // rebuild allocate for a benchmark-style chain-10: 9 and 25 at PR 19, 56
-// and 324 before it. Ceilings sit ~20 % above.
+// and 324 before it. The canonical ceiling is the count measured with
+// go1.24.0, so one more allocation fails; the fingerprint one sits ~20 %
+// above.
 func TestFingerprintAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("-race changes allocation counts")
@@ -71,7 +70,7 @@ func TestFingerprintAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 30 {
-		t.Errorf("Canonical(chain-10) = %.0f allocs, want <= 30", got)
+	if got > 25 {
+		t.Errorf("Canonical(chain-10) = %.0f allocs, want <= 25", got)
 	}
 }

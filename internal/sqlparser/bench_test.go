@@ -20,7 +20,6 @@ var sinkBlock *query.Block
 
 func benchParse(b *testing.B, kind string, n int) {
 	cat, sql := testutil.BenchCatalog(), benchStatement(kind, n)
-	allocs := testing.AllocsPerRun(10, func() { sinkBlock, _ = sqlparser.Parse(sql, cat) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -30,8 +29,6 @@ func benchParse(b *testing.B, kind string, n int) {
 		}
 		sinkBlock = blk
 	}
-	// BENCH_cote.json gates units ending in "-exact" on equality.
-	b.ReportMetric(allocs, "allocs-exact")
 }
 
 func BenchmarkParseChain10(b *testing.B) { benchParse(b, "chain", 10) }
@@ -43,7 +40,8 @@ func BenchmarkParseClique7(b *testing.B) { benchParse(b, "clique", 7) }
 // chunks each for table references and column instances with their pointer
 // lists, the predicate and clause slices, and Finalize's six index arrays);
 // 372, 335 and 322 before it, when every column instance was its own object
-// and the closure kept three maps. Ceilings sit ~20 % above.
+// and the closure kept three maps. The ceilings are the counts measured with
+// go1.24.0, so one more allocation fails.
 func TestParseAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("-race changes allocation counts")
@@ -53,7 +51,7 @@ func TestParseAllocs(t *testing.T) {
 		kind string
 		n    int
 		max  float64
-	}{{"chain", 10, 33}, {"star", 9, 32}, {"clique", 7, 33}} {
+	}{{"chain", 10, 27}, {"star", 9, 26}, {"clique", 7, 27}} {
 		sql := benchStatement(tc.kind, tc.n)
 		got := testing.AllocsPerRun(20, func() {
 			if _, err := sqlparser.Parse(sql, cat); err != nil {

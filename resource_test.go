@@ -108,23 +108,37 @@ func TestParallelDurablePeakMatchesSerial(t *testing.T) {
 
 // TestEstimateMeasuredBytesDeterministic pins the estimate path's measured
 // durable bytes: same query, same level, same number — with or without an
-// execution context attached, across repeated (pooled) runs.
+// execution context attached, across repeated (pooled) runs — and that
+// number itself, on the headline query and the two dense LevelHigh queries
+// the root package's estimate benchmarks time.
 func TestEstimateMeasuredBytesDeterministic(t *testing.T) {
-	q := workload.Real2(1).Queries[7]
-	base, err := core.EstimatePlans(q.Block, core.Options{Level: experiments.Level})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.MeasuredPeakBytes <= 0 {
-		t.Fatalf("MeasuredPeakBytes = %d, want > 0", base.MeasuredPeakBytes)
-	}
-	for run := 0; run < 3; run++ {
-		est, err := core.EstimatePlansCtx(context.Background(), q.Block, core.Options{Level: experiments.Level})
+	for _, tc := range []struct {
+		name  string
+		wl    *workload.Workload
+		qi    int
+		level opt.Level
+		want  int64
+	}{
+		{"real2-q7", workload.Real2(1), 7, experiments.Level, 20164},
+		{"clique-q3", workload.Clique(1), 3, opt.LevelHigh, 86360},
+		{"star-q14", workload.Star(1), 14, opt.LevelHigh, 144068},
+	} {
+		q := tc.wl.Queries[tc.qi]
+		base, err := core.EstimatePlans(q.Block, core.Options{Level: tc.level})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if est.MeasuredPeakBytes != base.MeasuredPeakBytes {
-			t.Fatalf("run %d: MeasuredPeakBytes %d != %d", run, est.MeasuredPeakBytes, base.MeasuredPeakBytes)
+		if base.MeasuredPeakBytes != tc.want {
+			t.Errorf("%s: MeasuredPeakBytes = %d, want %d", tc.name, base.MeasuredPeakBytes, tc.want)
+		}
+		for run := 0; run < 3; run++ {
+			est, err := core.EstimatePlansCtx(context.Background(), q.Block, core.Options{Level: tc.level})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.MeasuredPeakBytes != base.MeasuredPeakBytes {
+				t.Fatalf("%s run %d: MeasuredPeakBytes %d != %d", tc.name, run, est.MeasuredPeakBytes, base.MeasuredPeakBytes)
+			}
 		}
 	}
 }
