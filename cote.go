@@ -16,6 +16,8 @@
 //	cat := cote.TPCHCatalog(1, 1)
 //	q, err := cote.ParseSQL(`SELECT ... FROM ...`, cat)
 //	res, err := cote.Optimize(q, cote.OptimizeOptions{Level: cote.LevelHigh})
+//	fmt.Println(res.Plan)
+//	res.Release() // optional: lets the next compile reuse its MEMOs
 //	est, err := cote.EstimatePlans(q, cote.EstimateOptions{Level: cote.LevelHigh})
 //
 // To convert plan counts into a wall-clock prediction, calibrate a TimeModel
@@ -112,7 +114,11 @@ var (
 type OptimizeOptions = opt.Options
 
 // OptimizeResult is the outcome of a real optimization: the chosen plan,
-// per-block MEMO state, counters and timings.
+// per-block MEMO state, counters and timings. Its plans live in its blocks'
+// MEMOs until its Release method hands them to the next compile; after
+// Release the counters, timings and resource figures stay valid while Plan
+// and every block's Plan and Memo are nil. Releasing is optional: an
+// unreleased result is garbage-collected like any value.
 type OptimizeResult = opt.Result
 
 // Optimize compiles the query for real: enumerates joins, generates and

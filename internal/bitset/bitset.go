@@ -11,7 +11,6 @@ package bitset
 import (
 	"math/bits"
 	"strconv"
-	"strings"
 )
 
 // Set is a set of table positions in the range [0, 64).
@@ -116,17 +115,16 @@ func (s Set) SubsetsProper(fn func(sub Set) bool) {
 }
 
 // String renders the set as "{0,3,5}".
-func (s Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
+func (s Set) String() string { return string(s.AppendString(nil)) }
+
+// AppendString appends String's rendering of the set to dst.
+func (s Set) AppendString(dst []byte) []byte {
+	dst = append(dst, '{')
 	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
-		if !first {
-			b.WriteByte(',')
+		if i != s.Min() {
+			dst = append(dst, ',')
 		}
-		first = false
-		b.WriteString(strconv.Itoa(i))
+		dst = strconv.AppendInt(dst, int64(i), 10)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }

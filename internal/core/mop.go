@@ -146,6 +146,7 @@ func (m *MOP) RunCtx(ctx context.Context, blk *query.Block) (*opt.Result, *MOPDe
 
 	est, err := EstimatePlansCtx(ctx, blk, Options{Level: high, Config: m.Config, Model: model, Models: m.Models})
 	if err != nil {
+		low.Release()
 		return nil, nil, err
 	}
 	dec.HighCompileEstimate = est.PredictedTime
@@ -156,6 +157,7 @@ func (m *MOP) RunCtx(ctx context.Context, blk *query.Block) (*opt.Result, *MOPDe
 	if float64(dec.HighCompileEstimate) < threshold*float64(dec.LowPlanExecCost) {
 		res, level, err := m.recompile(ctx, blk, high, model, est, dec)
 		if err != nil {
+			low.Release()
 			return nil, nil, err
 		}
 		if res != nil {
@@ -164,6 +166,7 @@ func (m *MOP) RunCtx(ctx context.Context, blk *query.Block) (*opt.Result, *MOPDe
 			dec.FinalPlanCost = time.Duration(res.Plan.Cost * execTinst * float64(time.Second))
 			dec.FinalPeakBytes = res.Resources.DurablePeakBytes
 			result = res
+			low.Release() // discarded: its workspace serves the next compile
 		}
 	}
 	dec.TotalElapsed = time.Since(start)
@@ -209,6 +212,7 @@ func (m *MOP) recompile(ctx context.Context, blk *query.Block, high opt.Level, m
 			m.observe(blk, level, est.PredictedTime, est, res)
 			return res, level, nil
 		}
+		// An aborted compile returned its workspaces to the pool itself.
 		switch {
 		case errors.Is(err, optctx.ErrBudgetExceeded):
 			dec.AbortedLevels = append(dec.AbortedLevels, level)

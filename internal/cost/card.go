@@ -38,8 +38,9 @@ func (m Mode) String() string {
 // on the entry (DB2 experience item 5); the enumerator hands the cached input
 // cardinalities back to JoinCard, so simple mode keeps nothing per table set
 // and owns only the two per-block tables below, which Reset refills in place
-// (the estimate workspace pools one Estimator). Full mode alone memoizes per
-// set, because keyCap recurses on sets the MEMO may not hold.
+// (the estimate and compile workspaces each pool one Estimator). Full mode
+// alone memoizes per set, because keyCap recurses on sets the MEMO may not
+// hold; Reset clears that map and keeps its storage.
 type Estimator struct {
 	blk  *query.Block
 	mode Mode
@@ -63,9 +64,14 @@ func (e *Estimator) Mode() Mode { return e.mode }
 // Reset points the estimator at a finalized block, refilling the per-table
 // and per-predicate tables in the storage of the previous block.
 func (e *Estimator) Reset(blk *query.Block, mode Mode) {
-	e.blk, e.mode, e.cache = blk, mode, nil
-	if mode == Full {
+	e.blk, e.mode = blk, mode
+	switch {
+	case mode != Full:
+		e.cache = nil
+	case e.cache == nil:
 		e.cache = make(map[bitset.Set]float64)
+	default:
+		clear(e.cache)
 	}
 	e.filtered = slices.Grow(e.filtered[:0], len(blk.Tables))
 	for _, t := range blk.Tables {

@@ -64,13 +64,16 @@ func fastestOf[T any](run func() (T, time.Duration, error)) (T, error) {
 }
 
 // timedOptimize compiles a query repeatedly at the given level and returns
-// the fastest result.
+// the fastest result, released: its counters, timers and resources are what
+// the figures read, and every repetition hands its workspaces to the next,
+// so the compile timed is the one the service runs on a warm pool.
 func timedOptimize(q workload.Query, cfg *cost.Config, level opt.Level) (*opt.Result, error) {
 	return fastestOf(func() (*opt.Result, time.Duration, error) {
 		res, err := opt.Optimize(q.Block, opt.Options{Level: level, Config: cfg})
 		if err != nil {
 			return nil, 0, err
 		}
+		res.Release()
 		return res, res.Elapsed, nil
 	})
 }
@@ -199,6 +202,7 @@ func Fig5Plans(w *workload.Workload) ([]PlanRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
+		res.Release()
 		actual := core.CountsFrom(res.TotalCounters())
 		for m := props.JoinMethod(0); m < props.NumJoinMethods; m++ {
 			out = append(out, PlanRow{
@@ -382,6 +386,7 @@ func PilotPass(w *workload.Workload) ([]PilotRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
+		res.Release()
 		c := res.TotalCounters()
 		gen := c.TotalGenerated()
 		row := PilotRow{Query: q.Name, Generated: gen, Pruned: c.PilotPruned}
@@ -422,6 +427,7 @@ func MemoryEstimates(w *workload.Workload) ([]MemoryRow, error) {
 		for _, b := range res.Blocks {
 			plans += b.Memo.NumPlans()
 		}
+		res.Release()
 		out = append(out, MemoryRow{
 			Query:          q.Name,
 			PredictedBytes: est.PredictedMemoryBytes,
@@ -463,6 +469,7 @@ func memPointAt(q workload.Query, cfg *cost.Config, level opt.Level) (*core.Esti
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: %w", q.Name, err)
 	}
+	res.Release()
 	return est, res.Resources.DurablePeakBytes, nil
 }
 
@@ -584,6 +591,7 @@ func Ablations(w *workload.Workload) ([]AblationRow, error) {
 			if err != nil {
 				return nil, err
 			}
+			res.Release()
 			actual := core.CountsFrom(res.TotalCounters())
 			row.TotalEst += e.Counts.Total()
 			row.TotalAct += actual.Total()
@@ -626,6 +634,7 @@ func PipelineExtension() ([]PipelineRow, error) {
 				if err != nil {
 					return nil, err
 				}
+				res.Release()
 				blk2 := starNoSort(n, preds)
 				blk2.FirstN = firstN
 				est, err := core.EstimatePlans(blk2, core.Options{Level: Level})
@@ -696,6 +705,7 @@ func StatementCacheExtension(w *workload.Workload) (CacheRow, error) {
 			if err != nil {
 				return row, err
 			}
+			res.Release()
 			cache.Record(q.Block, res.Elapsed)
 		}
 		if pass == 0 {

@@ -126,19 +126,28 @@ type Plan struct {
 	DeferredExp bitset.Set
 }
 
-// String renders the plan tree on one line for diagnostics.
+// String renders the plan tree on one line, as the optimize response's plan
+// field and diagnostics show it: a leaf is its operator and table set, any
+// other node its operator and its children in parentheses.
 func (p *Plan) String() string {
+	var buf [256]byte
+	return string(p.AppendString(buf[:0]))
+}
+
+// AppendString appends String's rendering of the plan tree to dst.
+func (p *Plan) AppendString(dst []byte) []byte {
 	if p == nil {
-		return "<nil>"
+		return append(dst, "<nil>"...)
 	}
-	switch {
-	case p.Left == nil && p.Right == nil:
-		return fmt.Sprintf("%s%s", p.Op, p.Tables)
-	case p.Right == nil:
-		return fmt.Sprintf("%s(%s)", p.Op, p.Left)
-	default:
-		return fmt.Sprintf("%s(%s,%s)", p.Op, p.Left, p.Right)
+	dst = append(dst, p.Op.String()...)
+	if p.Left == nil && p.Right == nil {
+		return p.Tables.AppendString(dst)
 	}
+	dst = p.Left.AppendString(append(dst, '('))
+	if p.Right != nil {
+		dst = p.Right.AppendString(append(dst, ','))
+	}
+	return append(dst, ')')
 }
 
 // Entry is one MEMO entry: the planning state for one table set.
@@ -186,8 +195,9 @@ const slabBlock = 128
 
 // repChunkEntries is the number of entries whose representative arrays one
 // arena chunk holds. Chunks are sized from the block (entries × columns),
-// never from a byte constant: the real-compile MEMO is not pooled, and a
-// chunk larger than a small query's whole MEMO is per-request waste.
+// never from a byte constant: a MEMO keeps every chunk it ever cut across
+// Reset, and one whose compile is never released is garbage with it, so a
+// chunk larger than a small query's whole MEMO is waste either way.
 const repChunkEntries = 8
 
 // idxSlot is one slot of the open-addressed index: the table set and the
@@ -217,19 +227,25 @@ type Memo struct {
 	blocks [][]Entry
 	nused  int
 	// reps is the arena entries' representative arrays (Entry.Equiv) are
-	// carved from, cols the one the properties stored in plan-estimate mode
-	// keep their columns in (AddOrder, KeepCols; the real optimizer's MEMO
-	// never carves from it: plans outlive their MEMO, so their properties are
-	// interned). Reset rewinds both and keeps the chunks, so the pooled
-	// estimate MEMO allocates nothing per entry or stored property in steady
-	// state. Only the goroutine running the enumeration carves: no lock.
+	// carved from, cols the one stored properties keep their columns in
+	// (AddOrder and KeepCols: the estimator's property lists, and the orders
+	// and partitions of the real optimizer's plans, which live in this MEMO
+	// too). Reset rewinds both and keeps the chunks, so a pooled MEMO
+	// allocates nothing per entry or stored property in steady state. Only
+	// the goroutine running the enumeration carves: no lock.
 	reps bump[int32]
 	cols bump[query.ColID]
 	// plans is the arena entries' plan lists live in: InsertPlan moves a
 	// full list into a window twice its size (planWindow at first) and
 	// abandons the old one in place. Reset clears the chunks, so a pooled
 	// MEMO pins no plan tree, and rewinds.
-	plans  bump[*Plan]
+	plans bump[*Plan]
+	// nodes is the arena the plans themselves are carved from (NewPlan).
+	// Reset rewinds it without clearing — the plans left in it point into
+	// this MEMO's own arenas, or at a base table's partition columns — and
+	// the next block overwrites them, so a plan is valid exactly as long as
+	// its MEMO's block.
+	nodes  bump[Plan]
 	bySize [][]*Entry
 	// sorted caches the Entries() snapshot; GetOrCreate invalidates it, so
 	// hot consumers (plan counting, serialization, diagnostics) sort once
@@ -254,15 +270,20 @@ type Memo struct {
 
 // New creates an empty MEMO for a block of n tables.
 func New(n int) *Memo {
+	m := &Memo{bySize: make([][]*Entry, n+1)}
+	m.sizeIndex(n)
+	return m
+}
+
+// sizeIndex replaces the index with an empty one of the size a block of n
+// tables starts from.
+func (m *Memo) sizeIndex(n int) {
 	size := 16
 	for size < 4*(n+1) {
 		size *= 2
 	}
-	return &Memo{
-		table:  make([]idxSlot, size),
-		shift:  uint(64 - bits.TrailingZeros(uint(size))),
-		bySize: make([][]*Entry, n+1),
-	}
+	m.table = make([]idxSlot, size)
+	m.shift = uint(64 - bits.TrailingZeros(uint(size)))
 }
 
 // find probes for s and returns its entry, or nil together with the slot
@@ -363,12 +384,34 @@ func (m *Memo) AddOrder(e *Entry, o props.Order) {
 }
 
 // Plan-arena sizes: the first window of an entry's plan list and the
-// pointer count of one arena chunk. Most entries keep a handful of plans;
-// a chunk is 2 KiB of pointers.
+// pointer count of one arena chunk — most entries keep a handful of plans;
+// a chunk is 2 KiB of pointers — and the plans of one node chunk: a handful
+// of pages, large enough to amortize the allocator, small enough not to
+// overshoot tiny queries badly.
 const (
 	planWindow = 4
 	planChunk  = 256
+	nodeChunk  = 256
 )
+
+// NodeChunkBytes is what NewPlan charges the run accountant, as scratch,
+// for every node chunk a block enters.
+const NodeChunkBytes = nodeChunk * int64(unsafe.Sizeof(Plan{}))
+
+// NewPlan carves a plan from the MEMO's node arena. Its content is stale —
+// a plan an earlier block left in a kept chunk — so the caller assigns the
+// whole Plan. The real optimizer creates one Plan per generated alternative,
+// the dominant allocation of a compile; batching them into chunks kept
+// across Reset leaves a pooled MEMO allocating none. Entering a chunk
+// charges its capacity, a kept chunk like a new one, so the scratch peak is
+// a function of the block and never of what the MEMO served before.
+func (m *Memo) NewPlan() *Plan {
+	p := &m.nodes.take(1, nodeChunk)[0]
+	if m.nodes.off == 1 {
+		m.acct.Charge(resource.KindScratch, NodeChunkBytes)
+	}
+	return p
+}
 
 // cleanEntry returns a used slab entry to the zero state while keeping the
 // capacities of its Orders/Parts backing arrays (zeroed first, so the pooled
@@ -431,11 +474,15 @@ func (m *Memo) GetOrCreate(s bitset.Set) (e *Entry, created bool) {
 }
 
 // Reset returns the MEMO to the empty state for a block of n tables,
-// keeping the entry map and size buckets so pooled reuse (sync.Pool in the
-// estimator's per-request hot path) allocates nothing in steady state.
-// Entry pointers obtained before the Reset must not be used afterwards.
+// keeping the entry map and size buckets so pooled reuse (the estimate and
+// compile workspaces) allocates nothing in steady state. Entry and plan-list
+// pointers obtained before the Reset must not be used afterwards.
 func (m *Memo) Reset(n int) {
-	clear(m.table) // keep the index capacity; e==nil marks every slot empty
+	if 4*(n+1) > len(m.table) {
+		m.sizeIndex(n) // what New(n) starts from, so a block never regrows it
+	} else {
+		clear(m.table) // keep the index capacity; e==nil marks every slot empty
+	}
 	m.count = 0
 	// Clean used slab entries in place: zero their property storage up to
 	// capacity (so the pool pins nothing from the finished run) but keep the
@@ -450,6 +497,7 @@ func (m *Memo) Reset(n int) {
 		clear(c)
 	}
 	m.plans.cur, m.plans.off = 0, 0
+	m.nodes.cur, m.nodes.off = 0, 0
 	if n+1 > cap(m.bySize) {
 		m.bySize = make([][]*Entry, n+1)
 	} else {

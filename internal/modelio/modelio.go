@@ -58,6 +58,7 @@ func TrainOn(name string, nodes int) (*core.TimeModel, int, error) {
 				return nil, 0, fmt.Errorf("calibrate %s: %w", q.Name, err)
 			}
 			training = append(training, core.TrainingPointFrom(res.TotalCounters(), res.Elapsed))
+			res.Release()
 		}
 	}
 	m, err := core.Calibrate(training)

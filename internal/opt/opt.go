@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"cote/internal/cost"
@@ -143,6 +144,10 @@ type BlockResult struct {
 }
 
 // Result is the outcome of optimizing a query (all blocks).
+//
+// Each block's plans live in its MEMO, which the Result owns until Release
+// hands it to the next compile. A caller that never calls Release leaves the
+// MEMOs to the garbage collector, as if nothing were pooled.
 type Result struct {
 	// Plan is the final plan of the outermost block, including finishing
 	// enforcers.
@@ -155,6 +160,22 @@ type Result struct {
 	// compile ran without an execution context). DurablePeakBytes is the
 	// deterministic MEMO high-water mark core.EstimateMemory predicts.
 	Resources resource.Snapshot
+}
+
+// Release hands the result's MEMOs, with the plans carved from them, to the
+// workspace pool, where the next compile overwrites them, and nils Plan and
+// every block's Plan and Memo. Every plan and MEMO entry reached through the
+// result before is invalid from then on; the scalars — Elapsed, Resources,
+// each block's Counters, EnumStats and Elapsed, and so TotalCounters and
+// Breakdown — stay valid. A second call does nothing. Release must not run
+// concurrently with a reader of the result.
+func (r *Result) Release() {
+	if r.Plan == nil {
+		return
+	}
+	ws := acquireWorkspace()
+	ws.reclaim(r)
+	workspacePool.Put(ws)
 }
 
 // TotalCounters sums the plan-generation counters over all blocks.
@@ -221,26 +242,14 @@ func OptimizeCtx(ctx context.Context, blk *query.Block, opts Options) (*Result, 
 // plans, costs and counters are identical to Optimize — the context only
 // observes.
 func OptimizeWith(oc *optctx.Ctx, blk *query.Block, opts Options) (*Result, error) {
-	start := time.Now()
-	res := &Result{}
-	for _, b := range blk.Blocks() {
-		if oc.Cancelled() {
-			return nil, oc.Err()
-		}
-		br, err := optimizeBlock(oc, b, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Blocks = append(res.Blocks, br)
-		// Export the block's output cardinality to the derived table
-		// reference(s) in its parent.
-		propagateDerivedCard(blk, b, br.Plan.Card)
+	ws := acquireWorkspace()
+	res, err := ws.optimize(oc, blk, opts)
+	if err != nil {
+		ws.reclaim(res) // nothing escaped
+		res = nil
 	}
-	root := res.Blocks[len(res.Blocks)-1]
-	res.Plan = finish(root.Block, root.Plan, root.Memo, opts)
-	res.Elapsed = time.Since(start)
-	res.Resources = oc.Resources().Snapshot()
-	return res, nil
+	workspacePool.Put(ws)
+	return res, err
 }
 
 // recordStages attributes one block's compilation to the observability
@@ -279,11 +288,100 @@ func propagateDerivedCard(root, child *query.Block, card float64) {
 	}
 }
 
-// optimizeBlock compiles one block.
-func optimizeBlock(oc *optctx.Ctx, blk *query.Block, opts Options) (*BlockResult, error) {
+// workspace is everything a compile works in: the plan generator with its
+// scratch (hit memo, buffers, free list, interned properties), the
+// full-mode cardinality estimator, the interest scope, and the MEMOs
+// released results handed back. Each block takes a MEMO — the one thing
+// that outlives the compile, holding the block's entries, plan lists and
+// the plans themselves — and the rest is reset for it and rebuilds nothing.
+// The workspace returns to the pool when the compile ends, released or not,
+// so a caller that never releases still compiles with a warm generator.
+type workspace struct {
+	// gen is first so its hit memo keeps the allocation's alignment.
+	gen plangen.Generator
+	// card and sc are what gen and the enumerator read through pointers.
+	card cost.Estimator
+	sc   props.Scope
+	// hooks are gen's enumerator callbacks, bound once: gen never moves.
+	hooks enum.Hooks
+	// memos are scrubbed MEMOs waiting for a block.
+	memos []*memo.Memo
+}
+
+// workspacePool is the only pool on the compile path.
+var workspacePool = sync.Pool{New: func() any { return newWorkspace() }}
+
+func newWorkspace() *workspace {
+	ws := new(workspace)
+	ws.hooks = ws.gen.Hooks()
+	return ws
+}
+
+func acquireWorkspace() *workspace { return workspacePool.Get().(*workspace) }
+
+// memo takes a MEMO for a block of n tables.
+func (ws *workspace) memo(n int) *memo.Memo {
+	k := len(ws.memos)
+	if k == 0 {
+		return memo.New(n)
+	}
+	m := ws.memos[k-1]
+	ws.memos[k-1] = nil
+	ws.memos = ws.memos[:k-1]
+	m.Reset(n)
+	return m
+}
+
+// keep scrubs a MEMO (memo.Reset drops its entries, plan lists and
+// accountant) and holds it for a later block.
+func (ws *workspace) keep(m *memo.Memo) {
+	m.Reset(0)
+	ws.memos = append(ws.memos, m)
+}
+
+// reclaim keeps a result's MEMOs and nils every pointer into them.
+func (ws *workspace) reclaim(r *Result) {
+	for _, b := range r.Blocks {
+		ws.keep(b.Memo)
+		b.Plan, b.Memo = nil, nil
+	}
+	r.Plan = nil
+}
+
+// optimize compiles blk in the workspace. On error it returns the blocks
+// finished so far, so the caller can reclaim their MEMOs.
+func (ws *workspace) optimize(oc *optctx.Ctx, blk *query.Block, opts Options) (*Result, error) {
+	start := time.Now()
+	res := &Result{}
+	for _, b := range blk.Blocks() {
+		if oc.Cancelled() {
+			return res, oc.Err()
+		}
+		mem := ws.memo(b.NumTables())
+		br, err := ws.optimizeBlock(oc, b, mem, opts)
+		if err != nil {
+			ws.keep(mem)
+			return res, err
+		}
+		res.Blocks = append(res.Blocks, br)
+		// Export the block's output cardinality to the derived table
+		// reference(s) in its parent.
+		propagateDerivedCard(blk, b, br.Plan.Card)
+	}
+	root := res.Blocks[len(res.Blocks)-1]
+	res.Plan = finish(root.Block, root.Plan, root.Memo, &ws.sc, opts)
+	res.Elapsed = time.Since(start)
+	res.Resources = oc.Resources().Snapshot()
+	return res, nil
+}
+
+// optimizeBlock compiles one block into mem.
+func (ws *workspace) optimizeBlock(oc *optctx.Ctx, blk *query.Block, mem *memo.Memo, opts Options) (*BlockResult, error) {
 	t0 := time.Now()
 	cfg := knobs.CostConfig(opts.Config)
-	card := cost.NewEstimator(blk, cost.Full)
+	card := &ws.card
+	card.Reset(blk, cost.Full)
+	ws.sc.Reset(blk)
 
 	if opts.Level == LevelLow {
 		g, err := greedy.Optimize(blk, card, cfg)
@@ -291,16 +389,14 @@ func optimizeBlock(oc *optctx.Ctx, blk *query.Block, opts Options) (*BlockResult
 			return nil, err
 		}
 		return &BlockResult{
-			Block: blk, Plan: g.Plan, Memo: memo.New(blk.NumTables()),
+			Block: blk, Plan: g.Plan, Memo: mem,
 			Elapsed: time.Since(t0),
 		}, nil
 	}
 
-	sc := props.NewScope(blk)
-	mem := memo.New(blk.NumTables())
 	mem.SetAccountant(oc.Resources())
-	mem.PipelineMatters = sc.PipelineInteresting()
-	mem.ExpMatters = !sc.ExpensiveTables().Empty()
+	mem.PipelineMatters = ws.sc.PipelineInteresting()
+	mem.ExpMatters = !ws.sc.ExpensiveTables().Empty()
 	popts := plangen.Options{Config: cfg, OrderPolicy: opts.OrderPolicy, Exec: oc}
 	if opts.PilotPass {
 		g, err := greedy.Optimize(blk, card, cfg)
@@ -309,13 +405,14 @@ func optimizeBlock(oc *optctx.Ctx, blk *query.Block, opts Options) (*BlockResult
 		}
 		popts.PilotBound = g.Cost
 	}
-	gen := plangen.New(blk, sc, mem, card, popts)
+	gen := &ws.gen
+	gen.Reset(blk, &ws.sc, mem, card, popts)
 
 	eopts := opts.Level.EnumOptions()
 	eopts.Cartesian = opts.CartesianPolicy
 	eopts.Exec = oc
-	st, err := enum.New(blk, mem, card, eopts).Run(gen.Hooks())
-	gen.FlushTicks()
+	st, err := enum.New(blk, mem, card, eopts).Run(ws.hooks)
+	gen.Finish()
 	if err != nil {
 		return nil, err
 	}
@@ -330,14 +427,13 @@ func optimizeBlock(oc *optctx.Ctx, blk *query.Block, opts Options) (*BlockResult
 		Elapsed: time.Since(t0),
 	}
 	recordStages(oc, br)
-	gen.ReleaseScratch()
 	return br, nil
 }
 
 // finish applies the top-level enforcers: a final sort when no plan
 // delivers the ORDER BY order, and the aggregation operator for GROUP BY,
 // choosing the streaming variant when the input is suitably ordered.
-func finish(blk *query.Block, best *memo.Plan, mem *memo.Memo, opts Options) *memo.Plan {
+func finish(blk *query.Block, best *memo.Plan, mem *memo.Memo, sc *props.Scope, opts Options) *memo.Plan {
 	cfg := knobs.CostConfig(opts.Config)
 	plan := best
 	root := mem.Entry(blk.AllTables())
@@ -345,7 +441,6 @@ func finish(blk *query.Block, best *memo.Plan, mem *memo.Memo, opts Options) *me
 
 	// Apply any expensive predicates the plan deferred past its joins.
 	if !plan.DeferredExp.Empty() {
-		sc := props.NewScope(blk)
 		cost2, card := plan.Cost, plan.Card
 		n := 0
 		for t := plan.DeferredExp.Next(0); t >= 0; t = plan.DeferredExp.Next(t + 1) {

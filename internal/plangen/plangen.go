@@ -16,8 +16,6 @@ package plangen
 
 import (
 	"math"
-	"slices"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -95,8 +93,12 @@ type Options struct {
 }
 
 // Generator produces plans when driven by the join enumerator's hooks. One
-// Generator serves one goroutine.
+// Generator serves one goroutine; Reset readies a used one for another block.
 type Generator struct {
+	// scratch is the generator's working memory, kept across Reset. It is
+	// first so the hit memo's 64-byte sets start on cache-line boundaries.
+	scratch
+
 	blk      *query.Block
 	sc       *props.Scope
 	mem      *memo.Memo
@@ -119,33 +121,33 @@ type Generator struct {
 	base time.Time
 	last time.Duration
 
-	// scratch is the pooled per-goroutine working memory (arena + reusable
-	// slices); its fields are promoted so the hot path reads g.ocBuf etc.
-	*scratch
-
 	Counters Counters
 }
 
-// scratch is the per-goroutine working memory of one Generator: the plan
-// arena plus the slice buffers reused join over join so the steady state of
-// one optimization allocates almost nothing. It is recycled across requests
-// through scratchPool (ReleaseScratch) so a serving process's steady state
-// also stops allocating them per compile. Recycling the arena is sound: the
-// free list holds only plans that were never inserted into any MEMO, and a
-// pooled current chunk pins at most one chunk's worth of a finished
-// request's plans until it is overwritten.
+// scratch is the working memory of one Generator: the free list, the
+// interned properties and the slice buffers reused join over join, so the
+// steady state of one optimization allocates almost nothing — and, since
+// Reset keeps all of it, neither does the next block of a generator the
+// optimizer's pooled workspace reuses. None of it is reachable from a plan:
+// plans and their columns live in the MEMO.
 type scratch struct {
-	// hits memoizes the cost model's buffer hit ratios. It survives pooling
-	// as is: the function is pure, so entries from an earlier query stay
-	// valid. A fixed array, not charged to the accountant; first in the
-	// struct so its 64-byte sets start on cache-line boundaries.
+	// hits memoizes the cost model's buffer hit ratios. It survives Reset as
+	// is: the function is pure, so entries from an earlier query stay valid.
+	// A fixed array, not charged to the accountant.
 	hits cost.HitMemo
 
-	// arena batches Plan allocations and recycles MEMO-rejected plans.
-	arena planArena
+	// free recycles plans the MEMO rejected on arrival or the pilot bound
+	// cut: they were never inserted, so nothing references them. Plans
+	// inserted and later pruned are deliberately not recycled: they may
+	// already be another plan's child or an enforcer's source.
+	free []*memo.Plan
 	// pending holds the join plans of one join-method call until commit
 	// inserts them, in emission order, when the call returns.
 	pending []*memo.Plan
+	// orders and parts intern the merge orders and repartitions every join
+	// asks for again (see internOrder).
+	orders map[internKey]props.Order
+	parts  map[internKey]props.Partition
 
 	ocBuf, icBuf  []query.ColID
 	jcBuf         []query.ColID
@@ -159,10 +161,10 @@ type scratch struct {
 	completeOrds  props.OrderList
 	baseOrders    props.BaseOrders
 
-	// bufCharged is the slice-buffer capacity already charged to the run
-	// accountant, so growth is charged as a delta and reused capacity is
-	// charged once. ReleaseScratch zeroes it with the arena's tally.
-	bufCharged int64
+	// maxCols, maxPending and maxFree are the block's widest join (in join
+	// columns), largest commit batch and longest free list: what Finish
+	// charges for the buffers.
+	maxCols, maxPending, maxFree int
 }
 
 // Accounting sizes of the scratch element types.
@@ -172,69 +174,85 @@ var (
 	partBytes  = int64(unsafe.Sizeof(props.Partition{}))
 )
 
-// chargeBufGrowth settles the scratch slice buffers' capacity against the
-// run accountant: only the growth over what this scratch already charged,
-// called when the scratch is attached (pool-retained capacity) and when it
-// is released (capacity grown during the run).
-func (s *scratch) chargeBufGrowth() {
-	if s.arena.acct == nil {
-		return
-	}
-	total := int64(cap(s.ocBuf)+cap(s.icBuf)+cap(s.jcBuf))*colIDBytes +
-		int64(cap(s.outsBuf)+cap(s.insBuf))*orderBytes +
-		int64(cap(s.candPartsBuf))*partBytes +
-		int64(cap(s.arena.free)+cap(s.pending))*8
-	if total > s.bufCharged {
-		s.arena.acct.Charge(resource.KindScratch, total-s.bufCharged)
-		s.bufCharged = total
-	}
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// ReleaseScratch returns the generator's pooled working memory. Call it once
-// the generator is finished (no hook will fire again); using the generator
-// afterwards panics. Safe to call twice.
-func (g *Generator) ReleaseScratch() {
-	s := g.scratch
-	if s == nil {
-		return
-	}
-	g.scratch = nil
-	s.chargeBufGrowth()
-	// Zero the accounting state before pooling: the next borrower must start
-	// from a clean tally against its own accountant (regression-tested, like
-	// memo.Reset's accounting rule).
-	s.arena.resetAccounting()
-	s.bufCharged = 0
-	s.ocBuf, s.icBuf, s.jcBuf = s.ocBuf[:0], s.icBuf[:0], s.jcBuf[:0]
-	s.outsBuf, s.insBuf = s.outsBuf[:0], s.insBuf[:0]
-	s.candPartsBuf = s.candPartsBuf[:0]
-	clear(s.pending[:cap(s.pending)]) // pin no plan of the finished run
-	scratchPool.Put(s)
-}
-
 // New builds a plan generator writing into mem. The cardinality estimator
 // should be the full-mode one; the Generator shares it with the enumerator
 // so both see identical logical properties.
 func New(blk *query.Block, sc *props.Scope, mem *memo.Memo, card *cost.Estimator, opts Options) *Generator {
-	cfg := knobs.CostConfig(opts.Config)
-	g := &Generator{
-		blk:      blk,
-		sc:       sc,
-		mem:      mem,
-		card:     card,
-		cfg:      cfg,
-		policy:   opts.OrderPolicy,
-		parallel: cfg.Nodes > 1,
-		bound:    opts.PilotBound,
-		exec:     opts.Exec,
-		scratch:  scratchPool.Get().(*scratch),
-		base:     time.Now(),
-	}
-	g.arena.attach(opts.Exec.Resources())
-	g.chargeBufGrowth()
+	g := new(Generator)
+	g.Reset(blk, sc, mem, card, opts)
 	return g
+}
+
+// Reset readies the generator for a block as New would, keeping its scratch:
+// the hit memo and the buffers' capacities.
+func (g *Generator) Reset(blk *query.Block, sc *props.Scope, mem *memo.Memo, card *cost.Estimator, opts Options) {
+	cfg := knobs.CostConfig(opts.Config)
+	g.blk, g.sc, g.mem, g.card, g.cfg = blk, sc, mem, card, cfg
+	g.policy = opts.OrderPolicy
+	g.parallel = cfg.Nodes > 1
+	g.bound = opts.PilotBound
+	g.exec = opts.Exec
+	g.ticks = 0
+	g.sink = nil
+	g.Counters = Counters{}
+	g.maxCols, g.maxPending, g.maxFree = 0, 0, 0
+	g.base, g.last = time.Now(), 0
+}
+
+// Finish ends the generator's block: it pushes the generated-plan count still
+// sitting in the local batch to the execution context, charges the run
+// accountant for what the block used of the scratch buffers, and drops every
+// reference to the block's MEMO and run, so a reused generator pins neither.
+// Call it once the driving enumeration returned.
+func (g *Generator) Finish() {
+	if g.exec != nil && g.ticks > 0 {
+		g.exec.TickGenerated(g.ticks)
+		g.ticks = 0
+	}
+	g.exec.Resources().Charge(resource.KindScratch, g.bufBytes())
+	g.exec, g.mem = nil, nil
+	clear(g.free)
+	g.free = g.free[:0]
+	clear(g.pending[:cap(g.pending)])
+	clear(g.orders)
+	clear(g.parts)
+}
+
+// bufBytes is what the block used of the scratch buffers: their high-water
+// lengths at their element sizes — the join-column buffers, the merge
+// candidates (one per join column plus the composite), in parallel mode the
+// joined columns and the one repartition candidate, the commit batch and the
+// free list. Never their capacities: those remember the largest block a
+// reused generator ever served.
+func (g *Generator) bufBytes() int64 {
+	cols := int64(g.maxCols)
+	merge := cols
+	if cols > 1 {
+		merge++
+	}
+	n := 2*cols*colIDBytes + 2*merge*orderBytes
+	if g.parallel {
+		n += 2*cols*colIDBytes + partBytes
+	}
+	return n + int64(g.maxPending+g.maxFree)*8
+}
+
+// newPlan returns a plan slot — a recycled one, or one carved from the
+// MEMO's node arena. Its content is stale: callers assign the whole Plan.
+func (g *Generator) newPlan() *memo.Plan {
+	if k := len(g.free); k > 0 {
+		p := g.free[k-1]
+		g.free = g.free[:k-1]
+		return p
+	}
+	return g.mem.NewPlan()
+}
+
+// recycle returns a plan that is provably unreferenced (it was never
+// inserted into the MEMO) to the free list.
+func (g *Generator) recycle(p *memo.Plan) {
+	g.free = append(g.free, p)
+	g.maxFree = max(g.maxFree, len(g.free))
 }
 
 // Hooks returns the enumerator callbacks that drive this generator.
@@ -263,7 +281,7 @@ func (g *Generator) initEntry(e *memo.Entry) {
 	// they are pipelined. Expensive predicates are evaluated here (the
 	// apply-at-scan variant); a defer variant follows below.
 	expSel, expN := g.sc.ExpensiveSel(t)
-	p := g.arena.alloc()
+	p := g.newPlan()
 	*p = memo.Plan{
 		Op: memo.OpTableScan, Tables: e.Tables,
 		Cost: g.cfg.ScanCost(&g.hits, rows, fc) + g.cfg.ExpensivePredCost(rows, expN),
@@ -276,7 +294,7 @@ func (g *Generator) initEntry(e *memo.Entry) {
 		// more rows flow upward, and the finishing step pays the predicate
 		// cost on whatever survives the joins.
 		g.Counters.AccessPlans++
-		p := g.arena.alloc()
+		p := g.newPlan()
 		*p = memo.Plan{
 			Op: memo.OpTableScan, Tables: e.Tables,
 			Cost: g.cfg.ScanCost(&g.hits, rows, fc/expSel), Card: fc / expSel, Part: part,
@@ -287,11 +305,12 @@ func (g *Generator) initEntry(e *memo.Entry) {
 	}
 
 	// Index scans deliver their index order naturally. Base orders arrive in
-	// scratch; the plans that carry them outlive this call and get a copy.
+	// scratch; the plans that carry them outlive this call and get a copy in
+	// the MEMO's column arena, which lives exactly as long as they do.
 	for _, o := range g.sc.NaturalBaseOrders(t, &e.Equiv, &g.baseOrders) {
-		o.Cols = slices.Clone(o.Cols)
+		o.Cols = g.mem.KeepCols(o.Cols)
 		match := g.indexMatchRows(t, o, rows, fc)
-		p := g.arena.alloc()
+		p := g.newPlan()
 		*p = memo.Plan{
 			Op: memo.OpIndexScan, Tables: e.Tables,
 			Order: g.retireOrDeliver(o, e), Part: part,
@@ -310,9 +329,9 @@ func (g *Generator) initEntry(e *memo.Entry) {
 			if e.BestWithOrder(o, &e.Equiv) != nil {
 				continue
 			}
-			o.Cols = slices.Clone(o.Cols)
+			o.Cols = g.mem.KeepCols(o.Cols)
 			g.Counters.EnforcerPlans++
-			p := g.arena.alloc()
+			p := g.newPlan()
 			*p = memo.Plan{
 				Op: memo.OpSort, Left: base, Tables: e.Tables,
 				Order: o, Part: part,
@@ -366,6 +385,7 @@ func (g *Generator) basePartition(t int) props.Partition {
 func (g *Generator) joinEntry(outer, inner, result *memo.Entry) {
 	g.ocBuf, g.icBuf = g.blk.AppendJoinCols(outer.Tables, inner.Tables, g.ocBuf[:0], g.icBuf[:0])
 	outerCols, innerCols := g.ocBuf, g.icBuf
+	g.maxCols = max(g.maxCols, len(outerCols))
 	candidates := g.candidatePartitions(outer, inner, result, outerCols, innerCols)
 	g.lap()
 	for _, pp := range candidates {
@@ -414,7 +434,7 @@ func (g *Generator) candidatePartitions(outer, inner, result *memo.Entry, outerC
 		if len(outerCols) > 0 {
 			// Interned: the partition escapes into stored plans, so it must
 			// not alias the outerCols scratch buffer.
-			g.candPartsBuf = append(g.candPartsBuf[:0], g.sc.Intern().Partition(g.cfg.Nodes, outerCols))
+			g.candPartsBuf = append(g.candPartsBuf[:0], g.internPartition(g.cfg.Nodes, outerCols))
 			return g.candPartsBuf
 		}
 		// Cartesian product: no co-location key; run on the don't-care
@@ -515,15 +535,14 @@ func MergeCandidates(outerCols, innerCols []query.ColID) (outs, ins []props.Orde
 // candidate orders are interned (they escape into stored plans) and the
 // slices are per-generator scratch, valid until the next call.
 func (g *Generator) mergeCandidates(outerCols, innerCols []query.ColID) (outs, ins []props.Order) {
-	in := g.sc.Intern()
 	outs, ins = g.outsBuf[:0], g.insBuf[:0]
 	for i := range outerCols {
-		outs = append(outs, in.Order1(outerCols[i]))
-		ins = append(ins, in.Order1(innerCols[i]))
+		outs = append(outs, g.internOrder(outerCols[i:i+1]))
+		ins = append(ins, g.internOrder(innerCols[i:i+1]))
 	}
 	if len(outerCols) > 1 {
-		outs = append(outs, in.Order(outerCols))
-		ins = append(ins, in.Order(innerCols))
+		outs = append(outs, g.internOrder(outerCols))
+		ins = append(ins, g.internOrder(innerCols))
 	}
 	g.outsBuf, g.insBuf = outs, ins
 	return outs, ins
@@ -667,6 +686,7 @@ func (g *Generator) lap() time.Duration {
 // plan saving.
 func (g *Generator) commit(result *memo.Entry, m props.JoinMethod) {
 	g.Counters.GenTime[m] += g.lap()
+	g.maxPending = max(g.maxPending, len(g.pending))
 	for _, p := range g.pending {
 		g.commitJoin(result, p)
 	}
@@ -674,8 +694,8 @@ func (g *Generator) commit(result *memo.Entry, m props.JoinMethod) {
 	g.Counters.SaveTime += g.lap()
 }
 
-// emitJoin finalizes one generated join plan: counts it, constructs it from
-// the arena, and queues it for commit (or hands it to the sink, when a test
+// emitJoin finalizes one generated join plan: counts it, constructs it in a
+// recycled or newly carved slot, and queues it for commit (or hands it to the sink, when a test
 // set one).
 // Pipelineability follows Table 1's rule through the propagation classes:
 // an NLJN streams with its outer; merge and hash joins block (eager sorts
@@ -689,7 +709,7 @@ func (g *Generator) emitJoin(result *memo.Entry, op memo.Operator, left, right *
 			g.ticks = 0
 		}
 	}
-	p := g.arena.alloc()
+	p := g.newPlan()
 	*p = memo.Plan{
 		Op: op, Left: left, Right: right, Tables: result.Tables,
 		Order: order, Part: pp, Cost: planCost, Card: result.Card,
@@ -720,16 +740,6 @@ func (g *Generator) emitJoin(result *memo.Entry, op memo.Operator, left, right *
 // the shared execution context once per this many join plans.
 const tickBatch = 64
 
-// FlushTicks pushes any generated-plan count still sitting in the local
-// batch to the execution context. Call once per generator after its driving
-// enumeration finished.
-func (g *Generator) FlushTicks() {
-	if g.exec != nil && g.ticks > 0 {
-		g.exec.TickGenerated(g.ticks)
-		g.ticks = 0
-	}
-}
-
 // commitJoin applies the order-sensitive half of emitJoin: the pilot bound
 // check and MEMO insertion, whose reads of result.Plans depend on the plans
 // committed before it in the canonical enumeration order. The caller times
@@ -746,11 +756,11 @@ func (g *Generator) commitJoin(result *memo.Entry, p *memo.Plan) {
 		if !g.mem.Dominated(result, p) {
 			g.Counters.PilotPruned++
 		}
-		g.arena.recycle(p)
+		g.recycle(p)
 		return
 	}
 	if !g.mem.InsertPlan(result, p) {
-		g.arena.recycle(p) // rejected on arrival: provably unreferenced
+		g.recycle(p) // rejected on arrival: provably unreferenced
 	}
 }
 
@@ -760,7 +770,7 @@ func (g *Generator) commitJoin(result *memo.Entry, p *memo.Plan) {
 func (g *Generator) savePlan(e *memo.Entry, p *memo.Plan) {
 	g.Counters.AccessTime += g.lap()
 	if !g.mem.InsertPlan(e, p) {
-		g.arena.recycle(p)
+		g.recycle(p)
 	}
 	g.Counters.SaveTime += g.lap()
 }
@@ -816,7 +826,7 @@ func (g *Generator) completeEntry(e *memo.Entry) {
 				continue
 			}
 			g.Counters.EnforcerPlans++
-			p := g.arena.alloc()
+			p := g.newPlan()
 			*p = memo.Plan{
 				Op: memo.OpSort, Left: src, Tables: e.Tables,
 				Order: o, Part: pp,

@@ -14,7 +14,6 @@ import (
 	"cote/internal/props"
 	"cote/internal/query"
 	"cote/internal/resource"
-	"cote/internal/testutil"
 )
 
 // fixture builds a 3-table chain a-b-c with an ORDER BY, optionally
@@ -223,64 +222,47 @@ func TestSortWidthFactor(t *testing.T) {
 	}
 }
 
-// TestReleaseScratchZeroesAccounting is the plangen half of the pooled-reuse
-// accounting rule (the memo half is TestResetZeroesAccounting): ReleaseScratch
-// must settle outstanding buffer growth, detach the accountant, and zero both
-// charge tallies so the next borrower starts clean — and re-attaching already
-// charged capacity must charge it exactly once, never per borrow.
-func TestReleaseScratchZeroesAccounting(t *testing.T) {
-	oc := optctx.New(context.Background())
-	acct := oc.Resources()
-
-	cb := catalog.NewBuilder("acct")
-	cb.Table("a", 100_000).Column("x", 1_000)
-	cb.Table("b", 50_000).Column("x", 1_000)
-	cat := cb.Build()
-	qb := query.NewBuilder("acct", cat)
-	qb.AddTable("a", "")
-	qb.AddTable("b", "")
-	qb.JoinEq("a", "x", "b", "x")
-	blk := qb.MustBuild()
-
-	card := cost.NewEstimator(blk, cost.Full)
-	mem := memo.New(blk.NumTables())
-	gen := New(blk, props.NewScope(blk), mem, card, Options{Config: cost.Serial, Exec: oc})
-	if _, err := enum.New(blk, mem, card, enum.Options{}).Run(gen.Hooks()); err != nil {
-		t.Fatal(err)
+// TestResetChargesScratchLikeFresh is the plangen half of the pool-state
+// rule (the memo half is TestResetZeroesAccounting): a generator and a MEMO
+// reset for a block after serving a larger one charge exactly the scratch a
+// new pair charges for it — kept node chunks like new ones, the buffers at
+// what the block used of them, not at the capacity the larger block left —
+// and Finish lets go of the run and the MEMO.
+func TestResetChargesScratchLikeFresh(t *testing.T) {
+	for _, nodes := range []int{1, 4} {
+		cfg := cost.Serial
+		if nodes > 1 {
+			cfg = cost.Parallel4
+		}
+		large := chainBlock(t, nodes, 2_000_000, 90_000, 400, 7_000_000, 52_000, 800_000, 3_000, 61_000, 9_000_000, 700)
+		small := chainBlock(t, nodes, 120_000, 3_300_000)
+		run := func(g *Generator, mem *memo.Memo, blk *query.Block) int64 {
+			oc := optctx.New(context.Background())
+			card := cost.NewEstimator(blk, cost.Full)
+			mem.Reset(blk.NumTables())
+			mem.SetAccountant(oc.Resources())
+			g.Reset(blk, props.NewScope(blk), mem, card, Options{Config: cfg, Exec: oc})
+			if _, err := enum.New(blk, mem, card, enum.Options{}).Run(g.Hooks()); err != nil {
+				t.Fatal(err)
+			}
+			g.Finish()
+			if g.exec != nil || g.mem != nil {
+				t.Fatal("Finish kept the run or the MEMO — a reused generator would pin or charge a finished block")
+			}
+			return oc.Resources().KindUsed(resource.KindScratch)
+		}
+		want := run(new(Generator), memo.New(0), small)
+		if want < memo.NodeChunkBytes {
+			t.Fatalf("nodes=%d: scratch charge %d, want at least one node chunk (%d)", nodes, want, memo.NodeChunkBytes)
+		}
+		g, mem := new(Generator), memo.New(0)
+		if first := run(g, mem, large); first <= 2*memo.NodeChunkBytes {
+			t.Fatalf("nodes=%d: the large block charged %d: it must enter more chunks than the small one", nodes, first)
+		}
+		if got := run(g, mem, small); got != want {
+			t.Fatalf("nodes=%d: scratch charge %d after a larger block, %d on a new generator and MEMO", nodes, got, want)
+		}
 	}
-	if gen.scratch.arena.acct != acct {
-		t.Fatal("accountant not attached to the arena")
-	}
-	scratchUsed := acct.KindUsed(resource.KindScratch)
-	if scratchUsed <= 0 {
-		t.Fatalf("KindScratch used = %d, want > 0 (arena chunk + buffers)", scratchUsed)
-	}
-
-	s := gen.scratch
-	gen.ReleaseScratch()
-	if s.arena.acct != nil {
-		t.Fatal("ReleaseScratch kept the accountant attached — pooled reuse would charge a finished run")
-	}
-	if s.arena.charged != 0 || s.bufCharged != 0 {
-		t.Fatalf("ReleaseScratch left charge tallies arena=%d buf=%d, want 0 — next borrower would skip its own charges", s.arena.charged, s.bufCharged)
-	}
-
-	// Re-attach the same (now pooled-state) scratch to a fresh run: retained
-	// capacity is charged exactly once, and settling again charges nothing.
-	acct2 := resource.New()
-	s.arena.attach(acct2)
-	s.chargeBufGrowth()
-	once := acct2.KindUsed(resource.KindScratch)
-	if once <= 0 {
-		t.Fatalf("retained capacity charged %d on re-attach, want > 0", once)
-	}
-	s.chargeBufGrowth()
-	s.chargeBufGrowth()
-	if got := acct2.KindUsed(resource.KindScratch); got != once {
-		t.Fatalf("repeated settlement double-charged pooled buffers: %d -> %d", once, got)
-	}
-	s.arena.resetAccounting()
-	s.bufCharged = 0
 }
 
 // chainBlock builds a chain query t0-t1-...-tk over tables of the given row
@@ -309,15 +291,13 @@ func chainBlock(t *testing.T, nodes int, rows ...float64) *query.Block {
 	return qb.MustBuild()
 }
 
-// planCosts runs plan generation for blk on the given scratch and returns
+// planCosts runs plan generation for blk on the given generator and returns
 // every surviving plan's cost in MEMO order.
-func planCosts(t *testing.T, blk *query.Block, cfg *cost.Config, s *scratch) []float64 {
+func planCosts(t *testing.T, blk *query.Block, cfg *cost.Config, gen *Generator) []float64 {
 	t.Helper()
 	card := cost.NewEstimator(blk, cost.Full)
 	mem := memo.New(blk.NumTables())
-	gen := New(blk, props.NewScope(blk), mem, card, Options{Config: cfg})
-	gen.ReleaseScratch()
-	gen.scratch = s
+	gen.Reset(blk, props.NewScope(blk), mem, card, Options{Config: cfg})
 	if _, err := enum.New(blk, mem, card, enum.Options{}).Run(gen.Hooks()); err != nil {
 		t.Fatal(err)
 	}
@@ -330,9 +310,10 @@ func planCosts(t *testing.T, blk *query.Block, cfg *cost.Config, s *scratch) []f
 	return costs
 }
 
-// A pooled scratch carries its buffer-model memo from one query into the
-// next, uninvalidated. The second query must cost exactly as it does on a
-// scratch that has seen nothing, at both node counts.
+// A reused generator carries its buffer-model memo, its arena and its
+// buffers from one query into the next, uninvalidated. The second query must
+// cost exactly as it does on a generator that has seen nothing, at both node
+// counts.
 func TestPooledScratchMemoAcrossQueries(t *testing.T) {
 	for _, nodes := range []int{1, 4} {
 		cfg := cost.Serial
@@ -342,8 +323,8 @@ func TestPooledScratchMemoAcrossQueries(t *testing.T) {
 		first := chainBlock(t, nodes, 2_000_000, 90_000, 400, 7_000_000, 52_000)
 		second := chainBlock(t, nodes, 120_000, 3_300_000, 41, 880_000)
 
-		want := planCosts(t, second, cfg, new(scratch))
-		pooled := new(scratch)
+		want := planCosts(t, second, cfg, new(Generator))
+		pooled := new(Generator)
 		planCosts(t, first, cfg, pooled)
 		got := planCosts(t, second, cfg, pooled)
 		if len(got) != len(want) || len(got) == 0 {
@@ -357,21 +338,27 @@ func TestPooledScratchMemoAcrossQueries(t *testing.T) {
 	}
 }
 
-// The memo is part of the pooled scratch: borrowing it costs a generator
-// nothing beyond the Generator value itself.
+// The scratch — arena, buffers, hit memo — lives in the Generator: New is
+// one allocation, and resetting a used generator for a block is none.
 func TestNewAllocatesOnlyTheGenerator(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("sync.Pool drops puts under -race")
-	}
 	blk := chainBlock(t, 1, 1_000, 2_000)
 	card := cost.NewEstimator(blk, cost.Full)
 	sc := props.NewScope(blk)
 	mem := memo.New(blk.NumTables())
-	New(blk, sc, mem, card, Options{}).ReleaseScratch() // seed the pool
 	if avg := testing.AllocsPerRun(100, func() {
-		New(blk, sc, mem, card, Options{}).ReleaseScratch()
+		New(blk, sc, mem, card, Options{})
 	}); avg > 1 {
-		t.Fatalf("New + ReleaseScratch = %.1f allocs, want 1 — the scratch (arena, buffers, hit memo) must come from the pool", avg)
+		t.Fatalf("New = %.1f allocs, want 1 — the scratch must come with the Generator", avg)
+	}
+	gen := New(blk, sc, mem, card, Options{})
+	if _, err := enum.New(blk, mem, card, enum.Options{}).Run(gen.Hooks()); err != nil {
+		t.Fatal(err)
+	}
+	gen.Finish()
+	if avg := testing.AllocsPerRun(100, func() {
+		gen.Reset(blk, sc, mem, card, Options{})
+	}); avg != 0 {
+		t.Fatalf("Reset = %.1f allocs, want 0", avg)
 	}
 }
 

@@ -47,14 +47,9 @@ func (i Interest) Any() bool { return i.FutureJoin || i.OrderBy || i.GroupBy }
 // generates the initial interesting-property lists of base tables. It is
 // immutable after construction and read, without a lock, by the plan
 // generator and the estimator alike, so both see the same property
-// universe. Only the interner it carries mutates, under its own lock.
+// universe.
 type Scope struct {
 	blk *query.Block
-	// intern canonicalizes the property values plan generation stores in
-	// plans, which outlive their MEMO. Only plangen interns: the estimator's
-	// stored properties live in its pooled MEMO's arena, so a Scope on the
-	// estimate path leaves the interner's maps nil and never takes its lock.
-	intern Interner
 }
 
 // NewScope builds the interest analyzer for a finalized block.
@@ -62,15 +57,12 @@ func NewScope(blk *query.Block) *Scope {
 	return &Scope{blk: blk}
 }
 
-// Reset points a scope that never interned at another finalized block — the
-// estimate workspace pools one across requests.
+// Reset points the scope at another finalized block — the estimate and
+// compile workspaces each pool one across requests.
 func (sc *Scope) Reset(blk *query.Block) { sc.blk = blk }
 
 // Block returns the underlying query block.
 func (sc *Scope) Block() *query.Block { return sc.blk }
-
-// Intern returns the scope's property interner.
-func (sc *Scope) Intern() *Interner { return &sc.intern }
 
 // OrderInterest classifies the interest of order o at the table set eq was
 // built for. The zero Interest means o has retired there.
@@ -190,7 +182,7 @@ func PipelinePropagation(m JoinMethod) Propagation {
 // BaseOrders is the caller-owned storage EagerBaseOrders and
 // NaturalBaseOrders work in: the list they return and the columns its orders
 // point into. The next call overwrites both, so a caller copies what it keeps
-// (the counter into its MEMO's arena, plan generation through the interner).
+// into its MEMO's column arena.
 type BaseOrders struct {
 	list        OrderList
 	cols, peers []query.ColID

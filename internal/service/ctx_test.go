@@ -11,55 +11,76 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"cote/internal/optctx"
 )
 
-// heavySQL joins all eight TPC-H tables; at the unrestricted "high" level it
-// compiles in about five milliseconds (twenty before join costing was
-// memoized) — long enough that a one-millisecond deadline reliably lands
-// mid-enumeration.
+// heavySQL joins all eight TPC-H tables: at the unrestricted "high" level it
+// generates tens of thousands of plans, so its progress meter ticks many
+// times before it finishes.
 const heavySQL = `SELECT c_name FROM customer, orders, lineitem, supplier, nation, region, part, partsupp
 	WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
 	  AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
 	  AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
 	  AND p_partkey = l_partkey AND ps_partkey = p_partkey AND ps_suppkey = s_suppkey`
 
+// TestOptimizeDeadlineStopsCompileAndFreesSlot cancels a request's own
+// context from inside its compile — the moment the server's progress table
+// shows the compile generating plans, so it is provably running in the pool
+// — with no sleep and no wall-clock bound. The request must fail with the
+// cancellation, and the compile must unwind and hand back the only worker
+// slot: the next request queues for it and must then compile exactly what a
+// fresh server compiles, so nothing the cancelled compile held is shared
+// with it.
 func TestOptimizeDeadlineStopsCompileAndFreesSlot(t *testing.T) {
-	srv := New(Config{Workers: 1, RequestTimeout: time.Millisecond})
-
-	start := time.Now()
-	_, err := srv.Optimize(context.Background(), OptimizeRequest{Catalog: "tpch", SQL: heavySQL, Level: "high"})
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Errorf("request took %v to honor a 1ms deadline", elapsed)
-	}
-	if got := srv.pool.Abandoned(); got < 1 {
-		t.Errorf("abandoned runs = %d, want >= 1", got)
+	req := OptimizeRequest{Catalog: "tpch", SQL: heavySQL, Level: "high"}
+	want, err := New(Config{Workers: 1}).Optimize(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// The slot must come back: the cancelled compile unwinds cooperatively
-	// and releases its worker, so a follow-up request on the 1-worker pool
-	// succeeds instead of queueing behind a zombie.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, running := srv.pool.Depth(); running == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			_, running := srv.pool.Depth()
-			t.Fatalf("worker slot still held %v after the deadline (running=%d)", time.Since(start), running)
-		}
-		time.Sleep(time.Millisecond)
+	srv := New(Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	seen := make(chan ProgressInfo, 1)
+	srv.progress.hooks.OnProgress = func(generated, _ int64) {
+		once.Do(func() {
+			for _, run := range srv.progress.snapshot() {
+				if run.Generated > 0 {
+					seen <- run
+					break
+				}
+			}
+			cancel()
+		})
 	}
-	resp, err := srv.Optimize(context.Background(), OptimizeRequest{Catalog: "tpch", SQL: tpchQ3})
-	if err != nil || resp.Plan == "" {
-		t.Fatalf("follow-up request on the freed slot: %v %+v", err, resp)
+	if _, err := srv.Optimize(ctx, req); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	select {
+	case run := <-seen:
+		if run.Level != "high" {
+			t.Fatalf("progress table showed %+v, want the high-level compile", run)
+		}
+	default:
+		t.Fatal("the progress table never showed the compile generating plans")
+	}
+
+	got, err := srv.Optimize(context.Background(), req)
+	if err != nil {
+		t.Fatalf("follow-up request on the freed slot: %v", err)
+	}
+	if queued, running := srv.pool.Depth(); queued != 0 || running != 0 {
+		t.Fatalf("pool depth after the follow-up: queued %d, running %d", queued, running)
+	}
+	got.ElapsedNS, want.ElapsedNS = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("follow-up compile differs from a fresh server's:\n got  %+v\n want %+v", got, want)
 	}
 }
 

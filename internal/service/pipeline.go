@@ -480,7 +480,7 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 	// configured — an overrun aborts it and drops a level, re-entering this
 	// loop.
 	for {
-		oc := optctx.New(ctx)
+		oc := optctx.New(ctx).WithHooks(s.progress.hooks)
 		var predictedTime time.Duration
 		if admitted != opt.LevelLow {
 			// The greedy floor runs unbudgeted, like admission: it is the
@@ -532,6 +532,11 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 				}
 			}
 			s.calib.ObserveCompile(obs)
+			// Everything the response and the observers need is read: the
+			// compile's workspaces serve the next request. A compile Run
+			// abandoned at the deadline never gets here, so the worker still
+			// running it shares nothing with a later request.
+			res.Release()
 			return resp, nil
 		}
 		switch {

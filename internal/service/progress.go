@@ -18,6 +18,10 @@ type progressTable struct {
 	mu     sync.Mutex
 	nextID int64
 	runs   map[int64]*progressRun
+	// hooks are installed on every tracked compile's execution context. The
+	// server sets none; a test sets them before its first request to act
+	// from inside a running compile.
+	hooks optctx.Hooks
 }
 
 type progressRun struct {

@@ -293,6 +293,7 @@ func (s *Server) Calibrate(ctx context.Context, req CalibrateRequest) (*Calibrat
 				return nil, fmt.Errorf("calibrate %s: %w", q.Name, err)
 			}
 			training = append(training, core.TrainingPointFrom(res.TotalCounters(), res.Elapsed))
+			res.Release()
 		}
 	}
 	model, err := core.Calibrate(training)
