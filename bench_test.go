@@ -282,7 +282,7 @@ func BenchmarkEstimateStarHigh(b *testing.B)   { benchEstimateHigh(b, "star_s", 
 // --- Cross-query fingerprint memoization ---
 
 // BenchmarkFingerprintReal2Headline prices the canonicalize-and-hash step by
-// itself: the fixed cost every fingerprint-cache lookup pays before it can
+// itself: the fixed cost every estimate-cache lookup pays before it can
 // skip enumeration, on the same query the cold headline benchmark estimates.
 func BenchmarkFingerprintReal2Headline(b *testing.B) {
 	setup(b)
@@ -294,33 +294,6 @@ func BenchmarkFingerprintReal2Headline(b *testing.B) {
 			b.Fatal("zero fingerprint")
 		}
 	}
-}
-
-// BenchmarkEstimateWarmReal2Headline is the warm counterpart of
-// BenchmarkEstimateReal2Headline: the identical estimate served from the
-// fingerprint cache, enumeration skipped. The memoization layer's acceptance
-// bar is >= 10x under the cold benchmark's ns/op.
-func BenchmarkEstimateWarmReal2Headline(b *testing.B) {
-	setup(b)
-	q := wls["real2_s"].Queries[7]
-	cache := core.NewFingerprintCache(16)
-	if _, _, err := cache.EstimatePlans(q.Block, core.Options{Level: experiments.Level}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, hit, err := cache.EstimatePlans(q.Block, core.Options{Level: experiments.Level})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !hit {
-			b.Fatal("warm lookup missed")
-		}
-	}
-	b.StopTimer()
-	st := cache.Stats()
-	b.ReportMetric(100*float64(st.Hits)/float64(st.Hits+st.Misses), "hit%")
 }
 
 // BenchmarkServiceEstimateWarm drives the full service path — parse,
@@ -377,7 +350,7 @@ func batchStatements(n int) []string {
 }
 
 // BenchmarkServiceEstimateBatch submits 16-statement batches of the two
-// structures above. In-batch dedup plus the fingerprint cache mean a
+// structures above. In-batch dedup plus the estimate cache mean a
 // steady-state batch parses 16 statements but enumerates none; dedup%
 // reports the in-batch share answered by a sibling statement.
 func BenchmarkServiceEstimateBatch(b *testing.B) {

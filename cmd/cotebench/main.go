@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cotebench [-fig all|2|4a|4b|4c|5a|5d|5g|6a|6b|6c|6d|6e|6f|ct|joinbaseline|pilot|mem|memfig|piggyback|ablations|pipeline|cache|fingerprint|calib] [-seed N] [-timeout 0] [-model-file f.json]
+//	cotebench [-fig all|2|4a|4b|4c|5a|5d|5g|6a|6b|6c|6d|6e|6f|ct|joinbaseline|pilot|mem|memfig|piggyback|ablations|pipeline|cache|calib] [-seed N] [-timeout 0] [-model-file f.json]
 //
 // The calib figure replays a deterministic workload through the online
 // calibration loop, showing predicted/actual convergence from a 4x
@@ -57,8 +57,7 @@ func main() {
 	ids := strings.Split(*fig, ",")
 	if *fig == "all" {
 		ids = []string{"2", "4a", "4b", "4c", "5a", "5d", "5g", "6a", "6b", "6c", "6d", "6e", "6f",
-			"ct", "joinbaseline", "pilot", "mem", "memfig", "piggyback", "ablations", "pipeline", "cache",
-			"fingerprint", "calib"}
+			"ct", "joinbaseline", "pilot", "mem", "memfig", "piggyback", "ablations", "pipeline", "cache", "calib"}
 	}
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
@@ -196,8 +195,6 @@ func (s *suite) run(id string) error {
 		return s.pipeline()
 	case "cache":
 		return s.cache()
-	case "fingerprint":
-		return s.fingerprint()
 	case "calib":
 		return s.calibration()
 	}
@@ -299,77 +296,6 @@ func (s *suite) calibration() error {
 	}
 	fmt.Println()
 	return nil
-}
-
-// fingerprint demonstrates the cross-query memoization layer on real
-// workloads: every query is estimated cold, re-estimated warm through the
-// fingerprint cache (an LRU hit, zero enumeration), and then requested by
-// several concurrent callers of one cold fingerprint cache — one
-// enumeration total, its cost amortized across all of them.
-func (s *suite) fingerprint() error {
-	const callers = 4
-	fmt.Println("=== Extension: structural fingerprint memoization ===")
-	fmt.Printf("(warm = repeat estimate via cache hit; shared = %d concurrent callers, singleflight, per-caller amortized)\n", callers)
-	fmt.Printf("%-16s %12s %12s %12s %10s\n", "query", "cold", "warm", "shared", "speedup")
-	opts := core.Options{Level: experiments.Level}
-	for _, name := range []string{"real1_s", "tpch_s"} {
-		w := s.wl(name)
-		for _, q := range w.Queries {
-			if err := s.ctx.Err(); err != nil {
-				return err
-			}
-			cache := core.NewFingerprintCache(16)
-			t0 := time.Now()
-			if _, _, err := cache.EstimatePlansCtx(s.ctx, q.Block, opts); err != nil {
-				return err
-			}
-			cold := time.Since(t0)
-			t0 = time.Now()
-			_, hit, err := cache.EstimatePlans(q.Block, opts)
-			if err != nil {
-				return err
-			}
-			if !hit {
-				return fmt.Errorf("%s: repeat estimate missed the fingerprint cache", q.Name)
-			}
-			warm := time.Since(t0)
-			shared, err := s.sharedFlight(q, opts, callers)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-16s %12v %12v %12v %9.0fx\n",
-				w.Name+"/"+q.Name, cold.Round(time.Microsecond), warm.Round(time.Microsecond),
-				shared.Round(time.Microsecond), float64(cold)/float64(warm))
-		}
-	}
-	fmt.Println("(every warm and shared request returned the cold run's exact plan counts)")
-	fmt.Println()
-	return nil
-}
-
-// sharedFlight fires callers concurrent estimates of the same structure at an
-// empty fingerprint cache and returns the per-caller amortized wall time,
-// verifying that exactly one enumeration ran.
-func (s *suite) sharedFlight(q workload.Query, opts core.Options, callers int) (time.Duration, error) {
-	cache := core.NewFingerprintCache(4)
-	errs := make(chan error, callers)
-	t0 := time.Now()
-	for i := 0; i < callers; i++ {
-		go func() {
-			_, _, err := cache.EstimatePlansCtx(s.ctx, q.Block, opts)
-			errs <- err
-		}()
-	}
-	for i := 0; i < callers; i++ {
-		if err := <-errs; err != nil {
-			return 0, err
-		}
-	}
-	wall := time.Since(t0)
-	if n := cache.Stats().Misses; n != 1 {
-		return 0, fmt.Errorf("%s: %d enumerations across %d concurrent callers, want 1", q.Name, n, callers)
-	}
-	return wall / time.Duration(callers), nil
 }
 
 func (s *suite) fig2() error {

@@ -214,18 +214,6 @@ func FingerprintOf(q *Query) Fingerprint { return fingerprint.Of(q) }
 // equality imply identical plan counts.
 func CanonicalQuery(q *Query) (*Query, Fingerprint, error) { return fingerprint.Canonical(q) }
 
-// FingerprintCache memoizes estimates across structurally identical
-// queries: a hit skips join enumeration entirely and re-applies only the
-// linear time model. It is bounded (LRU) and safe for concurrent use, and
-// concurrent misses on one structure run a single enumeration.
-type FingerprintCache = core.FingerprintCache
-
-// NewFingerprintCache returns an empty fingerprint cache holding at most
-// capacity estimates (1024 when capacity <= 0).
-func NewFingerprintCache(capacity int) *FingerprintCache {
-	return core.NewFingerprintCache(capacity)
-}
-
 // ActualPlanCounts extracts the generated-plan counts from a real
 // optimization, for estimate-versus-actual comparisons.
 func ActualPlanCounts(res *OptimizeResult) PlanCounts {

@@ -72,13 +72,10 @@ const (
 	// PointPoolAcquire fails a worker-pool slot acquisition before the
 	// request enters the waiting line (internal/service.Pool.Run).
 	PointPoolAcquire = "pool.acquire"
-	// PointCacheFill fails the estimate-cache fill leader before it runs the
-	// enumeration, so waiters sharing the flight see the failure too
-	// (internal/service.EstimateCache.Do).
+	// PointCacheFill fails the estimate-cache fill leader before it takes a
+	// pool slot or runs the enumeration, so waiters sharing the flight see
+	// the failure too (internal/service Server.estimate).
 	PointCacheFill = "cache.fill"
-	// PointFPCacheFill fails a fingerprint-cache miss before the canonical
-	// rebuild (internal/core.FingerprintCache.EstimatePlans).
-	PointFPCacheFill = "fpcache.fill"
 	// PointMemBudget simulates enumeration memory-budget exhaustion: a trip
 	// latches the execution context's memory abort, surfacing as
 	// optctx.ErrMemBudgetExceeded at the next cancellation poll
@@ -93,7 +90,6 @@ var knownPoints = map[string]bool{
 	PointModelPersist:    true,
 	PointPoolAcquire:     true,
 	PointCacheFill:       true,
-	PointFPCacheFill:     true,
 	PointMemBudget:       true,
 }
 

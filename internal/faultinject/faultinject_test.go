@@ -197,6 +197,7 @@ func TestParsePlan(t *testing.T) {
 
 	for _, bad := range []string{
 		"nosuch.point:error",                    // unknown point
+		"fpcache.fill:error",                    // retired point
 		"pool.acquire",                          // no directives
 		"pool.acquire:p=0.5",                    // neither error nor latency
 		"pool.acquire:error,p=1.5",              // probability out of range

@@ -1,7 +1,7 @@
 // Package lru implements a small fixed-capacity least-recently-used map
 // (Cache, deliberately not safe for concurrent use) and the one
 // goroutine-safe wrapper around it (SingleFlight: mutex, hit/miss counters
-// and a single-flight group over misses). The estimate caches and the
+// and a single-flight group over misses). The estimate cache and the
 // Section 1.2 statement-cache baseline are instantiations of SingleFlight.
 package lru
 
@@ -40,26 +40,22 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 }
 
 // Put stores v under k, marking it most recently used. When the insert
-// overflows the capacity it evicts the least recently used entry and
-// returns its key with evicted = true.
-func (c *Cache[K, V]) Put(k K, v V) (evictedKey K, evicted bool) {
+// overflows the capacity it evicts the least recently used entry.
+func (c *Cache[K, V]) Put(k K, v V) {
 	if n, ok := c.entries[k]; ok {
 		n.val = v
 		c.moveToFront(n)
-		var zero K
-		return zero, false
+		return
 	}
 	n := &node[K, V]{key: k, val: v}
 	c.entries[k] = n
 	c.pushFront(n)
 	if len(c.entries) <= c.capacity {
-		var zero K
-		return zero, false
+		return
 	}
 	lru := c.tail
 	c.unlink(lru)
 	delete(c.entries, lru.key)
-	return lru.key, true
 }
 
 // Len returns the number of stored entries.
@@ -67,12 +63,6 @@ func (c *Cache[K, V]) Len() int { return len(c.entries) }
 
 // Cap returns the capacity.
 func (c *Cache[K, V]) Cap() int { return c.capacity }
-
-// Contains reports whether k is stored, without marking it used.
-func (c *Cache[K, V]) Contains(k K) bool {
-	_, ok := c.entries[k]
-	return ok
-}
 
 func (c *Cache[K, V]) pushFront(n *node[K, V]) {
 	n.prev = nil

@@ -1,6 +1,7 @@
 package lru
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -24,24 +25,29 @@ func TestPutGetUpdate(t *testing.T) {
 	}
 }
 
+// held lists the keys among keys that c stores. Get marks each used, so
+// callers check eviction only after the Puts under test.
+func held(c *Cache[int, int], keys ...int) string {
+	var out []int
+	for _, k := range keys {
+		if _, ok := c.Get(k); ok {
+			out = append(out, k)
+		}
+	}
+	return fmt.Sprint(out)
+}
+
 func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	c := New[int, int](2)
 	c.Put(1, 1)
 	c.Put(2, 2)
 	c.Get(1) // 2 is now the LRU
-	if k, ev := c.Put(3, 3); !ev || k != 2 {
-		t.Fatalf("evicted %d, %v; want 2", k, ev)
-	}
-	if c.Contains(2) {
-		t.Fatal("evicted key still present")
-	}
-	for _, k := range []int{1, 3} {
-		if !c.Contains(k) {
-			t.Fatalf("key %d missing", k)
-		}
-	}
+	c.Put(3, 3)
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
+	}
+	if got := held(c, 1, 2, 3); got != "[1 3]" {
+		t.Fatalf("held keys %s, want [1 3]", got)
 	}
 }
 
@@ -50,19 +56,24 @@ func TestPutRefreshesRecency(t *testing.T) {
 	c.Put(1, 1)
 	c.Put(2, 2)
 	c.Put(1, 11) // re-Put makes 1 the MRU
-	if k, ev := c.Put(3, 3); !ev || k != 2 {
-		t.Fatalf("evicted %d, %v; want 2", k, ev)
+	c.Put(3, 3)
+	if got := held(c, 1, 2, 3); got != "[1 3]" {
+		t.Fatalf("held keys %s, want [1 3]", got)
+	}
+	if v, _ := c.Get(1); v != 11 {
+		t.Fatalf("Get(1) = %d, want 11", v)
 	}
 }
 
 func TestCapacityClamped(t *testing.T) {
 	c := New[int, int](0)
 	c.Put(1, 1)
-	if k, ev := c.Put(2, 2); !ev || k != 1 {
-		t.Fatalf("cap-1 cache kept both: evicted %d, %v", k, ev)
-	}
+	c.Put(2, 2)
 	if c.Len() != 1 {
 		t.Fatalf("len = %d", c.Len())
+	}
+	if got := held(c, 1, 2); got != "[2]" {
+		t.Fatalf("cap-1 cache holds keys %s, want [2]", got)
 	}
 }
 

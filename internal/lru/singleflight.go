@@ -8,7 +8,8 @@ import (
 // SingleFlight is a goroutine-safe Cache with hit/miss accounting and a
 // single-flight group over misses: N concurrent Do calls for one absent key
 // run one computation while N-1 wait for its result. It is the one place a
-// mutex is paired with a Cache; the estimate caches instantiate it.
+// mutex is paired with a Cache; the estimate cache and the §1.2 statement
+// cache instantiate it.
 type SingleFlight[K comparable, V any] struct {
 	mu      sync.Mutex
 	lru     *Cache[K, V]

@@ -71,10 +71,24 @@ func BenchmarkServiceHTTPEstimateCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceEstimateCacheMiss measures the uncached path: every
+// BenchmarkServiceEstimateCacheMiss measures the miss path: a one-entry
+// cache alternating two structures evicts each before it repeats, so every
 // request runs the full plan-estimate enumeration through the pool.
 func BenchmarkServiceEstimateCacheMiss(b *testing.B) {
-	benchEstimate(b, EstimateRequest{Catalog: "tpch", SQL: tpchQ6, NoCache: true})
+	srv := New(Config{Workers: 4, CacheCapacity: 1})
+	ctx := context.Background()
+	reqs := [2]EstimateRequest{{Catalog: "tpch", SQL: tpchQ6}, {Catalog: "tpch", SQL: tpchQ3}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.Estimate(ctx, reqs[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if hits := srv.Metrics().CacheHits.Value(); hits != 0 {
+		b.Fatalf("%d cache hits, want every request to miss", hits)
+	}
 }
 
 // BenchmarkServiceOptimize measures a full admitted optimization (no

@@ -1,10 +1,7 @@
 package service
 
 import (
-	"context"
-
 	"cote/internal/core"
-	"cote/internal/faultinject"
 	"cote/internal/fingerprint"
 	"cote/internal/lru"
 	"cote/internal/opt"
@@ -27,9 +24,8 @@ import (
 //     cached against the old statistics can never be served again, while
 //     built-ins and first registrations (epoch 0) keep sharing.
 //   - Level and Nodes are the request options that change plan counts.
-//     The serving path fixes the remaining core.Options knobs at their
-//     defaults, so they do not appear here (core.FPKey carries them for
-//     library users).
+//     The serving path fixes every other core.Options knob at its default,
+//     so none of them needs a place in the key.
 //
 // Soundness of fingerprint keying rests on the canonical rebuild: the
 // server estimates fingerprint.Canonical(blk), for which fingerprint
@@ -41,36 +37,17 @@ type EstimateKey struct {
 	Nodes int
 }
 
-// EstimateCache is the serving layer's instantiation of lru.SingleFlight: a
-// goroutine-safe bounded LRU of estimation results keyed by EstimateKey, in
-// which N concurrent requests for the same key run one enumeration while N-1
-// wait for its result.
+// EstimateCache is the one estimate cache: a goroutine-safe bounded LRU of
+// estimation results keyed by EstimateKey, in which N concurrent requests
+// for the same key run one enumeration while N-1 wait for its result.
 //
 // Cached estimates are stored without a time prediction — the server's
-// model can be recalibrated at any moment, so PredictedTime is recomputed
-// from the cached counts on every response rather than frozen at insert.
-type EstimateCache struct {
-	sf *lru.SingleFlight[EstimateKey, *core.Estimate]
-}
+// model can be recalibrated at any moment, so price recomputes the
+// prediction from the cached counts on every response rather than freezing
+// it at insert. Callers must not mutate a returned Estimate.
+type EstimateCache = lru.SingleFlight[EstimateKey, *core.Estimate]
 
 // NewEstimateCache returns an empty cache evicting beyond capacity entries.
 func NewEstimateCache(capacity int) *EstimateCache {
-	return &EstimateCache{lru.NewSingleFlight[EstimateKey, *core.Estimate](capacity)}
+	return lru.NewSingleFlight[EstimateKey, *core.Estimate](capacity)
 }
-
-// Do is lru.SingleFlight.Do behind the cache.fill fault point: the fill is
-// the flight's one side-effectful step, so an injected fault fails the
-// leader before the enumeration runs and — exactly like a real failure —
-// propagates to every waiter sharing the flight while caching nothing.
-// Callers must not mutate the returned Estimate.
-func (c *EstimateCache) Do(ctx context.Context, key EstimateKey, fn func() (*core.Estimate, error)) (est *core.Estimate, hit, shared bool, err error) {
-	return c.sf.Do(ctx, key, func() (*core.Estimate, error) {
-		if err := faultinject.Check(faultinject.PointCacheFill); err != nil {
-			return nil, err
-		}
-		return fn()
-	})
-}
-
-// Stats returns the hit/miss/shared-flight counts, size and capacity.
-func (c *EstimateCache) Stats() lru.Stats { return c.sf.Stats() }

@@ -27,7 +27,7 @@ const (
 	  ORDER BY na.n_name`
 )
 
-// TestWarmPathZeroEnumeration is the acceptance check of the fingerprint
+// TestWarmPathZeroEnumeration is the acceptance check of the estimate
 // cache: a structurally repeated query — in a different spelling — must be
 // served without any join enumeration, observed on the per-stage counter
 // that moves only when an enumeration actually runs.
@@ -52,7 +52,7 @@ func TestWarmPathZeroEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !warm.Cached {
-		t.Fatal("respelled repeat missed the fingerprint cache")
+		t.Fatal("respelled repeat missed the estimate cache")
 	}
 	if got := srv.Metrics().StageCount[optctx.StageEnumerate].Value(); got != enumAfterCold {
 		t.Fatalf("warm path enumerated: stage count %d -> %d", enumAfterCold, got)
@@ -61,17 +61,22 @@ func TestWarmPathZeroEnumeration(t *testing.T) {
 		t.Fatalf("warm counts %+v != cold %+v", warm.Estimate.Counts, cold.Estimate.Counts)
 	}
 
-	// no_cache bypasses the cache but must return the same (canonical)
-	// numbers — responses do not depend on caching.
-	raw, err := srv.Estimate(ctx, EstimateRequest{Catalog: "tpch", SQL: respellB, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.Cached {
-		t.Fatal("no_cache estimate claims cached")
-	}
-	if raw.Estimate.Counts != cold.Estimate.Counts {
-		t.Fatalf("no_cache counts %+v != cached %+v", raw.Estimate.Counts, cold.Estimate.Counts)
+	// Level is part of the key: the same SQL at a second level misses once,
+	// then hits at each level.
+	for i, c := range []struct {
+		level  string
+		cached bool
+	}{{"leftdeep", false}, {"leftdeep", true}, {"", true}} {
+		r, err := srv.Estimate(ctx, EstimateRequest{Catalog: "tpch", SQL: respellA, Level: c.level})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cached != c.cached {
+			t.Fatalf("estimate %d at level %q: cached=%v, want %v", i, c.level, r.Cached, c.cached)
+		}
+		if c.level == "leftdeep" && r.Estimate.Counts == cold.Estimate.Counts {
+			t.Fatalf("leftdeep served the %s counts %+v", cold.Level, r.Estimate.Counts)
+		}
 	}
 }
 

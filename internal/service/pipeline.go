@@ -7,6 +7,7 @@ import (
 
 	"cote/internal/calib"
 	"cote/internal/core"
+	"cote/internal/faultinject"
 	"cote/internal/fingerprint"
 	"cote/internal/knobs"
 	"cote/internal/opt"
@@ -85,19 +86,26 @@ func (s *Server) parse(entry *RegistryEntry, sql string) (stmt, error) {
 	return stmt{entry: entry, blk: blk, analysis: fingerprint.Analyze(blk)}, nil
 }
 
-// estimate returns the estimate of one (statement, level): through the
-// fingerprint-keyed cache when useCache is set, with concurrent identical
-// misses collapsed into one enumeration by the cache's single-flight group.
-// Every mode estimates the canonical rebuild of the statement, so responses
-// never depend on whether caching was on (raw-block enumeration counts are
+// estimate returns the estimate of one (statement, level) through the
+// fingerprint-keyed cache, with concurrent identical misses collapsed into
+// one enumeration by the cache's single-flight group. A miss estimates the
+// canonical rebuild of the statement (raw-block enumeration counts are
 // numbering-sensitive; see internal/fingerprint). Cached estimates carry no
 // prediction (see EstimateCache); callers price them.
 //
 // The returned cached flag reports that this request ran no enumeration of
 // its own — an LRU hit or a wait on another request's in-flight run.
-func (s *Server) estimate(ctx context.Context, st stmt, level opt.Level, useCache bool) (*core.Estimate, bool, error) {
-	// run is the miss path, the only place the canonical block is rebuilt.
-	run := func() (*core.Estimate, error) {
+func (s *Server) estimate(ctx context.Context, st stmt, level opt.Level) (*core.Estimate, bool, error) {
+	key := EstimateKey{Epoch: st.entry.Epoch, FP: st.analysis.FP, Level: level, Nodes: st.entry.Config.Nodes}
+	est, hit, shared, err := s.cache.Do(ctx, key, func() (*core.Estimate, error) {
+		// The fill is the flight's one side-effectful step: an injected fault
+		// fails the leader before it takes a pool slot or enumerates and,
+		// exactly like a real failure, reaches every waiter sharing the flight
+		// while caching nothing.
+		if err := faultinject.Check(faultinject.PointCacheFill); err != nil {
+			return nil, err
+		}
+		// The miss path is the only place the canonical block is rebuilt.
 		est, err := Run(s.pool, ctx, func() (*core.Estimate, error) {
 			canon, err := st.analysis.Canonical()
 			if err != nil {
@@ -114,13 +122,7 @@ func (s *Server) estimate(ctx context.Context, st stmt, level opt.Level, useCach
 			s.metrics.EnumCandidatesSkipped.AddN(int64(est.CandidatesSkipped))
 		}
 		return est, err
-	}
-	if !useCache {
-		est, err := run()
-		return est, false, err
-	}
-	key := EstimateKey{Epoch: st.entry.Epoch, FP: st.analysis.FP, Level: level, Nodes: st.entry.Config.Nodes}
-	est, hit, shared, err := s.cache.Do(ctx, key, run)
+	})
 	if err != nil {
 		return nil, false, err
 	}
@@ -161,7 +163,6 @@ type EstimateRequest struct {
 	Catalog string `json:"catalog"`
 	SQL     string `json:"sql"`
 	Level   string `json:"level,omitempty"`
-	NoCache bool   `json:"no_cache,omitempty"`
 }
 
 // EstimateResponse is the reply: the estimate plus cache provenance. The
@@ -194,7 +195,7 @@ func (s *Server) Estimate(ctx context.Context, req EstimateRequest) (*EstimateRe
 	if err != nil {
 		return nil, err
 	}
-	est, cached, err := s.estimate(ctx, st, level, !req.NoCache)
+	est, cached, err := s.estimate(ctx, st, level)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +215,6 @@ type EstimateBatchRequest struct {
 	Catalog    string   `json:"catalog"`
 	Statements []string `json:"statements"`
 	Level      string   `json:"level,omitempty"`
-	NoCache    bool     `json:"no_cache,omitempty"`
 }
 
 // BatchItem is the per-statement outcome, in submission order.
@@ -313,7 +313,7 @@ func (s *Server) EstimateBatch(ctx context.Context, req EstimateBatchRequest) (*
 		// shedder's EWMA are defined over single estimates, and a batch
 		// recorded whole would read as one estimate hundreds of times slower.
 		start := time.Now()
-		est, cached, err := s.estimate(ctx, g.st, level, !req.NoCache)
+		est, cached, err := s.estimate(ctx, g.st, level)
 		s.observe(&s.metrics.EstimateLatency, start)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -432,7 +432,7 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 	var memo [opt.NumLevels]*core.Estimate
 	priceAt := func(l opt.Level) (core.Estimate, error) {
 		if memo[l] == nil {
-			est, _, err := s.estimate(ctx, st, l, true)
+			est, _, err := s.estimate(ctx, st, l)
 			if err != nil {
 				return core.Estimate{}, err
 			}

@@ -127,24 +127,30 @@ func TestPostBodyMustBeOneJSONValue(t *testing.T) {
 	}
 }
 
-// TestEstimateRoutesRejectParallelism: compiles and estimates each have one
-// serial driver and no parallelism field, so a body carrying one is an
-// unknown field (400) on every statement route.
-func TestEstimateRoutesRejectParallelism(t *testing.T) {
+// TestStatementRoutesRejectRemovedFields: compiles and estimates each have
+// one serial driver and no parallelism field, and every estimate goes
+// through the cache with no no_cache field, so a body carrying either is an
+// unknown field (400) on every statement route that once took it.
+func TestStatementRoutesRejectRemovedFields(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for path, body := range map[string]map[string]any{
-		"/v1/estimate":       {"catalog": "tpch", "sql": tpchQ3, "parallelism": 4},
-		"/v1/estimate/batch": {"catalog": "tpch", "statements": []string{tpchQ3}, "parallelism": 4},
-		"/v1/optimize":       {"catalog": "tpch", "sql": tpchQ3, "parallelism": 4},
+	for _, c := range []struct {
+		path, field string
+		body        map[string]any
+	}{
+		{"/v1/estimate", "parallelism", map[string]any{"catalog": "tpch", "sql": tpchQ3, "parallelism": 4}},
+		{"/v1/estimate/batch", "parallelism", map[string]any{"catalog": "tpch", "statements": []string{tpchQ3}, "parallelism": 4}},
+		{"/v1/optimize", "parallelism", map[string]any{"catalog": "tpch", "sql": tpchQ3, "parallelism": 4}},
+		{"/v1/estimate", "no_cache", map[string]any{"catalog": "tpch", "sql": tpchQ3, "no_cache": true}},
+		{"/v1/estimate/batch", "no_cache", map[string]any{"catalog": "tpch", "statements": []string{tpchQ3}, "no_cache": true}},
 	} {
-		data, err := json.Marshal(body)
+		data, err := json.Marshal(c.body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(data))
+		resp, err := ts.Client().Post(ts.URL+c.path, "application/json", bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,8 +159,8 @@ func TestEstimateRoutesRejectParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := string(out); resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, `"code": "bad_request"`) || !strings.Contains(got, `parallelism`) {
-			t.Errorf("%s with parallelism answered %d %s, want 400 bad_request naming the field", path, resp.StatusCode, got)
+		if got := string(out); resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, `"code": "bad_request"`) || !strings.Contains(got, c.field) {
+			t.Errorf("%s with %s answered %d %s, want 400 bad_request naming the field", c.path, c.field, resp.StatusCode, got)
 		}
 	}
 }
