@@ -67,7 +67,7 @@ func main() {
 	faultPlan := flag.String("fault-plan", "", "activate a deterministic fault-injection plan, e.g. 'seed=42;pool.acquire:error,p=0.1' (chaos testing; see internal/faultinject)")
 	grace := flag.Duration("grace", 10*time.Second, "graceful-shutdown window; in-flight work is cancelled halfway through")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof endpoints for profiling")
-	recalMin := flag.Int("recalibrate-min-samples", 0, "observations required in the window before an online refit (0 = default 8)")
+	recalMin := flag.Int("recalibrate-min-samples", 0, "observations required in the window before an online refit, and between automatic refit attempts (0 = default 8)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "mean relative prediction error that triggers online recalibration (0 = default 0.5, negative = track drift but never auto-refit)")
 	var mf modelio.Flags
 	mf.Register(flag.CommandLine, "")

@@ -223,20 +223,18 @@ func ActualPlanCounts(res *OptimizeResult) PlanCounts {
 // TimeModel converts plan counts to time: T = Tinst * (sum Ct*Pt + C0).
 type TimeModel = core.TimeModel
 
-// TrainingPoint pairs measured plan counts with a measured compilation
-// time.
-type TrainingPoint = core.TrainingPoint
-
 // Calibrate fits the per-join-method constants Ct by non-negative least
-// squares on training observations. Refit per machine and configuration, as
-// the paper refits per DB2 release.
-func Calibrate(training []TrainingPoint) (*TimeModel, error) { return core.Calibrate(training) }
+// squares on observations of real compilations (see ObservationFrom).
+// Refit per machine and configuration, as the paper refits per DB2 release.
+func Calibrate(training []CompileObservation) (*TimeModel, error) { return core.Calibrate(training) }
 
-// TrainingPointFrom builds a training point from one real optimization,
-// including the per-method timing breakdown that keeps calibration well
-// conditioned.
-func TrainingPointFrom(res *OptimizeResult) TrainingPoint {
-	return core.TrainingPointFrom(res.TotalCounters(), res.Elapsed)
+// ObservationFrom builds the training record of one real optimization: its
+// generated-plan counts, per-method timing breakdown, wall time and durable
+// peak, plus the structural counts of est (the estimate of the same query at
+// the same level) when est is non-nil. Calibrate needs only the former;
+// CalibrateMemory needs both.
+func ObservationFrom(res *OptimizeResult, est *Estimate) CompileObservation {
+	return core.ObservationFrom(res, est)
 }
 
 // JoinCountModel is the prior-work baseline time model: T scales with the
@@ -254,21 +252,11 @@ type MemModel = core.MemModel
 // (safe for admission) until CalibrateMemory refines it.
 func DefaultMemModel() *MemModel { return core.DefaultMemModel() }
 
-// MemPoint pairs one real compilation's structural counts with its measured
-// durable peak bytes — the training unit of memory calibration.
-type MemPoint = core.MemPoint
-
-// MemPointFrom builds a memory training point from an estimate and the
-// measured durable peak of the corresponding real compilation.
-func MemPointFrom(est *Estimate, peakBytes int64) MemPoint {
-	return core.MemPointFrom(est, peakBytes)
-}
-
 // CalibrateMemory fits the memory model's coefficients by non-negative
-// least squares on measured peak observations, exactly as Calibrate fits
-// the time model's Ct constants.
-func CalibrateMemory(points []MemPoint) (*MemModel, error) {
-	return core.CalibrateMemory(points)
+// least squares on observations that carry a measured peak and an estimate,
+// exactly as Calibrate fits the time model's Ct constants.
+func CalibrateMemory(training []CompileObservation) (*MemModel, error) {
+	return core.CalibrateMemory(training)
 }
 
 // EstimateMemory predicts the peak durable optimizer memory of a
@@ -276,22 +264,19 @@ func CalibrateMemory(points []MemPoint) (*MemModel, error) {
 // model selects DefaultMemModel).
 func EstimateMemory(est *Estimate, m *MemModel) int64 { return core.EstimateMemory(est, m) }
 
-// MemModelProvider supplies the current memory model on every read; a
-// ModelRegistry is one.
-type MemModelProvider = core.MemModelProvider
-
-// CompileObservation pairs one real compilation's plan counts and measured
-// wall time with the prediction that was made for it — the feedback unit of
-// online calibration.
+// CompileObservation is the one training record of the time, memory and
+// join-count models: one real compilation's plan counts, measured wall time
+// and peak, the estimate's structural counts, and the prediction that was
+// made for it — also the feedback unit of online calibration.
 type CompileObservation = core.CompileObservation
 
 // CompileObserver receives one CompileObservation per real compilation; a
 // Calibrator is one (set it as MetaOptimizer.Observer to close the loop).
 type CompileObserver = core.CompileObserver
 
-// ModelProvider supplies the current time model on every read; a
-// ModelRegistry is one (set it as MetaOptimizer.Models or
-// EstimateOptions.Models so calibration swaps apply immediately).
+// ModelProvider supplies the current time and memory models on every read;
+// a ModelRegistry is one (set it as MetaOptimizer.Models so calibration
+// swaps apply to the next run).
 type ModelProvider = core.ModelProvider
 
 // ModelVersion is one immutable, monotonically numbered model snapshot in a

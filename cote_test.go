@@ -44,13 +44,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Calibrate a model on the star workload and predict this query.
-	var training []cote.TrainingPoint
+	var training []cote.CompileObservation
 	for _, wq := range cote.StarWorkload(1).Queries {
 		r, err := cote.Optimize(wq.Block, cote.OptimizeOptions{Level: cote.LevelHigh})
 		if err != nil {
 			t.Fatal(err)
 		}
-		training = append(training, cote.TrainingPoint{
+		training = append(training, cote.CompileObservation{
 			Counts: cote.ActualPlanCounts(r), Actual: r.Elapsed,
 		})
 	}

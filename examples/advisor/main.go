@@ -19,14 +19,14 @@ import (
 func main() {
 	// Calibrate once per machine on the synthetic workloads.
 	fmt.Println("calibrating the time model (star + linear workloads) ...")
-	var training []cote.TrainingPoint
+	var training []cote.CompileObservation
 	for _, w := range []*cote.Workload{cote.StarWorkload(1), cote.LinearWorkload(1)} {
 		for _, q := range w.Queries {
 			res, err := cote.Optimize(q.Block, cote.OptimizeOptions{Level: cote.LevelHighInner2})
 			if err != nil {
 				panic(err)
 			}
-			training = append(training, cote.TrainingPointFrom(res))
+			training = append(training, cote.ObservationFrom(res, nil))
 		}
 	}
 	model, err := cote.Calibrate(training)

@@ -21,13 +21,13 @@ func main() {
 	cat := cote.TPCHCatalog(1, 1)
 
 	// Calibrate the compile-time model.
-	var training []cote.TrainingPoint
+	var training []cote.CompileObservation
 	for _, q := range cote.StarWorkload(1).Queries {
 		res, err := cote.Optimize(q.Block, cote.OptimizeOptions{Level: cote.LevelHighInner2})
 		if err != nil {
 			panic(err)
 		}
-		training = append(training, cote.TrainingPointFrom(res))
+		training = append(training, cote.ObservationFrom(res, nil))
 	}
 	model, err := cote.Calibrate(training)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,8 +33,8 @@ func model(cm, cn, ch, c0 float64) *core.TimeModel {
 // syntheticObs prices counts with the current model (when any) and
 // synthesizes the measured time from the true model — the deterministic
 // replay pattern the end-to-end test and the cotebench calib figure use.
-func syntheticObs(trueModel *core.TimeModel, current *core.TimeModel, c core.PlanCounts) Observation {
-	o := Observation{Counts: c, Actual: trueModel.Predict(c)}
+func syntheticObs(trueModel *core.TimeModel, current *core.TimeModel, c core.PlanCounts) core.CompileObservation {
+	o := core.CompileObservation{Counts: c, Actual: trueModel.Predict(c)}
 	if current != nil {
 		o.Predicted = current.Predict(c)
 	}
@@ -56,7 +57,7 @@ func TestLogRingBuffer(t *testing.T) {
 		t.Fatalf("fresh log: len %d cap %d", l.Len(), l.Cap())
 	}
 	add := func(actual int) {
-		l.Add(Observation{Actual: time.Duration(actual)})
+		l.Add(core.CompileObservation{Actual: time.Duration(actual)})
 	}
 	add(1)
 	add(2)
@@ -232,6 +233,65 @@ func TestPersistenceRoundTripAndTinstRescale(t *testing.T) {
 	}
 }
 
+// testdata/registry_compat.json was written by Registry.Save before the
+// calibration records were folded into core.CompileObservation: two
+// time-model versions, one that adds a memory model, and a rollback, saved
+// with a host Tinst. Loading it must keep every version, its provenance and
+// its predictions.
+func TestLoadRegistryFileFromBeforeObservationFold(t *testing.T) {
+	const path = "testdata/registry_compat.json"
+	r, err := Load(path, 0, 2e-9) // the saving host's Tinst: no rescale
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := counts(1000, 500, 200)
+	want := []struct {
+		source string
+		time   time.Duration
+		hasMem bool
+	}{
+		{"seed", 10800, false},
+		{"recalibrate", 10400, false},
+		{"file", 10400, true},
+		{"rollback(v1)", 10800, true},
+	}
+	hist := r.History()
+	if len(hist) != len(want) || r.Version() != 4 {
+		t.Fatalf("loaded %d versions, current v%d; want 4, v4", len(hist), r.Version())
+	}
+	for i, w := range want {
+		v := hist[i]
+		if v.Version != i+1 || v.Source != w.source {
+			t.Fatalf("version %d: v%d %q, want v%d %q", i, v.Version, v.Source, i+1, w.source)
+		}
+		if got := v.Model.Predict(c); got != w.time {
+			t.Fatalf("v%d predicts %v, want %v", v.Version, got, w.time)
+		}
+		if (v.Mem != nil) != w.hasMem {
+			t.Fatalf("v%d memory model %+v, want present=%v", v.Version, v.Mem, w.hasMem)
+		}
+		if w.hasMem {
+			if got := v.Mem.Predict(100, 5000, 800); got != 514448 {
+				t.Fatalf("v%d memory model predicts %d, want 514448", v.Version, got)
+			}
+		}
+	}
+	if v, _ := r.Get(2); v.Samples != 32 || v.FitErr != 0.07 {
+		t.Fatalf("v2 provenance %+v", v)
+	}
+	if r.CurrentMemModel() != hist[3].Mem {
+		t.Fatal("current memory model is not v4's")
+	}
+	// A host twice as slow doubles every time prediction.
+	slower, err := Load(path, 0, 4e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := slower.CurrentModel().Predict(c); got != 2*10800 {
+		t.Fatalf("rescaled prediction %v, want %v", got, 2*10800)
+	}
+}
+
 func TestLoadMissingFileIsEmptyRegistry(t *testing.T) {
 	r, err := Load(filepath.Join(t.TempDir(), "nope.json"), 0, 1e-9)
 	if err != nil {
@@ -313,27 +373,110 @@ func TestCalibratorHysteresisRejectsSideways(t *testing.T) {
 	}
 }
 
+// Automatic refit attempts are spaced MinSamples observations apart. The
+// fixture keeps the window degraded (every prediction 4x the truth) while
+// the incumbent is the true model, so each attempt is a hysteresis
+// rejection against ±15% noisy actuals and the rejection count records
+// exactly when attempts ran.
 func TestCalibratorCooldownSpacesAttempts(t *testing.T) {
+	const minSamples = 5
 	trueModel := model(5, 2, 4, 4000)
 	reg := NewRegistry(0)
-	cal := NewCalibrator(reg, Config{MinSamples: 5, Cooldown: 10})
+	reg.Install(trueModel, "seed", 0, 0)
+	cal := NewCalibrator(reg, Config{MinSamples: minSamples})
 
-	cs := varied(10)
-	for i := 0; i < 9; i++ {
-		cal.ObserveCompile(syntheticObs(trueModel, reg.CurrentModel(), cs[i]))
+	var attempts []int
+	for i, c := range varied(40) {
+		o := syntheticObs(trueModel, nil, c)
+		o.Predicted = 4 * o.Actual
+		if i%2 == 0 {
+			o.Actual = o.Actual * 115 / 100
+		} else {
+			o.Actual = o.Actual * 85 / 100
+		}
+		before := cal.Stats()
+		cal.ObserveCompile(o)
+		after := cal.Stats()
+		if after.Recalibrations != 0 || after.Failures != 0 {
+			t.Fatalf("observation %d: refit installed or failed (%+v); the fixture lost its point", i+1, after)
+		}
+		if after.Rejected != before.Rejected {
+			attempts = append(attempts, i+1)
+		}
 	}
-	if reg.Version() != 0 {
-		t.Fatalf("refit before the cooldown elapsed (v%d)", reg.Version())
+	// The first attempt waits for the drift window to fill; every later one
+	// comes exactly MinSamples observations after the previous.
+	if len(attempts) < 2 || attempts[0] != DefaultDriftMinSamples {
+		t.Fatalf("attempts after observations %v, want the first at %d", attempts, DefaultDriftMinSamples)
 	}
-	cal.ObserveCompile(syntheticObs(trueModel, reg.CurrentModel(), cs[9]))
-	if reg.Version() != 1 {
-		t.Fatalf("no refit once cooldown and samples were satisfied (v%d)", reg.Version())
+	for k := 1; k < len(attempts); k++ {
+		if gap := attempts[k] - attempts[k-1]; gap != minSamples {
+			t.Fatalf("attempts after observations %v: gap %d, want %d", attempts, gap, minSamples)
+		}
+	}
+}
+
+// The service feeds the calibrator from every compile while /metrics and
+// /v1/model read it and /v1/model recalibrates: eight feeders race readers
+// and explicit refits (run under -race).
+func TestCalibratorConcurrentObserveAndRead(t *testing.T) {
+	trueModel := model(5, 2, 4, 4000)
+	reg := NewRegistry(0)
+	reg.Install(model(20, 8, 16, 16000), "seed", 0, 0)
+	cal := NewCalibrator(reg, Config{MinSamples: 5})
+	cs := varied(64)
+
+	var feeders, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 8; g++ {
+		feeders.Add(1)
+		go func(g int) {
+			defer feeders.Done()
+			for i := 0; i < 200; i++ {
+				cal.ObserveCompile(syntheticObs(trueModel, reg.CurrentModel(), cs[(g*200+i)%len(cs)]))
+			}
+		}(g)
+	}
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				switch g {
+				case 0:
+					_ = cal.Stats()
+				case 1:
+					if m := reg.CurrentModel(); m == nil {
+						t.Error("registry lost its model")
+						return
+					}
+				case 2:
+					_, _ = cal.Recalibrate("recalibrate(api)")
+				}
+			}
+		}(g)
+	}
+	feeders.Wait()
+	close(stop)
+	readers.Wait()
+
+	st := cal.Stats()
+	if st.Observations != 8*200 || st.WindowLen != DefaultLogCapacity {
+		t.Fatalf("observations %d window %d, want %d and %d", st.Observations, st.WindowLen, 8*200, DefaultLogCapacity)
+	}
+	if st.Recalibrations < 1 || int64(reg.Version()) != 1+st.Recalibrations {
+		t.Fatalf("recalibrations %d, registry at v%d", st.Recalibrations, reg.Version())
 	}
 }
 
 func TestCalibratorNotEnoughSamples(t *testing.T) {
 	cal := NewCalibrator(NewRegistry(0), Config{})
-	cal.ObserveCompile(Observation{Counts: counts(10, 10, 10), Actual: time.Millisecond})
+	cal.ObserveCompile(core.CompileObservation{Counts: counts(10, 10, 10), Actual: time.Millisecond})
 	if _, err := cal.Recalibrate("recalibrate"); !errors.Is(err, ErrNotEnoughSamples) {
 		t.Fatalf("thin window: %v, want ErrNotEnoughSamples", err)
 	}
@@ -342,8 +485,8 @@ func TestCalibratorNotEnoughSamples(t *testing.T) {
 // Observations with nothing measured must be dropped, not logged.
 func TestCalibratorDropsNonPositiveActual(t *testing.T) {
 	cal := NewCalibrator(NewRegistry(0), Config{})
-	cal.ObserveCompile(Observation{Counts: counts(10, 10, 10)})
-	cal.ObserveCompile(Observation{Counts: counts(10, 10, 10), Actual: -time.Second})
+	cal.ObserveCompile(core.CompileObservation{Counts: counts(10, 10, 10)})
+	cal.ObserveCompile(core.CompileObservation{Counts: counts(10, 10, 10), Actual: -time.Second})
 	if st := cal.Stats(); st.Observations != 0 || st.WindowLen != 0 {
 		t.Fatalf("unmeasured observations were logged: %+v", st)
 	}

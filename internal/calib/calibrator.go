@@ -10,42 +10,32 @@ import (
 	"cote/internal/stats"
 )
 
-// Calibrator defaults; see Config.
+// Calibrator defaults; see Config. DefaultHysteresis is the improvement
+// factor a candidate model must show over the incumbent on the observation
+// window before it is installed (incumbentErr >= DefaultHysteresis *
+// candidateErr), which keeps the registry from churning versions on noise.
 const (
 	DefaultMinSamples = 8
 	DefaultHysteresis = 1.2
 )
 
 // Config parameterizes the online calibration loop. The zero value enables
-// automatic recalibration with the package defaults.
+// automatic recalibration with the package defaults. The window sizes are
+// fixed: DefaultLogCapacity observations, a DefaultDriftWindow error window
+// that fires after DefaultDriftMinSamples, and automatic refit attempts at
+// least MinSamples observations apart.
 type Config struct {
-	// WindowSize bounds the observation log (DefaultLogCapacity).
-	WindowSize int
 	// MinSamples gates recalibration: no refit before this many
 	// observations sit in the window (DefaultMinSamples; it is also raised
 	// to the regression's own minimum, one more than the constant count).
+	// It is also the cooldown between automatic refit attempts, bounding
+	// refit CPU under a persistently drifting workload.
 	MinSamples int
-	// DriftWindow sizes the rolling prediction-error window
-	// (DefaultDriftWindow).
-	DriftWindow int
 	// DriftThreshold is the mean relative error beyond which the model
 	// counts as drifted (DefaultDriftThreshold). Negative disables
 	// automatic recalibration entirely — drift is still tracked and
 	// reported, but only explicit Recalibrate calls refit.
 	DriftThreshold float64
-	// DriftMinSamples is the minimum error-window fill before drift can
-	// fire (DefaultDriftMinSamples).
-	DriftMinSamples int
-	// Hysteresis is the improvement factor a candidate model must show
-	// over the incumbent on the observation window before it is installed:
-	// incumbentErr >= Hysteresis * candidateErr (DefaultHysteresis). It
-	// keeps the registry from churning versions on noise. Values <= 1 mean
-	// any improvement installs.
-	Hysteresis float64
-	// Cooldown is the minimum number of observations between automatic
-	// refit attempts (default MinSamples), bounding refit CPU under a
-	// persistently drifting workload.
-	Cooldown int
 	// OnSwap, when non-nil, runs after every successful install with the
 	// new version (the daemon persists the registry here). Called
 	// synchronously; keep it cheap.
@@ -53,26 +43,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.WindowSize <= 0 {
-		c.WindowSize = DefaultLogCapacity
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = DefaultMinSamples
 	}
-	if c.DriftWindow <= 0 {
-		c.DriftWindow = DefaultDriftWindow
-	}
 	if c.DriftThreshold == 0 {
 		c.DriftThreshold = DefaultDriftThreshold
-	}
-	if c.DriftMinSamples <= 0 {
-		c.DriftMinSamples = DefaultDriftMinSamples
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = DefaultHysteresis
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = c.MinSamples
 	}
 	return c
 }
@@ -99,10 +74,6 @@ type Stats struct {
 	// fit but failed the hysteresis test; Failures counts refits whose
 	// regression errored (singular window and the like).
 	Recalibrations, Rejected, Failures int64
-	// MemSamples counts window observations carrying a usable memory
-	// measurement; MemRecalibrations counts installed memory-model refits.
-	MemSamples        int
-	MemRecalibrations int64
 }
 
 // Calibrator closes the feedback loop: it implements core.CompileObserver,
@@ -117,15 +88,14 @@ type Calibrator struct {
 	reg   *Registry
 
 	// refitMu serializes refits; sinceAttempt (under it) spaces automatic
-	// attempts Cooldown observations apart.
+	// attempts MinSamples observations apart.
 	refitMu      sync.Mutex
 	sinceAttempt int
 
-	observations      atomic.Int64
-	recalibrations    atomic.Int64
-	rejected          atomic.Int64
-	failures          atomic.Int64
-	memRecalibrations atomic.Int64
+	observations   atomic.Int64
+	recalibrations atomic.Int64
+	rejected       atomic.Int64
+	failures       atomic.Int64
 }
 
 // NewCalibrator returns a calibrator feeding reg. reg may already hold a
@@ -135,8 +105,8 @@ func NewCalibrator(reg *Registry, cfg Config) *Calibrator {
 	cfg = cfg.withDefaults()
 	return &Calibrator{
 		cfg:   cfg,
-		log:   NewLog(cfg.WindowSize),
-		drift: NewDriftDetector(cfg.DriftWindow, cfg.DriftThreshold, cfg.DriftMinSamples),
+		log:   NewLog(DefaultLogCapacity),
+		drift: NewDriftDetector(DefaultDriftWindow, cfg.DriftThreshold, DefaultDriftMinSamples),
 		reg:   reg,
 	}
 }
@@ -165,9 +135,6 @@ func (c *Calibrator) Stats() Stats {
 		Recalibrations: c.recalibrations.Load(),
 		Rejected:       c.rejected.Load(),
 		Failures:       c.failures.Load(),
-		MemSamples:     len(memPoints(c.log.Snapshot())),
-
-		MemRecalibrations: c.memRecalibrations.Load(),
 	}
 }
 
@@ -177,7 +144,7 @@ func (c *Calibrator) Stats() Stats {
 // holds enough samples, and the cooldown since the last attempt has passed
 // — a recalibration runs synchronously. Observations with a non-positive
 // measured time are dropped (nothing to learn from them).
-func (c *Calibrator) ObserveCompile(o Observation) {
+func (c *Calibrator) ObserveCompile(o core.CompileObservation) {
 	if o.Actual <= 0 {
 		return
 	}
@@ -198,7 +165,7 @@ func (c *Calibrator) ObserveCompile(o Observation) {
 
 	c.refitMu.Lock()
 	c.sinceAttempt++
-	due := c.sinceAttempt >= c.cfg.Cooldown &&
+	due := c.sinceAttempt >= c.cfg.MinSamples &&
 		c.log.Len() >= c.minSamples() &&
 		(c.drift.Degraded() || c.reg.CurrentModel() == nil)
 	if due {
@@ -237,11 +204,7 @@ func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 	if len(window) < c.minSamples() {
 		return nil, ErrNotEnoughSamples
 	}
-	training := make([]core.TrainingPoint, len(window))
-	for i, o := range window {
-		training[i] = o.TrainingPoint()
-	}
-	candidate, err := core.Calibrate(training)
+	candidate, err := core.Calibrate(window)
 	if err != nil {
 		c.failures.Add(1)
 		return nil, err
@@ -249,7 +212,7 @@ func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 	candErr := windowError(candidate, window)
 	incumbent := c.reg.CurrentModel()
 	if incumbent != nil {
-		if incErr := windowError(incumbent, window); incErr < candErr*c.cfg.Hysteresis {
+		if incErr := windowError(incumbent, window); incErr < candErr*DefaultHysteresis {
 			c.rejected.Add(1)
 			return nil, ErrNoImprovement
 		}
@@ -263,46 +226,9 @@ func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 	return v, nil
 }
 
-// RecalibrateMemory refits the memory model over the observations in the
-// window that carry a measured peak (real compilations run with a resource
-// accountant attached) and installs it as a new registry version, the time
-// model riding along unchanged. It returns ErrNotEnoughSamples when fewer
-// than four such observations are available — the regression's own floor.
-func (c *Calibrator) RecalibrateMemory(source string) (*ModelVersion, error) {
-	c.refitMu.Lock()
-	defer c.refitMu.Unlock()
-
-	points := memPoints(c.log.Snapshot())
-	if len(points) < 4 {
-		return nil, ErrNotEnoughSamples
-	}
-	candidate, err := core.CalibrateMemory(points)
-	if err != nil {
-		c.failures.Add(1)
-		return nil, err
-	}
-	v := c.reg.InstallMem(candidate, source, len(points))
-	c.memRecalibrations.Add(1)
-	if c.cfg.OnSwap != nil {
-		c.cfg.OnSwap(v)
-	}
-	return v, nil
-}
-
-// memPoints extracts the memory-calibration points from a window snapshot.
-func memPoints(window []Observation) []core.MemPoint {
-	var points []core.MemPoint
-	for _, o := range window {
-		if p, ok := o.MemPoint(); ok {
-			points = append(points, p)
-		}
-	}
-	return points
-}
-
 // windowError is the mean relative error of a model's predictions over a
 // window of observations.
-func windowError(m *core.TimeModel, window []Observation) float64 {
+func windowError(m *core.TimeModel, window []core.CompileObservation) float64 {
 	var sum float64
 	var n int
 	for _, o := range window {

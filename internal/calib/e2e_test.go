@@ -30,9 +30,9 @@ func TestEndToEndCalibrationConvergence(t *testing.T) {
 	// Plan counts are the estimator's (deterministic per query and level);
 	// two levels per query decorrelate the per-method counts exactly as the
 	// offline calibration workloads do.
-	collect := func(w *workload.Workload) []Observation {
+	collect := func(w *workload.Workload) []core.CompileObservation {
 		t.Helper()
-		var out []Observation
+		var out []core.CompileObservation
 		for _, q := range w.Queries {
 			for _, level := range []opt.Level{opt.LevelHighInner2, opt.LevelMediumLeftDeep} {
 				est, err := core.EstimatePlans(q.Block, core.Options{Level: level})

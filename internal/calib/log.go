@@ -14,9 +14,6 @@ import (
 	"cote/internal/core"
 )
 
-// Observation is one real-compilation sample; see core.CompileObservation.
-type Observation = core.CompileObservation
-
 // DefaultLogCapacity bounds the observation window when no capacity is
 // configured.
 const DefaultLogCapacity = 256
@@ -27,7 +24,7 @@ const DefaultLogCapacity = 256
 // history.
 type Log struct {
 	mu    sync.Mutex
-	buf   []Observation
+	buf   []core.CompileObservation
 	next  int
 	full  bool
 	total int64
@@ -39,11 +36,11 @@ func NewLog(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultLogCapacity
 	}
-	return &Log{buf: make([]Observation, capacity)}
+	return &Log{buf: make([]core.CompileObservation, capacity)}
 }
 
 // Add appends one observation, evicting the oldest when full.
-func (l *Log) Add(o Observation) {
+func (l *Log) Add(o core.CompileObservation) {
 	l.mu.Lock()
 	l.buf[l.next] = o
 	l.next++
@@ -57,13 +54,13 @@ func (l *Log) Add(o Observation) {
 
 // Snapshot returns the window's observations, oldest first. The slice is a
 // copy; callers may keep it.
-func (l *Log) Snapshot() []Observation {
+func (l *Log) Snapshot() []core.CompileObservation {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.full {
-		return append([]Observation(nil), l.buf[:l.next]...)
+		return append([]core.CompileObservation(nil), l.buf[:l.next]...)
 	}
-	out := make([]Observation, 0, len(l.buf))
+	out := make([]core.CompileObservation, 0, len(l.buf))
 	out = append(out, l.buf[l.next:]...)
 	out = append(out, l.buf[:l.next]...)
 	return out

@@ -24,10 +24,10 @@ type ModelVersion struct {
 	Version int `json:"version"`
 	// Model is the snapshot itself.
 	Model *core.TimeModel `json:"model"`
-	// Mem is the memory model paired with this version (nil until a memory
-	// calibration has run). Plain time-model installs carry the incumbent
-	// memory model forward, so the two calibrate on independent cadences
-	// while staying behind one version number.
+	// Mem is the memory model paired with this version (nil until one was
+	// installed: an offline fit, loaded from a -model-file or passed to
+	// InstallMem). Plain time-model installs carry the incumbent memory
+	// model forward, so both stay behind one version number.
 	Mem *core.MemModel `json:"mem_model,omitempty"`
 	// Source records provenance: "seed", "calibrate", "recalibrate", "api",
 	// "file", or "rollback(vN)".
@@ -46,7 +46,7 @@ type ModelVersion struct {
 // Registry is the versioned model store: the current model sits behind an
 // atomic pointer (the read path — every estimate — is a single load), while
 // installs, history and rollback serialize on a mutex. It implements
-// core.ModelProvider and core.MemModelProvider.
+// core.ModelProvider.
 type Registry struct {
 	cur atomic.Pointer[ModelVersion]
 
@@ -75,7 +75,7 @@ func (r *Registry) CurrentModel() *core.TimeModel {
 }
 
 // CurrentMemModel returns the current memory model, nil until one was
-// installed. This is the core.MemModelProvider hot path: one atomic load.
+// installed. This is core.ModelProvider's other hot path: one atomic load.
 func (r *Registry) CurrentMemModel() *core.MemModel {
 	if v := r.cur.Load(); v != nil {
 		return v.Mem

@@ -33,16 +33,10 @@ func (m *JoinCountModel) Predict(pairs int) time.Duration {
 	return time.Duration(m.Tinst * (m.Cj*float64(pairs) + m.C0) * float64(time.Second))
 }
 
-// JoinTrainingPoint pairs a join count with a measured compilation time.
-type JoinTrainingPoint struct {
-	Pairs  int
-	Actual time.Duration
-}
-
 // CalibrateJoinCount fits the baseline model by least squares, mirroring
 // the best case the join-count approach could hope for ("no matter how we
 // chose the time per join").
-func CalibrateJoinCount(training []JoinTrainingPoint) (*JoinCountModel, error) {
+func CalibrateJoinCount(training []CompileObservation) (*JoinCountModel, error) {
 	if len(training) < 2 {
 		return nil, errors.New("core: need at least two training points")
 	}

@@ -235,13 +235,13 @@ func TestCalibrateRecoversLinearModel(t *testing.T) {
 	// Synthetic training data generated from known constants.
 	want := TimeModel{Tinst: 1e-9, C0: 50_000}
 	want.C[props.MGJN], want.C[props.NLJN], want.C[props.HSJN] = 5000, 2000, 4000
-	var training []TrainingPoint
+	var training []CompileObservation
 	for i := 1; i <= 8; i++ {
 		counts := PlanCounts{}
 		counts.ByMethod[props.MGJN] = 100 * i
 		counts.ByMethod[props.NLJN] = 50 * i * i
 		counts.ByMethod[props.HSJN] = 30*i + i*i*i // not collinear with MGJN
-		training = append(training, TrainingPoint{Counts: counts, Actual: want.Predict(counts)})
+		training = append(training, CompileObservation{Counts: counts, Actual: want.Predict(counts)})
 	}
 	got, err := Calibrate(training)
 	if err != nil {
@@ -266,7 +266,7 @@ func TestCalibrateNeedsEnoughPoints(t *testing.T) {
 	if _, err := Calibrate(nil); err == nil {
 		t.Fatal("empty training set accepted")
 	}
-	if _, err := Calibrate(make([]TrainingPoint, 2)); err == nil {
+	if _, err := Calibrate(make([]CompileObservation, 2)); err == nil {
 		t.Fatal("tiny training set accepted")
 	}
 }
@@ -275,11 +275,11 @@ func TestEndToEndTimePrediction(t *testing.T) {
 	// Train Ct on one batch, predict another: the error should be bounded.
 	// (The paper reports <30% on most workloads; wall-clock noise in tests
 	// warrants a looser bound, tightened in the bench harness.)
-	var training []TrainingPoint
+	var training []CompileObservation
 	for preds := 1; preds <= 5; preds++ {
 		for _, n := range []int{6, 8} {
 			res := fastestCompile(t, starBlock(t, n, preds, 1, 0, 1), opt.LevelHighInner2)
-			training = append(training, TrainingPoint{
+			training = append(training, CompileObservation{
 				Counts: CountsFrom(res.TotalCounters()),
 				Actual: res.Elapsed,
 			})
@@ -362,7 +362,7 @@ func TestJoinCountModelCannotSeparateBatch(t *testing.T) {
 }
 
 func TestCalibrateJoinCountModel(t *testing.T) {
-	training := []JoinTrainingPoint{
+	training := []CompileObservation{
 		{Pairs: 10, Actual: 100 * time.Microsecond},
 		{Pairs: 20, Actual: 200 * time.Microsecond},
 		{Pairs: 40, Actual: 400 * time.Microsecond},
@@ -538,7 +538,7 @@ func TestEstimateLazyPolicyIndexSensitivity(t *testing.T) {
 func TestPipelinePropertyEstimation(t *testing.T) {
 	// FETCH FIRST makes pipelineability interesting; both the real plan
 	// counts and the estimate grow, and they stay within tolerance.
-	mk := func(firstN int) *TrainingPoint {
+	mk := func(firstN int) *CompileObservation {
 		blk := starBlock(t, 6, 2, 0, 0, 1)
 		blk.FirstN = firstN
 		res, err := opt.Optimize(blk, opt.Options{Level: opt.LevelHigh})
@@ -551,7 +551,7 @@ func TestPipelinePropertyEstimation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tp := TrainingPointFrom(res.TotalCounters(), res.Elapsed)
+		tp := ObservationFrom(res, nil)
 		t.Logf("firstN=%d actual=%d est=%d", firstN, tp.Counts.Total(), est.Counts.Total())
 		if ratio := float64(est.Counts.Total()) / float64(tp.Counts.Total()); ratio < 0.5 || ratio > 2 {
 			t.Fatalf("firstN=%d: estimate %d vs actual %d", firstN, est.Counts.Total(), tp.Counts.Total())

@@ -36,15 +36,9 @@ type Options struct {
 	CartesianPolicy enum.CartesianPolicy
 	// Model converts plan counts to a time prediction when non-nil.
 	Model *TimeModel
-	// Models supplies the current model from a registry when Model is nil
-	// (internal/calib's versioned registry implements it): the provider is
-	// read once per run, so a mid-stream model swap is picked up by the
-	// next estimation without re-wiring options.
-	Models ModelProvider
 	// MemModel converts the estimate's structural counts into a predicted
-	// peak optimizer memory. When nil, a Models provider that also versions
-	// memory models (MemModelProvider) is consulted, then the structural
-	// default — so PredictedPeakBytes is always populated.
+	// peak optimizer memory; nil is the structural default, so
+	// PredictedPeakBytes is always populated.
 	MemModel *MemModel
 	// Exec, when non-nil, bounds the estimation run: its cancellation is
 	// honored at block and enumeration granularity. Estimation is cheap
@@ -148,38 +142,11 @@ func EstimatePlans(blk *query.Block, opts Options) (*Estimate, error) {
 		}
 	}
 	est.Elapsed = time.Since(start)
-	if m := opts.model(); m != nil {
-		est.PredictedTime = m.Predict(est.Counts)
+	if opts.Model != nil {
+		est.PredictedTime = opts.Model.Predict(est.Counts)
 	}
-	est.PredictedPeakBytes = EstimateMemory(est, opts.memModel())
+	est.PredictedPeakBytes = EstimateMemory(est, opts.MemModel)
 	return est, nil
-}
-
-// model resolves the effective time model: an explicit Model wins, then
-// the registry provider, then none.
-func (o Options) model() *TimeModel {
-	if o.Model != nil {
-		return o.Model
-	}
-	if o.Models != nil {
-		return o.Models.CurrentModel()
-	}
-	return nil
-}
-
-// memModel resolves the effective memory model: an explicit MemModel wins,
-// then a registry provider that versions memory models, then the structural
-// default (per-structure footprints, no calibration).
-func (o Options) memModel() *MemModel {
-	if o.MemModel != nil {
-		return o.MemModel
-	}
-	if p, ok := o.Models.(MemModelProvider); ok {
-		if m := p.CurrentMemModel(); m != nil {
-			return m
-		}
-	}
-	return defaultMemModel
 }
 
 // EstimatePlansCtx is EstimatePlans bounded by a context: when ctx expires

@@ -12,8 +12,8 @@ import (
 // Section 6.2 extension upgraded from a lower bound to a calibrated model.
 // It is the memory-side sibling of TimeModel: the same regressors the time
 // model already pays for, fitted by the same non-negative least squares,
-// versioned by the same registry, and refit from the same observation stream
-// (measured durable high-water marks instead of measured wall times).
+// versioned by the same registry, and fitted from the same observation
+// record (measured durable high-water marks instead of measured wall times).
 type MemModel struct {
 	// PerEntry is bytes per MEMO entry the real compile retains.
 	PerEntry float64 `json:"per_entry"`
@@ -46,10 +46,11 @@ var defaultMemModel = &MemModel{
 	PerPropByte: 1,
 }
 
-// Predict converts structural counts to predicted peak bytes.
+// Predict converts structural counts to predicted peak bytes. A nil model
+// is the structural default.
 func (m *MemModel) Predict(entries, plans, propBytes int) int64 {
 	if m == nil {
-		return 0
+		m = defaultMemModel
 	}
 	v := m.PerEntry*float64(entries) + m.PerPlan*float64(plans) +
 		m.PerPropByte*float64(propBytes) + m.Base
@@ -72,30 +73,8 @@ func EstimateMemory(est *Estimate, m *MemModel) int64 {
 	return m.Predict(entries, est.Counts.Total(), propBytes)
 }
 
-// MemPoint is one (estimate regressors, measured peak) observation for
-// memory-model calibration: the structural counts of an estimation run at
-// some level, paired with the durable high-water mark a real compilation at
-// that level actually reached.
-type MemPoint struct {
-	Entries       int
-	Plans         int
-	PropertyBytes int
-	// PeakBytes is the measured durable high-water mark (opt.Result's
-	// Resources.DurablePeakBytes, or an accountant's DurablePeak).
-	PeakBytes int64
-}
-
-// MemPointFrom pairs an estimate with a measured peak.
-func MemPointFrom(est *Estimate, peakBytes int64) MemPoint {
-	p := MemPoint{Plans: est.Counts.Total(), PeakBytes: peakBytes}
-	for _, be := range est.Blocks {
-		p.Entries += be.Entries
-		p.PropertyBytes += be.PropertyBytes
-	}
-	return p
-}
-
-// CalibrateMemory fits the memory model from observations by non-negative
+// CalibrateMemory fits the memory model from observations (PeakBytes on the
+// estimate's Entries, EstimatedPlans and PropertyBytes) by non-negative
 // least squares — the same solver Calibrate uses for the time model, so a
 // badly conditioned workload degrades to zeroed coefficients rather than
 // negative memory. At least one point per free coefficient is required.
@@ -106,7 +85,7 @@ func MemPointFrom(est *Estimate, peakBytes int64) MemPoint {
 // drift to whatever suits the largest workloads (a few KB of Base is free
 // against megabyte-scale points) and then over-predicts small queries by
 // multiples — exactly the regime where admission decisions are made.
-func CalibrateMemory(points []MemPoint) (*MemModel, error) {
+func CalibrateMemory(points []CompileObservation) (*MemModel, error) {
 	x := make([][]float64, 0, len(points))
 	y := make([]float64, 0, len(points))
 	for _, p := range points {
@@ -115,7 +94,7 @@ func CalibrateMemory(points []MemPoint) (*MemModel, error) {
 			continue // unmeasured compile: nothing to normalize against
 		}
 		w := 1 / peak
-		x = append(x, []float64{float64(p.Entries) * w, float64(p.Plans) * w, float64(p.PropertyBytes) * w, w})
+		x = append(x, []float64{float64(p.Entries) * w, float64(p.EstimatedPlans) * w, float64(p.PropertyBytes) * w, w})
 		y = append(y, 1)
 	}
 	if len(x) < 4 {

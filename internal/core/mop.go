@@ -63,9 +63,9 @@ type MOP struct {
 	// Model converts plan counts to compilation time. When nil, Models is
 	// consulted instead; one of the two must yield a model.
 	Model *TimeModel
-	// Models supplies the current model from a versioned registry when
-	// Model is nil (read once per Run, so calibration swaps apply to the
-	// next meta-optimization).
+	// Models supplies the current models from a versioned registry: the
+	// time model when Model is nil, and the memory model. Both are read once
+	// per Run, so calibration swaps apply to the next meta-optimization.
 	Models ModelProvider
 	// Observer, when non-nil, receives one CompileObservation per real
 	// compilation the meta-optimizer runs (the low-level compile and any
@@ -114,13 +114,16 @@ func (m *MOP) RunCtx(ctx context.Context, blk *query.Block) (*opt.Result, *MOPDe
 	if high == opt.LevelLow {
 		high = opt.LevelHighInner2
 	}
-	model := m.Model
-	if model == nil && m.Models != nil {
-		model = m.Models.CurrentModel()
+	eopts := Options{Level: high, Config: m.Config, Model: m.Model}
+	if m.Models != nil {
+		if eopts.Model == nil {
+			eopts.Model = m.Models.CurrentModel()
+		}
+		eopts.MemModel = m.Models.CurrentMemModel()
 	}
 	execTinst := m.ExecTinst
-	if execTinst == 0 && model != nil {
-		execTinst = model.Tinst
+	if execTinst == 0 && eopts.Model != nil {
+		execTinst = eopts.Model.Tinst
 	}
 	threshold := m.Threshold
 	if threshold <= 0 {
@@ -144,7 +147,7 @@ func (m *MOP) RunCtx(ctx context.Context, blk *query.Block) (*opt.Result, *MOPDe
 		FinalPlanCost:   time.Duration(low.Plan.Cost * execTinst * float64(time.Second)),
 	}
 
-	est, err := EstimatePlansCtx(ctx, blk, Options{Level: high, Config: m.Config, Model: model, Models: m.Models})
+	est, err := EstimatePlansCtx(ctx, blk, eopts)
 	if err != nil {
 		low.Release()
 		return nil, nil, err
@@ -155,7 +158,7 @@ func (m *MOP) RunCtx(ctx context.Context, blk *query.Block) (*opt.Result, *MOPDe
 	result := low
 	dec.FinalPeakBytes = low.Resources.DurablePeakBytes
 	if float64(dec.HighCompileEstimate) < threshold*float64(dec.LowPlanExecCost) {
-		res, level, err := m.recompile(ctx, blk, high, model, est, dec)
+		res, level, err := m.recompile(ctx, blk, eopts, est, dec)
 		if err != nil {
 			low.Release()
 			return nil, nil, err
@@ -173,21 +176,23 @@ func (m *MOP) RunCtx(ctx context.Context, blk *query.Block) (*opt.Result, *MOPDe
 	return result, dec, nil
 }
 
-// recompile walks the level ladder downward from high, running each level
-// under a plan budget of BudgetFactor times its COTE prediction and — when
-// MemBudget is set — under the memory budget, skipping rungs whose predicted
-// peak already exceeds it. A budget overrun (plans or bytes) records the
+// recompile walks the level ladder downward from eopts.Level (est is its
+// estimate), running each level under a plan budget of BudgetFactor times
+// its COTE prediction and — when MemBudget is set — under the memory
+// budget, skipping rungs whose predicted peak already exceeds it. A budget overrun (plans or bytes) records the
 // aborted level and drops to the next-lower one (re-estimating its plan
 // count); when every DP level aborts, recompile returns nil and the caller
 // keeps the greedy plan. Context errors propagate — a deadline ends the
 // whole loop, not one rung.
-func (m *MOP) recompile(ctx context.Context, blk *query.Block, high opt.Level, model *TimeModel, est *Estimate, dec *MOPDecision) (*opt.Result, opt.Level, error) {
+func (m *MOP) recompile(ctx context.Context, blk *query.Block, eopts Options, est *Estimate, dec *MOPDecision) (*opt.Result, opt.Level, error) {
+	high := eopts.Level
 	for level := high; level != opt.LevelLow; level = level.NextLower() {
 		if level != high {
 			// Dropping a rung changes the search space, so the budget's
 			// baseline must be re-predicted for the new level.
+			eopts.Level = level
 			var err error
-			est, err = EstimatePlansCtx(ctx, blk, Options{Level: level, Config: m.Config, Model: model, Models: m.Models})
+			est, err = EstimatePlansCtx(ctx, blk, eopts)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -226,19 +231,12 @@ func (m *MOP) recompile(ctx context.Context, blk *query.Block, high opt.Level, m
 }
 
 // observe forwards one real compilation to the observer, if any. est, when
-// non-nil, supplies the estimate-side regressors that make the observation
-// usable for memory-model calibration alongside the time model's counts.
+// non-nil, supplies the estimate-side regressors of the same level.
 func (m *MOP) observe(blk *query.Block, level opt.Level, predicted time.Duration, est *Estimate, res *opt.Result) {
 	if m.Observer == nil {
 		return
 	}
-	o := ObservationFrom(res.TotalCounters(), level, fingerprint.Of(blk), predicted, res.Elapsed)
-	o.PeakBytes = res.Resources.DurablePeakBytes
-	if est != nil {
-		for _, be := range est.Blocks {
-			o.Entries += be.Entries
-			o.PropertyBytes += be.PropertyBytes
-		}
-	}
+	o := ObservationFrom(res, est)
+	o.Level, o.Fingerprint, o.Predicted = level, fingerprint.Of(blk), predicted
 	m.Observer.ObserveCompile(o)
 }

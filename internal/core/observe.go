@@ -5,66 +5,68 @@ import (
 
 	"cote/internal/fingerprint"
 	"cote/internal/opt"
-	"cote/internal/plangen"
 	"cote/internal/props"
 )
 
-// CompileObservation is the record of one real compilation, in the form the
-// online calibration loop consumes: the plan counts the optimizer actually
-// generated, the level it ran at, the query's structural fingerprint, the
-// COTE prediction priced before the run (zero when no model was installed),
-// and the measured wall-clock time. GenSeconds carries the per-method
-// generation timing that keeps Calibrate well conditioned, exactly as
-// TrainingPoint does for offline fits.
+// CompileObservation is the one training record of every model this package
+// fits: a real compilation, measured, and paired with the estimate of it.
+// Calibrate regresses Actual on Counts (the paper's "real counts of
+// generated join plans together with the actual compilation time"),
+// CalibrateMemory regresses PeakBytes on the estimate's Entries,
+// EstimatedPlans and PropertyBytes, and CalibrateJoinCount regresses Actual
+// on Pairs. The online calibration loop consumes the same record, scoring
+// Predicted (zero when no model priced the run) against Actual.
 type CompileObservation struct {
+	// Counts are the plans the optimizer actually generated, per method.
 	Counts      PlanCounts
 	Level       opt.Level
 	Fingerprint fingerprint.FP
 	Predicted   time.Duration
 	Actual      time.Duration
-	GenSeconds  [props.NumJoinMethods]float64
+	// GenSeconds is the measured per-method plan-generation time (plan
+	// saving attributed proportionally to counts), which keeps Calibrate
+	// well conditioned when the per-method counts are collinear.
+	GenSeconds [props.NumJoinMethods]float64
 	// PeakBytes is the measured durable memory high-water mark of the
-	// compilation (zero when no run accountant was attached); Entries and
-	// PropertyBytes carry the estimate-side regressors that pair with it,
-	// so the same observation stream that refits the time model can refit
-	// the memory model.
-	PeakBytes     int64
-	Entries       int
-	PropertyBytes int
+	// compilation (zero when no run accountant was attached).
+	PeakBytes int64
+	// Entries, PropertyBytes, EstimatedPlans and Pairs come from the
+	// estimate of the same query at the same level (zero without one): MEMO
+	// entries, property-list bytes, the estimate's generated-plan total and
+	// the Ono-Lohman join-pair count.
+	Entries        int
+	PropertyBytes  int
+	EstimatedPlans int
+	Pairs          int
 }
 
-// ObservationFrom builds an observation from one real optimization's
-// counters, mirroring TrainingPointFrom's attribution of plan-saving time.
-func ObservationFrom(c plangen.Counters, level opt.Level, fp fingerprint.FP, predicted, actual time.Duration) CompileObservation {
-	tp := TrainingPointFrom(c, actual)
-	return CompileObservation{
-		Counts:      tp.Counts,
-		Level:       level,
-		Fingerprint: fp,
-		Predicted:   predicted,
-		Actual:      actual,
-		GenSeconds:  tp.GenSeconds,
+// ObservationFrom builds the record of one real optimization: the generated
+// plan counts, per-method generation times, wall time and durable peak from
+// res, and the structural regressors from est when est is non-nil. Callers
+// set Level, Fingerprint and Predicted.
+func ObservationFrom(res *opt.Result, est *Estimate) CompileObservation {
+	c := res.TotalCounters()
+	o := CompileObservation{
+		Counts:    CountsFrom(c),
+		Actual:    res.Elapsed,
+		PeakBytes: res.Resources.DurablePeakBytes,
 	}
-}
-
-// TrainingPoint converts the observation to the form Calibrate consumes.
-func (o CompileObservation) TrainingPoint() TrainingPoint {
-	return TrainingPoint{Counts: o.Counts, Actual: o.Actual, GenSeconds: o.GenSeconds}
-}
-
-// MemPoint converts the observation to the form CalibrateMemory consumes,
-// and ok reports whether it carries a usable memory measurement (a peak was
-// recorded and the estimate-side regressors are present).
-func (o CompileObservation) MemPoint() (MemPoint, bool) {
-	if o.PeakBytes <= 0 || o.Entries <= 0 {
-		return MemPoint{}, false
+	total := c.TotalGenerated()
+	for m := range o.GenSeconds {
+		o.GenSeconds[m] = c.GenTime[m].Seconds()
+		if total > 0 {
+			o.GenSeconds[m] += c.SaveTime.Seconds() * float64(c.Generated[m]) / float64(total)
+		}
 	}
-	return MemPoint{
-		Entries:       o.Entries,
-		Plans:         o.Counts.Total(),
-		PropertyBytes: o.PropertyBytes,
-		PeakBytes:     o.PeakBytes,
-	}, true
+	if est != nil {
+		for _, be := range est.Blocks {
+			o.Entries += be.Entries
+			o.PropertyBytes += be.PropertyBytes
+		}
+		o.EstimatedPlans = est.Counts.Total()
+		o.Pairs = est.Pairs
+	}
+	return o
 }
 
 // CompileObserver receives one record per completed real compilation. The
@@ -74,18 +76,12 @@ type CompileObserver interface {
 	ObserveCompile(CompileObservation)
 }
 
-// ModelProvider yields the current compilation-time model. It decouples the
-// estimation layers from the versioned model registry (internal/calib):
-// Options.Models and MOP.Models read the provider at run start, so a model
-// swap mid-stream is picked up by the next run without any re-wiring.
+// ModelProvider yields the current compilation-time and memory models
+// (internal/calib's versioned registry is one). MOP reads both at run start,
+// so a model swap mid-stream is picked up by the next run without any
+// re-wiring. Either may be nil: no time prediction, and the structural
+// default memory model.
 type ModelProvider interface {
 	CurrentModel() *TimeModel
-}
-
-// MemModelProvider is the optional memory-model side of a ModelProvider: a
-// registry that also versions memory models implements it, and the layers
-// discover it by type assertion so providers that predate memory estimation
-// keep working unchanged.
-type MemModelProvider interface {
 	CurrentMemModel() *MemModel
 }

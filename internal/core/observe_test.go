@@ -10,13 +10,17 @@ type obsRecorder struct{ obs []CompileObservation }
 
 func (r *obsRecorder) ObserveCompile(o CompileObservation) { r.obs = append(r.obs, o) }
 
-type staticProvider struct{ m *TimeModel }
+type staticProvider struct {
+	m   *TimeModel
+	mem *MemModel
+}
 
-func (p staticProvider) CurrentModel() *TimeModel { return p.m }
+func (p staticProvider) CurrentModel() *TimeModel   { return p.m }
+func (p staticProvider) CurrentMemModel() *MemModel { return p.mem }
 
 // MOP must emit one observation per real compilation it runs: the low-level
 // compile (no prediction to score) and the high-level recompile (paired
-// with the estimate that justified it).
+// with the estimate that justified it, whose structural counts it carries).
 func TestMOPObserverReceivesBothCompiles(t *testing.T) {
 	rec := &obsRecorder{}
 	m := &MOP{Model: mopFastModel(), Observer: rec}
@@ -46,13 +50,34 @@ func TestMOPObserverReceivesBothCompiles(t *testing.T) {
 	if low.Fingerprint != high.Fingerprint || low.Fingerprint == (CompileObservation{}).Fingerprint {
 		t.Fatalf("fingerprints %v vs %v", low.Fingerprint, high.Fingerprint)
 	}
+	est, err := EstimatePlans(starBlock(t, 6, 2, 1, 0, 1), Options{Level: opt.LevelHighInner2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, propBytes := 0, 0
+	for _, be := range est.Blocks {
+		entries += be.Entries
+		propBytes += be.PropertyBytes
+	}
+	if high.Entries != entries || high.PropertyBytes != propBytes || high.EstimatedPlans != est.Counts.Total() || high.Pairs != est.Pairs {
+		t.Fatalf("high observation regressors entries=%d prop=%d plans=%d pairs=%d, estimate has %d/%d/%d/%d",
+			high.Entries, high.PropertyBytes, high.EstimatedPlans, high.Pairs, entries, propBytes, est.Counts.Total(), est.Pairs)
+	}
+	if high.Entries <= 0 || high.PeakBytes != dec.FinalPeakBytes || high.PeakBytes <= 0 {
+		t.Fatalf("high observation peak %d entries %d, decision final peak %d", high.PeakBytes, high.Entries, dec.FinalPeakBytes)
+	}
+	if low.Entries != 0 || low.EstimatedPlans != 0 {
+		t.Fatalf("low observation carries an estimate it never had: %+v", low)
+	}
 }
 
-// With no explicit Model, MOP and EstimatePlans must consult the provider —
-// the hook that lets a registry swap models between runs.
+// With no explicit Model, MOP must consult the provider — the hook that
+// lets a registry swap models between runs — for both the time and the
+// memory model; an explicit Model still wins over the provider's.
 func TestModelProviderFallback(t *testing.T) {
 	model := &TimeModel{Tinst: 1e-9, C: [3]float64{5, 2, 4}, C0: 100}
-	m := &MOP{Models: staticProvider{model}}
+	mem := &MemModel{Base: 1}
+	m := &MOP{Models: staticProvider{model, mem}}
 	_, dec, err := m.Run(starBlock(t, 6, 2, 1, 0, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -60,21 +85,20 @@ func TestModelProviderFallback(t *testing.T) {
 	if dec.HighCompileEstimate <= 0 {
 		t.Fatalf("provider model unused: %+v", dec)
 	}
+	if dec.HighPredictedPeakBytes != 1 {
+		t.Fatalf("provider memory model unused: predicted peak %d, want 1", dec.HighPredictedPeakBytes)
+	}
 
-	est, err := EstimatePlans(starBlock(t, 6, 2, 1, 0, 1), Options{Level: opt.LevelHighInner2, Models: staticProvider{model}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.PredictedTime <= 0 {
-		t.Fatal("EstimatePlans ignored Options.Models")
-	}
-	// An explicit Model wins over the provider.
 	bigger := &TimeModel{Tinst: 2 * model.Tinst, C: model.C, C0: model.C0}
-	est2, err := EstimatePlans(starBlock(t, 6, 2, 1, 0, 1), Options{Level: opt.LevelHighInner2, Model: bigger, Models: staticProvider{model}})
+	m2 := &MOP{Model: bigger, Models: staticProvider{model, nil}}
+	_, dec2, err := m2.Run(starBlock(t, 6, 2, 1, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est2.PredictedTime != 2*est.PredictedTime {
-		t.Fatalf("explicit model did not win: %v vs %v", est2.PredictedTime, est.PredictedTime)
+	if dec2.HighCompileEstimate != 2*dec.HighCompileEstimate {
+		t.Fatalf("explicit model did not win: %v vs %v", dec2.HighCompileEstimate, dec.HighCompileEstimate)
+	}
+	if dec2.HighPredictedPeakBytes <= 1 {
+		t.Fatalf("nil provider memory model did not fall back to the default: %d", dec2.HighPredictedPeakBytes)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"cote/internal/plangen"
 	"cote/internal/props"
 	"cote/internal/stats"
 )
@@ -61,39 +60,9 @@ func (m *TimeModel) String() string {
 		r[props.MGJN], r[props.NLJN], r[props.HSJN], m.C0, m.Tinst)
 }
 
-// TrainingPoint pairs the plan counts of one query with its measured real
-// compilation time. The paper collects these from a training workload
-// compiled normally ("collect the real counts of generated join plans
-// together with the actual compilation time"). GenSeconds optionally
-// carries the measured per-method plan-generation time of the same run —
-// the Figure 2 instrumentation — which Calibrate uses to pin the Ct
-// proportions when the per-method counts alone are too collinear for a free
-// regression (the situation the paper describes for the parallel version,
-// where per-plan times vary most).
-type TrainingPoint struct {
-	Counts     PlanCounts
-	Actual     time.Duration
-	GenSeconds [props.NumJoinMethods]float64
-}
-
-// TrainingPointFrom builds a training point from one real optimization:
-// plan counts, total time, and the per-method generation times (with
-// plan-saving time attributed proportionally to counts) that keep Calibrate
-// well conditioned.
-func TrainingPointFrom(c plangen.Counters, actual time.Duration) TrainingPoint {
-	tp := TrainingPoint{Counts: CountsFrom(c), Actual: actual}
-	total := c.TotalGenerated()
-	for m := range tp.GenSeconds {
-		tp.GenSeconds[m] = c.GenTime[m].Seconds()
-		if total > 0 {
-			tp.GenSeconds[m] += c.SaveTime.Seconds() * float64(c.Generated[m]) / float64(total)
-		}
-	}
-	return tp
-}
-
 // Calibrate fits the per-method constants by non-negative least squares on
-// the training points, one regression per database "release" or
+// observations of a training workload compiled normally (their Counts,
+// Actual and GenSeconds), one regression per database "release" or
 // configuration (the paper refits per release and keeps distinct serial and
 // parallel constant sets). Rows are weighted by 1/actual so the fit
 // minimizes relative rather than absolute error — the metric the paper
@@ -101,7 +70,7 @@ func TrainingPointFrom(c plangen.Counters, actual time.Duration) TrainingPoint {
 // per-method counts are correlated across training queries. Tinst is fixed
 // at 1/10^9 — a nominal nanosecond-scale instruction — so the fitted
 // constants carry the machine-specific magnitudes.
-func Calibrate(training []TrainingPoint) (*TimeModel, error) {
+func Calibrate(training []CompileObservation) (*TimeModel, error) {
 	if len(training) < int(props.NumJoinMethods)+1 {
 		return nil, errors.New("core: need more training queries than model constants")
 	}

@@ -254,7 +254,7 @@ type TimeRow struct {
 // NLJN:MGJN:HSJN proportions between observations and keeps the regression
 // well conditioned.
 func TrainModel(training []*workload.Workload) (*core.TimeModel, error) {
-	var pts []core.TrainingPoint
+	var pts []core.CompileObservation
 	for _, w := range training {
 		cfg := ConfigFor(w)
 		for _, q := range w.Queries {
@@ -263,7 +263,7 @@ func TrainModel(training []*workload.Workload) (*core.TimeModel, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", q.Name, err)
 				}
-				pts = append(pts, core.TrainingPointFrom(best.TotalCounters(), best.Elapsed))
+				pts = append(pts, core.ObservationFrom(best, nil))
 			}
 		}
 	}
@@ -322,43 +322,34 @@ type BaselineRow struct {
 // star batches.
 func JoinBaseline(w *workload.Workload, model *core.TimeModel) ([]BaselineRow, error) {
 	cfg := ConfigFor(w)
-	type obs struct {
-		q     workload.Query
-		res   *opt.Result
-		pairs int
-	}
-	var os []obs
-	var jpts []core.JoinTrainingPoint
+	var training []core.CompileObservation
+	var planModel []time.Duration
 	for _, q := range w.Queries {
 		res, err := timedOptimize(q, cfg, Level)
 		if err != nil {
 			return nil, err
 		}
-		jc, err := core.CountJoins(q.Block, core.Options{Level: Level, Config: cfg})
+		est, err := core.EstimatePlans(q.Block, core.Options{Level: Level, Config: cfg, Model: model})
 		if err != nil {
 			return nil, err
 		}
-		os = append(os, obs{q, res, jc.Pairs})
-		jpts = append(jpts, core.JoinTrainingPoint{Pairs: jc.Pairs, Actual: res.Elapsed})
+		training = append(training, core.ObservationFrom(res, est))
+		planModel = append(planModel, est.PredictedTime)
 	}
-	jmodel, err := core.CalibrateJoinCount(jpts)
+	jmodel, err := core.CalibrateJoinCount(training)
 	if err != nil {
 		return nil, err
 	}
 	var out []BaselineRow
-	for _, o := range os {
-		est, err := core.EstimatePlans(o.q.Block, core.Options{Level: Level, Config: cfg, Model: model})
-		if err != nil {
-			return nil, err
-		}
-		jp := jmodel.Predict(o.pairs)
+	for i, o := range training {
+		jp := jmodel.Predict(o.Pairs)
 		out = append(out, BaselineRow{
-			Query:     o.q.Name,
-			Actual:    o.res.Elapsed,
-			PlanModel: est.PredictedTime,
+			Query:     w.Queries[i].Name,
+			Actual:    o.Actual,
+			PlanModel: planModel[i],
 			JoinModel: jp,
-			PlanErr:   stats.RelErr(est.PredictedTime.Seconds(), o.res.Elapsed.Seconds()),
-			JoinErr:   stats.RelErr(jp.Seconds(), o.res.Elapsed.Seconds()),
+			PlanErr:   stats.RelErr(planModel[i].Seconds(), o.Actual.Seconds()),
+			JoinErr:   stats.RelErr(jp.Seconds(), o.Actual.Seconds()),
 		})
 	}
 	return out, nil
@@ -458,41 +449,42 @@ func (r MemFigRow) Ratio() float64 {
 	return float64(r.Predicted) / float64(r.Measured)
 }
 
-// memPointAt compiles one query at one level under a resource accountant and
-// pairs the estimator's structural counts with the measured durable peak.
-func memPointAt(q workload.Query, cfg *cost.Config, level opt.Level) (*core.Estimate, int64, error) {
+// memObservation compiles one query at one level under a resource
+// accountant and pairs the estimator's structural counts with the measured
+// durable peak.
+func memObservation(q workload.Query, cfg *cost.Config, level opt.Level) (core.CompileObservation, error) {
 	est, err := core.EstimatePlans(q.Block, core.Options{Level: level, Config: cfg})
 	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", q.Name, err)
+		return core.CompileObservation{}, fmt.Errorf("%s: %w", q.Name, err)
 	}
 	res, err := opt.OptimizeCtx(context.Background(), q.Block, opt.Options{Level: level, Config: cfg})
 	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", q.Name, err)
+		return core.CompileObservation{}, fmt.Errorf("%s: %w", q.Name, err)
 	}
 	res.Release()
-	return est, res.Resources.DurablePeakBytes, nil
+	return core.ObservationFrom(res, est), nil
 }
 
 // MemCalibrationPass runs one memory-calibration pass: it compiles every
 // query of every workload at every level under a resource accountant, pairs
 // each estimate's structural counts with the measured durable peak, and fits
-// a memory model on the pooled points — the memory-side analogue of fitting
-// the Ct constants.
+// a memory model on the pooled observations — the memory-side analogue of
+// fitting the Ct constants.
 func MemCalibrationPass(workloads []*workload.Workload, levels []opt.Level) (*core.MemModel, error) {
-	var points []core.MemPoint
+	var training []core.CompileObservation
 	for _, w := range workloads {
 		cfg := ConfigFor(w)
 		for _, q := range w.Queries {
 			for _, level := range levels {
-				est, peak, err := memPointAt(q, cfg, level)
+				o, err := memObservation(q, cfg, level)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", w.Name, err)
 				}
-				points = append(points, core.MemPointFrom(est, peak))
+				training = append(training, o)
 			}
 		}
 	}
-	return core.CalibrateMemory(points)
+	return core.CalibrateMemory(training)
 }
 
 // MemFig evaluates a memory model on a workload: per query and level, the
@@ -504,7 +496,7 @@ func MemFig(w *workload.Workload, levels []opt.Level, m *core.MemModel) ([]MemFi
 	var out []MemFigRow
 	for _, q := range w.Queries {
 		for _, level := range levels {
-			est, peak, err := memPointAt(q, cfg, level)
+			o, err := memObservation(q, cfg, level)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", w.Name, err)
 			}
@@ -512,8 +504,8 @@ func MemFig(w *workload.Workload, levels []opt.Level, m *core.MemModel) ([]MemFi
 				Workload:  w.Name,
 				Query:     q.Name,
 				Level:     level,
-				Predicted: core.EstimateMemory(est, m),
-				Measured:  peak,
+				Predicted: m.Predict(o.Entries, o.EstimatedPlans, o.PropertyBytes),
+				Measured:  o.PeakBytes,
 			})
 		}
 	}

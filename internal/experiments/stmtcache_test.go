@@ -115,11 +115,11 @@ func TestStatementCacheVsCOTEOnAdHocWorkload(t *testing.T) {
 	// cache can only fall back to the last-seen time (a best-effort
 	// strategy); the COTE predicts each query individually. The COTE must
 	// win by a wide margin.
-	var training []core.TrainingPoint
+	var training []core.CompileObservation
 	for preds := 1; preds <= 5; preds++ {
 		for _, n := range []int{6, 8} {
 			res := fastestCompile(t, starBlock(t, n, preds, 1), opt.LevelHighInner2)
-			training = append(training, core.TrainingPointFrom(res.TotalCounters(), res.Elapsed))
+			training = append(training, core.ObservationFrom(res, nil))
 		}
 	}
 	model, err := core.Calibrate(training)

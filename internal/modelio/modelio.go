@@ -13,6 +13,7 @@ import (
 	"cote/internal/core"
 	"cote/internal/cost"
 	"cote/internal/opt"
+	"cote/internal/query"
 	"cote/internal/workload"
 )
 
@@ -41,23 +42,21 @@ func NamedWorkload(name string, nodes int) (*workload.Workload, error) {
 	return nil, fmt.Errorf("unknown workload %q (want %s)", name, WorkloadNames)
 }
 
-// TrainOn compiles a named workload for real at two optimization levels
+// TrainOn compiles a workload for real at two optimization levels
 // (decorrelating the per-method counts) and fits the time model, returning
-// it with the training-point count.
-func TrainOn(name string, nodes int) (*core.TimeModel, int, error) {
-	w, err := NamedWorkload(name, nodes)
-	if err != nil {
-		return nil, 0, err
-	}
+// it with the observation count. compile runs each compilation: the
+// commands pass opt.Optimize, the daemon a wrapper that schedules it on its
+// worker pool. A compile error comes back wrapped with the query's name.
+func TrainOn(w *workload.Workload, nodes int, compile func(*query.Block, opt.Options) (*opt.Result, error)) (*core.TimeModel, int, error) {
 	cfg := ConfigFor(nodes)
-	var training []core.TrainingPoint
+	var training []core.CompileObservation
 	for _, q := range w.Queries {
 		for _, level := range []opt.Level{opt.LevelHighInner2, opt.LevelMediumLeftDeep} {
-			res, err := opt.Optimize(q.Block, opt.Options{Level: level, Config: cfg})
+			res, err := compile(q.Block, opt.Options{Level: level, Config: cfg})
 			if err != nil {
 				return nil, 0, fmt.Errorf("calibrate %s: %w", q.Name, err)
 			}
-			training = append(training, core.TrainingPointFrom(res.TotalCounters(), res.Elapsed))
+			training = append(training, core.ObservationFrom(res, nil))
 			res.Release()
 		}
 	}
@@ -141,7 +140,11 @@ func (f *Flags) Resolve(nodes int) (*core.TimeModel, *calib.Registry, error) {
 	if f.Calibrate == "" {
 		return nil, reg, nil
 	}
-	m, points, err := TrainOn(f.Calibrate, nodes)
+	w, err := NamedWorkload(f.Calibrate, nodes)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, points, err := TrainOn(w, nodes, opt.Optimize)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -292,18 +292,16 @@ func (m *Metrics) Snapshot(pool *Pool, cache *EstimateCache, cal *calib.Calibrat
 			"mem_budget_aborts":      m.MemBudgetAborts.Value(),
 		},
 		"calibration": map[string]any{
-			"model_version":      int64(cal.Registry().Version()),
-			"model_installs":     m.ModelInstalls.Value(),
-			"observations":       m.Observations.Value(),
-			"window_len":         int64(cs.WindowLen),
-			"window_cap":         int64(cs.WindowCap),
-			"drift":              cs.Drift,
-			"degraded":           cs.Degraded,
-			"recalibrations":     cs.Recalibrations,
-			"refits_rejected":    cs.Rejected,
-			"refits_failed":      cs.Failures,
-			"mem_samples":        int64(cs.MemSamples),
-			"mem_recalibrations": cs.MemRecalibrations,
+			"model_version":   int64(cal.Registry().Version()),
+			"model_installs":  m.ModelInstalls.Value(),
+			"observations":    m.Observations.Value(),
+			"window_len":      int64(cs.WindowLen),
+			"window_cap":      int64(cs.WindowCap),
+			"drift":           cs.Drift,
+			"degraded":        cs.Degraded,
+			"recalibrations":  cs.Recalibrations,
+			"refits_rejected": cs.Rejected,
+			"refits_failed":   cs.Failures,
 		},
 		"enum_scan": map[string]int64{
 			"candidates_visited": m.EnumCandidatesVisited.Value(),

@@ -144,15 +144,12 @@ func (s *Server) estimate(ctx context.Context, st stmt, level opt.Level) (*core.
 func price(est *core.Estimate, v *calib.ModelVersion) core.Estimate {
 	out := *est
 	out.PredictedTime = 0
-	var mem *core.MemModel
+	var mem *core.MemModel // nil: the structural default
 	if v != nil {
 		if v.Model != nil {
 			out.PredictedTime = v.Model.Predict(out.Counts)
 		}
 		mem = v.Mem
-	}
-	if mem == nil {
-		mem = core.DefaultMemModel()
 	}
 	out.PredictedPeakBytes = core.EstimateMemory(&out, mem)
 	return out
@@ -522,15 +519,12 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 			// the accounted ones (paired with the estimate's structural
 			// counts) train the memory model.
 			s.metrics.Observations.Add()
-			obs := core.ObservationFrom(
-				res.TotalCounters(), admitted, st.analysis.FP, predictedTime, res.Elapsed)
-			obs.PeakBytes = res.Resources.DurablePeakBytes
-			if p, err := priceAt(admitted); err == nil {
-				for _, be := range p.Blocks {
-					obs.Entries += be.Entries
-					obs.PropertyBytes += be.PropertyBytes
-				}
+			var est *core.Estimate
+			if _, err := priceAt(admitted); err == nil {
+				est = memo[admitted]
 			}
+			obs := core.ObservationFrom(res, est)
+			obs.Level, obs.Fingerprint, obs.Predicted = admitted, st.analysis.FP, predictedTime
 			s.calib.ObserveCompile(obs)
 			// Everything the response and the observers need is read: the
 			// compile's workspaces serve the next request. A compile Run

@@ -38,6 +38,15 @@ func TestOptimizeTouchesCacheOncePerLevel(t *testing.T) {
 	if got := cacheTouches(srv.Metrics()) - before; got != 1 {
 		t.Fatalf("one optimize request reached the estimate cache %d times, want 1", got)
 	}
+	// The calibration record of the compile carries the measured peak the
+	// response reports, and the estimate's structural counts beside it.
+	log := srv.Calibrator().Log().Snapshot()
+	if len(log) != 1 {
+		t.Fatalf("%d calibration records, want 1", len(log))
+	}
+	if o := log[0]; o.PeakBytes != resp.PeakBytes || o.PeakBytes <= 0 || o.Entries <= 0 || o.EstimatedPlans <= 0 {
+		t.Fatalf("record peak %d entries %d plans %d, response peak_bytes %d", o.PeakBytes, o.Entries, o.EstimatedPlans, resp.PeakBytes)
+	}
 }
 
 // TestBatchObservesPerGroup: a batch records one latency and one shed-EWMA

@@ -12,12 +12,11 @@ import (
 
 	"cote/internal/calib"
 	"cote/internal/core"
-	"cote/internal/cost"
 	"cote/internal/faultinject"
 	"cote/internal/knobs"
 	"cote/internal/modelio"
 	"cote/internal/opt"
-	"cote/internal/workload"
+	"cote/internal/query"
 )
 
 // Config parameterizes the server. The zero value is usable: GOMAXPROCS
@@ -50,10 +49,10 @@ type Config struct {
 	// restores one from -model-file); otherwise the server creates an
 	// empty one. Config.Model, when also set, is installed on top.
 	Models *calib.Registry
-	// Calib parameterizes the online calibration loop: the observation
-	// window, the drift detector, and the recalibration gates. The zero
-	// value enables automatic recalibration with the calib defaults; set
-	// Calib.DriftThreshold negative to track drift without auto-refitting.
+	// Calib parameterizes the online calibration loop: the refit gate and
+	// the drift threshold. The zero value enables automatic recalibration
+	// with the calib defaults; set Calib.DriftThreshold negative to track
+	// drift without auto-refitting.
 	Calib calib.Config
 	// BudgetFactor, when positive, arms the mid-flight budget abort on
 	// POST /v1/optimize: a compile generating more than BudgetFactor times
@@ -249,18 +248,8 @@ type CalibrateResponse struct {
 	Model    string `json:"model"`
 }
 
-// namedWorkload builds a calibration workload by name (the shared modelio
-// table), turning an unknown name into a 400.
-func namedWorkload(name string, nodes int) (*workload.Workload, error) {
-	w, err := modelio.NamedWorkload(name, nodes)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	return w, nil
-}
-
 // Calibrate compiles a named workload for real at two levels, fits the
-// per-method constants (core.Calibrate), and installs the model for
+// per-method constants (modelio.TrainOn), and installs the model for
 // admission control and predictions. The compilations run through the
 // worker pool one query at a time, so a calibration shares the process
 // fairly with serving traffic.
@@ -273,37 +262,28 @@ func (s *Server) Calibrate(ctx context.Context, req CalibrateRequest) (*Calibrat
 	if nodes != 1 && nodes != 4 {
 		return nil, badRequest("nodes must be 1 or 4, got %d", nodes)
 	}
-	w, err := namedWorkload(req.Workload, nodes)
+	w, err := modelio.NamedWorkload(req.Workload, nodes)
 	if err != nil {
-		return nil, err
+		return nil, badRequest("%v", err)
 	}
-	cfg := cost.Serial
-	if nodes > 1 {
-		cfg = cost.Parallel4
-	}
-	var training []core.TrainingPoint
-	for _, q := range w.Queries {
-		// Two levels per query decorrelate the per-method counts, keeping
-		// the regression well conditioned (as experiments.TrainModel does).
-		for _, level := range []opt.Level{opt.LevelHighInner2, opt.LevelMediumLeftDeep} {
-			res, err := Run(s.pool, ctx, func() (*opt.Result, error) {
-				return opt.Optimize(q.Block, opt.Options{Level: level, Config: cfg})
-			})
-			if err != nil {
-				return nil, fmt.Errorf("calibrate %s: %w", q.Name, err)
-			}
-			training = append(training, core.TrainingPointFrom(res.TotalCounters(), res.Elapsed))
-			res.Release()
+	// A compile error keeps its own class (timeout, queue full, fault); only
+	// a failed fit is the request's fault.
+	var compileErr error
+	model, points, err := modelio.TrainOn(w, nodes, func(blk *query.Block, o opt.Options) (*opt.Result, error) {
+		res, err := Run(s.pool, ctx, func() (*opt.Result, error) { return opt.Optimize(blk, o) })
+		compileErr = err
+		return res, err
+	})
+	if err != nil {
+		if compileErr != nil {
+			return nil, err
 		}
-	}
-	model, err := core.Calibrate(training)
-	if err != nil {
 		return nil, badRequest("calibration failed: %v", err)
 	}
-	if _, err := s.installModel(model, "calibrate", len(training), 0); err != nil {
+	if _, err := s.installModel(model, "calibrate", points, 0); err != nil {
 		return nil, err
 	}
-	return &CalibrateResponse{Workload: w.Name, Points: len(training), Model: model.String()}, nil
+	return &CalibrateResponse{Workload: w.Name, Points: points, Model: model.String()}, nil
 }
 
 // --- HTTP layer ---

@@ -143,6 +143,27 @@ func TestEstimateMeasuredBytesDeterministic(t *testing.T) {
 	}
 }
 
+// A nil memory model is the structural default, as cote.EstimateMemory and
+// experiments.MemFig document: on the headline query it must price exactly
+// what DefaultMemModel prices, and so must an estimate run without one.
+func TestNilMemModelIsStructuralDefault(t *testing.T) {
+	q := workload.Real2(1).Queries[7]
+	est, err := core.EstimatePlans(q.Block, core.Options{Level: experiments.Level})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.EstimateMemory(est, core.DefaultMemModel())
+	if want <= 0 {
+		t.Fatalf("default model prices the headline query at %d bytes", want)
+	}
+	if got := core.EstimateMemory(est, nil); got != want {
+		t.Fatalf("EstimateMemory(est, nil) = %d, DefaultMemModel prices %d", got, want)
+	}
+	if est.PredictedPeakBytes != want {
+		t.Fatalf("PredictedPeakBytes without a model = %d, DefaultMemModel prices %d", est.PredictedPeakBytes, want)
+	}
+}
+
 // TestAccountantAddsNoEstimateAllocs is the alloc guard of the accounting
 // layer: arming a run accountant on the headline estimate must add zero
 // allocations per run — the Accountant is embedded by value in the execution
