@@ -54,9 +54,10 @@ func (o Options) level() opt.Level {
 	return o.Level
 }
 
-// BlockEstimate is the estimation outcome for one query block.
+// BlockEstimate is the estimation outcome for one query block. It holds
+// values only, never a pointer: a cached Estimate must not reach the block
+// it was computed from, which lives in a request's statement arena.
 type BlockEstimate struct {
-	Block     *query.Block
 	Counts    PlanCounts
 	EnumStats enum.Stats
 	// Entries is the number of MEMO entries the enumeration created.
@@ -244,7 +245,6 @@ func (ws *workspace) estimate(opts Options) (*BlockEstimate, float64, error) {
 	}
 
 	return &BlockEstimate{
-		Block:         blk,
 		Counts:        cnt.counts,
 		EnumStats:     st,
 		Entries:       mem.NumEntries(),

@@ -196,3 +196,26 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 		t.Fatalf("empty JSONObject = %q, want %q", got, "x{}")
 	}
 }
+
+// TestBlockEstimateHoldsNoPointers pins that a cached estimate cannot reach
+// the statement it was computed from: the service parses and rebuilds
+// statements in pooled arenas that the next request overwrites, so every
+// field of BlockEstimate, at any depth, is a value.
+func TestBlockEstimateHoldsNoPointers(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		}
+	}
+	check("BlockEstimate", reflect.TypeOf(BlockEstimate{}))
+}

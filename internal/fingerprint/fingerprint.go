@@ -57,10 +57,9 @@ package fingerprint
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -88,14 +87,19 @@ func (f FP) IsZero() bool { return f == FP{} }
 type Analysis struct {
 	FP       FP
 	blk      *query.Block
-	rank     []int      // rank[i] = canonical position of table i
+	rank     ranks      // rank[i] = canonical position of table i
 	children []Analysis // per table index, set for derived tables; nil without any
 }
+
+// ranks maps table indexes to canonical positions; Finalize bounds a block
+// to bitset.MaxElems tables, so a position fits a byte.
+type ranks [bitset.MaxElems]uint8
 
 // Analyze fingerprints blk. The block must be finalized (implied predicates
 // present — they are part of the structure the enumerator sees). Nested
 // blocks are analyzed recursively; the child fingerprints stand in for the
-// derived tables in the parent's encoding.
+// derived tables in the parent's encoding. Its working storage is on the
+// stack for blocks of up to bitset.MaxElems predicates of each kind.
 func Analyze(blk *query.Block) Analysis {
 	a := Analysis{blk: blk}
 	for i, t := range blk.Tables {
@@ -106,8 +110,8 @@ func Analyze(blk *query.Block) Analysis {
 			a.children[i] = Analyze(t.Derived)
 		}
 	}
-	a.rank = canonicalOrder(blk, a.children)
-	a.FP = hashEncoding(encodeBlock(blk, a.rank, a.children))
+	canonicalOrder(blk, a.children, &a.rank)
+	a.FP = encodeBlock(blk, &a.rank, a.children)
 	return a
 }
 
@@ -120,7 +124,13 @@ func Analyze(blk *query.Block) Analysis {
 // rebuilding a block the query package already accepted cannot ordinarily
 // fail.
 func (a Analysis) Canonical() (*query.Block, error) {
-	return rebuild(a.blk, a.rank, a.children)
+	return a.CanonicalIn(new(query.Arena))
+}
+
+// CanonicalIn is Canonical with the rebuild carved from ar: it is valid
+// until ar's next Reset.
+func (a Analysis) CanonicalIn(ar *query.Arena) (*query.Block, error) {
+	return rebuild(ar, a.blk, a.rank, a.children)
 }
 
 // Of computes the structural fingerprint of a block: Analyze(blk).FP.
@@ -134,12 +144,13 @@ func Canonical(blk *query.Block) (*query.Block, FP, error) {
 	return cb, a.FP, err
 }
 
-func hashEncoding(enc []byte) FP {
-	h := fnv.New128a()
-	h.Write(enc)
-	var sum [16]byte
-	s := h.Sum(sum[:0])
-	return FP{Hi: binary.BigEndian.Uint64(s[:8]), Lo: binary.BigEndian.Uint64(s[8:])}
+// orHeap returns n elements of buf, or of a new slice when buf is too
+// short: the stack holds the working set of every block up to its bound.
+func orHeap[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // encVersion guards the encoding layout: bump it whenever the byte format
@@ -245,10 +256,10 @@ type refiner struct {
 	blk      *query.Block
 	colors   []uint64 // per table
 	scratch  []uint64 // one word per table: sorted colours, an outer join's required colours
-	prev     []int    // class ids of the partition before and after a round
-	cur      []int
+	prev     []uint8  // class ids of the partition before and after a round
+	cur      []uint8
 	edges    []edge
-	contribs []contrib // one per predicate endpoint and outer-join constraint
+	contribs []contrib // capacity for one round: a contribution per predicate endpoint and outer-join constraint
 }
 
 // round rehashes every table's colour with its neighbours' current colours:
@@ -266,15 +277,14 @@ func (r *refiner) round() {
 		}
 		cs = append(cs, contrib{oj.NullProducing, foldSorted(tagOJNullProducing, req)})
 	}
-	r.contribs = cs
 	foldByTable(r.colors, cs)
 }
 
 // classIDs maps colors to dense class ids numbered in order of first
 // appearance — used only to detect whether the partition changed, never for
 // ordering, so the index dependence is harmless.
-func classIDs(colors []uint64, ids []int) {
-	next := 0
+func classIDs(colors []uint64, ids []uint8) {
+	next := uint8(0)
 	for i, c := range colors {
 		if j := slices.Index(colors[:i], c); j >= 0 {
 			ids[i] = ids[j]
@@ -310,19 +320,24 @@ func (r *refiner) smallestTie() (tied uint64, found bool) {
 	return 0, false
 }
 
-// canonicalOrder returns rank[i] = canonical position of table i, computed
-// by color refinement with individualization over the join graph.
-func canonicalOrder(blk *query.Block, children []Analysis) []int {
+// canonicalOrder sets rank[i] to the canonical position of table i,
+// computed by color refinement with individualization over the join graph.
+func canonicalOrder(blk *query.Block, children []Analysis, rank *ranks) {
 	n := blk.NumTables()
-	rank := make([]int, n)
 	if n == 1 {
-		return rank
+		rank[0] = 0
+		return
 	}
-	words, ids := make([]uint64, 2*n), make([]int, 2*n)
+	var (
+		words    [2 * bitset.MaxElems]uint64
+		ids      [2 * bitset.MaxElems]uint8
+		edges    [bitset.MaxElems]edge
+		contribs [2 * bitset.MaxElems]contrib
+	)
 	r := refiner{
-		blk: blk, colors: words[:n:n], scratch: words[n:], prev: ids[:n:n], cur: ids[n:],
-		edges:    make([]edge, len(blk.JoinPreds)),
-		contribs: make([]contrib, 0, 2*len(blk.JoinPreds)+(n+1)*len(blk.OuterJoins)),
+		blk: blk, colors: words[:n:n], scratch: words[n : 2*n], prev: ids[:n:n], cur: ids[n : 2*n],
+		edges:    orHeap(edges[:], len(blk.JoinPreds)),
+		contribs: orHeap(contribs[:], 2*len(blk.JoinPreds)+(n+1)*len(blk.OuterJoins))[:0],
 	}
 	initialColors(blk, children, r.colors)
 	for i, p := range blk.JoinPreds {
@@ -359,18 +374,14 @@ func canonicalOrder(blk *query.Block, children []Analysis) []int {
 	// the individualization loop bailed out).
 	idx := r.cur
 	for i := range idx {
-		idx[i] = i
+		idx[i] = uint8(i)
 	}
-	slices.SortFunc(idx, func(a, b int) int {
-		if c := cmp.Compare(r.colors[a], r.colors[b]); c != 0 {
-			return c
-		}
-		return a - b
+	slices.SortFunc(idx, func(a, b uint8) int {
+		return cmp.Or(cmp.Compare(r.colors[a], r.colors[b]), cmp.Compare(a, b))
 	})
 	for pos, i := range idx {
-		rank[i] = pos
+		rank[i] = uint8(pos)
 	}
-	return rank
 }
 
 // indexShapes returns, in buf's storage, one hash per index of t: uniqueness
@@ -421,7 +432,8 @@ func initialColors(blk *query.Block, children []Analysis, colors []uint64) {
 		colors[i] = h
 	}
 	// Local predicates contribute per owning table as a multiset.
-	cs := make([]contrib, 0, len(blk.LocalPreds)+len(blk.GroupBy)+len(blk.OrderBy)+len(blk.Select))
+	var buf [bitset.MaxElems]contrib
+	cs := orHeap(buf[:], len(blk.LocalPreds)+len(blk.GroupBy)+len(blk.OrderBy)+len(blk.Select))[:0]
 	for _, lp := range blk.LocalPreds {
 		ph := mix(tagLocalPred, uint64(lp.Op))
 		ph = mix(ph, colOrd(blk, lp.Col))
@@ -447,11 +459,20 @@ func initialColors(blk *query.Block, children []Analysis, colors []uint64) {
 	foldByTable(colors, cs)
 }
 
-// encoder accumulates the canonical byte string.
-type encoder struct{ buf []byte }
+// encoder hashes the canonical byte string as it is written: FNV-128a, as
+// hash/fnv computes it, over each word's eight little-endian bytes. The
+// encoding is never held whole.
+type encoder struct{ hi, lo uint64 }
+
+func newEncoder() encoder { return encoder{hi: 0x6c62272e07bb0142, lo: 0x62b821756295c58d} }
 
 func (e *encoder) u64(v uint64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	const prime = 0x13b // the FNV-128 prime is 2^88 + 0x13b
+	for i := 0; i < 8; i, v = i+1, v>>8 {
+		e.lo ^= v & 0xff
+		hi, lo := bits.Mul64(prime, e.lo)
+		e.hi, e.lo = hi+e.lo<<24+prime*e.hi, lo
+	}
 }
 
 func (e *encoder) words(vs ...uint64) {
@@ -460,19 +481,16 @@ func (e *encoder) words(vs ...uint64) {
 	}
 }
 
-// encodeBlock serializes the block exactly under canonical table numbering.
-func encodeBlock(blk *query.Block, rank []int, children []Analysis) []byte {
+// encodeBlock serializes the block exactly under canonical table numbering
+// and returns the hash of the serialization.
+func encodeBlock(blk *query.Block, rank *ranks, children []Analysis) FP {
 	n := blk.NumTables()
-	inv := make([]int, n) // canonical position -> table index
-	for i, r := range rank {
-		inv[r] = i
+	var inv ranks // canonical position -> table index
+	for i := range n {
+		inv[rank[i]] = uint8(i)
 	}
 
-	// The buffer is sized once; only a schema with more than a handful of
-	// indexes and partitioning columns per table makes append regrow it.
-	words := 16 + 16*n + 6*len(blk.LocalPreds) + 8*len(blk.JoinPreds) + (2+n)*len(blk.OuterJoins) +
-		3*(len(blk.GroupBy)+len(blk.OrderBy)+len(blk.Select))
-	e := encoder{buf: make([]byte, 0, 8*words)}
+	e := newEncoder()
 	var ixBuf [8]uint64
 	e.words(encVersion, uint64(n))
 
@@ -513,7 +531,8 @@ func encodeBlock(blk *query.Block, rank []int, children []Analysis) []byte {
 	// Local predicates: sorted tuple list (order in the block is not
 	// structural). One scratch slice serves this sort and the join
 	// predicates'; the two words a local predicate leaves unused stay zero.
-	tuples := make([][8]uint64, 0, max(len(blk.LocalPreds), len(blk.JoinPreds)))
+	var tupleBuf [bitset.MaxElems][8]uint64
+	tuples := orHeap(tupleBuf[:], max(len(blk.LocalPreds), len(blk.JoinPreds)))[:0]
 	byWords := func(a, b [8]uint64) int { return slices.Compare(a[:], b[:]) }
 	lps := tuples
 	for _, lp := range blk.LocalPreds {
@@ -557,20 +576,14 @@ func encodeBlock(blk *query.Block, rank []int, children []Analysis) []byte {
 
 	// Outer joins: (canonical null-producing table, sorted canonical
 	// PredReq members), sorted.
-	ojs := make([][]uint64, 0, len(blk.OuterJoins))
-	for _, oj := range blk.OuterJoins {
-		row := []uint64{uint64(rank[oj.NullProducing])}
-		for m := oj.PredReq.Next(0); m >= 0; m = oj.PredReq.Next(m + 1) {
-			row = append(row, uint64(rank[m]))
-		}
-		slices.Sort(row[1:])
-		ojs = append(ojs, row)
-	}
-	slices.SortFunc(ojs, func(a, b []uint64) int { return slices.Compare(a, b) })
+	var ojBuf [bitset.MaxElems]ojRow
+	ojs := canonOuterJoins(blk, rank, ojBuf[:])
 	e.u64(uint64(len(ojs)))
 	for _, row := range ojs {
-		e.u64(uint64(len(row)))
-		e.words(row...)
+		e.words(uint64(1+row.req.Len()), uint64(row.null))
+		for m := row.req.Next(0); m >= 0; m = row.req.Next(m + 1) {
+			e.u64(uint64(m))
+		}
 	}
 
 	// Ordered clauses: element order is semantic, so it is preserved.
@@ -585,7 +598,43 @@ func encodeBlock(blk *query.Block, rank []int, children []Analysis) []byte {
 	clause(tagOrderBy, blk.OrderBy)
 	clause(tagSelect, blk.Select)
 	e.words(uint64(blk.NumAggs), uint64(blk.FirstN))
-	return e.buf
+	return FP{Hi: e.hi, Lo: e.lo}
+}
+
+// ojRow is one outer join under canonical numbering: the null-producing
+// table's position and the set of positions of the tables it requires.
+type ojRow struct {
+	null uint8
+	req  bitset.Set
+}
+
+// canonOuterJoins returns blk's outer joins under rank, in buf's storage,
+// sorted as the rows (null position, required positions ascending) compare
+// lexicographically — the order the encoding writes them in and the rebuild
+// adds them in.
+func canonOuterJoins(blk *query.Block, rank *ranks, buf []ojRow) []ojRow {
+	rows := orHeap(buf, len(blk.OuterJoins))
+	for i, oj := range blk.OuterJoins {
+		var req bitset.Set
+		for m := oj.PredReq.Next(0); m >= 0; m = oj.PredReq.Next(m + 1) {
+			req = req.Add(int(rank[m]))
+		}
+		rows[i] = ojRow{null: rank[oj.NullProducing], req: req}
+	}
+	slices.SortFunc(rows, func(a, b ojRow) int {
+		if c := cmp.Compare(a.null, b.null); c != 0 {
+			return c
+		}
+		x, y := a.req, b.req
+		for !x.Empty() && !y.Empty() {
+			if c := cmp.Compare(x.Min(), y.Min()); c != 0 {
+				return c
+			}
+			x, y = x.Remove(x.Min()), y.Remove(y.Min())
+		}
+		return cmp.Compare(x.Len(), y.Len()) // a prefix sorts first
+	})
+	return rows
 }
 
 // canonAlias[pos] is the alias a canonical block gives the table at position
@@ -602,19 +651,21 @@ var canonAlias = func() (a [bitset.MaxElems]string) {
 // added in canonically sorted order (implied ones are re-derived by
 // Finalize from the same inputs, so they come out identical), and nested
 // blocks are rebuilt recursively. The output is a pure function of the
-// fingerprint encoding.
-func rebuild(blk *query.Block, rank []int, children []Analysis) (*query.Block, error) {
+// fingerprint encoding. The rebuilt blocks are carved from ar; the sort
+// scratch is on the stack for blocks of up to bitset.MaxElems predicates
+// of each kind.
+func rebuild(ar *query.Arena, blk *query.Block, rank ranks, children []Analysis) (*query.Block, error) {
 	n := blk.NumTables()
-	inv := make([]int, n)
-	for i, r := range rank {
-		inv[r] = i
+	var inv ranks
+	for i := range n {
+		inv[rank[i]] = uint8(i)
 	}
-	qb := query.NewBuilder(blk.Name, blk.Catalog)
+	qb := ar.NewBuilder(blk.Name, blk.Catalog)
 	for pos := 0; pos < n; pos++ {
 		ref := blk.Tables[inv[pos]]
 		alias := canonAlias[pos]
 		if ref.IsDerived() {
-			child, err := children[ref.Index].Canonical()
+			child, err := children[ref.Index].CanonicalIn(ar)
 			if err != nil {
 				return nil, err
 			}
@@ -625,7 +676,7 @@ func rebuild(blk *query.Block, rank []int, children []Analysis) (*query.Block, e
 	}
 	mapCol := func(id query.ColID) query.ColID {
 		ref := blk.Column(id).Ref
-		return qb.ColByTableIndex(rank[ref.Index], int(id-ref.FirstCol))
+		return qb.ColByTableIndex(int(rank[ref.Index]), int(id-ref.FirstCol))
 	}
 
 	// Join predicates in canonical orientation and canonically sorted order
@@ -636,7 +687,8 @@ func rebuild(blk *query.Block, rank []int, children []Analysis) (*query.Block, e
 		left, right query.ColID
 		op          query.PredOp
 	}
-	jps := make([]jp, 0, len(blk.JoinPreds))
+	var jpBuf [bitset.MaxElems]jp
+	jps := orHeap(jpBuf[:], len(blk.JoinPreds))[:0]
 	for _, p := range blk.JoinPreds {
 		if p.Implied {
 			continue
@@ -660,7 +712,8 @@ func rebuild(blk *query.Block, rank []int, children []Analysis) (*query.Block, e
 		key  [5]uint64
 		pred query.LocalPred
 	}
-	lps := make([]lp, 0, len(blk.LocalPreds))
+	var lpBuf [bitset.MaxElems]lp
+	lps := orHeap(lpBuf[:], len(blk.LocalPreds))[:0]
 	for _, p := range blk.LocalPreds {
 		if p.Implied {
 			continue
@@ -683,31 +736,21 @@ func rebuild(blk *query.Block, rank []int, children []Analysis) (*query.Block, e
 		}
 	}
 
-	type oj struct {
-		key  []uint64
-		null int
-		req  []int
-	}
-	var ojs []oj
-	for _, o := range blk.OuterJoins {
-		row := oj{null: rank[o.NullProducing], key: []uint64{uint64(rank[o.NullProducing])}}
-		for m := o.PredReq.Next(0); m >= 0; m = o.PredReq.Next(m + 1) {
-			row.req = append(row.req, rank[m])
+	var ojBuf [bitset.MaxElems]ojRow
+	var req [bitset.MaxElems]int
+	for _, o := range canonOuterJoins(blk, &rank, ojBuf[:]) {
+		n := 0
+		for m := o.req.Next(0); m >= 0; m = o.req.Next(m + 1) {
+			req[n] = m
+			n++
 		}
-		slices.Sort(row.req)
-		for _, r := range row.req {
-			row.key = append(row.key, uint64(r))
-		}
-		ojs = append(ojs, row)
-	}
-	slices.SortFunc(ojs, func(a, b oj) int { return slices.Compare(a.key, b.key) })
-	for _, o := range ojs {
-		qb.LeftOuter(o.null, o.req...)
+		qb.LeftOuter(int(o.null), req[:n]...)
 	}
 
 	// The builder copies what it is handed, so one buffer serves all three
 	// clauses.
-	buf := make([]query.ColID, 0, max(len(blk.GroupBy), len(blk.OrderBy), len(blk.Select)))
+	var colBuf [bitset.MaxElems]query.ColID
+	buf := orHeap(colBuf[:], max(len(blk.GroupBy), len(blk.OrderBy), len(blk.Select)))
 	mapCols := func(cols []query.ColID) []query.ColID {
 		buf = buf[:0]
 		for _, c := range cols {

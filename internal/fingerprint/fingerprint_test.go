@@ -392,7 +392,9 @@ func TestDeterministicAcrossRebuilds(t *testing.T) {
 // TestAnalyzeOnceMatchesOfAndCanonical pins the contract the serving
 // pipeline relies on when it analyzes a statement once: the analysis carries
 // Of's fingerprint, rebuilds Canonical's block, and doing both from one
-// analysis allocates strictly less than calling Of and Canonical separately.
+// analysis allocates no more than calling Of and Canonical separately. The
+// analysis itself allocates only for nested blocks (their analyses), so Of
+// of a single block allocates nothing.
 func TestAnalyzeOnceMatchesOfAndCanonical(t *testing.T) {
 	for _, w := range allWorkloads() {
 		for _, q := range w.Queries {
@@ -416,10 +418,13 @@ func TestAnalyzeOnceMatchesOfAndCanonical(t *testing.T) {
 				a := fingerprint.Analyze(q.Block)
 				_, _ = a.Canonical()
 			})
-			twice := testing.AllocsPerRun(5, func() { fingerprint.Of(q.Block) }) +
-				testing.AllocsPerRun(5, func() { _, _, _ = fingerprint.Canonical(q.Block) })
-			if once >= twice {
+			of := testing.AllocsPerRun(5, func() { fingerprint.Of(q.Block) })
+			twice := of + testing.AllocsPerRun(5, func() { _, _, _ = fingerprint.Canonical(q.Block) })
+			if once > twice {
 				t.Errorf("%s/%s: Analyze+Canonical() %v allocs, Of+Canonical %v", w.Name, q.Name, once, twice)
+			}
+			if len(q.Block.Blocks()) == 1 && of != 0 {
+				t.Errorf("%s/%s: Of = %v allocs, want 0", w.Name, q.Name, of)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 
 	"cote/internal/catalog"
 )
@@ -15,30 +14,26 @@ import (
 // tables/columns, duplicate aliases); the terminal Build call finalizes the
 // block.
 type Builder struct {
+	a   *Arena
 	b   *Block
 	err error
-	// refs and cols are the slabs table references and their column
-	// instances are carved from: a FROM list costs a chunk or two, not one
-	// object per table and per column.
-	refs []TableRef
-	cols []ColumnRef
 }
 
-// carve returns n zeroed elements of slab storage. An exhausted slab is
-// replaced by a larger chunk, never regrown in place: the elements already
-// handed out are pointed to from the block and stay where they are.
-func carve[T any](slab *[]T, n int) []T {
-	if cap(*slab)-len(*slab) < n {
-		*slab = make([]T, 0, max(4*n, 2*cap(*slab)))
-	}
-	from := len(*slab)
-	*slab = (*slab)[:from+n]
-	return (*slab)[from:]
-}
-
-// NewBuilder starts a block named name over the given catalog.
+// NewBuilder starts a block named name over the given catalog, in a fresh
+// arena the block keeps.
 func NewBuilder(name string, cat *catalog.Catalog) *Builder {
-	return &Builder{b: &Block{Name: name, Catalog: cat}}
+	return new(Arena).NewBuilder(name, cat)
+}
+
+// NewBuilder starts a block named name over the given catalog, carved from
+// the arena: the block, and everything Build and Finalize give it, is valid
+// until the arena's next Reset.
+func (a *Arena) NewBuilder(name string, cat *catalog.Catalog) *Builder {
+	qb := &a.builders.take(1)[0]
+	qb.a = a
+	qb.b = &a.blocks.take(1)[0]
+	qb.b.Name, qb.b.Catalog = name, cat
+	return qb
 }
 
 // Err returns the first error encountered, if any. All mutating methods are
@@ -85,8 +80,8 @@ func (qb *Builder) AddDerived(child *Block, alias string, correlated bool) int {
 		qb.fail("derived table %q: child block has an empty select list", alias)
 		return -1
 	}
-	synth := make([]catalog.Column, len(child.Select))
-	cols := make([]*catalog.Column, len(child.Select))
+	synth := qb.a.synth.take(len(child.Select))
+	cols := qb.a.synPtrs.take(len(child.Select))
 	for i, id := range child.Select {
 		src := child.Column(id)
 		synth[i] = catalog.Column{Name: src.Col.Name, NDV: src.Col.NDV, Ordinal: i}
@@ -101,15 +96,14 @@ func (qb *Builder) addRef(r TableRef, cols []*catalog.Column) int {
 		qb.fail("duplicate alias %q", r.Alias)
 		return -1
 	}
-	ref := &carve(&qb.refs, 1)[0]
+	ref := &qb.a.refs.take(1)[0]
 	*ref = r
 	ref.Index = len(qb.b.Tables)
 	ref.FirstCol = ColID(len(qb.b.Columns))
 	ref.NumCols = len(cols)
-	slab := carve(&qb.cols, len(cols))
-	// Each pointer list grows in step with the slab it points into.
-	qb.b.Tables = append(slices.Grow(qb.b.Tables, cap(qb.refs)-len(qb.refs)+1), ref)
-	qb.b.Columns = slices.Grow(qb.b.Columns, cap(qb.cols)-len(qb.cols)+len(cols))
+	slab := qb.a.cols.take(len(cols))
+	qb.b.Tables = append(qb.a.refPtrs.grow(qb.b.Tables, 1), ref)
+	qb.b.Columns = qb.a.colPtrs.grow(qb.b.Columns, len(cols))
 	for i, c := range cols {
 		slab[i] = ColumnRef{ID: ref.FirstCol + ColID(i), Ref: ref, Col: c}
 		qb.b.Columns = append(qb.b.Columns, &slab[i])
@@ -227,12 +221,7 @@ func (qb *Builder) Join(left, right ColID, op PredOp) *Builder {
 		return qb.fail("join predicate within one table (%s %s %s)",
 			qb.b.Column(left), op, qb.b.Column(right))
 	}
-	if qb.b.JoinPreds == nil {
-		// Skip the 1-2-4 regrowth of the first appends: a join block has a
-		// handful of predicates, and the closure appends behind them.
-		qb.b.JoinPreds = make([]JoinPred, 0, 8)
-	}
-	qb.b.JoinPreds = append(qb.b.JoinPreds, JoinPred{Left: left, Right: right, Op: op})
+	qb.b.JoinPreds = append(qb.a.joins.grow(qb.b.JoinPreds, 1), JoinPred{Left: left, Right: right, Op: op})
 	return qb
 }
 
@@ -253,7 +242,7 @@ func (qb *Builder) Filter(col ColID, op PredOp, selectivity float64) *Builder {
 	if selectivity < 0 || selectivity > 1 {
 		return qb.fail("selectivity %v out of [0,1]", selectivity)
 	}
-	qb.b.LocalPreds = append(qb.b.LocalPreds, LocalPred{Col: col, Op: op, Selectivity: selectivity})
+	qb.b.LocalPreds = append(qb.a.locals.grow(qb.b.LocalPreds, 1), LocalPred{Col: col, Op: op, Selectivity: selectivity})
 	return qb
 }
 
@@ -272,7 +261,7 @@ func (qb *Builder) ExpensiveFilter(col ColID, selectivity float64) *Builder {
 	if col == NoCol {
 		return qb.fail("expensive predicate with unresolved column")
 	}
-	qb.b.LocalPreds = append(qb.b.LocalPreds, LocalPred{Col: col, Op: Eq, Selectivity: selectivity, Expensive: true})
+	qb.b.LocalPreds = append(qb.a.locals.grow(qb.b.LocalPreds, 1), LocalPred{Col: col, Op: Eq, Selectivity: selectivity, Expensive: true})
 	return qb
 }
 
@@ -293,7 +282,7 @@ func (qb *Builder) LeftOuter(null int, predReq ...int) *Builder {
 		}
 		oj.PredReq = oj.PredReq.Add(p)
 	}
-	qb.b.OuterJoins = append(qb.b.OuterJoins, oj)
+	qb.b.OuterJoins = append(qb.a.outers.grow(qb.b.OuterJoins, 1), oj)
 	return qb
 }
 
@@ -307,7 +296,7 @@ func (qb *Builder) GroupBy(cols ...ColID) *Builder {
 			return qb.fail("group by with unresolved column")
 		}
 	}
-	qb.b.GroupBy = append(qb.b.GroupBy, cols...)
+	qb.b.GroupBy = append(qb.a.colIDs.grow(qb.b.GroupBy, len(cols)), cols...)
 	return qb
 }
 
@@ -321,7 +310,7 @@ func (qb *Builder) OrderBy(cols ...ColID) *Builder {
 			return qb.fail("order by with unresolved column")
 		}
 	}
-	qb.b.OrderBy = append(qb.b.OrderBy, cols...)
+	qb.b.OrderBy = append(qb.a.colIDs.grow(qb.b.OrderBy, len(cols)), cols...)
 	return qb
 }
 
@@ -336,7 +325,7 @@ func (qb *Builder) SelectCols(cols ...ColID) *Builder {
 			return qb.fail("select with unresolved column")
 		}
 	}
-	qb.b.Select = append(qb.b.Select, cols...)
+	qb.b.Select = append(qb.a.colIDs.grow(qb.b.Select, len(cols)), cols...)
 	return qb
 }
 
@@ -370,9 +359,9 @@ func (qb *Builder) Build() (*Block, error) {
 		return nil, qb.err
 	}
 	if len(qb.b.Select) == 0 && len(qb.b.Tables) > 0 {
-		qb.b.Select = []ColID{qb.b.Tables[0].FirstCol}
+		qb.b.Select = append(qb.a.colIDs.take(1)[:0], qb.b.Tables[0].FirstCol)
 	}
-	if err := qb.b.Finalize(); err != nil {
+	if err := qb.b.finalize(qb.a); err != nil {
 		return nil, err
 	}
 	return qb.b, nil

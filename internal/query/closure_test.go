@@ -23,7 +23,7 @@ import (
 // --- the oracle: the closure before the maps went ---
 
 func oracleTransitiveClosure(b *Block) {
-	uf := newUnionFind(len(b.Columns))
+	uf := newUnionFind(make([]int32, len(b.Columns)))
 	for _, p := range b.JoinPreds {
 		if p.Op == Eq {
 			uf.union(int(p.Left), int(p.Right))

@@ -69,7 +69,7 @@ func oracleFlatten(u *unionFind) {
 }
 
 func oracleEquivWithin(b *Block, s bitset.Set) []int32 {
-	uf := newUnionFind(len(b.Columns))
+	uf := newUnionFind(make([]int32, len(b.Columns)))
 	for i := range b.JoinPreds {
 		p := &b.JoinPreds[i]
 		if p.Op != Eq {
@@ -80,7 +80,7 @@ func oracleEquivWithin(b *Block, s bitset.Set) []int32 {
 			uf.union(int(p.Left), int(p.Right))
 		}
 	}
-	oracleFlatten(uf)
+	oracleFlatten(&uf)
 	return uf.parent
 }
 

@@ -247,8 +247,11 @@ func (b *Block) Blocks() []*Block {
 // the transitive closure of equality predicates (adding implied join and
 // local predicates), and builds the join-graph adjacency caches. It must be
 // called exactly once, after construction and before optimization; nested
-// blocks are finalized recursively.
-func (b *Block) Finalize() error {
+// blocks are finalized recursively. Its indexes are carved from a fresh
+// arena; a builder's Build finalizes into the builder's arena.
+func (b *Block) Finalize() error { return b.finalize(new(Arena)) }
+
+func (b *Block) finalize(a *Arena) error {
 	if b.finalized {
 		return fmt.Errorf("query %q: already finalized", b.Name)
 	}
@@ -264,12 +267,12 @@ func (b *Block) Finalize() error {
 			return fmt.Errorf("query %q: table %q has index %d at position %d", b.Name, t.Alias, t.Index, i)
 		}
 		if t.Derived != nil && !t.Derived.finalized {
-			if err := t.Derived.Finalize(); err != nil {
+			if err := t.Derived.finalize(a); err != nil {
 				return err
 			}
 		}
 	}
-	b.colTable = make([]int32, len(b.Columns))
+	b.colTable = a.int32s.take(len(b.Columns))
 	for i, c := range b.Columns {
 		b.colTable[i] = int32(c.Ref.Index)
 	}
@@ -290,8 +293,8 @@ func (b *Block) Finalize() error {
 	}
 
 	b.defaultSelectivities()
-	b.transitiveClosure()
-	b.buildAdjacency()
+	b.transitiveClosure(a)
+	b.buildAdjacency(a)
 	b.finalized = true
 	return nil
 }
@@ -335,7 +338,7 @@ func (b *Block) defaultSelectivities() {
 // ascending order of their union-find root, within a class the member pairs
 // (i, j) in ascending ColID order, then the members lacking a constant in
 // ascending ColID order.
-func (b *Block) transitiveClosure() {
+func (b *Block) transitiveClosure(a *Arena) {
 	nEq := 0
 	for i := range b.JoinPreds {
 		if b.JoinPreds[i].Op == Eq {
@@ -345,14 +348,14 @@ func (b *Block) transitiveClosure() {
 	if nEq == 0 {
 		return
 	}
-	uf := newUnionFind(len(b.Columns))
+	uf := newUnionFind(a.int32s.take(len(b.Columns)))
 	// Only endpoints of equality predicates sit in a class of two or more, so
 	// only they are gathered: edges holds the predicates as written, keyed
 	// (smaller, larger) column and sorted, for the "already joined" test;
 	// members holds their endpoints keyed (class root, column), sorted and
 	// deduplicated, which is the visit order above.
 	key := func(hi, lo ColID) uint64 { return uint64(hi)<<32 | uint64(lo) }
-	scratch := make([]uint64, 3*nEq)
+	scratch := a.words.take(3 * nEq)
 	edges, members := scratch[:0:nEq], scratch[nEq:nEq]
 	for _, p := range b.JoinPreds {
 		if p.Op == Eq {
@@ -388,7 +391,7 @@ func (b *Block) transitiveClosure() {
 				if _, have := slices.BinarySearch(edges, key(l, r)); have {
 					continue
 				}
-				b.JoinPreds = append(b.JoinPreds, JoinPred{Left: l, Right: r, Op: Eq, Implied: true})
+				b.JoinPreds = append(a.joins.grow(b.JoinPreds, 1), JoinPred{Left: l, Right: r, Op: Eq, Implied: true})
 			}
 		}
 		// Implied local equality predicates: the first a = const written on
@@ -411,11 +414,11 @@ func (b *Block) transitiveClosure() {
 	}
 }
 
-func (b *Block) buildAdjacency() {
-	b.adjacency = make([]bitset.Set, len(b.Tables))
+func (b *Block) buildAdjacency(a *Arena) {
+	b.adjacency = a.sets.take(len(b.Tables))
 	b.predWords = (len(b.JoinPreds) + 63) / 64
-	b.inc = make([][2]uint64, len(b.Tables)*b.predWords)
-	b.eqMask = make([]uint64, b.predWords)
+	b.inc = a.incs.take(len(b.Tables) * b.predWords)
+	b.eqMask = a.words.take(b.predWords)
 	for i, p := range b.JoinPreds {
 		lt, rt := b.TableOf(p.Left), b.TableOf(p.Right)
 		b.adjacency[lt] = b.adjacency[lt].Add(rt)
@@ -538,8 +541,10 @@ type unionFind struct {
 	parent []int32
 }
 
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int32, n)}
+// newUnionFind makes singleton classes of the columns over parent, one
+// element per column.
+func newUnionFind(parent []int32) unionFind {
+	uf := unionFind{parent: parent}
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
 	}

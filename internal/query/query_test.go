@@ -317,7 +317,7 @@ func TestEquivRepsAreUnionFindRoots(t *testing.T) {
 	blk := qb.MustBuild()
 
 	for s := bitset.Set(1); s < 1<<len(names); s++ {
-		uf := newUnionFind(len(blk.Columns))
+		uf := newUnionFind(make([]int32, len(blk.Columns)))
 		for i := range blk.JoinPreds {
 			p := &blk.JoinPreds[i]
 			if p.Op == Eq && s.Contains(blk.TableOf(p.Left)) && s.Contains(blk.TableOf(p.Right)) {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"cote/internal/testutil"
 )
 
 // Service hot-path benchmarks: the full request path (parse, cache, pool,
@@ -38,19 +40,20 @@ type requestBody struct{ bytes.Reader }
 
 func (*requestBody) Close() error { return nil }
 
-// BenchmarkServiceHTTPEstimateCacheHit measures the cached path as a client
-// sees it, through the handler: the body decode and the response encode
-// around BenchmarkServiceEstimateCacheHit's work (no socket).
-func BenchmarkServiceHTTPEstimateCacheHit(b *testing.B) {
+// estimateHitServer returns a function that sends one /v1/estimate request
+// through a fresh server's handler (no socket) and fails tb unless it is
+// answered; the request has been served once, so every later call is a
+// cache hit.
+func estimateHitServer(tb testing.TB) func() {
 	srv := New(Config{Workers: 4})
 	h := srv.Handler()
 	body, err := json.Marshal(EstimateRequest{Catalog: "tpch", SQL: tpchQ6})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	req, err := http.NewRequest(http.MethodPost, "/v1/estimate", nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var rb requestBody
 	req.Body = &rb
@@ -60,14 +63,39 @@ func BenchmarkServiceHTTPEstimateCacheHit(b *testing.B) {
 		w.status, w.n = 0, 0
 		h.ServeHTTP(w, req)
 		if w.status != http.StatusOK || w.n == 0 {
-			b.Fatalf("status %d, %d body bytes", w.status, w.n)
+			tb.Fatalf("status %d, %d body bytes", w.status, w.n)
 		}
 	}
 	serve()
+	return serve
+}
+
+// BenchmarkServiceHTTPEstimateCacheHit measures the cached path as a client
+// sees it, through the handler: the body decode and the response encode
+// around BenchmarkServiceEstimateCacheHit's work (no socket).
+func BenchmarkServiceHTTPEstimateCacheHit(b *testing.B) {
+	serve := estimateHitServer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve()
+	}
+}
+
+// TestServiceEstimateHitAllocs pins what a warm cache hit allocates through
+// the handler, BenchmarkServiceHTTPEstimateCacheHit's request. The parse,
+// fingerprint and canonical state is carved from the pooled statement arena
+// or kept on the stack, so what is left is the request decode, the timeout
+// context, the priced copy of the estimate with its response, and the
+// response write. Measured with go1.24.0, warm and with the GC held off; the
+// ceiling is exact, so one more allocation fails.
+func TestServiceEstimateHitAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("-race changes allocation counts")
+	}
+	const want = 19
+	if got, _ := testutil.AllocsWithoutGC(100, estimateHitServer(t)); got > want {
+		t.Errorf("cached estimate through the handler = %.2f allocs, want <= %d", got, want)
 	}
 }
 

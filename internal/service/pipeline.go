@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
 	"cote/internal/calib"
@@ -20,6 +21,32 @@ import (
 // begin → resolve → parse → estimate → price (DESIGN.md §9 has the table).
 // Each SQL text is parsed and analyzed exactly once per request, and each
 // (statement, level) reaches the cache at most once per request.
+
+// statementArenas is the pool of statement arenas (DESIGN.md §16): a request
+// parses its statements into one arena, a miss rebuilds the canonical block
+// into the same one, and the endpoint method that took it gives it back when
+// it returns. Nothing the request hands out — responses, cached estimates,
+// calibration observations — points into it.
+var statementArenas = sync.Pool{New: func() any { return new(query.Arena) }}
+
+// takeArena takes a statement arena for one request.
+func takeArena() *query.Arena { return statementArenas.Get().(*query.Arena) }
+
+// releaseArena ends a request's use of its arena, as the endpoint method
+// returns. A request whose context is done forfeits the arena to the GC
+// instead of recycling it: a Run it abandoned may still have a worker
+// reading its blocks — a compile, or the canonical rebuild and enumeration
+// of a miss it leads — and every abandoned Run leaves the context done.
+func (s *Server) releaseArena(ctx context.Context, a *query.Arena) {
+	recycled := ctx.Err() == nil
+	if recycled {
+		a.Reset()
+		statementArenas.Put(a)
+	}
+	if s.arenaReleased != nil {
+		s.arenaReleased(a, recycled)
+	}
+}
 
 // begin is the request prelude. Shedding comes first — an overloaded server
 // spends nothing on a request it will refuse anyway — and runs before the
@@ -65,25 +92,27 @@ func (s *Server) resolve(catalogName, levelName string) (*RegistryEntry, opt.Lev
 }
 
 // stmt is one parsed statement: what the later stages need of it, computed
-// once per SQL text.
+// once per SQL text. Its block lives in the request's arena, which a miss
+// also rebuilds the canonical block into.
 type stmt struct {
 	entry    *RegistryEntry
+	arena    *query.Arena
 	blk      *query.Block
 	analysis fingerprint.Analysis
 }
 
-// parse turns one SQL text into a stmt.
-func (s *Server) parse(entry *RegistryEntry, sql string) (stmt, error) {
+// parse turns one SQL text into a stmt carved from the request's arena.
+func (s *Server) parse(arena *query.Arena, entry *RegistryEntry, sql string) (stmt, error) {
 	if sql == "" {
 		return stmt{}, badRequest("missing sql")
 	}
 	parseStart := time.Now()
-	blk, err := sqlparser.Parse(sql, entry.Catalog)
+	blk, err := sqlparser.ParseIn(arena, sql, entry.Catalog)
 	s.metrics.ObserveStage(optctx.StageParse, 1, time.Since(parseStart))
 	if err != nil {
 		return stmt{}, parseFailed(err)
 	}
-	return stmt{entry: entry, blk: blk, analysis: fingerprint.Analyze(blk)}, nil
+	return stmt{entry: entry, arena: arena, blk: blk, analysis: fingerprint.Analyze(blk)}, nil
 }
 
 // estimate returns the estimate of one (statement, level) through the
@@ -107,7 +136,10 @@ func (s *Server) estimate(ctx context.Context, st stmt, level opt.Level) (*core.
 		}
 		// The miss path is the only place the canonical block is rebuilt.
 		est, err := Run(s.pool, ctx, func() (*core.Estimate, error) {
-			canon, err := st.analysis.Canonical()
+			if s.missStarted != nil {
+				s.missStarted()
+			}
+			canon, err := st.analysis.CanonicalIn(st.arena)
 			if err != nil {
 				return nil, err
 			}
@@ -188,7 +220,9 @@ func (s *Server) Estimate(ctx context.Context, req EstimateRequest) (*EstimateRe
 	if err != nil {
 		return nil, err
 	}
-	st, err := s.parse(entry, req.SQL)
+	arena := takeArena()
+	defer s.releaseArena(ctx, arena)
+	st, err := s.parse(arena, entry, req.SQL)
 	if err != nil {
 		return nil, err
 	}
@@ -266,6 +300,8 @@ func (s *Server) EstimateBatch(ctx context.Context, req EstimateBatchRequest) (*
 		return nil, badRequest("batch of %d statements exceeds the limit of %d", len(req.Statements), maxBatchStatements)
 	}
 	s.metrics.BatchStatements.AddN(int64(len(req.Statements)))
+	arena := takeArena()
+	defer s.releaseArena(ctx, arena)
 
 	type group struct {
 		st    stmt
@@ -280,7 +316,7 @@ func (s *Server) EstimateBatch(ctx context.Context, req EstimateBatchRequest) (*
 	var order []*group
 	for i, sql := range req.Statements {
 		it := &resp.Items[i]
-		st, err := s.parse(entry, sql)
+		st, err := s.parse(arena, entry, sql)
 		if err != nil {
 			it.Error = err.Error()
 			continue
@@ -389,7 +425,9 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 	if err != nil {
 		return nil, err
 	}
-	st, err := s.parse(entry, req.SQL)
+	arena := takeArena()
+	defer s.releaseArena(ctx, arena)
+	st, err := s.parse(arena, entry, req.SQL)
 	if err != nil {
 		return nil, err
 	}
@@ -529,7 +567,9 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 			// Everything the response and the observers need is read: the
 			// compile's workspaces serve the next request. A compile Run
 			// abandoned at the deadline never gets here, so the worker still
-			// running it shares nothing with a later request.
+			// running it shares nothing with a later request; its request
+			// forfeits the statement arena the compile reads for the same
+			// reason.
 			res.Release()
 			return resp, nil
 		}

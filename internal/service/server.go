@@ -100,6 +100,13 @@ type Server struct {
 	// the online loop feeding it from real optimizations.
 	models *calib.Registry
 	calib  *calib.Calibrator
+
+	// Test seams on the statement arena's lifetime, nil in production:
+	// arenaReleased sees every arena a request gives up and whether it went
+	// back to the pool, and missStarted runs on the worker as an estimate
+	// miss starts, before the canonical rebuild carves from the arena.
+	arenaReleased func(a *query.Arena, recycled bool)
+	missStarted   func()
 }
 
 // New returns a server with the config's defaults filled in. The budget

@@ -31,35 +31,64 @@ func benchParse(b *testing.B, kind string, n int) {
 	}
 }
 
+// BenchmarkParseInChain10 is the serving path's parse: into a statement
+// arena reset per request, as the pool hands it over.
+func BenchmarkParseInChain10(b *testing.B) {
+	cat, sql := testutil.BenchCatalog(), benchStatement("chain", 10)
+	var a query.Arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Reset()
+		blk, err := sqlparser.ParseIn(&a, sql, cat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkBlock = blk
+	}
+}
+
 func BenchmarkParseChain10(b *testing.B) { benchParse(b, "chain", 10) }
 func BenchmarkParseStar9(b *testing.B)   { benchParse(b, "star", 9) }
 func BenchmarkParseClique7(b *testing.B) { benchParse(b, "clique", 7) }
 
-// TestParseAllocs pins what a parse allocates: 27, 26 and 27 at PR 19 (the
-// token slice, the parser, the block name, builder and block, two slab
-// chunks each for table references and column instances with their pointer
-// lists, the predicate and clause slices, and Finalize's six index arrays);
-// 372, 335 and 322 before it, when every column instance was its own object
-// and the closure kept three maps. The ceilings are the counts measured with
-// go1.24.0, so one more allocation fails.
+// TestParseAllocs pins what a parse allocates. Into a warm statement arena
+// (the serving path) it is nothing: the blocks are carved from the arena,
+// the parser, its current token and its clause lists live on the stack, and
+// the block name is arena text. The frozen heap entry point, Parse, pays for
+// a fresh arena's chunks: 19 on each shape with go1.24.0, against 27, 26 and
+// 27 with a token slice and builder-owned slabs (the tokens, the parser, the
+// block name, builder and block, slab chunks with their pointer lists, the
+// predicate and clause slices, Finalize's index arrays) and 372, 335 and 322
+// with one object per column instance. The
+// ceilings are the measured counts, so one more allocation fails. The
+// measured loops run with the GC held off, so a pool drop cannot move them.
 func TestParseAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("-race changes allocation counts")
 	}
 	cat := testutil.BenchCatalog()
+	var a query.Arena
 	for _, tc := range []struct {
 		kind string
 		n    int
-		max  float64
-	}{{"chain", 10, 27}, {"star", 9, 26}, {"clique", 7, 27}} {
+		heap float64
+	}{{"chain", 10, 19}, {"star", 9, 19}, {"clique", 7, 19}} {
 		sql := benchStatement(tc.kind, tc.n)
-		got := testing.AllocsPerRun(20, func() {
+		heap, _ := testutil.AllocsWithoutGC(20, func() {
 			if _, err := sqlparser.Parse(sql, cat); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if got > tc.max {
-			t.Errorf("Parse(%s-%d, %d bytes) = %.0f allocs, want <= %.0f", tc.kind, tc.n, len(sql), got, tc.max)
+		arena, _ := testutil.AllocsWithoutGC(20, func() {
+			a.Reset()
+			if _, err := sqlparser.ParseIn(&a, sql, cat); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if heap > tc.heap || arena > 0 {
+			t.Errorf("%s-%d (%d bytes): Parse = %.2f allocs, want <= %.0f; ParseIn on a warm arena = %.2f, want 0",
+				tc.kind, tc.n, len(sql), heap, tc.heap, arena)
 		}
 	}
 }

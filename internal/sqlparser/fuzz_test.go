@@ -5,6 +5,7 @@ import (
 
 	"cote/internal/catalog"
 	"cote/internal/fingerprint"
+	"cote/internal/query"
 )
 
 // FuzzParse throws arbitrary byte strings at the SQL front door. The parser
@@ -12,7 +13,7 @@ import (
 // the robustness floor of the whole stack: never panic, never hang, and be
 // a pure function — the same input against the same catalog must either
 // fail identically or produce structurally identical blocks (equal
-// fingerprints) on every call.
+// fingerprints) on every call, into a fresh arena or a reused one.
 //
 // Seeds live in testdata/fuzz/FuzzParse (one valid query per supported
 // clause, plus near-miss malformed inputs that exercise error paths);
@@ -28,10 +29,15 @@ func FuzzParse(f *testing.F) {
 	f.Add("SELECT c_name FROM customer \u00aa")
 	f.Add("SELECT c_name FROM customer \u00e9")
 	f.Add("SELECT c_name FROM customer WHERE c_acctbal > 1.2.3 AND c_custkey < 1..")
+	f.Add("SELECT c_name FROM customer FETCH FIRST 18446744073709551616 ROWS ONLY")
 	cat := catalog.TPCH(1, 1)
+	// The second parse goes into an arena that every input reuses, as the
+	// service's pooled arenas are reused.
+	var arena query.Arena
 	f.Fuzz(func(t *testing.T, sql string) {
 		blk, err := Parse(sql, cat)
-		blk2, err2 := Parse(sql, cat)
+		arena.Reset()
+		blk2, err2 := ParseIn(&arena, sql, cat)
 		if (err == nil) != (err2 == nil) {
 			t.Fatalf("parse nondeterministic: first err=%v, second err=%v", err, err2)
 		}

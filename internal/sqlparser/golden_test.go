@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"cote/internal/core"
 	"cote/internal/fingerprint"
+	"cote/internal/opt"
 	"cote/internal/query"
 	"cote/internal/sqlparser"
 	"cote/internal/testutil"
@@ -61,6 +63,7 @@ func digest(b *query.Block) string {
 
 type goldenCase struct {
 	name string
+	sql  string
 	blk  *query.Block
 }
 
@@ -72,7 +75,7 @@ func goldenCorpus(t *testing.T) []goldenCase {
 	for _, nodes := range []int{1, 4} {
 		for _, w := range []*workload.Workload{workload.Real1(nodes), workload.Real2(nodes), workload.TPCH(nodes)} {
 			for _, q := range w.Queries {
-				out = append(out, goldenCase{q.Name, q.Block})
+				out = append(out, goldenCase{q.Name, q.SQL, q.Block})
 			}
 		}
 	}
@@ -89,7 +92,7 @@ func goldenCorpus(t *testing.T) []goldenCase {
 			if err != nil {
 				t.Fatalf("%s-%d spelling %d: %v\n%s", shape.kind, shape.n, k, err, sql)
 			}
-			out = append(out, goldenCase{fmt.Sprintf("bench_%s%d_%d", shape.kind, shape.n, k), blk})
+			out = append(out, goldenCase{fmt.Sprintf("bench_%s%d_%d", shape.kind, shape.n, k), sql, blk})
 		}
 	}
 	return out
@@ -134,17 +137,70 @@ func TestGoldenBlocks(t *testing.T) {
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(got.String(), "\n"), goldenLines(t)
 	if len(gotLines) != len(wantLines) {
 		t.Fatalf("corpus has %d lines, golden file %d", len(gotLines), len(wantLines))
 	}
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("line %d:\n got  %s\n want %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+}
+
+func goldenLines(t *testing.T) []string {
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(string(want), "\n")
+}
+
+// TestGoldenBlocksFromReusedArena reproduces the golden record through the
+// serving path's storage: each corpus statement is parsed, fingerprinted
+// and rebuilt into one statement arena, reset before it, that has just
+// served real2's headline query — three views, parsed, rebuilt and
+// estimated, so derived cardinalities were written into the arena's table
+// references. Reset must leave nothing of any of it behind.
+func TestGoldenBlocksFromReusedArena(t *testing.T) {
+	want := goldenLines(t)
+	headline := workload.Real2(1).Queries[7]
+	var a query.Arena
+	serveHeadline := func() {
+		a.Reset()
+		blk, err := sqlparser.ParseIn(&a, headline.SQL, headline.Block.Catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := fingerprint.Analyze(blk).CanonicalIn(&a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []*query.Block{blk, cb} {
+			if _, err := core.EstimatePlans(b, core.Options{Level: opt.LevelHigh}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.Reset()
+	}
+	for i, c := range goldenCorpus(t) {
+		serveHeadline()
+		blk, err := sqlparser.ParseIn(&a, c.sql, c.blk.Catalog)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		blk.Name = c.blk.Name // the workloads name their blocks
+		parsed := digest(blk)
+		if cut := strings.LastIndexByte(c.name, '_'); strings.HasPrefix(c.name, "bench_") {
+			blk.Name = c.name[:cut]
+		}
+		an := fingerprint.Analyze(blk)
+		cb, err := an.CanonicalIn(&a)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := fmt.Sprintf("%s %s %s %s", c.name, an.FP, parsed, digest(cb)); got != want[i] {
+			t.Errorf("line %d:\n got  %s\n want %s", i+1, got, want[i])
 		}
 	}
 }

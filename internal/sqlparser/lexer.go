@@ -21,12 +21,13 @@ const (
 	tokIdent
 	tokNumber
 	tokString
-	tokSymbol // punctuation and operators
+	tokSymbol  // punctuation and operators
+	tokInvalid // where scan found a lexical error; the grammar accepts it nowhere
 )
 
 // token is one lexeme: its kind and the bytes [pos, end) of the statement it
-// covers, the quotes included for a string literal. Offsets are 32-bit so
-// that the token slice of a statement stays a few cache lines.
+// covers, the quotes included for a string literal. Offsets are 32-bit;
+// lex refuses a longer statement.
 type token struct {
 	kind     tokenKind
 	pos, end int32
@@ -65,64 +66,74 @@ var class = func() (t [256]uint8) {
 	return t
 }()
 
-// lex tokenizes the whole input up front, so that a lexical error anywhere
-// in the statement is reported before any grammatical one; SQL statements
-// are short enough that a token slice, sized once, is simpler than a
-// streaming scanner.
-func lex(src string) ([]token, error) {
+// lex reports the statement's first lexical error, or nil. The parser
+// scans one token at a time and calls lex only once it has failed, so that
+// a lexical error anywhere in the statement is reported before any
+// grammatical one without a token list being built for every parse.
+func lex(src string) error {
 	if len(src) > math.MaxInt32 {
-		return nil, fmt.Errorf("sql: statement of %d bytes is too long", len(src))
+		return fmt.Errorf("sql: statement of %d bytes is too long", len(src))
 	}
-	toks := make([]token, 0, len(src)/2+1)
-	pos := 0
-	for {
-		pos = skipSpace(src, pos)
+	for pos := 0; ; {
+		t, err := scan(src, pos)
+		if err != nil || t.kind == tokEOF {
+			return err
+		}
+		pos = int(t.end)
+	}
+}
+
+// scan returns the token at or after offset pos: an EOF token at the end of
+// the input, an invalid one with the error when the bytes there are not a
+// token.
+func scan(src string, pos int) (token, error) {
+	pos = skipSpace(src, pos)
+	if pos >= len(src) {
+		return token{tokEOF, int32(pos), int32(pos)}, nil
+	}
+	start, kind := pos, tokSymbol
+	invalid := token{tokInvalid, int32(start), int32(start)}
+	switch c := src[pos]; {
+	case class[c]&clsIdentStart != 0:
+		kind = tokIdent
+		for pos < len(src) && class[src[pos]]&clsIdentPart != 0 {
+			pos++
+		}
+	case class[c]&clsDigit != 0:
+		// digits[.digits]; the run of digits and dots is consumed whole
+		// so that 1.2.3 is one malformed number, not a number and junk.
+		kind = tokNumber
+		dots, last := 0, c
+		for pos < len(src) && (class[src[pos]]&clsDigit != 0 || src[pos] == '.') {
+			if last = src[pos]; last == '.' {
+				dots++
+			}
+			pos++
+		}
+		if dots > 1 || last == '.' {
+			return invalid, fmt.Errorf("sql: malformed number %q at offset %d", src[start:pos], start)
+		}
+	case c == '\'':
+		kind = tokString
+		pos++
+		for pos < len(src) && src[pos] != '\'' {
+			pos++
+		}
 		if pos >= len(src) {
-			return append(toks, token{tokEOF, int32(pos), int32(pos)}), nil
+			return invalid, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 		}
-		start, kind := pos, tokSymbol
-		switch c := src[pos]; {
-		case class[c]&clsIdentStart != 0:
-			kind = tokIdent
-			for pos < len(src) && class[src[pos]]&clsIdentPart != 0 {
-				pos++
-			}
-		case class[c]&clsDigit != 0:
-			// digits[.digits]; the run of digits and dots is consumed whole
-			// so that 1.2.3 is one malformed number, not a number and junk.
-			kind = tokNumber
-			dots, last := 0, c
-			for pos < len(src) && (class[src[pos]]&clsDigit != 0 || src[pos] == '.') {
-				if last = src[pos]; last == '.' {
-					dots++
-				}
-				pos++
-			}
-			if dots > 1 || last == '.' {
-				return nil, fmt.Errorf("sql: malformed number %q at offset %d", src[start:pos], start)
-			}
-		case c == '\'':
-			kind = tokString
+		pos++
+	case class[c]&clsPunct != 0:
+		pos++
+	case class[c]&clsCompare != 0:
+		pos++
+		if pos < len(src) && (src[pos] == '=' || src[pos] == '>') {
 			pos++
-			for pos < len(src) && src[pos] != '\'' {
-				pos++
-			}
-			if pos >= len(src) {
-				return nil, fmt.Errorf("sql: unterminated string literal at offset %d", start)
-			}
-			pos++
-		case class[c]&clsPunct != 0:
-			pos++
-		case class[c]&clsCompare != 0:
-			pos++
-			if pos < len(src) && (src[pos] == '=' || src[pos] == '>') {
-				pos++
-			}
-		default:
-			return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
 		}
-		toks = append(toks, token{kind, int32(start), int32(pos)})
+	default:
+		return invalid, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
 	}
+	return token{kind, int32(start), int32(pos)}, nil
 }
 
 // skipSpace returns the offset of the first byte at or after pos that is

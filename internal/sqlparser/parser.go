@@ -2,9 +2,11 @@ package sqlparser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
+	"cote/internal/bitset"
 	"cote/internal/catalog"
 	"cote/internal/query"
 )
@@ -12,17 +14,29 @@ import (
 // Parse compiles one SQL statement against the catalog into a query Block.
 // Identifiers are case-insensitive and folded to lower case.
 func Parse(sql string, cat *catalog.Catalog) (*query.Block, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return nil, err
+	return ParseIn(new(query.Arena), sql, cat)
+}
+
+// ParseIn is Parse with the block and its nested blocks carved from a: they
+// are valid until a's next Reset. The parse's own working state is on its
+// stack.
+func ParseIn(a *query.Arena, sql string, cat *catalog.Catalog) (*query.Block, error) {
+	if len(sql) > math.MaxInt32 {
+		return nil, lex(sql)
 	}
-	p := &parser{src: sql, toks: toks, cat: cat, name: firstWords(sql)}
-	blk, _, err := p.parseQuery(nil)
-	if err != nil {
-		return nil, err
+	p := parser{src: sql, cat: cat, a: a, name: firstWords(a, sql)}
+	p.tok, _ = scan(sql, 0)
+	blk, _, err := p.parseQuery()
+	if err == nil && p.tok.kind != tokEOF {
+		err = p.errf("trailing input %q", p.text(p.tok))
 	}
-	if t := p.cur(); t.kind != tokEOF {
-		return nil, p.errf("trailing input %q", p.text(t))
+	if err != nil {
+		// A lexical error anywhere in the statement outranks the
+		// grammatical one.
+		if lerr := lex(sql); lerr != nil {
+			return nil, lerr
+		}
+		return nil, err
 	}
 	return blk, nil
 }
@@ -36,29 +50,44 @@ func MustParse(sql string, cat *catalog.Catalog) *query.Block {
 	return blk
 }
 
-// firstWords names a block after its statement: the words separated by
-// single spaces, cut to 40 bytes and marked "..." when there are more.
-func firstWords(sql string) string {
+// firstWords names a block after its statement, in a's storage: the words
+// separated by single spaces, cut to 40 bytes and marked "..." when there
+// are more.
+func firstWords(a *query.Arena, sql string) string {
 	const keep = 40
-	var buf [keep + len("...")]byte
-	n, gap := 0, false
-	for i := 0; i < len(sql) && n <= keep; i++ {
-		c := sql[i]
-		if class[c]&clsSpace != 0 {
-			gap = n > 0
+	// Words and the single spaces between them, as pieces of sql; each piece
+	// is at least a byte, so keep+1 bytes take at most keep+1 pieces.
+	var parts [keep + 2]string
+	k, n := 0, 0
+	for i := 0; i < len(sql) && n <= keep; {
+		if class[sql[i]]&clsSpace != 0 {
+			i++
 			continue
 		}
-		if gap {
-			buf[n], gap = ' ', false
+		if n > 0 {
+			parts[k] = " "
+			k++
 			n++
 		}
-		buf[n] = c
-		n++
+		j := i
+		for j < len(sql) && class[sql[j]]&clsSpace == 0 && n+j-i <= keep {
+			j++
+		}
+		if j > i {
+			parts[k] = sql[i:j]
+			k++
+		}
+		n += j - i
+		i = j
 	}
 	if n > keep {
-		n = keep + copy(buf[keep:], "...")
+		// The last piece holds the byte past keep.
+		last := &parts[k-1]
+		*last = (*last)[:len(*last)-1]
+		parts[k] = "..."
+		k++
 	}
-	return string(buf[:n])
+	return a.Name(parts[:k]...)
 }
 
 // correlation records a child-block column (by select-list ordinal) that
@@ -83,12 +112,15 @@ type rawSelect struct {
 
 // parser holds the state for one (sub)query parse.
 type parser struct {
-	src    string
-	toks   []token
-	i      int
-	cat    *catalog.Catalog
-	name   string
-	parent *parser // enclosing query, for correlation resolution
+	src  string
+	tok  token // the current token
+	cat  *catalog.Catalog
+	a    *query.Arena
+	name string
+	// outer builds the enclosing query, for correlation resolution. It is
+	// the builder rather than the parser so that no parser's address is
+	// stored: the parsers of a statement stay on the stack.
+	outer *query.Builder
 
 	qb     *query.Builder
 	subSeq int
@@ -100,7 +132,7 @@ type parser struct {
 
 // --- token helpers ---
 
-func (p *parser) cur() token { return p.toks[p.i] }
+func (p *parser) cur() token { return p.tok }
 
 // text returns the token's spelling: for a string literal its content, the
 // statement bytes it covers otherwise.
@@ -121,10 +153,13 @@ func (p *parser) atSymbol(sym string) bool {
 	return t.kind == tokSymbol && p.text(t) == sym
 }
 
+// take returns the current token and scans the next. EOF and an invalid
+// token are never passed: every parse that meets one fails, and lex then
+// reports the lexical error, if any.
 func (p *parser) take() token {
-	t := p.cur()
-	if t.kind != tokEOF {
-		p.i++
+	t := p.tok
+	if t.kind != tokEOF && t.kind != tokInvalid {
+		p.tok, _ = scan(p.src, int(t.end))
 	}
 	return t
 }
@@ -174,14 +209,15 @@ func isKeyword(ident string) bool {
 // parseQuery parses SELECT ... [FROM ... WHERE ... GROUP BY ... ORDER BY
 // ...] and returns the built block plus any correlations found against the
 // parent scope.
-func (p *parser) parseQuery(parent *parser) (*query.Block, []correlation, error) {
-	p.parent = parent
-	p.qb = query.NewBuilder(p.name, p.cat)
+func (p *parser) parseQuery() (*query.Block, []correlation, error) {
+	p.qb = p.a.NewBuilder(p.name, p.cat)
 
 	if err := p.expectKeyword("select"); err != nil {
 		return nil, nil, err
 	}
-	selects, err := p.parseSelectList()
+	var selBuf [16]rawSelect
+	var colBuf [bitset.MaxElems]query.ColID
+	selects, err := p.parseSelectList(selBuf[:0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -202,7 +238,7 @@ func (p *parser) parseQuery(parent *parser) (*query.Block, []correlation, error)
 		if err := p.expectKeyword("by"); err != nil {
 			return nil, nil, err
 		}
-		cols, err := p.parseColList()
+		cols, err := p.parseColList(colBuf[:0])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -213,7 +249,7 @@ func (p *parser) parseQuery(parent *parser) (*query.Block, []correlation, error)
 		if err := p.expectKeyword("by"); err != nil {
 			return nil, nil, err
 		}
-		cols, err := p.parseColList()
+		cols, err := p.parseColList(colBuf[:0])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -228,12 +264,14 @@ func (p *parser) parseQuery(parent *parser) (*query.Block, []correlation, error)
 		if t.kind != tokNumber {
 			return nil, nil, p.errf("expected row count after FETCH FIRST, found %q", p.text(t))
 		}
-		n := 0
+		var n int64
 		for _, ch := range p.text(t) {
 			if ch < '0' || ch > '9' {
 				return nil, nil, p.errf("non-integer FETCH FIRST count %q", p.text(t))
 			}
-			n = n*10 + int(ch-'0')
+			if n = n*10 + int64(ch-'0'); n > math.MaxInt32 {
+				return nil, nil, p.errf("FETCH FIRST count %s exceeds %d", p.text(t), math.MaxInt32)
+			}
 		}
 		if err := p.expectKeyword("rows"); err != nil {
 			return nil, nil, err
@@ -241,12 +279,12 @@ func (p *parser) parseQuery(parent *parser) (*query.Block, []correlation, error)
 		if err := p.expectKeyword("only"); err != nil {
 			return nil, nil, err
 		}
-		p.qb.FetchFirst(n)
+		p.qb.FetchFirst(int(n))
 	}
 
 	// Resolve the select list now that all tables are in scope.
 	nAggs := 0
-	var selCols []query.ColID
+	selCols := colBuf[:0]
 	for _, s := range selects {
 		if s.isAgg {
 			nAggs++
@@ -278,8 +316,8 @@ func (p *parser) parseQuery(parent *parser) (*query.Block, []correlation, error)
 	return blk, p.corrs, nil
 }
 
-func (p *parser) parseSelectList() ([]rawSelect, error) {
-	var out []rawSelect
+// parseSelectList appends the select list to out.
+func (p *parser) parseSelectList(out []rawSelect) ([]rawSelect, error) {
 	for {
 		s, err := p.parseSelectItem()
 		if err != nil {
@@ -388,12 +426,12 @@ func (p *parser) parseJoinTail(leftOuter bool) error {
 func (p *parser) parseFromItem() (int, error) {
 	if p.atSymbol("(") {
 		p.take()
-		sub := &parser{src: p.src, toks: p.toks, i: p.i, cat: p.cat, name: p.name + "/sub"}
-		child, corrs, err := sub.parseQuery(p)
+		sub := parser{src: p.src, tok: p.tok, cat: p.cat, a: p.a, name: p.a.Name(p.name, "/sub"), outer: p.qb}
+		child, corrs, err := sub.parseQuery()
 		if err != nil {
 			return -1, err
 		}
-		p.i = sub.i
+		p.tok = sub.tok
 		if err := p.expectSymbol(")"); err != nil {
 			return -1, err
 		}
@@ -472,17 +510,17 @@ func (p *parser) parseCond(onClause bool, onTables *[]int) error {
 		if err := p.expectSymbol("("); err != nil {
 			return err
 		}
-		sub := &parser{src: p.src, toks: p.toks, i: p.i, cat: p.cat, name: p.name + "/in"}
-		child, corrs, err := sub.parseQuery(p)
+		sub := parser{src: p.src, tok: p.tok, cat: p.cat, a: p.a, name: p.a.Name(p.name, "/in"), outer: p.qb}
+		child, corrs, err := sub.parseQuery()
 		if err != nil {
 			return err
 		}
-		p.i = sub.i
+		p.tok = sub.tok
 		if err := p.expectSymbol(")"); err != nil {
 			return err
 		}
 		p.subSeq++
-		idx, err := p.addDerived(child, "subq"+strconv.Itoa(p.subSeq), corrs)
+		idx, err := p.addDerived(child, p.a.Name("subq", strconv.Itoa(p.subSeq)), corrs)
 		if err != nil {
 			return err
 		}
@@ -575,9 +613,8 @@ func (p *parser) addColCond(left, right rawCol, op query.PredOp, onClause bool, 
 	}
 }
 
-// parseColList parses col (',' col)* and resolves each.
-func (p *parser) parseColList() ([]query.ColID, error) {
-	var out []query.ColID
+// parseColList parses col (',' col)* and appends each, resolved, to out.
+func (p *parser) parseColList(out []query.ColID) ([]query.ColID, error) {
 	for {
 		rc, err := p.parseRawCol()
 		if err != nil {
@@ -628,7 +665,7 @@ func (p *parser) resolveCol(rc rawCol) (id query.ColID, correlated bool, err err
 	case p.qb.HasAlias(rc.alias):
 		id := p.qb.Col(rc.alias, rc.col)
 		return id, false, p.qb.Err()
-	case p.parent != nil && p.parent.qb.HasAlias(rc.alias):
+	case p.outer != nil && p.outer.HasAlias(rc.alias):
 		return query.NoCol, true, nil
 	}
 	return query.NoCol, false, p.errf("unknown table alias %q", rc.alias)

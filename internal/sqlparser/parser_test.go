@@ -302,6 +302,73 @@ func TestParseFetchFirst(t *testing.T) {
 	}
 }
 
+// TestParseFetchFirstBounds pins the FETCH FIRST count to [0, MaxInt32]: the
+// parser used to accumulate it without a bound, so 2^64+1 read as 1, 2^64
+// as 0 (the clause silently gone, and with it the pipelineability property
+// and the fingerprint's FirstN), and 2^63 as a negative count.
+func TestParseFetchFirstBounds(t *testing.T) {
+	const head = "SELECT o_orderkey FROM orders FETCH FIRST "
+	blk, err := Parse(head+"2147483647 ROWS ONLY", tpch(t))
+	if err != nil || blk.FirstN != 2147483647 {
+		t.Fatalf("MaxInt32: FirstN %v, err %v", blk, err)
+	}
+	for _, n := range []string{"2147483648", "9223372036854775808", "18446744073709551616", "18446744073709551617"} {
+		_, err := Parse(head+n+" ROWS ONLY", tpch(t))
+		want := fmt.Sprintf("sql: offset %d: FETCH FIRST count %s exceeds 2147483647", len(head)+len(n)+1, n)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %s", n, err, want)
+		}
+	}
+}
+
+// TestParseLexicalErrorFirst pins the error order: a lexical error anywhere
+// in the statement is reported, not a grammatical error before it. The
+// parser scans one token at a time and lexes the whole statement only once
+// it has failed.
+func TestParseLexicalErrorFirst(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT FROM orders WHERE o_comment = 'open",
+		"SELECT o_orderkey orders WHERE o_totalprice > 1.2.3",
+		"SELECT o_orderkey FROM orders extra \u00e9",
+	} {
+		_, err := Parse(sql, tpch(t))
+		if err == nil || strings.Contains(err.Error(), "sql: offset") {
+			t.Errorf("%q: err = %v, want the lexical error", sql, err)
+		}
+	}
+}
+
+// firstWordsOracle is the block-name rule as it was first written: the
+// words separated by single spaces, cut to 40 bytes and marked "..." when
+// there are more.
+func firstWordsOracle(sql string) string {
+	name := strings.Join(strings.FieldsFunc(sql, func(r rune) bool { return r < 0x80 && class[r]&clsSpace != 0 }), " ")
+	if len(name) > 40 {
+		return name[:40] + "..."
+	}
+	return name
+}
+
+// TestFirstWordsMatchesOracle names blocks in arena text, piece by piece;
+// the name must be the rule's for any spacing, at and around the cut.
+func TestFirstWordsMatchesOracle(t *testing.T) {
+	var a query.Arena
+	words := []string{"SELECT", "a", "bb", "c_name,", "o_orderkey", "FROM", "x"}
+	spaces := []string{" ", "  ", "\t", "\n ", " \r\n\t "}
+	for seed := 0; seed < 2000; seed++ {
+		var b strings.Builder
+		for i := 0; i < seed%17; i++ {
+			b.WriteString(spaces[(seed+i)%len(spaces)])
+			b.WriteString(words[(seed*7+i*3)%len(words)])
+		}
+		b.WriteString(spaces[seed%len(spaces)])
+		sql := b.String()
+		if got, want := firstWords(&a, sql), firstWordsOracle(sql); got != want {
+			t.Fatalf("firstWords(%q) = %q, want %q", sql, got, want)
+		}
+	}
+}
+
 func TestMustParsePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -36,7 +36,7 @@ func fromSQL(name string, cat *catalog.Catalog, sqls []string) *Workload {
 			panic(fmt.Sprintf("workload %s query %d: %v\n%s", name, i, err, sql))
 		}
 		blk.Name = fmt.Sprintf("%s_%02d", name, i+1)
-		w.Queries = append(w.Queries, Query{Name: blk.Name, Block: blk})
+		w.Queries = append(w.Queries, Query{Name: blk.Name, Block: blk, SQL: sql})
 	}
 	return w
 }

@@ -18,6 +18,9 @@ import (
 type Query struct {
 	Name  string
 	Block *query.Block
+	// SQL is the statement the block was parsed from; empty for the
+	// generated workloads, which build their blocks directly.
+	SQL string
 }
 
 // Workload is a named query collection over one catalog.
