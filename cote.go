@@ -337,18 +337,10 @@ func EstimateLevels(q *Query, top Level, levels []Level, opts EstimateOptions) (
 	return core.EstimateLevels(q, top, levels, opts)
 }
 
-// JoinCountEstimate is the prior-work baseline: the Ono-Lohman join count.
-type JoinCountEstimate = core.JoinCountEstimate
-
-// CountJoins counts the distinct binary joins of a query by running the
-// enumerator with no hooks — the baseline metric the paper improves on.
-func CountJoins(q *Query, opts EstimateOptions) (*JoinCountEstimate, error) {
-	return core.CountJoins(q, opts)
-}
-
-// ClosedFormJoins returns the closed-form join count for "linear" or
-// "star" queries of n tables; other shapes have none (the general problem
-// is #P-complete).
+// ClosedFormJoins returns the closed-form join count for "linear", "star"
+// or "clique" queries of n tables — the Ono-Lohman baseline metric the paper
+// improves on, which EstimatePlans reports as Estimate.Pairs for any query;
+// other shapes have none (the general problem is #P-complete).
 func ClosedFormJoins(shape string, n int) (int, error) { return core.ClosedFormJoins(shape, n) }
 
 // JoinMethod identifies NLJN, MGJN or HSJN.

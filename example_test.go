@@ -37,21 +37,24 @@ func ExampleEstimatePlans() {
 
 // ExampleClosedFormJoins reproduces the closed-form join counts of Ono &
 // Lohman that the paper cites: (n^3-n)/6 for linear queries, (n-1)*2^(n-2)
-// for stars — and the absence of a formula for general (cyclic) graphs,
-// which is the reason the estimator reuses the enumerator instead.
+// for stars, (3^n-2^(n+1)+1)/2 for cliques — and the absence of a formula
+// for general (cyclic) graphs, which is the reason the estimator reuses the
+// enumerator instead.
 func ExampleClosedFormJoins() {
 	linear, _ := cote.ClosedFormJoins("linear", 10)
 	star, _ := cote.ClosedFormJoins("star", 10)
+	clique, _ := cote.ClosedFormJoins("clique", 10)
 	_, err := cote.ClosedFormJoins("cyclic", 10)
-	fmt.Println(linear, star, err != nil)
+	fmt.Println(linear, star, clique, err != nil)
 	// Output:
-	// 165 2304 true
+	// 165 2304 28501 true
 }
 
-// ExampleCountJoins shows the prior-art baseline metric on a query whose
-// join graph contains a cycle (customer and supplier share a nation) —
+// ExampleEstimatePlans_joinCount shows the prior-art baseline metric — the
+// Ono-Lohman count of distinct binary joins, Estimate.Pairs — on a query
+// whose join graph contains a cycle (customer and supplier share a nation):
 // countable here only because the enumerator does the counting.
-func ExampleCountJoins() {
+func ExampleEstimatePlans_joinCount() {
 	cat := cote.TPCHCatalog(1, 1)
 	q := cote.MustParseSQL(`
 		SELECT n_name
@@ -59,11 +62,11 @@ func ExampleCountJoins() {
 		WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
 		  AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
 		  AND s_nationkey = n_nationkey`, cat)
-	jc, err := cote.CountJoins(q, cote.EstimateOptions{Level: cote.LevelHigh})
+	est, err := cote.EstimatePlans(q, cote.EstimateOptions{Level: cote.LevelHigh})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(jc.Pairs)
+	fmt.Println(est.Pairs)
 	// Output:
 	// 51
 }

@@ -5,24 +5,15 @@ import (
 	"fmt"
 	"time"
 
-	"cote/internal/enum"
-	"cote/internal/query"
 	"cote/internal/stats"
 )
 
-// JoinCountEstimate is the baseline estimator of previous work (Ono &
+// JoinCountModel is the baseline estimator of previous work (Ono &
 // Lohman): compilation time proportional to the number of distinct binary
-// joins, assuming uniform per-join cost. The paper shows it cannot
-// distinguish queries with the same join graph but different interesting
-// properties, producing errors "20 times larger" on the star batches.
-type JoinCountEstimate struct {
-	Pairs         int
-	Elapsed       time.Duration
-	PredictedTime time.Duration
-}
-
-// JoinCountModel is the baseline's one-constant time model: T = Tinst *
-// (Cj*joins + C0).
+// joins (Estimate.Pairs), assuming uniform per-join cost, in one constant:
+// T = Tinst * (Cj*joins + C0). The paper shows it cannot distinguish
+// queries with the same join graph but different interesting properties,
+// producing errors "20 times larger" on the star batches.
 type JoinCountModel struct {
 	Tinst  float64
 	Cj, C0 float64
@@ -54,34 +45,13 @@ func CalibrateJoinCount(training []CompileObservation) (*JoinCountModel, error) 
 	return &JoinCountModel{Tinst: tinst, Cj: beta[0], C0: beta[1]}, nil
 }
 
-// CountJoins counts the distinct binary joins of a query by running the
-// enumerator with no hooks at all — the cheapest possible reuse of the
-// enumeration machinery.
-func CountJoins(blk *query.Block, opts Options) (*JoinCountEstimate, error) {
-	start := time.Now()
-	out := &JoinCountEstimate{}
-	for _, b := range blk.Blocks() {
-		if opts.Exec.Cancelled() {
-			return nil, opts.Exec.Err()
-		}
-		ws := acquireWorkspace(b, opts)
-		st, err := ws.enumerator(opts.level(), opts).Run(enum.Hooks{})
-		ws.release()
-		if err != nil {
-			return nil, err
-		}
-		out.Pairs += st.Pairs
-	}
-	out.Elapsed = time.Since(start)
-	return out, nil
-}
-
 // ClosedFormJoins returns the closed-form join counts known for special
 // query shapes under full bushy enumeration without Cartesian products
 // (Ono & Lohman; Ioannidis & Kang): (n^3-n)/6 for a linear query of n
-// tables and (n-1)*2^(n-2) for a star. The general problem — counting joins
-// of a cyclic query graph — is #P-complete, which is the paper's argument
-// for reusing the enumerator instead.
+// tables, (n-1)*2^(n-2) for a star and (3^n-2^(n+1)+1)/2 for a clique, the
+// ceiling for any graph of n tables. The general problem — counting joins of
+// a cyclic query graph — is #P-complete, which is the paper's argument for
+// reusing the enumerator instead.
 func ClosedFormJoins(shape string, n int) (int, error) {
 	if n < 1 {
 		return 0, fmt.Errorf("core: invalid table count %d", n)
@@ -94,6 +64,15 @@ func ClosedFormJoins(shape string, n int) (int, error) {
 			return 0, nil
 		}
 		return (n - 1) << (n - 2), nil
+	case "clique":
+		if n > 39 { // 3^40 overflows int64
+			return 0, fmt.Errorf("core: clique join count of %d tables overflows", n)
+		}
+		pow3, pow2 := 1, 2
+		for range n {
+			pow3, pow2 = 3*pow3, 2*pow2
+		}
+		return (pow3 - pow2 + 1) / 2, nil
 	default:
 		return 0, fmt.Errorf("core: no closed form for shape %q (the general problem is #P-complete)", shape)
 	}

@@ -11,6 +11,7 @@ import (
 	"cote/internal/props"
 	"cote/internal/query"
 	"cote/internal/stats"
+	"cote/internal/workload"
 )
 
 // starBlock builds the synthetic star workload query shape used across the
@@ -307,7 +308,7 @@ func TestEndToEndTimePrediction(t *testing.T) {
 
 func TestJoinCountBaseline(t *testing.T) {
 	blk := starBlock(t, 8, 1, 0, 0, 1)
-	jc, err := CountJoins(blk, Options{Level: opt.LevelHigh})
+	est, err := EstimatePlans(blk, Options{Level: opt.LevelHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +316,8 @@ func TestJoinCountBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jc.Pairs != want {
-		t.Fatalf("join count %d != closed form %d", jc.Pairs, want)
+	if est.Pairs != want {
+		t.Fatalf("join count %d != closed form %d", est.Pairs, want)
 	}
 }
 
@@ -329,6 +330,23 @@ func TestClosedFormJoins(t *testing.T) {
 	}
 	if n, _ := ClosedFormJoins("star", 1); n != 0 {
 		t.Fatal("star(1) != 0")
+	}
+	if n, _ := ClosedFormJoins("clique", 4); n != 25 {
+		t.Fatalf("clique(4) = %d, want 25", n)
+	}
+	if _, err := ClosedFormJoins("clique", 40); err == nil {
+		t.Fatal("clique(40) overflows int64 but was accepted")
+	}
+	// The clique form is the ceiling the enumerator reaches on a complete
+	// join graph (6, 8 and 10 tables: 301, 3,025, 28,501 pairs).
+	for _, q := range workload.Clique(1).Queries {
+		est, err := EstimatePlans(q.Block, Options{Level: opt.LevelHigh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := ClosedFormJoins("clique", q.Block.NumTables()); est.Pairs != want {
+			t.Fatalf("%s: %d pairs, closed form %d", q.Name, est.Pairs, want)
+		}
 	}
 	if _, err := ClosedFormJoins("cycle", 5); err == nil {
 		t.Fatal("closed form for cyclic shape should not exist (#P-complete)")

@@ -112,16 +112,22 @@ func EstimatePlans(blk *query.Block, opts Options) (*Estimate, error) {
 	start := time.Now()
 	est := &Estimate{}
 	blocks := blk.Blocks()
+	// Each finished block's output cardinality, the rows its parent's
+	// derived table reads; on the stack up to eight blocks.
+	var cardBuf [8]float64
+	cards := cardBuf[:0]
 	for i, b := range blocks {
 		if opts.Exec.Cancelled() {
 			return nil, opts.Exec.Err()
 		}
-		ws := acquireWorkspace(b, opts)
-		be, outCard, err := ws.estimate(opts)
-		ws.release()
+		ws := acquireWorkspace(b, blocks[:i], cards, opts)
+		be, err := ws.estimate(opts)
 		if err != nil {
+			ws.release()
 			return nil, err
 		}
+		cards = append(cards, outputCard(b, ws.mem))
+		ws.release()
 		est.Blocks = append(est.Blocks, be)
 		est.Counts.Add(be.Counts)
 		est.Joins += be.EnumStats.Joins
@@ -130,17 +136,6 @@ func EstimatePlans(blk *query.Block, opts Options) (*Estimate, error) {
 		est.CandidatesSkipped += be.EnumStats.CandidatesSkipped
 		est.PredictedMemoryBytes += memoryLowerBound(be)
 		est.MeasuredPeakBytes += be.MeasuredBytes
-		// Export the block's output cardinality (simple mode) to the
-		// derived refs in later blocks, as the real optimizer does with its
-		// full-mode estimate. Blocks come children-first, so only later
-		// blocks can read b.
-		for _, pb := range blocks[i+1:] {
-			for _, ref := range pb.Tables {
-				if ref.Derived == b {
-					ref.CardOverride = outCard
-				}
-			}
-		}
 	}
 	est.Elapsed = time.Since(start)
 	if opts.Model != nil {
@@ -174,10 +169,11 @@ type workspace struct {
 // workspacePool is the only pool on the estimate path.
 var workspacePool = sync.Pool{New: func() any { return &workspace{mem: memo.New(0)} }}
 
-// acquireWorkspace takes a workspace from the pool and resets it for blk.
-func acquireWorkspace(blk *query.Block, opts Options) *workspace {
+// acquireWorkspace takes a workspace from the pool and resets it for blk;
+// done and cards are the blocks the run has finished and their outputs.
+func acquireWorkspace(blk *query.Block, done []*query.Block, cards []float64, opts Options) *workspace {
 	ws := workspacePool.Get().(*workspace)
-	ws.reset(blk, opts)
+	ws.reset(blk, done, cards, opts)
 	return ws
 }
 
@@ -187,8 +183,8 @@ func (ws *workspace) release() { workspacePool.Put(ws) }
 // Plan-estimate mode deliberately uses the simple cardinality model — cheap,
 // but ignorant of keys, which is the documented source of the parallel HSJN
 // estimation errors.
-func (ws *workspace) reset(blk *query.Block, opts Options) {
-	ws.card.Reset(blk, cost.Simple)
+func (ws *workspace) reset(blk *query.Block, done []*query.Block, cards []float64, opts Options) {
+	ws.card.Reset(blk, cost.Simple, done, cards)
 	ws.sc.Reset(blk)
 	ws.mem.Reset(blk.NumTables())
 	// Attach after Reset (which detaches and zeroes the previous run's
@@ -208,25 +204,13 @@ func (ws *workspace) enumerator(level opt.Level, opts Options) *enum.Enumerator 
 }
 
 // estimate runs the block the workspace was reset for through the enumerator
-// with counting hooks; it returns the (simple-mode) output cardinality too.
-func (ws *workspace) estimate(opts Options) (*BlockEstimate, float64, error) {
-	blk, mem, cnt := ws.cnt.blk, ws.mem, &ws.cnt
+// with counting hooks.
+func (ws *workspace) estimate(opts Options) (*BlockEstimate, error) {
+	mem, cnt := ws.mem, &ws.cnt
 
 	st, err := ws.enumerator(opts.level(), opts).Run(enum.Hooks{Init: cnt.initialize, Join: cnt.accumulatePlans})
 	if err != nil {
-		return nil, 0, err
-	}
-
-	root := mem.Entry(blk.AllTables())
-	outCard := root.Card
-	if len(blk.GroupBy) > 0 {
-		groups := 1.0
-		for _, c := range blk.GroupBy {
-			groups *= blk.Column(c).Col.NDV
-		}
-		if groups < outCard {
-			outCard = groups
-		}
+		return nil, err
 	}
 
 	// Durable property values are charged once per block: the counter only
@@ -250,7 +234,25 @@ func (ws *workspace) estimate(opts Options) (*BlockEstimate, float64, error) {
 		Entries:       mem.NumEntries(),
 		PropertyBytes: pb,
 		MeasuredBytes: mem.AccountedBytes(),
-	}, outCard, nil
+	}, nil
+}
+
+// outputCard is a block's simple-mode output cardinality after mem holds its
+// enumeration: the root entry's cardinality, capped by the product of the
+// group-by NDVs. It is what the parent's derived table reads, as the real
+// optimizer feeds a child's full-mode estimate to its parent.
+func outputCard(blk *query.Block, mem *memo.Memo) float64 {
+	card := mem.Entry(blk.AllTables()).Card
+	if len(blk.GroupBy) > 0 {
+		groups := 1.0
+		for _, c := range blk.GroupBy {
+			groups *= blk.Column(c).Col.NDV
+		}
+		if groups < card {
+			card = groups
+		}
+	}
+	return card
 }
 
 // memoryLowerBound converts a block's property-list footprint into the

@@ -76,7 +76,7 @@ func TestMergeOrderCountMatchesOracle(t *testing.T) {
 				cfg = &cost.Config{Nodes: nodes}
 			}
 			opts := Options{Level: opt.LevelHigh, Config: cfg}
-			ws := acquireWorkspace(blk, opts)
+			ws := acquireWorkspace(blk, nil, nil, opts)
 			c := &ws.cnt
 			hooks := enum.Hooks{Init: c.initialize}
 			hooks.Join = func(outer, inner, result *memo.Entry) {

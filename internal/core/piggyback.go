@@ -42,22 +42,28 @@ func EstimateLevels(blk *query.Block, top opt.Level, levels []opt.Level, opts Op
 		Counts: make(map[opt.Level]PlanCounts),
 		Joins:  make(map[opt.Level]int),
 	}
-	for _, b := range blk.Blocks() {
+	blocks := blk.Blocks()
+	var cardBuf [8]float64 // as in EstimatePlans
+	cards := cardBuf[:0]
+	for i, b := range blocks {
 		if opts.Exec.Cancelled() {
 			return nil, opts.Exec.Err()
 		}
-		if err := estimateBlockLevels(b, top, levels, opts, out); err != nil {
+		card, err := estimateBlockLevels(b, blocks[:i], cards, top, levels, opts, out)
+		if err != nil {
 			return nil, err
 		}
+		cards = append(cards, card)
 	}
 	out.Elapsed = time.Since(start)
 	return out, nil
 }
 
-// estimateBlockLevels runs one block's single top-level enumeration and adds
-// every requested level's counts to out.
-func estimateBlockLevels(b *query.Block, top opt.Level, levels []opt.Level, opts Options, out *MultiLevelEstimate) error {
-	ws := acquireWorkspace(b, opts)
+// estimateBlockLevels runs one block's single top-level enumeration, adds
+// every requested level's counts to out and returns the block's output
+// cardinality; done and cards are the blocks the run has finished and theirs.
+func estimateBlockLevels(b *query.Block, done []*query.Block, cards []float64, top opt.Level, levels []opt.Level, opts Options, out *MultiLevelEstimate) (float64, error) {
+	ws := acquireWorkspace(b, done, cards, opts)
 	defer ws.release()
 
 	// One counter per level, sharing the single enumeration. Property
@@ -83,7 +89,7 @@ func estimateBlockLevels(b *query.Block, top opt.Level, levels []opt.Level, opts
 		},
 	}
 	if _, err := ws.enumerator(top, opts).Run(hooks); err != nil {
-		return err
+		return 0, err
 	}
 	for i, l := range levels {
 		c := out.Counts[l]
@@ -91,7 +97,7 @@ func estimateBlockLevels(b *query.Block, top opt.Level, levels []opt.Level, opts
 		out.Counts[l] = c
 		out.Joins[l] += cnts[i].joins
 	}
-	return nil
+	return outputCard(b, ws.mem), nil
 }
 
 // fork clones the counter for a level's count-only pass: the configuration

@@ -73,21 +73,21 @@ func estimateOn(t *testing.T, ws *workspace, tenant, blk *query.Block, opts Opti
 	if tenant != nil {
 		for _, b := range tenant.Blocks() {
 			o := Options{Level: opt.LevelHigh}
-			ws.reset(b, o)
-			if _, _, err := ws.estimate(o); err != nil {
+			ws.reset(b, nil, nil, o)
+			if _, err := ws.estimate(o); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	opts.Exec = optctx.New(context.Background())
 	opts.Exec.SetMemBudget(budget)
-	ws.reset(blk, opts)
-	be, card, err := ws.estimate(opts)
+	ws.reset(blk, nil, nil, opts)
+	be, err := ws.estimate(opts)
 	if err != nil {
 		return blockOutcome{}, err
 	}
 	acct := opts.Exec.Resources()
-	out := blockOutcome{Est: *be, CardBits: math.Float64bits(card), DurablePeak: acct.DurablePeak(), ScratchPeak: acct.KindPeak(resource.KindScratch)}
+	out := blockOutcome{Est: *be, CardBits: math.Float64bits(outputCard(blk, ws.mem)), DurablePeak: acct.DurablePeak(), ScratchPeak: acct.KindPeak(resource.KindScratch)}
 	return out, nil
 }
 
@@ -141,7 +141,7 @@ func TestPoolStateScratchCharge(t *testing.T) {
 		t.Fatal(err)
 	}
 	widest := 0
-	ws.reset(blk, opts)
+	ws.reset(blk, nil, nil, opts)
 	if _, err := ws.enumerator(opts.Level, opts).Run(enum.Hooks{Join: func(outer, inner, _ *memo.Entry) {
 		oc, _ := blk.AppendJoinCols(outer.Tables, inner.Tables, nil, nil)
 		widest = max(widest, len(oc))
@@ -207,14 +207,7 @@ func TestPoolStateConcurrent(t *testing.T) {
 		refs[i] = reference{js, peak, lo}
 	}
 
-	// EstimatePlans writes a view's output cardinality into the block that
-	// reads it, so goroutines must not share a multi-block query: each gets
-	// probes of its own, built here on the test goroutine.
 	const goroutines = 8
-	own := make([][]poolProbe, goroutines)
-	for g := range own {
-		own[g] = poolProbes(t)
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -229,7 +222,7 @@ func TestPoolStateConcurrent(t *testing.T) {
 					return
 				}
 				i := (g + 3*round) % len(probes)
-				p, ref := own[g][i], refs[i]
+				p, ref := probes[i], refs[i]
 				js, peak, err := run(p, ref.tight)
 				if err != nil || js != ref.js || peak != ref.peak {
 					fail("%s under budget %d: err %v\n got  %s (peak %d)\n want %s (peak %d)", p.name, ref.tight, err, js, peak, ref.js, ref.peak)

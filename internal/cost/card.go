@@ -37,7 +37,7 @@ func (m Mode) String() string {
 // Cardinality is a logical property, computed once per MEMO entry and cached
 // on the entry (DB2 experience item 5); the enumerator hands the cached input
 // cardinalities back to JoinCard, so simple mode keeps nothing per table set
-// and owns only the two per-block tables below, which Reset refills in place
+// and owns only the per-block tables below, which Reset refills in place
 // (the estimate and compile workspaces each pool one Estimator). Full mode
 // alone memoizes per set, because keyCap recurses on sets the MEMO may not
 // hold; Reset clears that map and keeps its storage.
@@ -45,6 +45,7 @@ type Estimator struct {
 	blk  *query.Block
 	mode Mode
 
+	rows     []float64              // per-table unfiltered row count
 	filtered []float64              // per-table filtered cardinality
 	joinSel  []float64              // per-join-predicate selectivity
 	cache    map[bitset.Set]float64 // full mode only
@@ -54,7 +55,7 @@ type Estimator struct {
 // NewEstimator builds a cardinality estimator for a finalized block.
 func NewEstimator(blk *query.Block, mode Mode) *Estimator {
 	e := new(Estimator)
-	e.Reset(blk, mode)
+	e.Reset(blk, mode, nil, nil)
 	return e
 }
 
@@ -62,8 +63,11 @@ func NewEstimator(blk *query.Block, mode Mode) *Estimator {
 func (e *Estimator) Mode() Mode { return e.mode }
 
 // Reset points the estimator at a finalized block, refilling the per-table
-// and per-predicate tables in the storage of the previous block.
-func (e *Estimator) Reset(blk *query.Block, mode Mode) {
+// and per-predicate tables in the storage of the previous block. done and
+// cards are what the run has learnt so far, read here and never kept: the
+// blocks it has finished, children first, and the output cardinality each
+// produced (see tableRows).
+func (e *Estimator) Reset(blk *query.Block, mode Mode, done []*query.Block, cards []float64) {
 	e.blk, e.mode = blk, mode
 	switch {
 	case mode != Full:
@@ -73,10 +77,13 @@ func (e *Estimator) Reset(blk *query.Block, mode Mode) {
 	default:
 		clear(e.cache)
 	}
-	e.filtered = slices.Grow(e.filtered[:0], len(blk.Tables))
+	// One backing array holds both per-table columns, rows then filtered.
+	n := len(blk.Tables)
+	e.rows = slices.Grow(e.rows[:0], 2*n)
 	for _, t := range blk.Tables {
-		e.filtered = append(e.filtered, t.BaseRows())
+		e.rows = append(e.rows, tableRows(t, done, cards))
 	}
+	e.filtered = append(e.rows[n:n], e.rows...)
 	for _, lp := range blk.LocalPreds {
 		t := blk.TableOf(lp.Col)
 		e.filtered[t] *= e.localSel(lp)
@@ -91,6 +98,24 @@ func (e *Estimator) Reset(blk *query.Block, mode Mode) {
 	for _, jp := range blk.JoinPreds {
 		e.joinSel = append(e.joinSel, e.joinPredSel(jp))
 	}
+}
+
+// tableRows is the unfiltered row count of a table reference in one run: a
+// base table's RowCount; for a derived table, the output cardinality the run
+// gave its child block — done[j] finished with cards[j] — and 1 when the run
+// has no positive one. Runs visit blocks children-first
+// (query.Block.Blocks), so a parent's children are all in done when it
+// starts, and the answer depends on the run alone, never on the block.
+func tableRows(t *query.TableRef, done []*query.Block, cards []float64) float64 {
+	if t.Table != nil {
+		return t.Table.RowCount
+	}
+	for j, b := range done {
+		if b == t.Derived && cards[j] > 0 {
+			return cards[j]
+		}
+	}
+	return 1
 }
 
 // localSel returns the selectivity of one local predicate under the current
@@ -153,9 +178,12 @@ func (e *Estimator) effNDV(id query.ColID) float64 {
 // to pay the real price of histogram work per estimate, as commercial cost
 // models do) the histogram of a column.
 func (e *Estimator) histogramFor(col *query.ColumnRef) *Histogram {
-	rows := col.Ref.BaseRows()
+	rows := e.rows[col.Ref.Index]
 	return SynthesizeHistogram(rows, col.Col.NDV, col.Ref.Alias+"."+col.Col.Name)
 }
+
+// Rows returns the unfiltered row count of one table in this run.
+func (e *Estimator) Rows(t int) float64 { return e.rows[t] }
 
 // FilteredCard returns the cardinality of one table after local predicates.
 func (e *Estimator) FilteredCard(t int) float64 { return e.filtered[t] }

@@ -164,6 +164,56 @@ func TestFilteredCardRespectsLocalPreds(t *testing.T) {
 	}
 }
 
+// TestEstimatorRows pins the estimator's per-run row table: a base table
+// reads its RowCount; a derived table reads the output cardinality the run
+// gave its child block, and 1 when the run gave none — in both modes, and
+// with the same block serving runs that disagree.
+func TestEstimatorRows(t *testing.T) {
+	cb := catalog.NewBuilder("c")
+	cb.Table("r", 1_000).Column("a", 100)
+	cb.Table("s", 50_000).Column("a", 100)
+	cat := cb.Build()
+	child := query.NewBuilder("ch", cat)
+	child.AddTable("s", "")
+	child.SelectCols(child.Col("s", "a"))
+	childBlk := child.MustBuild()
+	qb := query.NewBuilder("q", cat)
+	qb.AddTable("r", "")
+	dt := qb.AddDerived(childBlk, "v", false)
+	qb.Join(qb.Col("r", "a"), qb.ColByTableIndex(dt, 0), query.Eq)
+	blk := qb.MustBuild()
+
+	other := query.NewBuilder("other", cat)
+	other.AddTable("s", "")
+	otherBlk := other.MustBuild()
+
+	for _, mode := range []Mode{Simple, Full} {
+		for _, tc := range []struct {
+			name  string
+			done  []*query.Block
+			cards []float64
+			want  float64
+		}{
+			{"no run value", nil, nil, 1},
+			{"another block's value", []*query.Block{otherBlk}, []float64{77}, 1},
+			{"run value", []*query.Block{childBlk}, []float64{321}, 321},
+			{"second run value", []*query.Block{otherBlk, childBlk}, []float64{77, 42}, 42},
+		} {
+			e := NewEstimator(blk, mode)
+			e.Reset(blk, mode, tc.done, tc.cards)
+			if got := e.Rows(0); got != 1_000 {
+				t.Errorf("%v %s: base table rows = %v, want 1000", mode, tc.name, got)
+			}
+			if got := e.Rows(dt); got != tc.want {
+				t.Errorf("%v %s: derived table rows = %v, want %v", mode, tc.name, got, tc.want)
+			}
+			if got := e.FilteredCard(dt); got != tc.want {
+				t.Errorf("%v %s: derived filtered card = %v, want %v", mode, tc.name, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestCardFloor(t *testing.T) {
 	cb := catalog.NewBuilder("c")
 	cb.Table("t", 10).Column("a", 10)

@@ -620,15 +620,13 @@ func PipelineExtension() ([]PipelineRow, error) {
 		for preds := 1; preds <= 3; preds++ {
 			row := PipelineRow{Query: fmt.Sprintf("star_n%d_p%d", n, preds)}
 			for _, firstN := range []int{0, 10} {
-				blk := starNoSort(n, preds)
-				blk.FirstN = firstN
+				blk := starNoSort(n, preds, firstN)
 				res, err := opt.Optimize(blk, opt.Options{Level: Level})
 				if err != nil {
 					return nil, err
 				}
 				res.Release()
-				blk2 := starNoSort(n, preds)
-				blk2.FirstN = firstN
+				blk2 := starNoSort(n, preds, firstN)
 				est, err := core.EstimatePlans(blk2, core.Options{Level: Level})
 				if err != nil {
 					return nil, err
@@ -648,8 +646,8 @@ func PipelineExtension() ([]PipelineRow, error) {
 }
 
 // starNoSort builds a star query without ORDER BY / GROUP BY (so that
-// pipelineability stays interesting under FETCH FIRST).
-func starNoSort(n, preds int) *query.Block {
+// pipelineability stays interesting under FETCH FIRST firstN, when positive).
+func starNoSort(n, preds, firstN int) *query.Block {
 	w := workload.Star(1)
 	// Rebuild the same shape without the sorting clauses via the catalog.
 	cat := w.Catalog
@@ -662,6 +660,7 @@ func starNoSort(n, preds int) *query.Block {
 			qb.JoinEq("t0", fmt.Sprintf("jc%d_%d", s, k), fmt.Sprintf("t%d", s), fmt.Sprintf("jc0_%d", k))
 		}
 	}
+	qb.FetchFirst(firstN)
 	blk, err := qb.Build()
 	if err != nil {
 		panic(err)

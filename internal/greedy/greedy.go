@@ -44,11 +44,10 @@ func Optimize(blk *query.Block, card *cost.Estimator, cfg *cost.Config) (*Result
 	var hits cost.HitMemo
 
 	scan := func(t int) *memo.Plan {
-		ref := blk.Tables[t]
 		fc := card.FilteredCard(t)
 		return &memo.Plan{
 			Op: memo.OpTableScan, Tables: bitset.Single(t),
-			Cost: cfg.ScanCost(&hits, ref.BaseRows(), fc), Card: fc,
+			Cost: cfg.ScanCost(&hits, card.Rows(t), fc), Card: fc,
 		}
 	}
 

@@ -276,18 +276,6 @@ func recordStages(oc *optctx.Ctx, br *BlockResult) {
 	oc.RecordStage(optctx.StageEnumerate, int64(br.EnumStats.Joins), enumTime)
 }
 
-// propagateDerivedCard stores the optimized output cardinality of child on
-// every TableRef (in any block of root's tree) deriving from it.
-func propagateDerivedCard(root, child *query.Block, card float64) {
-	for _, b := range root.Blocks() {
-		for _, ref := range b.Tables {
-			if ref.Derived == child {
-				ref.CardOverride = card
-			}
-		}
-	}
-}
-
 // workspace is everything a compile works in: the plan generator with its
 // scratch (hit memo, buffers, free list, interned properties), the
 // full-mode cardinality estimator, the interest scope, and the MEMOs
@@ -353,20 +341,23 @@ func (ws *workspace) reclaim(r *Result) {
 func (ws *workspace) optimize(oc *optctx.Ctx, blk *query.Block, opts Options) (*Result, error) {
 	start := time.Now()
 	res := &Result{}
-	for _, b := range blk.Blocks() {
+	blocks := blk.Blocks()
+	// Each finished block's output cardinality, the rows its parent's
+	// derived table reads; on the stack up to eight blocks.
+	var cardBuf [8]float64
+	cards := cardBuf[:0]
+	for i, b := range blocks {
 		if oc.Cancelled() {
 			return res, oc.Err()
 		}
 		mem := ws.memo(b.NumTables())
-		br, err := ws.optimizeBlock(oc, b, mem, opts)
+		br, err := ws.optimizeBlock(oc, b, blocks[:i], cards, mem, opts)
 		if err != nil {
 			ws.keep(mem)
 			return res, err
 		}
 		res.Blocks = append(res.Blocks, br)
-		// Export the block's output cardinality to the derived table
-		// reference(s) in its parent.
-		propagateDerivedCard(blk, b, br.Plan.Card)
+		cards = append(cards, br.Plan.Card)
 	}
 	root := res.Blocks[len(res.Blocks)-1]
 	res.Plan = finish(root.Block, root.Plan, root.Memo, &ws.sc, opts)
@@ -375,12 +366,13 @@ func (ws *workspace) optimize(oc *optctx.Ctx, blk *query.Block, opts Options) (*
 	return res, nil
 }
 
-// optimizeBlock compiles one block into mem.
-func (ws *workspace) optimizeBlock(oc *optctx.Ctx, blk *query.Block, mem *memo.Memo, opts Options) (*BlockResult, error) {
+// optimizeBlock compiles one block into mem; done and cards are the blocks
+// the compile has finished and their output cardinalities.
+func (ws *workspace) optimizeBlock(oc *optctx.Ctx, blk *query.Block, done []*query.Block, cards []float64, mem *memo.Memo, opts Options) (*BlockResult, error) {
 	t0 := time.Now()
 	cfg := knobs.CostConfig(opts.Config)
 	card := &ws.card
-	card.Reset(blk, cost.Full)
+	card.Reset(blk, cost.Full, done, cards)
 	ws.sc.Reset(blk)
 
 	if opts.Level == LevelLow {

@@ -3,6 +3,7 @@ package opt
 import (
 	"testing"
 
+	"cote/internal/bitset"
 	"cote/internal/catalog"
 	"cote/internal/cost"
 	"cote/internal/memo"
@@ -356,15 +357,18 @@ func TestMultiBlockDerivedCardPropagation(t *testing.T) {
 	if len(res.Blocks) != 2 {
 		t.Fatalf("optimized %d blocks, want 2", len(res.Blocks))
 	}
-	// The derived ref received the child's output cardinality (~100 rows).
+	// The derived table read the child's output cardinality (~100 rows)
+	// from this compile, not from the block.
 	var ref *query.TableRef
 	for _, r := range blk.Tables {
 		if r.IsDerived() {
 			ref = r
 		}
 	}
-	if ref.CardOverride <= 0 || ref.CardOverride > 10_000 {
-		t.Fatalf("derived card override = %v", ref.CardOverride)
+	childCard := res.Blocks[0].Plan.Card
+	got := res.Blocks[1].Memo.Entry(bitset.Single(ref.Index)).Card
+	if got != childCard || got <= 1 || got > 10_000 {
+		t.Fatalf("derived table card = %v, child output %v", got, childCard)
 	}
 }
 

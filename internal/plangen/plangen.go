@@ -272,8 +272,7 @@ func (g *Generator) initEntry(e *memo.Entry) {
 	}
 	g.lap()
 	t := e.Tables.Min()
-	ref := g.blk.Tables[t]
-	rows := ref.BaseRows()
+	rows := g.card.Rows(t)
 	fc := g.card.FilteredCard(t)
 	part := g.basePartition(t)
 

@@ -40,10 +40,11 @@ type Arena struct {
 }
 
 // Reset zeroes everything the arena handed out and makes it available
-// again. Zeroing is a correctness condition, not hygiene: estimates and
-// compiles write TableRef.CardOverride into the blocks they are given, and
-// a stale value read by the next statement would be a wrong answer. Every
-// block, slice and name carved before the call is invalid after it.
+// again. Zeroing is a correctness condition, not hygiene: Finalize ORs bits
+// into the adjacency and incidence arrays it carves, and a builder and a
+// block carry their err and finalized flags, so stale storage would be a
+// wrong block. Every block, slice and name carved before the call is
+// invalid after it.
 func (a *Arena) Reset() {
 	a.blocks.reset()
 	a.builders.reset()

@@ -145,30 +145,6 @@ func TestPredOpStrings(t *testing.T) {
 	}
 }
 
-func TestBaseRowsVariants(t *testing.T) {
-	cat := builderCatalog()
-	qb := NewBuilder("br", cat)
-	qb.AddTable("r", "")
-	child := NewBuilder("ch", cat)
-	child.AddTable("s", "")
-	child.SelectCols(child.Col("s", "a"))
-	dt := qb.AddDerived(child.MustBuild(), "v", false)
-	qb.Join(qb.Col("r", "a"), qb.ColByTableIndex(dt, 0), Eq)
-	blk := qb.MustBuild()
-
-	if got := blk.Tables[0].BaseRows(); got != 1000 {
-		t.Fatalf("base table rows = %v", got)
-	}
-	// Derived without override: defensive 1.
-	if got := blk.Tables[1].BaseRows(); got != 1 {
-		t.Fatalf("derived default rows = %v", got)
-	}
-	blk.Tables[1].CardOverride = 321
-	if got := blk.Tables[1].BaseRows(); got != 321 {
-		t.Fatalf("override rows = %v", got)
-	}
-}
-
 // TestBuilderAllocs pins what building and finalizing a block allocates: a
 // 10-table chain over 13-column tables — 130 column instances, 9 join
 // predicates. In a warm arena it is nothing. NewBuilder's fresh arena costs

@@ -84,24 +84,10 @@ type TableRef struct {
 	// this block (a correlated subquery). Correlated derived tables cannot
 	// serve as the outer of a join.
 	Correlated bool
-	// CardOverride, when > 0, is the output cardinality the optimizer
-	// computed for a derived table. Zero for base tables.
-	CardOverride float64
 }
 
 // IsDerived reports whether the reference is a view or subquery.
 func (t *TableRef) IsDerived() bool { return t.Derived != nil }
-
-// BaseRows returns the unfiltered row count of the reference.
-func (t *TableRef) BaseRows() float64 {
-	if t.CardOverride > 0 {
-		return t.CardOverride
-	}
-	if t.Table != nil {
-		return t.Table.RowCount
-	}
-	return 1
-}
 
 // ColumnRef is one column instance of the block.
 type ColumnRef struct {
@@ -156,7 +142,10 @@ type OuterJoin struct {
 
 // Block is one query block (a SELECT). Nested blocks appear as derived
 // TableRefs; they are optimized independently, bottom-up, exactly as the
-// paper's multi-block extension describes.
+// paper's multi-block extension describes. A block is read-only after
+// Finalize: what a run learns about it, such as a derived table's output
+// cardinality, stays in the run (cost.Estimator), so any number of runs may
+// share one block.
 type Block struct {
 	Name    string
 	Catalog *catalog.Catalog

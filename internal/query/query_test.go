@@ -234,11 +234,6 @@ func TestDerivedTables(t *testing.T) {
 	if len(bs) != 2 || bs[0] != child || bs[1] != blk {
 		t.Fatalf("Blocks order wrong: %v", bs)
 	}
-	// CardOverride wins over base rows.
-	ref.CardOverride = 42
-	if ref.BaseRows() != 42 {
-		t.Fatal("CardOverride not honored")
-	}
 }
 
 func TestDoubleFinalizeRejected(t *testing.T) {

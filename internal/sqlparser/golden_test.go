@@ -31,7 +31,7 @@ const goldenPath = "testdata/golden_blocks.txt"
 func dumpBlock(w *bytes.Buffer, b *query.Block) {
 	fmt.Fprintf(w, "block %q catalog %s aggs %d first %d\n", b.Name, b.Catalog.Name(), b.NumAggs, b.FirstN)
 	for _, t := range b.Tables {
-		fmt.Fprintf(w, " table %d %q first %d cols %d corr %v card %v", t.Index, t.Alias, t.FirstCol, t.NumCols, t.Correlated, t.CardOverride)
+		fmt.Fprintf(w, " table %d %q first %d cols %d corr %v", t.Index, t.Alias, t.FirstCol, t.NumCols, t.Correlated)
 		if t.Derived != nil {
 			w.WriteString(" derived {\n")
 			dumpBlock(w, t.Derived)

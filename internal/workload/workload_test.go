@@ -70,13 +70,13 @@ func TestSyntheticBatchStructure(t *testing.T) {
 func TestLinearHasClosedFormJoins(t *testing.T) {
 	w := Linear(1)
 	for _, q := range w.Queries[:5] { // the 6-table batch
-		jc, err := core.CountJoins(q.Block, core.Options{Level: opt.LevelHigh, CartesianPolicy: 1 /* never */})
+		est, err := core.EstimatePlans(q.Block, core.Options{Level: opt.LevelHigh, CartesianPolicy: 1 /* never */})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, _ := core.ClosedFormJoins("linear", 6)
-		if jc.Pairs != want {
-			t.Fatalf("%s: %d pairs, closed form %d", q.Name, jc.Pairs, want)
+		if est.Pairs != want {
+			t.Fatalf("%s: %d pairs, closed form %d", q.Name, est.Pairs, want)
 		}
 	}
 }

@@ -77,13 +77,9 @@ func TestParallelDurablePeakMatchesSerial(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				// A compile writes derived cardinalities into its block, so
-				// each goroutine needs its own copy of the workload, as each
-				// server request parses its own.
-				own := workload.Real1(1).Queries
 				for k := range qs {
 					i := (k + w*len(qs)/workers) % len(qs)
-					res, err := opt.OptimizeCtx(context.Background(), own[i].Block, opt.Options{Level: experiments.Level})
+					res, err := opt.OptimizeCtx(context.Background(), qs[i].Block, opt.Options{Level: experiments.Level})
 					if err != nil {
 						errs <- err
 						continue
