@@ -18,20 +18,26 @@ import (
 	"cote/internal/workload"
 )
 
-// Measured 2026-10: optimize 49 allocs released on a warm pool, 186
-// unreleased; estimate 28 — seven per block of the four-block query: the
-// result, the enumerator, the block list. A released compile keeps what is
-// left per block: its BlockResult, the enumerator, the full-mode
-// histograms; an unreleased one also builds each block's MEMO. The
-// unreleased ceiling is the one every compile had before the compile
-// workspace (336 then): a caller that never releases pays no more. The
-// compile was ~10.8k before the plan arena and 2,245 while plan generation
-// timed each method call with a closure and each plan with two clock reads,
-// the cardinality estimator built a predicate slice per table set and entry
-// plan lists grew by append. The estimate was 292 while the cardinality
-// estimator, the scope, the counter, the interned merge orders and the
-// base-table order lists were built per block, and 776 before a MEMO entry's
-// equivalence came from the MEMO's arena.
+// Measured 2026-10 with testutil.AllocsWithoutGC (warm, GC held off):
+// optimize 33 allocs released, 181 unreleased; estimate 15. They read 34 /
+// 174 / 15 before finish took the whole block's classes from the root entry
+// instead of rebuilding them (one allocation fewer per compile) and MEMO
+// entries got predicate sides (a fresh MEMO cuts a side chunk per 128
+// entries, which an unreleased compile pays per block), and 49 / 186 / 28
+// under testing.AllocsPerRun, whose collections let pools drop. The estimate's
+// are per block of the four-block query: the result, the enumerator, the
+// block list. A released compile keeps what is left per block: its
+// BlockResult, the enumerator, the full-mode histograms; an unreleased one
+// also builds each block's MEMO. The unreleased ceiling is the one every
+// compile had before the compile workspace (336 then): a caller that never
+// releases pays no more. The compile was ~10.8k before the plan arena and
+// 2,245 while plan generation timed each method call with a closure and
+// each plan with two clock reads, the cardinality estimator built a
+// predicate slice per table set and entry plan lists grew by append. The
+// estimate was 292 while the cardinality estimator, the scope, the counter,
+// the interned merge orders and the base-table order lists were built per
+// block, and 776 before a MEMO entry's equivalence came from the MEMO's
+// arena.
 const (
 	maxOptimizeAllocs         = 400
 	maxOptimizeReleasedAllocs = 59
@@ -40,11 +46,12 @@ const (
 
 // maxEstimateClique10Allocs bounds one estimate shaped like the benchmark's
 // cold_dense requests, only larger: a 10-table clique, 1,023 MEMO entries,
-// on a warm workspace pool. Measured 7, the same seven a 3-table chain
-// costs: nothing is allocated per table, per entry or per stored order. It
-// was 1,451 while merge orders were interned through a map and base-table
-// order lists were built per table, and 11,699 when every entry allocated
-// its equivalence and its crossing-predicate slice.
+// on a warm workspace pool. Measured 5 with testutil.AllocsWithoutGC (7
+// under testing.AllocsPerRun), what a 3-table chain costs: nothing is
+// allocated per table, per entry or per stored order. It was 1,451 while
+// merge orders were interned through a map and base-table order lists were
+// built per table, and 11,699 when every entry allocated its equivalence
+// and its crossing-predicate slice.
 const maxEstimateClique10Allocs = 8
 
 func TestOptimizeAllocsReal2Headline(t *testing.T) {
@@ -60,7 +67,7 @@ func TestOptimizeAllocsReal2Headline(t *testing.T) {
 		release  bool
 		maxAlloc float64
 	}{{"released", true, maxOptimizeReleasedAllocs}, {"unreleased", false, maxOptimizeAllocs}} {
-		avg := testing.AllocsPerRun(5, func() {
+		avg, _ := testutil.AllocsWithoutGC(5, func() {
 			res, err := opt.Optimize(q.Block, opt.Options{Level: experiments.Level})
 			if err != nil {
 				t.Fatal(err)
@@ -78,10 +85,13 @@ func TestOptimizeAllocsReal2Headline(t *testing.T) {
 // TestOptimizeAllocsBenchShapes pins what a compile shaped like the
 // benchmark's compile requests allocates (LevelHigh over the benchmark
 // catalog, a parsed spelling), released as the service releases it and
-// unreleased. Measured 8 / 8 / 9 allocations released, 48 / 70 / 71
-// unreleased, whose ceilings stay those of 98 / 121 / 141 before the compile
-// workspace; 600 / 1,827 / 1,524 before the plan generator's lap clock,
-// batched commits and arena-carved plan lists.
+// unreleased. Measured with testutil.AllocsWithoutGC 6 / 6 / 7 allocations
+// released, 48 / 70 / 71 unreleased (7 / 7 / 8 and 47 / 69 / 70 before
+// finish read the root entry's classes and entries got predicate sides; 8 /
+// 8 / 9 and 48 / 70 / 71 under testing.AllocsPerRun), whose ceilings stay
+// those of 98 / 121 / 141 before the compile workspace; 600 / 1,827 / 1,524
+// before the plan generator's lap clock, batched commits and arena-carved
+// plan lists.
 func TestOptimizeAllocsBenchShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc guard skipped in -short")
@@ -100,7 +110,7 @@ func TestOptimizeAllocsBenchShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, release := range []bool{true, false} {
-			avg := testing.AllocsPerRun(5, func() {
+			avg, _ := testutil.AllocsWithoutGC(5, func() {
 				res, err := opt.Optimize(blk, opt.Options{Level: opt.LevelHigh})
 				if err != nil {
 					t.Fatal(err)
@@ -125,7 +135,7 @@ func TestEstimatePlansAllocsReal2Headline(t *testing.T) {
 		t.Skip("alloc guard skipped in -short")
 	}
 	q := workload.Real2(1).Queries[7]
-	avg := testing.AllocsPerRun(5, func() {
+	avg, _ := testutil.AllocsWithoutGC(5, func() {
 		if _, err := core.EstimatePlans(q.Block, core.Options{Level: experiments.Level}); err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +162,7 @@ func TestEstimatePlansAllocsClique10(t *testing.T) {
 	if q.Block.NumTables() != 10 {
 		t.Fatalf("%s has %d tables, want the 10-table clique", q.Name, q.Block.NumTables())
 	}
-	avg := testing.AllocsPerRun(5, func() {
+	avg, _ := testutil.AllocsWithoutGC(5, func() {
 		if _, err := core.EstimatePlans(q.Block, core.Options{Level: opt.LevelHigh}); err != nil {
 			t.Fatal(err)
 		}

@@ -225,7 +225,7 @@ func (c *counter) joinCols(outer, inner *memo.Entry) (outerCols, innerCols []que
 	if c.colsOuter == inner.Tables && c.colsInner == outer.Tables {
 		c.ocBuf, c.icBuf = c.icBuf, c.ocBuf
 	} else {
-		c.ocBuf, c.icBuf = c.blk.AppendJoinCols(outer.Tables, inner.Tables, c.ocBuf[:0], c.icBuf[:0])
+		c.ocBuf, c.icBuf = c.blk.AppendJoinColsFromSides(c.mem.Sides(outer), c.mem.Sides(inner), c.ocBuf[:0], c.icBuf[:0])
 		c.maxCols = max(c.maxCols, len(c.ocBuf))
 	}
 	c.colsOuter, c.colsInner = outer.Tables, inner.Tables

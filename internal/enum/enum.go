@@ -335,7 +335,9 @@ func (en *Enumerator) createEntry(s bitset.Set, hooks Hooks) *memo.Entry {
 		return e
 	}
 	e.Card = en.card.Card(s)
-	en.finishEntry(e, s, en.blk.Neighbors(s), hooks)
+	e.Neighbors = en.blk.Neighbors(s)
+	en.mem.InitBase(e, en.blk)
+	en.finishEntry(e, s, hooks)
 	return e
 }
 
@@ -345,20 +347,22 @@ func (en *Enumerator) createEntry(s bitset.Set, hooks Hooks) *memo.Entry {
 // neighbor mask composes the same way: N(S ∪ L) = (N(S) ∪ N(L)) \ (S ∪ L),
 // exact because both sides unfold to the members' adjacency sets minus the
 // union — so maintaining the neighbor masks costs three bitset ops per
-// created entry instead of a walk over its tables.
+// created entry instead of a walk over its tables. The predicate sides, and
+// the equivalence classes built from them, compose alike (Memo.InitJoin).
 func (en *Enumerator) createJoinEntry(union bitset.Set, S, L *memo.Entry, hooks Hooks) *memo.Entry {
 	e, created := en.mem.GetOrCreate(union)
 	if !created {
 		return e
 	}
 	e.Card = en.card.JoinCard(S.Tables, L.Tables, S.Card, L.Card)
-	en.finishEntry(e, union, S.Neighbors.Union(L.Neighbors).Diff(union), hooks)
+	e.Neighbors = S.Neighbors.Union(L.Neighbors).Diff(union)
+	en.mem.InitJoin(e, S, L, en.blk)
+	en.finishEntry(e, union, hooks)
 	return e
 }
 
-func (en *Enumerator) finishEntry(e *memo.Entry, s bitset.Set, neighbors bitset.Set, hooks Hooks) {
-	e.Neighbors = neighbors
-	en.mem.InitEquiv(e, en.blk)
+// finishEntry marks a new entry's outer-eligibility and runs the Init hook.
+func (en *Enumerator) finishEntry(e *memo.Entry, s bitset.Set, hooks Hooks) {
 	e.OuterEligible = en.compositeOuterEligible(s)
 	if hooks.Init != nil {
 		hooks.Init(e)

@@ -157,7 +157,8 @@ type Entry struct {
 	Card float64
 	// Equiv caches the equivalence classes induced by predicates applied
 	// within Tables, by value: its representative array is carved from the
-	// MEMO's arena (Memo.InitEquiv), so it costs the entry no allocation.
+	// MEMO's arena (Memo.InitBase, Memo.InitJoin), so it costs the entry no
+	// allocation.
 	Equiv query.Equiv
 	// Neighbors caches the join-graph neighborhood of Tables — the union of
 	// the adjacency sets of its members, minus Tables itself. The enumerator
@@ -181,6 +182,11 @@ type Entry struct {
 	// (DB2 experience item 4): properties are propagated into an entry only
 	// by the first join producing it.
 	PropsPropagated bool
+	// slot is the entry's position in the MEMO's slab, which also locates
+	// its predicate sides (Memo.Sides). It sits in what was tail padding:
+	// the entry stays 128 bytes, so EntryFootprint, and with it every durable
+	// peak, holds.
+	slot int32
 }
 
 // fibMul is the 64-bit Fibonacci hashing multiplier (2^64/phi). Table sets
@@ -235,6 +241,14 @@ type Memo struct {
 	// the goroutine running the enumeration carves: no lock.
 	reps bump[int32]
 	cols bump[query.ColID]
+	// sides holds the entries' predicate sides, one chunk per slab block:
+	// the entry in slab slot i keeps its sideWords word pairs at
+	// sides[i/slabBlock][(i%slabBlock)*sideWords:]. A chunk is cut for its
+	// slab block's entries when the first of them takes sides, and cut anew
+	// then if a block with more predicate words outgrew it. Reset keeps the
+	// chunks.
+	sides     [][][2]uint64
+	sideWords int
 	// plans is the arena entries' plan lists live in: InsertPlan moves a
 	// full list into a window twice its size (planWindow at first) and
 	// abandons the old one in place. Reset clears the chunks, so a pooled
@@ -328,6 +342,7 @@ func (m *Memo) alloc() *Entry {
 		m.blocks = append(m.blocks, make([]Entry, slabBlock))
 	}
 	e := &m.blocks[b][m.nused%slabBlock]
+	e.slot = int32(m.nused)
 	m.nused++
 	return e
 }
@@ -355,11 +370,56 @@ func (a *bump[T]) take(n, chunk int) []T {
 	}
 }
 
-// InitEquiv computes the equivalence classes of entry e of block blk into
-// arena storage, cut in chunks of repChunkEntries arrays of the block's length.
-func (m *Memo) InitEquiv(e *Entry, blk *query.Block) {
+// Sides returns e's predicate sides as InitBase or InitJoin cached them:
+// the block's join predicates by which of their columns lie in e.Tables.
+// The words are read-only and valid until Reset.
+func (m *Memo) Sides(e *Entry) query.Sides {
+	s, w := uint(e.slot), uint(m.sideWords)
+	i := s % slabBlock * w
+	return m.sides[s/slabBlock][i : i+w : i+w]
+}
+
+// newSides returns the storage of e's predicate sides for a block of words
+// predicate words. Its content is stale: the caller overwrites it all.
+func (m *Memo) newSides(e *Entry, words int) query.Sides {
+	m.sideWords = words
+	b := int(e.slot) / slabBlock
+	for len(m.sides) <= b {
+		m.sides = append(m.sides, nil)
+	}
+	if len(m.sides[b]) < slabBlock*words {
+		m.sides[b] = make([][2]uint64, slabBlock*words)
+	}
+	return m.Sides(e)
+}
+
+// InitBase caches what base entry e inherits from the block: its predicate
+// sides, which are its table's incidence, and the equivalence classes they
+// induce.
+func (m *Memo) InitBase(e *Entry, blk *query.Block) {
+	sides := m.newSides(e, blk.PredWords())
+	copy(sides, blk.TableSides(e.Tables.Min()))
+	m.initEquiv(e, blk, sides)
+}
+
+// InitJoin caches the same for e, the union of entries S and L, composing
+// its sides from theirs — sides(S ∪ L) = sides(S) | sides(L), exact because
+// both unfold to the OR over the union's tables — so no entry creation
+// walks the tables of its set.
+func (m *Memo) InitJoin(e, S, L *Entry, blk *query.Block) {
+	sides := m.newSides(e, blk.PredWords())
+	ss, ls := m.Sides(S), m.Sides(L)
+	for w := range sides {
+		sides[w] = [2]uint64{ss[w][0] | ls[w][0], ss[w][1] | ls[w][1]}
+	}
+	m.initEquiv(e, blk, sides)
+}
+
+// initEquiv builds e's equivalence classes from its sides into arena
+// storage, cut in chunks of repChunkEntries arrays of the block's length.
+func (m *Memo) initEquiv(e *Entry, blk *query.Block, sides query.Sides) {
 	n := len(blk.Columns)
-	e.Equiv = blk.EquivWithinInto(e.Tables, m.reps.take(n, repChunkEntries*n))
+	e.Equiv = blk.EquivFromSides(sides, m.reps.take(n, repChunkEntries*n))
 }
 
 // colChunk is the element count of one column-arena chunk: a few hundred

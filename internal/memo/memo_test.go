@@ -25,10 +25,27 @@ func blockFixture(t *testing.T) *query.Block {
 	return qb.MustBuild()
 }
 
+// entryFor returns the entry for s, initializing it as the enumerator does
+// when this call creates it (initEntry).
 func entryFor(blk *query.Block, m *Memo, s bitset.Set) *Entry {
-	e, _ := m.GetOrCreate(s)
-	m.InitEquiv(e, blk)
+	e, created := m.GetOrCreate(s)
+	if created {
+		initEntry(m, e, blk)
+	}
 	return e
+}
+
+// initEntry caches e's predicate sides and equivalence classes the way the
+// enumerator does: a base entry from its table, any other as the join of
+// its lowest table's entry and the entry of the rest, each created first
+// when missing.
+func initEntry(m *Memo, e *Entry, blk *query.Block) {
+	if e.Tables.Len() == 1 {
+		m.InitBase(e, blk)
+		return
+	}
+	lo := bitset.Single(e.Tables.Min())
+	m.InitJoin(e, entryFor(blk, m, lo), entryFor(blk, m, e.Tables.Diff(lo)), blk)
 }
 
 func TestGetOrCreate(t *testing.T) {

@@ -429,7 +429,15 @@ func finish(blk *query.Block, best *memo.Plan, mem *memo.Memo, sc *props.Scope, 
 	cfg := knobs.CostConfig(opts.Config)
 	plan := best
 	root := mem.Entry(blk.AllTables())
-	eq := blk.EquivWithin(blk.AllTables())
+	// The root entry's classes are those of the whole block. Without one
+	// (greedy, at the low level) they are built only when a GROUP BY or
+	// ORDER BY reads them.
+	var eq *query.Equiv
+	if root != nil {
+		eq = &root.Equiv
+	} else if len(blk.GroupBy) > 0 || len(blk.OrderBy) > 0 {
+		eq = blk.EquivWithin(blk.AllTables())
+	}
 
 	// Apply any expensive predicates the plan deferred past its joins.
 	if !plan.DeferredExp.Empty() {

@@ -382,7 +382,7 @@ func (g *Generator) basePartition(t int) props.Partition {
 // only the outer and inner entries, never result.Plans, so deferring the
 // commits changes no plan, count or pruning decision.
 func (g *Generator) joinEntry(outer, inner, result *memo.Entry) {
-	g.ocBuf, g.icBuf = g.blk.AppendJoinCols(outer.Tables, inner.Tables, g.ocBuf[:0], g.icBuf[:0])
+	g.ocBuf, g.icBuf = g.blk.AppendJoinColsFromSides(g.mem.Sides(outer), g.mem.Sides(inner), g.ocBuf[:0], g.icBuf[:0])
 	outerCols, innerCols := g.ocBuf, g.icBuf
 	g.maxCols = max(g.maxCols, len(outerCols))
 	candidates := g.candidatePartitions(outer, inner, result, outerCols, innerCols)

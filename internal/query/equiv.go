@@ -36,55 +36,74 @@ func (b *Block) EquivWithin(s bitset.Set) *Equiv {
 
 // EquivWithinInto is EquivWithin building the classes in caller-owned
 // storage: rep, of length len(b.Columns) and any content, becomes the
-// representative array of the returned Equiv — how a MEMO gives its entries
-// their equivalences without one allocation apiece.
+// representative array of the returned Equiv. It is for callers that hold
+// no MEMO entry: it gathers the sides of s from its tables, then builds as
+// EquivFromSides does.
 func (b *Block) EquivWithinInto(s bitset.Set, rep []int32) Equiv {
-	for i := range rep {
-		rep[i] = int32(i)
+	var buf [4][2]uint64 // 256 predicates' worth, without an allocation
+	sides := Sides(buf[:0])
+	if b.predWords > len(buf) {
+		sides = make(Sides, 0, b.predWords)
 	}
-	uf := unionFind{parent: rep}
-	b.forEqWithin(s, func(p *JoinPred) { uf.union(int(p.Left), int(p.Right)) })
-	// Flatten. Only the columns of the predicates just applied can have left
-	// their singleton class, so only they need pointing at their root.
-	b.forEqWithin(s, func(p *JoinPred) {
-		rep[p.Left] = int32(uf.find(int(p.Left)))
-		rep[p.Right] = int32(uf.find(int(p.Right)))
-	})
-	// Flag the root of every class holding the inside column of a predicate
-	// that crosses the boundary of s, then hand the flag down to the members.
-	crossing := false
 	for w := 0; w < b.predWords; w++ {
 		l, r := b.predSides(s, w)
-		for x := (l ^ r) & b.eqMask[w]; x != 0; x &= x - 1 {
+		sides = append(sides, [2]uint64{l, r})
+	}
+	return b.EquivFromSides(sides, rep)
+}
+
+// identity is the template every representative array starts from: copying
+// it is one memmove where a store per column is not vectorized.
+var identity = func() (id [1024]int32) {
+	for i := range id {
+		id[i] = int32(i)
+	}
+	return id
+}()
+
+// EquivFromSides builds the equivalence classes of the table set whose
+// predicate sides are sides into rep, of length len(b.Columns) and any
+// content — how a MEMO entry gets its classes from the sides it composed
+// from its two inputs, without a walk over its tables or an allocation.
+func (b *Block) EquivFromSides(sides Sides, rep []int32) Equiv {
+	for i := copy(rep, identity[:]); i < len(rep); i++ {
+		rep[i] = int32(i)
+	}
+	// Union the columns of the predicates within the set. The predicates are
+	// walked directly, not through a callback: this runs once per MEMO entry.
+	uf := unionFind{parent: rep}
+	for w, sw := range sides {
+		for x := sw[0] & sw[1] & b.eqMask[w]; x != 0; x &= x - 1 {
+			p := &b.JoinPreds[w*64+bits.TrailingZeros64(x)]
+			uf.union(int(p.Left), int(p.Right))
+		}
+	}
+	// Flag the root of every class holding the inside column of a predicate
+	// that crosses the boundary of the set. find masks the flag, so the
+	// forest stays walkable.
+	for w, sw := range sides {
+		l := sw[0]
+		for x := (l ^ sw[1]) & b.eqMask[w]; x != 0; x &= x - 1 {
 			k := bits.TrailingZeros64(x)
 			p := &b.JoinPreds[w*64+k]
 			in := p.Right
 			if l>>k&1 != 0 {
 				in = p.Left
 			}
-			root := rep[in] &^ futureJoinBit
-			rep[root] = root | futureJoinBit
-			crossing = true
+			rep[uf.find(int(in))] |= futureJoinBit
 		}
 	}
-	if crossing {
-		b.forEqWithin(s, func(p *JoinPred) {
-			rep[p.Left] = rep[rep[p.Left]&^futureJoinBit]
-			rep[p.Right] = rep[rep[p.Right]&^futureJoinBit]
-		})
+	// Flatten, handing each member its root's flag. Only the columns of the
+	// predicates within the set can have left their singleton class, so only
+	// they need pointing at their root.
+	for w, sw := range sides {
+		for x := sw[0] & sw[1] & b.eqMask[w]; x != 0; x &= x - 1 {
+			p := &b.JoinPreds[w*64+bits.TrailingZeros64(x)]
+			rep[p.Left] = rep[uf.find(int(p.Left))]
+			rep[p.Right] = rep[uf.find(int(p.Right))]
+		}
 	}
 	return Equiv{rep: rep}
-}
-
-// forEqWithin calls fn for every equality predicate with both sides inside
-// s, in JoinPreds order.
-func (b *Block) forEqWithin(s bitset.Set, fn func(p *JoinPred)) {
-	for w := 0; w < b.predWords; w++ {
-		l, r := b.predSides(s, w)
-		for x := l & r & b.eqMask[w]; x != 0; x &= x - 1 {
-			fn(&b.JoinPreds[w*64+bits.TrailingZeros64(x)])
-		}
-	}
 }
 
 // Same reports whether columns a and b are in the same equivalence class.

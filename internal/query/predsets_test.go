@@ -61,6 +61,21 @@ func oracleFutureJoinCols(blk *Block, s bitset.Set) []ColID {
 	return out
 }
 
+// oracleSides ORs the incidence of the tables of s, one predicate at a
+// time.
+func oracleSides(b *Block, s bitset.Set) Sides {
+	sides := make(Sides, b.predWords)
+	for i, p := range b.JoinPreds {
+		if s.Contains(oracleTableOf(b, p.Left)) {
+			sides[i/64][0] |= 1 << (i % 64)
+		}
+		if s.Contains(oracleTableOf(b, p.Right)) {
+			sides[i/64][1] |= 1 << (i % 64)
+		}
+	}
+	return sides
+}
+
 // oracleFlatten is the whole-array flatten EquivWithin used to end with.
 func oracleFlatten(u *unionFind) {
 	for i := range u.parent {
@@ -282,6 +297,10 @@ func checkPair(t *testing.T, blk *Block, outer, inner bitset.Set) {
 	woc, wic := oracleAppendJoinColsBetween(blk, outer, inner, nil, nil)
 	if !slices.Equal(oc, woc) || !slices.Equal(ic, wic) {
 		t.Fatalf("%v ⋈ %v: join columns %v / %v, oracle %v / %v", outer, inner, oc, ic, woc, wic)
+	}
+	oc, ic = blk.AppendJoinColsFromSides(oracleSides(blk, outer), oracleSides(blk, inner), []ColID{-1}, []ColID{-1})
+	if oc[0] != -1 || ic[0] != -1 || !slices.Equal(oc[1:], woc) || !slices.Equal(ic[1:], wic) {
+		t.Fatalf("%v ⋈ %v: join columns from sides after [-1] %v / %v, oracle %v / %v", outer, inner, oc, ic, woc, wic)
 	}
 	if got, w := blk.AppendPredsBetween(nil, outer, inner), oraclePredsBetween(blk, outer, inner); !slices.Equal(got, w) {
 		t.Fatalf("%v ⋈ %v: PredsBetween = %v, oracle %v", outer, inner, got, w)

@@ -421,10 +421,30 @@ func (b *Block) buildAdjacency(a *Arena) {
 	}
 }
 
-// predSides returns word w of two predicate sets: the join predicates whose
-// Left column (l) and whose Right column (r) belongs to a table of s. A
-// predicate in both lies within s; one in exactly one of them crosses the
-// boundary of s, and the set it is in names the column on the inside.
+// Sides is the predicate sides of a table set, one pair per predicate
+// word: bit k of Sides[w][0] is set when the Left column of
+// JoinPreds[w*64+k] belongs to a table of the set, bit k of Sides[w][1] when
+// its Right column does. A predicate in both halves lies within the set; one
+// in exactly one crosses its boundary, and the half it is in names the
+// column on the inside. The sides of a union are the OR of its parts' sides,
+// which is how a MEMO entry composes its own from its two inputs instead of
+// walking its tables.
+type Sides [][2]uint64
+
+// PredWords returns the number of predicate words: the length of every
+// Sides of the block.
+func (b *Block) PredWords() int { return b.predWords }
+
+// TableSides returns the predicate sides of table t alone, a read-only
+// window on the block's incidence.
+func (b *Block) TableSides(t int) Sides {
+	lo, hi := t*b.predWords, (t+1)*b.predWords
+	return b.inc[lo:hi:hi]
+}
+
+// predSides returns word w of the sides of s, gathered from its tables: the
+// per-table walk behind the set-valued questions of callers that hold no
+// MEMO entry.
 func (b *Block) predSides(s bitset.Set, w int) (l, r uint64) {
 	for rest := uint64(s); rest != 0; rest &= rest - 1 {
 		in := b.inc[bits.TrailingZeros64(rest)*b.predWords+w]
@@ -438,22 +458,40 @@ func (b *Block) predSides(s bitset.Set, w int) (l, r uint64) {
 // the column pairs of the equality predicates linking them — outer-side
 // columns to outerCols, inner-side columns to innerCols, index-aligned and
 // in JoinPreds order. The buffers are caller-owned (passed with len 0 on the
-// hot paths, where they are reused join over join).
+// hot paths, where they are reused join over join). A caller holding the
+// two MEMO entries asks AppendJoinColsFromSides instead.
 func (b *Block) AppendJoinCols(outer, inner bitset.Set, outerCols, innerCols []ColID) ([]ColID, []ColID) {
 	for w := 0; w < b.predWords; w++ {
 		ol, or := b.predSides(outer, w)
 		il, ir := b.predSides(inner, w)
-		fwd := ol & ir & b.eqMask[w] // Left column on the outer side
-		for x := fwd | or&il&b.eqMask[w]; x != 0; x &= x - 1 {
-			k := bits.TrailingZeros64(x)
-			p := &b.JoinPreds[w*64+k]
-			if fwd>>k&1 != 0 {
-				outerCols = append(outerCols, p.Left)
-				innerCols = append(innerCols, p.Right)
-			} else {
-				outerCols = append(outerCols, p.Right)
-				innerCols = append(innerCols, p.Left)
-			}
+		outerCols, innerCols = b.appendJoinColsWord(w, ol, or, il, ir, outerCols, innerCols)
+	}
+	return outerCols, innerCols
+}
+
+// AppendJoinColsFromSides is AppendJoinCols for the sets whose predicate
+// sides are outer and inner.
+func (b *Block) AppendJoinColsFromSides(outer, inner Sides, outerCols, innerCols []ColID) ([]ColID, []ColID) {
+	for w := range outer {
+		o, i := outer[w], inner[w]
+		outerCols, innerCols = b.appendJoinColsWord(w, o[0], o[1], i[0], i[1], outerCols, innerCols)
+	}
+	return outerCols, innerCols
+}
+
+// appendJoinColsWord appends the join columns of predicate word w given
+// that word of the outer's (ol, or) and the inner's (il, ir) sides.
+func (b *Block) appendJoinColsWord(w int, ol, or, il, ir uint64, outerCols, innerCols []ColID) ([]ColID, []ColID) {
+	fwd := ol & ir & b.eqMask[w] // Left column on the outer side
+	for x := fwd | or&il&b.eqMask[w]; x != 0; x &= x - 1 {
+		k := bits.TrailingZeros64(x)
+		p := &b.JoinPreds[w*64+k]
+		if fwd>>k&1 != 0 {
+			outerCols = append(outerCols, p.Left)
+			innerCols = append(innerCols, p.Right)
+		} else {
+			outerCols = append(outerCols, p.Right)
+			innerCols = append(innerCols, p.Left)
 		}
 	}
 	return outerCols, innerCols
@@ -478,10 +516,12 @@ func (b *Block) Connects(s, l bitset.Set) bool {
 // AppendPredsBetween appends the indexes (into JoinPreds) of all predicates
 // with one column in s and the other in l, grouped by (table of s, table of
 // l) in ascending order and ascending within a group — the order products
-// of their selectivities are taken in.
+// of their selectivities are taken in. Only the tables of l adjacent to i
+// can share a predicate with it, so only they are visited.
 func (b *Block) AppendPredsBetween(dst []int, s, l bitset.Set) []int {
 	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
-		for j := l.Next(0); j >= 0; j = l.Next(j + 1) {
+		peers := l.Intersect(b.adjacency[i])
+		for j := peers.Next(0); j >= 0; j = peers.Next(j + 1) {
 			for w := 0; w < b.predWords; w++ {
 				a, c := b.inc[i*b.predWords+w], b.inc[j*b.predWords+w]
 				for x := (a[0] | a[1]) & (c[0] | c[1]); x != 0; x &= x - 1 {
@@ -524,7 +564,7 @@ func (b *Block) IsConnected(s bitset.Set) bool {
 // unionFind is a minimal union-find over column ids used by the transitive
 // closure and the per-entry equivalence classes. It keeps no rank array and
 // find performs no path compression: the forests are shallow, and the
-// per-entry instance is a view over MEMO arena storage that EquivWithinInto
+// per-entry instance is a view over MEMO arena storage that EquivFromSides
 // flattens itself.
 type unionFind struct {
 	parent []int32
@@ -540,11 +580,16 @@ func newUnionFind(parent []int32) unionFind {
 	return uf
 }
 
+// find returns x's root. It ignores Equiv's futureJoinBit, which
+// EquivFromSides sets on roots before it flattens.
 func (u *unionFind) find(x int) int {
-	for int(u.parent[x]) != x {
-		x = int(u.parent[x])
+	for {
+		p := int(u.parent[x] &^ futureJoinBit)
+		if p == x {
+			return x
+		}
+		x = p
 	}
-	return x
 }
 
 func (u *unionFind) union(a, b int) {
