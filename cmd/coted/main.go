@@ -7,7 +7,7 @@
 //
 //	coted [-addr :8334] [-workers N] [-queue N] [-timeout 30s]
 //	      [-cache 1024] [-budget 0] [-budget-factor 0] [-mem-budget 0]
-//	      [-downgrade] [-max-queue N] [-shed-deadline 0]
+//	      [-downgrade] [-shed-deadline 0]
 //	      [-calibrate star] [-model-file cote-model.json]
 //	      [-recalibrate-min-samples 8] [-drift-threshold 0.5]
 //	      [-grace 10s] [-pprof] [-fault-plan SPEC]
@@ -55,14 +55,13 @@ import (
 func main() {
 	addr := flag.String("addr", ":8334", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "max requests waiting for a worker (0 = 4x workers)")
+	queue := flag.Int("queue", 0, "max requests waiting for a worker; arrivals beyond it are shed with 429 + Retry-After (0 = 4x workers)")
 	timeout := flag.Duration("timeout", 0, "per-request timeout (0 = 30s, negative = none)")
 	cacheCap := flag.Int("cache", 1024, "estimate cache capacity (entries, keyed by catalog epoch + structural fingerprint + level)")
 	budget := flag.Duration("budget", 0, "admission budget: reject/downgrade optimizations predicted to compile longer than this (0 = off)")
 	budgetFactor := flag.Float64("budget-factor", 0, "abort a compile whose generated plans overrun the prediction by this factor (0 = off; needs a model)")
 	memBudget := flag.Int64("mem-budget", 0, "peak optimizer memory budget in bytes: reject/downgrade optimizations predicted to exceed it and abort compiles that measurably do (0 = off)")
 	downgrade := flag.Bool("downgrade", false, "downgrade over-budget optimizations to a cheaper level instead of rejecting")
-	maxQueue := flag.Int("max-queue", 0, "overload shed bound on the waiting line: requests arriving beyond it are shed with 429 + Retry-After (0 = same as -queue)")
 	shedDeadline := flag.Duration("shed-deadline", 0, "shed requests whose deadline is within this margin of the projected queue wait (0 = no margin, deadline check still armed)")
 	faultPlan := flag.String("fault-plan", "", "activate a deterministic fault-injection plan, e.g. 'seed=42;pool.acquire:error,p=0.1' (chaos testing; see internal/faultinject)")
 	grace := flag.Duration("grace", 10*time.Second, "graceful-shutdown window; in-flight work is cancelled halfway through")
@@ -107,7 +106,6 @@ func main() {
 		BudgetFactor:   *budgetFactor,
 		MemBudget:      *memBudget,
 		Downgrade:      *downgrade,
-		MaxQueue:       *maxQueue,
 		ShedDeadline:   *shedDeadline,
 		Models:         reg,
 		Calib: calib.Config{

@@ -53,8 +53,9 @@ type MOPDecision struct {
 // MOP is the simple meta-optimizer of Figure 1: compile at the low level,
 // obtain the execution-cost estimate E of the plan found, ask the COTE for
 // the high level's compilation time C, and recompile at the high level only
-// when C < Threshold*E — if the query would finish executing before the
-// high-level optimizer does, further optimization is pointless.
+// when C < E (C < 10*E for a static query) — if the query would finish
+// executing before the high-level optimizer does, further optimization is
+// pointless.
 type MOP struct {
 	// High is the high optimization level (default LevelHighInner2).
 	High opt.Level
@@ -72,15 +73,9 @@ type MOP struct {
 	// successful recompilation) — the feedback that keeps an online
 	// calibrator's model honest.
 	Observer CompileObserver
-	// ExecTinst converts plan execution cost units to time (the executor's
-	// seconds-per-instruction; defaults to the model's Tinst).
-	ExecTinst float64
-	// Threshold scales E: recompile when C < Threshold*E. Values below 1
-	// demand a clear margin; the default is 1, the paper's "if C is larger
-	// than E, there is no point in further optimization".
-	Threshold float64
 	// Static marks a statically compiled (repeatedly executed) query; the
-	// paper suggests spending more on those, modeled as a 10x threshold.
+	// paper suggests spending more on those, modeled as recompiling when
+	// C < 10*E.
 	Static bool
 	// BudgetFactor, when positive, arms the budget abort on the high-level
 	// recompilation: if it generates more than BudgetFactor times the
@@ -121,16 +116,16 @@ func (m *MOP) RunCtx(ctx context.Context, blk *query.Block) (*opt.Result, *MOPDe
 		}
 		eopts.MemModel = m.Models.CurrentMemModel()
 	}
-	execTinst := m.ExecTinst
-	if execTinst == 0 && eopts.Model != nil {
+	// Plan execution cost units convert to time at the model's Tinst.
+	var execTinst float64
+	if eopts.Model != nil {
 		execTinst = eopts.Model.Tinst
 	}
-	threshold := m.Threshold
-	if threshold <= 0 {
-		threshold = 1
-	}
+	// The paper's "if C is larger than E, there is no point in further
+	// optimization"; a static query is worth ten times more.
+	threshold := 1.0
 	if m.Static {
-		threshold *= 10
+		threshold = 10
 	}
 
 	low, err := opt.OptimizeCtx(ctx, blk, opt.Options{Level: opt.LevelLow, Config: m.Config})

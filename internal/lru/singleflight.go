@@ -2,8 +2,13 @@ package lru
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
+
+// errLeaderPanicked is what the waiters of a flight get when the computation
+// they share panics; the panic itself continues in the leader.
+var errLeaderPanicked = errors.New("lru: the shared computation panicked")
 
 // SingleFlight is a goroutine-safe Cache with hit/miss accounting and a
 // single-flight group over misses: N concurrent Do calls for one absent key
@@ -47,7 +52,9 @@ func NewSingleFlight[K comparable, V any](capacity int) *SingleFlight[K, V] {
 // another's computation in flight waits for its result or error (shared),
 // and anyone else leads a computation whose success is cached. A waiter
 // abandoned by ctx returns ctx's error without disturbing the flight; a
-// failure reaches the flight's waiters and caches nothing.
+// failure reaches the flight's waiters and caches nothing. A panicking fn
+// ends its flight too — the waiters get an error and the next Do
+// on the key computes afresh — before the panic continues in the leader.
 func (c *SingleFlight[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V, hit, shared bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.lru.Get(key); ok {
@@ -70,8 +77,15 @@ func (c *SingleFlight[K, V]) Do(ctx context.Context, key K, fn func() (V, error)
 	c.flights[key] = f
 	c.mu.Unlock()
 
+	f.err = errLeaderPanicked // stands unless fn returns
+	defer c.land(key, f)
 	f.v, f.err = fn()
+	return f.v, false, false, f.err
+}
 
+// land ends the leader's flight: it caches a success and releases the
+// waiters.
+func (c *SingleFlight[K, V]) land(key K, f *flight[V]) {
 	c.mu.Lock()
 	delete(c.flights, key)
 	if f.err == nil {
@@ -79,7 +93,6 @@ func (c *SingleFlight[K, V]) Do(ctx context.Context, key K, fn func() (V, error)
 	}
 	c.mu.Unlock()
 	close(f.done)
-	return f.v, false, false, f.err
 }
 
 // Get returns the value cached under key, counting a hit or a miss. It

@@ -3,6 +3,7 @@ package lru
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -95,6 +96,52 @@ func TestSingleflightFailureNotCached(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 2 || st.Size != 1 || st.Capacity != 2 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestSingleflightLeaderPanic panics inside a flight that has a waiter: the
+// panic must reach the leader's caller, the waiter must get an error instead
+// of waiting on a dead flight, and the next Do on the key must compute.
+func TestSingleflightLeaderPanic(t *testing.T) {
+	c := NewSingleFlight[int, int](2)
+	// A dead flight would hold its waiters until their context ends.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	joined := make(chan struct{})
+	waited := make(chan error, 1)
+	go func() {
+		<-joined
+		_, _, shared, err := c.Do(ctx, 1, func() (int, error) {
+			t.Error("waiter ran its own computation")
+			return 0, nil
+		})
+		if !shared {
+			t.Error("waiter did not join the leader's flight")
+		}
+		waited <- err
+	}()
+	func() {
+		defer func() {
+			if recover() != "boom" {
+				t.Error("the leader's panic did not reach its caller")
+			}
+		}()
+		_, _, _, _ = c.Do(context.Background(), 1, func() (int, error) {
+			close(joined)
+			// Panic once the waiter has joined (a join is counted under the
+			// lock, before the waiter parks).
+			for c.Stats().Shared == 0 {
+				runtime.Gosched()
+			}
+			panic("boom")
+		})
+	}()
+	if err := <-waited; !errors.Is(err, errLeaderPanicked) {
+		t.Fatalf("waiter: err = %v, want errLeaderPanicked", err)
+	}
+	v, hit, shared, err := c.Do(ctx, 1, func() (int, error) { return 7, nil })
+	if err != nil || hit || shared || v != 7 {
+		t.Fatalf("Do after the panic: v=%d hit=%v shared=%v err=%v, want a fresh computation", v, hit, shared, err)
 	}
 }
 

@@ -88,16 +88,14 @@ type StageStats struct {
 	Time time.Duration
 }
 
-// Hooks observe a compilation as it runs. Both callbacks run synchronously
-// on the goroutine driving the compilation, so they should return quickly;
-// a Ctx shared by concurrent compilations calls them from each of those
+// Hooks observe a compilation as it runs. The callback runs synchronously
+// on the goroutine driving the compilation, so it should return quickly; a
+// Ctx shared by concurrent compilations calls it from each of those
 // goroutines.
 type Hooks struct {
 	// OnProgress fires after progress ticks (batched, roughly once per
 	// tick batch of generated plans) with the running totals.
 	OnProgress func(generated, predicted int64)
-	// OnStage fires when a stage's statistics are recorded.
-	OnStage func(stage Stage, count int64, elapsed time.Duration)
 }
 
 // Ctx is one optimization's execution context. The zero value is not
@@ -300,9 +298,6 @@ func (c *Ctx) RecordStage(s Stage, count int64, elapsed time.Duration) {
 	}
 	c.stageCount[s].Add(count)
 	c.stageNS[s].Add(int64(elapsed))
-	if c.hooks.OnStage != nil {
-		c.hooks.OnStage(s, count, elapsed)
-	}
 }
 
 // StageSnapshot returns the per-stage accumulated counts and timings.

@@ -88,14 +88,6 @@ func (o Order) SetSubsetOfUnder(p Order, eq *query.Equiv) bool {
 	return true
 }
 
-// Truncate returns the order limited to its first n columns.
-func (o Order) Truncate(n int) Order {
-	if n >= len(o.Cols) {
-		return o
-	}
-	return Order{Cols: o.Cols[:n]}
-}
-
 // Key returns a canonical string for the order under the given equivalence,
 // usable for map-based deduplication: equal-under-equiv orders produce equal
 // keys.

@@ -122,61 +122,45 @@ func TestPoolStateEstimateConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAbandonedRunsForfeitArena cancels a compile and an estimate miss while
-// their workers hold them — event-driven: the compile's progress hook and
-// the miss's start cancel the request and keep the worker waiting until the
-// endpoint has returned — and then sends the same server 200 more requests.
-// Each request's arena goes back to the pool, except the two abandoned
-// ones, which the GC gets: their workers still read and carve from them.
-// Every later response must equal a fresh server's; neither server refits
-// its model, whose fit would follow the compiles' wall times.
-func TestAbandonedRunsForfeitArena(t *testing.T) {
+// TestCancelledRunsRecycleArena cancels a compile from its progress hook and
+// an estimate miss as it takes its slot, and then sends the same server 200
+// more requests. A cancelled request returns once its work has unwound at
+// the next cancellation point, so the pool is empty when the endpoint
+// returns and its arena goes back to the pool like every other; no
+// goroutine outlives the test. Every later response must equal a fresh
+// server's; neither server refits its model, whose fit would follow the
+// compiles' wall times.
+func TestCancelledRunsRecycleArena(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	cfg := Config{Workers: 2, Calib: calib.Config{DriftThreshold: -1}}
 	srv := New(cfg)
-	var (
-		mu        sync.Mutex
-		forfeited = make(map[*query.Arena]bool)
-	)
-	srv.arenaReleased = func(a *query.Arena, recycled bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if forfeited[a] {
-			t.Errorf("arena %p, forfeited by an abandoned request, served another", a)
+	recycled := 0
+	srv.arenaReleased = func(*query.Arena) { recycled++ }
+	cancelled := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", what, err)
 		}
-		if !recycled {
-			forfeited[a] = true
+		if waiting, running := srv.pool.Depth(); waiting != 0 || running != 0 {
+			t.Fatalf("%s returned with waiting %d, running %d", what, waiting, running)
 		}
-	}
-	// cancelOnce returns a context and a hook that, the first time it runs,
-	// cancels the context and waits until the request has returned.
-	cancelOnce := func() (context.Context, func(), func()) {
-		ctx, cancel := context.WithCancel(context.Background())
-		returned := make(chan struct{})
-		var once sync.Once
-		hook := func() { once.Do(func() { cancel(); <-returned }) }
-		return ctx, hook, func() { close(returned); cancel() }
 	}
 
-	compileCtx, compileHook, compileDone := cancelOnce()
-	srv.progress.hooks.OnProgress = func(int64, int64) { compileHook() }
-	_, err := srv.Optimize(compileCtx, OptimizeRequest{Catalog: "tpch", SQL: heavySQL, Level: "high"})
-	compileDone()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("compile: err = %v, want context.Canceled", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	srv.progress.hooks.OnProgress = func(int64, int64) { cancel() }
+	_, err := srv.Optimize(ctx, OptimizeRequest{Catalog: "tpch", SQL: heavySQL, Level: "high"})
+	srv.progress.hooks.OnProgress = nil
+	cancelled("compile", err)
+
+	ctx, cancel = context.WithCancel(context.Background())
+	srv.missStarted = cancel
+	_, err = srv.Estimate(ctx, EstimateRequest{Catalog: "tpch", SQL: viewSQL, Level: "high"})
+	srv.missStarted = nil
+	cancelled("estimate miss", err)
+
+	if recycled != 2 || srv.pool.Abandoned() != 2 {
+		t.Fatalf("%d arenas recycled and %d runs abandoned, want 2 and 2", recycled, srv.pool.Abandoned())
 	}
-	missCtx, missHook, missDone := cancelOnce()
-	srv.missStarted = missHook
-	_, err = srv.Estimate(missCtx, EstimateRequest{Catalog: "tpch", SQL: viewSQL, Level: "high"})
-	missDone()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("estimate miss: err = %v, want context.Canceled", err)
-	}
-	mu.Lock()
-	if len(forfeited) != 2 {
-		t.Fatalf("%d arenas forfeited, want 2", len(forfeited))
-	}
-	mu.Unlock()
 
 	fresh := New(cfg)
 	send := func(s *Server, i int) ([]byte, error) {
@@ -207,9 +191,7 @@ func TestAbandonedRunsForfeitArena(t *testing.T) {
 			t.Fatalf("request %d: err %v\n got  %s\n want %s", i, err, got, want)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if n := len(forfeited); n != 2 {
-		t.Errorf("%d arenas forfeited, want 2", n)
+	if recycled != 202 {
+		t.Errorf("%d arenas recycled after 202 requests", recycled)
 	}
 }

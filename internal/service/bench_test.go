@@ -93,9 +93,61 @@ func TestServiceEstimateHitAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("-race changes allocation counts")
 	}
-	const want = 19
+	const want = 18
 	if got, _ := testutil.AllocsWithoutGC(100, estimateHitServer(t)); got > want {
 		t.Errorf("cached estimate through the handler = %.2f allocs, want <= %d", got, want)
+	}
+}
+
+// estimateMissServer returns a function that sends one estimate through
+// BenchmarkServiceEstimateCacheMiss's server: a one-entry cache alternating
+// two structures, so every call enumerates in a pool slot.
+func estimateMissServer(tb testing.TB) func() {
+	srv := New(Config{Workers: 4, CacheCapacity: 1})
+	reqs := [2]EstimateRequest{{Catalog: "tpch", SQL: tpchQ6}, {Catalog: "tpch", SQL: tpchQ3}}
+	i := 0
+	return func() {
+		i++
+		if resp, err := srv.Estimate(context.Background(), reqs[i%2]); err != nil || resp.Cached {
+			tb.Fatalf("estimate miss: cached=%v, %v", resp != nil && resp.Cached, err)
+		}
+	}
+}
+
+// TestServiceEstimateMissAllocs pins what an estimate miss allocates
+// through Server.Estimate, parse to priced response, on a warm pool. The
+// run takes its pool slot on the request's goroutine, so the request's
+// statement and the closures around the enumeration stay on its stack.
+// Measured with go1.24.0, warm and with the GC held off; the ceiling is
+// exact.
+func TestServiceEstimateMissAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("-race changes allocation counts")
+	}
+	const want = 16
+	if got, _ := testutil.AllocsWithoutGC(100, estimateMissServer(t)); got > want {
+		t.Errorf("estimate miss = %.2f allocs, want <= %d", got, want)
+	}
+}
+
+// TestServiceOptimizeAllocs pins what BenchmarkServiceOptimize's admitted
+// compile allocates through Server.Optimize, its estimate a cache hit after
+// the first call. Measured like TestServiceEstimateMissAllocs; the ceiling
+// is exact.
+func TestServiceOptimizeAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("-race changes allocation counts")
+	}
+	srv := New(Config{Workers: 4})
+	req := OptimizeRequest{Catalog: "tpch", SQL: tpchQ3}
+	const want = 14
+	got, _ := testutil.AllocsWithoutGC(100, func() {
+		if _, err := srv.Optimize(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > want {
+		t.Errorf("optimize = %.2f allocs, want <= %d", got, want)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"cote/internal/optctx"
 )
@@ -84,47 +85,88 @@ func TestOptimizeDeadlineStopsCompileAndFreesSlot(t *testing.T) {
 	}
 }
 
-// TestPoolContextExpiryWhileRunning pins the abandoned-run semantics in
-// isolation: Run returns ctx.Err() the moment the context expires, counts
-// the run abandoned, and releases the slot only when fn actually returns.
+// goid returns the calling goroutine's ID, read from its stack header.
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestPoolContextExpiryWhileRunning pins Run's contract when the caller's
+// context ends mid-run: fn runs on the caller's goroutine and sees the
+// cancellation through the context, and Run returns only after fn, with the
+// slot back and the run counted as abandoned.
 func TestPoolContextExpiryWhileRunning(t *testing.T) {
 	p := NewPool(1, 1)
 	ctx, cancel := context.WithCancel(context.Background())
-	release := make(chan struct{})
-	returned := make(chan error, 1)
-	go func() {
-		_, err := Run(p, ctx, func() (int, error) {
-			<-release
-			return 0, nil
-		})
-		returned <- err
-	}()
-	// Wait until fn holds the slot, then expire the caller's context.
-	for {
-		if _, running := p.Depth(); running == 1 {
-			break
+	caller := goid()
+	finished := false
+	_, err := Run(p, ctx, func() (int, error) {
+		if g := goid(); g != caller {
+			t.Errorf("fn ran on goroutine %s, want the caller's %s", g, caller)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-returned; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run returned %v, want context.Canceled", err)
+		if _, running := p.Depth(); running != 1 {
+			t.Errorf("fn runs without its slot (running=%d)", running)
+		}
+		cancel()
+		select {
+		case <-ctx.Done():
+		default:
+			t.Error("fn does not see its caller's cancellation")
+		}
+		finished = true
+		return 0, ctx.Err()
+	})
+	if !finished || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v with fn finished=%v, want context.Canceled after fn", err, finished)
 	}
 	if got := p.Abandoned(); got != 1 {
 		t.Fatalf("abandoned = %d, want 1", got)
 	}
-	if _, running := p.Depth(); running != 1 {
-		t.Fatalf("slot released before fn returned (running=%d)", running)
-	}
-	close(release)
-	for {
-		if _, running := p.Depth(); running == 0 {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	if waiting, running := p.Depth(); waiting != 0 || running != 0 {
+		t.Fatalf("Run returned holding the slot: waiting %d, running %d", waiting, running)
 	}
 }
 
+// TestPoolRefusesDoneContext sends a request whose context is already done
+// to a pool with free slots: fn must never run, whichever way a select over
+// a free slot and a done context would fall.
+func TestPoolRefusesDoneContext(t *testing.T) {
+	p := NewPool(4, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 1000; i++ {
+		_, err := Run(p, ctx, func() (int, error) {
+			t.Fatal("fn ran for a cancelled request")
+			return 0, nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("call %d: %v, want context.Canceled", i, err)
+		}
+	}
+	if waiting, running := p.Depth(); waiting != 0 || running != 0 || p.Abandoned() != 0 {
+		t.Fatalf("waiting %d, running %d, abandoned %d after refusals", waiting, running, p.Abandoned())
+	}
+}
+
+// TestPoolPanicReleasesSlot panics inside fn: the panic reaches Run's caller,
+// and the slot is back before it does.
+func TestPoolPanicReleasesSlot(t *testing.T) {
+	p := NewPool(1, 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("fn's panic did not reach Run's caller")
+			}
+		}()
+		_, _ = Run(p, context.Background(), func() (int, error) { panic("boom") })
+	}()
+	if waiting, running := p.Depth(); waiting != 0 || running != 0 {
+		t.Fatalf("slot held after a panic: waiting %d, running %d", waiting, running)
+	}
+}
+
+// TestProgressEndpoint reads GET /v1/progress from inside a running
+// compile's progress hook, so the compile is in flight by construction.
 func TestProgressEndpoint(t *testing.T) {
 	srv := New(Config{Workers: 2})
 	srv.SetModel(testModel(1e-9)) // installs predictions: progress has a denominator
@@ -137,49 +179,53 @@ func TestProgressEndpoint(t *testing.T) {
 		t.Fatalf("idle server reports in-flight runs: %v", got)
 	}
 
-	// Keep a window of heavy compiles in flight and catch one mid-run.
-	reqDone := make(chan error, 1)
-	go func() {
-		for i := 0; i < 5; i++ {
-			data, _ := json.Marshal(OptimizeRequest{Catalog: "tpch", SQL: heavySQL, Level: "high"})
-			resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", bytes.NewReader(data))
-			if err != nil {
-				reqDone <- err
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				reqDone <- errors.New(resp.Status)
-				return
-			}
-		}
-		reqDone <- nil
-	}()
-
-	var seen map[string]any
-	deadline := time.Now().Add(10 * time.Second)
-poll:
-	for time.Now().Before(deadline) {
-		_, body := getJSON(t, ts.URL+"/v1/progress")
-		for _, e := range body["in_flight"].([]any) {
-			seen = e.(map[string]any)
-			break poll
-		}
-		select {
-		case err := <-reqDone:
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Skip("all five heavy compiles finished before a progress poll landed")
-		default:
-		}
-		time.Sleep(500 * time.Microsecond)
+	// The hook runs on the optimize handler's goroutine; the channel hands
+	// what it read to the test.
+	type read struct {
+		body map[string]any
+		err  error
 	}
-	if seen == nil {
-		t.Fatal("no in-flight run observed")
+	reads := make(chan read, 1)
+	var once sync.Once
+	srv.progress.hooks.OnProgress = func(int64, int64) {
+		once.Do(func() {
+			var r read
+			resp, err := http.Get(ts.URL + "/v1/progress")
+			if r.err = err; err == nil {
+				r.err = json.NewDecoder(resp.Body).Decode(&r.body)
+				resp.Body.Close()
+			}
+			reads <- r
+		})
 	}
+	data, _ := json.Marshal(OptimizeRequest{Catalog: "tpch", SQL: heavySQL, Level: "high"})
+	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("optimize: %s", resp.Status)
+	}
+	var r read
+	select {
+	case r = <-reads:
+	default:
+		t.Fatal("the compile never reached its progress hook")
+	}
+	if r.err != nil {
+		t.Fatalf("progress read from the hook: %v", r.err)
+	}
+	runs := r.body["in_flight"].([]any)
+	if len(runs) != 1 {
+		t.Fatalf("progress during the compile lists %d runs, want 1: %v", len(runs), runs)
+	}
+	seen := runs[0].(map[string]any)
 	if seen["catalog"] != "tpch" || seen["level"] != "high" {
 		t.Errorf("progress entry: %v", seen)
+	}
+	if seen["generated"].(float64) <= 0 {
+		t.Errorf("progress entry shows no generated plans: %v", seen)
 	}
 	if seen["predicted"].(float64) <= 0 {
 		t.Errorf("no prediction in the progress meter (model installed): %v", seen)
@@ -191,9 +237,6 @@ poll:
 		t.Errorf("no per-stage breakdown: %v", seen)
 	}
 
-	if err := <-reqDone; err != nil {
-		t.Fatal(err)
-	}
 	_, body = getJSON(t, ts.URL+"/v1/progress")
 	if got := body["in_flight"].([]any); len(got) != 0 {
 		t.Fatalf("progress entries leaked after completion: %v", got)
@@ -202,7 +245,7 @@ poll:
 	// The per-stage counters surfaced in /metrics too.
 	_, m := getJSON(t, ts.URL+"/metrics")
 	stages := m["stages"].(map[string]any)
-	if stages["parse"].(map[string]any)["count"].(float64) < 5 {
+	if stages["parse"].(map[string]any)["count"].(float64) < 1 {
 		t.Errorf("parse stage uncounted: %v", stages)
 	}
 	if stages["generate"].(map[string]any)["count"].(float64) <= 0 {

@@ -28,11 +28,10 @@ import (
 // how long a newly queued request will wait, which feeds both the deadline
 // check and the Retry-After hint.
 type Shedder struct {
+	// pool's waiting-line bound is the shed bound: the shedder turns
+	// would-be queue_full 503s into deliberate 429 sheds with a drain hint,
+	// before parsing.
 	pool *Pool
-	// maxQueue is the shed bound on the waiting line. It is at most the
-	// pool's hard queue bound: the shedder turns would-be queue_full 503s
-	// into deliberate 429 sheds with a drain hint, before parsing.
-	maxQueue int64
 	// shedDeadline is the safety margin added to the projected queue wait
 	// when testing a request's deadline: remaining < wait + margin → shed.
 	shedDeadline time.Duration
@@ -43,11 +42,8 @@ type Shedder struct {
 	avgRunNS atomic.Int64
 }
 
-func newShedder(pool *Pool, maxQueue int, shedDeadline time.Duration) *Shedder {
-	if maxQueue < 1 {
-		maxQueue = 1
-	}
-	return &Shedder{pool: pool, maxQueue: int64(maxQueue), shedDeadline: shedDeadline}
+func newShedder(pool *Pool, shedDeadline time.Duration) *Shedder {
+	return &Shedder{pool: pool, shedDeadline: shedDeadline}
 }
 
 // observe folds one completed request's service time into the EWMA.
@@ -87,9 +83,9 @@ func (sh *Shedder) drainEstimate(waiting int64) time.Duration {
 func (sh *Shedder) Admit(ctx context.Context) error {
 	waiting, _ := sh.pool.Depth()
 	wait := sh.drainEstimate(waiting)
-	if waiting >= sh.maxQueue {
+	if waiting >= sh.pool.maxQueue {
 		return &shedError{
-			msg:        fmt.Sprintf("service: overloaded (%d waiting, shed bound %d)", waiting, sh.maxQueue),
+			msg:        fmt.Sprintf("service: overloaded (%d waiting, shed bound %d)", waiting, sh.pool.maxQueue),
 			retryAfter: wait,
 		}
 	}
@@ -112,9 +108,9 @@ func (sh *Shedder) Admit(ctx context.Context) error {
 func (sh *Shedder) PressureRungs() int {
 	waiting, _ := sh.pool.Depth()
 	switch {
-	case 4*waiting >= 3*sh.maxQueue:
+	case 4*waiting >= 3*sh.pool.maxQueue:
 		return 2
-	case 2*waiting >= sh.maxQueue:
+	case 2*waiting >= sh.pool.maxQueue:
 		return 1
 	}
 	return 0

@@ -13,8 +13,8 @@ import (
 )
 
 func TestShedderQueueBound(t *testing.T) {
-	p := NewPool(2, 8)
-	sh := newShedder(p, 4, 0)
+	p := NewPool(2, 4)
+	sh := newShedder(p, 0)
 	if err := sh.Admit(context.Background()); err != nil {
 		t.Fatalf("empty pool shed: %v", err)
 	}
@@ -36,7 +36,7 @@ func TestShedderQueueBound(t *testing.T) {
 
 func TestShedderDeadlineAware(t *testing.T) {
 	p := NewPool(1, 8)
-	sh := newShedder(p, 8, 0)
+	sh := newShedder(p, 0)
 	sh.observe(100 * time.Millisecond) // seed the EWMA
 	p.inflight.Add(4)                  // 4 waiting, 1 worker → ~400ms projected wait
 
@@ -53,7 +53,7 @@ func TestShedderDeadlineAware(t *testing.T) {
 		t.Fatal("deadline inside the projected wait was not shed")
 	}
 	// The margin tightens the same check.
-	shMargin := newShedder(p, 8, time.Hour)
+	shMargin := newShedder(p, time.Hour)
 	shMargin.observe(time.Microsecond)
 	if _, ok := shMargin.Admit(ctx).(*shedError); !ok {
 		t.Fatal("deadline inside the shed margin was not shed")
@@ -65,7 +65,7 @@ func TestShedderDeadlineAware(t *testing.T) {
 }
 
 func TestShedderEWMA(t *testing.T) {
-	sh := newShedder(NewPool(1, 1), 1, 0)
+	sh := newShedder(NewPool(1, 1), 0)
 	if sh.AvgRun() != 0 {
 		t.Fatal("fresh EWMA not zero")
 	}
@@ -81,7 +81,7 @@ func TestShedderEWMA(t *testing.T) {
 
 func TestPressureRungsAndLadder(t *testing.T) {
 	p := NewPool(2, 16)
-	sh := newShedder(p, 16, 0)
+	sh := newShedder(p, 0)
 	for _, tc := range []struct {
 		waiting int64
 		rungs   int
@@ -108,7 +108,7 @@ func TestPressureRungsAndLadder(t *testing.T) {
 // must shed with 429, the shed_overload taxonomy code, a Retry-After header,
 // and a ticked shed_requests metric — before any SQL is parsed.
 func TestShedRespondsWith429(t *testing.T) {
-	srv := New(Config{Workers: 2, Queue: 8, MaxQueue: 4})
+	srv := New(Config{Workers: 2, Queue: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -149,7 +149,7 @@ func TestShedRespondsWith429(t *testing.T) {
 // reports the client's requested level.
 func TestOverloadLadderDowngradesOptimize(t *testing.T) {
 	srv := New(Config{Workers: 4, Queue: 16})
-	srv.pool.inflight.Add(12) // 12 waiting ≥ 3/4 of MaxQueue=16 → 2 rungs
+	srv.pool.inflight.Add(12) // 12 waiting ≥ 3/4 of Queue=16 → 2 rungs
 	defer srv.pool.inflight.Add(-12)
 
 	resp, err := srv.Optimize(context.Background(), OptimizeRequest{
@@ -193,7 +193,7 @@ func TestOverloadLadderDowngradesOptimize(t *testing.T) {
 // with BenchmarkServerEstimate): no parsing, no pool, one Depth read and an
 // error allocation.
 func BenchmarkShedReject(b *testing.B) {
-	srv := New(Config{Workers: 2, Queue: 8, MaxQueue: 4})
+	srv := New(Config{Workers: 2, Queue: 4})
 	srv.pool.inflight.Add(4)
 	defer srv.pool.inflight.Add(-4)
 	req := EstimateRequest{Catalog: "tpch", SQL: "SELECT c_name FROM customer, orders WHERE c_custkey = o_custkey"}

@@ -32,19 +32,14 @@ var statementArenas = sync.Pool{New: func() any { return new(query.Arena) }}
 // takeArena takes a statement arena for one request.
 func takeArena() *query.Arena { return statementArenas.Get().(*query.Arena) }
 
-// releaseArena ends a request's use of its arena, as the endpoint method
-// returns. A request whose context is done forfeits the arena to the GC
-// instead of recycling it: a Run it abandoned may still have a worker
-// reading its blocks — a compile, or the canonical rebuild and enumeration
-// of a miss it leads — and every abandoned Run leaves the context done.
-func (s *Server) releaseArena(ctx context.Context, a *query.Arena) {
-	recycled := ctx.Err() == nil
-	if recycled {
-		a.Reset()
-		statementArenas.Put(a)
-	}
+// releaseArena recycles a request's arena as the endpoint method returns.
+// Every run the request started has returned by then (Run calls fn on the
+// request's own goroutine), so nothing reads the arena's blocks any more.
+func (s *Server) releaseArena(a *query.Arena) {
+	a.Reset()
+	statementArenas.Put(a)
 	if s.arenaReleased != nil {
-		s.arenaReleased(a, recycled)
+		s.arenaReleased(a)
 	}
 }
 
@@ -221,7 +216,7 @@ func (s *Server) Estimate(ctx context.Context, req EstimateRequest) (*EstimateRe
 		return nil, err
 	}
 	arena := takeArena()
-	defer s.releaseArena(ctx, arena)
+	defer s.releaseArena(arena)
 	st, err := s.parse(arena, entry, req.SQL)
 	if err != nil {
 		return nil, err
@@ -301,7 +296,7 @@ func (s *Server) EstimateBatch(ctx context.Context, req EstimateBatchRequest) (*
 	}
 	s.metrics.BatchStatements.AddN(int64(len(req.Statements)))
 	arena := takeArena()
-	defer s.releaseArena(ctx, arena)
+	defer s.releaseArena(arena)
 
 	type group struct {
 		st    stmt
@@ -426,7 +421,7 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 		return nil, err
 	}
 	arena := takeArena()
-	defer s.releaseArena(ctx, arena)
+	defer s.releaseArena(arena)
 	st, err := s.parse(arena, entry, req.SQL)
 	if err != nil {
 		return nil, err
@@ -537,11 +532,7 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 				}
 			}
 		}
-		pr := s.progress.add(entry.Name, LevelName(admitted), oc)
-		res, err := Run(s.pool, ctx, func() (*opt.Result, error) {
-			return opt.OptimizeWith(oc, st.blk, opt.Options{Level: admitted, Config: entry.Config})
-		})
-		s.progress.remove(pr)
+		res, err := s.compile(ctx, oc, entry, st.blk, admitted)
 		s.metrics.ObserveStages(oc)
 		if err == nil {
 			resp.Level = LevelName(admitted)
@@ -565,11 +556,7 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 			obs.Level, obs.Fingerprint, obs.Predicted = admitted, st.analysis.FP, predictedTime
 			s.calib.ObserveCompile(obs)
 			// Everything the response and the observers need is read: the
-			// compile's workspaces serve the next request. A compile Run
-			// abandoned at the deadline never gets here, so the worker still
-			// running it shares nothing with a later request; its request
-			// forfeits the statement arena the compile reads for the same
-			// reason.
+			// compile's workspaces serve the next request.
 			res.Release()
 			return resp, nil
 		}
@@ -588,4 +575,14 @@ func (s *Server) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeRe
 		}
 		admitted = admitted.NextLower()
 	}
+}
+
+// compile runs one level's compile of blk in a pool slot, listed in
+// /v1/progress from before it queues until it returns — also when it
+// panics, which net/http recovers.
+func (s *Server) compile(ctx context.Context, oc *optctx.Ctx, entry *RegistryEntry, blk *query.Block, level opt.Level) (*opt.Result, error) {
+	defer s.progress.remove(s.progress.add(entry.Name, LevelName(level), oc))
+	return Run(s.pool, ctx, func() (*opt.Result, error) {
+		return opt.OptimizeWith(oc, blk, opt.Options{Level: level, Config: entry.Config})
+	})
 }

@@ -13,9 +13,9 @@ import (
 // unboundedly.
 var ErrQueueFull = errors.New("service: worker pool queue full")
 
-// Pool bounds the number of concurrently running optimizer/estimator calls
-// and the number of requests allowed to wait for a slot. Compilation work
-// is CPU-bound, so the worker count defaults to GOMAXPROCS in the server;
+// Pool is a counting semaphore over the optimizer/estimator calls: it bounds
+// how many run at once and how many may wait for a slot. Compilation work is
+// CPU-bound, so the worker count defaults to GOMAXPROCS in the server;
 // anything beyond workers+queue in flight is rejected immediately.
 type Pool struct {
 	slots    chan struct{}
@@ -24,8 +24,8 @@ type Pool struct {
 	// completes; running counts those actually holding a worker slot.
 	inflight atomic.Int64
 	running  atomic.Int64
-	// abandoned counts runs whose caller's ctx expired mid-run — the work
-	// was cancelled cooperatively and its slot reclaimed.
+	// abandoned counts runs that returned because their caller's context
+	// ended while they held a slot.
 	abandoned atomic.Int64
 }
 
@@ -44,8 +44,8 @@ func NewPool(workers, queue int) *Pool {
 // Workers returns the number of worker slots.
 func (p *Pool) Workers() int { return cap(p.slots) }
 
-// Abandoned returns the number of runs cancelled mid-flight by their
-// caller's context expiring.
+// Abandoned returns the number of runs cut short by their caller's context
+// ending.
 func (p *Pool) Abandoned() int64 { return p.abandoned.Load() }
 
 // Depth returns the current waiting and running request counts.
@@ -58,58 +58,44 @@ func (p *Pool) Depth() (waiting, running int64) {
 	return w, r
 }
 
-// Run executes fn on the pool: it waits for a worker slot (or gives up when
-// ctx expires or the waiting line is full) and runs fn in a fresh
-// goroutine. When ctx expires mid-run the call returns ctx.Err()
-// immediately and the run is counted as abandoned; fn is expected to
-// observe the same ctx through its execution context (the optimizer's
-// cooperative cancellation points), so the goroutine unwinds and frees its
-// slot promptly rather than running to completion. The concurrency bound
-// holds either way — the slot is released only when fn returns — and it is
-// released before the result is published: a caller holding its result never
-// reads itself in Depth, nor is the next request refused for a line that has
-// already emptied.
-func Run[T any](p *Pool, ctx context.Context, fn func() (T, error)) (T, error) {
-	var zero T
+// Run calls fn on the caller's goroutine while holding a worker slot. It
+// refuses a done ctx and a full waiting line, and gives up waiting for a
+// slot when ctx ends. Cancellation is cooperative: fn observes the same ctx
+// through its execution context (the optimizer's cancellation points), so
+// a run whose ctx ends unwinds there and is counted as abandoned. The slot
+// is back before Run returns, also when fn panics: a caller holding its
+// result never reads itself in Depth, nor is the next request refused for a
+// line that has already emptied.
+func Run[T any](p *Pool, ctx context.Context, fn func() (T, error)) (v T, err error) {
 	// Slot acquisition is the seam where a real scheduler dependency would
 	// fail; an armed chaos plan fails (or stalls) the acquisition here,
 	// before the request touches the waiting line.
 	if err := faultinject.Check(faultinject.PointPoolAcquire); err != nil {
-		return zero, err
+		return v, err
+	}
+	// A select below with a free slot and a done ctx picks either case, so
+	// a dead request is refused before it can take one.
+	if err := ctx.Err(); err != nil {
+		return v, err
 	}
 	if p.inflight.Add(1) > int64(cap(p.slots))+p.maxQueue {
 		p.inflight.Add(-1)
-		return zero, ErrQueueFull
+		return v, ErrQueueFull
 	}
 	select {
 	case p.slots <- struct{}{}:
 	case <-ctx.Done():
 		p.inflight.Add(-1)
-		return zero, ctx.Err()
+		return v, ctx.Err()
 	}
 	p.running.Add(1)
-
-	type result struct {
-		v   T
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		v, err := func() (T, error) {
-			defer func() { // also when fn panics
-				p.running.Add(-1)
-				p.inflight.Add(-1)
-				<-p.slots
-			}()
-			return fn()
-		}()
-		done <- result{v, err}
+	defer func() {
+		if err != nil && ctx.Err() != nil {
+			p.abandoned.Add(1)
+		}
+		p.running.Add(-1)
+		p.inflight.Add(-1)
+		<-p.slots
 	}()
-	select {
-	case r := <-done:
-		return r.v, r.err
-	case <-ctx.Done():
-		p.abandoned.Add(1)
-		return zero, ctx.Err()
-	}
+	return fn()
 }

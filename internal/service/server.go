@@ -27,7 +27,9 @@ type Config struct {
 	// Workers bounds concurrently running estimations/optimizations
 	// (default GOMAXPROCS — the work is CPU-bound).
 	Workers int
-	// Queue bounds requests waiting for a worker (default 4*Workers).
+	// Queue bounds requests waiting for a worker (default 4*Workers). The
+	// overload shedder refuses a request arriving at this bound with 429 +
+	// Retry-After before any parsing.
 	Queue int
 	// RequestTimeout bounds one estimate/optimize request, queueing
 	// included (default 30s; negative disables).
@@ -67,11 +69,6 @@ type Config struct {
 	// compile whose measured usage crosses the budget is aborted mid-flight
 	// (and downgraded when Downgrade is set). Zero disables both.
 	MemBudget int64
-	// MaxQueue is the overload shedder's bound on the pool's waiting line:
-	// a request arriving while MaxQueue requests already wait is shed with
-	// 429 + Retry-After before any parsing (default Queue — shed exactly
-	// where the pool would otherwise return a hard queue_full 503).
-	MaxQueue int
 	// ShedDeadline is the safety margin of deadline-aware shedding: a
 	// request whose remaining deadline is below the projected queue wait
 	// plus this margin is shed immediately instead of queued to die (zero
@@ -102,10 +99,10 @@ type Server struct {
 	calib  *calib.Calibrator
 
 	// Test seams on the statement arena's lifetime, nil in production:
-	// arenaReleased sees every arena a request gives up and whether it went
-	// back to the pool, and missStarted runs on the worker as an estimate
-	// miss starts, before the canonical rebuild carves from the arena.
-	arenaReleased func(a *query.Arena, recycled bool)
+	// arenaReleased sees every arena a request gives back to the pool, and
+	// missStarted runs as an estimate miss takes its slot, before the
+	// canonical rebuild carves from the arena.
+	arenaReleased func(a *query.Arena)
 	missStarted   func()
 }
 
@@ -127,9 +124,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheCapacity <= 0 {
 		cfg.CacheCapacity = 1024
 	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = cfg.Queue
-	}
 	models := cfg.Models
 	if models == nil {
 		models = calib.NewRegistry(0)
@@ -139,7 +133,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		registry: NewRegistry(),
 		pool:     pool,
-		shed:     newShedder(pool, cfg.MaxQueue, cfg.ShedDeadline),
+		shed:     newShedder(pool, cfg.ShedDeadline),
 		cache:    NewEstimateCache(cfg.CacheCapacity),
 		metrics:  NewMetrics(),
 		progress: newProgressTable(),
@@ -277,7 +271,7 @@ func (s *Server) Calibrate(ctx context.Context, req CalibrateRequest) (*Calibrat
 	// a failed fit is the request's fault.
 	var compileErr error
 	model, points, err := modelio.TrainOn(w, nodes, func(blk *query.Block, o opt.Options) (*opt.Result, error) {
-		res, err := Run(s.pool, ctx, func() (*opt.Result, error) { return opt.Optimize(blk, o) })
+		res, err := Run(s.pool, ctx, func() (*opt.Result, error) { return opt.OptimizeCtx(ctx, blk, o) })
 		compileErr = err
 		return res, err
 	})

@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -307,6 +309,20 @@ func TestServerCalibrate(t *testing.T) {
 	}
 	if body["estimate"].(map[string]any)["predicted_time_ns"].(float64) <= 0 {
 		t.Fatalf("no prediction after calibration: %v", body)
+	}
+}
+
+// TestServerCalibrateCancelled calibrates under a cancelled context: the
+// call must fail with the cancellation and install no model.
+func TestServerCalibrateCancelled(t *testing.T) {
+	srv := New(Config{Workers: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := srv.Calibrate(ctx, CalibrateRequest{Workload: "star"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if srv.Model() != nil || srv.metrics.ModelInstalls.Value() != 0 {
+		t.Fatalf("a cancelled calibration installed model %v", srv.Model())
 	}
 }
 
