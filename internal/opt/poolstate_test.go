@@ -138,6 +138,20 @@ func compileOn(t *testing.T, ws *workspace, tenant, p poolCase, budget int64) (c
 	return outcomeOf(res), nil
 }
 
+// tightBudgets is the tightest memory budget that admits each probe on
+// fresh workspaces, recorded when every MEMO entry and plan still charged a
+// shared accountant: the budget polls must see the same bytes at the same
+// points however the run totals are kept.
+var tightBudgets = map[string]int64{
+	"bench chain-7":       44384,
+	"bench star-7":        138224,
+	"bench chain-10":      119960,
+	"real2 headline":      351488,
+	"fetch first":         33648,
+	"group by, order by":  111304,
+	"expensive predicate": 33520,
+}
+
 // TestPoolStateCompile runs every probe after every tenant and requires the
 // plan, its cost and cardinality bits, the counters, the enumeration
 // statistics, the durable and the scratch peak of a compile on workspaces
@@ -167,6 +181,9 @@ func TestPoolStateCompile(t *testing.T) {
 			}
 		}
 		tight := lo
+		if want := tightBudgets[p.name]; tight != want {
+			t.Errorf("%s: tightest admitting budget %d, recorded %d", p.name, tight, want)
+		}
 		for _, tenant := range tenants {
 			ws := fresh()
 			got, err := compileOn(t, ws, tenant, p, tight)
