@@ -485,9 +485,9 @@ func (s *suite) memory() error {
 	return nil
 }
 
-// memFig evaluates the resource-accounting memory model: a calibration pass
-// over the synthetic workloads fits the coefficients, then every evaluation
-// query is compiled under a resource accountant at every DP level and the
+// memFig evaluates the memory model: a calibration pass over the synthetic
+// workloads fits the coefficients, then every evaluation query is compiled
+// under an execution context at every DP level and the
 // calibrated prediction is compared against the measured durable peak.
 func (s *suite) memFig() error {
 	fmt.Println("=== Extension: predicted vs measured peak optimizer memory ===")
@@ -518,7 +518,7 @@ func (s *suite) memFig() error {
 		}
 		fmt.Printf("%-10s worst over-prediction %.2fx\n", name, worst)
 	}
-	fmt.Println("(measured = durable MEMO high-water from the run's resource accountant)")
+	fmt.Println("(measured = durable MEMO high-water mark of the compile)")
 	fmt.Println()
 	return nil
 }

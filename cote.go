@@ -38,7 +38,6 @@ import (
 	"cote/internal/optctx"
 	"cote/internal/props"
 	"cote/internal/query"
-	"cote/internal/resource"
 	"cote/internal/sqlparser"
 	"cote/internal/workload"
 )
@@ -156,9 +155,9 @@ var ErrBudgetExceeded = optctx.ErrBudgetExceeded
 var ErrMemBudgetExceeded = optctx.ErrMemBudgetExceeded
 
 // ResourceSnapshot is a point-in-time view of one compilation's measured
-// memory accounting: current and peak bytes, total and durable (the
-// deterministic MEMO content the memory model predicts), per kind.
-type ResourceSnapshot = resource.Snapshot
+// memory: current and peak bytes, total and durable (the deterministic MEMO
+// content the memory model predicts).
+type ResourceSnapshot = optctx.Resources
 
 // OptimizeWith compiles under an execution context. A nil ExecContext
 // behaves exactly like Optimize.

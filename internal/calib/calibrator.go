@@ -60,20 +60,24 @@ var ErrNotEnoughSamples = errors.New("calib: not enough observations to recalibr
 // incumbent by the hysteresis margin and was therefore not installed.
 var ErrNoImprovement = errors.New("calib: recalibrated model not better than incumbent")
 
-// Stats is a snapshot of the loop's counters for metrics endpoints.
+// Stats is a snapshot of the loop's counters for metrics endpoints; it is
+// also the "calibration" object of GET /v1/model.
 type Stats struct {
 	// Observations counts every sample ever fed to the calibrator.
-	Observations int64
+	Observations int64 `json:"observations"`
 	// WindowLen / WindowCap describe the observation log's fill.
-	WindowLen, WindowCap int
+	WindowLen int `json:"window_len"`
+	WindowCap int `json:"window_cap"`
 	// Drift is the current mean relative prediction error; Degraded
 	// reports it crossed the threshold with enough samples.
-	Drift    float64
-	Degraded bool
+	Drift    float64 `json:"drift"`
+	Degraded bool    `json:"degraded"`
 	// Recalibrations counts installed refits; Rejected counts refits that
 	// fit but failed the hysteresis test; Failures counts refits whose
 	// regression errored (singular window and the like).
-	Recalibrations, Rejected, Failures int64
+	Recalibrations int64 `json:"recalibrations"`
+	Rejected       int64 `json:"rejected"`
+	Failures       int64 `json:"failures"`
 }
 
 // Calibrator closes the feedback loop: it implements core.CompileObserver,

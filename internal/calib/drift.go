@@ -97,9 +97,6 @@ func (d *DriftDetector) n() int {
 	return d.next
 }
 
-// Threshold returns the configured drift threshold.
-func (d *DriftDetector) Threshold() float64 { return d.threshold }
-
 // Degraded reports whether the window holds enough samples and their mean
 // relative error exceeds the threshold.
 func (d *DriftDetector) Degraded() bool {

@@ -23,11 +23,10 @@ const DefaultLogCapacity = 256
 // oldest, so the window tracks the recent workload rather than the whole
 // history.
 type Log struct {
-	mu    sync.Mutex
-	buf   []core.CompileObservation
-	next  int
-	full  bool
-	total int64
+	mu   sync.Mutex
+	buf  []core.CompileObservation
+	next int
+	full bool
 }
 
 // NewLog returns an empty log holding at most capacity observations
@@ -48,7 +47,6 @@ func (l *Log) Add(o core.CompileObservation) {
 		l.next = 0
 		l.full = true
 	}
-	l.total++
 	l.mu.Unlock()
 }
 
@@ -78,19 +76,3 @@ func (l *Log) Len() int {
 
 // Cap returns the window capacity.
 func (l *Log) Cap() int { return len(l.buf) }
-
-// Total returns how many observations were ever added, evicted ones
-// included.
-func (l *Log) Total() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
-
-// Reset empties the window (the total keeps counting).
-func (l *Log) Reset() {
-	l.mu.Lock()
-	l.next = 0
-	l.full = false
-	l.mu.Unlock()
-}

@@ -13,7 +13,6 @@ import (
 	"cote/internal/optctx"
 	"cote/internal/props"
 	"cote/internal/query"
-	"cote/internal/resource"
 )
 
 // Options configures a compilation-time estimation run. The zero value
@@ -64,10 +63,10 @@ type BlockEstimate struct {
 	Entries int
 	// PropertyBytes is the space the interesting-property lists used.
 	PropertyBytes int
-	// MeasuredBytes is the durable byte total charged to this block's MEMO
-	// (entry footprints plus property values at their fixed per-structure
-	// sizes). It is computed from the memo-local tally, so it is populated —
-	// and deterministic — even when no run accountant is attached.
+	// MeasuredBytes is the durable bytes of this block's MEMO (entry
+	// footprints plus property values at their fixed per-structure sizes).
+	// The MEMO counts them itself, so it is populated — and deterministic —
+	// even without an execution context.
 	MeasuredBytes int64
 }
 
@@ -98,7 +97,7 @@ type Estimate struct {
 	// retained plans, property values at fixed per-structure sizes).
 	PredictedPeakBytes int64
 	// MeasuredPeakBytes totals the durable bytes the estimation run's own
-	// MEMOs were charged — the estimator's measured counterpart, bit-stable
+	// MEMOs held — the estimator's measured counterpart, bit-stable
 	// across pool states.
 	MeasuredPeakBytes int64
 }
@@ -187,10 +186,6 @@ func (ws *workspace) reset(blk *query.Block, done []*query.Block, cards []float6
 	ws.card.Reset(blk, cost.Simple, done, cards)
 	ws.sc.Reset(blk)
 	ws.mem.Reset(blk.NumTables())
-	// Attach after Reset (which detaches and zeroes the previous run's
-	// accounting) so pooled reuse never carries stale charges forward. A nil
-	// Exec still keeps the memo-local tally, so MeasuredBytes costs nothing.
-	ws.mem.SetAccountant(opts.Exec.Resources())
 	ws.cnt.reset(blk, &ws.sc, ws.mem, knobs.CostConfig(opts.Config).Nodes, opts)
 }
 
@@ -213,27 +208,21 @@ func (ws *workspace) estimate(opts Options) (*BlockEstimate, error) {
 		return nil, err
 	}
 
-	// Durable property values are charged once per block: the counter only
-	// ever grows the lists (nothing releases mid-block), so the end-of-block
-	// charge reaches the same durable high-water mark as per-add charging
-	// would, without touching the accountant on the per-join hot path.
+	// Property values enter the MEMO once per block: the counter only ever
+	// grows the lists, so adding them at the end reaches the high-water mark
+	// adding them one by one would, off the per-join hot path. The counter's
+	// per-join scratch is working memory, not MEMO content: the run's peak
+	// sees it, but blocks don't accumulate freed buffers.
 	pb := cnt.propertyBytes(mem)
-	mem.ChargeProperties(pb / memo.PropertyValueBytes)
-	// The counter's per-join scratch is working memory, not MEMO content:
-	// charge its high-water use and release it, so the run's total peak sees
-	// it but blocks don't accumulate freed buffers.
-	if acct := opts.Exec.Resources(); acct != nil {
-		sb := cnt.scratchBytes()
-		acct.Charge(resource.KindScratch, sb)
-		acct.Release(resource.KindScratch, sb)
-	}
+	mem.AddProperties(pb / memo.PropertyValueBytes)
+	opts.Exec.EndBlock(mem, 0, cnt.scratchBytes())
 
 	return &BlockEstimate{
 		Counts:        cnt.counts,
 		EnumStats:     st,
 		Entries:       mem.NumEntries(),
 		PropertyBytes: pb,
-		MeasuredBytes: mem.AccountedBytes(),
+		MeasuredBytes: mem.DurableBytes(),
 	}, nil
 }
 

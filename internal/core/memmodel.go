@@ -28,7 +28,7 @@ type MemModel struct {
 	Base float64 `json:"base"`
 }
 
-// DefaultMemModel returns the uncalibrated structural model: the accountant's
+// DefaultMemModel returns the uncalibrated structural model: the MEMO's
 // own per-structure footprints, no constant term. It over-predicts real
 // compiles (pruning releases plans; generated >= retained), which is the safe
 // direction for admission until a calibration pass tightens it.

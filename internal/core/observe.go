@@ -28,7 +28,7 @@ type CompileObservation struct {
 	// well conditioned when the per-method counts are collinear.
 	GenSeconds [props.NumJoinMethods]float64
 	// PeakBytes is the measured durable memory high-water mark of the
-	// compilation (zero when no run accountant was attached).
+	// compilation (zero when it ran without an execution context).
 	PeakBytes int64
 	// Entries, PropertyBytes, EstimatedPlans and Pairs come from the
 	// estimate of the same query at the same level (zero without one): MEMO

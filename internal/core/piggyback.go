@@ -97,6 +97,7 @@ func estimateBlockLevels(b *query.Block, done []*query.Block, cards []float64, t
 		out.Counts[l] = c
 		out.Joins[l] += cnts[i].joins
 	}
+	opts.Exec.EndBlock(ws.mem, 0, 0)
 	return outputCard(b, ws.mem), nil
 }
 

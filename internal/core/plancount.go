@@ -432,16 +432,15 @@ func (c *counter) countCompound(outer, result *memo.Entry, candParts []props.Par
 	}
 }
 
-// counterColIDBytes is the scratch element size for the run accountant's
-// working-memory class. A var: unsafe.Sizeof over *new(T) is not a constant
-// expression.
+// counterColIDBytes is the scratch element size of the counter's column
+// buffers. A var: unsafe.Sizeof over *new(T) is not a constant expression.
 var counterColIDBytes = int64(unsafe.Sizeof(*new(query.ColID)))
 
 // scratchBytes reports what the block used of the counter's per-join scratch
-// — the working-memory high-water charged (and released) against the run
-// accountant's scratch class: the lengths the buffers reached, not their
-// capacities, which are pooled and remember the largest request ever served.
-// The property lists are durable MEMO content and charged separately.
+// — the working memory the run's peak sees at the block's end and then
+// frees: the lengths the buffers reached, not their capacities, which are
+// pooled and remember the largest request ever served. The property lists
+// are durable MEMO content and counted there.
 func (c *counter) scratchBytes() int64 {
 	cols := 2 * c.maxCols // ocBuf and icBuf
 	if c.parallel {

@@ -16,7 +16,6 @@ import (
 	"cote/internal/opt"
 	"cote/internal/optctx"
 	"cote/internal/query"
-	"cote/internal/resource"
 	"cote/internal/workload"
 )
 
@@ -86,8 +85,10 @@ func estimateOn(t *testing.T, ws *workspace, tenant, blk *query.Block, opts Opti
 	if err != nil {
 		return blockOutcome{}, err
 	}
-	acct := opts.Exec.Resources()
-	out := blockOutcome{Est: *be, CardBits: math.Float64bits(outputCard(blk, ws.mem)), DurablePeak: acct.DurablePeak(), ScratchPeak: acct.KindPeak(resource.KindScratch)}
+	// The block is the run's only one and its durable bytes only grow, so
+	// the total peak is the final durable bytes plus the counter's scratch.
+	res := opts.Exec.Resources()
+	out := blockOutcome{Est: *be, CardBits: math.Float64bits(outputCard(blk, ws.mem)), DurablePeak: res.DurablePeakBytes, ScratchPeak: res.PeakBytes - res.DurablePeakBytes}
 	return out, nil
 }
 
@@ -108,7 +109,7 @@ func TestPoolStateBlockEstimate(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Entries are all a budget poll can see: properties and
-			// scratch are charged after the last one.
+			// scratch are added after the last one.
 			tight := int64(want.Est.Entries) * memo.EntryFootprint
 			if _, err := estimateOn(t, fresh(), nil, blk, opts, tight); err != nil {
 				t.Fatalf("%s/%s: budget %d rejected on a fresh workspace: %v", p.name, blk.Name, tight, err)

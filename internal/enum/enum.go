@@ -104,8 +104,9 @@ type Options struct {
 	Cartesian           CartesianPolicy
 	// Exec, when non-nil, is polled for cancellation at size-class and
 	// bounded-stride granularity: a deadline or budget abort stops the
-	// enumeration promptly instead of letting it run to completion. A nil
-	// Exec is never cancelled and adds no per-join work.
+	// enumeration promptly instead of letting it run to completion; each
+	// poll first publishes the MEMO's bytes to it. A nil Exec is never
+	// cancelled and adds no per-join work.
 	Exec *optctx.Ctx
 }
 
@@ -170,12 +171,19 @@ func (en *Enumerator) Run(hooks Hooks) (Stats, error) {
 	en.runBase(&st, hooks)
 	for k := 2; k <= n; k++ {
 		en.scanSizeClass(k, &st, hooks)
-		if en.stop || en.opts.Exec.Cancelled() {
+		if en.stop || en.cancelled() {
 			return st, en.opts.Exec.Err()
 		}
 		en.completeSize(k, hooks)
 	}
 	return st, en.checkRoot()
+}
+
+// cancelled publishes the MEMO's bytes to the run, whose memory budget
+// tests them, and polls it.
+func (en *Enumerator) cancelled() bool {
+	en.opts.Exec.SetLiveBytes(en.mem.Bytes())
+	return en.opts.Exec.Cancelled()
 }
 
 // runBase creates the single-table MEMO entries and completes size class 1.
@@ -218,7 +226,7 @@ func (en *Enumerator) scanSizeClass(k int, st *Stats, hooks Hooks) {
 			if en.stop {
 				return
 			}
-			if si&outerPollMask == 0 && en.opts.Exec.Cancelled() {
+			if si&outerPollMask == 0 && en.cancelled() {
 				en.stop = true
 				return
 			}
@@ -294,7 +302,7 @@ func (en *Enumerator) emit(outer, inner, result *memo.Entry, st *Stats, hooks Ho
 	// Bound the cancellation latency of long size classes: one poll per
 	// joinPollMask+1 joins keeps the overhead off the per-join path while a
 	// deadline still lands within a small, fixed amount of generation work.
-	if st.Joins&joinPollMask == 0 && en.opts.Exec.Cancelled() {
+	if st.Joins&joinPollMask == 0 && en.cancelled() {
 		en.stop = true
 	}
 }

@@ -449,8 +449,8 @@ func (r MemFigRow) Ratio() float64 {
 	return float64(r.Predicted) / float64(r.Measured)
 }
 
-// memObservation compiles one query at one level under a resource
-// accountant and pairs the estimator's structural counts with the measured
+// memObservation compiles one query at one level under an execution
+// context and pairs the estimator's structural counts with the measured
 // durable peak.
 func memObservation(q workload.Query, cfg *cost.Config, level opt.Level) (core.CompileObservation, error) {
 	est, err := core.EstimatePlans(q.Block, core.Options{Level: level, Config: cfg})
@@ -466,7 +466,7 @@ func memObservation(q workload.Query, cfg *cost.Config, level opt.Level) (core.C
 }
 
 // MemCalibrationPass runs one memory-calibration pass: it compiles every
-// query of every workload at every level under a resource accountant, pairs
+// query of every workload at every level under an execution context, pairs
 // each estimate's structural counts with the measured durable peak, and fits
 // a memory model on the pooled observations — the memory-side analogue of
 // fitting the Ct constants.

@@ -20,23 +20,21 @@ import (
 	"cote/internal/bitset"
 	"cote/internal/props"
 	"cote/internal/query"
-	"cote/internal/resource"
 )
 
-// Per-structure footprints, the fixed byte sizes the resource accountant
-// charges for logical MEMO content. Charging struct sizes plus a small
-// constant index overhead (index slot, size-class slot) instead of
-// allocator-reported bytes keeps the measured durable high-water mark
-// deterministic across pool states and repeated runs — the property
-// core.EstimateMemory and its calibration depend on.
+// Per-structure footprints: a MEMO's durable bytes are its counts times
+// these. Struct sizes plus a small constant index overhead (index slot,
+// size-class slot) instead of allocator-reported bytes keep the measured
+// durable high-water mark deterministic across pool states and repeated
+// runs — the property core.EstimateMemory and its calibration depend on.
 const (
 	// entryIndexBytes approximates an entry's share of the index
 	// bookkeeping: its open-addressed key+pointer slot (amortized over the
 	// table's load factor) and its size-class slot.
 	entryIndexBytes = 40
-	// EntryFootprint is the bytes charged per MEMO entry.
+	// EntryFootprint is the bytes of one MEMO entry.
 	EntryFootprint = int64(unsafe.Sizeof(Entry{})) + entryIndexBytes
-	// PlanFootprint is the bytes charged per retained plan: the node itself
+	// PlanFootprint is the bytes of one retained plan: the node itself
 	// plus its pointer slot in the entry's plan list.
 	PlanFootprint = int64(unsafe.Sizeof(Plan{})) + 8
 	// PropertyValueBytes is the paper's ~4 bytes per interesting-property
@@ -266,12 +264,12 @@ type Memo struct {
 	// after enumeration instead of once per call.
 	sorted []*Entry
 	nplans int
-	// acct receives the durable charges (entries, retained plans, property
-	// values) when the optimizer attaches a run accountant; accounted is the
-	// memo-local net tally of those charges, zeroed by Reset so pooled reuse
-	// never leaks one run's accounting state into the next.
-	acct      *resource.Accountant
-	accounted int64
+	// nprops and nchunks are the interesting-property values the MEMO was
+	// given (AddProperties) and the node chunks it entered (NewPlan); with
+	// count and nplans they are its bytes. durablePeak and peak are the
+	// block's high-water marks of DurableBytes and Bytes.
+	nprops, nchunks   int
+	durablePeak, peak int64
 	// PipelineMatters makes pipelineability a pruning-relevant property:
 	// a non-pipelined plan can no longer dominate a pipelined one. Set by
 	// the optimizer for FETCH FIRST queries.
@@ -454,8 +452,7 @@ const (
 	nodeChunk  = 256
 )
 
-// NodeChunkBytes is what NewPlan charges the run accountant, as scratch,
-// for every node chunk a block enters.
+// NodeChunkBytes is the scratch bytes of every node chunk a block enters.
 const NodeChunkBytes = nodeChunk * int64(unsafe.Sizeof(Plan{}))
 
 // NewPlan carves a plan from the MEMO's node arena. Its content is stale —
@@ -463,12 +460,13 @@ const NodeChunkBytes = nodeChunk * int64(unsafe.Sizeof(Plan{}))
 // whole Plan. The real optimizer creates one Plan per generated alternative,
 // the dominant allocation of a compile; batching them into chunks kept
 // across Reset leaves a pooled MEMO allocating none. Entering a chunk
-// charges its capacity, a kept chunk like a new one, so the scratch peak is
+// counts its capacity, a kept chunk like a new one, so the scratch peak is
 // a function of the block and never of what the MEMO served before.
 func (m *Memo) NewPlan() *Plan {
 	p := &m.nodes.take(1, nodeChunk)[0]
 	if m.nodes.off == 1 {
-		m.acct.Charge(resource.KindScratch, NodeChunkBytes)
+		m.nchunks++
+		m.raise()
 	}
 	return p
 }
@@ -483,31 +481,33 @@ func cleanEntry(e *Entry) {
 	*e = Entry{Orders: e.Orders, Parts: e.Parts}
 }
 
-// SetAccountant attaches a run accountant; subsequent entry creations, plan
-// inserts/prunes and property charges are recorded against it. A nil
-// accountant (the default, and after Reset) makes every charge a no-op.
-func (m *Memo) SetAccountant(a *resource.Accountant) { m.acct = a }
-
-// AccountedBytes returns the memo's net charged durable bytes — the
-// memo-local accounting state Reset must zero on pooled reuse.
-func (m *Memo) AccountedBytes() int64 { return m.accounted }
-
-// charge records n durable bytes of kind k against the attached accountant
-// and the memo-local tally. Callers pass negative n to release.
-func (m *Memo) charge(k resource.Kind, n int64) {
-	m.accounted += n
-	m.acct.Charge(k, n)
+// DurableBytes is the MEMO's logical content: its entries, retained plans
+// and interesting-property values at their fixed footprints.
+func (m *Memo) DurableBytes() int64 {
+	return int64(m.count)*EntryFootprint + int64(m.nplans)*PlanFootprint + int64(m.nprops)*PropertyValueBytes
 }
 
-// ChargeProperties records n interesting-property values entering the MEMO
-// (the counter and generator call it where they extend an entry's
-// order/partition lists, the deterministic sites of Section 3.4's ~4 bytes
-// per value). Negative n releases.
-func (m *Memo) ChargeProperties(n int) {
-	if n == 0 {
-		return
-	}
-	m.charge(resource.KindProperty, int64(n)*PropertyValueBytes)
+// Bytes is DurableBytes plus the node chunks the block entered, the scratch
+// a MEMO holds.
+func (m *Memo) Bytes() int64 { return m.DurableBytes() + int64(m.nchunks)*NodeChunkBytes }
+
+// Peaks returns the block's high-water marks of DurableBytes and Bytes.
+func (m *Memo) Peaks() (durable, total int64) { return m.durablePeak, m.peak }
+
+// raise lifts the peaks to the current bytes; every count that grows calls
+// it.
+func (m *Memo) raise() {
+	d := m.DurableBytes()
+	m.durablePeak = max(m.durablePeak, d)
+	m.peak = max(m.peak, d+int64(m.nchunks)*NodeChunkBytes)
+}
+
+// AddProperties records n interesting-property values entering the MEMO,
+// Section 3.4's ~4 bytes per value. The estimator calls it once per block,
+// after its counter grew the entries' order and partition lists.
+func (m *Memo) AddProperties(n int) {
+	m.nprops += n
+	m.raise()
 }
 
 // GetOrCreate returns the entry for s, creating it if needed; created
@@ -528,7 +528,7 @@ func (m *Memo) GetOrCreate(s bitset.Set) (e *Entry, created bool) {
 	m.table[i] = idxSlot{key: s, e: e}
 	m.count++
 	m.bySize[k] = append(m.bySize[k], e)
-	m.charge(resource.KindMemoEntry, EntryFootprint)
+	m.raise()
 	m.sorted = nil // invalidate the Entries() snapshot
 	return e, true
 }
@@ -568,13 +568,10 @@ func (m *Memo) Reset(n int) {
 		}
 	}
 	m.sorted = nil
-	m.nplans = 0
+	m.nplans, m.nprops, m.nchunks = 0, 0, 0
+	m.durablePeak, m.peak = 0, 0
 	m.PipelineMatters = false
 	m.ExpMatters = false
-	// Detach the accountant and zero the accounting tally: a pooled MEMO
-	// must not carry one run's charges (or its accountant) into the next.
-	m.acct = nil
-	m.accounted = 0
 }
 
 // Entry returns the entry for s, or nil.
@@ -668,7 +665,6 @@ func (m *Memo) InsertPlan(e *Entry, p *Plan) bool {
 	for _, have := range e.Plans {
 		if dominates(p, have, &e.Equiv, m) {
 			m.nplans--
-			m.charge(resource.KindPlan, -PlanFootprint)
 			continue
 		}
 		kept = append(kept, have)
@@ -681,7 +677,7 @@ func (m *Memo) InsertPlan(e *Entry, p *Plan) bool {
 	}
 	e.Plans = append(kept, p)
 	m.nplans++
-	m.charge(resource.KindPlan, PlanFootprint)
+	m.raise()
 	return true
 }
 

@@ -8,7 +8,6 @@ import (
 	"cote/internal/catalog"
 	"cote/internal/props"
 	"cote/internal/query"
-	"cote/internal/resource"
 )
 
 // blockFixture builds a two-table block for equivalence-aware tests.
@@ -367,49 +366,46 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestResetZeroesAccounting is the accounting half of the pooled-reuse
-// contract: a pooled MEMO must not carry one run's accountant or charge tally
-// into the next borrower. Reset must detach the accountant, zero the local
-// tally, and leave the old run's accountant untouched by later activity.
+// TestResetZeroesAccounting is the counting half of the pooled-reuse
+// contract: a MEMO's bytes are its counts times the footprints, and Reset
+// zeroes the counts and the block's peaks, so a reused MEMO reports for a
+// block exactly what a new one does.
 func TestResetZeroesAccounting(t *testing.T) {
 	blk := blockFixture(t)
-	acct := resource.New()
 	m := New(2)
-	m.SetAccountant(acct)
-
 	e := entryFor(blk, m, bitset.Of(0))
 	m.InsertPlan(e, &Plan{Op: OpTableScan, Tables: e.Tables, Cost: 100})
-	m.ChargeProperties(3)
+	// A cheaper plan with the same properties prunes the first: the count
+	// stays at one plan, and the peak never saw two.
+	m.InsertPlan(e, &Plan{Op: OpTableScan, Tables: e.Tables, Cost: 50})
+	m.AddProperties(3)
+	m.NewPlan()
 
-	wantLocal := EntryFootprint + PlanFootprint + 3*PropertyValueBytes
-	if got := m.AccountedBytes(); got != wantLocal {
-		t.Fatalf("AccountedBytes = %d, want %d", got, wantLocal)
+	durable := EntryFootprint + PlanFootprint + 3*PropertyValueBytes
+	if got := m.DurableBytes(); got != durable {
+		t.Fatalf("DurableBytes = %d, want %d", got, durable)
 	}
-	if got := acct.DurableUsed(); got != wantLocal {
-		t.Fatalf("accountant DurableUsed = %d, want %d", got, wantLocal)
+	if got := m.Bytes(); got != durable+NodeChunkBytes {
+		t.Fatalf("Bytes = %d, want %d (durable plus one node chunk)", got, durable+NodeChunkBytes)
+	}
+	if dp, p := m.Peaks(); dp != durable || p != durable+NodeChunkBytes {
+		t.Fatalf("Peaks = %d, %d, want %d, %d", dp, p, durable, durable+NodeChunkBytes)
 	}
 
-	frozen := acct.DurableUsed()
 	m.Reset(2)
-	if got := m.AccountedBytes(); got != 0 {
-		t.Fatalf("AccountedBytes after Reset = %d, want 0 — pooled reuse would inherit stale charges", got)
+	if dp, p := m.Peaks(); m.Bytes() != 0 || dp != 0 || p != 0 {
+		t.Fatalf("after Reset: Bytes %d, Peaks %d, %d, want 0 — pooled reuse would inherit the last block's bytes", m.Bytes(), dp, p)
 	}
-	// Post-Reset activity must not reach the previous run's accountant.
-	entryFor(blk, m, bitset.Of(1))
-	m.ChargeProperties(5)
-	if got := acct.DurableUsed(); got != frozen {
-		t.Fatalf("detached accountant moved %d -> %d after Reset", frozen, got)
+	fresh := New(2)
+	for _, mm := range []*Memo{m, fresh} {
+		entryFor(blk, mm, bitset.Of(1))
+		mm.AddProperties(5)
+		mm.NewPlan()
 	}
-	// The memo-local tally still works without an accountant (the estimate
-	// path relies on it), and re-attaching starts a clean run.
-	if got := m.AccountedBytes(); got <= 0 {
-		t.Fatalf("AccountedBytes after detached activity = %d, want > 0", got)
+	if m.Bytes() != fresh.Bytes() || m.DurableBytes() != fresh.DurableBytes() {
+		t.Fatalf("reused MEMO reports %d B (%d durable), a new one %d B (%d durable)", m.Bytes(), m.DurableBytes(), fresh.Bytes(), fresh.DurableBytes())
 	}
-	acct2 := resource.New()
-	m.Reset(2)
-	m.SetAccountant(acct2)
-	entryFor(blk, m, bitset.Of(0))
-	if got, local := acct2.DurableUsed(), m.AccountedBytes(); got != local || got <= 0 {
-		t.Fatalf("fresh accountant got %d, local tally %d", got, local)
+	if dp, p := m.Peaks(); dp != m.DurableBytes() || p != m.Bytes() {
+		t.Fatalf("reused MEMO's peaks %d, %d, want its bytes %d, %d", dp, p, m.DurableBytes(), m.Bytes())
 	}
 }

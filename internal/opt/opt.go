@@ -23,7 +23,6 @@ import (
 	"cote/internal/plangen"
 	"cote/internal/props"
 	"cote/internal/query"
-	"cote/internal/resource"
 )
 
 // Level is an optimization level. Higher levels search larger spaces and
@@ -159,7 +158,7 @@ type Result struct {
 	// Resources is the run's measured memory accounting (all zero when the
 	// compile ran without an execution context). DurablePeakBytes is the
 	// deterministic MEMO high-water mark core.EstimateMemory predicts.
-	Resources resource.Snapshot
+	Resources optctx.Resources
 }
 
 // Release hands the result's MEMOs, with the plans carved from them, to the
@@ -320,8 +319,8 @@ func (ws *workspace) memo(n int) *memo.Memo {
 	return m
 }
 
-// keep scrubs a MEMO (memo.Reset drops its entries, plan lists and
-// accountant) and holds it for a later block.
+// keep scrubs a MEMO (memo.Reset drops its entries and plan lists and
+// zeroes its counts) and holds it for a later block.
 func (ws *workspace) keep(m *memo.Memo) {
 	m.Reset(0)
 	ws.memos = append(ws.memos, m)
@@ -362,7 +361,7 @@ func (ws *workspace) optimize(oc *optctx.Ctx, blk *query.Block, opts Options) (*
 	root := res.Blocks[len(res.Blocks)-1]
 	res.Plan = finish(root.Block, root.Plan, root.Memo, &ws.sc, opts)
 	res.Elapsed = time.Since(start)
-	res.Resources = oc.Resources().Snapshot()
+	res.Resources = oc.Resources()
 	return res, nil
 }
 
@@ -386,7 +385,6 @@ func (ws *workspace) optimizeBlock(oc *optctx.Ctx, blk *query.Block, done []*que
 		}, nil
 	}
 
-	mem.SetAccountant(oc.Resources())
 	mem.PipelineMatters = ws.sc.PipelineInteresting()
 	mem.ExpMatters = !ws.sc.ExpensiveTables().Empty()
 	popts := plangen.Options{Config: cfg, OrderPolicy: opts.OrderPolicy, Exec: oc}
@@ -404,10 +402,11 @@ func (ws *workspace) optimizeBlock(oc *optctx.Ctx, blk *query.Block, done []*que
 	eopts.Cartesian = opts.CartesianPolicy
 	eopts.Exec = oc
 	st, err := enum.New(blk, mem, card, eopts).Run(ws.hooks)
-	gen.Finish()
+	scratch := gen.Finish()
 	if err != nil {
 		return nil, err
 	}
+	oc.EndBlock(mem, scratch, 0)
 	rootEntry := mem.Entry(blk.AllTables())
 	best := rootEntry.Best()
 	if best == nil {

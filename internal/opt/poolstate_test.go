@@ -14,7 +14,6 @@ import (
 	"cote/internal/optctx"
 	"cote/internal/plangen"
 	"cote/internal/query"
-	"cote/internal/resource"
 	"cote/internal/sqlparser"
 	"cote/internal/testutil"
 	"cote/internal/workload"
@@ -100,7 +99,9 @@ func outcomeOf(res *Result) compileOutcome {
 		CardBits:    math.Float64bits(res.Plan.Card),
 		Counters:    c,
 		DurablePeak: res.Resources.DurablePeakBytes,
-		ScratchPeak: res.Resources.Kinds[resource.KindScratch].PeakBytes,
+		// A compile frees no scratch before it ends: its scratch peak is
+		// what it holds at the end beside the MEMOs' durable bytes.
+		ScratchPeak: res.Resources.UsedBytes - res.Resources.DurableUsedBytes,
 	}
 	for _, b := range res.Blocks {
 		out.EnumStats = append(out.EnumStats, b.EnumStats)

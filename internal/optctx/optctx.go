@@ -17,10 +17,11 @@
 //   - per-stage observability: parse / enumerate / generate / prune counts
 //     and timings, accumulated per compilation and aggregated by the
 //     service's /metrics endpoint;
-//   - resource accounting: an embedded resource.Accountant every allocation
-//     site on the optimize/estimate paths charges, with an optional byte
-//     budget whose overrun aborts the compile with ErrMemBudgetExceeded,
-//     mirroring the plan budget on the memory axis (paper Section 6.2).
+//   - memory: the run's bytes — finished blocks' MEMOs and scratch, added
+//     at each block end, plus the running block's MEMO bytes, published by
+//     the enumerator before each poll — with an optional byte budget whose
+//     overrun aborts the compile with ErrMemBudgetExceeded, mirroring the
+//     plan budget on the memory axis (paper Section 6.2).
 //
 // A nil *Ctx is valid everywhere and means "no deadline, no budget, no
 // observers": the hot paths pay a single nil check, so the serial
@@ -34,7 +35,7 @@ import (
 	"time"
 
 	"cote/internal/faultinject"
-	"cote/internal/resource"
+	"cote/internal/memo"
 )
 
 // ErrBudgetExceeded reports that a compilation generated more plans than
@@ -89,9 +90,8 @@ type StageStats struct {
 }
 
 // Hooks observe a compilation as it runs. The callback runs synchronously
-// on the goroutine driving the compilation, so it should return quickly; a
-// Ctx shared by concurrent compilations calls it from each of those
-// goroutines.
+// on the goroutine driving the compilation, so it should return quickly.
+// A Ctx serves one compile or estimate at a time.
 type Hooks struct {
 	// OnProgress fires after progress ticks (batched, roughly once per
 	// tick batch of generated plans) with the running totals.
@@ -99,9 +99,10 @@ type Hooks struct {
 }
 
 // Ctx is one optimization's execution context. The zero value is not
-// useful; construct with New. All methods are safe for concurrent use and
-// are nil-receiver-safe, so layers can thread an optional *Ctx without
-// branching at every call site.
+// useful; construct with New. It serves one compile or estimate at a time,
+// whose goroutine moves the memory totals; every method is race-free, so
+// others may read it meanwhile, and nil-receiver-safe, so layers can thread
+// an optional *Ctx without branching at every call site.
 type Ctx struct {
 	ctx   context.Context
 	done  <-chan struct{}
@@ -112,12 +113,14 @@ type Ctx struct {
 	budget     atomic.Int64 // abort bound on generated (0 = unlimited)
 	overBudget atomic.Bool
 
-	// res is the run's resource accountant, embedded by value so attaching
-	// accounting to a compilation costs no extra allocation. memBudget arms
+	// The run's memory: what finished blocks hold (held, durable of it)
+	// and the peaks, which EndBlock moves, and live, the running block's
+	// MEMO bytes the enumerator publishes before each poll. memBudget arms
 	// the cooperative memory abort, mirroring the generated-plan budget.
-	res       resource.Accountant
-	memBudget atomic.Int64 // abort bound on measured bytes (0 = unlimited)
-	overMem   atomic.Bool
+	held, durable, peak, durablePeak atomic.Int64
+	live                             atomic.Int64
+	memBudget                        atomic.Int64 // abort bound on held+live (0 = unlimited)
+	overMem                          atomic.Bool
 
 	stageCount [NumStages]atomic.Int64
 	stageNS    [NumStages]atomic.Int64
@@ -184,7 +187,7 @@ func (c *Ctx) memExceeded() bool {
 		c.overMem.Store(true)
 		return true
 	}
-	if b := c.memBudget.Load(); b > 0 && c.res.Used() > b {
+	if b := c.memBudget.Load(); b > 0 && c.held.Load()+c.live.Load() > b {
 		c.overMem.Store(true)
 		return true
 	}
@@ -207,18 +210,68 @@ func (c *Ctx) Err() error {
 	return c.ctx.Err()
 }
 
-// Resources returns the run's resource accountant (nil for a nil receiver,
-// so charge sites inherit the usual nil-safe no-op behavior).
-func (c *Ctx) Resources() *resource.Accountant {
-	if c == nil {
-		return nil
-	}
-	return &c.res
+// Resources is a run's measured memory: current and peak bytes, total and
+// durable — the deterministic MEMO content core.EstimateMemory predicts;
+// the total adds the scratch the run held.
+type Resources struct {
+	UsedBytes        int64 `json:"used_bytes"`
+	PeakBytes        int64 `json:"peak_bytes"`
+	DurableUsedBytes int64 `json:"durable_used_bytes"`
+	DurablePeakBytes int64 `json:"durable_peak_bytes"`
 }
 
-// SetMemBudget arms the memory abort: once the accountant's measured usage
-// exceeds n bytes, Cancelled reports true and Err returns
-// ErrMemBudgetExceeded. Values below 1 disarm the budget.
+// Resources returns the run's memory so far (zero for a nil receiver).
+func (c *Ctx) Resources() Resources {
+	if c == nil {
+		return Resources{}
+	}
+	live := c.live.Load()
+	return Resources{
+		UsedBytes:        c.held.Load() + live,
+		PeakBytes:        c.peak.Load(),
+		DurableUsedBytes: c.durable.Load(),
+		DurablePeakBytes: c.durablePeak.Load(),
+	}
+}
+
+// SetLiveBytes publishes the running block's MEMO bytes, which the memory
+// budget tests on top of what finished blocks hold. The enumerator calls it
+// right before each poll.
+func (c *Ctx) SetLiveBytes(n int64) {
+	if c != nil {
+		c.live.Store(n)
+	}
+}
+
+// EndBlock adds a finished block to the run: its MEMO's bytes and peaks,
+// and the scratch its driver used beside the MEMO — kept for the rest of
+// the run, or freed at the block's end (then it counts for the peak only).
+func (c *Ctx) EndBlock(m *memo.Memo, kept, freed int64) {
+	if c == nil {
+		return
+	}
+	held, durable := c.held.Load(), c.durable.Load()
+	durablePeak, peak := m.Peaks()
+	raise(&c.durablePeak, durable+durablePeak)
+	raise(&c.peak, held+peak)
+	held += m.Bytes() + kept
+	raise(&c.peak, held+freed)
+	c.held.Store(held)
+	c.durable.Store(durable + m.DurableBytes())
+	c.live.Store(0)
+}
+
+// raise lifts a peak to v. Only the goroutine running the Ctx's blocks
+// writes peaks, so load-then-store does not race another raise.
+func raise(peak *atomic.Int64, v int64) {
+	if v > peak.Load() {
+		peak.Store(v)
+	}
+}
+
+// SetMemBudget arms the memory abort: once the run's measured bytes exceed
+// n, Cancelled reports true and Err returns ErrMemBudgetExceeded. Values
+// below 1 disarm the budget.
 func (c *Ctx) SetMemBudget(n int64) {
 	if c == nil {
 		return
@@ -291,7 +344,7 @@ func (c *Ctx) Fraction() float64 {
 	return f
 }
 
-// RecordStage accumulates one stage's work and fires the stage hook.
+// RecordStage accumulates one stage's work.
 func (c *Ctx) RecordStage(s Stage, count int64, elapsed time.Duration) {
 	if c == nil || s < 0 || s >= NumStages {
 		return

@@ -26,7 +26,6 @@ import (
 	"cote/internal/optctx"
 	"cote/internal/props"
 	"cote/internal/query"
-	"cote/internal/resource"
 )
 
 // Counters aggregates what one optimization run generated and where its
@@ -133,7 +132,7 @@ type Generator struct {
 type scratch struct {
 	// hits memoizes the cost model's buffer hit ratios. It survives Reset as
 	// is: the function is pure, so entries from an earlier query stay valid.
-	// A fixed array, not charged to the accountant.
+	// A fixed array, not counted as scratch.
 	hits cost.HitMemo
 
 	// free recycles plans the MEMO rejected on arrival or the pilot bound
@@ -163,7 +162,7 @@ type scratch struct {
 
 	// maxCols, maxPending and maxFree are the block's widest join (in join
 	// columns), largest commit batch and longest free list: what Finish
-	// charges for the buffers.
+	// reports for the buffers.
 	maxCols, maxPending, maxFree int
 }
 
@@ -200,22 +199,22 @@ func (g *Generator) Reset(blk *query.Block, sc *props.Scope, mem *memo.Memo, car
 }
 
 // Finish ends the generator's block: it pushes the generated-plan count still
-// sitting in the local batch to the execution context, charges the run
-// accountant for what the block used of the scratch buffers, and drops every
-// reference to the block's MEMO and run, so a reused generator pins neither.
-// Call it once the driving enumeration returned.
-func (g *Generator) Finish() {
+// sitting in the local batch to the execution context, drops every reference
+// to the block's MEMO and run, so a reused generator pins neither, and
+// returns what the block used of the scratch buffers. Call it once the
+// driving enumeration returned.
+func (g *Generator) Finish() int64 {
 	if g.exec != nil && g.ticks > 0 {
 		g.exec.TickGenerated(g.ticks)
 		g.ticks = 0
 	}
-	g.exec.Resources().Charge(resource.KindScratch, g.bufBytes())
 	g.exec, g.mem = nil, nil
 	clear(g.free)
 	g.free = g.free[:0]
 	clear(g.pending[:cap(g.pending)])
 	clear(g.orders)
 	clear(g.parts)
+	return g.bufBytes()
 }
 
 // bufBytes is what the block used of the scratch buffers: their high-water

@@ -13,7 +13,6 @@ import (
 	"cote/internal/optctx"
 	"cote/internal/props"
 	"cote/internal/query"
-	"cote/internal/resource"
 )
 
 // fixture builds a 3-table chain a-b-c with an ORDER BY, optionally
@@ -224,10 +223,10 @@ func TestSortWidthFactor(t *testing.T) {
 
 // TestResetChargesScratchLikeFresh is the plangen half of the pool-state
 // rule (the memo half is TestResetZeroesAccounting): a generator and a MEMO
-// reset for a block after serving a larger one charge exactly the scratch a
-// new pair charges for it — kept node chunks like new ones, the buffers at
-// what the block used of them, not at the capacity the larger block left —
-// and Finish lets go of the run and the MEMO.
+// reset for a block after serving a larger one add to the run exactly the
+// scratch a new pair adds for it — kept node chunks like new ones, the
+// buffers at what the block used of them, not at the capacity the larger
+// block left — and Finish lets go of the run and the MEMO.
 func TestResetChargesScratchLikeFresh(t *testing.T) {
 	for _, nodes := range []int{1, 4} {
 		cfg := cost.Serial
@@ -240,16 +239,16 @@ func TestResetChargesScratchLikeFresh(t *testing.T) {
 			oc := optctx.New(context.Background())
 			card := cost.NewEstimator(blk, cost.Full)
 			mem.Reset(blk.NumTables())
-			mem.SetAccountant(oc.Resources())
 			g.Reset(blk, props.NewScope(blk), mem, card, Options{Config: cfg, Exec: oc})
 			if _, err := enum.New(blk, mem, card, enum.Options{}).Run(g.Hooks()); err != nil {
 				t.Fatal(err)
 			}
-			g.Finish()
+			oc.EndBlock(mem, g.Finish(), 0)
 			if g.exec != nil || g.mem != nil {
 				t.Fatal("Finish kept the run or the MEMO — a reused generator would pin or charge a finished block")
 			}
-			return oc.Resources().KindUsed(resource.KindScratch)
+			res := oc.Resources()
+			return res.UsedBytes - res.DurableUsedBytes
 		}
 		want := run(new(Generator), memo.New(0), small)
 		if want < memo.NodeChunkBytes {

@@ -7,7 +7,6 @@ import (
 
 	"cote/internal/calib"
 	"cote/internal/optctx"
-	"cote/internal/resource"
 )
 
 // Counter is an atomic monotonically increasing counter.
@@ -206,7 +205,7 @@ func (m *Metrics) ObserveStage(s optctx.Stage, count int64, elapsed time.Duratio
 
 // ObserveResources folds one accounted compilation's resource snapshot into
 // the aggregates. Unaccounted runs (zero snapshot) are skipped.
-func (m *Metrics) ObserveResources(s resource.Snapshot) {
+func (m *Metrics) ObserveResources(s optctx.Resources) {
 	if s.PeakBytes == 0 && s.DurablePeakBytes == 0 {
 		return
 	}

@@ -48,37 +48,11 @@ func modelInfo(v *calib.ModelVersion, current bool) ModelInfo {
 }
 
 // ModelStatus is the reply of GET /v1/model: the current version plus the
-// calibration loop's live state.
+// calibration loop's live state (observation counts, the drift gauge and
+// the refit outcomes).
 type ModelStatus struct {
 	ModelInfo
-	Calibration CalibrationStatus `json:"calibration"`
-}
-
-// CalibrationStatus reports the online loop: observation counts, the drift
-// gauge, and the refit outcomes.
-type CalibrationStatus struct {
-	Observations   int64   `json:"observations"`
-	WindowLen      int     `json:"window_len"`
-	WindowCap      int     `json:"window_cap"`
-	Drift          float64 `json:"drift"`
-	Degraded       bool    `json:"degraded"`
-	Recalibrations int64   `json:"recalibrations"`
-	Rejected       int64   `json:"rejected"`
-	Failures       int64   `json:"failures"`
-}
-
-func (s *Server) calibrationStatus() CalibrationStatus {
-	st := s.calib.Stats()
-	return CalibrationStatus{
-		Observations:   st.Observations,
-		WindowLen:      st.WindowLen,
-		WindowCap:      st.WindowCap,
-		Drift:          st.Drift,
-		Degraded:       st.Degraded,
-		Recalibrations: st.Recalibrations,
-		Rejected:       st.Rejected,
-		Failures:       st.Failures,
-	}
+	Calibration calib.Stats `json:"calibration"`
 }
 
 // ModelUpdateRequest is the body of POST /v1/model: exactly one of Model
@@ -98,7 +72,7 @@ func (s *Server) ModelStatus() (*ModelStatus, error) {
 	if v == nil {
 		return nil, notFound("no model installed (calibrate first)")
 	}
-	return &ModelStatus{ModelInfo: modelInfo(v, true), Calibration: s.calibrationStatus()}, nil
+	return &ModelStatus{ModelInfo: modelInfo(v, true), Calibration: s.calib.Stats()}, nil
 }
 
 // UpdateModel applies one ModelUpdateRequest and returns the resulting

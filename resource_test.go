@@ -160,10 +160,10 @@ func TestNilMemModelIsStructuralDefault(t *testing.T) {
 	}
 }
 
-// TestAccountantAddsNoEstimateAllocs is the alloc guard of the accounting
-// layer: arming a run accountant on the headline estimate must add zero
-// allocations per run — the Accountant is embedded by value in the execution
-// context and every charge site is an atomic add.
+// TestAccountantAddsNoEstimateAllocs is the alloc guard of the memory
+// accounting: arming an execution context on the headline estimate must add
+// zero allocations per run — the MEMO counts its own bytes and the context
+// keeps the run's totals in fixed fields.
 func TestAccountantAddsNoEstimateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc guard skipped in -short")
@@ -199,6 +199,6 @@ func TestAccountantAddsNoEstimateAllocs(t *testing.T) {
 	// per-run accounting adds nothing that scales with the query.
 	const slack = 2
 	if accounted > bare+slack {
-		t.Errorf("accounted estimate = %.0f allocs/op vs %.0f bare — the accountant must be alloc-free on the hot path", accounted, bare)
+		t.Errorf("accounted estimate = %.0f allocs/op vs %.0f bare — memory accounting must be alloc-free on the hot path", accounted, bare)
 	}
 }
