@@ -225,9 +225,8 @@ func (c *Ctx) Resources() Resources {
 	if c == nil {
 		return Resources{}
 	}
-	live := c.live.Load()
 	return Resources{
-		UsedBytes:        c.held.Load() + live,
+		UsedBytes:        c.held.Load() + c.live.Load(),
 		PeakBytes:        c.peak.Load(),
 		DurableUsedBytes: c.durable.Load(),
 		DurablePeakBytes: c.durablePeak.Load(),
