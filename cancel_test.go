@@ -71,25 +71,22 @@ func TestCancelledContextStopsOptimize(t *testing.T) {
 	}
 }
 
+// TestMidFlightCancelStopsOptimize cancels from the compile's first progress
+// tick, so the cancel lands while plans are being generated whatever the
+// machine's speed, and the compile must stop with the context's error.
 func TestMidFlightCancelStopsOptimize(t *testing.T) {
 	q := heavyQuery()
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := opt.OptimizeCtx(ctx, q.Block, opt.Options{Level: experiments.Level, Config: cost.Parallel4})
-		done <- err
-	}()
-	time.Sleep(time.Millisecond) // let the enumeration get going
-	cancel()
-	select {
-	case err := <-done:
-		// err == nil means the compile beat the cancel — possible on a fast
-		// machine, and not a cancellation bug.
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled or nil", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("compile did not return after cancel")
+	defer cancel()
+	oc := cote.NewExecContext(ctx).WithHooks(cote.ExecHooks{
+		OnProgress: func(int64, int64) { cancel() },
+	})
+	_, err := cote.OptimizeWith(oc, q.Block, cote.OptimizeOptions{Level: experiments.Level, Config: cote.Parallel4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if gen, _ := oc.Progress(); gen == 0 {
+		t.Fatal("the compile was cancelled before it generated a plan")
 	}
 }
 

@@ -208,15 +208,7 @@ func (ws *workspace) estimate(opts Options) (*BlockEstimate, error) {
 		return nil, err
 	}
 
-	// Property values enter the MEMO once per block: the counter only ever
-	// grows the lists, so adding them at the end reaches the high-water mark
-	// adding them one by one would, off the per-join hot path. The counter's
-	// per-join scratch is working memory, not MEMO content: the run's peak
-	// sees it, but blocks don't accumulate freed buffers.
-	pb := cnt.propertyBytes(mem)
-	mem.AddProperties(pb / memo.PropertyValueBytes)
-	opts.Exec.EndBlock(mem, 0, cnt.scratchBytes())
-
+	pb := ws.endBlock(opts.Exec, cnt.scratchBytes())
 	return &BlockEstimate{
 		Counts:        cnt.counts,
 		EnumStats:     st,
@@ -224,6 +216,19 @@ func (ws *workspace) estimate(opts Options) (*BlockEstimate, error) {
 		PropertyBytes: pb,
 		MeasuredBytes: mem.DurableBytes(),
 	}, nil
+}
+
+// endBlock charges the block to exec: the counter's property values enter
+// the MEMO once per block — the counter only ever grows the lists, so adding
+// them at the end reaches the high-water mark adding them one by one would,
+// off the per-join hot path — and scratch, the counters' per-join working
+// memory, is seen by the run's peak and then freed, as blocks don't
+// accumulate freed buffers. It returns the property bytes.
+func (ws *workspace) endBlock(exec *optctx.Ctx, scratch int64) int {
+	pb := ws.cnt.propertyBytes(ws.mem)
+	ws.mem.AddProperties(pb / memo.PropertyValueBytes)
+	exec.EndBlock(ws.mem, 0, scratch)
+	return pb
 }
 
 // outputCard is a block's simple-mode output cardinality after mem holds its

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"cote/internal/opt"
+	"cote/internal/optctx"
 	"cote/internal/query"
 	"cote/internal/workload"
 )
@@ -188,4 +190,30 @@ func TestSharedBlockConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestEstimateLevelsChargesMemory requires the single-pass estimate to
+// charge each block as EstimatePlans does — the property values its counter
+// grew and its scratch — so that one level's durable peak is the
+// EstimatePlans one and its total peak no smaller.
+func TestEstimateLevelsChargesMemory(t *testing.T) {
+	for _, w := range []*workload.Workload{
+		workload.Linear(1), workload.Star(1), workload.Real1(1),
+		workload.Real2(1), workload.TPCH(1), workload.Random(1, 40, 9, 1),
+	} {
+		for _, q := range w.Queries {
+			plans, levels := optctx.New(context.Background()), optctx.New(context.Background())
+			if _, err := EstimatePlans(q.Block, Options{Level: opt.LevelHigh, Exec: plans}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := EstimateLevels(q.Block, opt.LevelHigh, []opt.Level{opt.LevelHigh}, Options{Exec: levels}); err != nil {
+				t.Fatal(err)
+			}
+			p, l := plans.Resources(), levels.Resources()
+			if l.DurablePeakBytes != p.DurablePeakBytes || l.PeakBytes < p.PeakBytes {
+				t.Errorf("%s: EstimateLevels peaks %d durable / %d total, EstimatePlans %d / %d",
+					q.Name, l.DurablePeakBytes, l.PeakBytes, p.DurablePeakBytes, p.PeakBytes)
+			}
+		}
+	}
 }

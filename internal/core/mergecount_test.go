@@ -13,9 +13,10 @@ import (
 	"cote/internal/workload"
 )
 
-// oracleMergeOrderCount is mergeOrderCount as a merge of order lists — the
-// body before it became arithmetic over class representatives, verbatim
-// apart from owning its scratch.
+// oracleMergeOrderCount is the counter's merge-order count as a merge of
+// order lists over the join's outer columns — the body before it became
+// arithmetic over class representatives, verbatim apart from owning its
+// scratch.
 func oracleMergeOrderCount(outer, result *memo.Entry, outerCols []query.ColID) int {
 	var outs []props.Order
 	for i := range outerCols {
@@ -50,7 +51,7 @@ func oracleMergeOrderCount(outer, result *memo.Entry, outerCols []query.ColID) i
 // parallel, sparse and dense, single- and multi-block workloads and checks,
 // at every enumerated join, the merge-order count against the list-merge
 // oracle and the counter's join columns — looked up once per pair, swapped
-// for the second orientation — against a fresh lookup.
+// for the second orientation — and pair facts against a fresh lookup.
 func TestMergeOrderCountMatchesOracle(t *testing.T) {
 	var queries []workload.Query
 	for _, w := range []*workload.Workload{
@@ -82,11 +83,11 @@ func TestMergeOrderCountMatchesOracle(t *testing.T) {
 			hooks.Join = func(outer, inner, result *memo.Entry) {
 				c.accumulatePlans(outer, inner, result)
 				oc, ic := blk.AppendJoinCols(outer.Tables, inner.Tables, nil, nil)
-				if !slices.Equal(c.ocBuf, oc) || !slices.Equal(c.icBuf, ic) {
-					t.Fatalf("%s %v ⋈ %v: counter join columns %v / %v, fresh lookup %v / %v",
-						q.Name, outer.Tables, inner.Tables, c.ocBuf, c.icBuf, oc, ic)
+				if gotOC, gotIC := c.joinCols(outer, inner); !slices.Equal(gotOC, oc) || !slices.Equal(gotIC, ic) || c.cross != len(oc) {
+					t.Fatalf("%s %v ⋈ %v: counter join columns %v / %v (%d crossing), fresh lookup %v / %v",
+						q.Name, outer.Tables, inner.Tables, gotOC, gotIC, c.cross, oc, ic)
 				}
-				got, want := c.mergeOrderCount(outer, result, oc), oracleMergeOrderCount(outer, result, oc)
+				got, want := c.mergeOrders(outer, inner, result), oracleMergeOrderCount(outer, result, oc)
 				if got != want {
 					t.Fatalf("%s %v ⋈ %v on %v with outer orders %v: merge orders %d, oracle %d",
 						q.Name, outer.Tables, inner.Tables, oc, outer.Orders.Orders(), got, want)

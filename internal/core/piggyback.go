@@ -97,13 +97,20 @@ func estimateBlockLevels(b *query.Block, done []*query.Block, cards []float64, t
 		out.Counts[l] = c
 		out.Joins[l] += cnts[i].joins
 	}
-	opts.Exec.EndBlock(ws.mem, 0, 0)
+	// The block is charged as EstimatePlans charges it, plus the level
+	// counters' scratch.
+	scratch := topCnt.scratchBytes()
+	for _, c := range cnts {
+		scratch += c.scratchBytes()
+	}
+	ws.endBlock(opts.Exec, scratch)
 	return outputCard(b, ws.mem), nil
 }
 
-// fork clones the counter for a level's count-only pass: the configuration
-// and the compound-vector map are shared — only the propagating counter
-// writes them — while counts, joins and the per-join scratch are private.
+// fork clones the counter for a level's count-only pass: the configuration,
+// the lone predicates and the compound-vector map are shared — only the
+// propagating counter writes them — while counts, joins and the per-join
+// scratch are private.
 func (c *counter) fork() *counter {
 	return &counter{
 		blk: c.blk, sc: c.sc, mem: c.mem,
@@ -112,7 +119,8 @@ func (c *counter) fork() *counter {
 		pipeFactor: c.pipeFactor,
 		expTables:  c.expTables,
 		vecs:       c.vecs,
-		joinRep:    make([]bool, len(c.joinRep)),
+		lone:       c.lone,
+		repMark:    make([]uint8, len(c.repMark)),
 	}
 }
 
@@ -138,23 +146,21 @@ func levelAdmits(l opt.Level, outer, inner *memo.Entry) bool {
 }
 
 // countOnly accumulates plan counts for one join without touching the
-// shared property lists: NLJN (full order propagation) generates one plan
-// per interesting order of the outer plus the DC plan; MGJN (partial) one
-// per merge-candidate order plus its coverage list; HSJN (none) exactly
-// one — each scaled by the candidate execution partitions in parallel mode
-// (the separate-list multiplication of Section 3.4).
+// shared property lists.
 func (c *counter) countOnly(outer, inner, result *memo.Entry) {
-	outerCols, innerCols := c.joinCols(outer, inner)
-	candParts := c.candidateParts(outer, inner, result, outerCols, innerCols)
-	c.countWithCols(outer, inner, result, outerCols, candParts)
+	c.pair(outer, inner)
+	c.count(outer, inner, result, c.candidateParts(outer, inner, result))
 }
 
-// countWithCols is countOnly with the join columns and execution partitions
-// already computed — the shared hot path of accumulate_plans.
-func (c *counter) countWithCols(outer, inner, result *memo.Entry, outerCols []query.ColID, candParts []props.Partition) {
+// count accumulates one join's plans: NLJN (full order propagation)
+// generates one plan per interesting order of the outer plus the DC plan;
+// MGJN (partial) one per merge-candidate order plus its coverage list; HSJN
+// (none) exactly one — each scaled by the candidate execution partitions in
+// parallel mode (the separate-list multiplication of Section 3.4).
+func (c *counter) count(outer, inner, result *memo.Entry, candParts []props.Partition) {
 	c.joins++
 	if c.mode == CompoundLists {
-		c.countCompound(outer, result, candParts, outerCols)
+		c.countCompound(outer, inner, result, candParts)
 		return
 	}
 	nParts := len(candParts)
@@ -169,8 +175,8 @@ func (c *counter) countWithCols(outer, inner, result *memo.Entry, outerCols []qu
 		lanes++
 	}
 	c.counts.ByMethod[props.NLJN] += (outer.Orders.Len() + 1 + lanes) * nParts
-	if len(outerCols) > 0 {
-		c.counts.ByMethod[props.MGJN] += c.mergeOrderCount(outer, result, outerCols) * nParts
+	if c.cross > 0 {
+		c.counts.ByMethod[props.MGJN] += c.mergeOrders(outer, inner, result) * nParts
 		c.counts.ByMethod[props.HSJN] += nParts
 	}
 }

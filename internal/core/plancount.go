@@ -11,6 +11,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -117,41 +118,82 @@ type counter struct {
 	// enumerated join — the paper's Table 3 inner loop — so everything it
 	// needs transiently is buffered on the counter and reused join over
 	// join and request over request, mirroring the real generator's idioms.
-	ocBuf, icBuf []query.ColID
-	// colsOuter and colsInner are the table sets ocBuf and icBuf hold the
-	// join columns of (no join has an empty side, so zero means none yet).
+	//
+	// The pair facts. The enumerator emits a pair's two orientations back to
+	// back, and what a count needs of the pair is the same for both:
+	// pairOuter and pairInner are its sets in the orientation seen first
+	// (zero when none yet); cross is its crossing equality predicates, the
+	// join columns each side has; reps is the distinct class
+	// representatives of those columns under the result's classes, -1 until
+	// counted; marked is the stamp under which repMark marks them, 0 when it
+	// does not.
+	pairOuter, pairInner bitset.Set
+	cross, reps          int
+	marked               uint8
+	// lone marks the block's lone equality predicates: those no other
+	// equality predicate shares a block-wide equivalence class with. A
+	// result's classes refine the block's, so a pair whose crossing
+	// predicates are all lone has one representative per join column.
+	// classRep is the block-wide classes' storage; both are built in reset.
+	lone     []uint64
+	classRep []int32
+	// ocBuf and icBuf hold the join columns of the orientation colsOuter,
+	// colsInner (zero when none yet), built only where a column is read:
+	// property propagation, parallel partitions, a composite merge order.
+	ocBuf, icBuf         []query.ColID
 	colsOuter, colsInner bitset.Set
-	// maxCols is the most join columns one join of this block had: what the
-	// run used of ocBuf and icBuf (doubled, of jcBuf), whatever their capacity.
+	// maxCols is the most join columns one pair of this block had: what the
+	// run may use of ocBuf and icBuf (doubled, of jcBuf), whatever their
+	// capacity.
 	maxCols  int
 	jcBuf    []query.ColID
 	base     props.BaseOrders
 	emitted  props.OrderList
 	plistBuf props.PartitionList
-	// joinRep marks, within one mergeOrderCount call, the class
-	// representatives of the join's outer columns; all false between calls.
-	joinRep []bool
+	// repMark marks class representatives with the current stamp: a pair's
+	// join columns' (marked), or, while a result's lists are propagated,
+	// its single-column orders'. A new stamp forgets every mark, so nothing
+	// is ever unmarked; wrapping around clears the array.
+	repMark []uint8
+	stamp   uint8
 }
 
 // reset configures the counter for one block, keeping the scratch buffers of
-// the block before.
+// the block before, and marks the block's lone predicates.
 func (c *counter) reset(blk *query.Block, sc *props.Scope, mem *memo.Memo, nodes int, opts Options) {
 	pipe := 1
 	if sc.PipelineInteresting() {
 		pipe = 2
 	}
-	n := len(blk.Columns)
+	n, words := len(blk.Columns), blk.PredWords()
 	*c = counter{
 		blk: blk, sc: sc, mem: mem,
 		parallel: nodes > 1, nodes: nodes,
 		policy: opts.OrderPolicy, mode: opts.ListMode, everyJoin: opts.PropagateEveryJoin,
 		pipeFactor: pipe,
 		expTables:  sc.ExpensiveTables(),
+		lone:       slices.Grow(c.lone[:0], words)[:words],
+		classRep:   slices.Grow(c.classRep[:0], n)[:n],
 		ocBuf:      c.ocBuf[:0], icBuf: c.icBuf[:0], jcBuf: c.jcBuf[:0],
 		base: c.base, emitted: c.emitted, plistBuf: c.plistBuf,
-		joinRep: slices.Grow(c.joinRep[:0], n)[:n],
+		repMark: slices.Grow(c.repMark[:0], n)[:n],
 	}
-	clear(c.joinRep)
+	// Count each block-wide class's equality predicates in repMark, up to
+	// two, then mark the predicates alone in theirs.
+	clear(c.repMark)
+	clear(c.lone)
+	eq := blk.EquivWithinInto(blk.AllTables(), c.classRep)
+	for _, p := range blk.JoinPreds {
+		if r := eq.Rep(p.Left); p.Op == query.Eq && c.repMark[r] < 2 {
+			c.repMark[r]++
+		}
+	}
+	for k, p := range blk.JoinPreds {
+		if p.Op == query.Eq && c.repMark[eq.Rep(p.Left)] == 1 {
+			c.lone[k/64] |= 1 << (k % 64)
+		}
+	}
+	clear(c.repMark)
 	// Only the compound-list ablation maintains per-entry vectors; the
 	// default separate-list mode never touches the map.
 	if c.mode == CompoundLists {
@@ -206,40 +248,98 @@ func (c *counter) initialize(e *memo.Entry) {
 // value already in the list — and accumulates a separate plan count per
 // join method according to the method's propagation class.
 func (c *counter) accumulatePlans(outer, inner, result *memo.Entry) {
-	outerCols, innerCols := c.joinCols(outer, inner)
-	candParts := c.candidateParts(outer, inner, result, outerCols, innerCols)
+	c.pair(outer, inner)
+	candParts := c.candidateParts(outer, inner, result)
+	c.propagate(outer, inner, result, candParts)
+	c.count(outer, inner, result, candParts)
+}
 
-	// --- property propagation (first-join-only unless ablated) ---
-	c.propagateWithCols(outer, inner, result, outerCols, candParts)
+// pair makes the pair facts the join's: kept when it is the other
+// orientation of the pair before, computed from the two entries' predicate
+// sides otherwise.
+func (c *counter) pair(outer, inner *memo.Entry) {
+	o, i := outer.Tables, inner.Tables
+	if o == c.pairInner && i == c.pairOuter {
+		return
+	}
+	os, is := c.mem.Sides(outer), c.mem.Sides(inner)
+	cross, shared := 0, uint64(0)
+	for w := range os {
+		x := c.crossing(os, is, w)
+		cross += bits.OnesCount64(x)
+		shared |= x &^ c.lone[w]
+	}
+	c.pairOuter, c.pairInner = o, i
+	c.cross, c.reps, c.marked = cross, -1, 0
+	if shared == 0 {
+		c.reps = cross
+	}
+	c.maxCols = max(c.maxCols, cross)
+}
 
-	// --- plan counting per method ---
-	c.countWithCols(outer, inner, result, outerCols, candParts)
+// crossing returns word w of the equality predicates between the sets whose
+// predicate sides are a and b: those with one column on each side.
+func (c *counter) crossing(a, b query.Sides, w int) uint64 {
+	return (a[w][0]&b[w][1] | a[w][1]&b[w][0]) & c.blk.EqWord(w)
 }
 
 // joinCols returns the equality join columns between outer and inner, index-
-// aligned, in the counter's scratch buffers. The enumerator emits the two
-// orientations of a pair back to back and the second one's columns are the
-// first one's with the sides exchanged, so the crossing predicates are looked
-// up once per unordered pair and the second call swaps the buffers.
+// aligned, in the counter's scratch buffers. The second orientation of a
+// pair swaps the first one's buffers; the same orientation keeps them.
 func (c *counter) joinCols(outer, inner *memo.Entry) (outerCols, innerCols []query.ColID) {
-	if c.colsOuter == inner.Tables && c.colsInner == outer.Tables {
+	switch {
+	case c.colsOuter == outer.Tables && c.colsInner == inner.Tables:
+	case c.colsOuter == inner.Tables && c.colsInner == outer.Tables:
 		c.ocBuf, c.icBuf = c.icBuf, c.ocBuf
-	} else {
+	default:
 		c.ocBuf, c.icBuf = c.blk.AppendJoinColsFromSides(c.mem.Sides(outer), c.mem.Sides(inner), c.ocBuf[:0], c.icBuf[:0])
-		c.maxCols = max(c.maxCols, len(c.ocBuf))
 	}
 	c.colsOuter, c.colsInner = outer.Tables, inner.Tables
 	return c.ocBuf, c.icBuf
 }
 
-// propagateWithCols is the property-propagation half of accumulate_plans. It
-// writes only the result entry's lists and the compound-vector map, never
-// the inputs'.
-func (c *counter) propagateWithCols(outer, inner, result *memo.Entry, outerCols []query.ColID, candParts []props.Partition) {
+// restamp starts a new marking generation in repMark.
+func (c *counter) restamp() {
+	if c.stamp++; c.stamp == 0 {
+		clear(c.repMark)
+		c.stamp = 1
+	}
+}
+
+// markJoinReps marks the pair's join-column class representatives under
+// result's classes and returns how many there are. The marks last until the
+// next stamp, across both orientations when nothing restamps between them.
+func (c *counter) markJoinReps(outer, inner, result *memo.Entry) int {
+	if c.marked != 0 && c.marked == c.stamp {
+		return c.reps
+	}
+	c.restamp()
+	os, is := c.mem.Sides(outer), c.mem.Sides(inner)
+	n := 0
+	for w := range os {
+		// Both columns of a crossing predicate lie in the result, which
+		// applies it: either one names the class.
+		for x := c.crossing(os, is, w); x != 0; x &= x - 1 {
+			r := result.Equiv.Rep(c.blk.JoinPreds[w*64+bits.TrailingZeros64(x)].Left)
+			if c.repMark[r] != c.stamp {
+				c.repMark[r] = c.stamp
+				n++
+			}
+		}
+	}
+	c.reps, c.marked = n, c.stamp
+	return n
+}
+
+// propagate is the property-propagation half of accumulate_plans
+// (first-join-only unless ablated). It writes only the result entry's lists
+// and the compound-vector map, never the inputs'.
+func (c *counter) propagate(outer, inner, result *memo.Entry, candParts []props.Partition) {
 	if result.PropsPropagated && !c.everyJoin {
 		return
 	}
 	result.PropsPropagated = true
+	outerCols, _ := c.joinCols(outer, inner)
 	// Orders propagate from both inputs' lists (Table 3: lists ∪ listl)
 	// — restricted to outer-enabled inputs, since orders travel on the
 	// outer of a nested-loops join (DB2 item 3) — plus the
@@ -247,13 +347,19 @@ func (c *counter) propagateWithCols(outer, inner, result *memo.Entry, outerCols 
 	// already own their columns in this MEMO's arena and are shared; a merge
 	// candidate is a window on the join-column scratch and is given columns
 	// of its own only if the list takes it.
+	c.restamp()
+	for _, o := range result.Orders.Orders() {
+		if o.Len() == 1 {
+			c.repMark[result.Equiv.Rep(o.Cols[0])] = c.stamp
+		}
+	}
 	c.inheritOrders(outer, result)
 	if inner.OuterEligible {
 		c.inheritOrders(inner, result)
 	}
 	for i := 0; i <= len(outerCols); i++ {
 		if o := mergeOut(outerCols, i); c.sc.OrderUseful(o, &result.Equiv) {
-			c.mem.AddOrder(result, o)
+			c.addOrder(result, o, true)
 		}
 	}
 	for _, pp := range candParts {
@@ -276,9 +382,34 @@ func (c *counter) propagateWithCols(outer, inner, result *memo.Entry, outerCols 
 func (c *counter) inheritOrders(in, result *memo.Entry) {
 	for _, o := range in.Orders.Orders() {
 		if c.sc.OrderUseful(o, &result.Equiv) {
-			result.Orders.Add(o, &result.Equiv)
+			c.addOrder(result, o, false)
 		}
 	}
+}
+
+// addOrder adds o to result's orders unless an equivalent order is there,
+// copying its columns into the MEMO's arena when scratch says they are not
+// stored yet. A single-column order is looked up among the representatives
+// marked under the current stamp, which propagate marks for the list's
+// single-column orders; a longer one by the list's scan.
+func (c *counter) addOrder(result *memo.Entry, o props.Order, scratch bool) {
+	if o.Len() > 1 {
+		if scratch {
+			c.mem.AddOrder(result, o)
+		} else if result.Orders.Add(o, &result.Equiv) {
+			result.MultiColOrders = true
+		}
+		return
+	}
+	r := result.Equiv.Rep(o.Cols[0])
+	if c.repMark[r] == c.stamp {
+		return
+	}
+	c.repMark[r] = c.stamp
+	if scratch {
+		o.Cols = c.mem.KeepCols(o.Cols)
+	}
+	result.Orders.Push(o)
 }
 
 // mergeOut returns the i-th outer-side merge-candidate order of a join (the
@@ -296,38 +427,42 @@ func mergeOut(outerCols []query.ColID, i int) props.Order {
 	return props.Order{}
 }
 
-// mergeOrderCount returns |listp ∪ listc|: the deduplicated merge-candidate
-// orders — one per join column plus, for a multi-column join, the composite
-// on all of them — plus the coverage list of outer orders strictly subsuming
-// one. Class representatives are all it needs to look at: the distinct
-// single-column candidates are the distinct representatives of the
-// join columns; an outer order can only duplicate a candidate of its own
-// length, i.e. the composite; and what the composite strictly prefixes its
-// first column does too, so an outer order is covered exactly when it has
-// two or more columns and leads with a join column's representative.
-func (c *counter) mergeOrderCount(outer, result *memo.Entry, outerCols []query.ColID) int {
-	eq := &result.Equiv
-	n := 0
-	for _, col := range outerCols {
-		if r := eq.Rep(col); !c.joinRep[r] {
-			c.joinRep[r] = true
+// mergeOrders returns |listp ∪ listc| for a join with join columns: the
+// deduplicated merge-candidate orders — one per join column plus, for a
+// multi-column join, the composite on all of them — plus the coverage list
+// of outer orders strictly subsuming one. Class representatives are all it
+// needs to look at: the distinct single-column candidates are the distinct
+// representatives of the join columns; an outer order can only duplicate a
+// candidate of its own length, i.e. the composite; and what the composite
+// strictly prefixes its first column does too, so an outer order is covered
+// exactly when it has two or more columns and leads with a join column's
+// representative. An outer without such an order covers nothing: the count
+// is the representatives plus the composite.
+func (c *counter) mergeOrders(outer, inner, result *memo.Entry) int {
+	if !outer.MultiColOrders {
+		n := c.reps
+		if n < 0 {
+			n = c.markJoinReps(outer, inner, result)
+		}
+		if c.cross > 1 {
 			n++
 		}
+		return n
 	}
+	n := c.markJoinReps(outer, inner, result)
+	eq := &result.Equiv
 	// emitted holds the orders a covered outer order could duplicate: the
 	// composite and the covered orders before it. outerCols outlives it.
 	emitted := &c.emitted
 	emitted.Reset()
-	if len(outerCols) > 1 {
+	if c.cross > 1 {
+		outerCols, _ := c.joinCols(outer, inner)
 		emitted.Add(props.Order{Cols: outerCols}, eq)
 	}
 	for _, o := range outer.Orders.Orders() {
-		if o.Len() > 1 && c.joinRep[eq.Rep(o.Cols[0])] {
+		if o.Len() > 1 && c.repMark[eq.Rep(o.Cols[0])] == c.stamp {
 			emitted.Add(o, eq)
 		}
-	}
-	for _, col := range outerCols {
-		c.joinRep[eq.Rep(col)] = false
 	}
 	return n + emitted.Len()
 }
@@ -341,10 +476,11 @@ var serialParts = []props.Partition{{}}
 // columns, or a repartition on the join columns when none qualifies (the
 // heuristic of Section 4). Serial estimation uses the single don't-care
 // partition. The result is scratch, the repartition a window on outerCols.
-func (c *counter) candidateParts(outer, inner, result *memo.Entry, outerCols, innerCols []query.ColID) []props.Partition {
+func (c *counter) candidateParts(outer, inner, result *memo.Entry) []props.Partition {
 	if !c.parallel {
 		return serialParts
 	}
+	outerCols, innerCols := c.joinCols(outer, inner)
 	joinCols := append(append(c.jcBuf[:0], outerCols...), innerCols...)
 	c.jcBuf = joinCols
 	list := &c.plistBuf
@@ -406,7 +542,7 @@ func (c *counter) propagateVecs(outer, result *memo.Entry, candParts []props.Par
 
 // countCompound counts plans from compound vectors, re-simulating the real
 // generator's per-partition behaviour.
-func (c *counter) countCompound(outer, result *memo.Entry, candParts []props.Partition, outerCols []query.ColID) {
+func (c *counter) countCompound(outer, inner, result *memo.Entry, candParts []props.Partition) {
 	outerVecs := c.vecs[outer.Tables]
 	for _, pp := range candParts {
 		colocated := 0
@@ -425,8 +561,8 @@ func (c *counter) countCompound(outer, result *memo.Entry, candParts []props.Par
 			n = 1 + distinctOrders.Len() // repartition + re-sorts
 		}
 		c.counts.ByMethod[props.NLJN] += n
-		if len(outerCols) > 0 {
-			c.counts.ByMethod[props.MGJN] += c.mergeOrderCount(outer, result, outerCols)
+		if c.cross > 0 {
+			c.counts.ByMethod[props.MGJN] += c.mergeOrders(outer, inner, result)
 			c.counts.ByMethod[props.HSJN]++
 		}
 	}
@@ -446,7 +582,7 @@ func (c *counter) scratchBytes() int64 {
 	if c.parallel {
 		cols += 2 * c.maxCols // jcBuf holds both sides
 	}
-	return int64(cols)*counterColIDBytes + int64(len(c.joinRep))
+	return int64(cols)*counterColIDBytes + int64(len(c.repMark))
 }
 
 // propertyBytes reports the memory footprint of the maintained property

@@ -180,6 +180,11 @@ type Entry struct {
 	// (DB2 experience item 4): properties are propagated into an entry only
 	// by the first join producing it.
 	PropsPropagated bool
+	// MultiColOrders records that Orders holds an order of two or more
+	// columns. AddOrder sets it, as does the estimator when it shares an
+	// input's order; the estimator's merge-join count takes a closed form
+	// for an outer without one. It takes a padding byte.
+	MultiColOrders bool
 	// slot is the entry's position in the MEMO's slab, which also locates
 	// its predicate sides (Memo.Sides). It sits in what was tail padding:
 	// the entry stays 128 bytes, so EntryFootprint, and with it every durable
@@ -438,6 +443,7 @@ func (m *Memo) AddOrder(e *Entry, o props.Order) {
 	if e.Orders.Add(o, &e.Equiv) {
 		kept := e.Orders.Orders()
 		kept[len(kept)-1].Cols = m.KeepCols(o.Cols)
+		e.MultiColOrders = e.MultiColOrders || o.Len() > 1
 	}
 }
 

@@ -165,6 +165,10 @@ func (l *OrderList) Add(o Order, eq *query.Equiv) bool {
 	return true
 }
 
+// Push appends o, which the caller knows has no equivalent in the list —
+// for callers that deduplicate by other means than Add's scan.
+func (l *OrderList) Push(o Order) { l.orders = append(l.orders, o) }
+
 // Contains reports whether an order equivalent to o is in the list.
 func (l *OrderList) Contains(o Order, eq *query.Equiv) bool {
 	for _, have := range l.orders {

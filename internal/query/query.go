@@ -435,6 +435,10 @@ type Sides [][2]uint64
 // Sides of the block.
 func (b *Block) PredWords() int { return b.predWords }
 
+// EqWord returns word w of the block's equality predicates: bit k stands for
+// JoinPreds[w*64+k].
+func (b *Block) EqWord(w int) uint64 { return b.eqMask[w] }
+
 // TableSides returns the predicate sides of table t alone, a read-only
 // window on the block's incidence.
 func (b *Block) TableSides(t int) Sides {
