@@ -130,6 +130,11 @@ type Options struct {
 	// CartesianPolicy overrides the enumerator's Cartesian handling
 	// (default: the card-one heuristic).
 	CartesianPolicy enum.CartesianPolicy
+	// Timed keeps the plan generator's per-phase timers (Counters.GenTime,
+	// SaveTime, AccessTime) that Breakdown and calibration's Ct shares read.
+	// Off by default: an untimed compile produces the same plans and counts
+	// and never reads the clock inside a join.
+	Timed bool
 }
 
 // BlockResult is the outcome of optimizing one query block.
@@ -387,7 +392,7 @@ func (ws *workspace) optimizeBlock(oc *optctx.Ctx, blk *query.Block, done []*que
 
 	mem.PipelineMatters = ws.sc.PipelineInteresting()
 	mem.ExpMatters = !ws.sc.ExpensiveTables().Empty()
-	popts := plangen.Options{Config: cfg, OrderPolicy: opts.OrderPolicy, Exec: oc}
+	popts := plangen.Options{Config: cfg, OrderPolicy: opts.OrderPolicy, Exec: oc, Timed: opts.Timed}
 	if opts.PilotPass {
 		g, err := greedy.Optimize(blk, card, cfg)
 		if err != nil {

@@ -284,7 +284,7 @@ func TestPilotPassPrunesButCompletes(t *testing.T) {
 
 func TestBreakdownSumsToOne(t *testing.T) {
 	blk := starBlock(t, 8, 2, 1, 0, 1)
-	res, err := Optimize(blk, Options{Level: LevelHigh})
+	res, err := Optimize(blk, Options{Level: LevelHigh, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}

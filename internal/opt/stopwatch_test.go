@@ -30,7 +30,7 @@ func TestStopwatchCountsEachNanosecondOnce(t *testing.T) {
 		for _, w := range wls {
 			for _, pilot := range []bool{false, true} {
 				for _, q := range w.Queries {
-					res, err := Optimize(q.Block, Options{Level: LevelHighInner2, Config: cfg, PilotPass: pilot})
+					res, err := Optimize(q.Block, Options{Level: LevelHighInner2, Config: cfg, PilotPass: pilot, Timed: true})
 					if err != nil {
 						t.Fatalf("%s pilot=%v: %v", q.Name, pilot, err)
 					}

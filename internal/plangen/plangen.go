@@ -8,10 +8,12 @@
 //
 // The generator keeps per-join-method counters of plans *generated* (before
 // pruning) — the ground truth against which the paper's estimator is
-// evaluated in Figure 5 — and wall-clock timers per join method plus the
-// time spent saving plans into the MEMO, which together regenerate the
-// Figure 2 compilation-time breakdown. The timers are laps of one monotonic
-// clock, read once per phase boundary, so no nanosecond is counted twice.
+// evaluated in Figure 5. A timed generator (Options.Timed) also keeps
+// wall-clock timers per join method plus the time spent saving plans into
+// the MEMO, which together regenerate the Figure 2 compilation-time
+// breakdown. The timers are laps of one monotonic clock, read once per phase
+// boundary, so no nanosecond is counted twice; an untimed generator never
+// reads the clock.
 package plangen
 
 import (
@@ -45,7 +47,7 @@ type Counters struct {
 	// ("plan saving" in Figure 2: pruning and the pilot bound); AccessTime
 	// covers base-table access and enforcer generation. The three are
 	// disjoint laps of one clock, so their sum never exceeds the block's
-	// wall time.
+	// wall time. All three stay zero unless Options.Timed is set.
 	GenTime    [props.NumJoinMethods]time.Duration
 	SaveTime   time.Duration
 	AccessTime time.Duration
@@ -89,6 +91,10 @@ type Options struct {
 	// plan-budget abort. Join-method plans only, matching the estimator's
 	// predicted total.
 	Exec *optctx.Ctx
+	// Timed keeps the Counters' timers. Only a reader of the per-phase split
+	// (Figure 2, the Ct shares of calibration) asks for it: the laps cost
+	// seven clock reads per join.
+	Timed bool
 }
 
 // Generator produces plans when driven by the join enumerator's hooks. One
@@ -115,10 +121,12 @@ type Generator struct {
 	// them to the MEMO, so a test can inspect every generated plan.
 	sink func(result *memo.Entry, p *memo.Plan)
 
-	// base and last are the lap clock: lap reads the monotonic time since
-	// base once and hands out the time since the previous read.
-	base time.Time
-	last time.Duration
+	// timed switches the lap clock on; base and last are the clock: lap
+	// reads the monotonic time since base once and hands out the time since
+	// the previous read.
+	timed bool
+	base  time.Time
+	last  time.Duration
 
 	Counters Counters
 }
@@ -195,7 +203,10 @@ func (g *Generator) Reset(blk *query.Block, sc *props.Scope, mem *memo.Memo, car
 	g.sink = nil
 	g.Counters = Counters{}
 	g.maxCols, g.maxPending, g.maxFree = 0, 0, 0
-	g.base, g.last = time.Now(), 0
+	g.timed, g.last = opts.Timed, 0
+	if g.timed {
+		g.base = time.Now()
+	}
 }
 
 // Finish ends the generator's block: it pushes the generated-plan count still
@@ -669,10 +680,14 @@ func (g *Generator) retireOrDeliver(o props.Order, result *memo.Entry) props.Ord
 	return props.Order{}
 }
 
-// lap returns the time since the previous lap (or since New) with one
-// monotonic clock read. Callers add it to the timer of the phase that just
-// ended, or drop it to leave the time to Figure 2's "other".
+// lap returns the time since the previous lap (or since Reset) with one
+// monotonic clock read, or 0 without reading the clock when the generator is
+// untimed. Callers add it to the timer of the phase that just ended, or drop
+// it to leave the time to Figure 2's "other".
 func (g *Generator) lap() time.Duration {
+	if !g.timed {
+		return 0
+	}
 	now := time.Since(g.base)
 	d := now - g.last
 	g.last = now

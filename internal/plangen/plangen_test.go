@@ -49,7 +49,7 @@ func fixture(t *testing.T, nodes int, level enum.Options) (*query.Block, *memo.M
 	card := cost.NewEstimator(blk, cost.Full)
 	sc := props.NewScope(blk)
 	mem := memo.New(blk.NumTables())
-	gen := New(blk, sc, mem, card, Options{Config: cfg})
+	gen := New(blk, sc, mem, card, Options{Config: cfg, Timed: true})
 	if _, err := enum.New(blk, mem, card, level).Run(gen.Hooks()); err != nil {
 		t.Fatal(err)
 	}
