@@ -223,17 +223,25 @@ func ActualPlanCounts(res *OptimizeResult) PlanCounts {
 type TimeModel = core.TimeModel
 
 // Calibrate fits the per-join-method constants Ct by non-negative least
-// squares on observations of real compilations (see ObservationFrom).
+// squares on observations of real compilations (see TrainingObservation).
 // Refit per machine and configuration, as the paper refits per DB2 release.
 func Calibrate(training []CompileObservation) (*TimeModel, error) { return core.Calibrate(training) }
 
 // ObservationFrom builds the training record of one real optimization: its
-// generated-plan counts, per-method timing breakdown, wall time and durable
-// peak, plus the structural counts of est (the estimate of the same query at
+// generated-plan counts, per-method timing breakdown (zero unless the
+// compile was Timed), wall time and durable peak, plus the structural counts of est (the estimate of the same query at
 // the same level) when est is non-nil. Calibrate needs only the former;
 // CalibrateMemory needs both.
 func ObservationFrom(res *OptimizeResult, est *Estimate) CompileObservation {
 	return core.ObservationFrom(res, est)
+}
+
+// TrainingObservation is the training record of q: the counts and wall time
+// of an untimed compile with opts, as production compiles run, and the
+// per-method generation times of a timed one, which set Calibrate's Ct
+// proportions.
+func TrainingObservation(q *Query, opts OptimizeOptions) (CompileObservation, error) {
+	return core.TrainingObservation(func(o opt.Options) (*opt.Result, error) { return opt.Optimize(q, o) }, opts)
 }
 
 // JoinCountModel is the prior-work baseline time model: T scales with the

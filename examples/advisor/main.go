@@ -22,11 +22,11 @@ func main() {
 	var training []cote.CompileObservation
 	for _, w := range []*cote.Workload{cote.StarWorkload(1), cote.LinearWorkload(1)} {
 		for _, q := range w.Queries {
-			res, err := cote.Optimize(q.Block, cote.OptimizeOptions{Level: cote.LevelHighInner2})
+			o, err := cote.TrainingObservation(q.Block, cote.OptimizeOptions{Level: cote.LevelHighInner2})
 			if err != nil {
 				panic(err)
 			}
-			training = append(training, cote.ObservationFrom(res, nil))
+			training = append(training, o)
 		}
 	}
 	model, err := cote.Calibrate(training)

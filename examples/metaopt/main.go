@@ -23,11 +23,11 @@ func main() {
 	// Calibrate the compile-time model.
 	var training []cote.CompileObservation
 	for _, q := range cote.StarWorkload(1).Queries {
-		res, err := cote.Optimize(q.Block, cote.OptimizeOptions{Level: cote.LevelHighInner2})
+		o, err := cote.TrainingObservation(q.Block, cote.OptimizeOptions{Level: cote.LevelHighInner2})
 		if err != nil {
 			panic(err)
 		}
-		training = append(training, cote.ObservationFrom(res, nil))
+		training = append(training, o)
 	}
 	model, err := cote.Calibrate(training)
 	if err != nil {

@@ -196,10 +196,14 @@ func (c *Calibrator) minSamples() int {
 
 // Recalibrate refits the model over the current observation window and
 // installs it (source tags the registry entry) when it beats the incumbent
-// by the hysteresis margin on that same window. It returns the installed
-// version, ErrNoImprovement when the candidate lost, ErrNotEnoughSamples
-// on a thin window, or the regression's error. A successful install resets
-// the drift window.
+// by the hysteresis margin on that same window. The refit keeps the
+// incumbent's Ct proportions and fits their scale and C0 (core.Refit):
+// production compiles are untimed, so the window carries no per-method
+// times. Measured proportions come from training — -calibrate, -model-file
+// or POST /v1/calibrate. With no incumbent the window is fitted freely
+// (core.Calibrate). It returns the installed version, ErrNoImprovement when
+// the candidate lost, ErrNotEnoughSamples on a thin window, or the
+// regression's error. A successful install resets the drift window.
 func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 	c.refitMu.Lock()
 	defer c.refitMu.Unlock()
@@ -208,13 +212,19 @@ func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 	if len(window) < c.minSamples() {
 		return nil, ErrNotEnoughSamples
 	}
-	candidate, err := core.Calibrate(window)
+	incumbent := c.reg.CurrentModel()
+	var candidate *core.TimeModel
+	var err error
+	if incumbent != nil {
+		candidate, err = core.Refit(incumbent, window)
+	} else {
+		candidate, err = core.Calibrate(window)
+	}
 	if err != nil {
 		c.failures.Add(1)
 		return nil, err
 	}
 	candErr := windowError(candidate, window)
-	incumbent := c.reg.CurrentModel()
 	if incumbent != nil {
 		if incErr := windowError(incumbent, window); incErr < candErr*DefaultHysteresis {
 			c.rejected.Add(1)

@@ -24,8 +24,9 @@ type CompileObservation struct {
 	Predicted   time.Duration
 	Actual      time.Duration
 	// GenSeconds is the measured per-method plan-generation time (plan
-	// saving attributed proportionally to counts), which keeps Calibrate
-	// well conditioned when the per-method counts are collinear.
+	// saving attributed proportionally to counts) of a timed compile, which
+	// keeps Calibrate well conditioned when the per-method counts are
+	// collinear. Zero for an untimed compile.
 	GenSeconds [props.NumJoinMethods]float64
 	// PeakBytes is the measured durable memory high-water mark of the
 	// compilation (zero when it ran without an execution context).
@@ -67,6 +68,31 @@ func ObservationFrom(res *opt.Result, est *Estimate) CompileObservation {
 		o.Pairs = est.Pairs
 	}
 	return o
+}
+
+// TrainingObservation is the record of one training point, from two
+// compiles of it with opts: an untimed one, for the counts, wall time and
+// peak that a production compile has, and a timed one, read only for its
+// GenSeconds. Actual never includes the clock reads of the per-phase laps,
+// so a model fitted on it does not over-predict the compiles it prices.
+// compile runs each compile; both results are released. Callers set Level,
+// Fingerprint and Predicted.
+func TrainingObservation(compile func(opt.Options) (*opt.Result, error), opts opt.Options) (CompileObservation, error) {
+	opts.Timed = false
+	res, err := compile(opts)
+	if err != nil {
+		return CompileObservation{}, err
+	}
+	o := ObservationFrom(res, nil)
+	res.Release()
+	opts.Timed = true
+	timed, err := compile(opts)
+	if err != nil {
+		return CompileObservation{}, err
+	}
+	o.GenSeconds = ObservationFrom(timed, nil).GenSeconds
+	timed.Release()
+	return o, nil
 }
 
 // CompileObserver receives one record per completed real compilation. The

@@ -61,27 +61,53 @@ func (m *TimeModel) String() string {
 }
 
 // Calibrate fits the per-method constants by non-negative least squares on
-// observations of a training workload compiled normally (their Counts,
-// Actual and GenSeconds), one regression per database "release" or
-// configuration (the paper refits per release and keeps distinct serial and
-// parallel constant sets). Rows are weighted by 1/actual so the fit
-// minimizes relative rather than absolute error — the metric the paper
-// evaluates on — which also keeps the regression well conditioned when
-// per-method counts are correlated across training queries. Tinst is fixed
-// at 1/10^9 — a nominal nanosecond-scale instruction — so the fitted
-// constants carry the machine-specific magnitudes.
+// observations of a training workload (their Counts, Actual and
+// GenSeconds), one regression per database "release" or configuration (the
+// paper refits per release and keeps distinct serial and parallel constant
+// sets). Rows are weighted by 1/actual so the fit minimizes relative rather
+// than absolute error — the metric the paper evaluates on — which also keeps
+// the regression well conditioned when per-method counts are correlated
+// across training queries. Tinst is fixed at 1/10^9 — a nominal
+// nanosecond-scale instruction — so the fitted constants carry the
+// machine-specific magnitudes.
+//
+// With per-method timings (TrainingObservation records them), the Ct
+// proportions are the measured generation time per plan of each method and
+// Refit fits their scale and C0. Without them, or when that fit finds no
+// positive scale, the per-method constants are fitted freely; the free fit
+// zeroes constants whenever the per-method counts are nearly collinear.
 func Calibrate(training []CompileObservation) (*TimeModel, error) {
 	if len(training) < int(props.NumJoinMethods)+1 {
 		return nil, errors.New("core: need more training queries than model constants")
 	}
-	const tinst = 1e-9
+	shares := &TimeModel{Tinst: nominalTinst}
+	var cnt [props.NumJoinMethods]float64
+	for _, tp := range training {
+		for t := range shares.C {
+			shares.C[t] += tp.GenSeconds[t] / nominalTinst
+			cnt[t] += float64(tp.Counts.ByMethod[t])
+		}
+	}
+	haveGen := false
+	for t := range shares.C {
+		if shares.C[t] > 0 && cnt[t] > 0 {
+			shares.C[t] /= cnt[t]
+			haveGen = true
+		} else {
+			shares.C[t] = 0
+		}
+	}
+	if haveGen {
+		m, err := Refit(shares, training)
+		if !errors.Is(err, errNoScale) {
+			return m, err
+		}
+	}
+
 	x := make([][]float64, len(training))
 	y := make([]float64, len(training))
 	for i, tp := range training {
-		actual := tp.Actual.Seconds() / tinst
-		if actual <= 0 {
-			actual = 1
-		}
+		actual := actualUnits(tp, nominalTinst)
 		row := make([]float64, props.NumJoinMethods+1)
 		for t, p := range tp.Counts.ByMethod {
 			row[t] = float64(p) / actual
@@ -94,54 +120,56 @@ func Calibrate(training []CompileObservation) (*TimeModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: calibration failed: %w", err)
 	}
-	m := &TimeModel{Tinst: tinst, C0: beta[props.NumJoinMethods]}
+	m := &TimeModel{Tinst: nominalTinst, C0: beta[props.NumJoinMethods]}
 	copy(m.C[:], beta[:props.NumJoinMethods])
+	return m, nil
+}
 
-	// With per-method timing available, replace the free per-method fit by
-	// a two-stage one: the Ct proportions come from the measured
-	// generation-time shares, and a scale factor plus C0 are refit by the
-	// same weighted regression. The free fit zeroes constants whenever the
-	// per-method counts are nearly collinear across the training set.
-	var perMethod [props.NumJoinMethods]float64
-	var haveGen bool
-	{
-		var cnt [props.NumJoinMethods]float64
-		for _, tp := range training {
-			for t := range perMethod {
-				perMethod[t] += tp.GenSeconds[t] / tinst
-				cnt[t] += float64(tp.Counts.ByMethod[t])
-			}
-		}
-		for t := range perMethod {
-			if perMethod[t] > 0 && cnt[t] > 0 {
-				perMethod[t] /= cnt[t]
-				haveGen = true
-			}
-		}
+// nominalTinst is the Tinst of a model Calibrate fits.
+const nominalTinst = 1e-9
+
+// errNoScale reports a Refit whose regression gave the Ct no positive scale.
+var errNoScale = errors.New("core: refit found no positive scale for the per-method constants")
+
+// Refit keeps prior's Ct proportions and its Tinst and refits, from the
+// observations' Counts and Actual alone, the common scale of the Ct and C0
+// by Calibrate's weighted regression. It needs no per-method timings, so it
+// is what the online loop runs on production compiles: the paper fits the
+// proportions once per release (§4) and only rescales afterwards.
+func Refit(prior *TimeModel, training []CompileObservation) (*TimeModel, error) {
+	if len(training) < 2 {
+		return nil, errors.New("core: need more training queries than refit constants")
 	}
-	if haveGen {
-		x2 := make([][]float64, len(training))
-		for i, tp := range training {
-			actual := tp.Actual.Seconds() / tinst
-			if actual <= 0 {
-				actual = 1
-			}
-			base := 0.0
-			for t, p := range tp.Counts.ByMethod {
-				base += perMethod[t] * float64(p)
-			}
-			x2[i] = []float64{base / actual, 1 / actual}
+	x := make([][]float64, len(training))
+	y := make([]float64, len(training))
+	for i, tp := range training {
+		actual := actualUnits(tp, prior.Tinst)
+		base := 0.0
+		for t, p := range tp.Counts.ByMethod {
+			base += prior.C[t] * float64(p)
 		}
-		beta2, err := stats.NonNegativeOLS(x2, y)
-		if err != nil {
-			return nil, fmt.Errorf("core: calibration failed: %w", err)
-		}
-		if beta2[0] > 0 {
-			for t := range m.C {
-				m.C[t] = beta2[0] * perMethod[t]
-			}
-			m.C0 = beta2[1]
-		}
+		x[i] = []float64{base / actual, 1 / actual}
+		y[i] = 1
+	}
+	beta, err := stats.NonNegativeOLS(x, y)
+	if err != nil {
+		return nil, fmt.Errorf("core: calibration failed: %w", err)
+	}
+	if beta[0] <= 0 {
+		return nil, errNoScale
+	}
+	m := &TimeModel{Tinst: prior.Tinst, C0: beta[1]}
+	for t := range m.C {
+		m.C[t] = beta[0] * prior.C[t]
 	}
 	return m, nil
+}
+
+// actualUnits is an observation's measured time in units of tinst, at least
+// one unit.
+func actualUnits(o CompileObservation, tinst float64) float64 {
+	if a := o.Actual.Seconds() / tinst; a > 0 {
+		return a
+	}
+	return 1
 }

@@ -63,13 +63,15 @@ func fastestOf[T any](run func() (T, time.Duration, error)) (T, error) {
 	return best, nil
 }
 
-// timedOptimize compiles a query repeatedly at the given level and returns
-// the fastest result, released: its counters, timers and resources are what
-// the figures read, and every repetition hands its workspaces to the next,
-// so the compile timed is the one the service runs on a warm pool.
-func timedOptimize(q workload.Query, cfg *cost.Config, level opt.Level) (*opt.Result, error) {
+// timedOptimize compiles a query repeatedly with opts and returns the
+// fastest result, released: its counters, timers and resources are what the
+// figures read, and every repetition hands its workspaces to the next, so
+// the compile timed is the one the service runs on a warm pool. Only Figure
+// 2 and training set opts.Timed; every other figure times the untimed
+// compile the service runs.
+func timedOptimize(q workload.Query, opts opt.Options) (*opt.Result, error) {
 	return fastestOf(func() (*opt.Result, time.Duration, error) {
-		res, err := opt.Optimize(q.Block, opt.Options{Level: level, Config: cfg})
+		res, err := opt.Optimize(q.Block, opts)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -105,7 +107,7 @@ func Fig2Breakdown(w *workload.Workload) (Fig2Row, error) {
 	var agg opt.Breakdown
 	var total time.Duration
 	for _, q := range w.Queries {
-		res, err := timedOptimize(q, cfg, Level)
+		res, err := timedOptimize(q, opt.Options{Level: Level, Config: cfg, Timed: true})
 		if err != nil {
 			return Fig2Row{}, fmt.Errorf("%s: %w", q.Name, err)
 		}
@@ -147,7 +149,7 @@ func Fig4Overhead(w *workload.Workload) ([]OverheadRow, error) {
 	cfg := ConfigFor(w)
 	var out []OverheadRow
 	for _, q := range w.Queries {
-		res, err := timedOptimize(q, cfg, Level)
+		res, err := timedOptimize(q, opt.Options{Level: Level, Config: cfg})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
@@ -252,18 +254,20 @@ type TimeRow struct {
 // (serial/parallel), as the paper keeps distinct constant sets. Each query
 // contributes observations at two optimization levels, which shifts the
 // NLJN:MGJN:HSJN proportions between observations and keeps the regression
-// well conditioned.
+// well conditioned; each observation is the fastest untimed compile with the
+// fastest timed compile's generation times (core.TrainingObservation).
 func TrainModel(training []*workload.Workload) (*core.TimeModel, error) {
 	var pts []core.CompileObservation
 	for _, w := range training {
 		cfg := ConfigFor(w)
 		for _, q := range w.Queries {
 			for _, level := range []opt.Level{Level, opt.LevelMediumLeftDeep} {
-				best, err := timedOptimize(q, cfg, level)
+				o, err := core.TrainingObservation(func(o opt.Options) (*opt.Result, error) { return timedOptimize(q, o) },
+					opt.Options{Level: level, Config: cfg})
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", q.Name, err)
 				}
-				pts = append(pts, core.ObservationFrom(best, nil))
+				pts = append(pts, o)
 			}
 		}
 	}
@@ -276,7 +280,7 @@ func Fig6Times(w *workload.Workload, model *core.TimeModel) ([]TimeRow, error) {
 	cfg := ConfigFor(w)
 	var out []TimeRow
 	for _, q := range w.Queries {
-		res, err := timedOptimize(q, cfg, Level)
+		res, err := timedOptimize(q, opt.Options{Level: Level, Config: cfg})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
@@ -325,7 +329,7 @@ func JoinBaseline(w *workload.Workload, model *core.TimeModel) ([]BaselineRow, e
 	var training []core.CompileObservation
 	var planModel []time.Duration
 	for _, q := range w.Queries {
-		res, err := timedOptimize(q, cfg, Level)
+		res, err := timedOptimize(q, opt.Options{Level: Level, Config: cfg})
 		if err != nil {
 			return nil, err
 		}

@@ -67,7 +67,7 @@ func starBlock(tb testing.TB, n, preds, orderby int) *query.Block {
 // timing they take.
 func fastestCompile(t *testing.T, blk *query.Block, level opt.Level) *opt.Result {
 	t.Helper()
-	res, err := timedOptimize(workload.Query{Block: blk}, cost.Serial, level)
+	res, err := timedOptimize(workload.Query{Block: blk}, opt.Options{Level: level, Config: cost.Serial})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,20 +44,22 @@ func NamedWorkload(name string, nodes int) (*workload.Workload, error) {
 
 // TrainOn compiles a workload for real at two optimization levels
 // (decorrelating the per-method counts) and fits the time model, returning
-// it with the observation count. compile runs each compilation: the
-// commands pass opt.Optimize, the daemon a wrapper that schedules it on its
-// worker pool. A compile error comes back wrapped with the query's name.
+// it with the observation count. Each observation compiles its query twice,
+// untimed and timed (core.TrainingObservation). compile runs each
+// compilation: the commands pass opt.Optimize, the daemon a wrapper that
+// schedules it on its worker pool. A compile error comes back wrapped with
+// the query's name.
 func TrainOn(w *workload.Workload, nodes int, compile func(*query.Block, opt.Options) (*opt.Result, error)) (*core.TimeModel, int, error) {
 	cfg := ConfigFor(nodes)
 	var training []core.CompileObservation
 	for _, q := range w.Queries {
 		for _, level := range []opt.Level{opt.LevelHighInner2, opt.LevelMediumLeftDeep} {
-			res, err := compile(q.Block, opt.Options{Level: level, Config: cfg})
+			o, err := core.TrainingObservation(func(o opt.Options) (*opt.Result, error) { return compile(q.Block, o) },
+				opt.Options{Level: level, Config: cfg})
 			if err != nil {
 				return nil, 0, fmt.Errorf("calibrate %s: %w", q.Name, err)
 			}
-			training = append(training, core.ObservationFrom(res, nil))
-			res.Release()
+			training = append(training, o)
 		}
 	}
 	m, err := core.Calibrate(training)

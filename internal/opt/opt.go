@@ -3,8 +3,8 @@
 // finishing enforcers (final ORDER BY sort, aggregation), and exposes the
 // optimization levels of the reproduced system — the greedy low level and
 // dynamic-programming levels with the knob presets the paper's experiments
-// use. It also instruments each compilation with the wall-clock breakdown
-// that regenerates Figure 2.
+// use. A Timed compilation also carries the wall-clock breakdown that
+// regenerates Figure 2.
 package opt
 
 import (
@@ -205,9 +205,10 @@ type Breakdown struct {
 	MGJN, NLJN, HSJN, PlanSaving, Other float64 // fractions summing to 1
 }
 
-// Breakdown computes the compilation-time breakdown of the result. Other is
-// never negative: the plan generator's timers are disjoint laps inside each
-// block's wall time (TestStopwatchCountsEachNanosecondOnce).
+// Breakdown computes the compilation-time breakdown of a Timed result (an
+// untimed one is all Other). Other is never negative: the plan generator's
+// timers are disjoint laps inside each block's wall time
+// (TestStopwatchCountsEachNanosecondOnce).
 func (r *Result) Breakdown() Breakdown {
 	c := r.TotalCounters()
 	total := r.Elapsed.Seconds()
@@ -257,27 +258,20 @@ func OptimizeWith(oc *optctx.Ctx, blk *query.Block, opts Options) (*Result, erro
 }
 
 // recordStages attributes one block's compilation to the observability
-// stages: generation (join-method, access and enforcer plan construction),
-// pruning (plan saving into the MEMO, where property-aware pruning runs),
-// and enumeration (the remainder of the block's wall time).
+// stages: generation counts the join-method, access and enforcer plans
+// built, pruning the plans property-aware pruning dropped from the MEMO, and
+// enumeration the joins enumerated and the block's wall time — the DP, with
+// generation and pruning inside it, which are not timed apart.
 func recordStages(oc *optctx.Ctx, br *BlockResult) {
 	if oc == nil {
 		return
 	}
 	c := &br.Counters
-	genTime := c.AccessTime
-	for _, d := range c.GenTime {
-		genTime += d
-	}
 	created := c.TotalGenerated() + c.AccessPlans + c.EnforcerPlans
-	pruned := created - br.Memo.NumPlans()
-	if pruned < 0 {
-		pruned = 0
-	}
-	enumTime := br.Elapsed - genTime - c.SaveTime // disjoint laps: never negative
-	oc.RecordStage(optctx.StageGenerate, int64(created), genTime)
-	oc.RecordStage(optctx.StagePrune, int64(pruned), c.SaveTime)
-	oc.RecordStage(optctx.StageEnumerate, int64(br.EnumStats.Joins), enumTime)
+	pruned := max(created-br.Memo.NumPlans(), 0)
+	oc.RecordStage(optctx.StageGenerate, int64(created), 0)
+	oc.RecordStage(optctx.StagePrune, int64(pruned), 0)
+	oc.RecordStage(optctx.StageEnumerate, int64(br.EnumStats.Joins), br.Elapsed)
 }
 
 // workspace is everything a compile works in: the plan generator with its

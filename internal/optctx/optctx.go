@@ -55,15 +55,22 @@ type Stage int
 const (
 	// StageParse covers SQL parsing and normalization.
 	StageParse Stage = iota
-	// StageEnumerate covers join enumeration (the DP scan).
+	// StageEnumerate covers join enumeration (the DP scan), with plan
+	// generation and pruning inside it.
 	StageEnumerate
-	// StageGenerate covers plan generation and costing — the bulk of
-	// compilation time (Figure 2).
+	// StageGenerate counts the plans generated and costed — the bulk of
+	// compilation time (Figure 2), timed as part of enumeration.
 	StageGenerate
-	// StagePrune covers plan saving and property-aware pruning in the MEMO.
+	// StagePrune counts the plans property-aware pruning dropped from the
+	// MEMO, timed as part of enumeration.
 	StagePrune
 	NumStages
 )
+
+// Timed reports whether the stage's wall time is measured apart. Generation
+// and pruning only count: timing them apart would read the clock on every
+// join, and their time is in enumeration's.
+func (s Stage) Timed() bool { return s == StageParse || s == StageEnumerate }
 
 // String names the stage.
 func (s Stage) String() string {
@@ -85,7 +92,8 @@ type StageStats struct {
 	// Count is the number of units the stage processed (statements parsed,
 	// joins enumerated, plans generated, plans saved/pruned).
 	Count int64
-	// Time is the accumulated wall time attributed to the stage.
+	// Time is the accumulated wall time attributed to the stage; zero for a
+	// stage that is not Timed.
 	Time time.Duration
 }
 

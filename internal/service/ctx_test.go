@@ -251,6 +251,16 @@ func TestProgressEndpoint(t *testing.T) {
 	if stages["generate"].(map[string]any)["count"].(float64) <= 0 {
 		t.Errorf("generate stage uncounted: %v", stages)
 	}
+	// Generation and pruning are counted, not timed apart: their time is in
+	// enumeration's, and neither /metrics nor /v1/progress reports one.
+	for name, st := range map[string]map[string]any{"metrics": stages, "progress": seen["stages"].(map[string]any)} {
+		for stage, fields := range st {
+			_, timed := fields.(map[string]any)["time_us"]
+			if want := stage == "parse" || stage == "enumerate"; timed != want {
+				t.Errorf("%s stage %s reports time_us: %v, want %v", name, stage, timed, want)
+			}
+		}
+	}
 }
 
 func TestServerBudgetAbortDowngrades(t *testing.T) {

@@ -185,8 +185,8 @@ type Metrics struct {
 	EnumCandidatesSkipped Counter
 
 	// StageCount / StageTimeUS aggregate the per-stage observability of
-	// every completed compilation: units processed and microseconds spent in
-	// parse, enumerate, generate and prune.
+	// every completed compilation: units processed in parse, enumerate,
+	// generate and prune, and microseconds spent in the Timed stages.
 	StageCount  [optctx.NumStages]Counter
 	StageTimeUS [optctx.NumStages]Counter
 }
@@ -314,10 +314,16 @@ func (m *Metrics) Snapshot(pool *Pool, cache *EstimateCache, cal *calib.Calibrat
 func (m *Metrics) stagesSnapshot() map[string]map[string]int64 {
 	out := make(map[string]map[string]int64, optctx.NumStages)
 	for s := optctx.Stage(0); s < optctx.NumStages; s++ {
-		out[s.String()] = map[string]int64{
-			"count":   m.StageCount[s].Value(),
-			"time_us": m.StageTimeUS[s].Value(),
-		}
+		out[s.String()] = stageFields(s, m.StageCount[s].Value(), m.StageTimeUS[s].Value())
 	}
 	return out
+}
+
+// stageFields is one stage's object in /metrics and /v1/progress: its count,
+// and its microseconds when the stage is Timed.
+func stageFields(s optctx.Stage, count, timeUS int64) map[string]int64 {
+	if !s.Timed() {
+		return map[string]int64{"count": count}
+	}
+	return map[string]int64{"count": count, "time_us": timeUS}
 }

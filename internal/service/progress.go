@@ -65,14 +65,9 @@ type ProgressInfo struct {
 	// Percent is 100*generated/predicted clamped to [0, 100], or -1 when no
 	// prediction is available.
 	Percent float64 `json:"percent"`
-	// Stages breaks the run's work down by compilation stage.
-	Stages map[string]StageInfo `json:"stages"`
-}
-
-// StageInfo is one stage's live counters.
-type StageInfo struct {
-	Count  int64 `json:"count"`
-	TimeUS int64 `json:"time_us"`
+	// Stages breaks the run's work down by compilation stage: each stage's
+	// count, and its time_us when the stage is timed (optctx.Stage.Timed).
+	Stages map[string]map[string]int64 `json:"stages"`
 }
 
 // snapshot renders every in-flight run, oldest first.
@@ -100,10 +95,10 @@ func (t *progressTable) snapshot() []ProgressInfo {
 			Generated: gen,
 			Predicted: pred,
 			Percent:   pct,
-			Stages:    make(map[string]StageInfo, optctx.NumStages),
+			Stages:    make(map[string]map[string]int64, optctx.NumStages),
 		}
 		for s, st := range r.oc.StageSnapshot() {
-			info.Stages[optctx.Stage(s).String()] = StageInfo{Count: st.Count, TimeUS: st.Time.Microseconds()}
+			info.Stages[optctx.Stage(s).String()] = stageFields(optctx.Stage(s), st.Count, st.Time.Microseconds())
 		}
 		out = append(out, info)
 	}
