@@ -65,17 +65,13 @@ func (m *TimeModel) String() string {
 // GenSeconds), one regression per database "release" or configuration (the
 // paper refits per release and keeps distinct serial and parallel constant
 // sets). Rows are weighted by 1/actual so the fit minimizes relative rather
-// than absolute error — the metric the paper evaluates on — which also keeps
-// the regression well conditioned when per-method counts are correlated
-// across training queries. Tinst is fixed at 1/10^9 — a nominal
-// nanosecond-scale instruction — so the fitted constants carry the
-// machine-specific magnitudes.
-//
-// With per-method timings (TrainingObservation records them), the Ct
-// proportions are the measured generation time per plan of each method and
-// Refit fits their scale and C0. Without them, or when that fit finds no
-// positive scale, the per-method constants are fitted freely; the free fit
-// zeroes constants whenever the per-method counts are nearly collinear.
+// than absolute error — the metric the paper evaluates on. Tinst is fixed at
+// 1/10^9 — a nominal nanosecond-scale instruction — so the fitted constants
+// carry the machine-specific magnitudes. With per-method timings
+// (TrainingObservation), the Ct proportions are each method's measured
+// generation time per plan and Refit fits their scale and C0. Without them,
+// or when that fit finds no positive scale, the constants are fitted freely,
+// which zeroes some whenever the per-method counts are nearly collinear.
 func Calibrate(training []CompileObservation) (*TimeModel, error) {
 	if len(training) < int(props.NumJoinMethods)+1 {
 		return nil, errors.New("core: need more training queries than model constants")
@@ -93,8 +89,6 @@ func Calibrate(training []CompileObservation) (*TimeModel, error) {
 		if shares.C[t] > 0 && cnt[t] > 0 {
 			shares.C[t] /= cnt[t]
 			haveGen = true
-		} else {
-			shares.C[t] = 0
 		}
 	}
 	if haveGen {
@@ -137,9 +131,6 @@ var errNoScale = errors.New("core: refit found no positive scale for the per-met
 // is what the online loop runs on production compiles: the paper fits the
 // proportions once per release (§4) and only rescales afterwards.
 func Refit(prior *TimeModel, training []CompileObservation) (*TimeModel, error) {
-	if len(training) < 2 {
-		return nil, errors.New("core: need more training queries than refit constants")
-	}
 	x := make([][]float64, len(training))
 	y := make([]float64, len(training))
 	for i, tp := range training {
