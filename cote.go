@@ -229,9 +229,9 @@ func Calibrate(training []CompileObservation) (*TimeModel, error) { return core.
 
 // ObservationFrom builds the training record of one real optimization: its
 // generated-plan counts, per-method timing breakdown (zero unless the
-// compile was Timed), wall time and durable peak, plus the structural counts of est (the estimate of the same query at
-// the same level) when est is non-nil. Calibrate needs only the former;
-// CalibrateMemory needs both.
+// compile was Timed), wall time and durable peak, plus the structural
+// counts of est (the estimate of the same query at the same level) when est
+// is non-nil. Calibrate needs only the former; CalibrateMemory needs both.
 func ObservationFrom(res *OptimizeResult, est *Estimate) CompileObservation {
 	return core.ObservationFrom(res, est)
 }
