@@ -42,7 +42,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "seed of the random workload generator")
 	timeout := flag.Duration("timeout", 0, "deadline for the whole suite (0 = none)")
 	var mf modelio.Flags
-	mf.Register(flag.CommandLine, "")
+	mf.Register(flag.CommandLine)
 	flag.Parse()
 
 	ctx := context.Background()

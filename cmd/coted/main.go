@@ -8,7 +8,7 @@
 //	coted [-addr :8334] [-workers N] [-queue N] [-timeout 30s]
 //	      [-cache 1024] [-budget 0] [-budget-factor 0] [-mem-budget 0]
 //	      [-downgrade] [-shed-deadline 0]
-//	      [-calibrate star] [-model-file cote-model.json]
+//	      [-calibrate workload] [-model-file cote-model.json]
 //	      [-recalibrate-min-samples 8] [-drift-threshold 0.5]
 //	      [-grace 10s] [-pprof] [-fault-plan SPEC]
 //
@@ -18,12 +18,12 @@
 // GET /debug/pprof/*. See the README's "Running the coted server" section
 // for curl examples.
 //
-// The daemon calibrates itself online: every real optimization feeds the
-// drift detector, and when prediction error crosses -drift-threshold the
-// model is refitted over the observation window and installed as a new
-// registry version (rolled back via POST /v1/model). With -model-file the
-// registry persists across restarts, rescaled to each host's speed by a
-// startup micro-benchmark.
+// The daemon starts with the model in -model-file, else a -calibrate fit,
+// else the release model, rescaled to the host by a micro-benchmark. Every
+// real optimization feeds the drift detector; when prediction error crosses
+// -drift-threshold the model's Tinst and C0 are refitted over the window
+// and installed as a new registry version (rolled back via POST /v1/model).
+// With -model-file the registry persists across restarts.
 //
 // On SIGINT/SIGTERM the daemon shuts down gracefully: it stops accepting,
 // lets in-flight requests drain for half the -grace period, then cancels
@@ -59,7 +59,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-request timeout (0 = 30s, negative = none)")
 	cacheCap := flag.Int("cache", 1024, "estimate cache capacity (entries, keyed by catalog epoch + structural fingerprint + level)")
 	budget := flag.Duration("budget", 0, "admission budget: reject/downgrade optimizations predicted to compile longer than this (0 = off)")
-	budgetFactor := flag.Float64("budget-factor", 0, "abort a compile whose generated plans overrun the prediction by this factor (0 = off; needs a model)")
+	budgetFactor := flag.Float64("budget-factor", 0, "abort a compile whose generated plans overrun the prediction by this factor (0 = off)")
 	memBudget := flag.Int64("mem-budget", 0, "peak optimizer memory budget in bytes: reject/downgrade optimizations predicted to exceed it and abort compiles that measurably do (0 = off)")
 	downgrade := flag.Bool("downgrade", false, "downgrade over-budget optimizations to a cheaper level instead of rejecting")
 	shedDeadline := flag.Duration("shed-deadline", 0, "shed requests whose deadline is within this margin of the projected queue wait (0 = no margin, deadline check still armed)")
@@ -69,17 +69,16 @@ func main() {
 	recalMin := flag.Int("recalibrate-min-samples", 0, "observations required in the window before an online refit, and between automatic refit attempts (0 = default 8)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "mean relative prediction error that triggers online recalibration (0 = default 0.5, negative = track drift but never auto-refit)")
 	var mf modelio.Flags
-	mf.Register(flag.CommandLine, "")
+	mf.Register(flag.CommandLine)
 	flag.Parse()
 
-	reg, err := mf.LoadRegistry(0)
+	_, reg, err := mf.Resolve(1)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "coted: %v\n", err)
 		os.Exit(1)
 	}
-	if v := reg.Current(); v != nil {
-		log.Printf("loaded model v%d (%s) from %s: %v", v.Version, v.Source, mf.ModelFile, v.Model)
-	}
+	v := reg.Current()
+	log.Printf("model v%d (%s): %v", v.Version, v.Source, v.Model)
 	// OnSwap persists every installed version (refits, uploads, rollbacks)
 	// back to -model-file; the mutex keeps concurrent swaps from racing the
 	// temp-file rename.
@@ -126,17 +125,7 @@ func main() {
 		log.Printf("fault plan active (seed=%d): %s", plan.Seed, *faultPlan)
 	}
 
-	if mf.Calibrate != "" {
-		log.Printf("calibrating time model on workload %q ...", mf.Calibrate)
-		resp, err := srv.Calibrate(context.Background(), service.CalibrateRequest{Workload: mf.Calibrate})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coted: calibrate: %v\n", err)
-			os.Exit(1)
-		}
-		log.Printf("calibrated on %d points: %s", resp.Points, resp.Model)
-	} else if *budget > 0 && srv.Model() == nil {
-		log.Printf("warning: -budget set without a model; admission bypasses until -calibrate, -model-file or POST /v1/calibrate installs one")
-	}
+	persist(v)
 
 	handler := srv.Handler()
 	if *pprofFlag {

@@ -6,14 +6,14 @@
 // Usage:
 //
 //	explain [-catalog tpch|warehouse1|warehouse2] [-nodes 1|4] [-level high|inner2|zigzag|leftdeep]
-//	        [-timeout 0] [-mem-budget 0] [-model-file f.json] [-calibrate star] 'SELECT ...'
+//	        [-timeout 0] [-mem-budget 0] [-model-file f.json] [-calibrate workload] 'SELECT ...'
 //
 // With no query argument, a TPC-H demonstration query is used. -timeout
 // bounds the whole run (compile + estimate); an expired deadline stops the
 // optimizer cooperatively mid-enumeration. -mem-budget aborts the compile
-// when its measured optimizer memory crosses that many bytes. With a time
-// model (-model-file, or -calibrate to fit one on a named workload) the
-// estimator also reports the wall-clock compilation-time prediction.
+// when its measured optimizer memory crosses that many bytes. The estimator
+// also reports the wall-clock compilation-time prediction of the time model
+// from -model-file, a -calibrate fit on a named workload, or the release.
 package main
 
 import (
@@ -44,7 +44,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "deadline for compile + estimate (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "abort the compile when measured optimizer memory crosses this many bytes (0 = off)")
 	var mf modelio.Flags
-	mf.Register(flag.CommandLine, "")
+	mf.Register(flag.CommandLine)
 	flag.Parse()
 
 	sql := strings.Join(flag.Args(), " ")
@@ -118,11 +118,9 @@ func main() {
 	if err != nil {
 		fatalf("model: %v", err)
 	}
-	if model != nil {
-		fmt.Printf("\ntime model (v%d, %s): %v\n", reg.Version(), reg.Current().Source, model)
-		if err := mf.Save(reg); err != nil {
-			fatalf("model: %v", err)
-		}
+	fmt.Printf("\ntime model (v%d, %s): %v\n", reg.Version(), reg.Current().Source, model)
+	if err := mf.Save(reg); err != nil {
+		fatalf("model: %v", err)
 	}
 
 	est, err := cote.EstimatePlansCtx(ctx, q, cote.EstimateOptions{Level: level, Config: cfg, Model: model})

@@ -7,14 +7,15 @@
 // Usage:
 //
 //	mop [-workload real1|real2|tpch|star|linear|random] [-nodes 1|4] [-static]
-//	    [-timeout 0] [-budget-factor 0] [-model-file f.json] [-calibrate star]
+//	    [-timeout 0] [-budget-factor 0] [-model-file f.json] [-calibrate workload]
 //
 // -timeout bounds each query's meta-optimization; -budget-factor aborts a
 // recompile whose generated plans overrun the prediction by that factor and
 // retries at the next-lower level. The time model comes from -model-file
-// when it holds one, else from calibrating on the -calibrate workload; every
-// real compilation feeds the online calibrator, and -model-file (when set)
-// receives the post-run registry, so repeated runs keep improving the model.
+// when it holds one, else from calibrating on the -calibrate workload, else
+// from the release model rescaled to this host. Every real compilation feeds
+// the online calibrator, and -model-file (when set) receives the post-run
+// registry, so repeated runs keep improving the model.
 package main
 
 import (
@@ -35,7 +36,7 @@ func main() {
 	budgetFactor := flag.Float64("budget-factor", 0, "abort+downgrade a recompile overrunning the predicted plan count by this factor (0 = off)")
 	memBudget := flag.Int64("mem-budget", 0, "per-rung peak optimizer memory budget in bytes: skip rungs predicted over it, abort rungs measured over it (0 = off)")
 	var mf modelio.Flags
-	mf.Register(flag.CommandLine, "star")
+	mf.Register(flag.CommandLine)
 	flag.Parse()
 
 	var w *cote.Workload
@@ -64,10 +65,6 @@ func main() {
 	model, reg, err := mf.Resolve(*nodes)
 	if err != nil {
 		fatal(err)
-	}
-	if model == nil {
-		fmt.Fprintln(os.Stderr, "mop: no time model (set -model-file or -calibrate)")
-		os.Exit(1)
 	}
 	fmt.Printf("model (v%d, %s): %v\n\n", reg.Version(), reg.Current().Source, model)
 

@@ -222,9 +222,9 @@ func ActualPlanCounts(res *OptimizeResult) PlanCounts {
 // TimeModel converts plan counts to time: T = Tinst * (sum Ct*Pt + C0).
 type TimeModel = core.TimeModel
 
-// Calibrate fits the per-join-method constants Ct by non-negative least
-// squares on observations of real compilations (see TrainingObservation).
-// Refit per machine and configuration, as the paper refits per DB2 release.
+// Calibrate fits the time model on TrainingObservation records: timed
+// per-method generation times set the Ct proportions, wall times their
+// scale and C0. Fit once per configuration, as the paper does per release.
 func Calibrate(training []CompileObservation) (*TimeModel, error) { return core.Calibrate(training) }
 
 // ObservationFrom builds the training record of one real optimization: its

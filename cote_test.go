@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cote"
+	"cote/internal/core"
 )
 
 // TestPublicAPIEndToEnd walks the full public surface: build a catalog,
@@ -43,16 +44,29 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("estimation (%v) not faster than optimization (%v)", est.Elapsed, res.Elapsed)
 	}
 
-	// Calibrate a model on the star workload and predict this query.
+	// Calibrate a model on the star workload and predict this query. Each
+	// training point is the fastest of five compiles, untimed for its counts
+	// and wall time and timed for its per-method shares, as training runs.
 	var training []cote.CompileObservation
 	for _, wq := range cote.StarWorkload(1).Queries {
-		r, err := cote.Optimize(wq.Block, cote.OptimizeOptions{Level: cote.LevelHigh})
+		o, err := core.TrainingObservation(func(o cote.OptimizeOptions) (*cote.OptimizeResult, error) {
+			var best *cote.OptimizeResult
+			for i := 0; i < 5; i++ {
+				r, err := cote.Optimize(wq.Block, o)
+				if err != nil {
+					return nil, err
+				}
+				r.Release()
+				if best == nil || r.Elapsed < best.Elapsed {
+					best = r
+				}
+			}
+			return best, nil
+		}, cote.OptimizeOptions{Level: cote.LevelHigh})
 		if err != nil {
 			t.Fatal(err)
 		}
-		training = append(training, cote.CompileObservation{
-			Counts: cote.ActualPlanCounts(r), Actual: r.Elapsed,
-		})
+		training = append(training, o)
 	}
 	model, err := cote.Calibrate(training)
 	if err != nil {

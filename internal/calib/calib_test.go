@@ -334,6 +334,7 @@ func TestCalibratorAutoRecalibratesOnDrift(t *testing.T) {
 func TestCalibratorHysteresisRejectsSideways(t *testing.T) {
 	trueModel := model(5, 2, 4, 4000)
 	reg := NewRegistry(0)
+	reg.Install(model(20, 8, 16, 16000), "seed", 0, 0)    // 4x everything
 	cal := NewCalibrator(reg, Config{DriftThreshold: -1}) // manual refits only
 
 	// Noisy observations (alternating ±15%) so window error is nonzero.
@@ -347,7 +348,7 @@ func TestCalibratorHysteresisRejectsSideways(t *testing.T) {
 		cal.ObserveCompile(o)
 	}
 	if _, err := cal.Recalibrate("recalibrate"); err != nil {
-		t.Fatalf("first fit into an empty registry: %v", err)
+		t.Fatalf("first refit of the mis-scaled seed: %v", err)
 	}
 	// Same window, same data: the candidate cannot beat the incumbent by
 	// the hysteresis factor.
@@ -358,7 +359,7 @@ func TestCalibratorHysteresisRejectsSideways(t *testing.T) {
 	if st.Recalibrations != 1 || st.Rejected != 1 {
 		t.Fatalf("recalibrations %d rejected %d, want 1/1", st.Recalibrations, st.Rejected)
 	}
-	if reg.Version() != 1 {
+	if reg.Version() != 2 {
 		t.Fatalf("version churned to %d", reg.Version())
 	}
 }

@@ -56,6 +56,10 @@ func (c Config) withDefaults() Config {
 // MinSamples observations.
 var ErrNotEnoughSamples = errors.New("calib: not enough observations to recalibrate")
 
+// ErrNoIncumbent reports a refit attempted with no installed model: a refit
+// only rescales the incumbent's Ct proportions, so there is nothing to fit.
+var ErrNoIncumbent = errors.New("calib: no installed model to rescale")
+
 // ErrNoImprovement reports a refit whose candidate did not beat the
 // incumbent by the hysteresis margin and was therefore not installed.
 var ErrNoImprovement = errors.New("calib: recalibrated model not better than incumbent")
@@ -83,8 +87,8 @@ type Stats struct {
 // Calibrator closes the feedback loop: it implements core.CompileObserver,
 // folding every real compilation into the observation log and the drift
 // detector, and — when the installed model has drifted and enough samples
-// accumulated — refits the per-method constants over the window and
-// installs the result in the registry behind a hysteresis gate.
+// accumulated — rescales it over the window (core.Refit) and installs the
+// result in the registry behind a hysteresis gate.
 type Calibrator struct {
 	cfg   Config
 	log   *Log
@@ -102,9 +106,8 @@ type Calibrator struct {
 	failures       atomic.Int64
 }
 
-// NewCalibrator returns a calibrator feeding reg. reg may already hold a
-// model (the offline seed); an empty registry is also fine — the first
-// successful refit installs version 1.
+// NewCalibrator returns a calibrator feeding reg. Refits rescale reg's
+// current model; while reg is empty the calibrator only observes.
 func NewCalibrator(reg *Registry, cfg Config) *Calibrator {
 	cfg = cfg.withDefaults()
 	return &Calibrator{
@@ -171,7 +174,7 @@ func (c *Calibrator) ObserveCompile(o core.CompileObservation) {
 	c.sinceAttempt++
 	due := c.sinceAttempt >= c.cfg.MinSamples &&
 		c.log.Len() >= c.minSamples() &&
-		(c.drift.Degraded() || c.reg.CurrentModel() == nil)
+		c.drift.Degraded()
 	if due {
 		c.sinceAttempt = 0
 	}
@@ -197,13 +200,13 @@ func (c *Calibrator) minSamples() int {
 // Recalibrate refits the model over the current observation window and
 // installs it (source tags the registry entry) when it beats the incumbent
 // by the hysteresis margin on that same window. The refit keeps the
-// incumbent's Ct proportions and fits their scale and C0 (core.Refit):
+// incumbent's Ct bit for bit and fits its Tinst and C0 (core.Refit):
 // production compiles are untimed, so the window carries no per-method
-// times. Measured proportions come from training — -calibrate, -model-file
-// or POST /v1/calibrate. With no incumbent the window is fitted freely
-// (core.Calibrate). It returns the installed version, ErrNoImprovement when
-// the candidate lost, ErrNotEnoughSamples on a thin window, or the
-// regression's error. A successful install resets the drift window.
+// times, and the proportions come from the release or a training fit. It
+// returns the installed version, ErrNotEnoughSamples on a thin window,
+// ErrNoIncumbent with no model to rescale, ErrNoImprovement when the
+// candidate lost, or the regression's error. A successful install resets
+// the drift window.
 func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 	c.refitMu.Lock()
 	defer c.refitMu.Unlock()
@@ -213,23 +216,18 @@ func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 		return nil, ErrNotEnoughSamples
 	}
 	incumbent := c.reg.CurrentModel()
-	var candidate *core.TimeModel
-	var err error
-	if incumbent != nil {
-		candidate, err = core.Refit(incumbent, window)
-	} else {
-		candidate, err = core.Calibrate(window)
+	if incumbent == nil {
+		return nil, ErrNoIncumbent
 	}
+	candidate, err := core.Refit(incumbent, window)
 	if err != nil {
 		c.failures.Add(1)
 		return nil, err
 	}
 	candErr := windowError(candidate, window)
-	if incumbent != nil {
-		if incErr := windowError(incumbent, window); incErr < candErr*DefaultHysteresis {
-			c.rejected.Add(1)
-			return nil, ErrNoImprovement
-		}
+	if incErr := windowError(incumbent, window); incErr < candErr*DefaultHysteresis {
+		c.rejected.Add(1)
+		return nil, ErrNoImprovement
 	}
 	v := c.reg.Install(candidate, source, len(window), candErr)
 	c.recalibrations.Add(1)

@@ -1,7 +1,9 @@
 package calib
 
 import (
+	_ "embed"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -82,9 +84,43 @@ func Load(path string, retain int, hostTinst float64) (*Registry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("calib: load registry: %w", err)
 	}
+	r, err := decode(data, retain, hostTinst)
+	if err != nil {
+		return nil, fmt.Errorf("calib: load registry %s: %w", path, err)
+	}
+	return r, nil
+}
+
+// The release's measured Ct proportions, one registry file per
+// configuration, each holding one version with source "release". They are
+// written by `go test ./internal/calib -run TestReleaseModels -update`.
+var (
+	//go:embed release_serial.json
+	releaseSerial []byte
+	//go:embed release_parallel.json
+	releaseParallel []byte
+)
+
+// Release returns the release model for nodes (serial for 1, the 4-node
+// parallel set otherwise) as a one-version registry, its Tinst rescaled to
+// hostTinst as Load rescales a file.
+func Release(nodes int, hostTinst float64) (*Registry, error) {
+	data := releaseSerial
+	if nodes > 1 {
+		data = releaseParallel
+	}
+	r, err := decode(data, 0, hostTinst)
+	if err != nil {
+		return nil, fmt.Errorf("calib: release registry: %w", err)
+	}
+	return r, nil
+}
+
+// decode builds a registry from a registry file's bytes; see Load.
+func decode(data []byte, retain int, hostTinst float64) (*Registry, error) {
 	var f registryFile
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("calib: load registry %s: %w", path, err)
+		return nil, err
 	}
 	scale := 1.0
 	if hostTinst > 0 && f.HostTinst > 0 {
@@ -95,7 +131,7 @@ func Load(path string, retain int, hostTinst float64) (*Registry, error) {
 	defer r.mu.Unlock()
 	for _, v := range f.Versions {
 		if v == nil || (v.Model == nil && v.Mem == nil) {
-			return nil, fmt.Errorf("calib: load registry %s: version entry without a model", path)
+			return nil, errors.New("version entry without a model")
 		}
 		if scale != 1 && v.Model != nil {
 			m := *v.Model

@@ -210,6 +210,26 @@ func fastestCompile(t *testing.T, blk *query.Block, level opt.Level) *opt.Result
 	return best
 }
 
+// fastestOf5 is a TrainingObservation compile func, as
+// experiments.TrainModel's: the fastest of five compiles of blk, each
+// released, so every compile after the first runs on a warm workspace.
+func fastestOf5(blk *query.Block) func(opt.Options) (*opt.Result, error) {
+	return func(o opt.Options) (*opt.Result, error) {
+		var best *opt.Result
+		for i := 0; i < 5; i++ {
+			res, err := opt.Optimize(blk, o)
+			if err != nil {
+				return nil, err
+			}
+			res.Release()
+			if best == nil || res.Elapsed < best.Elapsed {
+				best = res
+			}
+		}
+		return best, nil
+	}
+}
+
 func TestEstimationOverheadSmall(t *testing.T) {
 	// Figure 4: estimation is a small fraction of real compilation. Both
 	// sides are the fastest of five runs and only a generous bound is
@@ -233,16 +253,23 @@ func TestEstimationOverheadSmall(t *testing.T) {
 }
 
 func TestCalibrateRecoversLinearModel(t *testing.T) {
-	// Synthetic training data generated from known constants.
+	// Synthetic training data generated from known constants: each
+	// observation's per-method generation times are its plans priced by
+	// the true constants, and its wall time adds C0.
 	want := TimeModel{Tinst: 1e-9, C0: 50_000}
 	want.C[props.MGJN], want.C[props.NLJN], want.C[props.HSJN] = 5000, 2000, 4000
-	var training []CompileObservation
+	var training, untimed []CompileObservation
 	for i := 1; i <= 8; i++ {
 		counts := PlanCounts{}
 		counts.ByMethod[props.MGJN] = 100 * i
 		counts.ByMethod[props.NLJN] = 50 * i * i
-		counts.ByMethod[props.HSJN] = 30*i + i*i*i // not collinear with MGJN
-		training = append(training, CompileObservation{Counts: counts, Actual: want.Predict(counts)})
+		counts.ByMethod[props.HSJN] = 30*i + i*i*i
+		o := CompileObservation{Counts: counts, Actual: want.Predict(counts)}
+		untimed = append(untimed, o)
+		for m, p := range counts.ByMethod {
+			o.GenSeconds[m] = want.Tinst * want.C[m] * float64(p)
+		}
+		training = append(training, o)
 	}
 	got, err := Calibrate(training)
 	if err != nil {
@@ -253,6 +280,9 @@ func TestCalibrateRecoversLinearModel(t *testing.T) {
 			t.Fatalf("C[%v] = %v, want %v", m, got.C[m], want.C[m])
 		}
 	}
+	if math.Abs(got.C0-want.C0)/want.C0 > 0.01 || got.Tinst != want.Tinst {
+		t.Fatalf("model %+v, want %+v", got, want)
+	}
 	// The ratio normalizes to smallest = 1: 2.5 : 1 : 2.
 	r := got.Ratio()
 	if math.Abs(r[props.NLJN]-1) > 0.01 || math.Abs(r[props.MGJN]-2.5) > 0.05 {
@@ -260,6 +290,10 @@ func TestCalibrateRecoversLinearModel(t *testing.T) {
 	}
 	if got.String() == "" {
 		t.Fatal("empty model string")
+	}
+	// Without per-method times there are no proportions to fit.
+	if m, err := Calibrate(untimed); err == nil {
+		t.Fatalf("training set without GenSeconds fitted %v", m)
 	}
 }
 
@@ -279,11 +313,11 @@ func TestEndToEndTimePrediction(t *testing.T) {
 	var training []CompileObservation
 	for preds := 1; preds <= 5; preds++ {
 		for _, n := range []int{6, 8} {
-			res := fastestCompile(t, starBlock(t, n, preds, 1, 0, 1), opt.LevelHighInner2)
-			training = append(training, CompileObservation{
-				Counts: CountsFrom(res.TotalCounters()),
-				Actual: res.Elapsed,
-			})
+			o, err := TrainingObservation(fastestOf5(starBlock(t, n, preds, 1, 0, 1)), opt.Options{Level: opt.LevelHighInner2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			training = append(training, o)
 		}
 	}
 	model, err := Calibrate(training)
@@ -292,7 +326,10 @@ func TestEndToEndTimePrediction(t *testing.T) {
 	}
 	// Held-out query.
 	blk := starBlock(t, 7, 3, 1, 0, 1)
-	res := fastestCompile(t, blk, opt.LevelHighInner2)
+	res, err := fastestOf5(blk)(opt.Options{Level: opt.LevelHighInner2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	est, err := EstimatePlans(blk, Options{Level: opt.LevelHighInner2, Model: model})
 	if err != nil {
 		t.Fatal(err)

@@ -60,18 +60,16 @@ func (m *TimeModel) String() string {
 		r[props.MGJN], r[props.NLJN], r[props.HSJN], m.C0, m.Tinst)
 }
 
-// Calibrate fits the per-method constants by non-negative least squares on
-// observations of a training workload (their Counts, Actual and
-// GenSeconds), one regression per database "release" or configuration (the
+// Calibrate fits the time model on observations of a training workload
+// (TrainingObservation), once per database "release" or configuration (the
 // paper refits per release and keeps distinct serial and parallel constant
-// sets). Rows are weighted by 1/actual so the fit minimizes relative rather
-// than absolute error — the metric the paper evaluates on. Tinst is fixed at
-// 1/10^9 — a nominal nanosecond-scale instruction — so the fitted constants
-// carry the machine-specific magnitudes. With per-method timings
-// (TrainingObservation), the Ct proportions are each method's measured
-// generation time per plan and Refit fits their scale and C0. Without them,
-// or when that fit finds no positive scale, the constants are fitted freely,
-// which zeroes some whenever the per-method counts are nearly collinear.
+// sets). The Ct proportions are each method's measured generation time per
+// plan (GenSeconds); Refit then fits their common scale and C0 from Counts
+// and Actual. The fit is expressed at Tinst = 1/10^9 — a nominal
+// nanosecond-scale instruction — so the constants carry the
+// machine-specific magnitudes. A training set without per-method times is
+// refused: counts alone cannot separate the methods when they are nearly
+// collinear.
 func Calibrate(training []CompileObservation) (*TimeModel, error) {
 	if len(training) < int(props.NumJoinMethods)+1 {
 		return nil, errors.New("core: need more training queries than model constants")
@@ -84,53 +82,47 @@ func Calibrate(training []CompileObservation) (*TimeModel, error) {
 			cnt[t] += float64(tp.Counts.ByMethod[t])
 		}
 	}
-	haveGen := false
+	timed := false
 	for t := range shares.C {
 		if shares.C[t] > 0 && cnt[t] > 0 {
 			shares.C[t] /= cnt[t]
-			haveGen = true
+			timed = true
 		}
 	}
-	if haveGen {
-		m, err := Refit(shares, training)
-		if !errors.Is(err, errNoScale) {
-			return m, err
-		}
+	if !timed {
+		return nil, errors.New("core: training observations carry no per-method generation times")
 	}
-
-	x := make([][]float64, len(training))
-	y := make([]float64, len(training))
-	for i, tp := range training {
-		actual := actualUnits(tp, nominalTinst)
-		row := make([]float64, props.NumJoinMethods+1)
-		for t, p := range tp.Counts.ByMethod {
-			row[t] = float64(p) / actual
-		}
-		row[props.NumJoinMethods] = 1 / actual // C0 regressor
-		x[i] = row
-		y[i] = 1
-	}
-	beta, err := stats.NonNegativeOLS(x, y)
+	m, err := Refit(shares, training)
 	if err != nil {
-		return nil, fmt.Errorf("core: calibration failed: %w", err)
+		return nil, err
 	}
-	m := &TimeModel{Tinst: nominalTinst, C0: beta[props.NumJoinMethods]}
-	copy(m.C[:], beta[:props.NumJoinMethods])
+	scale := m.Tinst / nominalTinst
+	for t := range m.C {
+		m.C[t] *= scale
+	}
+	m.C0 *= scale
+	m.Tinst = nominalTinst
 	return m, nil
 }
 
 // nominalTinst is the Tinst of a model Calibrate fits.
 const nominalTinst = 1e-9
 
-// errNoScale reports a Refit whose regression gave the Ct no positive scale.
-var errNoScale = errors.New("core: refit found no positive scale for the per-method constants")
-
-// Refit keeps prior's Ct proportions and its Tinst and refits, from the
-// observations' Counts and Actual alone, the common scale of the Ct and C0
-// by Calibrate's weighted regression. It needs no per-method timings, so it
-// is what the online loop runs on production compiles: the paper fits the
-// proportions once per release (§4) and only rescales afterwards.
+// Refit keeps prior's Ct bit for bit and refits, from the observations'
+// Counts and Actual alone, its Tinst and C0: the paper fits the Ct once per
+// release (§4) and rescales only Tinst per machine. Rows are weighted by
+// 1/actual so the fit minimizes relative rather than absolute error — the
+// metric the paper evaluates on. It needs no per-method timings, so it is
+// what the online loop runs on production compiles.
 func Refit(prior *TimeModel, training []CompileObservation) (*TimeModel, error) {
+	// The C0 regressor is unit/actual, not 1/actual: in units of the mean
+	// actual both regressors are of order one, where 1/actual alone is so
+	// small that the normal equations look singular and the solver's ridge
+	// fallback shrinks C0.
+	unit := 0.0
+	for _, tp := range training {
+		unit += actualUnits(tp, prior.Tinst) / float64(len(training))
+	}
 	x := make([][]float64, len(training))
 	y := make([]float64, len(training))
 	for i, tp := range training {
@@ -139,7 +131,7 @@ func Refit(prior *TimeModel, training []CompileObservation) (*TimeModel, error) 
 		for t, p := range tp.Counts.ByMethod {
 			base += prior.C[t] * float64(p)
 		}
-		x[i] = []float64{base / actual, 1 / actual}
+		x[i] = []float64{base / actual, unit / actual}
 		y[i] = 1
 	}
 	beta, err := stats.NonNegativeOLS(x, y)
@@ -147,13 +139,10 @@ func Refit(prior *TimeModel, training []CompileObservation) (*TimeModel, error) 
 		return nil, fmt.Errorf("core: calibration failed: %w", err)
 	}
 	if beta[0] <= 0 {
-		return nil, errNoScale
+		return nil, errors.New("core: refit found no positive scale for the model")
 	}
-	m := &TimeModel{Tinst: prior.Tinst, C0: beta[1]}
-	for t := range m.C {
-		m.C[t] = beta[0] * prior.C[t]
-	}
-	return m, nil
+	// T = Tinst·(β0·ΣCt·Pt + β1·unit) = (β0·Tinst)·(ΣCt·Pt + β1·unit/β0).
+	return &TimeModel{Tinst: beta[0] * prior.Tinst, C: prior.C, C0: beta[1] * unit / beta[0]}, nil
 }
 
 // actualUnits is an observation's measured time in units of tinst, at least

@@ -118,8 +118,13 @@ func TestStatementCacheVsCOTEOnAdHocWorkload(t *testing.T) {
 	var training []core.CompileObservation
 	for preds := 1; preds <= 5; preds++ {
 		for _, n := range []int{6, 8} {
-			res := fastestCompile(t, starBlock(t, n, preds, 1), opt.LevelHighInner2)
-			training = append(training, core.ObservationFrom(res, nil))
+			q := workload.Query{Block: starBlock(t, n, preds, 1)}
+			o, err := core.TrainingObservation(func(o opt.Options) (*opt.Result, error) { return timedOptimize(q, o) },
+				opt.Options{Level: opt.LevelHighInner2, Config: cost.Serial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			training = append(training, o)
 		}
 	}
 	model, err := core.Calibrate(training)

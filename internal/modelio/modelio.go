@@ -1,8 +1,9 @@
 // Package modelio is the model-file and calibration plumbing shared by the
 // cote commands (coted, mop, explain, cotebench): one flag set for loading
 // a versioned model registry from disk (-model-file, host-rescaled via the
-// Tinst micro-benchmark) and calibrating on a named built-in workload
-// (-calibrate), so a new model flag lands in one place instead of four.
+// Tinst micro-benchmark), calibrating on a named built-in workload
+// (-calibrate), or else taking the shipped release model, so a new model
+// flag lands in one place instead of four.
 package modelio
 
 import (
@@ -70,14 +71,14 @@ func TrainOn(w *workload.Workload, nodes int, compile func(*query.Block, opt.Opt
 }
 
 // Flags bundles the model flags every command shares. Register them on the
-// command's flag set, parse, then Resolve/LoadRegistry.
+// command's flag set, parse, then Resolve.
 type Flags struct {
 	// ModelFile is -model-file: a JSON model registry, loaded at startup
 	// and (for the daemon) rewritten on every model change. Missing files
 	// are created on first save.
 	ModelFile string
 	// Calibrate is -calibrate: a named workload to fit a model on at
-	// startup.
+	// startup when -model-file holds none.
 	Calibrate string
 
 	// hostTinst caches the startup micro-benchmark so load and save use
@@ -85,14 +86,12 @@ type Flags struct {
 	hostTinst float64
 }
 
-// Register installs -model-file and -calibrate on fs. calibrateDefault
-// seeds the -calibrate value (commands that always need a model pass their
-// historical default, the daemon passes "").
-func (f *Flags) Register(fs *flag.FlagSet, calibrateDefault string) {
+// Register installs -model-file and -calibrate on fs.
+func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.ModelFile, "model-file", "",
 		"JSON model-registry file: loaded at startup (predictions host-rescaled via a Tinst micro-benchmark) and persisted on model changes")
-	fs.StringVar(&f.Calibrate, "calibrate", calibrateDefault,
-		"calibrate the time model on this workload at startup ("+WorkloadNames+"; empty = don't)")
+	fs.StringVar(&f.Calibrate, "calibrate", "",
+		"calibrate the time model on this workload at startup when -model-file holds none ("+WorkloadNames+"; empty = the release model)")
 }
 
 // HostTinst returns the host's measured Tinst, micro-benchmarking it on
@@ -104,20 +103,6 @@ func (f *Flags) HostTinst() float64 {
 	return f.hostTinst
 }
 
-// LoadRegistry loads -model-file into a registry (an empty registry when
-// the flag is unset or the file does not exist yet), rescaling persisted
-// models to this host's speed.
-func (f *Flags) LoadRegistry(retain int) (*calib.Registry, error) {
-	if f.ModelFile == "" {
-		return calib.NewRegistry(retain), nil
-	}
-	reg, err := calib.Load(f.ModelFile, retain, f.HostTinst())
-	if err != nil {
-		return nil, err
-	}
-	return reg, nil
-}
-
 // Save persists the registry back to -model-file; a no-op when the flag is
 // unset.
 func (f *Flags) Save(reg *calib.Registry) error {
@@ -127,30 +112,42 @@ func (f *Flags) Save(reg *calib.Registry) error {
 	return reg.Save(f.ModelFile, f.HostTinst())
 }
 
-// Resolve yields the model a one-shot command should price with: the
-// registry's current model when -model-file holds one, else a fresh fit on
-// the -calibrate workload (installed into the returned registry), else no
-// model at all. The registry is returned so the command can Save it.
+// Resolve yields the model a command prices with and the registry holding
+// it, from the first of: the current model in -model-file; a fit on the
+// -calibrate workload; the release model for nodes (calib.Release). A fit or
+// release model is installed into the -model-file registry (an empty one
+// without the flag). File and release models are rescaled to this host's
+// Tinst. The registry is returned so the command can Save it.
 func (f *Flags) Resolve(nodes int) (*core.TimeModel, *calib.Registry, error) {
-	reg, err := f.LoadRegistry(0)
-	if err != nil {
-		return nil, nil, err
+	reg := calib.NewRegistry(0)
+	if f.ModelFile != "" {
+		var err error
+		if reg, err = calib.Load(f.ModelFile, 0, f.HostTinst()); err != nil {
+			return nil, nil, err
+		}
+		if m := reg.CurrentModel(); m != nil {
+			return m, reg, nil
+		}
 	}
-	if m := reg.CurrentModel(); m != nil {
-		return m, reg, nil
-	}
+	var m *core.TimeModel
+	source, points := "release", 0
 	if f.Calibrate == "" {
-		return nil, reg, nil
+		rel, err := calib.Release(nodes, f.HostTinst())
+		if err != nil {
+			return nil, nil, err
+		}
+		m = rel.CurrentModel()
+	} else {
+		w, err := NamedWorkload(f.Calibrate, nodes)
+		if err != nil {
+			return nil, nil, err
+		}
+		if m, points, err = TrainOn(w, nodes, opt.Optimize); err != nil {
+			return nil, nil, err
+		}
+		source = "calibrate"
 	}
-	w, err := NamedWorkload(f.Calibrate, nodes)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, points, err := TrainOn(w, nodes, opt.Optimize)
-	if err != nil {
-		return nil, nil, err
-	}
-	reg.Install(m, "calibrate", points, 0)
+	reg.Install(m, source, points, 0)
 	return m, reg, nil
 }
 

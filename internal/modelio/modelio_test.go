@@ -2,9 +2,11 @@ package modelio
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"cote/internal/calib"
 	"cote/internal/core"
 	"cote/internal/opt"
 	"cote/internal/props"
@@ -85,4 +87,62 @@ func near(a, b []float64, rel float64) bool {
 		}
 	}
 	return true
+}
+
+// Resolve takes the model from -model-file over a -calibrate fit, and a fit
+// over the release model for -nodes, rescaling file and release models by
+// the host's Tinst.
+func TestResolveOrder(t *testing.T) {
+	const host = 2e-9
+	resolve := func(f Flags, nodes int) (*core.TimeModel, string) {
+		t.Helper()
+		f.hostTinst = host
+		m, reg, err := f.Resolve(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reg.CurrentModel() != m {
+			t.Fatalf("resolved %v, registry holds %v", m, reg.CurrentModel())
+		}
+		return m, reg.Current().Source
+	}
+
+	path := filepath.Join(t.TempDir(), "model.json")
+	saved := &core.TimeModel{Tinst: 1e-9, C0: 100}
+	saved.C[props.MGJN], saved.C[props.NLJN], saved.C[props.HSJN] = 5, 2, 4
+	file := calib.NewRegistry(0)
+	file.Install(saved, "api", 0, 0)
+	if err := file.Save(path, host/4); err != nil {
+		t.Fatal(err)
+	}
+	if m, src := resolve(Flags{ModelFile: path, Calibrate: "no-such-workload"}, 1); src != "api" || m.Tinst != 4*saved.Tinst || m.C != saved.C {
+		t.Errorf("with a model file: %v from %q, want the file's %v at 4x Tinst", m, src, saved)
+	}
+	if _, src := resolve(Flags{ModelFile: filepath.Join(t.TempDir(), "new.json"), Calibrate: "linear"}, 1); src != "calibrate" {
+		t.Errorf("-calibrate without a model in the file: source %q", src)
+	}
+
+	var release []core.TimeModel
+	for _, nodes := range []int{1, 4} {
+		m, src := resolve(Flags{}, nodes)
+		release = append(release, *m)
+		rel, err := calib.Release(nodes, host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src != "release" || *m != *rel.CurrentModel() {
+			t.Errorf("nodes=%d: %v from %q, want the release's %v", nodes, m, src, rel.CurrentModel())
+		}
+		f := Flags{hostTinst: 2 * host}
+		twice, _, err := f.Resolve(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if twice.Tinst != 2*m.Tinst || twice.C != m.C {
+			t.Errorf("nodes=%d: a host twice as slow resolves %v, want %v at 2x Tinst", nodes, twice, m)
+		}
+	}
+	if release[0] == release[1] {
+		t.Errorf("-nodes 4 resolved the serial release model %v", release[0])
+	}
 }

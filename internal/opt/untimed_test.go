@@ -66,24 +66,29 @@ func TestUntimedCompileMatchesTimed(t *testing.T) {
 			wls = append(wls, workload.Linear(nodes), workload.Star(nodes))
 		}
 		for _, w := range wls {
-			for _, level := range []Level{LevelHighInner2, LevelHigh} {
-				for _, pilot := range []bool{false, true} {
-					for _, q := range w.Queries {
-						name := fmt.Sprintf("%s/%v/pilot=%v", q.Name, level, pilot)
-						opts := Options{Level: level, Config: cfg, PilotPass: pilot}
-						untimed := compileFor(t, name, q, opts)
-						opts.Timed = true
-						timed := compileFor(t, name, q, opts)
-						if got, want := timingFreeOf(untimed), timingFreeOf(timed); got != want {
-							t.Errorf("%s: untimed %+v, timed %+v", name, got, want)
+			// Each workload × nodes case compiles its own blocks, so the
+			// cases run in parallel.
+			t.Run(w.Name, func(t *testing.T) {
+				t.Parallel()
+				for _, level := range []Level{LevelHighInner2, LevelHigh} {
+					for _, pilot := range []bool{false, true} {
+						for _, q := range w.Queries {
+							name := fmt.Sprintf("%s/%v/pilot=%v", q.Name, level, pilot)
+							opts := Options{Level: level, Config: cfg, PilotPass: pilot}
+							untimed := compileFor(t, name, q, opts)
+							opts.Timed = true
+							timed := compileFor(t, name, q, opts)
+							if got, want := timingFreeOf(untimed), timingFreeOf(timed); got != want {
+								t.Errorf("%s: untimed %+v, timed %+v", name, got, want)
+							}
+							checkUntimed(t, name, untimed.TotalCounters())
+							checkTimed(t, name, timed.TotalCounters())
+							untimed.Release()
+							timed.Release()
 						}
-						checkUntimed(t, name, untimed.TotalCounters())
-						checkTimed(t, name, timed.TotalCounters())
-						untimed.Release()
-						timed.Release()
 					}
 				}
-			}
+			})
 		}
 	}
 }

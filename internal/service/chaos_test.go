@@ -5,13 +5,12 @@
 //
 //   - every successful estimate is byte-identical to the fault-free baseline
 //     (faults can fail requests, never corrupt them);
-//   - every failure surfaces as a taxonomy-coded APIError (no raw 500s, no
+//   - every failure surfaces as a taxonomy-coded apiError (no raw 500s, no
 //     undecodable bodies);
 //   - the armed fault points actually fired (the plan was not a no-op);
 //   - the whole stack unwinds without leaking a goroutine.
 //
-// It lives in package service_test because it drives the server through
-// internal/coteclient, which imports service.
+// It drives the server through the retrying client of client_test.go.
 package service_test
 
 import (
@@ -24,7 +23,6 @@ import (
 	"testing"
 	"time"
 
-	"cote/internal/coteclient"
 	"cote/internal/faultinject"
 	"cote/internal/service"
 	"cote/internal/testutil"
@@ -86,7 +84,7 @@ func TestChaosSoak(t *testing.T) {
 			baseline := make([]string, len(chaosQueries))
 			{
 				ts := httptest.NewServer(newChaosServer().Handler())
-				c := coteclient.New(coteclient.Config{BaseURL: ts.URL, HTTPClient: ts.Client(), Seed: int64(seed)})
+				c := newClient(clientConfig{BaseURL: ts.URL, HTTPClient: ts.Client(), Seed: int64(seed)})
 				for i, sql := range chaosQueries {
 					resp, err := c.Estimate(context.Background(), service.EstimateRequest{Catalog: "tpch", SQL: sql})
 					if err != nil {
@@ -131,7 +129,7 @@ func TestChaosSoak(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					c := coteclient.New(coteclient.Config{
+					c := newClient(clientConfig{
 						BaseURL:     ts.URL,
 						HTTPClient:  ts.Client(),
 						Seed:        int64(seed)*100 + int64(w),
@@ -157,7 +155,7 @@ func TestChaosSoak(t *testing.T) {
 			for r := range results {
 				if r.err != nil {
 					failed++
-					ae, ok := r.err.(*coteclient.APIError)
+					ae, ok := r.err.(*apiError)
 					if !ok {
 						t.Errorf("non-taxonomy error under chaos: %T: %v", r.err, r.err)
 						continue
@@ -215,7 +213,7 @@ func TestChaosCatalogAndModelFaults(t *testing.T) {
 	srv := newChaosServer()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := coteclient.New(coteclient.Config{BaseURL: ts.URL, HTTPClient: ts.Client(), MaxAttempts: 2, BaseBackoff: time.Millisecond})
+	c := newClient(clientConfig{BaseURL: ts.URL, HTTPClient: ts.Client(), MaxAttempts: 2, BaseBackoff: time.Millisecond})
 
 	// Catalog upload: every attempt trips, the client exhausts retries and
 	// surfaces dependency_fault; the name must stay unregistered.

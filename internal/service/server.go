@@ -48,7 +48,7 @@ type Config struct {
 	// replace it at runtime.
 	Model *core.TimeModel
 	// Models, when non-nil, is a pre-loaded model registry (cmd/coted
-	// restores one from -model-file); otherwise the server creates an
+	// passes the one modelio resolves); otherwise the server creates an
 	// empty one. Config.Model, when also set, is installed on top.
 	Models *calib.Registry
 	// Calib parameterizes the online calibration loop: the refit gate and
