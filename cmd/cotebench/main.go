@@ -30,7 +30,6 @@ import (
 	"cote/internal/core"
 	"cote/internal/experiments"
 	"cote/internal/fingerprint"
-	"cote/internal/modelio"
 	"cote/internal/opt"
 	"cote/internal/props"
 	"cote/internal/stats"
@@ -41,8 +40,7 @@ func main() {
 	fig := flag.String("fig", "all", "figure/table id to regenerate, or 'all'")
 	seed := flag.Int64("seed", 42, "seed of the random workload generator")
 	timeout := flag.Duration("timeout", 0, "deadline for the whole suite (0 = none)")
-	var mf modelio.Flags
-	mf.Register(flag.CommandLine)
+	modelFile := flag.String("model-file", "", "JSON model-registry file the calib figure persists its converged registry to")
 	flag.Parse()
 
 	ctx := context.Background()
@@ -53,7 +51,7 @@ func main() {
 	}
 
 	s := newSuite(*seed, ctx)
-	s.mf = &mf
+	s.modelFile = *modelFile
 	ids := strings.Split(*fig, ",")
 	if *fig == "all" {
 		ids = []string{"2", "4a", "4b", "4c", "5a", "5d", "5g", "6a", "6b", "6c", "6d", "6e", "6f",
@@ -77,7 +75,7 @@ type suite struct {
 	ctx       context.Context // bounds the whole suite (-timeout)
 	workloads map[string]*workload.Workload
 	models    map[string]*core.TimeModel // "s" and "p"
-	mf        *modelio.Flags             // -model-file persistence for the calib figure
+	modelFile string                     // -model-file: where the calib figure persists its registry
 }
 
 func newSuite(seed int64, ctx context.Context) *suite {
@@ -288,11 +286,11 @@ func (s *suite) calibration() error {
 	if v, ok := reg.Get(1); ok {
 		fmt.Printf("v1 (%s) still retrievable for rollback: %v\n", v.Source, v.Model)
 	}
-	if s.mf != nil && s.mf.ModelFile != "" {
-		if err := s.mf.Save(reg); err != nil {
+	if s.modelFile != "" {
+		if err := reg.Save(s.modelFile, calib.MeasureTinst()); err != nil {
 			return err
 		}
-		fmt.Printf("registry (v%d) persisted to %s\n", reg.Version(), s.mf.ModelFile)
+		fmt.Printf("registry (v%d) persisted to %s\n", reg.Version(), s.modelFile)
 	}
 	fmt.Println()
 	return nil

@@ -21,9 +21,9 @@
 // The daemon starts with the model in -model-file, else a -calibrate fit,
 // else the release model, rescaled to the host by a micro-benchmark. Every
 // real optimization feeds the drift detector; when prediction error crosses
-// -drift-threshold the model's Tinst and C0 are refitted over the window
-// and installed as a new registry version (rolled back via POST /v1/model).
-// With -model-file the registry persists across restarts.
+// -drift-threshold the scale of the model's Ct and its C0 are refitted over
+// the window and installed as a new registry version (rolled back via POST
+// /v1/model). With -model-file the registry persists across restarts.
 //
 // On SIGINT/SIGTERM the daemon shuts down gracefully: it stops accepting,
 // lets in-flight requests drain for half the -grace period, then cancels

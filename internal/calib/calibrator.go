@@ -96,9 +96,14 @@ type Calibrator struct {
 	reg   *Registry
 
 	// refitMu serializes refits; sinceAttempt (under it) spaces automatic
-	// attempts MinSamples observations apart.
-	refitMu      sync.Mutex
-	sinceAttempt int
+	// attempts MinSamples observations apart. refitted is the last model
+	// this calibrator installed and anchor the model it rescaled: while
+	// refitted is current, the next refit rescales anchor again, so each
+	// installed Ct is one rounding from the proportions the loop started
+	// from, however many refits ran.
+	refitMu          sync.Mutex
+	sinceAttempt     int
+	anchor, refitted *core.TimeModel
 
 	observations   atomic.Int64
 	recalibrations atomic.Int64
@@ -200,11 +205,11 @@ func (c *Calibrator) minSamples() int {
 // Recalibrate refits the model over the current observation window and
 // installs it (source tags the registry entry) when it beats the incumbent
 // by the hysteresis margin on that same window. The refit keeps the
-// incumbent's Ct bit for bit and fits its Tinst and C0 (core.Refit):
-// production compiles are untimed, so the window carries no per-method
-// times, and the proportions come from the release or a training fit. It
-// returns the installed version, ErrNotEnoughSamples on a thin window,
-// ErrNoIncumbent with no model to rescale, ErrNoImprovement when the
+// incumbent's Tinst and Ct proportions and fits their scale and C0
+// (core.Refit): production compiles are untimed, so the window carries no
+// per-method times, and the proportions come from the release or a training
+// fit. It returns the installed version, ErrNotEnoughSamples on a thin
+// window, ErrNoIncumbent with no model to rescale, ErrNoImprovement when the
 // candidate lost, or the regression's error. A successful install resets
 // the drift window.
 func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
@@ -219,7 +224,11 @@ func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 	if incumbent == nil {
 		return nil, ErrNoIncumbent
 	}
-	candidate, err := core.Refit(incumbent, window)
+	prior := incumbent
+	if incumbent == c.refitted {
+		prior = c.anchor
+	}
+	candidate, err := core.Refit(prior, window)
 	if err != nil {
 		c.failures.Add(1)
 		return nil, err
@@ -230,6 +239,7 @@ func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 		return nil, ErrNoImprovement
 	}
 	v := c.reg.Install(candidate, source, len(window), candErr)
+	c.anchor, c.refitted = prior, candidate
 	c.recalibrations.Add(1)
 	c.drift.Reset()
 	if c.cfg.OnSwap != nil {

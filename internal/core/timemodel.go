@@ -65,11 +65,10 @@ func (m *TimeModel) String() string {
 // paper refits per release and keeps distinct serial and parallel constant
 // sets). The Ct proportions are each method's measured generation time per
 // plan (GenSeconds); Refit then fits their common scale and C0 from Counts
-// and Actual. The fit is expressed at Tinst = 1/10^9 — a nominal
-// nanosecond-scale instruction — so the constants carry the
-// machine-specific magnitudes. A training set without per-method times is
-// refused: counts alone cannot separate the methods when they are nearly
-// collinear.
+// and Actual. Tinst is fixed at 1/10^9 — a nominal nanosecond-scale
+// instruction — so the constants carry the machine-specific magnitudes. A
+// training set without per-method times is refused: counts alone cannot
+// separate the methods when they are nearly collinear.
 func Calibrate(training []CompileObservation) (*TimeModel, error) {
 	if len(training) < int(props.NumJoinMethods)+1 {
 		return nil, errors.New("core: need more training queries than model constants")
@@ -92,28 +91,21 @@ func Calibrate(training []CompileObservation) (*TimeModel, error) {
 	if !timed {
 		return nil, errors.New("core: training observations carry no per-method generation times")
 	}
-	m, err := Refit(shares, training)
-	if err != nil {
-		return nil, err
-	}
-	scale := m.Tinst / nominalTinst
-	for t := range m.C {
-		m.C[t] *= scale
-	}
-	m.C0 *= scale
-	m.Tinst = nominalTinst
-	return m, nil
+	return Refit(shares, training)
 }
 
 // nominalTinst is the Tinst of a model Calibrate fits.
 const nominalTinst = 1e-9
 
-// Refit keeps prior's Ct bit for bit and refits, from the observations'
-// Counts and Actual alone, its Tinst and C0: the paper fits the Ct once per
-// release (§4) and rescales only Tinst per machine. Rows are weighted by
-// 1/actual so the fit minimizes relative rather than absolute error — the
-// metric the paper evaluates on. It needs no per-method timings, so it is
-// what the online loop runs on production compiles.
+// Refit keeps prior's Tinst and Ct proportions and refits, from the
+// observations' Counts and Actual alone, the common scale of the Ct and C0:
+// the paper fits the proportions once per release (§4) and only rescales
+// afterwards. Tinst stays put because the meta-optimizer converts plan
+// execution cost to time at it; a refit that moved Tinst would move that
+// side of its recompile decision too. Rows are weighted by 1/actual so the
+// fit minimizes relative rather than absolute error — the metric the paper
+// evaluates on. It needs no per-method timings, so it is what the online
+// loop runs on production compiles.
 func Refit(prior *TimeModel, training []CompileObservation) (*TimeModel, error) {
 	// The C0 regressor is unit/actual, not 1/actual: in units of the mean
 	// actual both regressors are of order one, where 1/actual alone is so
@@ -141,8 +133,11 @@ func Refit(prior *TimeModel, training []CompileObservation) (*TimeModel, error) 
 	if beta[0] <= 0 {
 		return nil, errors.New("core: refit found no positive scale for the model")
 	}
-	// T = Tinst·(β0·ΣCt·Pt + β1·unit) = (β0·Tinst)·(ΣCt·Pt + β1·unit/β0).
-	return &TimeModel{Tinst: beta[0] * prior.Tinst, C: prior.C, C0: beta[1] * unit / beta[0]}, nil
+	m := &TimeModel{Tinst: prior.Tinst, C0: beta[1] * unit}
+	for t := range m.C {
+		m.C[t] = beta[0] * prior.C[t]
+	}
+	return m, nil
 }
 
 // actualUnits is an observation's measured time in units of tinst, at least

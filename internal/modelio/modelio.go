@@ -1,9 +1,9 @@
 // Package modelio is the model-file and calibration plumbing shared by the
-// cote commands (coted, mop, explain, cotebench): one flag set for loading
-// a versioned model registry from disk (-model-file, host-rescaled via the
-// Tinst micro-benchmark), calibrating on a named built-in workload
-// (-calibrate), or else taking the shipped release model, so a new model
-// flag lands in one place instead of four.
+// cote commands (coted, mop, explain): one flag set for loading a versioned
+// model registry from disk (-model-file, host-rescaled via the Tinst
+// micro-benchmark), calibrating on a named built-in workload (-calibrate),
+// or else taking the shipped release model, so a new model flag lands in
+// one place instead of three.
 package modelio
 
 import (

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -64,8 +65,12 @@ func compileShapes(t *testing.T, srv *Server) []string {
 }
 
 // A server seeded with the serial release registry reports the shipped Ct
-// proportions bit for bit after 20 passes of compiles: the online loop only
-// rescales Tinst and C0. The drift threshold is low enough that refits run.
+// proportions after 20 passes of compiles: the online loop only rescales
+// them and refits C0. Each refit rescales the release constants themselves,
+// so the ratio is one rounding of each constant away from the shipped one —
+// within 4 ulps, the bound calib.TestRecalibrateKeepsIncumbentRatio holds —
+// however many refits ran. The drift threshold is low enough that refits
+// run.
 func TestReleaseProportionsSurviveCompiles(t *testing.T) {
 	rel, err := calib.Release(1, 0)
 	if err != nil {
@@ -87,7 +92,7 @@ func TestReleaseProportionsSurviveCompiles(t *testing.T) {
 	_, body := getJSON(t, ts.URL+"/v1/model")
 	got := body["ratio"].([]any)
 	for m, w := range want {
-		if got[m].(float64) != w {
+		if d := math.Abs(got[m].(float64) - w); d > 4*(math.Nextafter(w, math.Inf(1))-w) {
 			t.Errorf("ratio %v after %d compiles, the release's %v", got, 20*len(shapes), want)
 		}
 	}
