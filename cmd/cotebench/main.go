@@ -216,9 +216,9 @@ func (s *suite) calibration() error {
 	}
 	bad.C0 *= 4
 
-	reg := calib.NewRegistry(0)
+	reg := calib.NewRegistry()
 	reg.Install(&bad, "seed", 0, 0)
-	cal := calib.NewCalibrator(reg, calib.Config{})
+	cal := calib.NewCalibrator(reg, nil)
 
 	type sample struct {
 		counts core.PlanCounts

@@ -9,7 +9,6 @@
 //	      [-cache 1024] [-budget 0] [-budget-factor 0] [-mem-budget 0]
 //	      [-downgrade] [-shed-deadline 0]
 //	      [-calibrate workload] [-model-file cote-model.json]
-//	      [-recalibrate-min-samples 8] [-drift-threshold 0.5]
 //	      [-grace 10s] [-pprof] [-fault-plan SPEC]
 //
 // Endpoints: POST /v1/estimate, POST /v1/optimize, POST /v1/calibrate,
@@ -20,10 +19,12 @@
 //
 // The daemon starts with the model in -model-file, else a -calibrate fit,
 // else the release model, rescaled to the host by a micro-benchmark. Every
-// real optimization feeds the drift detector; when prediction error crosses
-// -drift-threshold the scale of the model's Ct and its C0 are refitted over
-// the window and installed as a new registry version (rolled back via POST
-// /v1/model). With -model-file the registry persists across restarts.
+// real optimization feeds the drift detector; when the mean relative
+// prediction error over the last 32 compiles crosses 0.5 the scale of the
+// model's Ct and its C0 are refitted over the window and installed as a new
+// registry version (rolled back via POST /v1/model, which also forces a
+// refit with {"recalibrate": true}). With -model-file the registry persists
+// across restarts.
 //
 // On SIGINT/SIGTERM the daemon shuts down gracefully: it stops accepting,
 // lets in-flight requests drain for half the -grace period, then cancels
@@ -66,8 +67,6 @@ func main() {
 	faultPlan := flag.String("fault-plan", "", "activate a deterministic fault-injection plan, e.g. 'seed=42;pool.acquire:error,p=0.1' (chaos testing; see internal/faultinject)")
 	grace := flag.Duration("grace", 10*time.Second, "graceful-shutdown window; in-flight work is cancelled halfway through")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof endpoints for profiling")
-	recalMin := flag.Int("recalibrate-min-samples", 0, "observations required in the window before an online refit, and between automatic refit attempts (0 = default 8)")
-	driftThreshold := flag.Float64("drift-threshold", 0, "mean relative prediction error that triggers online recalibration (0 = default 0.5, negative = track drift but never auto-refit)")
 	var mf modelio.Flags
 	mf.Register(flag.CommandLine)
 	flag.Parse()
@@ -79,7 +78,7 @@ func main() {
 	}
 	v := reg.Current()
 	log.Printf("model v%d (%s): %v", v.Version, v.Source, v.Model)
-	// OnSwap persists every installed version (refits, uploads, rollbacks)
+	// persist saves every installed version (refits, uploads, rollbacks)
 	// back to -model-file; the mutex keeps concurrent swaps from racing the
 	// temp-file rename.
 	var persistMu sync.Mutex
@@ -107,11 +106,7 @@ func main() {
 		Downgrade:      *downgrade,
 		ShedDeadline:   *shedDeadline,
 		Models:         reg,
-		Calib: calib.Config{
-			MinSamples:     *recalMin,
-			DriftThreshold: *driftThreshold,
-			OnSwap:         persist,
-		},
+		Calib:          persist,
 	}
 	srv := service.New(cfg)
 

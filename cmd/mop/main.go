@@ -70,7 +70,7 @@ func main() {
 
 	// The registry supplies the model per run and the calibrator observes
 	// every real compilation, so a drifting model heals mid-workload.
-	cal := cote.NewCalibrator(reg, cote.CalibratorConfig{})
+	cal := cote.NewCalibrator(reg, nil)
 	mop := &cote.MetaOptimizer{
 		High:         cote.LevelHighInner2,
 		Config:       cfg,

@@ -81,7 +81,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Meta-optimizer runs end to end.
-	mop := &cote.MetaOptimizer{Model: model}
+	models := cote.NewModelRegistry()
+	models.Install(model, "calibrate", 0, 0)
+	mop := &cote.MetaOptimizer{Models: models}
 	_, dec, err := mop.Run(q)
 	if err != nil {
 		t.Fatal(err)

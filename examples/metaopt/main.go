@@ -33,6 +33,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	models := cote.NewModelRegistry()
+	models.Install(model, "calibrate", len(training), 0)
 
 	heavy := cote.MustParseSQL(`
 		SELECT n_name, o_orderdate, SUM(l_extendedprice)
@@ -56,7 +58,7 @@ func main() {
 		  AND n3.n_nationkey = n4.n_nationkey
 		  AND n1.n_name = 'FRANCE'`, cat)
 
-	mop := &cote.MetaOptimizer{High: cote.LevelHighInner2, Model: model}
+	mop := &cote.MetaOptimizer{High: cote.LevelHighInner2, Models: models}
 	for _, tc := range []struct {
 		name string
 		q    *cote.Query

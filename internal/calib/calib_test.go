@@ -3,7 +3,9 @@ package calib
 import (
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,8 +54,8 @@ func varied(n int) []core.PlanCounts {
 }
 
 func TestLogRingBuffer(t *testing.T) {
-	l := NewLog(4)
-	if l.Cap() != 4 || l.Len() != 0 {
+	var l Log
+	if l.Cap() != LogCapacity || l.Len() != 0 {
 		t.Fatalf("fresh log: len %d cap %d", l.Len(), l.Cap())
 	}
 	add := func(actual int) {
@@ -66,35 +68,35 @@ func TestLogRingBuffer(t *testing.T) {
 	if len(got) != 3 || got[0].Actual != 1 || got[2].Actual != 3 {
 		t.Fatalf("partial window snapshot: %v", got)
 	}
-	add(4)
-	add(5) // evicts 1
-	add(6) // evicts 2
-	got = l.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("full window len %d, want 4", len(got))
+	for i := 4; i <= LogCapacity+2; i++ {
+		add(i) // the last two evict 1 and 2
 	}
-	for i, want := range []time.Duration{3, 4, 5, 6} {
-		if got[i].Actual != want {
+	got = l.Snapshot()
+	if len(got) != LogCapacity {
+		t.Fatalf("full window len %d, want %d", len(got), LogCapacity)
+	}
+	for i := range got {
+		if want := time.Duration(i + 3); got[i].Actual != want {
 			t.Fatalf("snapshot[%d] = %v, want %v (oldest first)", i, got[i].Actual, want)
 		}
 	}
 }
 
 func TestDriftDetector(t *testing.T) {
-	d := NewDriftDetector(8, 0.5, 4)
+	var d DriftDetector
 	// Huge errors below the sample floor must not fire.
-	d.Observe(3)
-	d.Observe(3)
-	d.Observe(3)
+	for i := 0; i < DriftMinSamples-1; i++ {
+		d.Observe(3)
+	}
 	if d.Degraded() {
-		t.Fatal("degraded below minSamples")
+		t.Fatal("degraded below DriftMinSamples")
 	}
 	d.Observe(3)
 	if !d.Degraded() {
-		t.Fatalf("not degraded at mean 3.0 > 0.5 with %d samples", d.N())
+		t.Fatalf("not degraded at mean 3.0 > %v with %d samples", DriftThreshold, d.n())
 	}
 	// The window rolls: enough accurate predictions wash the spike out.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < DriftWindow; i++ {
 		d.Observe(0.01)
 	}
 	if d.Degraded() {
@@ -106,22 +108,23 @@ func TestDriftDetector(t *testing.T) {
 }
 
 func TestDriftDetectorIgnoresNonFinite(t *testing.T) {
-	d := NewDriftDetector(4, 0.5, 2)
+	var d DriftDetector
 	d.Observe(math.NaN())
 	d.Observe(math.Inf(1))
 	d.Observe(math.Inf(-1))
-	if d.N() != 0 || d.Drift() != 0 {
-		t.Fatalf("non-finite errors entered the window: n=%d drift=%v", d.N(), d.Drift())
+	if d.n() != 0 || d.Drift() != 0 {
+		t.Fatalf("non-finite errors entered the window: n=%d drift=%v", d.n(), d.Drift())
 	}
-	d.Observe(2)
-	d.Observe(2)
+	for i := 0; i < DriftMinSamples; i++ {
+		d.Observe(2)
+	}
 	if !d.Degraded() {
 		t.Fatal("finite errors after non-finite ones must still count")
 	}
 }
 
 func TestRegistryVersioningAndRollback(t *testing.T) {
-	r := NewRegistry(3)
+	r := NewRegistry()
 	if r.CurrentModel() != nil || r.Version() != 0 {
 		t.Fatal("empty registry must provide no model")
 	}
@@ -151,8 +154,10 @@ func TestRegistryVersioningAndRollback(t *testing.T) {
 		t.Fatal("rollback must copy the model, not alias the retained snapshot")
 	}
 
-	// retain=3: installing a 4th version evicts v1; rolling back to it fails.
-	r.Install(model(1, 1, 1, 1), "api", 0, 0)
+	// Installing version Retain+1 evicts v1; rolling back to it fails.
+	for r.Version() < Retain+1 {
+		r.Install(model(1, 1, 1, 1), "api", 0, 0)
+	}
 	if _, ok := r.Get(1); ok {
 		t.Fatal("v1 still retained past the retention bound")
 	}
@@ -160,14 +165,14 @@ func TestRegistryVersioningAndRollback(t *testing.T) {
 		t.Fatal("rollback to an evicted version must error")
 	}
 	hist := r.History()
-	if len(hist) != 3 || hist[0].Version != 2 || hist[2].Version != 4 {
+	if len(hist) != Retain || hist[0].Version != 2 || hist[Retain-1].Version != Retain+1 {
 		t.Fatalf("history %v", hist)
 	}
 }
 
 func TestPersistenceRoundTripAndTinstRescale(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.json")
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.Install(model(5, 2, 4, 1000), "seed", 0, 0)
 	r.Install(model(6, 1, 2, 900), "recalibrate", 32, 0.07)
 	if _, err := r.Rollback(1); err != nil {
@@ -180,7 +185,7 @@ func TestPersistenceRoundTripAndTinstRescale(t *testing.T) {
 	}
 
 	// Same host speed: byte-equal models, same current version.
-	same, err := Load(path, 0, savedHost)
+	same, err := Load(path, savedHost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +200,7 @@ func TestPersistenceRoundTripAndTinstRescale(t *testing.T) {
 	}
 
 	// A 2x slower host: every model's Tinst doubles, constants untouched.
-	slower, err := Load(path, 0, 2*savedHost)
+	slower, err := Load(path, 2*savedHost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +235,7 @@ func TestPersistenceRoundTripAndTinstRescale(t *testing.T) {
 // its predictions.
 func TestLoadRegistryFileFromBeforeObservationFold(t *testing.T) {
 	const path = "testdata/registry_compat.json"
-	r, err := Load(path, 0, 2e-9) // the saving host's Tinst: no rescale
+	r, err := Load(path, 2e-9) // the saving host's Tinst: no rescale
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +278,7 @@ func TestLoadRegistryFileFromBeforeObservationFold(t *testing.T) {
 		t.Fatal("current memory model is not v4's")
 	}
 	// A host twice as slow doubles every time prediction.
-	slower, err := Load(path, 0, 4e-9)
+	slower, err := Load(path, 4e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +287,58 @@ func TestLoadRegistryFileFromBeforeObservationFold(t *testing.T) {
 	}
 }
 
+// Every version has a time model the model endpoints can price with:
+// testdata/registry_mem_only.json's v2 carries only a memory model (GET
+// /v1/model/history would read the ratio of its nil time model), and a
+// time model with Tinst <= 0 or a negative constant predicts nothing
+// sensible. Load refuses each, naming the version; InstallMem refuses to
+// create a version without a time model.
+func TestLoadRefusesVersionsWithoutAValidTimeModel(t *testing.T) {
+	if _, err := Load("testdata/registry_mem_only.json", 0); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("memory-only version: err %v, want a refusal naming version 2", err)
+	}
+	for _, tc := range []struct {
+		name, model, field string
+	}{
+		{"zero tinst", `{"tinst": 0, "c_mgjn": 5, "c_nljn": 2, "c_hsjn": 4, "c0": 1}`, "tinst"},
+		{"negative tinst", `{"tinst": -1e-9, "c_mgjn": 5, "c_nljn": 2, "c_hsjn": 4, "c0": 1}`, "tinst"},
+		{"negative Ct", `{"tinst": 1e-9, "c_mgjn": 5, "c_nljn": -2, "c_hsjn": 4, "c0": 1}`, "c_nljn"},
+		{"negative C0", `{"tinst": 1e-9, "c_mgjn": 5, "c_nljn": 2, "c_hsjn": 4, "c0": -1}`, "c0"},
+	} {
+		path := filepath.Join(t.TempDir(), "model.json")
+		file := `{"current": 7, "versions": [{"version": 7, "source": "api", "model": ` + tc.model + `}]}`
+		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path, 0)
+		if err == nil || !strings.Contains(err.Error(), "version 7") || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err %v, want a refusal naming version 7 and %s", tc.name, err, tc.field)
+		}
+	}
+	// A file saved on a host whose Tinst underflows the rescale would load
+	// an infinite Tinst.
+	path := filepath.Join(t.TempDir(), "model.json")
+	file := `{"host_tinst": 5e-324, "current": 1, "versions": [{"version": 1, "source": "api", "model": {"tinst": 1e-9, "c_mgjn": 5, "c_nljn": 2, "c_hsjn": 4, "c0": 1}}]}`
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path, 1e-9); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("infinite rescaled Tinst: err %v, want a refusal naming version 1", err)
+	}
+
+	r := NewRegistry()
+	if v, err := r.InstallMem(&core.MemModel{Base: 1}, "test", 0); err == nil || v != nil || r.Version() != 0 {
+		t.Fatalf("InstallMem into an empty registry: v%d, %v, %v; want no version and an error", r.Version(), v, err)
+	}
+	r.Install(model(5, 2, 4, 100), "seed", 0, 0)
+	v, err := r.InstallMem(&core.MemModel{Base: 1}, "test", 0)
+	if err != nil || v.Model != r.History()[0].Model || v.Mem.Base != 1 {
+		t.Fatalf("InstallMem over a time model: %+v, %v", v, err)
+	}
+}
+
 func TestLoadMissingFileIsEmptyRegistry(t *testing.T) {
-	r, err := Load(filepath.Join(t.TempDir(), "nope.json"), 0, 1e-9)
+	r, err := Load(filepath.Join(t.TempDir(), "nope.json"), 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +352,11 @@ func TestLoadMissingFileIsEmptyRegistry(t *testing.T) {
 func TestCalibratorAutoRecalibratesOnDrift(t *testing.T) {
 	trueModel := model(5, 2, 4, 4000)
 	seed := model(20, 8, 16, 16000) // 4x everything
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	reg.Install(seed, "seed", 0, 0)
-	cal := NewCalibrator(reg, Config{})
+	cal := NewCalibrator(reg, nil)
 
-	for _, c := range varied(DefaultMinSamples) {
+	for _, c := range varied(MinSamples) {
 		cal.ObserveCompile(syntheticObs(trueModel, reg.CurrentModel(), c))
 	}
 	st := cal.Stats()
@@ -333,19 +388,20 @@ func TestCalibratorAutoRecalibratesOnDrift(t *testing.T) {
 // the hysteresis gate rejects the candidate.
 func TestCalibratorHysteresisRejectsSideways(t *testing.T) {
 	trueModel := model(5, 2, 4, 4000)
-	reg := NewRegistry(0)
-	reg.Install(model(20, 8, 16, 16000), "seed", 0, 0)    // 4x everything
-	cal := NewCalibrator(reg, Config{DriftThreshold: -1}) // manual refits only
+	reg := NewRegistry()
+	reg.Install(model(20, 8, 16, 16000), "seed", 0, 0) // 4x everything
+	cal := NewCalibrator(reg, nil)
 
-	// Noisy observations (alternating ±15%) so window error is nonzero.
-	for i, c := range varied(2 * DefaultMinSamples) {
+	// Noisy observations (alternating ±15%) so window error is nonzero,
+	// recorded without the automatic refit: both refits are explicit.
+	for i, c := range varied(2 * MinSamples) {
 		o := syntheticObs(trueModel, nil, c)
 		if i%2 == 0 {
 			o.Actual = o.Actual * 115 / 100
 		} else {
 			o.Actual = o.Actual * 85 / 100
 		}
-		cal.ObserveCompile(o)
+		cal.record(o)
 	}
 	if _, err := cal.Recalibrate("recalibrate"); err != nil {
 		t.Fatalf("first refit of the mis-scaled seed: %v", err)
@@ -370,11 +426,10 @@ func TestCalibratorHysteresisRejectsSideways(t *testing.T) {
 // rejection against ±15% noisy actuals and the rejection count records
 // exactly when attempts ran.
 func TestCalibratorCooldownSpacesAttempts(t *testing.T) {
-	const minSamples = 5
 	trueModel := model(5, 2, 4, 4000)
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	reg.Install(trueModel, "seed", 0, 0)
-	cal := NewCalibrator(reg, Config{MinSamples: minSamples})
+	cal := NewCalibrator(reg, nil)
 
 	var attempts []int
 	for i, c := range varied(40) {
@@ -397,12 +452,12 @@ func TestCalibratorCooldownSpacesAttempts(t *testing.T) {
 	}
 	// The first attempt waits for the drift window to fill; every later one
 	// comes exactly MinSamples observations after the previous.
-	if len(attempts) < 2 || attempts[0] != DefaultDriftMinSamples {
-		t.Fatalf("attempts after observations %v, want the first at %d", attempts, DefaultDriftMinSamples)
+	if len(attempts) < 2 || attempts[0] != DriftMinSamples {
+		t.Fatalf("attempts after observations %v, want the first at %d", attempts, DriftMinSamples)
 	}
 	for k := 1; k < len(attempts); k++ {
-		if gap := attempts[k] - attempts[k-1]; gap != minSamples {
-			t.Fatalf("attempts after observations %v: gap %d, want %d", attempts, gap, minSamples)
+		if gap := attempts[k] - attempts[k-1]; gap != MinSamples {
+			t.Fatalf("attempts after observations %v: gap %d, want %d", attempts, gap, MinSamples)
 		}
 	}
 }
@@ -412,9 +467,9 @@ func TestCalibratorCooldownSpacesAttempts(t *testing.T) {
 // and explicit refits (run under -race).
 func TestCalibratorConcurrentObserveAndRead(t *testing.T) {
 	trueModel := model(5, 2, 4, 4000)
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	reg.Install(model(20, 8, 16, 16000), "seed", 0, 0)
-	cal := NewCalibrator(reg, Config{MinSamples: 5})
+	cal := NewCalibrator(reg, nil)
 	cs := varied(64)
 
 	var feeders, readers sync.WaitGroup
@@ -457,8 +512,8 @@ func TestCalibratorConcurrentObserveAndRead(t *testing.T) {
 	readers.Wait()
 
 	st := cal.Stats()
-	if st.Observations != 8*200 || st.WindowLen != DefaultLogCapacity {
-		t.Fatalf("observations %d window %d, want %d and %d", st.Observations, st.WindowLen, 8*200, DefaultLogCapacity)
+	if st.Observations != 8*200 || st.WindowLen != LogCapacity {
+		t.Fatalf("observations %d window %d, want %d and %d", st.Observations, st.WindowLen, 8*200, LogCapacity)
 	}
 	if st.Recalibrations < 1 || int64(reg.Version()) != 1+st.Recalibrations {
 		t.Fatalf("recalibrations %d, registry at v%d", st.Recalibrations, reg.Version())
@@ -466,7 +521,7 @@ func TestCalibratorConcurrentObserveAndRead(t *testing.T) {
 }
 
 func TestCalibratorNotEnoughSamples(t *testing.T) {
-	cal := NewCalibrator(NewRegistry(0), Config{})
+	cal := NewCalibrator(NewRegistry(), nil)
 	cal.ObserveCompile(core.CompileObservation{Counts: counts(10, 10, 10), Actual: time.Millisecond})
 	if _, err := cal.Recalibrate("recalibrate"); !errors.Is(err, ErrNotEnoughSamples) {
 		t.Fatalf("thin window: %v, want ErrNotEnoughSamples", err)
@@ -475,7 +530,7 @@ func TestCalibratorNotEnoughSamples(t *testing.T) {
 
 // Observations with nothing measured must be dropped, not logged.
 func TestCalibratorDropsNonPositiveActual(t *testing.T) {
-	cal := NewCalibrator(NewRegistry(0), Config{})
+	cal := NewCalibrator(NewRegistry(), nil)
 	cal.ObserveCompile(core.CompileObservation{Counts: counts(10, 10, 10)})
 	cal.ObserveCompile(core.CompileObservation{Counts: counts(10, 10, 10), Actual: -time.Second})
 	if st := cal.Stats(); st.Observations != 0 || st.WindowLen != 0 {

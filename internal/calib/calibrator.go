@@ -6,51 +6,21 @@ import (
 	"sync/atomic"
 
 	"cote/internal/core"
-	"cote/internal/props"
 	"cote/internal/stats"
 )
 
-// Calibrator defaults; see Config. DefaultHysteresis is the improvement
-// factor a candidate model must show over the incumbent on the observation
-// window before it is installed (incumbentErr >= DefaultHysteresis *
-// candidateErr), which keeps the registry from churning versions on noise.
+// The loop's constants. No refit runs before MinSamples observations sit
+// in the window, and automatic refit attempts are at least MinSamples
+// observations apart, which bounds refit CPU under a workload that keeps
+// drifting. Hysteresis is the improvement factor a candidate model must
+// show over the incumbent on the observation window before it is installed
+// (incumbentErr >= Hysteresis * candidateErr), which keeps the registry
+// from churning versions on noise. The drift detector's window and
+// threshold are in drift.go.
 const (
-	DefaultMinSamples = 8
-	DefaultHysteresis = 1.2
+	MinSamples = 8
+	Hysteresis = 1.2
 )
-
-// Config parameterizes the online calibration loop. The zero value enables
-// automatic recalibration with the package defaults. The window sizes are
-// fixed: DefaultLogCapacity observations, a DefaultDriftWindow error window
-// that fires after DefaultDriftMinSamples, and automatic refit attempts at
-// least MinSamples observations apart.
-type Config struct {
-	// MinSamples gates recalibration: no refit before this many
-	// observations sit in the window (DefaultMinSamples; it is also raised
-	// to the regression's own minimum, one more than the constant count).
-	// It is also the cooldown between automatic refit attempts, bounding
-	// refit CPU under a persistently drifting workload.
-	MinSamples int
-	// DriftThreshold is the mean relative error beyond which the model
-	// counts as drifted (DefaultDriftThreshold). Negative disables
-	// automatic recalibration entirely — drift is still tracked and
-	// reported, but only explicit Recalibrate calls refit.
-	DriftThreshold float64
-	// OnSwap, when non-nil, runs after every successful install with the
-	// new version (the daemon persists the registry here). Called
-	// synchronously; keep it cheap.
-	OnSwap func(*ModelVersion)
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinSamples <= 0 {
-		c.MinSamples = DefaultMinSamples
-	}
-	if c.DriftThreshold == 0 {
-		c.DriftThreshold = DefaultDriftThreshold
-	}
-	return c
-}
 
 // ErrNotEnoughSamples reports a refit attempted before the window holds
 // MinSamples observations.
@@ -90,10 +60,10 @@ type Stats struct {
 // accumulated — rescales it over the window (core.Refit) and installs the
 // result in the registry behind a hysteresis gate.
 type Calibrator struct {
-	cfg   Config
-	log   *Log
-	drift *DriftDetector
-	reg   *Registry
+	onSwap func(*ModelVersion)
+	log    Log
+	drift  DriftDetector
+	reg    *Registry
 
 	// refitMu serializes refits; sinceAttempt (under it) spaces automatic
 	// attempts MinSamples observations apart. refitted is the last model
@@ -112,29 +82,19 @@ type Calibrator struct {
 }
 
 // NewCalibrator returns a calibrator feeding reg. Refits rescale reg's
-// current model; while reg is empty the calibrator only observes.
-func NewCalibrator(reg *Registry, cfg Config) *Calibrator {
-	cfg = cfg.withDefaults()
-	return &Calibrator{
-		cfg:   cfg,
-		log:   NewLog(DefaultLogCapacity),
-		drift: NewDriftDetector(DefaultDriftWindow, cfg.DriftThreshold, DefaultDriftMinSamples),
-		reg:   reg,
-	}
+// current model; while reg is empty the calibrator only observes. onSwap,
+// when non-nil, runs after every refit it installs with the new version
+// (the daemon persists the registry there); it is called synchronously, so
+// keep it cheap.
+func NewCalibrator(reg *Registry, onSwap func(*ModelVersion)) *Calibrator {
+	return &Calibrator{onSwap: onSwap, reg: reg}
 }
 
 // Registry returns the model registry the calibrator installs into.
 func (c *Calibrator) Registry() *Registry { return c.reg }
 
 // Log returns the observation window.
-func (c *Calibrator) Log() *Log { return c.log }
-
-// Drift returns the current mean relative prediction error.
-func (c *Calibrator) Drift() float64 { return c.drift.Drift() }
-
-// Degraded reports whether prediction error has crossed the drift
-// threshold.
-func (c *Calibrator) Degraded() bool { return c.drift.Degraded() }
+func (c *Calibrator) Log() *Log { return &c.log }
 
 // Stats snapshots the loop's counters.
 func (c *Calibrator) Stats() Stats {
@@ -160,25 +120,11 @@ func (c *Calibrator) ObserveCompile(o core.CompileObservation) {
 	if o.Actual <= 0 {
 		return
 	}
-	c.observations.Add(1)
-	c.log.Add(o)
-	predicted := o.Predicted
-	if predicted == 0 {
-		if m := c.reg.CurrentModel(); m != nil {
-			predicted = m.Predict(o.Counts)
-		}
-	}
-	if predicted > 0 {
-		c.drift.Observe(stats.RelErr(predicted.Seconds(), o.Actual.Seconds()))
-	}
-	if c.cfg.DriftThreshold < 0 {
-		return
-	}
-
+	c.record(o)
 	c.refitMu.Lock()
 	c.sinceAttempt++
-	due := c.sinceAttempt >= c.cfg.MinSamples &&
-		c.log.Len() >= c.minSamples() &&
+	due := c.sinceAttempt >= MinSamples &&
+		c.log.Len() >= MinSamples &&
 		c.drift.Degraded()
 	if due {
 		c.sinceAttempt = 0
@@ -192,14 +138,20 @@ func (c *Calibrator) ObserveCompile(o core.CompileObservation) {
 	}
 }
 
-// minSamples is the effective refit gate: the configured minimum, but
-// never below what the regression itself needs.
-func (c *Calibrator) minSamples() int {
-	min := c.cfg.MinSamples
-	if floor := int(props.NumJoinMethods) + 1; min < floor {
-		min = floor
+// record folds one measured observation into the window and its
+// prediction error into the drift window.
+func (c *Calibrator) record(o core.CompileObservation) {
+	c.observations.Add(1)
+	c.log.Add(o)
+	predicted := o.Predicted
+	if predicted == 0 {
+		if m := c.reg.CurrentModel(); m != nil {
+			predicted = m.Predict(o.Counts)
+		}
 	}
-	return min
+	if predicted > 0 {
+		c.drift.Observe(stats.RelErr(predicted.Seconds(), o.Actual.Seconds()))
+	}
 }
 
 // Recalibrate refits the model over the current observation window and
@@ -217,7 +169,7 @@ func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 	defer c.refitMu.Unlock()
 
 	window := c.log.Snapshot()
-	if len(window) < c.minSamples() {
+	if len(window) < MinSamples {
 		return nil, ErrNotEnoughSamples
 	}
 	incumbent := c.reg.CurrentModel()
@@ -234,7 +186,7 @@ func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 		return nil, err
 	}
 	candErr := windowError(candidate, window)
-	if incErr := windowError(incumbent, window); incErr < candErr*DefaultHysteresis {
+	if incErr := windowError(incumbent, window); incErr < candErr*Hysteresis {
 		c.rejected.Add(1)
 		return nil, ErrNoImprovement
 	}
@@ -242,8 +194,8 @@ func (c *Calibrator) Recalibrate(source string) (*ModelVersion, error) {
 	c.anchor, c.refitted = prior, candidate
 	c.recalibrations.Add(1)
 	c.drift.Reset()
-	if c.cfg.OnSwap != nil {
-		c.cfg.OnSwap(v)
+	if c.onSwap != nil {
+		c.onSwap(v)
 	}
 	return v, nil
 }

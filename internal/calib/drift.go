@@ -5,51 +5,33 @@ import (
 	"sync"
 )
 
-// Drift defaults; see NewDriftDetector.
+// The drift detector's constants: a window of the last DriftWindow
+// prediction errors, which counts as drifted once it holds DriftMinSamples
+// of them and their mean exceeds DriftThreshold. They are set by the
+// project, not by an operator (ROADMAP item 2(b) is to re-derive them from
+// measurement).
 const (
-	DefaultDriftWindow     = 32
-	DefaultDriftThreshold  = 0.5
-	DefaultDriftMinSamples = 8
+	DriftWindow     = 32
+	DriftThreshold  = 0.5
+	DriftMinSamples = 8
 )
 
 // DriftDetector tracks the rolling relative error of compile-time
 // predictions against measured compile times. When the mean error over the
-// window crosses the threshold the installed model has drifted from the
-// live workload — the signal that triggers recalibration (or flags the
-// model degraded when recalibration is gated off).
+// window crosses DriftThreshold the installed model has drifted from the
+// live workload — the signal that triggers recalibration. The zero value is
+// an empty detector.
 //
 // Relative error rather than q-error keeps the metric identical to the one
 // the paper evaluates on (Section 5's "within 30%" bars) and to
 // stats.RelErr; non-finite errors (an actual of zero) are dropped rather
 // than poisoning the window.
 type DriftDetector struct {
-	mu        sync.Mutex
-	window    []float64
-	next      int
-	full      bool
-	sum       float64
-	threshold float64
-	minN      int
-}
-
-// NewDriftDetector returns a detector over a rolling window of the given
-// size that reports Degraded once at least minSamples errors are present
-// and their mean exceeds threshold. Non-positive arguments take the
-// package defaults.
-func NewDriftDetector(window int, threshold float64, minSamples int) *DriftDetector {
-	if window <= 0 {
-		window = DefaultDriftWindow
-	}
-	if threshold <= 0 {
-		threshold = DefaultDriftThreshold
-	}
-	if minSamples <= 0 {
-		minSamples = DefaultDriftMinSamples
-	}
-	if minSamples > window {
-		minSamples = window
-	}
-	return &DriftDetector{window: make([]float64, window), threshold: threshold, minN: minSamples}
+	mu     sync.Mutex
+	window [DriftWindow]float64
+	next   int
+	full   bool
+	sum    float64
 }
 
 // Observe folds one prediction's relative error into the window. NaN and
@@ -83,13 +65,6 @@ func (d *DriftDetector) Drift() float64 {
 	return d.sum / float64(n)
 }
 
-// N returns the number of errors currently in the window.
-func (d *DriftDetector) N() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.n()
-}
-
 func (d *DriftDetector) n() int {
 	if d.full {
 		return len(d.window)
@@ -103,7 +78,7 @@ func (d *DriftDetector) Degraded() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := d.n()
-	return n >= d.minN && d.sum/float64(n) > d.threshold
+	return n >= DriftMinSamples && d.sum/float64(n) > DriftThreshold
 }
 
 // Reset empties the window — called after a successful recalibration so the

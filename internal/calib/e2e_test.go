@@ -21,11 +21,12 @@ import (
 func TestEndToEndCalibrationConvergence(t *testing.T) {
 	trueModel := model(5, 2, 4, 4200)
 	seed := model(20, 8, 16, 16800) // every coefficient x4
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	reg.Install(seed, "seed", 0, 0)
-	// Manual refits so the test can observe the drift signal itself rather
-	// than racing the auto path to it.
-	cal := NewCalibrator(reg, Config{DriftThreshold: -1})
+	// Observations are recorded without the automatic refit, so the test
+	// can observe the drift signal itself rather than racing the auto path
+	// to it.
+	cal := NewCalibrator(reg, nil)
 
 	// Plan counts are the estimator's (deterministic per query and level);
 	// two levels per query decorrelate the per-method counts exactly as the
@@ -65,10 +66,10 @@ func TestEndToEndCalibrationConvergence(t *testing.T) {
 	// Phase 1: the mis-scaled model prices the replay; drift must fire.
 	for _, o := range replay {
 		o.Predicted = reg.CurrentModel().Predict(o.Counts)
-		cal.ObserveCompile(o)
+		cal.record(o)
 	}
-	if !cal.Degraded() {
-		t.Fatalf("drift detector silent under a 4x mis-scaled model (drift %.2f)", cal.Drift())
+	if st := cal.Stats(); !st.Degraded {
+		t.Fatalf("drift detector silent under a 4x mis-scaled model (drift %.2f)", st.Drift)
 	}
 
 	// Phase 2: refit over the window.
@@ -90,12 +91,13 @@ func TestEndToEndCalibrationConvergence(t *testing.T) {
 	// Phase 3: the healed model prices the same replay; drift stays quiet.
 	for _, o := range replay {
 		o.Predicted = reg.CurrentModel().Predict(o.Counts)
-		cal.ObserveCompile(o)
+		cal.record(o)
 	}
-	if cal.Degraded() {
-		t.Fatalf("drift fired under the recalibrated model (drift %.2f)", cal.Drift())
+	st := cal.Stats()
+	if st.Degraded {
+		t.Fatalf("drift fired under the recalibrated model (drift %.2f)", st.Drift)
 	}
-	if cal.Drift() > DefaultDriftThreshold/2 {
-		t.Fatalf("residual drift %.2f suspiciously high after convergence", cal.Drift())
+	if st.Drift > DriftThreshold/2 {
+		t.Fatalf("residual drift %.2f suspiciously high after convergence", st.Drift)
 	}
 }

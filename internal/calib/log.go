@@ -14,28 +14,18 @@ import (
 	"cote/internal/core"
 )
 
-// DefaultLogCapacity bounds the observation window when no capacity is
-// configured.
-const DefaultLogCapacity = 256
+// LogCapacity is the size of the observation window.
+const LogCapacity = 256
 
 // Log is a bounded, goroutine-safe ring buffer of compile observations —
 // the calibration window. Once full, each new observation overwrites the
 // oldest, so the window tracks the recent workload rather than the whole
-// history.
+// history. The zero value is an empty log.
 type Log struct {
 	mu   sync.Mutex
-	buf  []core.CompileObservation
+	buf  [LogCapacity]core.CompileObservation
 	next int
 	full bool
-}
-
-// NewLog returns an empty log holding at most capacity observations
-// (DefaultLogCapacity when capacity <= 0).
-func NewLog(capacity int) *Log {
-	if capacity <= 0 {
-		capacity = DefaultLogCapacity
-	}
-	return &Log{buf: make([]core.CompileObservation, capacity)}
 }
 
 // Add appends one observation, evicting the oldest when full.

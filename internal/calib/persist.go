@@ -3,7 +3,6 @@ package calib
 import (
 	_ "embed"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -72,19 +71,21 @@ func (r *Registry) Save(path string, hostTinst float64) error {
 // records the saving host's Tinst, rescales every model's Tinst by
 // hostTinst/saved — the paper's machine-dependent constant re-pinned to the
 // loading machine, so a registry trained on one host predicts sensibly on
-// another. retain bounds the restored history as in NewRegistry.
+// another. Only the newest Retain versions are kept. A version without a
+// time model, or with one that core.TimeModel.Validate refuses after the
+// rescale, fails the load with an error naming the version.
 //
 // A missing file is not an error: Load returns an empty registry so callers
 // can treat -model-file as "create on first save".
-func Load(path string, retain int, hostTinst float64) (*Registry, error) {
+func Load(path string, hostTinst float64) (*Registry, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return NewRegistry(retain), nil
+		return NewRegistry(), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("calib: load registry: %w", err)
 	}
-	r, err := decode(data, retain, hostTinst)
+	r, err := decode(data, hostTinst)
 	if err != nil {
 		return nil, fmt.Errorf("calib: load registry %s: %w", path, err)
 	}
@@ -109,7 +110,7 @@ func Release(nodes int, hostTinst float64) (*Registry, error) {
 	if nodes > 1 {
 		data = releaseParallel
 	}
-	r, err := decode(data, 0, hostTinst)
+	r, err := decode(data, hostTinst)
 	if err != nil {
 		return nil, fmt.Errorf("calib: release registry: %w", err)
 	}
@@ -117,7 +118,7 @@ func Release(nodes int, hostTinst float64) (*Registry, error) {
 }
 
 // decode builds a registry from a registry file's bytes; see Load.
-func decode(data []byte, retain int, hostTinst float64) (*Registry, error) {
+func decode(data []byte, hostTinst float64) (*Registry, error) {
 	var f registryFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, err
@@ -126,33 +127,46 @@ func decode(data []byte, retain int, hostTinst float64) (*Registry, error) {
 	if hostTinst > 0 && f.HostTinst > 0 {
 		scale = hostTinst / f.HostTinst
 	}
-	r := NewRegistry(retain)
+	r := NewRegistry()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, v := range f.Versions {
-		if v == nil || (v.Model == nil && v.Mem == nil) {
-			return nil, errors.New("version entry without a model")
+	for i, v := range f.Versions {
+		if v == nil {
+			return nil, fmt.Errorf("version entry %d is empty", i)
 		}
-		if scale != 1 && v.Model != nil {
+		if v.Model == nil {
+			return nil, fmt.Errorf("version %d has no time model", v.Version)
+		}
+		if scale != 1 {
 			m := *v.Model
 			m.Tinst *= scale
 			v.Model = &m
+		}
+		if err := v.Model.Validate(); err != nil {
+			return nil, fmt.Errorf("version %d: model: %w", v.Version, err)
 		}
 		r.history = append(r.history, v)
 		if v.Version > r.lastVer {
 			r.lastVer = v.Version
 		}
+	}
+	if len(r.history) > Retain {
+		r.history = append(r.history[:0], r.history[len(r.history)-Retain:]...)
+	}
+	// The current version is a retained one: a file whose current pointer
+	// is stale, or names a version past the retention bound, yields its
+	// newest retained model rather than none.
+	var cur *ModelVersion
+	for _, v := range r.history {
 		if v.Version == f.Current {
-			r.cur.Store(v)
+			cur = v
 		}
 	}
-	if len(r.history) > r.retain {
-		r.history = append(r.history[:0], r.history[len(r.history)-r.retain:]...)
+	if cur == nil && len(r.history) > 0 {
+		cur = r.history[len(r.history)-1]
 	}
-	if r.cur.Load() == nil && len(r.history) > 0 {
-		// A file whose current pointer is stale still yields its newest
-		// retained model rather than none.
-		r.cur.Store(r.history[len(r.history)-1])
+	if cur != nil {
+		r.cur.Store(cur)
 	}
 	return r, nil
 }

@@ -9,13 +9,15 @@ import (
 	"cote/internal/props"
 )
 
-// untimedWindow feeds the calibrator one untimed observation (no GenSeconds,
-// as a production compile records) per count vector, measured by truth.
-func untimedWindow(cal *Calibrator, truth *core.TimeModel, n int) []core.CompileObservation {
+// untimedWindow feeds observe one untimed observation (no GenSeconds, as a
+// production compile records) per count vector, measured by truth. Tests
+// that refit by hand pass the calibrator's record, which skips the
+// automatic refit; ObserveCompile runs it.
+func untimedWindow(observe func(core.CompileObservation), truth *core.TimeModel, n int) []core.CompileObservation {
 	var window []core.CompileObservation
 	for _, c := range varied(n) {
 		o := syntheticObs(truth, nil, c)
-		cal.ObserveCompile(o)
+		observe(o)
 		window = append(window, o)
 	}
 	return window
@@ -37,10 +39,10 @@ func TestRecalibrateKeepsIncumbentRatio(t *testing.T) {
 		{"5:2:4", model(20, 8, 16, 1000), model(9, 3, 6, 9000), 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := NewRegistry(0)
+			reg := NewRegistry()
 			reg.Install(tc.incumbent, "calibrate", 0, 0)
-			cal := NewCalibrator(reg, Config{DriftThreshold: -1}) // manual refits only
-			untimedWindow(cal, tc.truth, 2*DefaultMinSamples)
+			cal := NewCalibrator(reg, nil)
+			untimedWindow(cal.record, tc.truth, 2*MinSamples)
 			v, err := cal.Recalibrate("recalibrate")
 			if err != nil {
 				t.Fatalf("recalibrate: %v", err)
@@ -77,12 +79,12 @@ func ulp(x float64) float64 { return math.Nextafter(x, math.Inf(1)) - x }
 // starting point.
 func TestSuccessiveRefitsRescaleTheFirstProportions(t *testing.T) {
 	first := model(20, 8, 16, 1000)
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	reg.Install(first, "release", 0, 0)
-	cal := NewCalibrator(reg, Config{DriftThreshold: -1})
+	cal := NewCalibrator(reg, nil)
 	refitOn := func(step int, truth, from *core.TimeModel) {
 		t.Helper()
-		window := untimedWindow(cal, truth, DefaultLogCapacity)
+		window := untimedWindow(cal.record, truth, LogCapacity)
 		v, err := cal.Recalibrate("recalibrate")
 		if err != nil {
 			t.Fatalf("refit %d: %v", step, err)
@@ -109,9 +111,9 @@ func TestSuccessiveRefitsRescaleTheFirstProportions(t *testing.T) {
 // refuses and installs nothing, and the automatic loop never attempts a
 // refit however many observations arrive.
 func TestRecalibrateWithoutIncumbentRefuses(t *testing.T) {
-	reg := NewRegistry(0)
-	cal := NewCalibrator(reg, Config{})
-	untimedWindow(cal, model(5, 2, 4, 4000), 2*DefaultMinSamples)
+	reg := NewRegistry()
+	cal := NewCalibrator(reg, nil)
+	untimedWindow(cal.ObserveCompile, model(5, 2, 4, 4000), 2*MinSamples)
 	if st := cal.Stats(); st.Recalibrations != 0 || st.Failures != 0 || st.Rejected != 0 {
 		t.Fatalf("the loop attempted a refit without an incumbent: %+v", st)
 	}

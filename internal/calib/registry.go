@@ -1,6 +1,7 @@
 package calib
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,9 +10,8 @@ import (
 	"cote/internal/core"
 )
 
-// DefaultRetain bounds how many model versions the registry keeps when no
-// retention is configured.
-const DefaultRetain = 16
+// Retain bounds how many model versions a registry keeps.
+const Retain = 16
 
 // ModelVersion is one immutable snapshot in the registry: a model, its
 // monotonically increasing version number, and the provenance that tells an
@@ -22,7 +22,8 @@ type ModelVersion struct {
 	// advances it, so "which model priced this request" is always a single
 	// comparable number.
 	Version int `json:"version"`
-	// Model is the snapshot itself.
+	// Model is the time model. Every version has one: a file version
+	// without one, or with one Validate refuses, is refused on load.
 	Model *core.TimeModel `json:"model"`
 	// Mem is the memory model paired with this version (nil until one was
 	// installed: an offline fit, loaded from a -model-file or passed to
@@ -51,19 +52,12 @@ type Registry struct {
 	cur atomic.Pointer[ModelVersion]
 
 	mu      sync.Mutex
-	history []*ModelVersion // ascending version order, bounded by retain
-	retain  int
+	history []*ModelVersion // ascending version order, at most Retain
 	lastVer int
 }
 
-// NewRegistry returns an empty registry retaining at most retain versions
-// (DefaultRetain when retain <= 0). An empty registry provides a nil model.
-func NewRegistry(retain int) *Registry {
-	if retain <= 0 {
-		retain = DefaultRetain
-	}
-	return &Registry{retain: retain}
-}
+// NewRegistry returns an empty registry, which provides a nil model.
+func NewRegistry() *Registry { return &Registry{} }
 
 // CurrentModel returns the current model, nil while the registry is empty.
 // This is the core.ModelProvider hot path: one atomic load.
@@ -105,17 +99,16 @@ func (r *Registry) Install(m *core.TimeModel, source string, samples int, fitErr
 
 // InstallMem snapshots mem as the new current memory model, carrying the
 // incumbent time model forward as a new version. mem must not be mutated by
-// the caller afterwards.
-func (r *Registry) InstallMem(mem *core.MemModel, source string, samples int) *ModelVersion {
+// the caller afterwards. Every version has a time model, so with none
+// current it installs nothing and returns an error.
+func (r *Registry) InstallMem(mem *core.MemModel, source string, samples int) (*ModelVersion, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var tm *core.TimeModel
-	var fitErr float64
-	if cur := r.cur.Load(); cur != nil {
-		tm, fitErr = cur.Model, cur.FitErr
+	cur := r.cur.Load()
+	if cur == nil {
+		return nil, errors.New("calib: no time model to carry a memory model")
 	}
-	v := r.installLocked(tm, mem, source, samples, fitErr)
-	return v
+	return r.installLocked(cur.Model, mem, source, samples, cur.FitErr), nil
 }
 
 // installLocked installs a new version. mem, when nil, inherits the
@@ -138,8 +131,8 @@ func (r *Registry) installLocked(m *core.TimeModel, mem *core.MemModel, source s
 		InstalledUnixMS: time.Now().UnixMilli(),
 	}
 	r.history = append(r.history, v)
-	if len(r.history) > r.retain {
-		r.history = append(r.history[:0], r.history[len(r.history)-r.retain:]...)
+	if len(r.history) > Retain {
+		r.history = append(r.history[:0], r.history[len(r.history)-Retain:]...)
 	}
 	r.cur.Store(v)
 	return v
@@ -174,17 +167,13 @@ func (r *Registry) Rollback(version int) (*ModelVersion, error) {
 	defer r.mu.Unlock()
 	for _, v := range r.history {
 		if v.Version == version {
-			var tm *core.TimeModel
-			if v.Model != nil {
-				cp := *v.Model
-				tm = &cp
-			}
+			tm := *v.Model
 			var mem *core.MemModel
 			if v.Mem != nil {
 				mcp := *v.Mem
 				mem = &mcp
 			}
-			return r.installLocked(tm, mem, fmt.Sprintf("rollback(v%d)", version), v.Samples, v.FitErr), nil
+			return r.installLocked(&tm, mem, fmt.Sprintf("rollback(v%d)", version), v.Samples, v.FitErr), nil
 		}
 	}
 	return nil, fmt.Errorf("calib: version %d not retained (have %d..%d)", version, r.oldestLocked(), r.lastVer)

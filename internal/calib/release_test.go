@@ -31,7 +31,7 @@ func TestReleaseModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg := NewRegistry(0)
+			reg := NewRegistry()
 			reg.Install(m, "release", 0, 0)
 			name := "release_serial.json"
 			if nodes > 1 {

@@ -493,7 +493,7 @@ func TestMOPDecisions(t *testing.T) {
 	// A model predicting enormous compile times forbids recompilation.
 	slow := &TimeModel{Tinst: 1e-9}
 	slow.C[props.NLJN], slow.C[props.MGJN], slow.C[props.HSJN] = 1e15, 1e15, 1e15
-	_, dec, err := (&MOP{Model: slow}).Run(blk)
+	_, dec, err := (&MOP{Models: staticProvider{m: slow}}).Run(blk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestMOPDecisions(t *testing.T) {
 	// worse.
 	fast := &TimeModel{Tinst: 1e-9}
 	blk2 := starBlock(t, 6, 2, 1, 0, 1)
-	res, dec, err := (&MOP{Model: fast}).Run(blk2)
+	res, dec, err := (&MOP{Models: staticProvider{m: fast}}).Run(blk2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,11 +542,11 @@ func TestMOPStaticQueriesGetMoreBudget(t *testing.T) {
 		m.C[i] = perPlan
 	}
 
-	_, dyn, err := (&MOP{Model: m}).Run(starBlock(t, 6, 1, 0, 0, 1))
+	_, dyn, err := (&MOP{Models: staticProvider{m: m}}).Run(starBlock(t, 6, 1, 0, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sta, err := (&MOP{Model: m, Static: true}).Run(starBlock(t, 6, 1, 0, 0, 1))
+	_, sta, err := (&MOP{Models: staticProvider{m: m}, Static: true}).Run(starBlock(t, 6, 1, 0, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func entryPoints() []entryPoint {
 			return planString(res), nil
 		}},
 		{"MOP", func(b *query.Block) (string, error) {
-			res, dec, err := (&MOP{Model: mopFastModel()}).Run(b)
+			res, dec, err := (&MOP{Models: staticProvider{m: mopFastModel()}}).Run(b)
 			if err != nil {
 				return "", err
 			}

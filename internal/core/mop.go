@@ -61,12 +61,9 @@ type MOP struct {
 	High opt.Level
 	// Config selects serial or parallel.
 	Config *cost.Config
-	// Model converts plan counts to compilation time. When nil, Models is
-	// consulted instead; one of the two must yield a model.
-	Model *TimeModel
-	// Models supplies the current models from a versioned registry: the
-	// time model when Model is nil, and the memory model. Both are read once
-	// per Run, so calibration swaps apply to the next meta-optimization.
+	// Models supplies the current time and memory models, read once per
+	// Run, so calibration swaps apply to the next meta-optimization. It
+	// must yield a time model.
 	Models ModelProvider
 	// Observer, when non-nil, receives one CompileObservation per real
 	// compilation the meta-optimizer runs (the low-level compile and any
@@ -109,11 +106,9 @@ func (m *MOP) RunCtx(ctx context.Context, blk *query.Block) (*opt.Result, *MOPDe
 	if high == opt.LevelLow {
 		high = opt.LevelHighInner2
 	}
-	eopts := Options{Level: high, Config: m.Config, Model: m.Model}
+	eopts := Options{Level: high, Config: m.Config}
 	if m.Models != nil {
-		if eopts.Model == nil {
-			eopts.Model = m.Models.CurrentModel()
-		}
+		eopts.Model = m.Models.CurrentModel()
 		eopts.MemModel = m.Models.CurrentMemModel()
 	}
 	// Plan execution cost units convert to time at the model's Tinst.

@@ -17,7 +17,7 @@ func TestMOPBudgetAbortWalksLevelLadder(t *testing.T) {
 	// A tiny budget relative to the (accurate) prediction aborts the high
 	// level; each lower rung re-predicts and — with the same factor — aborts
 	// too, until either a level fits or the greedy floor is reached.
-	m := &MOP{Model: mopFastModel(), BudgetFactor: 0.05}
+	m := &MOP{Models: staticProvider{m: mopFastModel()}, BudgetFactor: 0.05}
 	res, dec, err := m.RunCtx(context.Background(), blk)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestMOPBudgetAbortWalksLevelLadder(t *testing.T) {
 }
 
 func TestMOPZeroBudgetFactorMatchesRun(t *testing.T) {
-	mk := func() *MOP { return &MOP{Model: mopFastModel()} }
+	mk := func() *MOP { return &MOP{Models: staticProvider{m: mopFastModel()}} }
 	_, want, err := mk().Run(starBlock(t, 6, 2, 1, 0, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestMOPZeroBudgetFactorMatchesRun(t *testing.T) {
 }
 
 func TestMOPGenerousBudgetNeverAborts(t *testing.T) {
-	m := &MOP{Model: mopFastModel(), BudgetFactor: 1000}
+	m := &MOP{Models: staticProvider{m: mopFastModel()}, BudgetFactor: 1000}
 	_, dec, err := m.RunCtx(context.Background(), starBlock(t, 6, 2, 1, 0, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestMOPGenerousBudgetNeverAborts(t *testing.T) {
 func TestMOPRunCtxHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := (&MOP{Model: mopFastModel()}).RunCtx(ctx, starBlock(t, 6, 2, 1, 0, 1))
+	_, _, err := (&MOP{Models: staticProvider{m: mopFastModel()}}).RunCtx(ctx, starBlock(t, 6, 2, 1, 0, 1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -23,7 +23,7 @@ func (p staticProvider) CurrentMemModel() *MemModel { return p.mem }
 // with the estimate that justified it, whose structural counts it carries).
 func TestMOPObserverReceivesBothCompiles(t *testing.T) {
 	rec := &obsRecorder{}
-	m := &MOP{Model: mopFastModel(), Observer: rec}
+	m := &MOP{Models: staticProvider{m: mopFastModel()}, Observer: rec}
 	_, dec, err := m.Run(starBlock(t, 6, 2, 1, 0, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +71,9 @@ func TestMOPObserverReceivesBothCompiles(t *testing.T) {
 	}
 }
 
-// With no explicit Model, MOP must consult the provider — the hook that
-// lets a registry swap models between runs — for both the time and the
-// memory model; an explicit Model still wins over the provider's.
+// MOP must consult the provider — the hook that lets a registry swap
+// models between runs — for both the time and the memory model, on every
+// run, and fall back to the default memory model when it has none.
 func TestModelProviderFallback(t *testing.T) {
 	model := &TimeModel{Tinst: 1e-9, C: [3]float64{5, 2, 4}, C0: 100}
 	mem := &MemModel{Base: 1}
@@ -90,13 +90,13 @@ func TestModelProviderFallback(t *testing.T) {
 	}
 
 	bigger := &TimeModel{Tinst: 2 * model.Tinst, C: model.C, C0: model.C0}
-	m2 := &MOP{Model: bigger, Models: staticProvider{model, nil}}
+	m2 := &MOP{Models: staticProvider{bigger, nil}}
 	_, dec2, err := m2.Run(starBlock(t, 6, 2, 1, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec2.HighCompileEstimate != 2*dec.HighCompileEstimate {
-		t.Fatalf("explicit model did not win: %v vs %v", dec2.HighCompileEstimate, dec.HighCompileEstimate)
+		t.Fatalf("provider model not read per run: %v vs %v", dec2.HighCompileEstimate, dec.HighCompileEstimate)
 	}
 	if dec2.HighPredictedPeakBytes <= 1 {
 		t.Fatalf("nil provider memory model did not fall back to the default: %d", dec2.HighPredictedPeakBytes)

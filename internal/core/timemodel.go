@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"time"
 
 	"cote/internal/props"
@@ -51,6 +53,25 @@ func (m *TimeModel) Ratio() [props.NumJoinMethods]float64 {
 		out[t] = c / min
 	}
 	return out
+}
+
+// Validate checks a model that comes from outside the program (a model
+// file, POST /v1/model): Tinst must be positive and every Ct and C0
+// non-negative, all of them finite. The error names the offending field by
+// its JSON name.
+func (m *TimeModel) Validate() error {
+	if !(m.Tinst > 0) || math.IsInf(m.Tinst, 0) {
+		return fmt.Errorf("tinst %v must be positive and finite", m.Tinst)
+	}
+	for t, c := range m.C {
+		if !(c >= 0) || math.IsInf(c, 0) {
+			return fmt.Errorf("c_%s %v must be non-negative and finite", strings.ToLower(props.JoinMethod(t).String()), c)
+		}
+	}
+	if !(m.C0 >= 0) || math.IsInf(m.C0, 0) {
+		return fmt.Errorf("c0 %v must be non-negative and finite", m.C0)
+	}
+	return nil
 }
 
 // String renders the model compactly.

@@ -119,10 +119,10 @@ func (f *Flags) Save(reg *calib.Registry) error {
 // without the flag). File and release models are rescaled to this host's
 // Tinst. The registry is returned so the command can Save it.
 func (f *Flags) Resolve(nodes int) (*core.TimeModel, *calib.Registry, error) {
-	reg := calib.NewRegistry(0)
+	reg := calib.NewRegistry()
 	if f.ModelFile != "" {
 		var err error
-		if reg, err = calib.Load(f.ModelFile, 0, f.HostTinst()); err != nil {
+		if reg, err = calib.Load(f.ModelFile, f.HostTinst()); err != nil {
 			return nil, nil, err
 		}
 		if m := reg.CurrentModel(); m != nil {

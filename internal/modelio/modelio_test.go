@@ -110,7 +110,7 @@ func TestResolveOrder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.json")
 	saved := &core.TimeModel{Tinst: 1e-9, C0: 100}
 	saved.C[props.MGJN], saved.C[props.NLJN], saved.C[props.HSJN] = 5, 2, 4
-	file := calib.NewRegistry(0)
+	file := calib.NewRegistry()
 	file.Install(saved, "api", 0, 0)
 	if err := file.Save(path, host/4); err != nil {
 		t.Fatal(err)

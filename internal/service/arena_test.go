@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"cote/internal/calib"
 	"cote/internal/query"
 	"cote/internal/testutil"
 )
@@ -128,11 +127,11 @@ func TestPoolStateEstimateConcurrent(t *testing.T) {
 // the next cancellation point, so the pool is empty when the endpoint
 // returns and its arena goes back to the pool like every other; no
 // goroutine outlives the test. Every later response must equal a fresh
-// server's; neither server refits its model, whose fit would follow the
-// compiles' wall times.
+// server's; neither server has a model, so neither refits one, whose fit
+// would follow the compiles' wall times.
 func TestCancelledRunsRecycleArena(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	cfg := Config{Workers: 2, Calib: calib.Config{DriftThreshold: -1}}
+	cfg := Config{Workers: 2}
 	srv := New(cfg)
 	recycled := 0
 	srv.arenaReleased = func(*query.Arena) { recycled++ }

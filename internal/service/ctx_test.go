@@ -168,8 +168,7 @@ func TestPoolPanicReleasesSlot(t *testing.T) {
 // TestProgressEndpoint reads GET /v1/progress from inside a running
 // compile's progress hook, so the compile is in flight by construction.
 func TestProgressEndpoint(t *testing.T) {
-	srv := New(Config{Workers: 2})
-	srv.SetModel(testModel(1e-9)) // installs predictions: progress has a denominator
+	srv := New(Config{Workers: 2, Models: seeded(testModel(1e-9))}) // predictions: progress has a denominator
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -264,7 +263,7 @@ func TestProgressEndpoint(t *testing.T) {
 }
 
 func TestServerBudgetAbortDowngrades(t *testing.T) {
-	srv := New(Config{Workers: 2, Downgrade: true, BudgetFactor: 0.02, Model: testModel(1e-9)})
+	srv := New(Config{Workers: 2, Downgrade: true, BudgetFactor: 0.02, Models: seeded(testModel(1e-9))})
 	resp, err := srv.Optimize(context.Background(), OptimizeRequest{Catalog: "tpch", SQL: tpchQ6})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +283,7 @@ func TestServerBudgetAbortDowngrades(t *testing.T) {
 }
 
 func TestServerBudgetAbortRejectsWithoutDowngrade(t *testing.T) {
-	srv := New(Config{Workers: 2, BudgetFactor: 0.02, Model: testModel(1e-9)})
+	srv := New(Config{Workers: 2, BudgetFactor: 0.02, Models: seeded(testModel(1e-9))})
 	_, err := srv.Optimize(context.Background(), OptimizeRequest{Catalog: "tpch", SQL: tpchQ6})
 	if !errors.Is(err, optctx.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)

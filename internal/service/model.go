@@ -93,8 +93,8 @@ func (s *Server) UpdateModel(_ context.Context, req ModelUpdateRequest) (*ModelS
 	}
 	switch {
 	case req.Model != nil:
-		if req.Model.Tinst <= 0 {
-			return nil, badRequest("model.tinst must be positive")
+		if err := req.Model.Validate(); err != nil {
+			return nil, badRequest("model: %v", err)
 		}
 		if _, err := s.installModel(req.Model, "api", 0, 0); err != nil {
 			return nil, err

@@ -15,7 +15,7 @@ import (
 // response time, not the one that was current when the entry was filled:
 // the cache stores counts (model-independent), predictions are derived.
 func TestEstimateCacheRepricedOnModelSwap(t *testing.T) {
-	srv := New(Config{Workers: 2, CacheCapacity: 16, Model: testModel(1e-6)})
+	srv := New(Config{Workers: 2, CacheCapacity: 16, Models: seeded(testModel(1e-6))})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -86,7 +86,7 @@ func TestEstimateCacheRepricedOnModelSwap(t *testing.T) {
 // Every real optimization the server runs must land in the calibration
 // loop: observation counters move and the drift gauge starts reporting.
 func TestOptimizeFeedsCalibrator(t *testing.T) {
-	srv := New(Config{Workers: 2, Model: testModel(1e-6)})
+	srv := New(Config{Workers: 2, Models: seeded(testModel(1e-6))})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -134,6 +134,20 @@ func TestModelEndpoints(t *testing.T) {
 		t.Fatalf("two-field update: %d, want 400", resp.StatusCode)
 	}
 
+	// An upload passes the check a model file does: Tinst > 0 and every
+	// constant >= 0.
+	for _, bad := range []func(m *core.TimeModel){
+		func(m *core.TimeModel) { m.Tinst = 0 },
+		func(m *core.TimeModel) { m.C[props.NLJN] = -1 },
+		func(m *core.TimeModel) { m.C0 = -1 },
+	} {
+		m := testModel(1e-6)
+		bad(m)
+		if resp, body := postJSON(t, ts.URL+"/v1/model", ModelUpdateRequest{Model: m}); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("invalid model %+v: %d %v, want 400", *m, resp.StatusCode, body)
+		}
+	}
+
 	resp, body := postJSON(t, ts.URL+"/v1/model", ModelUpdateRequest{Model: testModel(1e-6)})
 	if resp.StatusCode != http.StatusOK || body["version"].(float64) != 1 {
 		t.Fatalf("install: %d %v", resp.StatusCode, body)
@@ -156,25 +170,25 @@ func TestModelEndpoints(t *testing.T) {
 }
 
 // Every way POST /v1/model makes a version current — install, rollback and
-// recalibrate — must publish it once: one OnSwap call with the new current
-// version (what -model-file persistence hangs off) and one model_installs
-// tick.
+// recalibrate — must publish it once: one Config.Calib call with the new
+// current version (what -model-file persistence hangs off) and one
+// model_installs tick.
 func TestModelUpdatesPublishOnce(t *testing.T) {
 	var mu sync.Mutex
 	var swapped []int
-	srv := New(Config{Workers: 1, Calib: calib.Config{
-		DriftThreshold: -1, // refit only when asked
-		OnSwap: func(v *calib.ModelVersion) {
-			mu.Lock()
-			swapped = append(swapped, v.Version)
-			mu.Unlock()
-		},
+	srv := New(Config{Workers: 1, Calib: func(v *calib.ModelVersion) {
+		mu.Lock()
+		swapped = append(swapped, v.Version)
+		mu.Unlock()
 	}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	// The window a recalibration refits over: plan counts timed by a model
-	// far enough from testModel that the refit beats the incumbent.
+	// far enough from testModel that the refit beats the incumbent. With no
+	// model installed they price nothing, so no automatic refit runs, and
+	// no observation follows the first install: the one refit is the
+	// requested one.
 	truth := &core.TimeModel{Tinst: 1}
 	truth.C[props.MGJN], truth.C[props.NLJN], truth.C[props.HSJN] = 5e-6, 2e-6, 4e-6
 	for i := 1; i <= 12; i++ {
@@ -209,7 +223,7 @@ func TestModelUpdatesPublishOnce(t *testing.T) {
 		got := append([]int(nil), swapped...)
 		mu.Unlock()
 		if len(got) != want || got[want-1] != want {
-			t.Fatalf("%s: OnSwap saw versions %v, want one call per update ending in %d", step.name, got, want)
+			t.Fatalf("%s: the swap hook saw versions %v, want one call per update ending in %d", step.name, got, want)
 		}
 		if after := installs(); after != before+1 {
 			t.Fatalf("%s: model_installs %v -> %v, want one more", step.name, before, after)

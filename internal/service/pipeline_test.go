@@ -22,8 +22,7 @@ func cacheTouches(m *Metrics) int64 {
 // memory, the progress/budget baseline and the calibration observation of
 // one optimize request all read one estimate of the level it settles on.
 func TestOptimizeTouchesCacheOncePerLevel(t *testing.T) {
-	srv := New(Config{Workers: 2})
-	srv.SetModel(testModel(1e-9))
+	srv := New(Config{Workers: 2, Models: seeded(testModel(1e-9))})
 	before := cacheTouches(srv.Metrics())
 	resp, err := srv.Optimize(context.Background(), OptimizeRequest{
 		Catalog: "tpch", SQL: tpchQ3, BudgetMS: 60_000, MemBudgetBytes: 1 << 30,

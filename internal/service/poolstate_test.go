@@ -25,11 +25,16 @@ const viewSQL = `SELECT c_name FROM customer,
 // at one byte less must equal the reference taken before the goroutines
 // start.
 func TestPoolStateCompileConcurrent(t *testing.T) {
-	srv := New(Config{Workers: 8})
 	// Admission would reject a tight budget on the structural memory model's
 	// prediction before compiling; a one-byte model leaves the decision to
-	// the compile's own measured charges.
-	srv.models.InstallMem(&core.MemModel{Base: 1}, "test", 0)
+	// the compile's own measured charges. A memory model rides on a time
+	// model's version; no time budget is set, so the time model (and any
+	// refit of it) decides nothing here.
+	models := seeded(testModel(1e-9))
+	if _, err := models.InstallMem(&core.MemModel{Base: 1}, "test", 0); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 8, Models: models})
 
 	tenants := []OptimizeRequest{
 		{Catalog: "tpch", SQL: heavySQL, Level: "high"},

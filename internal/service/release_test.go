@@ -64,21 +64,31 @@ func compileShapes(t *testing.T, srv *Server) []string {
 	return out
 }
 
-// A server seeded with the serial release registry reports the shipped Ct
-// proportions after 20 passes of compiles: the online loop only rescales
-// them and refits C0. Each refit rescales the release constants themselves,
-// so the ratio is one rounding of each constant away from the shipped one —
-// within 4 ulps, the bound calib.TestRecalibrateKeepsIncumbentRatio holds —
-// however many refits ran. The drift threshold is low enough that refits
-// run.
+// A server seeded with the serial release proportions reports them after
+// 20 passes of compiles: the online loop only rescales them and refits C0.
+// Each refit rescales the seed's constants themselves, so the ratio is one
+// rounding of each constant away from the shipped one — within 4 ulps, the
+// bound calib.TestRecalibrateKeepsIncumbentRatio holds — however many
+// refits ran. The seed is the release model with every constant scaled 4x
+// (the same ratio bit for bit), so the first refit installs; each pass ends
+// with a forced refit, POST /v1/model {"recalibrate": true}, so refits run
+// whatever the drift.
 func TestReleaseProportionsSurviveCompiles(t *testing.T) {
 	rel, err := calib.Release(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rel.CurrentModel().Ratio()
+	seed := *rel.CurrentModel()
+	for m := range seed.C {
+		seed.C[m] *= 4
+	}
+	seed.C0 *= 4
+	r := seed.Ratio()
+	if r != rel.CurrentModel().Ratio() {
+		t.Fatalf("4x seed ratio %v, the release's %v", r, rel.CurrentModel().Ratio())
+	}
 	want := [3]float64{r[props.MGJN], r[props.NLJN], r[props.HSJN]} // the wire order
-	srv := New(Config{Workers: 1, Models: rel, Calib: calib.Config{DriftThreshold: 0.02}})
+	srv := New(Config{Workers: 1, Models: seeded(&seed)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	shapes := compileShapes(t, srv)
@@ -87,6 +97,12 @@ func TestReleaseProportionsSurviveCompiles(t *testing.T) {
 			if resp, body := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{Catalog: "shapes", SQL: sql, Level: "high"}); resp.StatusCode != http.StatusOK {
 				t.Fatalf("optimize %s: %d %v", sql, resp.StatusCode, body)
 			}
+		}
+		// The refit installs a version or loses to the incumbent at the
+		// hysteresis gate; any other refusal is a failure.
+		resp, body := postJSON(t, ts.URL+"/v1/model", ModelUpdateRequest{Recalibrate: true})
+		if resp.StatusCode != http.StatusOK && !strings.Contains(fmt.Sprint(body["error"]), calib.ErrNoImprovement.Error()) {
+			t.Fatalf("pass %d: recalibrate: %d %v", pass, resp.StatusCode, body)
 		}
 	}
 	_, body := getJSON(t, ts.URL+"/v1/model")
@@ -99,6 +115,9 @@ func TestReleaseProportionsSurviveCompiles(t *testing.T) {
 	st := srv.Calibrator().Stats()
 	if st.Recalibrations+st.Rejected+st.Failures == 0 {
 		t.Fatalf("no refit ran: %+v", st)
+	}
+	if st.Recalibrations == 0 {
+		t.Fatalf("no refit installed over the 4x seed: %+v", st)
 	}
 	t.Logf("v%v (%v), calibration %+v", body["version"], body["source"], st)
 }

@@ -43,19 +43,16 @@ type Config struct {
 	// Downgrade makes the admission controller retry cheaper levels
 	// instead of rejecting over-budget requests.
 	Downgrade bool
-	// Model seeds the compilation-time model (installed as the registry's
-	// first version); POST /v1/calibrate and the online recalibrator
-	// replace it at runtime.
-	Model *core.TimeModel
-	// Models, when non-nil, is a pre-loaded model registry (cmd/coted
-	// passes the one modelio resolves); otherwise the server creates an
-	// empty one. Config.Model, when also set, is installed on top.
+	// Models, when non-nil, is the model registry the server starts with
+	// (cmd/coted passes the one modelio resolves); otherwise the server
+	// creates an empty one. POST /v1/model, POST /v1/calibrate and the
+	// online recalibrator install new versions into it.
 	Models *calib.Registry
-	// Calib parameterizes the online calibration loop: the refit gate and
-	// the drift threshold. The zero value enables automatic recalibration
-	// with the calib defaults; set Calib.DriftThreshold negative to track
-	// drift without auto-refitting.
-	Calib calib.Config
+	// Calib, when non-nil, runs synchronously after every install that
+	// makes a new model version current — uploads, rollbacks, calibrations
+	// and refits — with that version (cmd/coted persists the registry
+	// there).
+	Calib func(*calib.ModelVersion)
 	// BudgetFactor, when positive, arms the mid-flight budget abort on
 	// POST /v1/optimize: a compile generating more than BudgetFactor times
 	// its COTE-predicted plan count is aborted (and downgraded to the next
@@ -126,7 +123,7 @@ func New(cfg Config) *Server {
 	}
 	models := cfg.Models
 	if models == nil {
-		models = calib.NewRegistry(0)
+		models = calib.NewRegistry()
 	}
 	pool := NewPool(cfg.Workers, cfg.Queue)
 	s := &Server{
@@ -139,11 +136,6 @@ func New(cfg Config) *Server {
 		progress: newProgressTable(),
 		models:   models,
 		calib:    calib.NewCalibrator(models, cfg.Calib),
-	}
-	if cfg.Model != nil {
-		// Construction precedes any chaos plan; a seed install cannot trip
-		// the model-swap fault point, so the error is ignored.
-		_, _ = s.installModel(cfg.Model, "seed", 0, 0)
 	}
 	return s
 }
@@ -161,13 +153,6 @@ func (s *Server) Workers() int { return s.pool.Workers() }
 // calibration).
 func (s *Server) Model() *core.TimeModel { return s.models.CurrentModel() }
 
-// SetModel installs m as a new model version (source "api"). An injected
-// model-swap fault is swallowed here: the programmatic setter has no error
-// surface, and the HTTP paths all go through installModel directly.
-func (s *Server) SetModel(m *core.TimeModel) {
-	_, _ = s.installModel(m, "api", 0, 0)
-}
-
 // installModel installs a model version and publishes it. The
 // fault-injection point sits before the registry swap: a tripped install
 // changes nothing — no version, no metrics tick, no persistence — exactly
@@ -183,11 +168,11 @@ func (s *Server) installModel(m *core.TimeModel, source string, samples int, fit
 
 // publishModel mirrors a version the server made current into the metrics
 // and the configured swap hook, so -model-file persistence sees every
-// install and rollback. Recalibrations run OnSwap through the calibrator.
+// install and rollback. Refits run the hook through the calibrator.
 func (s *Server) publishModel(v *calib.ModelVersion) {
 	s.metrics.ModelInstalls.Add()
-	if s.cfg.Calib.OnSwap != nil {
-		s.cfg.Calib.OnSwap(v)
+	if s.cfg.Calib != nil {
+		s.cfg.Calib(v)
 	}
 }
 

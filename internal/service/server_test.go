@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cote/internal/calib"
 	"cote/internal/core"
 	"cote/internal/props"
 	"cote/internal/testutil"
@@ -38,6 +39,14 @@ func testModel(perPlan float64) *core.TimeModel {
 		m.C[i] = perPlan
 	}
 	return m
+}
+
+// seeded returns a model registry holding m as its one version, the way
+// cmd/coted hands a server the model it resolved (Config.Models).
+func seeded(m *core.TimeModel) *calib.Registry {
+	r := calib.NewRegistry()
+	r.Install(m, "seed", 0, 0)
+	return r
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]any) {
@@ -132,7 +141,9 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// Install a cheap model: optimization is admitted at the requested
 	// level and returns a plan.
-	srv.SetModel(testModel(1e-9)) // ~ns per plan: far under budget
+	if resp, body := postJSON(t, ts.URL+"/v1/model", ModelUpdateRequest{Model: testModel(1e-9)}); resp.StatusCode != http.StatusOK { // ~ns per plan: far under budget
+		t.Fatalf("model install: %d %v", resp.StatusCode, body)
+	}
 	optimize := func(req OptimizeRequest) (int, map[string]any) {
 		resp, body := postJSON(t, ts.URL+"/v1/optimize", req)
 		return resp.StatusCode, body
@@ -153,7 +164,9 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// Install an expensive model: the same query is now priced over the
 	// 50ms budget and rejected with 429.
-	srv.SetModel(testModel(3600)) // an hour per plan
+	if resp, body := postJSON(t, ts.URL+"/v1/model", ModelUpdateRequest{Model: testModel(3600)}); resp.StatusCode != http.StatusOK { // an hour per plan
+		t.Fatalf("model install: %d %v", resp.StatusCode, body)
+	}
 	code, body = optimize(OptimizeRequest{Catalog: "tpch", SQL: tpchQ3})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-budget optimize: %d %v", code, body)

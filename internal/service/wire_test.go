@@ -250,8 +250,7 @@ func TestWireMatchesEncoder(t *testing.T) {
 	checkBody(t, map[string]string{"status": "ok"})
 	checkBody(t, ErrorBody{Error: `parse: near "<" at 1`, Code: "bad_request"})
 
-	srv := New(Config{Workers: 2})
-	srv.SetModel(testModel(1e-9))
+	srv := New(Config{Workers: 2, Models: seeded(testModel(1e-9))})
 	ctx := context.Background()
 	for _, sql := range []string{tpchQ3, tpchQ6} {
 		est, err := srv.Estimate(ctx, EstimateRequest{Catalog: "tpch", SQL: sql})
