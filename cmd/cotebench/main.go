@@ -6,11 +6,11 @@
 //
 // Usage:
 //
-//	cotebench [-fig all|2|4a|4b|4c|5a|5d|5g|6a|6b|6c|6d|6e|6f|ct|joinbaseline|pilot|mem|memfig|piggyback|ablations|pipeline|cache|calib] [-seed N] [-timeout 0] [-model-file f.json]
+//	cotebench [-fig all|2|4a|4b|4c|5a|5d|5g|6a|6b|6c|6d|6e|6f|ct|joinbaseline|pilot|mem|memfig|piggyback|ablations|pipeline|cache|calib] [-seed N] [-timeout 0]
 //
 // The calib figure replays a deterministic workload through the online
 // calibration loop, showing predicted/actual convergence from a 4x
-// mis-scaled model; with -model-file the converged registry is persisted.
+// mis-scaled model.
 //
 // -timeout bounds the whole suite: the deadline is checked between figures
 // and inside the repeated-compile loops, so an overrunning run stops with a
@@ -40,7 +40,6 @@ func main() {
 	fig := flag.String("fig", "all", "figure/table id to regenerate, or 'all'")
 	seed := flag.Int64("seed", 42, "seed of the random workload generator")
 	timeout := flag.Duration("timeout", 0, "deadline for the whole suite (0 = none)")
-	modelFile := flag.String("model-file", "", "JSON model-registry file the calib figure persists its converged registry to")
 	flag.Parse()
 
 	ctx := context.Background()
@@ -51,7 +50,6 @@ func main() {
 	}
 
 	s := newSuite(*seed, ctx)
-	s.modelFile = *modelFile
 	ids := strings.Split(*fig, ",")
 	if *fig == "all" {
 		ids = []string{"2", "4a", "4b", "4c", "5a", "5d", "5g", "6a", "6b", "6c", "6d", "6e", "6f",
@@ -75,7 +73,6 @@ type suite struct {
 	ctx       context.Context // bounds the whole suite (-timeout)
 	workloads map[string]*workload.Workload
 	models    map[string]*core.TimeModel // "s" and "p"
-	modelFile string                     // -model-file: where the calib figure persists its registry
 }
 
 func newSuite(seed int64, ctx context.Context) *suite {
@@ -285,12 +282,6 @@ func (s *suite) calibration() error {
 	}
 	if v, ok := reg.Get(1); ok {
 		fmt.Printf("v1 (%s) still retrievable for rollback: %v\n", v.Source, v.Model)
-	}
-	if s.modelFile != "" {
-		if err := reg.Save(s.modelFile, calib.MeasureTinst()); err != nil {
-			return err
-		}
-		fmt.Printf("registry (v%d) persisted to %s\n", reg.Version(), s.modelFile)
 	}
 	fmt.Println()
 	return nil

@@ -18,8 +18,9 @@
 // for curl examples.
 //
 // The daemon starts with the model in -model-file, else a -calibrate fit,
-// else the release model, rescaled to the host by a micro-benchmark. Every
-// real optimization feeds the drift detector; when the mean relative
+// else the release model, each with the Tinst it was saved with (1e-9 for
+// the release), and -budget admission prices with that scale until a refit.
+// Every real optimization feeds the drift detector; when the mean relative
 // prediction error over the last 32 compiles crosses 0.5 the scale of the
 // model's Ct and its C0 are refitted over the window and installed as a new
 // registry version (rolled back via POST /v1/model, which also forces a

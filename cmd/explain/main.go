@@ -47,6 +47,9 @@ func main() {
 	mf.Register(flag.CommandLine)
 	flag.Parse()
 
+	if err := modelio.CheckNodes(*nodes); err != nil {
+		fatalf("%v", err)
+	}
 	sql := strings.Join(flag.Args(), " ")
 	if strings.TrimSpace(sql) == "" {
 		sql = demoQuery
@@ -79,10 +82,7 @@ func main() {
 		fatalf("unknown level %q", *levelName)
 	}
 
-	cfg := cote.Serial
-	if *nodes > 1 {
-		cfg = cote.Parallel4
-	}
+	cfg := modelio.ConfigFor(*nodes)
 
 	q, err := cote.ParseSQL(sql, cat)
 	if err != nil {

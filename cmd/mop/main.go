@@ -13,9 +13,11 @@
 // recompile whose generated plans overrun the prediction by that factor and
 // retries at the next-lower level. The time model comes from -model-file
 // when it holds one, else from calibrating on the -calibrate workload, else
-// from the release model rescaled to this host. Every real compilation feeds
-// the online calibrator, and -model-file (when set) receives the post-run
-// registry, so repeated runs keep improving the model.
+// from the release model at its nominal Tinst of 1e-9, so every start prices
+// E (the greedy plan's execution time) the same. Every real compilation
+// feeds the online calibrator, whose refit fits the model's scale to this
+// host, and -model-file (when set) receives the post-run registry, so
+// repeated runs keep improving the model.
 package main
 
 import (
@@ -29,7 +31,7 @@ import (
 )
 
 func main() {
-	wlName := flag.String("workload", "tpch", "workload: real1, real2, tpch, star, linear, random")
+	wlName := flag.String("workload", "tpch", "workload: "+modelio.WorkloadNames)
 	nodes := flag.Int("nodes", 1, "logical nodes (1 or 4)")
 	static := flag.Bool("static", false, "treat queries as static (repeatedly executed): 10x compile budget")
 	timeout := flag.Duration("timeout", 0, "per-query meta-optimization deadline (0 = none)")
@@ -39,28 +41,14 @@ func main() {
 	mf.Register(flag.CommandLine)
 	flag.Parse()
 
-	var w *cote.Workload
-	switch *wlName {
-	case "real1":
-		w = cote.Real1Workload(*nodes)
-	case "real2":
-		w = cote.Real2Workload(*nodes)
-	case "tpch":
-		w = cote.TPCHWorkload(*nodes)
-	case "star":
-		w = cote.StarWorkload(*nodes)
-	case "linear":
-		w = cote.LinearWorkload(*nodes)
-	case "random":
-		w = cote.RandomWorkload(42, 12, 10, *nodes)
-	default:
-		fmt.Fprintf(os.Stderr, "mop: unknown workload %q\n", *wlName)
-		os.Exit(1)
+	if err := modelio.CheckNodes(*nodes); err != nil {
+		fatal(err)
 	}
-	cfg := cote.Serial
-	if *nodes > 1 {
-		cfg = cote.Parallel4
+	w, err := modelio.NamedWorkload(*wlName, *nodes)
+	if err != nil {
+		fatal(err)
 	}
+	cfg := modelio.ConfigFor(*nodes)
 
 	model, reg, err := mf.Resolve(*nodes)
 	if err != nil {

@@ -299,19 +299,13 @@ type ModelRegistry = calib.Registry
 // newest versions.
 func NewModelRegistry() *ModelRegistry { return calib.NewRegistry() }
 
-// LoadModelRegistry loads a registry persisted by its Save method. A
-// missing file yields an empty registry. hostTinst (this host's measured
-// per-instruction time, see MeasureTinst) rescales the persisted models to
-// this machine's speed; zero keeps them as saved. A version without a time
-// model, or with Tinst <= 0 or a negative constant, fails the load.
-func LoadModelRegistry(path string, hostTinst float64) (*ModelRegistry, error) {
-	return calib.Load(path, hostTinst)
+// LoadModelRegistry loads a registry persisted by its Save method, every
+// model with the Tinst it was saved with. A missing file yields an empty
+// registry. A version without a time model, or with Tinst <= 0 or a
+// negative constant, fails the load.
+func LoadModelRegistry(path string) (*ModelRegistry, error) {
+	return calib.Load(path)
 }
-
-// MeasureTinst micro-benchmarks this host's effective seconds-per-
-// instruction, the Tinst scale factor persisted registries are normalized
-// by.
-func MeasureTinst() float64 { return calib.MeasureTinst() }
 
 // Calibrator closes the calibration feedback loop: it observes real
 // compilations, tracks prediction drift, and rescales the model over the

@@ -170,7 +170,10 @@ func TestRegistryVersioningAndRollback(t *testing.T) {
 	}
 }
 
-func TestPersistenceRoundTripAndTinstRescale(t *testing.T) {
+// A saved registry loads back with every version, its provenance and its
+// models as saved; a file carrying an older writer's host_tinst loads with
+// every Tinst as saved too.
+func TestPersistenceRoundTripKeepsTinst(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.json")
 	r := NewRegistry()
 	r.Install(model(5, 2, 4, 1000), "seed", 0, 0)
@@ -179,13 +182,12 @@ func TestPersistenceRoundTripAndTinstRescale(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const savedHost = 2e-9
-	if err := r.Save(path, savedHost); err != nil {
+	if err := r.Save(path); err != nil {
 		t.Fatal(err)
 	}
 
-	// Same host speed: byte-equal models, same current version.
-	same, err := Load(path, savedHost)
+	// Byte-equal models, same current version.
+	same, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,27 +201,35 @@ func TestPersistenceRoundTripAndTinstRescale(t *testing.T) {
 		t.Fatalf("provenance lost: %+v", v)
 	}
 
-	// A 2x slower host: every model's Tinst doubles, constants untouched.
-	slower, err := Load(path, 2*savedHost)
+	// The same file with the host_tinst key older writers recorded: every
+	// model loads as saved, constants and Tinst alike.
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range slower.History() {
+	older := filepath.Join(t.TempDir(), "older.json")
+	if err := os.WriteFile(older, append([]byte(`{"host_tinst": 2e-9,`), data[1:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	withHost, err := Load(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(withHost.History()) != 3 || withHost.Version() != 3 {
+		t.Fatalf("host_tinst file: %d versions, current v%d; want 3, v3", len(withHost.History()), withHost.Version())
+	}
+	for _, v := range withHost.History() {
 		orig, ok := r.Get(v.Version)
 		if !ok {
 			t.Fatalf("version %d missing from source registry", v.Version)
 		}
-		if got, want := v.Model.Tinst, 2*orig.Model.Tinst; got != want {
-			t.Fatalf("v%d Tinst %v, want %v", v.Version, got, want)
-		}
-		if v.Model.C != orig.Model.C || v.Model.C0 != orig.Model.C0 {
-			t.Fatalf("v%d constants changed by rescale", v.Version)
+		if *v.Model != *orig.Model {
+			t.Fatalf("v%d loaded %+v, saved %+v", v.Version, *v.Model, *orig.Model)
 		}
 	}
-	// Predictions scale accordingly.
 	c := counts(100, 100, 100)
-	if got, want := slower.CurrentModel().Predict(c), 2*r.CurrentModel().Predict(c); got != want {
-		t.Fatalf("rescaled prediction %v, want %v", got, want)
+	if got, want := withHost.CurrentModel().Predict(c), r.CurrentModel().Predict(c); got != want {
+		t.Fatalf("host_tinst file predicts %v, want %v", got, want)
 	}
 
 	// A new version installed after load keeps numbering monotonic.
@@ -232,10 +242,10 @@ func TestPersistenceRoundTripAndTinstRescale(t *testing.T) {
 // calibration records were folded into core.CompileObservation: two
 // time-model versions, one that adds a memory model, and a rollback, saved
 // with a host Tinst. Loading it must keep every version, its provenance and
-// its predictions.
+// its predictions; the host Tinst is skipped.
 func TestLoadRegistryFileFromBeforeObservationFold(t *testing.T) {
 	const path = "testdata/registry_compat.json"
-	r, err := Load(path, 2e-9) // the saving host's Tinst: no rescale
+	r, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,13 +287,12 @@ func TestLoadRegistryFileFromBeforeObservationFold(t *testing.T) {
 	if r.CurrentMemModel() != hist[3].Mem {
 		t.Fatal("current memory model is not v4's")
 	}
-	// A host twice as slow doubles every time prediction.
-	slower, err := Load(path, 4e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := slower.CurrentModel().Predict(c); got != 2*10800 {
-		t.Fatalf("rescaled prediction %v, want %v", got, 2*10800)
+	// The file records host_tinst 2e-9; every model keeps the Tinst it
+	// was saved with.
+	for _, v := range hist {
+		if v.Model.Tinst != 1e-9 {
+			t.Fatalf("v%d Tinst %v, want the saved 1e-9", v.Version, v.Model.Tinst)
+		}
 	}
 }
 
@@ -294,7 +303,7 @@ func TestLoadRegistryFileFromBeforeObservationFold(t *testing.T) {
 // sensible. Load refuses each, naming the version; InstallMem refuses to
 // create a version without a time model.
 func TestLoadRefusesVersionsWithoutAValidTimeModel(t *testing.T) {
-	if _, err := Load("testdata/registry_mem_only.json", 0); err == nil || !strings.Contains(err.Error(), "version 2") {
+	if _, err := Load("testdata/registry_mem_only.json"); err == nil || !strings.Contains(err.Error(), "version 2") {
 		t.Fatalf("memory-only version: err %v, want a refusal naming version 2", err)
 	}
 	for _, tc := range []struct {
@@ -310,20 +319,19 @@ func TestLoadRefusesVersionsWithoutAValidTimeModel(t *testing.T) {
 		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Load(path, 0)
+		_, err := Load(path)
 		if err == nil || !strings.Contains(err.Error(), "version 7") || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: err %v, want a refusal naming version 7 and %s", tc.name, err, tc.field)
 		}
 	}
-	// A file saved on a host whose Tinst underflows the rescale would load
-	// an infinite Tinst.
+	// A file saved with a host Tinst that underflowed the old per-host
+	// rescale to an infinite Tinst loads with its model as saved.
 	path := filepath.Join(t.TempDir(), "model.json")
-	file := `{"host_tinst": 5e-324, "current": 1, "versions": [{"version": 1, "source": "api", "model": {"tinst": 1e-9, "c_mgjn": 5, "c_nljn": 2, "c_hsjn": 4, "c0": 1}}]}`
-	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+	if err := os.WriteFile(path, underflowHostFile, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, 1e-9); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("infinite rescaled Tinst: err %v, want a refusal naming version 1", err)
+	if r, err := Load(path); err != nil || r.CurrentModel().Tinst != 1e-9 {
+		t.Fatalf("file with host_tinst 5e-324: %v, want a load at Tinst 1e-9", err)
 	}
 
 	r := NewRegistry()
@@ -337,8 +345,12 @@ func TestLoadRefusesVersionsWithoutAValidTimeModel(t *testing.T) {
 	}
 }
 
+// underflowHostFile records a host Tinst so small that the old per-host
+// rescale divided by it into an infinite Tinst.
+var underflowHostFile = []byte(`{"host_tinst": 5e-324, "current": 1, "versions": [{"version": 1, "source": "api", "model": {"tinst": 1e-9, "c_mgjn": 5, "c_nljn": 2, "c_hsjn": 4, "c0": 1}}]}`)
+
 func TestLoadMissingFileIsEmptyRegistry(t *testing.T) {
-	r, err := Load(filepath.Join(t.TempDir(), "nope.json"), 1e-9)
+	r, err := Load(filepath.Join(t.TempDir(), "nope.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,10 @@ import (
 )
 
 // registryFile is the on-disk JSON form of a registry (-model-file): the
-// retained versions, the current version number, and the host's measured
-// Tinst at save time so a file moved between machines can be rescaled to
-// the loading host's speed.
+// retained versions and the current version number. Files written before
+// the models kept their Tinst as saved carry a host_tinst key, which
+// decoding skips as an unknown field.
 type registryFile struct {
-	// HostTinst is MeasureTinst() on the saving host (seconds per abstract
-	// instruction). Zero means unknown — no rescaling on load.
-	HostTinst float64 `json:"host_tinst,omitempty"`
 	// Current is the version number of the current model.
 	Current int `json:"current"`
 	// Versions are the retained snapshots, oldest first.
@@ -25,9 +22,7 @@ type registryFile struct {
 }
 
 // Save writes the registry to path atomically (temp file + rename).
-// hostTinst, when positive, is recorded so a later load on a different
-// machine can rescale predictions; pass MeasureTinst() or zero.
-func (r *Registry) Save(path string, hostTinst float64) error {
+func (r *Registry) Save(path string) error {
 	// Persistence is a real disk dependency; a chaos plan fails it here so
 	// the -model-file warning path (persist fails, registry swap survives)
 	// is actually exercised.
@@ -36,9 +31,8 @@ func (r *Registry) Save(path string, hostTinst float64) error {
 	}
 	r.mu.Lock()
 	f := registryFile{
-		HostTinst: hostTinst,
-		Current:   r.lastVer,
-		Versions:  append([]*ModelVersion(nil), r.history...),
+		Current:  r.lastVer,
+		Versions: append([]*ModelVersion(nil), r.history...),
 	}
 	if cur := r.cur.Load(); cur != nil {
 		f.Current = cur.Version
@@ -67,17 +61,15 @@ func (r *Registry) Save(path string, hostTinst float64) error {
 	return nil
 }
 
-// Load reads a registry from path. hostTinst, when positive and the file
-// records the saving host's Tinst, rescales every model's Tinst by
-// hostTinst/saved — the paper's machine-dependent constant re-pinned to the
-// loading machine, so a registry trained on one host predicts sensibly on
-// another. Only the newest Retain versions are kept. A version without a
-// time model, or with one that core.TimeModel.Validate refuses after the
-// rescale, fails the load with an error naming the version.
+// Load reads a registry from path, every model as saved: the online refit,
+// not the load, fits a model's scale to this host. Only the newest Retain
+// versions are kept. A version without a time model, or with one that
+// core.TimeModel.Validate refuses, fails the load with an error naming the
+// version.
 //
 // A missing file is not an error: Load returns an empty registry so callers
 // can treat -model-file as "create on first save".
-func Load(path string, hostTinst float64) (*Registry, error) {
+func Load(path string) (*Registry, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return NewRegistry(), nil
@@ -85,7 +77,7 @@ func Load(path string, hostTinst float64) (*Registry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("calib: load registry: %w", err)
 	}
-	r, err := decode(data, hostTinst)
+	r, err := decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("calib: load registry %s: %w", path, err)
 	}
@@ -103,14 +95,14 @@ var (
 )
 
 // Release returns the release model for nodes (serial for 1, the 4-node
-// parallel set otherwise) as a one-version registry, its Tinst rescaled to
-// hostTinst as Load rescales a file.
-func Release(nodes int, hostTinst float64) (*Registry, error) {
+// parallel set otherwise) as a one-version registry, at the nominal Tinst
+// of 1e-9 it was fitted at.
+func Release(nodes int) (*Registry, error) {
 	data := releaseSerial
 	if nodes > 1 {
 		data = releaseParallel
 	}
-	r, err := decode(data, hostTinst)
+	r, err := decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("calib: release registry: %w", err)
 	}
@@ -118,14 +110,10 @@ func Release(nodes int, hostTinst float64) (*Registry, error) {
 }
 
 // decode builds a registry from a registry file's bytes; see Load.
-func decode(data []byte, hostTinst float64) (*Registry, error) {
+func decode(data []byte) (*Registry, error) {
 	var f registryFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, err
-	}
-	scale := 1.0
-	if hostTinst > 0 && f.HostTinst > 0 {
-		scale = hostTinst / f.HostTinst
 	}
 	r := NewRegistry()
 	r.mu.Lock()
@@ -136,11 +124,6 @@ func decode(data []byte, hostTinst float64) (*Registry, error) {
 		}
 		if v.Model == nil {
 			return nil, fmt.Errorf("version %d has no time model", v.Version)
-		}
-		if scale != 1 {
-			m := *v.Model
-			m.Tinst *= scale
-			v.Model = &m
 		}
 		if err := v.Model.Validate(); err != nil {
 			return nil, fmt.Errorf("version %d: model: %w", v.Version, err)

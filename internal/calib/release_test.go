@@ -14,8 +14,8 @@ var update = flag.Bool("update", false, "refit and rewrite the shipped release m
 // The shipped release models decode through Load's decoder, each as one
 // version with source "release". Under -update the test first refits them
 // with the fit cotebench -fig ct runs (experiments.TrainModel on the
-// linear, star and random workloads, seed 42) and saves them with this
-// host's Tinst:
+// linear, star and random workloads, seed 42) and saves them at the
+// fit's nominal Tinst of 1e-9:
 //
 //	go test ./internal/calib -run TestReleaseModels -update
 //
@@ -23,7 +23,6 @@ var update = flag.Bool("update", false, "refit and rewrite the shipped release m
 // every refit.
 func TestReleaseModels(t *testing.T) {
 	if *update {
-		host := MeasureTinst()
 		for _, nodes := range []int{1, 4} {
 			m, err := experiments.TrainModel([]*workload.Workload{
 				workload.Linear(nodes), workload.Star(nodes), workload.Random(42, 12, 10, nodes),
@@ -37,7 +36,7 @@ func TestReleaseModels(t *testing.T) {
 			if nodes > 1 {
 				name = "release_parallel.json"
 			}
-			if err := reg.Save(name, host); err != nil {
+			if err := reg.Save(name); err != nil {
 				t.Fatal(err)
 			}
 			t.Logf("%s: %v", name, m)
@@ -46,7 +45,7 @@ func TestReleaseModels(t *testing.T) {
 	}
 	var models []string
 	for _, nodes := range []int{1, 4} {
-		r, err := Release(nodes, 0)
+		r, err := Release(nodes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,10 @@
 // Package modelio is the model-file and calibration plumbing shared by the
 // cote commands (coted, mop, explain): one flag set for loading a versioned
-// model registry from disk (-model-file, host-rescaled via the Tinst
-// micro-benchmark), calibrating on a named built-in workload (-calibrate),
-// or else taking the shipped release model, so a new model flag lands in
-// one place instead of three.
+// model registry from disk (-model-file, every model as saved), calibrating
+// on a named built-in workload (-calibrate), or else taking the shipped
+// release model, so a new model flag lands in one place instead of three.
+// The node-count check and the workload and configuration tables the
+// commands and the daemon share live here too.
 package modelio
 
 import (
@@ -21,6 +22,16 @@ import (
 // WorkloadNames lists the built-in calibration workloads for flag help and
 // error messages.
 const WorkloadNames = "linear, star, random, real1, real2, tpch"
+
+// CheckNodes refuses a node count other than the two the workloads, the
+// cost configurations and the release models exist for: 1 (serial) and 4
+// (the paper's parallel setup).
+func CheckNodes(nodes int) error {
+	if nodes != 1 && nodes != 4 {
+		return fmt.Errorf("nodes must be 1 or 4, got %d", nodes)
+	}
+	return nil
+}
 
 // NamedWorkload builds a built-in workload by wire name; nodes selects the
 // serial (1) or 4-node parallel variant. Each call builds fresh query
@@ -80,27 +91,14 @@ type Flags struct {
 	// Calibrate is -calibrate: a named workload to fit a model on at
 	// startup when -model-file holds none.
 	Calibrate string
-
-	// hostTinst caches the startup micro-benchmark so load and save use
-	// the same measurement.
-	hostTinst float64
 }
 
 // Register installs -model-file and -calibrate on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.ModelFile, "model-file", "",
-		"JSON model-registry file: loaded at startup (predictions host-rescaled via a Tinst micro-benchmark) and persisted on model changes")
+		"JSON model-registry file: loaded at startup, every model as saved, and persisted on model changes")
 	fs.StringVar(&f.Calibrate, "calibrate", "",
 		"calibrate the time model on this workload at startup when -model-file holds none ("+WorkloadNames+"; empty = the release model)")
-}
-
-// HostTinst returns the host's measured Tinst, micro-benchmarking it on
-// first use.
-func (f *Flags) HostTinst() float64 {
-	if f.hostTinst == 0 {
-		f.hostTinst = calib.MeasureTinst()
-	}
-	return f.hostTinst
 }
 
 // Save persists the registry back to -model-file; a no-op when the flag is
@@ -109,20 +107,21 @@ func (f *Flags) Save(reg *calib.Registry) error {
 	if f.ModelFile == "" {
 		return nil
 	}
-	return reg.Save(f.ModelFile, f.HostTinst())
+	return reg.Save(f.ModelFile)
 }
 
 // Resolve yields the model a command prices with and the registry holding
 // it, from the first of: the current model in -model-file; a fit on the
 // -calibrate workload; the release model for nodes (calib.Release). A fit or
 // release model is installed into the -model-file registry (an empty one
-// without the flag). File and release models are rescaled to this host's
-// Tinst. The registry is returned so the command can Save it.
+// without the flag). File and release models keep the Tinst they were saved
+// with; the online refit fits their scale to this host. The registry is
+// returned so the command can Save it.
 func (f *Flags) Resolve(nodes int) (*core.TimeModel, *calib.Registry, error) {
 	reg := calib.NewRegistry()
 	if f.ModelFile != "" {
 		var err error
-		if reg, err = calib.Load(f.ModelFile, f.HostTinst()); err != nil {
+		if reg, err = calib.Load(f.ModelFile); err != nil {
 			return nil, nil, err
 		}
 		if m := reg.CurrentModel(); m != nil {
@@ -132,7 +131,7 @@ func (f *Flags) Resolve(nodes int) (*core.TimeModel, *calib.Registry, error) {
 	var m *core.TimeModel
 	source, points := "release", 0
 	if f.Calibrate == "" {
-		rel, err := calib.Release(nodes, f.HostTinst())
+		rel, err := calib.Release(nodes)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -3,6 +3,7 @@ package modelio
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,13 +91,11 @@ func near(a, b []float64, rel float64) bool {
 }
 
 // Resolve takes the model from -model-file over a -calibrate fit, and a fit
-// over the release model for -nodes, rescaling file and release models by
-// the host's Tinst.
+// over the release model for -nodes. File and release models load as saved,
+// so two starts resolve bit-identical models.
 func TestResolveOrder(t *testing.T) {
-	const host = 2e-9
 	resolve := func(f Flags, nodes int) (*core.TimeModel, string) {
 		t.Helper()
-		f.hostTinst = host
 		m, reg, err := f.Resolve(nodes)
 		if err != nil {
 			t.Fatal(err)
@@ -112,11 +111,16 @@ func TestResolveOrder(t *testing.T) {
 	saved.C[props.MGJN], saved.C[props.NLJN], saved.C[props.HSJN] = 5, 2, 4
 	file := calib.NewRegistry()
 	file.Install(saved, "api", 0, 0)
-	if err := file.Save(path, host/4); err != nil {
+	if err := file.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if m, src := resolve(Flags{ModelFile: path, Calibrate: "no-such-workload"}, 1); src != "api" || m.Tinst != 4*saved.Tinst || m.C != saved.C {
-		t.Errorf("with a model file: %v from %q, want the file's %v at 4x Tinst", m, src, saved)
+	withFile := Flags{ModelFile: path, Calibrate: "no-such-workload"}
+	m, src := resolve(withFile, 1)
+	if src != "api" || *m != *saved {
+		t.Errorf("with a model file: %v from %q, want the file's %v", m, src, saved)
+	}
+	if again, _ := resolve(withFile, 1); !bitIdentical(again, m) {
+		t.Errorf("with a model file: a second start resolved %v, the first %v", again, m)
 	}
 	if _, src := resolve(Flags{ModelFile: filepath.Join(t.TempDir(), "new.json"), Calibrate: "linear"}, 1); src != "calibrate" {
 		t.Errorf("-calibrate without a model in the file: source %q", src)
@@ -126,23 +130,47 @@ func TestResolveOrder(t *testing.T) {
 	for _, nodes := range []int{1, 4} {
 		m, src := resolve(Flags{}, nodes)
 		release = append(release, *m)
-		rel, err := calib.Release(nodes, host)
+		rel, err := calib.Release(nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if src != "release" || *m != *rel.CurrentModel() {
 			t.Errorf("nodes=%d: %v from %q, want the release's %v", nodes, m, src, rel.CurrentModel())
 		}
-		f := Flags{hostTinst: 2 * host}
-		twice, _, err := f.Resolve(nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if twice.Tinst != 2*m.Tinst || twice.C != m.C {
-			t.Errorf("nodes=%d: a host twice as slow resolves %v, want %v at 2x Tinst", nodes, twice, m)
+		if again, _ := resolve(Flags{}, nodes); !bitIdentical(again, m) {
+			t.Errorf("nodes=%d: a second start resolved %v, the first %v", nodes, again, m)
 		}
 	}
 	if release[0] == release[1] {
 		t.Errorf("-nodes 4 resolved the serial release model %v", release[0])
+	}
+}
+
+// bitIdentical compares two time models bit for bit, every constant and
+// Tinst.
+func bitIdentical(a, b *core.TimeModel) bool {
+	if math.Float64bits(a.Tinst) != math.Float64bits(b.Tinst) || math.Float64bits(a.C0) != math.Float64bits(b.C0) {
+		return false
+	}
+	for m := range a.C {
+		if math.Float64bits(a.C[m]) != math.Float64bits(b.C[m]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Only the node counts the workloads, configurations and release models
+// exist for pass: 1 and 4.
+func TestCheckNodes(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		if err := CheckNodes(n); err != nil {
+			t.Errorf("CheckNodes(%d) = %v, want nil", n, err)
+		}
+	}
+	for _, n := range []int{-3, 0, 2, 3, 5, 8} {
+		if err := CheckNodes(n); err == nil || !strings.Contains(err.Error(), "must be 1 or 4") {
+			t.Errorf("CheckNodes(%d) = %v, want a refusal", n, err)
+		}
 	}
 }

@@ -74,7 +74,7 @@ func compileShapes(t *testing.T, srv *Server) []string {
 // with a forced refit, POST /v1/model {"recalibrate": true}, so refits run
 // whatever the drift.
 func TestReleaseProportionsSurviveCompiles(t *testing.T) {
-	rel, err := calib.Release(1, 0)
+	rel, err := calib.Release(1)
 	if err != nil {
 		t.Fatal(err)
 	}

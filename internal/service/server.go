@@ -245,8 +245,8 @@ func (s *Server) Calibrate(ctx context.Context, req CalibrateRequest) (*Calibrat
 	if nodes == 0 {
 		nodes = 1
 	}
-	if nodes != 1 && nodes != 4 {
-		return nil, badRequest("nodes must be 1 or 4, got %d", nodes)
+	if err := modelio.CheckNodes(nodes); err != nil {
+		return nil, badRequest("%v", err)
 	}
 	w, err := modelio.NamedWorkload(req.Workload, nodes)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -322,6 +323,24 @@ func TestServerCalibrate(t *testing.T) {
 	}
 	if body["estimate"].(map[string]any)["predicted_time_ns"].(float64) <= 0 {
 		t.Fatalf("no prediction after calibration: %v", body)
+	}
+}
+
+// TestServerCalibrateRefusesNodes: a node count with no workload variant,
+// cost configuration or release model behind it is the request's fault,
+// refused before anything compiles.
+func TestServerCalibrateRefusesNodes(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, n := range []int{-3, 2} {
+		resp, body := postJSON(t, ts.URL+"/v1/calibrate", CalibrateRequest{Workload: "star", Nodes: n})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(fmt.Sprint(body), "must be 1 or 4") {
+			t.Errorf("nodes %d: %d %v, want 400 naming 1 or 4", n, resp.StatusCode, body)
+		}
+	}
+	if srv.Model() != nil {
+		t.Fatalf("a refused calibration installed model %v", srv.Model())
 	}
 }
 
