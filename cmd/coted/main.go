@@ -9,7 +9,7 @@
 //	      [-cache 1024] [-budget 0] [-budget-factor 0] [-mem-budget 0]
 //	      [-downgrade] [-shed-deadline 0]
 //	      [-calibrate workload] [-model-file cote-model.json]
-//	      [-grace 10s] [-pprof] [-fault-plan SPEC]
+//	      [-grace 10s] [-pprof]
 //
 // Endpoints: POST /v1/estimate, POST /v1/optimize, POST /v1/calibrate,
 // GET/POST /v1/model, GET /v1/model/history, GET/POST /v1/catalogs,
@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"cote/internal/calib"
-	"cote/internal/faultinject"
 	"cote/internal/modelio"
 	"cote/internal/service"
 )
@@ -65,7 +64,6 @@ func main() {
 	memBudget := flag.Int64("mem-budget", 0, "peak optimizer memory budget in bytes: reject/downgrade optimizations predicted to exceed it and abort compiles that measurably do (0 = off)")
 	downgrade := flag.Bool("downgrade", false, "downgrade over-budget optimizations to a cheaper level instead of rejecting")
 	shedDeadline := flag.Duration("shed-deadline", 0, "shed requests whose deadline is within this margin of the projected queue wait (0 = no margin, deadline check still armed)")
-	faultPlan := flag.String("fault-plan", "", "activate a deterministic fault-injection plan, e.g. 'seed=42;pool.acquire:error,p=0.1' (chaos testing; see internal/faultinject)")
 	grace := flag.Duration("grace", 10*time.Second, "graceful-shutdown window; in-flight work is cancelled halfway through")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof endpoints for profiling")
 	var mf modelio.Flags
@@ -110,16 +108,6 @@ func main() {
 		Calib:          persist,
 	}
 	srv := service.New(cfg)
-
-	if *faultPlan != "" {
-		plan, err := faultinject.ParsePlan(*faultPlan)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coted: -fault-plan: %v\n", err)
-			os.Exit(1)
-		}
-		faultinject.Activate(plan)
-		log.Printf("fault plan active (seed=%d): %s", plan.Seed, *faultPlan)
-	}
 
 	persist(v)
 

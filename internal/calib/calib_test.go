@@ -238,6 +238,49 @@ func TestPersistenceRoundTripKeepsTinst(t *testing.T) {
 	}
 }
 
+// A Save whose rename fails (the target is a directory) returns an error,
+// removes its temp file and leaves the registry as it was; a Save to a file
+// path afterwards succeeds and loads back.
+func TestSaveFailureLeavesNoTempFileAndRegistryIntact(t *testing.T) {
+	dir := t.TempDir()
+	r := NewRegistry()
+	r.Install(model(5, 2, 4, 1000), "seed", 0, 0)
+	r.Install(model(6, 1, 2, 900), "recalibrate", 32, 0.07)
+	before := r.History()
+
+	target := filepath.Join(dir, "model.json")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Save(target); err == nil {
+		t.Fatal("Save onto a directory succeeded")
+	}
+	if left, err := filepath.Glob(filepath.Join(dir, ".model-*.json")); err != nil || len(left) != 0 {
+		t.Fatalf("failed Save left temp files %v (glob error %v)", left, err)
+	}
+	after := r.History()
+	if r.Version() != 2 || len(after) != len(before) {
+		t.Fatalf("failed Save moved the registry: v%d, %d versions", r.Version(), len(after))
+	}
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("failed Save changed history entry %d: %+v, was %+v", i, after[i], before[i])
+		}
+	}
+
+	path := filepath.Join(dir, "saved.json")
+	if err := r.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Version() != 2 || len(back.History()) != 2 || *back.CurrentModel() != *r.CurrentModel() {
+		t.Fatalf("round trip after failed Save: v%d, %d versions, %+v", back.Version(), len(back.History()), back.CurrentModel())
+	}
+}
+
 // testdata/registry_compat.json was written by Registry.Save before the
 // calibration records were folded into core.CompileObservation: two
 // time-model versions, one that adds a memory model, and a rollback, saved

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"cote/internal/faultinject"
 )
 
 // registryFile is the on-disk JSON form of a registry (-model-file): the
@@ -21,14 +19,10 @@ type registryFile struct {
 	Versions []*ModelVersion `json:"versions"`
 }
 
-// Save writes the registry to path atomically (temp file + rename).
+// Save writes the registry to path atomically (temp file + rename). A
+// failed save leaves the registry, the file at path and the directory as
+// they were; coted logs it and keeps serving the swapped model.
 func (r *Registry) Save(path string) error {
-	// Persistence is a real disk dependency; a chaos plan fails it here so
-	// the -model-file warning path (persist fails, registry swap survives)
-	// is actually exercised.
-	if err := faultinject.Check(faultinject.PointModelPersist); err != nil {
-		return fmt.Errorf("calib: save registry: %w", err)
-	}
 	r.mu.Lock()
 	f := registryFile{
 		Current:  r.lastVer,

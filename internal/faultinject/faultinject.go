@@ -1,18 +1,15 @@
 // Package faultinject is a deterministic, seeded fault-injection seam for
 // the serving stack. Production code marks the places that can fail for real
-// — catalog swap, model persistence, pool slot acquisition, cache fills,
+// — catalog registration, model swap, pool slot acquisition, cache fills,
 // enumeration memory exhaustion — with a named point and calls Check at the
-// seam; a test (or the coted -fault-plan test flag) activates a Plan that
-// decides, deterministically, which calls at which points fail, stall, or
-// both.
+// seam; a test activates a Plan that decides, deterministically, which
+// calls at which points fail, stall, or both.
 //
 // # Zero cost when disabled
 //
 // The whole package sits behind one package-level atomic guard: with no plan
 // active, Check is a single atomic load and an immediate return, cheap
-// enough for the estimate headline's cancellation polls. Sites on even
-// hotter paths can branch on Enabled() themselves; Check does exactly that
-// internally.
+// enough for the estimate headline's cancellation polls.
 //
 // # Determinism
 //
@@ -25,50 +22,30 @@
 // pattern, and an after-N or times-bounded rule trips on exactly the same
 // ordinals every run.
 //
-// # Plan DSL
+// # Arming a plan
 //
-// A plan is a compact semicolon-separated string, accepted by ParsePlan and
-// the coted -fault-plan flag:
-//
-//	seed=42;pool.acquire:error,p=0.2;cache.fill:latency=2ms,after=10;model.persist:error,times=3
-//
-// Each clause is point:directive[,directive...]; directives are
-//
-//	error           inject an error at the point (the Fault type)
-//	latency=DUR     sleep DUR at the point before returning
-//	p=F             trip with probability F in [0,1] (default 1)
-//	after=N         pass the first N calls, arm from call N+1 on
-//	times=K         trip at most K times, then pass forever
-//
-// A clause needs error or latency (or both: stall, then fail). seed=N sets
-// the plan seed (default 1). Unknown point names are rejected at parse time
-// against the registry of known points below, so a typo cannot silently arm
-// nothing.
+// A test builds a Plan with NewPlan, one Rule per point, and installs it
+// with Activate (defer Deactivate). NewPlan refuses a name outside the
+// registry of known points below, so a typo cannot silently arm nothing.
 package faultinject
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 )
 
 // The named failure points threaded through the serving stack. Keeping the
-// registry here (rather than scattered per package) lets ParsePlan reject
-// unknown names and gives operators one place to see what can be broken.
+// registry here (rather than scattered per package) lets NewPlan reject
+// unknown names and gives one place to see what can be broken.
 const (
 	// PointCatalogRegister fails a catalog upload just before the registry
 	// commits the entry and bumps its epoch (internal/service.Registry).
 	PointCatalogRegister = "catalog.register"
-	// PointModelSwap fails a model-version install before the registry swap
-	// (internal/service installModel: seed, calibrate, upload, rollback).
+	// PointModelSwap fails a model-version install or rollback before the
+	// registry swap (internal/service installModel and UpdateModel).
 	PointModelSwap = "model.swap"
-	// PointModelPersist fails the model registry's JSON persistence
-	// (internal/calib Registry.Save, the coted -model-file path).
-	PointModelPersist = "model.persist"
 	// PointPoolAcquire fails a worker-pool slot acquisition before the
 	// request enters the waiting line (internal/service.Pool.Run).
 	PointPoolAcquire = "pool.acquire"
@@ -83,25 +60,13 @@ const (
 	PointMemBudget = "optctx.membudget"
 )
 
-// knownPoints is the parse-time registry; see the Point constants.
+// knownPoints is the registry NewPlan checks; see the Point constants.
 var knownPoints = map[string]bool{
 	PointCatalogRegister: true,
 	PointModelSwap:       true,
-	PointModelPersist:    true,
 	PointPoolAcquire:     true,
 	PointCacheFill:       true,
 	PointMemBudget:       true,
-}
-
-// Points returns the known point names, sorted (for -fault-plan usage text
-// and error messages).
-func Points() []string {
-	out := make([]string, 0, len(knownPoints))
-	for p := range knownPoints {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ErrInjected is the errors.Is target of every injected fault: layers that
@@ -153,20 +118,19 @@ type rule struct {
 // Plan is a set of armed rules with a shared seed. Activate installs it
 // globally; a Plan must not be mutated after Activate.
 type Plan struct {
-	Seed  uint64
+	seed  uint64
 	rules map[string]*rule
 }
 
-// NewPlan builds a plan from explicit rules (tests compose plans
-// programmatically; the DSL path goes through ParsePlan).
+// NewPlan builds a plan from rules, one per known point. A zero seed is 1.
 func NewPlan(seed uint64, rules ...Rule) (*Plan, error) {
-	p := &Plan{Seed: seed, rules: make(map[string]*rule, len(rules))}
-	if p.Seed == 0 {
-		p.Seed = 1
+	p := &Plan{seed: seed, rules: make(map[string]*rule, len(rules))}
+	if p.seed == 0 {
+		p.seed = 1
 	}
 	for _, r := range rules {
 		if !knownPoints[r.Point] {
-			return nil, fmt.Errorf("faultinject: unknown point %q (known: %s)", r.Point, strings.Join(Points(), ", "))
+			return nil, fmt.Errorf("faultinject: unknown point %q", r.Point)
 		}
 		if !r.Error && r.Latency <= 0 {
 			return nil, fmt.Errorf("faultinject: rule for %q injects neither error nor latency", r.Point)
@@ -182,55 +146,6 @@ func NewPlan(seed uint64, rules ...Rule) (*Plan, error) {
 	return p, nil
 }
 
-// ParsePlan parses the -fault-plan DSL (see the package comment).
-func ParsePlan(s string) (*Plan, error) {
-	var seed uint64 = 1
-	var rules []Rule
-	for _, clause := range strings.Split(s, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		if v, ok := strings.CutPrefix(clause, "seed="); ok {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faultinject: bad seed %q: %v", v, err)
-			}
-			seed = n
-			continue
-		}
-		point, directives, ok := strings.Cut(clause, ":")
-		if !ok {
-			return nil, fmt.Errorf("faultinject: clause %q needs point:directives", clause)
-		}
-		r := Rule{Point: strings.TrimSpace(point)}
-		for _, d := range strings.Split(directives, ",") {
-			d = strings.TrimSpace(d)
-			key, val, hasVal := strings.Cut(d, "=")
-			var err error
-			switch {
-			case d == "error":
-				r.Error = true
-			case key == "latency" && hasVal:
-				r.Latency, err = time.ParseDuration(val)
-			case key == "p" && hasVal:
-				r.Prob, err = strconv.ParseFloat(val, 64)
-			case key == "after" && hasVal:
-				r.After, err = strconv.ParseInt(val, 10, 64)
-			case key == "times" && hasVal:
-				r.Times, err = strconv.ParseInt(val, 10, 64)
-			default:
-				return nil, fmt.Errorf("faultinject: unknown directive %q in clause %q", d, clause)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("faultinject: bad directive %q: %v", d, err)
-			}
-		}
-		rules = append(rules, r)
-	}
-	return NewPlan(seed, rules...)
-}
-
 // enabled is the package guard every hot path loads exactly once; active
 // holds the installed plan. enabled is stored after active so a Check that
 // sees the guard up also sees the plan (and a nil re-check is harmless).
@@ -239,13 +154,9 @@ var (
 	active  atomic.Pointer[Plan]
 )
 
-// Enabled reports whether a fault plan is active: one atomic load, the
-// entire disabled-path cost of the package.
-func Enabled() bool { return enabled.Load() }
-
 // Activate installs p as the process-wide fault plan. Passing nil is
 // Deactivate. Tests activating a plan must deactivate it (defer
-// Deactivate()) and must not run in parallel with other fault-plan tests in
+// Deactivate()) and must not run in parallel with other fault-injection tests in
 // the same process.
 func Activate(p *Plan) {
 	if p == nil {
@@ -290,7 +201,7 @@ func check(point string) error {
 	if r.Prob > 0 && r.Prob < 1 {
 		// Deterministic per (seed, point, ordinal): the same plan replays
 		// the same decision sequence at this point in every run.
-		u := splitmix64(p.Seed ^ r.h0 ^ uint64(k))
+		u := splitmix64(p.seed ^ r.h0 ^ uint64(k))
 		if float64(u>>11)*(1.0/(1<<53)) >= r.Prob {
 			return nil
 		}

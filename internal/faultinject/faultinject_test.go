@@ -2,7 +2,6 @@ package faultinject
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,9 +9,6 @@ import (
 
 func TestDisabledIsNil(t *testing.T) {
 	Deactivate()
-	if Enabled() {
-		t.Fatal("enabled with no plan")
-	}
 	if err := Check(PointPoolAcquire); err != nil {
 		t.Fatalf("disabled Check = %v", err)
 	}
@@ -154,59 +150,59 @@ func TestDeterminismUnderConcurrency(t *testing.T) {
 }
 
 func TestLatencyRule(t *testing.T) {
-	p, err := NewPlan(1, Rule{Point: PointModelPersist, Latency: 20 * time.Millisecond, Times: 1})
+	p, err := NewPlan(1, Rule{Point: PointModelSwap, Latency: 20 * time.Millisecond, Times: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	Activate(p)
 	defer Deactivate()
 	start := time.Now()
-	if err := Check(PointModelPersist); err != nil {
+	if err := Check(PointModelSwap); err != nil {
 		t.Fatalf("latency-only rule returned error %v", err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Fatalf("latency rule slept %v, want >= 20ms", d)
 	}
 	start = time.Now()
-	_ = Check(PointModelPersist) // times=1 exhausted: no sleep
+	_ = Check(PointModelSwap) // times=1 exhausted: no sleep
 	if d := time.Since(start); d > 10*time.Millisecond {
 		t.Fatalf("exhausted rule still slept %v", d)
 	}
 }
 
-func TestParsePlan(t *testing.T) {
-	p, err := ParsePlan("seed=9; pool.acquire:error,p=0.5 ; cache.fill:latency=3ms,after=2,times=4; model.persist:error,latency=1ms")
+// A rule with both an error and a latency stalls, then fails.
+func TestErrorAndLatencyRule(t *testing.T) {
+	p, err := NewPlan(1, Rule{Point: PointCacheFill, Error: true, Latency: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 9 {
-		t.Fatalf("seed = %d", p.Seed)
+	Activate(p)
+	defer Deactivate()
+	start := time.Now()
+	if err := Check(PointCacheFill); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Check = %v, want an injected fault", err)
 	}
-	r := p.rules[PointPoolAcquire]
-	if r == nil || !r.Error || r.Prob != 0.5 {
-		t.Fatalf("pool.acquire rule = %+v", r)
+	if d := time.Since(start); d < 5*time.Millisecond {
+		t.Fatalf("error+latency rule slept %v, want >= 5ms", d)
 	}
-	r = p.rules[PointCacheFill]
-	if r == nil || r.Error || r.Latency != 3*time.Millisecond || r.After != 2 || r.Times != 4 {
-		t.Fatalf("cache.fill rule = %+v", r)
-	}
-	r = p.rules[PointModelPersist]
-	if r == nil || !r.Error || r.Latency != time.Millisecond {
-		t.Fatalf("model.persist rule = %+v", r)
-	}
+}
 
-	for _, bad := range []string{
-		"nosuch.point:error",                    // unknown point
-		"fpcache.fill:error",                    // retired point
-		"pool.acquire",                          // no directives
-		"pool.acquire:p=0.5",                    // neither error nor latency
-		"pool.acquire:error,p=1.5",              // probability out of range
-		"pool.acquire:error,zap=1",              // unknown directive
-		"seed=x",                                // bad seed
-		"pool.acquire:error;pool.acquire:error", // duplicate
+// NewPlan refuses every rule that would arm nothing or arm it ambiguously.
+func TestNewPlanRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		rules []Rule
+	}{
+		{"unknown point", []Rule{{Point: "nosuch.point", Error: true}}},
+		{"retired fpcache.fill", []Rule{{Point: "fpcache.fill", Error: true}}},
+		{"retired model.persist", []Rule{{Point: "model.persist", Error: true}}},
+		{"neither error nor latency", []Rule{{Point: PointPoolAcquire, Prob: 0.5}}},
+		{"probability above 1", []Rule{{Point: PointPoolAcquire, Error: true, Prob: 1.5}}},
+		{"probability below 0", []Rule{{Point: PointPoolAcquire, Error: true, Prob: -0.1}}},
+		{"duplicate point", []Rule{{Point: PointPoolAcquire, Error: true}, {Point: PointPoolAcquire, Error: true}}},
 	} {
-		if _, err := ParsePlan(bad); err == nil {
-			t.Errorf("ParsePlan(%q) accepted", bad)
+		if _, err := NewPlan(1, tc.rules...); err == nil {
+			t.Errorf("%s: NewPlan(%+v) accepted", tc.name, tc.rules)
 		}
 	}
 }
@@ -221,10 +217,4 @@ func BenchmarkCheckDisabled(b *testing.B) {
 			b.Fatal("tripped while disabled")
 		}
 	}
-}
-
-func ExampleParsePlan() {
-	p, _ := ParsePlan("seed=4;pool.acquire:error,p=0.25,after=10")
-	fmt.Println(p.Seed)
-	// Output: 4
 }

@@ -185,7 +185,7 @@ func TestChaosSoak(t *testing.T) {
 
 			// The plan must have actually fired.
 			stats := faultinject.Stats()
-			for _, point := range []string{faultinject.PointPoolAcquire, faultinject.PointCacheFill} {
+			for _, point := range []string{faultinject.PointPoolAcquire, faultinject.PointCacheFill, faultinject.PointMemBudget} {
 				st := stats[point]
 				if st.Calls == 0 || st.Trips == 0 {
 					t.Errorf("point %s: calls=%d trips=%d; the chaos plan never bit there", point, st.Calls, st.Trips)

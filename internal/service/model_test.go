@@ -8,6 +8,7 @@ import (
 
 	"cote/internal/calib"
 	"cote/internal/core"
+	"cote/internal/faultinject"
 	"cote/internal/props"
 )
 
@@ -228,5 +229,44 @@ func TestModelUpdatesPublishOnce(t *testing.T) {
 		if after := installs(); after != before+1 {
 			t.Fatalf("%s: model_installs %v -> %v, want one more", step.name, before, after)
 		}
+	}
+}
+
+// A rollback trips the same model.swap point as an install: a faulted
+// rollback answers 503 dependency_fault and leaves the current version as
+// it was; once the plan is gone the same rollback succeeds.
+func TestChaosModelSwapOnRollback(t *testing.T) {
+	srv := New(Config{Workers: 2, Models: seeded(testModel(1e-6))})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/v1/model", ModelUpdateRequest{Model: testModel(1e-5)})
+	if resp.StatusCode != http.StatusOK || body["version"].(float64) != 2 {
+		t.Fatalf("install: %d %v", resp.StatusCode, body)
+	}
+	current := srv.Model()
+
+	plan, err := faultinject.NewPlan(3, faultinject.Rule{Point: faultinject.PointModelSwap, Error: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Activate(plan)
+	defer faultinject.Deactivate()
+
+	resp, body = postJSON(t, ts.URL+"/v1/model", ModelUpdateRequest{Rollback: 1})
+	if resp.StatusCode != http.StatusServiceUnavailable || body["code"] != CodeDependencyFault {
+		t.Fatalf("faulted rollback: %d %v, want 503 %s", resp.StatusCode, body, CodeDependencyFault)
+	}
+	if v := srv.models.Version(); v != 2 || srv.Model() != current {
+		t.Fatalf("faulted rollback moved the model: current v%d", v)
+	}
+	if st := faultinject.Stats()[faultinject.PointModelSwap]; st.Trips != 1 {
+		t.Fatalf("model.swap stats %+v, want one trip", st)
+	}
+
+	faultinject.Deactivate()
+	resp, body = postJSON(t, ts.URL+"/v1/model", ModelUpdateRequest{Rollback: 1})
+	if resp.StatusCode != http.StatusOK || body["version"].(float64) != 3 {
+		t.Fatalf("rollback after Deactivate: %d %v, want 200 v3", resp.StatusCode, body)
 	}
 }
