@@ -19,14 +19,16 @@ import (
 )
 
 // Measured 2026-10 with testutil.AllocsWithoutGC (warm, GC held off):
-// optimize 33 allocs released, 181 unreleased; estimate 15. They read 34 /
+// optimize 33 allocs released, 181 unreleased; estimate 8. They read 34 /
 // 174 / 15 before finish took the whole block's classes from the root entry
 // instead of rebuilding them (one allocation fewer per compile) and MEMO
 // entries got predicate sides (a fresh MEMO cuts a side chunk per 128
 // entries, which an unreleased compile pays per block), and 49 / 186 / 28
 // under testing.AllocsPerRun, whose collections let pools drop. The estimate's
-// are per block of the four-block query: the result, the enumerator, the
-// block list. A released compile keeps what is left per block: its
+// 8 are the result, one enumerator per block of the four-block query and the
+// block list's three growths; the estimate ceiling is that count exactly, so
+// an allocation per block fails it (it was 15 while each block also built a
+// per-block result and grew a slice of them). A released compile keeps what is left per block: its
 // BlockResult, the enumerator, the full-mode histograms; an unreleased one
 // also builds each block's MEMO. The unreleased ceiling is the one every
 // compile had before the compile workspace (336 then): a caller that never
@@ -41,18 +43,20 @@ import (
 const (
 	maxOptimizeAllocs         = 400
 	maxOptimizeReleasedAllocs = 59
-	maxEstimateAllocs         = 32
+	maxEstimateAllocs         = 8
 )
 
 // maxEstimateClique10Allocs bounds one estimate shaped like the benchmark's
 // cold_dense requests, only larger: a 10-table clique, 1,023 MEMO entries,
-// on a warm workspace pool. Measured 5 with testutil.AllocsWithoutGC (7
-// under testing.AllocsPerRun), what a 3-table chain costs: nothing is
-// allocated per table, per entry or per stored order. It was 1,451 while
-// merge orders were interned through a map and base-table order lists were
-// built per table, and 11,699 when every entry allocated its equivalence
-// and its crossing-predicate slice.
-const maxEstimateClique10Allocs = 8
+// on a warm workspace pool. Measured 3 with testutil.AllocsWithoutGC (the
+// result, the enumerator, the block list), what a 3-table chain costs:
+// nothing is allocated per table, per entry or per stored order, and the
+// ceiling is that count exactly, so an allocation per block fails it. It was
+// 5 while the block also built a per-block result and a slice of them, 1,451
+// while merge orders were interned through a map and base-table order lists
+// were built per table, and 11,699 when every entry allocated its
+// equivalence and its crossing-predicate slice.
+const maxEstimateClique10Allocs = 3
 
 func TestOptimizeAllocsReal2Headline(t *testing.T) {
 	if testing.Short() {

@@ -532,15 +532,13 @@ func (s *suite) piggyback() error {
 	for _, l := range levels {
 		fmt.Printf(" %18s", l)
 	}
-	fmt.Printf(" %12s\n", "one pass in")
+	fmt.Println()
 	for _, name := range names {
 		fmt.Printf("%-16s", name)
-		var el time.Duration
 		for _, r := range byQuery[name] {
 			fmt.Printf(" %9d plans   ", r.Plans)
-			el = r.Elapsed
 		}
-		fmt.Printf(" %12v\n", el)
+		fmt.Println()
 	}
 	fmt.Println()
 	return nil

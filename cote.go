@@ -329,14 +329,12 @@ type MetaOptimizer = core.MOP
 // MOPDecision records what the meta-optimizer decided and why.
 type MOPDecision = core.MOPDecision
 
-// MultiLevelEstimate holds per-level plan counts from one enumeration pass.
-type MultiLevelEstimate = core.MultiLevelEstimate
-
 // EstimateLevels estimates several optimization levels in a single
-// enumeration pass at the top level (the paper's Section 6.2 piggyback
-// extension). Every requested level's search space must be subsumed by top.
-func EstimateLevels(q *Query, top Level, levels []Level, opts EstimateOptions) (*MultiLevelEstimate, error) {
-	return core.EstimateLevels(q, top, levels, opts)
+// enumeration pass at the one among them whose search space subsumes all the
+// others' (the paper's Section 6.2 piggyback extension), returning one
+// Estimate per level, in order.
+func EstimateLevels(q *Query, levels []Level, opts EstimateOptions) ([]Estimate, error) {
+	return core.EstimateLevels(q, levels, opts)
 }
 
 // ClosedFormJoins returns the closed-form join count for "linear", "star"

@@ -111,12 +111,11 @@ func TestPublicParallelAndBaseline(t *testing.T) {
 	if n, err := cote.ClosedFormJoins("linear", 5); err != nil || n != 20 {
 		t.Fatalf("closed form = %d, %v", n, err)
 	}
-	multi, err := cote.EstimateLevels(q, cote.LevelHigh,
-		[]cote.Level{cote.LevelMediumLeftDeep, cote.LevelHigh}, cote.EstimateOptions{})
+	multi, err := cote.EstimateLevels(q, []cote.Level{cote.LevelMediumLeftDeep, cote.LevelHigh}, cote.EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if multi.Counts[cote.LevelHigh].Total() < multi.Counts[cote.LevelMediumLeftDeep].Total() {
+	if multi[1].Counts.Total() < multi[0].Counts.Total() {
 		t.Fatal("bushy level estimated fewer plans than left-deep")
 	}
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"cote/internal/catalog"
 	"cote/internal/cost"
+	"cote/internal/enum"
 	"cote/internal/opt"
 	"cote/internal/props"
 	"cote/internal/query"
@@ -434,39 +436,103 @@ func TestCalibrateJoinCountModel(t *testing.T) {
 	}
 }
 
-func TestPiggybackMatchesIndividualEstimates(t *testing.T) {
-	blk := starBlock(t, 7, 2, 1, 0, 1)
-	levels := []opt.Level{opt.LevelMediumLeftDeep, opt.LevelHighInner2, opt.LevelHigh}
-	multi, err := EstimateLevels(blk, opt.LevelHigh, levels, Options{})
-	if err != nil {
-		t.Fatal(err)
+// piggybackWorkloads are every workload the piggyback differential runs on,
+// each with the configuration its name suffix selects.
+func piggybackWorkloads() []*workload.Workload {
+	return []*workload.Workload{
+		workload.Linear(1), workload.Star(1), workload.Clique(1),
+		workload.Real1(1), workload.Real2(1), workload.TPCH(1),
+		workload.Random(1, 40, 9, 4), workload.Real1(4),
 	}
-	for _, l := range levels {
-		blk2 := starBlock(t, 7, 2, 1, 0, 1)
-		single, err := EstimatePlans(blk2, Options{Level: l})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if multi.Joins[l] != single.Joins {
-			t.Errorf("level %v: piggyback joins %d != individual %d", l, multi.Joins[l], single.Joins)
-		}
-		// Counts agree up to the property lists built under the wider
-		// top-level propagation; require close agreement.
-		e := stats.RelErr(float64(multi.Counts[l].Total()), float64(single.Counts.Total()))
-		if e > 0.15 {
-			t.Errorf("level %v: piggyback total %d vs individual %d (%.0f%%)",
-				l, multi.Counts[l].Total(), single.Counts.Total(), e*100)
+}
+
+// TestPiggybackMatchesIndividualEstimates compares every level of one
+// EstimateLevels pass at LevelHigh with a separate EstimatePlans run at that
+// level, on every workload under both Cartesian policies. Every field but
+// Elapsed and the candidate totals, which are the top level's scan, must be
+// equal: the counts, joins and pairs, and also the entries and property
+// lists, which the top level builds as each lower level would. The one
+// exception is linear_s under the default card-one policy. cost.Estimator.JoinCard floors each intermediate
+// simple-mode product at 0.01, so an entry's cardinality depends on which
+// split created it first, and a card-one Cartesian join is admitted on that
+// cardinality. The one pass creates entries in the top level's split order,
+// so on the chains with three to five predicates per edge (linear_n8 and
+// linear_n10) a lower level sees more Cartesian joins than when it runs
+// alone: never fewer, and at most 2.6 % more joins and pairs and 3.3 % more
+// plans (linear_n10_p3 at leftdeep: 2,201 joins and 47,685 plans against
+// 2,147 and 46,180); the extra Cartesian joins also add entries and property
+// values. Without the floor every level is equal there too.
+func TestPiggybackMatchesIndividualEstimates(t *testing.T) {
+	levels := []opt.Level{opt.LevelMediumLeftDeep, opt.LevelMediumZigZag, opt.LevelHighInner2, opt.LevelHigh}
+	policies := []struct {
+		name string
+		p    enum.CartesianPolicy
+	}{{"card-one", enum.CartesianCardOne}, {"never", enum.CartesianNever}}
+	model := mopFastModel()
+	for _, policy := range policies {
+		for _, w := range piggybackWorkloads() {
+			cfg := cost.Serial
+			if strings.HasSuffix(w.Name, "_p") {
+				cfg = cost.Parallel4
+			}
+			floored := policy.p == enum.CartesianCardOne && w.Name == "linear_s"
+			for _, q := range w.Queries {
+				opts := Options{Config: cfg, CartesianPolicy: policy.p, Model: model}
+				multi, err := EstimateLevels(q.Block, levels, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, l := range levels {
+					opts.Level = l
+					single, err := EstimatePlans(q.Block, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, want := multi[i], single
+					got.Elapsed, got.CandidatesVisited, got.CandidatesSkipped = want.Elapsed, want.CandidatesVisited, want.CandidatesSkipped
+					if got == *want {
+						continue
+					}
+					if floored && l != opt.LevelHigh && piggybackWithin(got, want, 0.035) {
+						continue
+					}
+					t.Errorf("%s %s %s:\n piggyback %+v\n separate  %+v", policy.name, q.Name, l, got, *want)
+				}
+			}
 		}
 	}
 }
 
+// piggybackWithin reports whether a piggyback estimate is nowhere below a
+// separate run's, per method and in entries and property bytes, and its
+// total plans, joins and pairs above it by at most the fraction tol.
+func piggybackWithin(got Estimate, want *Estimate, tol float64) bool {
+	for m := range got.Counts.ByMethod {
+		if got.Counts.ByMethod[m] < want.Counts.ByMethod[m] {
+			return false
+		}
+	}
+	if got.Entries < want.Entries || got.PropertyBytes < want.PropertyBytes {
+		return false
+	}
+	for _, v := range [][2]int{{got.Counts.Total(), want.Counts.Total()}, {got.Joins, want.Joins}, {got.Pairs, want.Pairs}} {
+		if v[0] < v[1] || float64(v[0]) > (1+tol)*float64(v[1]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPiggybackRejectsNonSubsumedLevels(t *testing.T) {
 	blk := starBlock(t, 5, 1, 0, 0, 1)
-	if _, err := EstimateLevels(blk, opt.LevelMediumLeftDeep, []opt.Level{opt.LevelHigh}, Options{}); err == nil {
-		t.Fatal("non-subsumed level accepted")
-	}
-	if _, err := EstimateLevels(blk, opt.LevelHigh, []opt.Level{opt.LevelLow}, Options{}); err == nil {
-		t.Fatal("greedy level accepted for plan-count estimation")
+	for _, levels := range [][]opt.Level{
+		nil,
+		{opt.LevelMediumZigZag, opt.LevelHighInner2},
+		{opt.LevelHigh, opt.LevelLow},
+	} {
+		if _, err := EstimateLevels(blk, levels, Options{}); err == nil {
+			t.Errorf("levels %v accepted", levels)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -53,31 +54,26 @@ func (o Options) level() opt.Level {
 	return o.Level
 }
 
-// BlockEstimate is the estimation outcome for one query block. It holds
-// values only, never a pointer: a cached Estimate must not reach the block
-// it was computed from, which lives in a request's statement arena.
-type BlockEstimate struct {
-	Counts    PlanCounts
-	EnumStats enum.Stats
-	// Entries is the number of MEMO entries the enumeration created.
-	Entries int
-	// PropertyBytes is the space the interesting-property lists used.
-	PropertyBytes int
-	// MeasuredBytes is the durable bytes of this block's MEMO (entry
-	// footprints plus property values at their fixed per-structure sizes).
-	// The MEMO counts them itself, so it is populated — and deterministic —
-	// even without an execution context.
-	MeasuredBytes int64
-}
-
-// Estimate is the estimation outcome for a whole query.
+// Estimate is the estimation outcome for a whole query at one level. Counts,
+// Joins and Pairs are the level's own. Blocks, Entries, PropertyBytes,
+// MeasuredPeakBytes, the candidate totals and Elapsed describe the
+// enumeration pass that produced them, which EstimateLevels shares between
+// all the levels it estimates; the predictions are priced from the level's
+// counts and the pass's structure. It holds values only, never a pointer: a
+// cached Estimate must not reach the block it was computed from, which lives
+// in a request's statement arena.
 type Estimate struct {
-	Blocks []*BlockEstimate
 	// Counts totals estimated generated join plans per method.
 	Counts PlanCounts
 	// Joins and Pairs total the enumerated ordered joins and unordered
 	// join pairs (the Ono-Lohman metric).
 	Joins, Pairs int
+	// Blocks is the number of query blocks the pass enumerated.
+	Blocks int
+	// Entries is the number of MEMO entries the pass created.
+	Entries int
+	// PropertyBytes is the space the interesting-property lists used.
+	PropertyBytes int
 	// CandidatesVisited and CandidatesSkipped total the size-class partner
 	// slots the enumerator examined vs dropped with a whole size-class pair
 	// the level's shape/composite-inner knobs rule out (visited + skipped =
@@ -96,20 +92,42 @@ type Estimate struct {
 	// compile's durable MEMO high-water mark at this level (entries,
 	// retained plans, property values at fixed per-structure sizes).
 	PredictedPeakBytes int64
-	// MeasuredPeakBytes totals the durable bytes the estimation run's own
-	// MEMOs held — the estimator's measured counterpart, bit-stable
-	// across pool states.
+	// MeasuredPeakBytes totals the durable bytes the pass's own MEMOs held
+	// (entry footprints plus property values at their fixed per-structure
+	// sizes) — the estimator's measured counterpart, bit-stable across pool
+	// states. The MEMO counts them itself, so it is populated even without
+	// an execution context.
 	MeasuredPeakBytes int64
 }
 
 // EstimatePlans runs plan-estimate mode on a query: the join enumerator is
 // reused with the initialize / accumulate_plans hooks installed instead of
-// plan generation, over the simple cardinality model. Nested blocks are
-// estimated children-first, their (simple-mode) output cardinalities feeding
-// the parents, mirroring the real optimizer's multi-block processing.
+// plan generation, over the simple cardinality model. It is EstimateLevels
+// at the one level opts selects.
 func EstimatePlans(blk *query.Block, opts Options) (*Estimate, error) {
+	ests, err := EstimateLevels(blk, []opt.Level{opts.level()}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &ests[0], nil
+}
+
+// EstimateLevels estimates every level of levels from one enumeration at the
+// level among them whose search space subsumes all the others' — the
+// Section 6.2 extension: "It's possible to estimate the compilation time of
+// multiple levels of optimization in a single pass, as long as the search
+// space of the highest level subsumes that of all other levels." It returns
+// one Estimate per entry of levels, in order; opts.Level is not read.
+// Nested blocks are estimated children-first, their (simple-mode) output
+// cardinalities feeding the parents, mirroring the real optimizer's
+// multi-block processing.
+func EstimateLevels(blk *query.Block, levels []opt.Level, opts Options) ([]Estimate, error) {
+	top, err := topLevel(levels)
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	est := &Estimate{}
+	ests := make([]Estimate, len(levels))
 	blocks := blk.Blocks()
 	// Each finished block's output cardinality, the rows its parent's
 	// derived table reads; on the stack up to eight blocks.
@@ -120,28 +138,49 @@ func EstimatePlans(blk *query.Block, opts Options) (*Estimate, error) {
 			return nil, opts.Exec.Err()
 		}
 		ws := acquireWorkspace(b, blocks[:i], cards, opts)
-		be, err := ws.estimate(opts)
+		err := ws.estimate(levels, top, opts, ests)
+		if err == nil {
+			cards = append(cards, outputCard(b, ws.mem))
+		}
+		ws.release()
 		if err != nil {
-			ws.release()
 			return nil, err
 		}
-		cards = append(cards, outputCard(b, ws.mem))
-		ws.release()
-		est.Blocks = append(est.Blocks, be)
-		est.Counts.Add(be.Counts)
-		est.Joins += be.EnumStats.Joins
-		est.Pairs += be.EnumStats.Pairs
-		est.CandidatesVisited += be.EnumStats.CandidatesVisited
-		est.CandidatesSkipped += be.EnumStats.CandidatesSkipped
-		est.PredictedMemoryBytes += memoryLowerBound(be)
-		est.MeasuredPeakBytes += be.MeasuredBytes
 	}
-	est.Elapsed = time.Since(start)
-	if opts.Model != nil {
-		est.PredictedTime = opts.Model.Predict(est.Counts)
+	elapsed := time.Since(start)
+	for i := range ests {
+		e := &ests[i]
+		e.Elapsed = elapsed
+		if opts.Model != nil {
+			e.PredictedTime = opts.Model.Predict(e.Counts)
+		}
+		e.PredictedMemoryBytes = memoryLowerBound(e)
+		e.PredictedPeakBytes = EstimateMemory(e, opts.MemModel)
 	}
-	est.PredictedPeakBytes = EstimateMemory(est, opts.MemModel)
-	return est, nil
+	return ests, nil
+}
+
+// topLevel returns the index of the level of levels that subsumes every
+// other, refusing the greedy level, which has no plan-count estimate.
+func topLevel(levels []opt.Level) (int, error) {
+	if len(levels) == 0 {
+		return 0, fmt.Errorf("core: no level to estimate")
+	}
+	top := 0
+	for i, l := range levels {
+		if l.Subsumes(levels[top]) {
+			top = i
+		}
+	}
+	for _, l := range levels {
+		if l == opt.LevelLow {
+			return 0, fmt.Errorf("core: the greedy level has no plan-count estimate")
+		}
+		if !levels[top].Subsumes(l) {
+			return 0, fmt.Errorf("core: level %v does not subsume %v", levels[top], l)
+		}
+	}
+	return top, nil
 }
 
 // EstimatePlansCtx is EstimatePlans bounded by a context: when ctx expires
@@ -156,8 +195,8 @@ func EstimatePlansCtx(ctx context.Context, blk *query.Block, opts Options) (*Est
 // estimator, the interest scope and the counter with its per-join scratch.
 // reset readies all of it for a block and rebuilds none, so on a warm pool a
 // run allocates its Estimate and little else. Nothing reachable from it may
-// be kept past release: BlockEstimate and MultiLevelEstimate hold scalars,
-// never an entry, order or partition, whose storage the next run overwrites.
+// be kept past release: an Estimate holds scalars, never an entry, order or
+// partition, whose storage the next run overwrites.
 type workspace struct {
 	mem  *memo.Memo
 	card cost.Estimator
@@ -198,24 +237,49 @@ func (ws *workspace) enumerator(level opt.Level, opts Options) *enum.Enumerator 
 	return enum.New(ws.cnt.blk, ws.mem, &ws.card, eopts)
 }
 
-// estimate runs the block the workspace was reset for through the enumerator
-// with counting hooks.
-func (ws *workspace) estimate(opts Options) (*BlockEstimate, error) {
-	mem, cnt := ws.mem, &ws.cnt
-
-	st, err := ws.enumerator(opts.level(), opts).Run(enum.Hooks{Init: cnt.initialize, Join: cnt.accumulatePlans})
-	if err != nil {
-		return nil, err
+// estimate runs the block the workspace was reset for through one
+// enumeration at levels[top], adding to each level's entry of ests its own
+// counts and the pass's structure. The workspace's counter propagates the
+// property lists and counts for levels[top]; every other level gets a
+// count-only fork that sees the joins its space admits.
+func (ws *workspace) estimate(levels []opt.Level, top int, opts Options, ests []Estimate) error {
+	cnt := &ws.cnt
+	hooks := enum.Hooks{Init: cnt.initialize, Join: cnt.accumulatePlans}
+	cnts := []*counter{cnt}
+	if len(levels) > 1 {
+		cnts = cnt.forLevels(len(levels), top)
+		hooks.Join = func(outer, inner, result *memo.Entry) {
+			for i, c := range cnts {
+				if i != top && levelAdmits(levels[i], outer, inner) {
+					c.countOnly(outer, inner, result)
+				}
+			}
+			cnt.accumulatePlans(outer, inner, result)
+		}
 	}
-
-	pb := ws.endBlock(opts.Exec, cnt.scratchBytes())
-	return &BlockEstimate{
-		Counts:        cnt.counts,
-		EnumStats:     st,
-		Entries:       mem.NumEntries(),
-		PropertyBytes: pb,
-		MeasuredBytes: mem.DurableBytes(),
-	}, nil
+	st, err := ws.enumerator(levels[top], opts).Run(hooks)
+	if err != nil {
+		return err
+	}
+	var scratch int64
+	for _, c := range cnts {
+		scratch += c.scratchBytes()
+	}
+	pb := ws.endBlock(opts.Exec, scratch)
+	entries, measured := ws.mem.NumEntries(), ws.mem.DurableBytes()
+	for i, c := range cnts {
+		e := &ests[i]
+		e.Counts.Add(c.counts)
+		e.Joins += c.joins
+		e.Pairs += c.pairs
+		e.Blocks++
+		e.Entries += entries
+		e.PropertyBytes += pb
+		e.MeasuredPeakBytes += measured
+		e.CandidatesVisited += st.CandidatesVisited
+		e.CandidatesSkipped += st.CandidatesSkipped
+	}
+	return nil
 }
 
 // endBlock charges the block to exec: the counter's property values enter
@@ -249,13 +313,13 @@ func outputCard(blk *query.Block, mem *memo.Memo) float64 {
 	return card
 }
 
-// memoryLowerBound converts a block's property-list footprint into the
+// memoryLowerBound converts an estimate's property-list footprint into the
 // optimizer memory lower bound of Section 6.2: the MEMO must hold at least
 // one plan per interesting property value (plus the DC plan per entry).
-func memoryLowerBound(be *BlockEstimate) int64 {
+func memoryLowerBound(e *Estimate) int64 {
 	const bytesPerPlan = 256 // "a full plan [is] typically in the order of hundreds of bytes"
 	const bytesPerProperty = 4
-	properties := be.PropertyBytes / bytesPerProperty
-	plans := properties + be.Entries // one DC plan per entry
+	properties := e.PropertyBytes / bytesPerProperty
+	plans := properties + e.Entries // one DC plan per entry
 	return int64(plans) * bytesPerPlan
 }

@@ -43,12 +43,14 @@ func entryPoints() []entryPoint {
 			return string(js), err
 		}},
 		{"EstimateLevels", func(b *query.Block) (string, error) {
-			ml, err := EstimateLevels(b, opt.LevelHigh, allLevels, Options{})
+			ests, err := EstimateLevels(b, allLevels, Options{})
 			if err != nil {
 				return "", err
 			}
-			ml.Elapsed = 0
-			js, err := json.Marshal(ml)
+			for i := range ests {
+				ests[i].Elapsed = 0
+			}
+			js, err := json.Marshal(ests)
 			return string(js), err
 		}},
 		{"Optimize", func(b *query.Block) (string, error) {
@@ -88,23 +90,27 @@ func derivedWorkloads() []func() *workload.Workload {
 }
 
 // TestEstimateLevelsMatchesEstimatePlans requires the single-pass estimate of
-// the top level to be the top level's estimate: EstimateLevels must export
-// each child block's output cardinality to its parent as EstimatePlans does.
+// the top level to be the top level's estimate, every field but Elapsed: the
+// pass must export each child block's output cardinality to its parent as
+// EstimatePlans does, and its forked counters must not disturb the one that
+// propagates.
 func TestEstimateLevelsMatchesEstimatePlans(t *testing.T) {
 	for _, mk := range derivedWorkloads() {
 		levelsWl := mk() // fresh blocks for EstimateLevels
 		for i, q := range mk().Queries {
-			est, err := EstimatePlans(q.Block, Options{Level: opt.LevelHigh})
+			opts := Options{Level: opt.LevelHigh, Model: mopFastModel()}
+			est, err := EstimatePlans(q.Block, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ml, err := EstimateLevels(levelsWl.Queries[i].Block, opt.LevelHigh, []opt.Level{opt.LevelHigh}, Options{})
+			ests, err := EstimateLevels(levelsWl.Queries[i].Block, allLevels, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := ml.Counts[opt.LevelHigh]; got != est.Counts || ml.Joins[opt.LevelHigh] != est.Joins {
-				t.Errorf("%s: EstimateLevels %v / %d joins, EstimatePlans %v / %d joins",
-					q.Name, got, ml.Joins[opt.LevelHigh], est.Counts, est.Joins)
+			got := ests[len(allLevels)-1]
+			got.Elapsed, est.Elapsed = 0, 0
+			if got != *est {
+				t.Errorf("%s: EstimateLevels %+v\n EstimatePlans %+v", q.Name, got, *est)
 			}
 		}
 	}
@@ -194,8 +200,9 @@ func TestSharedBlockConcurrent(t *testing.T) {
 
 // TestEstimateLevelsChargesMemory requires the single-pass estimate to
 // charge each block as EstimatePlans does — the property values its counter
-// grew and its scratch — so that one level's durable peak is the
-// EstimatePlans one and its total peak no smaller.
+// grew and its scratch — so that the top level's durable peak is the
+// EstimatePlans one and its total peak no smaller, and the top level's
+// Estimate, Elapsed aside, is EstimatePlans'.
 func TestEstimateLevelsChargesMemory(t *testing.T) {
 	for _, w := range []*workload.Workload{
 		workload.Linear(1), workload.Star(1), workload.Real1(1),
@@ -203,11 +210,18 @@ func TestEstimateLevelsChargesMemory(t *testing.T) {
 	} {
 		for _, q := range w.Queries {
 			plans, levels := optctx.New(context.Background()), optctx.New(context.Background())
-			if _, err := EstimatePlans(q.Block, Options{Level: opt.LevelHigh, Exec: plans}); err != nil {
+			est, err := EstimatePlans(q.Block, Options{Level: opt.LevelHigh, Exec: plans})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := EstimateLevels(q.Block, opt.LevelHigh, []opt.Level{opt.LevelHigh}, Options{Exec: levels}); err != nil {
+			ests, err := EstimateLevels(q.Block, allLevels, Options{Exec: levels})
+			if err != nil {
 				t.Fatal(err)
+			}
+			got := ests[len(allLevels)-1]
+			got.Elapsed, est.Elapsed = 0, 0
+			if got != *est {
+				t.Errorf("%s: EstimateLevels %+v\n EstimatePlans %+v", q.Name, got, *est)
 			}
 			p, l := plans.Resources(), levels.Resources()
 			if l.DurablePeakBytes != p.DurablePeakBytes || l.PeakBytes < p.PeakBytes {

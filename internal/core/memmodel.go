@@ -62,15 +62,10 @@ func (m *MemModel) Predict(entries, plans, propBytes int) int64 {
 
 // EstimateMemory predicts the peak durable optimizer memory of the real
 // compilation an estimate describes: the model applied to the estimate's
-// total entries, generated-plan counts and property bytes. DC plans (one per
+// entries, generated-plan counts and property bytes. DC plans (one per
 // entry) ride on the entry coefficient.
 func EstimateMemory(est *Estimate, m *MemModel) int64 {
-	entries, propBytes := 0, 0
-	for _, be := range est.Blocks {
-		entries += be.Entries
-		propBytes += be.PropertyBytes
-	}
-	return m.Predict(entries, est.Counts.Total(), propBytes)
+	return m.Predict(est.Entries, est.Counts.Total(), est.PropertyBytes)
 }
 
 // CalibrateMemory fits the memory model from observations (PeakBytes on the

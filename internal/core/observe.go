@@ -60,10 +60,8 @@ func ObservationFrom(res *opt.Result, est *Estimate) CompileObservation {
 		}
 	}
 	if est != nil {
-		for _, be := range est.Blocks {
-			o.Entries += be.Entries
-			o.PropertyBytes += be.PropertyBytes
-		}
+		o.Entries = est.Entries
+		o.PropertyBytes = est.PropertyBytes
 		o.EstimatedPlans = est.Counts.Total()
 		o.Pairs = est.Pairs
 	}

@@ -54,11 +54,7 @@ func TestMOPObserverReceivesBothCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, propBytes := 0, 0
-	for _, be := range est.Blocks {
-		entries += be.Entries
-		propBytes += be.PropertyBytes
-	}
+	entries, propBytes := est.Entries, est.PropertyBytes
 	if high.Entries != entries || high.PropertyBytes != propBytes || high.EstimatedPlans != est.Counts.Total() || high.Pairs != est.Pairs {
 		t.Fatalf("high observation regressors entries=%d prop=%d plans=%d pairs=%d, estimate has %d/%d/%d/%d",
 			high.Entries, high.PropertyBytes, high.EstimatedPlans, high.Pairs, entries, propBytes, est.Counts.Total(), est.Pairs)

@@ -154,7 +154,7 @@ func TestChainCountsMatchClosedForm(t *testing.T) {
 			}
 			// A chain's MEMO holds every connected interval: n(n+1)/2 entries,
 			// at every level (shape rules prune joins, not reachable subsets).
-			if got, want := est.Blocks[0].Entries, n*(n+1)/2; got != want {
+			if got, want := est.Entries, n*(n+1)/2; got != want {
 				t.Errorf("chain n=%d %v: %d MEMO entries, closed form %d", n, level, got, want)
 			}
 		}
@@ -177,7 +177,7 @@ func TestStarCountsMatchClosedForm(t *testing.T) {
 			}
 			// Feasible subsets: each satellite alone plus every hub-containing
 			// subset — (n-1) + 2^(n-1) MEMO entries.
-			if got, want := est.Blocks[0].Entries, (n-1)+1<<(n-1); got != want {
+			if got, want := est.Entries, (n-1)+1<<(n-1); got != want {
 				t.Errorf("star n=%d %v: %d MEMO entries, closed form %d", n, level, got, want)
 			}
 		}

@@ -84,7 +84,8 @@ type propVec struct {
 
 // counter is the plan-estimate mode engine for a single query block: the
 // hook implementations of the paper's Table 3. The propagating one lives in
-// the pooled workspace; EstimateLevels forks one count-only twin per level.
+// the pooled workspace; a multi-level pass forks one count-only twin per
+// level below the top.
 type counter struct {
 	blk *query.Block
 	sc  *props.Scope
@@ -108,8 +109,9 @@ type counter struct {
 	// interesting value, and NLJN — the only method that propagates it —
 	// generates both a pipelined and a blocking variant per order.
 	pipeFactor int
-	// joins counts the enumerated joins this counter accumulated.
-	joins int
+	// joins and pairs count the enumerated joins this counter accumulated
+	// and the unordered pairs they came from.
+	joins, pairs int
 	// vecs holds compound property vectors per entry (CompoundLists only).
 	// Forked level counters share this map and only read it.
 	vecs map[bitset.Set][]propVec
@@ -256,7 +258,7 @@ func (c *counter) accumulatePlans(outer, inner, result *memo.Entry) {
 
 // pair makes the pair facts the join's: kept when it is the other
 // orientation of the pair before, computed from the two entries' predicate
-// sides otherwise.
+// sides, and the pair counted, otherwise.
 func (c *counter) pair(outer, inner *memo.Entry) {
 	o, i := outer.Tables, inner.Tables
 	if o == c.pairInner && i == c.pairOuter {
@@ -270,6 +272,7 @@ func (c *counter) pair(outer, inner *memo.Entry) {
 		shared |= x &^ c.lone[w]
 	}
 	c.pairOuter, c.pairInner = o, i
+	c.pairs++
 	c.cross, c.reps, c.marked = cross, -1, 0
 	if shared == 0 {
 		c.reps = cross

@@ -59,7 +59,7 @@ func poolProbes(t *testing.T) []poolProbe {
 
 // blockOutcome is everything observable about one block's estimate.
 type blockOutcome struct {
-	Est         BlockEstimate
+	Est         Estimate
 	CardBits    uint64
 	DurablePeak int64
 	ScratchPeak int64
@@ -73,7 +73,7 @@ func estimateOn(t *testing.T, ws *workspace, tenant, blk *query.Block, opts Opti
 		for _, b := range tenant.Blocks() {
 			o := Options{Level: opt.LevelHigh}
 			ws.reset(b, nil, nil, o)
-			if _, err := ws.estimate(o); err != nil {
+			if _, err := estimateBlock(ws, o); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -81,24 +81,32 @@ func estimateOn(t *testing.T, ws *workspace, tenant, blk *query.Block, opts Opti
 	opts.Exec = optctx.New(context.Background())
 	opts.Exec.SetMemBudget(budget)
 	ws.reset(blk, nil, nil, opts)
-	be, err := ws.estimate(opts)
+	est, err := estimateBlock(ws, opts)
 	if err != nil {
 		return blockOutcome{}, err
 	}
 	// The block is the run's only one and its durable bytes only grow, so
 	// the total peak is the final durable bytes plus the counter's scratch.
 	res := opts.Exec.Resources()
-	out := blockOutcome{Est: *be, CardBits: math.Float64bits(outputCard(blk, ws.mem)), DurablePeak: res.DurablePeakBytes, ScratchPeak: res.PeakBytes - res.DurablePeakBytes}
+	out := blockOutcome{Est: est, CardBits: math.Float64bits(outputCard(blk, ws.mem)), DurablePeak: res.DurablePeakBytes, ScratchPeak: res.PeakBytes - res.DurablePeakBytes}
 	return out, nil
 }
 
-// TestPoolStateBlockEstimate drives one workspace by
+// estimateBlock runs the block ws was reset for at opts' level, as
+// EstimatePlans runs each block, into an Estimate of its own.
+func estimateBlock(ws *workspace, opts Options) (Estimate, error) {
+	var est [1]Estimate
+	err := ws.estimate([]opt.Level{opts.level()}, 0, opts, est[:])
+	return est[0], err
+}
+
+// TestPoolStateWorkspace drives one workspace by
 // hand, so the state it is in is known rather than whatever sync.Pool hands
 // back: every block of every probe after every tenant. The scratch charge is
 // part of the outcome — it used to be the buffers' capacities, which
 // remember the largest tenant — and so is the decision of the tightest
 // budget that admits the block on a fresh workspace, and of one byte less.
-func TestPoolStateBlockEstimate(t *testing.T) {
+func TestPoolStateWorkspace(t *testing.T) {
 	tenants := poolTenants(t)
 	for _, p := range poolProbes(t) {
 		for _, blk := range p.blk.Blocks() {

@@ -214,7 +214,7 @@ func (e *Estimate) MarshalJSON() ([]byte, error) {
 		Counts:               e.Counts,
 		Joins:                e.Joins,
 		Pairs:                e.Pairs,
-		Blocks:               len(e.Blocks),
+		Blocks:               e.Blocks,
 		CandidatesVisited:    e.CandidatesVisited,
 		CandidatesSkipped:    e.CandidatesSkipped,
 		ElapsedNS:            e.Elapsed.Nanoseconds(),
@@ -235,7 +235,7 @@ func (e *Estimate) AppendJSON(dst []byte, depth int) []byte {
 	o.B = e.Counts.AppendJSON(o.B, depth+1)
 	o.Int("joins", int64(e.Joins))
 	o.Int("pairs", int64(e.Pairs))
-	o.Int("blocks", int64(len(e.Blocks)))
+	o.Int("blocks", int64(e.Blocks))
 	o.Int("candidates_visited", int64(e.CandidatesVisited))
 	o.Int("candidates_skipped", int64(e.CandidatesSkipped))
 	o.Int("elapsed_ns", e.Elapsed.Nanoseconds())
@@ -252,10 +252,9 @@ func (e *Estimate) AppendJSON(dst []byte, depth int) []byte {
 	return o.Close()
 }
 
-// UnmarshalJSON accepts the MarshalJSON form. The wire form carries only the
-// block *count*, not the per-block estimates, so Blocks decodes to nil — a
-// decoded Estimate is the client's view of the totals, not a re-runnable
-// enumeration record.
+// UnmarshalJSON accepts the MarshalJSON form. The wire form leaves out
+// Entries and PropertyBytes, which decode to zero: a decoded Estimate is the
+// client's view of the totals, not a calibration record.
 func (e *Estimate) UnmarshalJSON(data []byte) error {
 	var j estimateJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -265,6 +264,7 @@ func (e *Estimate) UnmarshalJSON(data []byte) error {
 		Counts:               j.Counts,
 		Joins:                j.Joins,
 		Pairs:                j.Pairs,
+		Blocks:               j.Blocks,
 		CandidatesVisited:    j.CandidatesVisited,
 		CandidatesSkipped:    j.CandidatesSkipped,
 		Elapsed:              time.Duration(j.ElapsedNS),

@@ -126,9 +126,11 @@ func randomEstimate(rng *rand.Rand) *Estimate {
 		return rng.Int63() >> rng.Intn(63)
 	}
 	e := &Estimate{
-		Blocks:               make([]*BlockEstimate, rng.Intn(4)),
 		Joins:                int(n()),
 		Pairs:                int(n()),
+		Blocks:               int(n()),
+		Entries:              int(n()),
+		PropertyBytes:        int(n()),
 		CandidatesVisited:    int(n()),
 		CandidatesSkipped:    int(n()),
 		Elapsed:              time.Duration(n()),
@@ -166,9 +168,9 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 		if err := json.Unmarshal(got, &back); err != nil {
 			t.Fatal(err)
 		}
-		// The wire form carries the block count, not the blocks.
+		// The wire form leaves out the structural regressors.
 		sent := *e
-		sent.Blocks = nil
+		sent.Entries, sent.PropertyBytes = 0, 0
 		if !reflect.DeepEqual(back, sent) {
 			t.Fatalf("round trip: %+v != %+v", back, sent)
 		}
@@ -197,11 +199,11 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 	}
 }
 
-// TestBlockEstimateHoldsNoPointers pins that a cached estimate cannot reach
+// TestEstimateHoldsNoPointers pins that a cached estimate cannot reach
 // the statement it was computed from: the service parses and rebuilds
 // statements in pooled arenas that the next request overwrites, so every
-// field of BlockEstimate, at any depth, is a value.
-func TestBlockEstimateHoldsNoPointers(t *testing.T) {
+// field of Estimate, at any depth, is a value.
+func TestEstimateHoldsNoPointers(t *testing.T) {
 	var check func(path string, typ reflect.Type)
 	check = func(path string, typ reflect.Type) {
 		switch typ.Kind() {
@@ -217,5 +219,5 @@ func TestBlockEstimateHoldsNoPointers(t *testing.T) {
 			t.Errorf("%s is a %s", path, typ.Kind())
 		}
 	}
-	check("BlockEstimate", reflect.TypeOf(BlockEstimate{}))
+	check("Estimate", reflect.TypeOf(Estimate{}))
 }

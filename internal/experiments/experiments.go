@@ -518,13 +518,12 @@ func MemFig(w *workload.Workload, levels []opt.Level, m *core.MemModel) ([]MemFi
 
 // --- Section 6.2: multi-level piggyback ---
 
-// PiggybackRow reports per-level estimates from a single enumeration pass.
+// PiggybackRow reports one level's estimate from a single enumeration pass.
 type PiggybackRow struct {
-	Query   string
-	Level   opt.Level
-	Joins   int
-	Plans   int
-	Elapsed time.Duration
+	Query string
+	Level opt.Level
+	Joins int
+	Plans int
 }
 
 // Piggyback estimates several optimization levels in one pass for each
@@ -533,15 +532,14 @@ func Piggyback(w *workload.Workload, levels []opt.Level) ([]PiggybackRow, error)
 	cfg := ConfigFor(w)
 	var out []PiggybackRow
 	for _, q := range w.Queries {
-		multi, err := core.EstimateLevels(q.Block, opt.LevelHigh, levels, core.Options{Config: cfg})
+		ests, err := core.EstimateLevels(q.Block, levels, core.Options{Config: cfg})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
-		for _, l := range levels {
+		for i, l := range levels {
 			out = append(out, PiggybackRow{
 				Query: q.Name, Level: l,
-				Joins: multi.Joins[l], Plans: multi.Counts[l].Total(),
-				Elapsed: multi.Elapsed,
+				Joins: ests[i].Joins, Plans: ests[i].Counts.Total(),
 			})
 		}
 	}
@@ -593,9 +591,7 @@ func Ablations(w *workload.Workload) ([]AblationRow, error) {
 			row.TotalAct += actual.Total()
 			est = append(est, float64(e.Counts.Total()))
 			act = append(act, float64(actual.Total()))
-			for _, be := range e.Blocks {
-				row.PropBytes += be.PropertyBytes
-			}
+			row.PropBytes += e.PropertyBytes
 		}
 		row.Elapsed = time.Since(start)
 		s, _ := stats.Summarize(est, act)

@@ -94,9 +94,9 @@ func randomEstimate(rng *rand.Rand) *core.Estimate {
 		return nil
 	}
 	e := &core.Estimate{
-		Blocks:               make([]*core.BlockEstimate, rng.Intn(3)),
 		Joins:                int(randomInt(rng)),
 		Pairs:                int(randomInt(rng)),
+		Blocks:               int(randomInt(rng)),
 		CandidatesVisited:    int(randomInt(rng)),
 		CandidatesSkipped:    int(randomInt(rng)),
 		Elapsed:              time.Duration(randomInt(rng)),
